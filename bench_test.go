@@ -10,6 +10,7 @@
 package tcptrim_test
 
 import (
+	"io"
 	"testing"
 	"time"
 
@@ -333,6 +334,36 @@ func BenchmarkAQMSweepSmokeWarm(b *testing.B) {
 		}
 		b.ReportMetric(float64(store.Hits()), "cells-cached")
 	}
+}
+
+// BenchmarkWarmSweepPass re-runs the four sweeps of the repo benchmark's
+// cache_warm workload (recoverysweep, resilience, resilience under red and
+// favour: 72 cells) against a warm memory store and renders their tables:
+// one op is one pass, nothing simulates, so ns/op and allocs/op are the
+// whole read side — key, memory-tier hit, row copy, Table.Write.
+func BenchmarkWarmSweepPass(b *testing.B) {
+	store := cellcache.NewMemory()
+	pass := func() {
+		for _, sw := range []struct{ id, aqm string }{
+			{"recoverysweep", ""}, {"resilience", ""}, {"resilience", "red"}, {"resilience", "favour"},
+		} {
+			opts := experiment.Options{Seed: 1, AQM: sw.aqm, Cache: store}
+			if err := experiment.Run(sw.id, opts, io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // cold fill
+	store.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	if store.Misses() != 0 {
+		b.Fatalf("warm passes simulated %d cells", store.Misses())
+	}
+	b.ReportMetric(float64(store.Hits())/float64(b.N), "cells-cached")
 }
 
 // BenchmarkEq22KSweep regenerates the Section III.B threshold guideline

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -107,9 +108,10 @@ func ValidatePersistent(codeVersion string, force bool) error {
 
 // DefaultMemLimit bounds the in-memory tier of a store: beyond it the
 // least recently used payloads are evicted (they remain on disk when the
-// store is persistent). Cell payloads are small JSON rows — a few
-// hundred bytes to a few hundred KB for series-bearing results — so the
-// default comfortably holds every sweep in the repo.
+// store is persistent). It counts payload bytes only: the decoded row an
+// entry may carry (see Cell) is no larger and leaves with it. Cell payloads
+// are small JSON rows — a few hundred bytes to a few hundred KB for
+// series-bearing results — so the default holds every sweep in the repo.
 const DefaultMemLimit = 64 << 20
 
 // Store is a two-tier content-addressed store: an in-memory LRU over
@@ -124,22 +126,35 @@ type Store struct {
 	memUsed int64
 	lru     *list.List // front = most recently used
 	mem     map[string]*list.Element
+	// keys remembers Key for the specs Cell resolved: a warm cell is hashed
+	// once, not per hit. Each slot is evicted with the entry it names.
+	keys map[specID]string
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// lruEntry is one in-memory payload.
+// lruEntry is one in-memory payload and, once Cell has seen it, the row it
+// decodes to: a T held by value, nil while undecoded and for row types
+// that assignment does not deep-copy.
 type lruEntry struct {
 	key     string
 	payload []byte
+	value   any
+	id      specID // its slot in Store.keys; zero = none
+}
+
+// specID is a comparable cell spec with its code version, as a map key.
+type specID struct {
+	spec    any
+	version string
 }
 
 // Open returns a store persisting under dir; dir == "" keeps results in
 // memory only.
 func Open(dir string) (*Store, error) {
 	s := &Store{dir: dir, memCap: DefaultMemLimit,
-		lru: list.New(), mem: map[string]*list.Element{}}
+		lru: list.New(), mem: map[string]*list.Element{}, keys: map[specID]string{}}
 	if dir == "" {
 		return s, nil
 	}
@@ -177,34 +192,46 @@ func (s *Store) path(key string) string {
 // Get returns the payload cached under key, if any, and counts the
 // lookup as a hit or a miss. Callers must not mutate the returned slice.
 func (s *Store) Get(key string) ([]byte, bool) {
+	payload, _, ok := s.get(key)
+	return payload, ok
+}
+
+// get is Get plus the decoded row riding in the memory entry, if any.
+func (s *Store) get(key string) ([]byte, any, bool) {
 	s.mu.Lock()
 	if el, ok := s.mem[key]; ok {
 		s.lru.MoveToFront(el)
-		payload := el.Value.(*lruEntry).payload
+		e := el.Value.(*lruEntry)
+		payload, value := e.payload, e.value
 		s.mu.Unlock()
 		s.hits.Add(1)
-		return payload, true
+		return payload, value, true
 	}
 	s.mu.Unlock()
 	if s.dir != "" {
 		if payload, err := os.ReadFile(s.path(key)); err == nil {
 			s.mu.Lock()
-			s.insertLocked(key, payload)
+			s.insertLocked(key, payload, nil, specID{})
 			s.mu.Unlock()
 			s.hits.Add(1)
-			return payload, true
+			return payload, nil, true
 		}
 	}
 	s.misses.Add(1)
-	return nil, false
+	return nil, nil, false
 }
 
 // Put stores a payload under key: into the memory tier, and — for
 // persistent stores — onto disk immediately (tmp file renamed into
 // place, so concurrent readers never observe a torn write).
 func (s *Store) Put(key string, payload []byte) error {
+	return s.put(key, payload, nil, specID{})
+}
+
+// put is Put plus the row the payload decodes to and the spec it answers.
+func (s *Store) put(key string, payload []byte, value any, id specID) error {
 	s.mu.Lock()
-	s.insertLocked(key, payload)
+	s.insertLocked(key, payload, value, id)
 	s.mu.Unlock()
 	if s.dir == "" {
 		return nil
@@ -221,15 +248,19 @@ func (s *Store) Put(key string, payload []byte) error {
 
 // insertLocked adds or refreshes a memory-tier entry and evicts down to
 // the budget. Caller holds s.mu.
-func (s *Store) insertLocked(key string, payload []byte) {
-	if el, ok := s.mem[key]; ok {
-		e := el.Value.(*lruEntry)
-		s.memUsed += int64(len(payload)) - int64(len(e.payload))
-		e.payload = payload
-		s.lru.MoveToFront(el)
-	} else {
-		s.mem[key] = s.lru.PushFront(&lruEntry{key: key, payload: payload})
-		s.memUsed += int64(len(payload))
+func (s *Store) insertLocked(key string, payload []byte, value any, id specID) {
+	el, ok := s.mem[key]
+	if !ok {
+		el = s.lru.PushFront(&lruEntry{key: key})
+		s.mem[key] = el
+	}
+	e := el.Value.(*lruEntry)
+	s.memUsed += int64(len(payload)) - int64(len(e.payload))
+	e.payload, e.value = payload, value
+	s.lru.MoveToFront(el)
+	if id.spec != nil && id != e.id {
+		delete(s.keys, e.id) // two specs with one encoding: the entry keeps the latest
+		e.id, s.keys[id] = id, key
 	}
 	s.evictLocked()
 }
@@ -245,6 +276,7 @@ func (s *Store) evictLocked() {
 		e := el.Value.(*lruEntry)
 		s.lru.Remove(el)
 		delete(s.mem, e.key)
+		delete(s.keys, e.id)
 		s.memUsed -= int64(len(e.payload))
 	}
 }
@@ -269,4 +301,84 @@ func (s *Store) Misses() int64 { return s.misses.Load() }
 func (s *Store) ResetStats() {
 	s.hits.Store(0)
 	s.misses.Store(0)
+}
+
+// Cell resolves one cell through the store: a hit returns the cached row
+// as a fresh *T, a miss runs compute and stores its result under
+// Key(spec, codeVersion). The bool reports whether the cell was computed.
+//
+// A memory-tier hit neither hashes nor decodes: the entry keeps the row
+// next to its JSON payload (from compute, or from the first decode after a
+// disk read) and the hit is a value copy of it. That is a deep copy only
+// for a T without pointers, slices, maps or interfaces, so the type
+// decides: any other T is decoded from the payload on every hit, and no
+// two callers ever share mutable state.
+func Cell[T any](s *Store, spec any, codeVersion string, compute func() (*T, error)) (*T, bool, error) {
+	var id specID
+	if t := reflect.TypeOf(spec); t != nil && t.Comparable() {
+		id = specID{spec, codeVersion}
+	}
+	s.mu.Lock()
+	key, ok := s.keys[id]
+	s.mu.Unlock()
+	if !ok {
+		key = Key(spec, codeVersion)
+	}
+	if payload, value, ok := s.get(key); ok {
+		out := new(T)
+		if row, ok := value.(T); ok {
+			*out = row
+			return out, false, nil
+		}
+		if json.Unmarshal(payload, out) == nil {
+			if row := shareable(out); row != nil {
+				s.mu.Lock()
+				s.insertLocked(key, payload, row, id)
+				s.mu.Unlock()
+			}
+			return out, false, nil
+		}
+		// A corrupt payload (truncated disk file, foreign format) is
+		// treated as a miss: recompute and overwrite it below.
+	}
+	out, err := compute()
+	if err != nil {
+		return nil, true, err
+	}
+	payload, err := json.Marshal(out)
+	if err != nil {
+		return nil, true, err
+	}
+	if err := s.put(key, payload, shareable(out), id); err != nil {
+		return nil, true, err
+	}
+	return out, true, nil
+}
+
+// shareable is the row an entry may keep: *out, or nil when assigning a T
+// is not a deep copy.
+func shareable[T any](out *T) any {
+	if pointerFree(reflect.TypeFor[T]()) {
+		return *out
+	}
+	return nil
+}
+
+// pointerFree reports whether assigning a t copies everything reachable
+// from it (strings are immutable, so sharing their bytes is safe).
+func pointerFree(t reflect.Type) bool {
+	switch k := t.Kind(); {
+	case k >= reflect.Bool && k <= reflect.Complex128, k == reflect.String:
+		return true
+	case k == reflect.Array:
+		return pointerFree(t.Elem())
+	case k == reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }

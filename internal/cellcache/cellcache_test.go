@@ -2,10 +2,17 @@ package cellcache
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestKeyDeterministicAndSensitive(t *testing.T) {
@@ -160,5 +167,311 @@ func TestCodeVersionNonEmpty(t *testing.T) {
 	// fallback; the contract is only that the version is never empty.
 	if CodeVersion() == "" {
 		t.Fatal("CodeVersion() returned an empty string")
+	}
+}
+
+// countedRow is a pointer-free row that counts its JSON decodes, so the
+// tests can tell a value-copy hit from a decoded one.
+type countedRow struct {
+	Name string  `json:"name"`
+	N    int     `json:"n"`
+	F    float64 `json:"f"`
+}
+
+var rowDecodes atomic.Int64
+
+func (r *countedRow) UnmarshalJSON(b []byte) error {
+	rowDecodes.Add(1)
+	type plain countedRow
+	return json.Unmarshal(b, (*plain)(r))
+}
+
+// sliceRow is a row assignment does not deep-copy.
+type sliceRow struct {
+	Vals []int `json:"vals"`
+}
+
+type rowSpec struct {
+	Family string `json:"family"`
+	Seed   int64  `json:"seed"`
+}
+
+// mustCell resolves spec through s with a compute that must only run when
+// wantComputed says so.
+func mustCell[T any](t *testing.T, s *Store, spec any, wantComputed bool, fresh T) *T {
+	t.Helper()
+	out, computed, err := Cell(s, spec, "v1", func() (*T, error) { v := fresh; return &v, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if computed != wantComputed {
+		t.Fatalf("computed = %v, want %v", computed, wantComputed)
+	}
+	return out
+}
+
+func TestCacheMemoryHitCopiesWithoutDecoding(t *testing.T) {
+	want := countedRow{"a", 7, 0.1}
+	spec := rowSpec{"counted", 1}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowDecodes.Store(0)
+	mustCell(t, s, spec, true, want)
+	first := mustCell(t, s, spec, false, countedRow{})
+	*first = countedRow{"scribbled", -1, -1} // every field overwritten
+	second := mustCell(t, s, spec, false, countedRow{})
+	if *second != want || second == first {
+		t.Fatalf("hit after the caller scribbled on the last one = %+v (same pointer: %v), want %+v",
+			*second, second == first, want)
+	}
+	if n := rowDecodes.Load(); n != 0 {
+		t.Errorf("%d JSON decodes on memory-tier hits of a row just stored, want 0", n)
+	}
+
+	// A fresh store on the directory decodes the disk payload once, then
+	// serves value copies.
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if got := mustCell(t, s2, spec, false, countedRow{}); *got != want {
+			t.Fatalf("disk-backed hit %d = %+v, want %+v", i, *got, want)
+		}
+	}
+	if n := rowDecodes.Load(); n != 1 {
+		t.Errorf("%d JSON decodes over three hits on a fresh disk-backed store, want 1", n)
+	}
+
+	// With no memory tier every hit is a disk read and a decode, and still
+	// the same row.
+	s2.SetMemLimit(0)
+	if got := mustCell(t, s2, spec, false, countedRow{}); *got != want {
+		t.Fatalf("hit with the memory tier off = %+v, want %+v", *got, want)
+	}
+	if n := rowDecodes.Load(); n != 2 {
+		t.Errorf("%d JSON decodes after a hit with the memory tier off, want 2", n)
+	}
+	if s2.Misses() != 0 || s.Misses() != 1 {
+		t.Errorf("misses: filling store %d, reading store %d; want 1 and 0", s.Misses(), s2.Misses())
+	}
+}
+
+// TestCacheSliceRowNeverShared: a row holding a slice is decoded on every
+// hit, so no caller can reach another's backing array (or compute's).
+func TestCacheSliceRowNeverShared(t *testing.T) {
+	s := NewMemory()
+	spec := rowSpec{"slice", 1}
+	computed := mustCell(t, s, spec, true, sliceRow{Vals: []int{1, 2, 3}})
+	computed.Vals[0] = 99
+	first := mustCell(t, s, spec, false, sliceRow{})
+	first.Vals[1] = 99
+	first.Vals = append(first.Vals, 4)
+	second := mustCell(t, s, spec, false, sliceRow{})
+	if !reflect.DeepEqual(second.Vals, []int{1, 2, 3}) {
+		t.Fatalf("hit = %v after earlier holders mutated theirs, want [1 2 3]", second.Vals)
+	}
+	if e := s.mem[Key(spec, "v1")].Value.(*lruEntry); e.value != nil {
+		t.Errorf("entry retains a decoded %T; rows with slices must not be shared", e.value)
+	}
+}
+
+func TestPointerFree(t *testing.T) {
+	type inner struct {
+		A [3]int64
+		S string
+	}
+	for _, tc := range []struct {
+		v    any
+		want bool
+	}{
+		{countedRow{}, true},
+		{struct {
+			I inner
+			B bool
+			U uint8
+		}{}, true},
+		{sliceRow{}, false},
+		{struct{ P *int }{}, false},
+		{struct{ M map[string]int }{}, false},
+		{struct{ I any }{}, false},
+		{struct{ F func() }{}, false},
+		{struct{ C chan int }{}, false},
+		{struct{ A [2][]int }{}, false},
+		{struct{ I struct{ P *inner } }{}, false},
+	} {
+		if got := pointerFree(reflect.TypeOf(tc.v)); got != tc.want {
+			t.Errorf("pointerFree(%T) = %v, want %v", tc.v, got, tc.want)
+		}
+	}
+}
+
+// TestCacheEvictionDropsDecodedRow: the decoded row leaves the memory tier with
+// its payload (nothing in the store keeps the entry alive), and a later
+// disk hit brings both back.
+func TestCacheEvictionDropsDecodedRow(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, want := rowSpec{"evict", 1}, countedRow{"a", 1, 2}
+	mustCell(t, s, spec, true, want)
+	key := Key(spec, "v1")
+	e := s.mem[key].Value.(*lruEntry)
+	if e.value != want {
+		t.Fatalf("entry value after Put = %v, want %v", e.value, want)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(e, func(*lruEntry) { close(collected) })
+	e = nil
+
+	s.SetMemLimit(0)
+	if s.Len() != 0 || s.lru.Len() != 0 || s.memUsed != 0 {
+		t.Fatalf("after eviction: Len %d, list %d, %d bytes; want all 0", s.Len(), s.lru.Len(), s.memUsed)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gone := false; !gone; {
+		runtime.GC()
+		select {
+		case <-collected:
+			gone = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the evicted entry (payload and decoded row) is still reachable")
+			}
+		}
+	}
+
+	s.SetMemLimit(DefaultMemLimit)
+	rowDecodes.Store(0)
+	if got := mustCell(t, s, spec, false, countedRow{}); *got != want {
+		t.Fatalf("disk hit after eviction = %+v, want %+v", *got, want)
+	}
+	if e := s.mem[key].Value.(*lruEntry); s.Len() != 1 || e.value != want || rowDecodes.Load() != 1 {
+		t.Errorf("after the disk hit: Len %d, entry value %v, %d decodes; want 1, %v, 1",
+			s.Len(), e.value, rowDecodes.Load(), want)
+	}
+}
+
+// TestCacheCorruptPayloadRecomputes: a payload that does not decode (torn or
+// foreign file) is a miss for Cell — recomputed and overwritten — in
+// memory and on disk.
+func TestCacheCorruptPayloadRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, want := rowSpec{"corrupt", 1}, countedRow{"a", 1, 2}
+	mustCell(t, s, spec, true, want)
+	file := filepath.Join(dir, Key(spec, "v1")+".cell")
+	if err := os.WriteFile(file, []byte(`{"name":"a","n":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mustCell(t, fresh, spec, true, want); *got != want {
+		t.Fatalf("recomputed row = %+v, want %+v", *got, want)
+	}
+	if got := mustCell(t, fresh, spec, false, countedRow{}); *got != want {
+		t.Fatalf("hit after the recompute = %+v, want %+v", *got, want)
+	}
+	if b, err := os.ReadFile(file); err != nil || !json.Valid(b) {
+		t.Errorf("disk payload after the recompute = %q (%v), want the row's JSON", b, err)
+	}
+}
+
+// TestCacheConcurrentHits hammers one warm store from parallel workers the
+// way RunTrials does (run with -race): every hit a private, pristine row.
+func TestCacheConcurrentHits(t *testing.T) {
+	s := NewMemory()
+	const cells = 16
+	for i := 0; i < cells; i++ {
+		mustCell(t, s, rowSpec{"par", int64(i)}, true, countedRow{"r", i, float64(i)})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				i := n % cells
+				out, computed, err := Cell(s, rowSpec{"par", int64(i)}, "v1",
+					func() (*countedRow, error) { return nil, errors.New("warm cell recomputed") })
+				if err != nil || computed || *out != (countedRow{"r", i, float64(i)}) {
+					t.Errorf("cell %d: %+v computed=%v err=%v", i, out, computed, err)
+					return
+				}
+				*out = countedRow{} // scribble on the private copy
+			}
+		}()
+	}
+	wg.Wait()
+	if s.Misses() != cells {
+		t.Errorf("misses = %d, want the %d cold fills only", s.Misses(), cells)
+	}
+}
+
+// TestCacheKeyMemoFollowsTheMemoryTier: Cell hashes a spec once while its cell
+// is in memory, under the same key Key gives, and the memo never outlives
+// the entries it points at.
+func TestCacheKeyMemoFollowsTheMemoryTier(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := countedRow{"a", 1, 2}
+	for i := 0; i < 8; i++ {
+		mustCell(t, s, rowSpec{"memo", int64(i)}, true, row)
+	}
+	if len(s.keys) != 8 || s.Len() != 8 {
+		t.Fatalf("%d memoized keys for %d entries, want 8 and 8", len(s.keys), s.Len())
+	}
+	for id, key := range s.keys {
+		if want := Key(id.spec, id.version); key != want {
+			t.Errorf("memoized key for %+v = %s, want %s", id.spec, key, want)
+		}
+	}
+	// The same spec under another code version is another cell.
+	if _, computed, _ := Cell(s, rowSpec{"memo", 0}, "v2", func() (*countedRow, error) { return &row, nil }); !computed {
+		t.Error("a new code version was answered from the old version's cell")
+	}
+
+	// A second spec type with the same encoding shares the entry; the entry
+	// keeps one memo slot.
+	type alias struct {
+		Family string `json:"family"`
+		Seed   int64  `json:"seed"`
+		Shards int    `json:"-"`
+	}
+	mustCell(t, s, alias{"memo", 3, 4}, false, countedRow{})
+	if len(s.keys) != s.Len() {
+		t.Errorf("%d memoized keys for %d entries after an aliasing spec", len(s.keys), s.Len())
+	}
+
+	// Specs that cannot be map keys resolve all the same, unmemoized.
+	before := len(s.keys)
+	sliceSpec := struct {
+		Axis []int `json:"axis"`
+	}{[]int{1, 2}}
+	mustCell(t, s, sliceSpec, true, row)
+	mustCell(t, s, sliceSpec, false, countedRow{})
+	mustCell(t, s, map[string]int{"a": 1}, true, row)
+	if len(s.keys) != before {
+		t.Errorf("an unhashable spec added %d memo slots", len(s.keys)-before)
+	}
+
+	s.SetMemLimit(0)
+	if len(s.keys) != 0 || s.Len() != 0 {
+		t.Errorf("after evicting everything: %d memoized keys, %d entries", len(s.keys), s.Len())
+	}
+	mustCell(t, s, rowSpec{"memo", 5}, false, countedRow{}) // disk, memory tier off
+	if len(s.keys) != 0 {
+		t.Errorf("%d memoized keys with no memory tier", len(s.keys))
 	}
 }

@@ -27,7 +27,6 @@ package experiment
 // new name, the same contract the rendered tables already rely on.
 
 import (
-	"encoding/json"
 	"sync"
 
 	"tcptrim/internal/cellcache"
@@ -37,35 +36,15 @@ import (
 // is not free and every cell key needs it.
 var cacheCodeVersion = sync.OnceValue(cellcache.CodeVersion)
 
-// cachedCell resolves one cell: a hit decodes the stored JSON into a
-// fresh T, a miss runs compute and stores its result. With no store
-// armed it is exactly compute. The bool reports whether the cell was
-// computed (false = answered from cache), so callers can synthesize the
-// replay events a cold run would have streamed.
+// cachedCell resolves one cell through opts.Cache (see cellcache.Cell): a
+// hit returns the stored row as a fresh T, a miss runs compute and stores
+// its result. With no store armed it is exactly compute. The bool reports
+// whether the cell was computed (false = answered from cache), so callers
+// can synthesize the replay events a cold run would have streamed.
 func cachedCell[T any](opts Options, spec any, compute func() (*T, error)) (*T, bool, error) {
 	if opts.Cache == nil {
 		out, err := compute()
 		return out, true, err
 	}
-	key := cellcache.Key(spec, cacheCodeVersion())
-	if raw, ok := opts.Cache.Get(key); ok {
-		out := new(T)
-		if err := json.Unmarshal(raw, out); err == nil {
-			return out, false, nil
-		}
-		// A corrupt payload (truncated disk file, foreign format) is
-		// treated as a miss: recompute and overwrite it below.
-	}
-	out, err := compute()
-	if err != nil {
-		return nil, true, err
-	}
-	raw, err := json.Marshal(out)
-	if err != nil {
-		return nil, true, err
-	}
-	if err := opts.Cache.Put(key, raw); err != nil {
-		return nil, true, err
-	}
-	return out, true, nil
+	return cellcache.Cell(opts.Cache, spec, cacheCodeVersion(), compute)
 }

@@ -11,13 +11,19 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"tcptrim/internal/aqm"
 	"tcptrim/internal/cellcache"
+	"tcptrim/internal/httpapp"
+	"tcptrim/internal/metrics"
+	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 )
 
@@ -110,11 +116,16 @@ var cacheRenderers = []struct {
 }
 
 // TestCacheColdWarmByteIdentity is the central soundness pin: cache off,
-// cache cold (filling), and cache warm (every cell a hit, different
-// shard count, Progress hook armed) must render the same bytes. A zero
-// warm-run miss count additionally proves the keys are independent of
-// shard count and observation, and that the warm output really came
-// from the store rather than a re-simulation.
+// cache cold (filling), and three warm passes (every cell a hit; the
+// first at a different shard count with a Progress hook armed) must
+// render the same bytes, on a memory-only store and on a disk-backed one
+// re-read by a fresh store the way a new process would (first warm pass
+// decodes from disk, the later ones are value copies out of the memory
+// tier). A zero warm-run miss count additionally proves the keys are
+// independent of shard count and observation, and that the warm output
+// really came from the store rather than a re-simulation. The sweeps
+// resolve their cells from parallel trial workers, so under -race this is
+// also the concurrency test of the hit path.
 func TestCacheColdWarmByteIdentity(t *testing.T) {
 	for _, tc := range cacheRenderers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,33 +133,185 @@ func TestCacheColdWarmByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cache off: %v", err)
 			}
-			store := cellcache.NewMemory()
-			cold, err := tc.render(Options{Seed: 7, Cache: store})
-			if err != nil {
-				t.Fatalf("cache cold: %v", err)
-			}
-			if !bytes.Equal(off, cold) {
-				t.Errorf("cold cached run diverges from uncached run:\n-- off --\n%s\n-- cold --\n%s", off, cold)
-			}
-			if store.Misses() == 0 {
-				t.Fatal("cold run hit an empty store — Get was never consulted?")
-			}
-			store.ResetStats()
-			warm, err := tc.render(Options{Seed: 7, Cache: store, Shards: 4, Progress: &eventLog{}})
-			if err != nil {
-				t.Fatalf("cache warm: %v", err)
-			}
-			if !bytes.Equal(off, warm) {
-				t.Errorf("warm cached run diverges from uncached run:\n-- off --\n%s\n-- warm --\n%s", off, warm)
-			}
-			if m := store.Misses(); m != 0 {
-				t.Errorf("warm run re-simulated %d cells (keys depend on shards or Progress?)", m)
-			}
-			if store.Hits() == 0 {
-				t.Error("warm run recorded no cache hits")
+			for _, dir := range []string{"", t.TempDir()} {
+				store, err := cellcache.Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := tc.render(Options{Seed: 7, Cache: store})
+				if err != nil {
+					t.Fatalf("cache cold: %v", err)
+				}
+				if !bytes.Equal(off, cold) {
+					t.Errorf("cold cached run diverges from uncached run:\n-- off --\n%s\n-- cold --\n%s", off, cold)
+				}
+				if store.Misses() == 0 {
+					t.Fatal("cold run hit an empty store — Get was never consulted?")
+				}
+				if dir != "" {
+					if store, err = cellcache.Open(dir); err != nil {
+						t.Fatal(err)
+					}
+				}
+				store.ResetStats()
+				for pass, opts := range []Options{
+					{Seed: 7, Cache: store, Shards: 4, Progress: &eventLog{}},
+					{Seed: 7, Cache: store},
+					{Seed: 7, Cache: store},
+				} {
+					warm, err := tc.render(opts)
+					if err != nil {
+						t.Fatalf("warm pass %d (dir %q): %v", pass, dir, err)
+					}
+					if !bytes.Equal(off, warm) {
+						t.Errorf("warm pass %d (dir %q) diverges from uncached run:\n-- off --\n%s\n-- warm --\n%s", pass, dir, off, warm)
+					}
+				}
+				if m := store.Misses(); m != 0 {
+					t.Errorf("warm runs re-simulated %d cells (keys depend on shards or Progress?)", m)
+				}
+				if store.Hits() == 0 {
+					t.Error("warm runs recorded no cache hits")
+				}
 			}
 		})
 	}
+}
+
+// fillDistinct sets every field reachable from v (structs, arrays, and
+// scalar leaves) to a distinct non-zero value.
+func fillDistinct(v reflect.Value, next *int) {
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(v.Field(i), next)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(v.Index(i), next)
+		}
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", *next))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*next))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*next) + 0.1)
+	default:
+		panic(fmt.Sprintf("fillDistinct: %s field in a cached row", v.Kind()))
+	}
+}
+
+// hitsArePrivate is the aliasing guard for one cached cell type: whatever
+// a caller does to the row compute returned or to a row a hit returned,
+// the next hit is pristine — from the memory tier, and from a disk
+// re-read with the memory tier off.
+func hitsArePrivate[T any](t *testing.T, fresh func() *T, scribble func(*T)) {
+	t.Helper()
+	want, err := json.Marshal(fresh())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"", t.TempDir()} {
+		store, err := cellcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := struct {
+			Family string `json:"family"`
+		}{fmt.Sprintf("%T", *fresh())}
+		resolve := func(step string, wantComputed bool) *T {
+			t.Helper()
+			row, computed, err := cachedCell(Options{Cache: store}, spec, func() (*T, error) { return fresh(), nil })
+			if err != nil || computed != wantComputed {
+				t.Fatalf("%s: computed=%v (want %v) err=%v", step, computed, wantComputed, err)
+			}
+			if got, _ := json.Marshal(row); !bytes.Equal(got, want) {
+				t.Fatalf("%s (dir %q) is not pristine:\n got %s\nwant %s", step, dir, got, want)
+			}
+			return row
+		}
+		scribble(resolve("cold", true)) // the runner owns what compute returned
+		first := resolve("first hit", false)
+		scribble(first)
+		if second := resolve("second hit", false); second == first {
+			t.Fatalf("two hits returned the same *%T", *first)
+		}
+		if dir != "" {
+			store.SetMemLimit(0)
+			scribble(resolve("disk re-read", false))
+			resolve("second disk re-read", false)
+		}
+	}
+}
+
+// rowGuard runs hitsArePrivate on a pointer-free row type: every field
+// filled, then every field overwritten.
+func rowGuard[T any](t *testing.T) {
+	t.Run(fmt.Sprintf("%T", *new(T)), func(t *testing.T) {
+		hitsArePrivate(t, func() *T {
+			row, n := new(T), 0
+			fillDistinct(reflect.ValueOf(row).Elem(), &n)
+			return row
+		}, func(row *T) { *row = *new(T) })
+	})
+}
+
+// TestCacheHitsNeverAlias covers all seven cell types. fillDistinct
+// panics on a pointer, slice or map, so a row type that gains one fails
+// here until it is given a guard like the impairment snapshot's.
+func TestCacheHitsNeverAlias(t *testing.T) {
+	rowGuard[AQMSweepRow](t)
+	rowGuard[ConcurrencyCell](t)
+	rowGuard[FatTreeRow](t)
+	rowGuard[LargeScaleRow](t)
+	rowGuard[RecoverySweepRow](t)
+	rowGuard[ResilienceRow](t)
+
+	// The impairment snapshot holds pointers RunImpairment hands to its
+	// caller: series, per-connection slices, the FCT snapshot.
+	t.Run("impairmentSnapshot", func(t *testing.T) {
+		series := func(vals ...float64) *metrics.Series {
+			s := &metrics.Series{}
+			for i, v := range vals {
+				s.Record(sim.At(time.Duration(i)*time.Millisecond), v)
+			}
+			return s
+		}
+		hitsArePrivate(t, func() *impairmentSnapshot {
+			return &impairmentSnapshot{
+				Result: &ImpairmentResult{
+					Protocol:         ProtoTRIM,
+					TimeoutsPerConn:  []int{1, 0, 2},
+					TracedThroughput: series(1.5, 2.5),
+					TotalThroughput:  series(10, 20, 30),
+					TracedCwnd:       series(4, 8),
+					CwndAtLPTStart:   []float64{2, 3.5},
+					QueueMax:         7,
+					LPTCompletion:    []time.Duration{time.Second, 2 * time.Second},
+					AllDoneBy:        sim.At(3 * time.Second),
+				},
+				Retrans: httpapp.RetransBreakdown{Fast: 1, Timeout: 2},
+				FCT:     &metrics.Snapshot{Count: 2, Sum: 3, Min: 1, Max: 2, Samples: []float64{1, 2}},
+			}
+		}, func(snap *impairmentSnapshot) {
+			res := snap.Result
+			res.TimeoutsPerConn[0] = 99
+			res.CwndAtLPTStart = append(res.CwndAtLPTStart[:1], -1)
+			res.LPTCompletion[1] = 0
+			res.TracedCwnd.Record(sim.At(time.Hour), 1e9)
+			res.TotalThroughput.Points()[0].Value = -5
+			res.TracedThroughput = nil
+			res.QueueMax = 0
+			snap.Retrans = httpapp.RetransBreakdown{}
+			snap.FCT.Samples[0] = 42
+			snap.FCT.Count = 0
+		})
+	})
 }
 
 // TestCellKeySensitivity drives each output-shaping option through a

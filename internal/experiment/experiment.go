@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"tcptrim/internal/aqm"
@@ -258,13 +257,9 @@ type Table struct {
 	Caption string
 }
 
-// Write renders the table in aligned plain text.
+// Write renders the table in aligned plain text: every line is built in
+// one reused buffer and written with a single w.Write.
 func (t *Table) Write(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "== %s ==\n", t.Title); err != nil {
-			return err
-		}
-	}
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
@@ -276,21 +271,36 @@ func (t *Table) Write(w io.Writer) error {
 			}
 		}
 	}
+	lineLen := 2 * len(widths) // separators and the newline
+	for _, width := range widths {
+		lineLen += width
+	}
+	line := make([]byte, 0, max(lineLen, len(t.Title)+7, len(t.Caption)+4))
+	if t.Title != "" {
+		line = append(append(append(line, "== "...), t.Title...), " ==\n"...)
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+	}
 	writeRow := func(cells []string) error {
+		if len(cells) == 0 {
+			return nil
+		}
+		line = line[:0]
 		for i, cell := range cells {
-			pad := 0
+			line = append(line, cell...)
 			if i < len(widths) {
-				pad = widths[i] - len(cell)
+				for pad := widths[i] - len(cell); pad > 0; pad-- {
+					line = append(line, ' ')
+				}
 			}
-			sep := "  "
-			if i == len(cells)-1 {
-				sep = "\n"
-			}
-			if _, err := fmt.Fprintf(w, "%s%s%s", cell, spaces(pad), sep); err != nil {
-				return err
+			if i < len(cells)-1 {
+				line = append(line, "  "...)
 			}
 		}
-		return nil
+		line = append(line, '\n')
+		_, err := w.Write(line)
+		return err
 	}
 	if err := writeRow(t.Header); err != nil {
 		return err
@@ -301,19 +311,13 @@ func (t *Table) Write(w io.Writer) error {
 		}
 	}
 	if t.Caption != "" {
-		if _, err := fmt.Fprintf(w, "-- %s\n", t.Caption); err != nil {
+		line = append(append(append(line[:0], "-- "...), t.Caption...), '\n')
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintln(w)
+	_, err := w.Write(append(line[:0], '\n'))
 	return err
-}
-
-func spaces(n int) string {
-	if n <= 0 {
-		return ""
-	}
-	return strings.Repeat(" ", n)
 }
 
 // Runner executes one registered experiment and writes its tables.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tcptrim/internal/sim"
@@ -33,10 +34,14 @@ type Network struct {
 	// hands them out sequentially), so both adjacency and routes live in
 	// flat slices: the per-packet forward path indexes instead of hashing.
 	out [][]*Pipe
-	// routes[dst][node] = equal-cost next-hop pipes from node toward dst;
-	// routes[dst] == nil means that destination's tree is not built yet.
-	routes [][][]*Pipe
-	nextID NodeID
+	// routes[dst] = next hops toward dst from every node; a nil hop slice
+	// means that destination's tree is not built yet.
+	routes []routeTable
+	// buildRoutes' scratch, reused across destinations (one goroutine
+	// builds tables: lazily when unsharded, up front in Shard otherwise).
+	bfsDist  []int32
+	bfsQueue []NodeID
+	nextID   NodeID
 
 	// pools holds the per-shard packet free lists (see pool.go); an
 	// unsharded network has exactly one. shStats likewise keeps routing
@@ -53,6 +58,17 @@ type Network struct {
 	nodeShard    []int32
 	routesFrozen bool
 }
+
+// routeTable is one destination's next hops. hop[node] is the index into
+// out[node] of the only shortest-path pipe toward it, noRoute (node is the
+// destination or cannot reach it), or ^i for ecmp[i]: the equal-cost pipes
+// of a node that has several (fat-tree switches), in out[node] order.
+type routeTable struct {
+	hop  []int32
+	ecmp [][]*Pipe
+}
+
+const noRoute = math.MinInt32
 
 // NewNetwork returns an empty network driven by sched.
 func NewNetwork(sched *sim.Scheduler) *Network {
@@ -121,7 +137,7 @@ func (n *Network) AddSwitch(name string) *Switch {
 func (n *Network) register(node Node) {
 	n.nodes = append(n.nodes, node)
 	n.out = append(n.out, nil)
-	n.routes = append(n.routes, nil)
+	n.routes = append(n.routes, routeTable{})
 	n.nextID++
 }
 
@@ -160,86 +176,91 @@ func (n *Network) PipesFrom(id NodeID) []*Pipe { return n.out[id] }
 // forward routes pkt out of node toward pkt.Dst, applying per-flow ECMP
 // when several shortest-path next hops exist.
 func (n *Network) forward(node Node, pkt *Packet) {
-	pkt.Hops++
-	if pkt.Hops > maxHops {
+	var pipe *Pipe
+	if pkt.Hops++; pkt.Hops <= maxHops {
+		pipe = n.nextHop(node.ID(), pkt.Dst, pkt.Flow)
+	}
+	if pipe == nil { // hop limit exceeded or no route
 		sh := n.shardOf(node.ID())
 		n.shStats[sh].RoutingDrops++
 		n.releaseShard(pkt, sh)
 		return
-	}
-	hops := n.nextHops(node.ID(), pkt.Dst)
-	if len(hops) == 0 {
-		sh := n.shardOf(node.ID())
-		n.shStats[sh].RoutingDrops++
-		n.releaseShard(pkt, sh)
-		return
-	}
-	pipe := hops[0]
-	if len(hops) > 1 {
-		pipe = hops[ecmpHash(pkt.Flow, node.ID())%uint64(len(hops))]
 	}
 	pipe.Send(pkt)
 }
 
-// nextHops returns the equal-cost next-hop pipes from node toward dst,
+// nextHop returns the pipe flow takes from node toward dst (nil = none),
 // computing and caching the destination's routing tree on first use.
 // Once the cache is frozen (sharded networks prewarm every host
-// destination so parallel segments only ever read the table), a nil tree
-// means the destination is not a routable endpoint and the packet drops.
-func (n *Network) nextHops(node, dst NodeID) []*Pipe {
+// destination so parallel segments only ever read the table), an unbuilt
+// tree means the destination is not a routable endpoint and the packet drops.
+func (n *Network) nextHop(node, dst NodeID, flow FlowID) *Pipe {
 	if int(dst) >= len(n.routes) {
 		return nil
 	}
-	table := n.routes[dst]
-	if table == nil {
+	t := &n.routes[dst]
+	if t.hop == nil {
 		if n.routesFrozen {
 			return nil
 		}
-		table = n.buildRoutes(dst)
-		n.routes[dst] = table
+		*t = n.buildRoutes(dst)
 	}
-	return table[node]
+	switch h := t.hop[node]; {
+	case h >= 0:
+		return n.out[node][h]
+	case h == noRoute:
+		return nil
+	default:
+		hops := t.ecmp[^h]
+		return hops[ecmpHash(flow, node)%uint64(len(hops))]
+	}
 }
 
 // buildRoutes runs a BFS from dst over reversed links, then records, for
-// every node, all outgoing pipes that decrease the distance to dst.
-func (n *Network) buildRoutes(dst NodeID) [][]*Pipe {
-	const unreachable = int(^uint(0) >> 1)
-	dist := make([]int, len(n.nodes))
+// every node, the outgoing pipes that decrease the distance to dst.
+func (n *Network) buildRoutes(dst NodeID) routeTable {
+	const unreachable = math.MaxInt32
+	if len(n.bfsDist) < len(n.nodes) {
+		n.bfsDist = make([]int32, len(n.nodes))
+	}
+	dist := n.bfsDist[:len(n.nodes)]
 	for i := range dist {
 		dist[i] = unreachable
 	}
 	dist[dst] = 0
-	frontier := []NodeID{dst}
 	// Reverse adjacency: node u reaches v when u has a pipe to v; for the
 	// BFS from dst we need "who has a pipe INTO the frontier". All cables
 	// are full duplex, so out-adjacency doubles as in-adjacency.
-	for len(frontier) > 0 {
-		var next []NodeID
-		for _, v := range frontier {
-			for _, pipe := range n.out[v] {
-				u := pipe.to.ID()
-				if dist[u] == unreachable {
-					dist[u] = dist[v] + 1
-					next = append(next, u)
-				}
-			}
-		}
-		frontier = next
-	}
-	table := make([][]*Pipe, len(n.nodes))
-	for id := range n.nodes {
-		u := NodeID(id)
-		if u == dst || dist[u] == unreachable {
-			continue
-		}
-		for _, pipe := range n.out[u] {
-			if dist[pipe.to.ID()] == dist[u]-1 {
-				table[u] = append(table[u], pipe)
+	queue := append(n.bfsQueue[:0], dst)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, pipe := range n.out[v] {
+			if u := pipe.to.ID(); dist[u] == unreachable {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
 			}
 		}
 	}
-	return table
+	n.bfsQueue = queue
+	t := routeTable{hop: make([]int32, len(n.nodes))}
+	for u, pipes := range n.out {
+		t.hop[u] = noRoute
+		for i, pipe := range pipes {
+			if dist[pipe.to.ID()] != dist[u]-1 { // never true from an unreachable u
+				continue
+			}
+			switch h := t.hop[u]; {
+			case h == noRoute:
+				t.hop[u] = int32(i)
+			case h >= 0: // a second equal-cost hop: move the node to the side table
+				t.hop[u] = ^int32(len(t.ecmp))
+				t.ecmp = append(t.ecmp, []*Pipe{pipes[h], pipe})
+			default:
+				t.ecmp[^h] = append(t.ecmp[^h], pipe)
+			}
+		}
+	}
+	return t
 }
 
 // ecmpHash mixes the flow id with the deciding node so that different

@@ -251,6 +251,77 @@ func TestRoutesInvalidatedByConnect(t *testing.T) {
 	}
 }
 
+// TestConnectAfterTrafficReroutes: a table built and used by traffic is
+// dropped by the next Connect, so a new shorter path is taken at once.
+func TestConnectAfterTrafficReroutes(t *testing.T) {
+	sched := sim.NewScheduler()
+	cfg := LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}}
+	net, senders, fe := star(sched, 2, cfg)
+	delivered := 0
+	fe.SetHandler(func(*Packet) { delivered++ })
+	send := func() {
+		senders[0].Send(&Packet{Src: senders[0].ID(), Dst: fe.ID(), Size: 1500})
+		sched.Run()
+	}
+	send()
+	viaSwitch := net.nextHop(senders[0].ID(), fe.ID(), 0)
+	if delivered != 1 || viaSwitch == nil || viaSwitch.to != net.nodes[0] {
+		t.Fatalf("before the shortcut: delivered %d via %v, want 1 via the switch", delivered, viaSwitch)
+	}
+	direct, _ := net.Connect(senders[0], fe, cfg)
+	if got := net.nextHop(senders[0].ID(), fe.ID(), 0); got != direct {
+		t.Errorf("after Connect the next hop is still %v, want the direct pipe", got)
+	}
+	send()
+	if delivered != 2 || direct.Stats().SentPackets != 1 {
+		t.Errorf("delivered %d, direct pipe carried %d; want 2 and 1", delivered, direct.Stats().SentPackets)
+	}
+}
+
+// TestUnroutableDestinationsDropAndRelease: a destination outside the
+// network and one no cable reaches both cost a RoutingDrop and hand the
+// pooled packet back.
+func TestUnroutableDestinationsDropAndRelease(t *testing.T) {
+	sched := sim.NewScheduler()
+	cfg := LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}}
+	net, senders, _ := star(sched, 1, cfg)
+	island := net.AddHost("island")
+	for i, dst := range []NodeID{NodeID(net.Nodes() + 5), island.ID()} {
+		pkt := net.AllocPacket()
+		pkt.Src, pkt.Dst, pkt.Size = senders[0].ID(), dst, 1500
+		senders[0].Send(pkt)
+		sched.Run()
+		if got := net.Stats().RoutingDrops; got != i+1 {
+			t.Errorf("dst %d: RoutingDrops = %d, want %d", dst, got, i+1)
+		}
+		if live := net.LivePackets(); live != 0 {
+			t.Errorf("dst %d: %d packets still live after the drop", dst, live)
+		}
+	}
+}
+
+// TestFrozenRoutesDoNotBuild: Shard prewarms host destinations and freezes
+// the table; any other destination is then unroutable, never built by a
+// (possibly parallel) forward.
+func TestFrozenRoutesDoNotBuild(t *testing.T) {
+	group := sim.NewShardGroup(1)
+	cfg := LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}}
+	net, senders, fe := star(group.Shard(0), 2, cfg)
+	if err := net.Shard(group, func(Node) int { return 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if net.nextHop(senders[0].ID(), fe.ID(), 0) == nil {
+		t.Error("no route to a prewarmed host destination")
+	}
+	sw := net.nodes[0].ID()
+	if got := net.nextHop(senders[0].ID(), sw, 0); got != nil {
+		t.Errorf("frozen table routed to the switch (not prewarmed) via %v", got)
+	}
+	if net.routes[sw].hop != nil {
+		t.Error("a lookup built a table after the freeze")
+	}
+}
+
 func TestHostAndSwitchNames(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := NewNetwork(sched)

@@ -117,7 +117,7 @@ func (n *Network) Shard(g *sim.ShardGroup, shardOf func(Node) int) error {
 			continue
 		}
 		dst := node.ID()
-		if n.routes[dst] == nil {
+		if n.routes[dst].hop == nil {
 			n.routes[dst] = n.buildRoutes(dst)
 		}
 	}

@@ -230,18 +230,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		job.State = StateDone
 		job.Cached = true
 		job.output = output
+		snap := s.snapshotLocked(job)
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
 		job.stream.close(terminalEvent("done", ""))
-		writeJSON(w, http.StatusCreated, job)
+		writeJSON(w, http.StatusCreated, snap)
 		return
 	}
 
+	// The reply is a copy taken before the enqueue: once a worker owns the
+	// job it writes State under s.mu while this handler is still encoding.
 	job.State = StateQueued
+	snap := s.snapshotLocked(job)
 	s.mu.Unlock()
 	select {
 	case s.queue <- job:
-		writeJSON(w, http.StatusCreated, job)
+		writeJSON(w, http.StatusCreated, snap)
 	default:
 		s.finishJob(job, StateFailed, "run queue is full")
 		writeError(w, http.StatusServiceUnavailable, "run queue is full")

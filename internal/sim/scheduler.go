@@ -251,7 +251,8 @@ func (s *Scheduler) Group() *ShardGroup { return s.group }
 
 // PeekTime returns the firing instant of the earliest pending event, or
 // End when the queue is empty. The shard group's window loop uses it as
-// the shard's horizon query; it costs one O(1) wheel findMin.
+// the shard's horizon query; it costs one wheel findMin (O(occupancy of
+// the earliest slot), see wheel.go).
 func (s *Scheduler) PeekTime() Time {
 	if ev := s.peekEvent(); ev != nil {
 		return ev.at

@@ -14,7 +14,8 @@ func defaultParallel() bool { return runtime.GOMAXPROCS(0) > 1 }
 // A ShardGroup partitions a simulation into shards, each owning a full
 // Scheduler (timing wheel + overflow heap). The group advances virtual
 // time in windows [W, W+L): W is the globally earliest pending event
-// (each shard answers in O(1) via its wheel's findMin) and L is the
+// (each shard answers with one wheel findMin: a bitmap scan plus a scan
+// of the earliest slot's few events) and L is the
 // lookahead — the minimum propagation delay of any cross-shard link. An
 // event executing at t < W+L can influence another shard no earlier than
 // t+delay >= W+L, so every shard may safely dispatch all of its events

@@ -26,9 +26,13 @@ import "math/bits"
 //     before every level-(l+1) event, so the global minimum is the
 //     earliest event of the lowest occupied level.
 //   - In-slot scan. Slots keep an unsorted intrusive doubly-linked list;
-//     the minimum is found by a linear (at, seq) scan. Slots are narrow
-//     (µs at level 0), so occupancy stays small, and same-instant events
-//     compare by seq — preserving the scheduler's FIFO guarantee
+//     the minimum is found by a linear (at, seq) scan, so findMin is
+//     O(slot occupancy), not O(1). Slots are narrow (µs at level 0), which
+//     keeps occupancy small but not 1: a mean of 4.6 events per occupied
+//     level-0 slot on the Fig. 8 tree, where the scan is 20 % of the run's
+//     CPU (EXPERIMENTS.md "Where the wheel's time goes" has the
+//     measurements and the two resizings that did not pay). Same-instant
+//     events compare by seq — preserving the scheduler's FIFO guarantee
 //     bit-for-bit.
 //
 // Insert, remove (eager cancellation), and re-slot (Timer.Reset) are all
@@ -116,7 +120,8 @@ func (w *wheel) remove(ev *event) {
 
 // findMin returns the earliest (at, seq) event in the wheel, or nil when
 // empty. Levels are strictly ordered after syncWheel, so the first
-// occupied slot of the lowest occupied level holds the minimum.
+// occupied slot of the lowest occupied level holds the minimum: a bitmap
+// scan to find the slot, then a linear scan of its list.
 func (w *wheel) findMin(now Time) *event {
 	if w.count == 0 {
 		return nil
