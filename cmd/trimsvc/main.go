@@ -61,7 +61,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: svc}
+	httpSrv := newHTTPServer(svc)
 	fmt.Printf("trimsvc: listening on http://%s (code version %s)\n", ln.Addr(), version)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -83,4 +83,19 @@ func run(args []string) error {
 		return svcErr
 	}
 	return httpErr
+}
+
+// newHTTPServer wraps the service in a server that fails closed on stuck
+// clients: a request's headers must arrive within 10 s and its body —
+// at most a 1 MiB spec — within 30 s, and an idle keep-alive connection
+// is closed after 2 min. There is deliberately no WriteTimeout: GET
+// /v1/runs/{id}/events is an SSE stream that lives as long as its run,
+// and a write deadline would cut every stream off mid-run.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

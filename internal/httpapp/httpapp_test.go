@@ -137,3 +137,41 @@ func TestFleetRequiresFrontEnd(t *testing.T) {
 		t.Error("missing front end must error")
 	}
 }
+
+// TestTreeTrafficFiresFromLanes pins what the scheduler's FIFO lanes are
+// for: on Fig. 8-shaped traffic — a two-level tree, many servers
+// answering one front-end — per-packet serialization and propagation are
+// nearly every event, and they must fire from the lanes. A silent fall
+// back to the wheel (an arming site reverted to After, an admission rule
+// that starves a delay) would only show as a slower benchmark otherwise.
+func TestTreeTrafficFiresFromLanes(t *testing.T) {
+	sched := sim.NewScheduler()
+	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{ToRs: 3, ServersPerToR: 8})
+	fleet, err := NewFleet(tree.Net, FleetConfig{Senders: tree.AllServers(), FrontEnd: tree.FrontEnd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, srv := range fleet.Servers {
+		for k := 0; k < 6; k++ {
+			at := sim.At(time.Duration(1+i+7*k) * time.Millisecond)
+			// Whole segments plus a partial one: its serialization time is a
+			// one-off delay that must not cost the recurring ones their lanes.
+			if err := srv.ScheduleResponse(at, (30+11*i+k)*tcp.DefaultMSS+100+37*i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sched.RunUntil(sim.At(2 * time.Second))
+	if fleet.Collector.Pending() != 0 {
+		t.Fatalf("still pending: %d", fleet.Collector.Pending())
+	}
+	st := sched.Stats()
+	t.Logf("fired %d: %+v", sched.Fired(), st)
+	if st.FiredLane*100 < sched.Fired()*99 {
+		t.Errorf("%d of %d events (%.2f%%) fired from lanes, want at least 99%%: %+v",
+			st.FiredLane, sched.Fired(), 100*float64(st.FiredLane)/float64(sched.Fired()), st)
+	}
+	if st.Lanes < 6 || st.FIFOSharded != 0 {
+		t.Errorf("stats %+v: want the tree's six link delays in lanes on an unsharded scheduler", st)
+	}
+}

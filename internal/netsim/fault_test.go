@@ -20,7 +20,11 @@ type faultRig struct {
 
 func newFaultRig(t *testing.T, queueCap int) *faultRig {
 	t.Helper()
-	sched := sim.NewScheduler()
+	return newFaultRigOn(t, sim.NewScheduler(), queueCap)
+}
+
+func newFaultRigOn(t *testing.T, sched *sim.Scheduler, queueCap int) *faultRig {
+	t.Helper()
 	net := NewNetwork(sched)
 	r := &faultRig{sched: sched, net: net}
 	r.a = net.AddHost("a")
@@ -34,20 +38,32 @@ func newFaultRig(t *testing.T, queueCap int) *faultRig {
 	return r
 }
 
-// sendAt offers count pooled packets at the given instant.
+// sendAt offers count pooled 1500-byte packets at the given instant.
 func (r *faultRig) sendAt(t *testing.T, at time.Duration, count int, firstID uint64) {
 	t.Helper()
 	if _, err := r.sched.At(sim.At(at), func() {
 		for i := 0; i < count; i++ {
-			pkt := r.net.AllocPacket()
-			pkt.ID = firstID + uint64(i)
-			pkt.Src, pkt.Dst = r.a.ID(), r.b.ID()
-			pkt.Size = 1500
-			r.a.Send(pkt)
+			r.send(1500, firstID+uint64(i))
 		}
 	}); err != nil {
 		t.Fatalf("schedule send at %v: %v", at, err)
 	}
+}
+
+// sendSizedAt offers one pooled packet of the given size.
+func (r *faultRig) sendSizedAt(t *testing.T, at time.Duration, size int, id uint64) {
+	t.Helper()
+	if _, err := r.sched.At(sim.At(at), func() { r.send(size, id) }); err != nil {
+		t.Fatalf("schedule send at %v: %v", at, err)
+	}
+}
+
+func (r *faultRig) send(size int, id uint64) {
+	pkt := r.net.AllocPacket()
+	pkt.ID = id
+	pkt.Src, pkt.Dst = r.a.ID(), r.b.ID()
+	pkt.Size = size
+	r.a.Send(pkt)
 }
 
 // finish drains the scheduler and verifies the pool balanced out.
@@ -343,4 +359,87 @@ func TestSendAfterReleasePanicsUnderInvariants(t *testing.T) {
 		}
 	}()
 	r.ab.Send(pkt)
+}
+
+// TestFaultedDeliveryIndependentOfContainer sends the same bursts over a
+// clean, jittered, reordering, duplicating, flapping and all-of-these
+// pipe twice: on a plain scheduler, where serialization and unjittered
+// propagation events ride the FIFO lanes, and on the lone shard of a
+// ShardGroup, where AfterFIFO is After and everything sits in the wheel
+// as at the parent commit. Arrival order, instants and fault counters
+// must not depend on the container.
+func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
+	withInvariants(t)
+	type arrival struct {
+		id uint64
+		at sim.Time
+	}
+	faults := []struct {
+		name   string
+		inject func(p *Pipe)
+	}{
+		{"clean", func(*Pipe) {}},
+		{"jitter", func(p *Pipe) { p.InjectJitter(30*time.Microsecond, sim.NewRand(11)) }},
+		{"reorder", func(p *Pipe) { p.InjectReorder(0.3, 80*time.Microsecond, sim.NewRand(12)) }},
+		{"duplicate", func(p *Pipe) { p.InjectDuplicate(0.3, sim.NewRand(13)) }},
+		{"flap", func(p *Pipe) {
+			cfg := FlapConfig{FirstDownAt: sim.At(300 * time.Microsecond), DownFor: 200 * time.Microsecond, UpFor: 400 * time.Microsecond, Count: 3}
+			if err := p.ScheduleFlaps(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	single := faults
+	faults = append(faults, struct {
+		name   string
+		inject func(p *Pipe)
+	}{"all", func(p *Pipe) {
+		for _, f := range single {
+			f.inject(p)
+		}
+	}})
+
+	run := func(sched *sim.Scheduler, inject func(*Pipe), drive func()) ([]arrival, PipeStats, sim.Stats) {
+		r := newFaultRigOn(t, sched, 64)
+		var got []arrival
+		r.b.SetHandler(func(p *Packet) { got = append(got, arrival{p.ID, sched.Now()}) })
+		inject(r.ab)
+		for burst := 0; burst < 40; burst++ {
+			// 1500-byte bursts that queue, and a short packet whose
+			// serialization time is a one-off.
+			r.sendAt(t, time.Duration(burst)*50*time.Microsecond, 6, uint64(burst)*100)
+			r.sendSizedAt(t, time.Duration(burst)*50*time.Microsecond+time.Microsecond, 64+burst, uint64(burst)*100+50)
+		}
+		drive()
+		r.net.CheckInvariants()
+		if live := r.net.LivePackets(); live != 0 {
+			t.Fatalf("%d pooled packets leaked", live)
+		}
+		return got, r.ab.Stats(), sched.Stats()
+	}
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			plain := sim.NewScheduler()
+			lanes, laneStats, ls := run(plain, f.inject, plain.Run)
+			g := sim.NewShardGroup(1)
+			wheel, wheelStats, ws := run(g.Shard(0), f.inject, g.Run)
+			if ls.FiredLane == 0 || ws.FiredLane != 0 {
+				t.Fatalf("lane-fired events: plain scheduler %d (want > 0), sharded %d (want 0)", ls.FiredLane, ws.FiredLane)
+			}
+			if f.name == "clean" && ls.FiredLane*4 < plain.Fired()*3 {
+				t.Errorf("clean pipe: %d of %d events fired from lanes, want the bulk", ls.FiredLane, plain.Fired())
+			}
+			if laneStats != wheelStats {
+				t.Errorf("pipe stats differ: lanes %+v, wheel only %+v", laneStats, wheelStats)
+			}
+			if len(lanes) != len(wheel) {
+				t.Fatalf("delivered %d packets with lanes, %d wheel only", len(lanes), len(wheel))
+			}
+			for i := range lanes {
+				if lanes[i] != wheel[i] {
+					t.Fatalf("arrival %d: lanes %+v, wheel only %+v", i, lanes[i], wheel[i])
+				}
+			}
+		})
+	}
 }

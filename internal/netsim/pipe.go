@@ -237,7 +237,7 @@ func (p *Pipe) transmit(pkt *Packet) {
 	p.stats.SentPackets++
 	p.stats.SentBytes += int64(pkt.Size)
 	p.txPkt = pkt
-	p.sched.After(p.rate.TransmitTime(pkt.Size), p.txDoneFn)
+	p.sched.AfterFIFO(p.rate.TransmitTime(pkt.Size), p.txDoneFn)
 }
 
 // onTxDone fires when the current packet finished serializing: put it on
@@ -317,11 +317,14 @@ func (p *Pipe) onXfer() {
 	p.pushFlight(pkt)
 }
 
-// scheduleDeliver arms one arrival event for the flight FIFO.
+// scheduleDeliver arms one arrival event; the plain delay takes a lane.
 func (p *Pipe) scheduleDeliver(at sim.Time) {
+	if at == p.sched.Now().Add(p.delay) {
+		p.sched.AfterFIFO(p.delay, p.deliverFn)
+		return
+	}
 	if _, err := p.sched.At(at, p.deliverFn); err != nil {
-		// Unreachable: at is never in the past.
-		p.sched.After(0, p.deliverFn)
+		panic("netsim: arrival scheduled in the past") // jitter and the FIFO clamp only ever delay
 	}
 }
 

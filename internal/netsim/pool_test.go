@@ -123,9 +123,9 @@ func TestReleasePacketResetsStateKeepsSackCapacity(t *testing.T) {
 }
 
 func TestPacketChurnSteadyStateZeroAlloc(t *testing.T) {
-	// With the packet pool, event free list, and per-pipe callbacks all
-	// warmed, a full send→serialize→propagate→deliver cycle allocates
-	// nothing.
+	// With the packet pool, the scheduler's lane rings, and per-pipe
+	// callbacks all warmed, a full send→serialize→propagate→deliver cycle
+	// allocates nothing — and runs on the FIFO lanes, not the wheel.
 	sched, net, a, b := poolPair(t)
 	b.SetHandler(func(*Packet) {})
 	send := func() {
@@ -138,8 +138,12 @@ func TestPacketChurnSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		send()
 	}
+	before := sched.Stats()
 	allocs := testing.AllocsPerRun(500, send)
 	if allocs != 0 {
 		t.Errorf("steady-state packet churn allocates %.2f allocs/op, want 0", allocs)
+	}
+	if st := sched.Stats(); st.Lanes != 2 || st.FiredLane-before.FiredLane != 2*501 || st.FiredWheel != before.FiredWheel {
+		t.Errorf("warm pipe: stats %+v (before %+v), want both events of all 501 hops fired from 2 lanes", st, before)
 	}
 }

@@ -199,17 +199,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxSpecBytes bounds a POST /v1/runs body. The largest valid spec — every
+// option set, long axis lists — is a few hundred bytes; anything near the
+// bound is not a spec.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit validates a spec, answers from the cache when the result
-// is already known, and queues a simulation otherwise.
+// is already known, and queues a simulation otherwise. An oversized body
+// is refused before anything is recorded.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
 		writeError(w, http.StatusServiceUnavailable, "service is shutting down")
 		return
 	}
 	var spec RunSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "spec larger than %d bytes", tooLarge.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}

@@ -176,6 +176,35 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedSpec: a body past the 1 MiB bound is refused
+// with 413 and a JSON error before a job exists; a normal submit on the
+// same server is unaffected.
+func TestSubmitRejectsOversizedSpec(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	huge := `{"runner":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Errorf("413 body is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || body["error"] == "" {
+		t.Fatalf("oversized spec: status %d body %v, want 413 with an error", resp.StatusCode, body)
+	}
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("job table holds %d runs after a refused submit, want 0", jobs)
+	}
+
+	job := submit(t, ts, RunSpec{Runner: "eq22"})
+	waitState(t, ts, job.ID, StateDone)
+}
+
 func TestRunnersEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Get(ts.URL + "/v1/runners")

@@ -1,0 +1,230 @@
+package sim
+
+import (
+	"fmt"
+	"math/bits"
+	"time"
+)
+
+// FIFO lanes: the scheduler's third container, next to the wheel and the
+// overflow heap, for events armed through AfterFIFO — never cancelled or
+// re-armed, and mostly armed with a handful of constant delays (link
+// serialization and propagation times).
+//
+// Events armed with one delay fire in arming order, because the clock
+// never goes back: at = now+d is nondecreasing, seq strictly increasing.
+// A lane is therefore a ring of {at, seq, fn} sorted by construction:
+// arming appends, the earliest event is the head, and there is no event
+// struct, free-list traffic or slot link. An event draws its sequence
+// number exactly when After would, and the run loop fires whichever of
+// {earliest lane head, wheel/overflow minimum} has the smaller (at, seq),
+// so dispatch order is bit-for-bit the wheel's; only the container differs.
+//
+// Lanes are earned: a partial last segment serializes in a one-off time,
+// and a first-come table would fill with such delays. A delay gets a lane
+// on its laneAdmitAfter-th sighting in a direct-mapped candidate table (a
+// collision only postpones that: the slot's holder is replaced once
+// outnumbered, and leaves when admitted); with all maxLanes in use it takes
+// over an empty lane idle for laneIdleAfter sequence numbers. Until then
+// its events go to the wheel. Lanes are sequential-only: a sharded
+// scheduler's barrier merge renumbers armed events, so there AfterFIFO is After.
+
+const (
+	maxLanes       = 16
+	laneCandBits   = 6
+	laneAdmitAfter = 8
+	laneIdleAfter  = 4096
+	laneInitCap    = 8 // power of two; rings double when full
+)
+
+// fifoToWheel makes every AfterFIFO an After; only tests set it.
+var fifoToWheel bool
+
+type laneEntry struct {
+	at  Time
+	seq uint64
+	fn  func()
+}
+
+// lane is one delay's FIFO. at/seq mirror the head entry (once empty: the
+// last one fired), so the run loop compares lanes without touching rings.
+type lane struct {
+	delay time.Duration
+	buf   []laneEntry // ring, len a power of two
+	head  int
+	n     int
+	at    Time
+	seq   uint64
+	bit   uint32 // this lane's bit in Scheduler.laneMask
+}
+
+// laneSet is allocated on a scheduler's first AfterFIFO.
+type laneSet struct {
+	n     int // lanes admitted
+	lanes [maxLanes]lane
+	// Candidates, per slot: the delay holding it, its sightings since it
+	// took the slot, other delays' attempts on the slot meanwhile.
+	candDelay [1 << laneCandBits]time.Duration
+	candSeen  [1 << laneCandBits]uint8
+	candMiss  [1 << laneCandBits]uint8
+}
+
+// candSlot is Fibonacci hashing: a network's few delays are often round.
+func candSlot(d time.Duration) int {
+	return int(uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneCandBits))
+}
+
+// AfterFIFO is After for an event nobody will cancel or re-arm: same
+// instant, same single sequence number drawn at the same moment, no Timer.
+// Recurring delays are served from a FIFO lane instead of the wheel.
+func (s *Scheduler) AfterFIFO(d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	at := s.now.Add(d)
+	l := s.laneFor(d)
+	if l == nil || at < s.now {
+		s.After(d, fn)
+		return
+	}
+	if l.n == len(l.buf) {
+		buf := make([]laneEntry, max(2*len(l.buf), laneInitCap))
+		n := copy(buf, l.buf[l.head:])
+		copy(buf[n:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: at, seq: s.seq, fn: fn}
+	if l.n == 0 {
+		l.at, l.seq = at, s.seq
+		s.laneMask |= l.bit
+	}
+	s.seq++
+	l.n++
+	s.laneLive++
+	s.live++
+}
+
+// laneFor returns the lane serving delay d, admitting d when it has
+// recurred often enough, or nil when the event belongs in the wheel.
+func (s *Scheduler) laneFor(d time.Duration) *lane {
+	if s.group != nil || fifoToWheel {
+		s.stats.FIFOSharded++
+		return nil
+	}
+	if s.lanes == nil {
+		s.lanes = &laneSet{}
+	}
+	ls := s.lanes
+	for i := range ls.lanes[:ls.n] {
+		if ls.lanes[i].delay == d {
+			return &ls.lanes[i]
+		}
+	}
+	i := ls.n
+	if !ls.earned(d) {
+		i = maxLanes
+	} else if i < maxLanes {
+		ls.n++
+		s.stats.Lanes++
+	} else {
+		// All in use: take an empty lane idle for laneIdleAfter sequence numbers.
+		for k := range ls.lanes {
+			if l := &ls.lanes[k]; l.n == 0 && s.seq-l.seq >= laneIdleAfter {
+				i = k
+				break
+			}
+		}
+	}
+	if i == maxLanes {
+		s.stats.FIFONoLane++
+		return nil
+	}
+	l := &ls.lanes[i]
+	l.delay, l.bit = d, 1<<uint(i)
+	return l
+}
+
+// earned counts one sighting of the not yet admitted delay d and reports
+// whether d has now earned a lane.
+func (ls *laneSet) earned(d time.Duration) bool {
+	c := candSlot(d)
+	if ls.candDelay[c] != d {
+		// The holder keeps its slot until outnumbered: colliding recurring
+		// delays are admitted in turn, a one-off holder goes in two misses.
+		if ls.candMiss[c]++; ls.candMiss[c] <= ls.candSeen[c] {
+			return false
+		}
+		ls.candDelay[c], ls.candSeen[c], ls.candMiss[c] = d, 0, 0
+	}
+	if ls.candSeen[c]++; ls.candSeen[c] < laneAdmitAfter {
+		return false
+	}
+	ls.candSeen[c], ls.candMiss[c] = 0, 0
+	return true
+}
+
+// next returns the earliest pending event: the lane whose head it is, or
+// else the wheel/overflow event; both nil when nothing is pending.
+func (s *Scheduler) next() (*lane, *event) {
+	ev := s.peekEvent()
+	if s.laneMask == 0 {
+		return nil, ev
+	}
+	var best *lane
+	for m := s.laneMask; m != 0; m &= m - 1 {
+		l := &s.lanes.lanes[bits.TrailingZeros32(m)&(maxLanes-1)]
+		if best == nil || l.at < best.at || (l.at == best.at && l.seq < best.seq) {
+			best = l
+		}
+	}
+	if ev != nil && (ev.at < best.at || (ev.at == best.at && ev.seq < best.seq)) {
+		return nil, ev
+	}
+	return best, nil
+}
+
+// fireLane pops l's head, advances the clock to it and runs it.
+func (s *Scheduler) fireLane(l *lane) {
+	e := &l.buf[l.head]
+	at, fn := e.at, e.fn
+	if invariantChecks.Load() {
+		s.verifyAccounting(at, e.seq)
+	}
+	e.fn = nil
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	if l.n == 0 {
+		s.laneMask &^= l.bit
+	} else {
+		l.at, l.seq = l.buf[l.head].at, l.buf[l.head].seq
+	}
+	s.laneLive--
+	s.advanceTo(at)
+	s.fired++
+	s.stats.FiredLane++
+	s.live--
+	fn()
+}
+
+// checkLanes: rings sorted and not before the clock, mirrors, mask, laneLive.
+func (s *Scheduler) checkLanes() {
+	stored := 0
+	for i := 0; s.lanes != nil && i < s.lanes.n; i++ {
+		l := &s.lanes.lanes[i]
+		drift := (s.laneMask&l.bit != 0) != (l.n > 0) || l.bit != 1<<uint(i)
+		prev := laneEntry{at: s.now, seq: l.seq}
+		for k := 0; k < l.n && !drift; k++ {
+			e := l.buf[(l.head+k)&(len(l.buf)-1)]
+			drift = e.fn == nil || e.at < prev.at || (k > 0 && e.seq <= prev.seq) || (k == 0 && (e.at != l.at || e.seq != l.seq))
+			prev = e
+		}
+		if drift {
+			panic(fmt.Sprintf("sim: lane %d (delay %v) drift: mask=%#x bit=%#x entries=%d head mirror seq=%d at=%v, unsorted or before now=%v at entry seq=%d at=%v",
+				i, l.delay, s.laneMask, l.bit, l.n, l.seq, l.at, s.now, prev.seq, prev.at))
+		}
+		stored += l.n
+	}
+	if stored != s.laneLive {
+		panic(fmt.Sprintf("sim: lane count drift: stored %d events, laneLive says %d", stored, s.laneLive))
+	}
+}

@@ -110,16 +110,17 @@ func (t Timer) Pending() bool {
 // components share one Scheduler and must be driven from a single
 // goroutine.
 //
-// The pending set is a hybrid hierarchical timing wheel plus overflow
-// heap. Near-future events — the overwhelming majority: per-packet pipe
-// deliveries, delayed ACKs, RTO and probe deadlines — hash into O(1)
-// wheel slots (see wheel.go); far-future events (flap schedules,
-// experiment end markers) go to a small 4-ary min-heap and migrate into
-// the wheel as the clock approaches. Cancelled events are compacted out
-// of wheel slots eagerly; a heap entry whose event was cancelled or
-// re-armed is recognized by seq mismatch and discarded when it surfaces.
-// Fired and cancelled events are recycled through a free list, so
-// steady-state scheduling performs no allocations.
+// The pending set lives in three containers. Per-packet serialization and
+// propagation events, armed through AfterFIFO and never cancelled, sit in
+// per-delay FIFO lanes (lanes.go). Cancellable near-future events —
+// delayed ACKs, RTO and probe deadlines, jittered deliveries — hash into
+// O(1) slots of a hierarchical timing wheel (wheel.go); far-future events
+// (flap schedules, experiment end markers) go to a small 4-ary min-heap
+// and migrate into the wheel as the clock approaches. The run loop fires
+// the smaller (at, seq) of the earliest lane head and the wheel/overflow
+// minimum, so dispatch order does not depend on the container. A cancelled
+// event leaves its wheel slot eagerly; a stale heap entry is recognized by
+// seq mismatch. Events and lane rings are recycled: no steady-state allocations.
 type Scheduler struct {
 	now     Time
 	seq     uint64
@@ -133,6 +134,11 @@ type Scheduler struct {
 	heapLive int // armed events currently resident in the overflow heap
 	free     []*event
 
+	// FIFO lanes: laneMask bit i says lanes.lanes[i] holds events; laneLive counts them all.
+	lanes    *laneSet
+	laneMask uint32
+	laneLive int
+	stats    Stats
 	// Wheel synchronization keys: cascadeKey[l] tracks now>>levelShift(l)
 	// so crossing a level's slot boundary cascades that level's current
 	// slot exactly once; spanKey tracks now>>wheelSpanShift to migrate
@@ -198,6 +204,22 @@ func (s *Scheduler) Len() int { return s.live }
 // Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
+// Stats are the scheduler's own counters; no table or cache key sees them.
+type Stats struct {
+	FiredLane, FiredWheel, FiredOverflow uint64 // events fired, by container
+	Lanes                                int    // lanes in use
+	FIFONoLane, FIFOSharded              uint64 // AfterFIFO calls that became After: no lane (yet) / sharded scheduler
+	Cascades, Migrations, Rescans        uint64 // upper slots cascaded, overflow events migrated, findMin rescans
+}
+
+// Stats returns the scheduler's counters so far.
+func (s *Scheduler) Stats() Stats {
+	st := s.stats
+	st.FiredWheel = s.fired - st.FiredLane - st.FiredOverflow
+	st.Cascades, st.Rescans = s.wheel.cascades, s.wheel.rescans
+	return st
+}
+
 // At schedules fn to run at the absolute instant t. Scheduling in the past
 // returns ErrPastEvent; scheduling at the current instant is allowed and
 // runs after all previously scheduled events for that instant.
@@ -251,10 +273,14 @@ func (s *Scheduler) Group() *ShardGroup { return s.group }
 
 // PeekTime returns the firing instant of the earliest pending event, or
 // End when the queue is empty. The shard group's window loop uses it as
-// the shard's horizon query; it costs one wheel findMin (O(occupancy of
-// the earliest slot), see wheel.go).
+// the shard's horizon query; it costs one wheel findMin (cached, else
+// O(occupancy of the earliest slot), see wheel.go).
 func (s *Scheduler) PeekTime() Time {
-	if ev := s.peekEvent(); ev != nil {
+	l, ev := s.next()
+	if l != nil {
+		return l.at
+	}
+	if ev != nil {
 		return ev.at
 	}
 	return End
@@ -263,7 +289,11 @@ func (s *Scheduler) PeekTime() Time {
 // Step executes the single earliest pending event. It reports whether an
 // event was executed.
 func (s *Scheduler) Step() bool {
-	ev := s.peekEvent()
+	l, ev := s.next()
+	if l != nil {
+		s.fireLane(l)
+		return true
+	}
 	if ev == nil {
 		return false
 	}
@@ -287,7 +317,15 @@ func (s *Scheduler) RunUntil(t Time) {
 	defer func() { s.running = false }()
 
 	for !s.stopped {
-		ev := s.peekEvent()
+		l, ev := s.next()
+		if l != nil {
+			if l.at > t {
+				s.advanceTo(t)
+				return
+			}
+			s.fireLane(l)
+			continue
+		}
 		if ev == nil {
 			break
 		}
@@ -319,7 +357,7 @@ func (s *Scheduler) advanceTo(t Time) {
 // instant, and runs its callback.
 func (s *Scheduler) dispatch(ev *event) {
 	if invariantChecks.Load() {
-		s.verifyDispatch(ev)
+		s.verifyAccounting(ev.at, ev.seq)
 	}
 	switch ev.where {
 	case placeWheel:
@@ -328,12 +366,10 @@ func (s *Scheduler) dispatch(ev *event) {
 		// peekEvent returns a heap event only when it is the valid top.
 		s.overflowPop()
 		s.heapLive--
+		s.stats.FiredOverflow++
 		ev.where = placeNone
 	}
-	if ev.at > s.now {
-		s.now = ev.at
-		s.syncWheel()
-	}
+	s.advanceTo(ev.at)
 	s.fired++
 	s.live--
 	fn := ev.fn
@@ -414,6 +450,7 @@ func (s *Scheduler) migrateOverflow() {
 		s.overflowPop()
 		if valid {
 			s.heapLive--
+			s.stats.Migrations++
 			s.wheel.insert(e.ev, s.now)
 		}
 	}
@@ -479,11 +516,12 @@ func (s *Scheduler) scheduleSeq(at Time, fn func(), seq uint64) {
 
 // rewriteSeq rebinds a still-armed event to its definitive sequence
 // number. Wheel slots are unsorted intrusive lists, so the in-place
-// rewrite is safe; an event resident in the overflow heap gets a fresh
-// entry under the new key while the old entry goes stale by seq mismatch
-// (heapLive counts events, not entries, so it is unchanged).
+// rewrite is safe once the cached minimum is dropped; an event resident in
+// the overflow heap gets a fresh entry under the new key while the old one
+// goes stale by seq mismatch (heapLive counts events, not entries).
 func (s *Scheduler) rewriteSeq(ev *event, seq uint64) {
 	ev.seq = seq
+	s.wheel.min = nil
 	if ev.where == placeHeap {
 		s.overflowPush(heapEntry{at: ev.at, seq: seq, ev: ev})
 	}
@@ -540,53 +578,62 @@ func (s *Scheduler) release(ev *event) {
 	s.free = append(s.free, ev)
 }
 
-// verifyDispatch runs the per-event invariant assertions: the clock never
-// goes backwards, and the live-event accounting covers wheel slots and
-// the overflow heap exactly.
-func (s *Scheduler) verifyDispatch(ev *event) {
-	if ev.at < s.now {
+// verifyAccounting runs the per-event invariant assertions on the event
+// about to fire: the clock never goes backwards, and the live-event
+// accounting covers wheel slots, the overflow heap and the lanes exactly.
+func (s *Scheduler) verifyAccounting(at Time, seq uint64) {
+	if at < s.now {
 		panic(fmt.Sprintf(
-			"sim: time went backwards: event seq=%d at=%v fired at now=%v (wheel=%d overflow=%d live=%d fired=%d)",
-			ev.seq, ev.at, s.now, s.wheel.count, s.heapLive, s.live, s.fired))
+			"sim: time went backwards: event seq=%d at=%v fired at now=%v (wheel=%d overflow=%d lanes=%d live=%d fired=%d)",
+			seq, at, s.now, s.wheel.count, s.heapLive, s.laneLive, s.live, s.fired))
 	}
-	if s.live != s.wheel.count+s.heapLive {
+	if s.live != s.wheel.count+s.heapLive+s.laneLive {
 		panic(fmt.Sprintf(
-			"sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d at now=%v",
-			s.live, s.wheel.count, s.heapLive, s.now))
+			"sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d + lanes=%d at now=%v",
+			s.live, s.wheel.count, s.heapLive, s.laneLive, s.now))
 	}
 }
 
-// CheckAccounting walks the wheel slots and the overflow heap and
-// verifies the scheduler's structural invariants: occupancy bitmaps match
-// slot lists, every armed event is addressed where its bookkeeping says,
-// nothing is scheduled before the clock, and the live count equals the
-// events actually stored. It panics with a diagnostic on violation. Like
-// netsim's packet-conservation checker it must run between events; the
-// chaos harness schedules it periodically when invariant checking is
-// armed.
+// CheckAccounting walks the wheel slots (by bitmap word: lists are followed
+// only under set bits), the overflow heap and the lanes and verifies the
+// scheduler's structural invariants: occupancy bitmaps match slot lists,
+// every armed event is addressed where its bookkeeping says, nothing is
+// scheduled before the clock or the cached wheel minimum, lanes are sorted,
+// and the live count equals the events actually stored. It panics with a
+// diagnostic on violation. Like netsim's packet-conservation checker it must
+// run between events; the chaos harness schedules it when checks are armed.
 func (s *Scheduler) CheckAccounting() {
 	inWheel := 0
+	min := s.wheel.min
 	for l := 0; l < wheelLevels; l++ {
-		for idx := 0; idx < wheelSlots; idx++ {
-			head := s.wheel.slots[l][idx]
-			occupied := s.wheel.occ[l][idx>>6]&(1<<(uint(idx)&63)) != 0
-			if occupied != (head != nil) {
-				panic(fmt.Sprintf(
-					"sim: wheel occupancy bitmap drift at level %d slot %d (bit=%v head=%v)",
-					l, idx, occupied, head != nil))
+		for wi, word := range s.wheel.occ[l] {
+			heads := s.wheel.slots[l][wi<<6 : wi<<6+64]
+			if word == 0 && *(*[64]*event)(heads) == ([64]*event{}) {
+				continue // one compare clears 64 empty slots
 			}
-			for ev := head; ev != nil; ev = ev.next {
-				if ev.state != evScheduled || ev.where != placeWheel ||
-					int(ev.level) != l || int(ev.slot) != idx {
+			for i, head := range heads {
+				idx := wi<<6 + i
+				if occupied := word&(1<<uint(i)) != 0; occupied != (head != nil) {
 					panic(fmt.Sprintf(
-						"sim: misfiled wheel event seq=%d state=%d where=%d level=%d slot=%d found at level %d slot %d",
-						ev.seq, ev.state, ev.where, ev.level, ev.slot, l, idx))
+						"sim: wheel occupancy bitmap drift at level %d slot %d (bit=%v head=%v)",
+						l, idx, occupied, head != nil))
 				}
-				if ev.at < s.now {
-					panic(fmt.Sprintf(
-						"sim: wheel event seq=%d at=%v is before now=%v", ev.seq, ev.at, s.now))
+				for ev := head; ev != nil; ev = ev.next {
+					if ev.state != evScheduled || ev.where != placeWheel ||
+						int(ev.level) != l || int(ev.slot) != idx {
+						panic(fmt.Sprintf(
+							"sim: misfiled wheel event seq=%d state=%d where=%d level=%d slot=%d found at level %d slot %d",
+							ev.seq, ev.state, ev.where, ev.level, ev.slot, l, idx))
+					}
+					if ev.at < s.now {
+						panic(fmt.Sprintf(
+							"sim: wheel event seq=%d at=%v is before now=%v", ev.seq, ev.at, s.now))
+					}
+					if min != nil && eventLess(ev, min) {
+						panic(fmt.Sprintf("sim: wheel event seq=%d at=%v precedes the cached minimum seq=%d at=%v", ev.seq, ev.at, min.seq, min.at))
+					}
+					inWheel++
 				}
-				inWheel++
 			}
 		}
 	}
@@ -613,9 +660,10 @@ func (s *Scheduler) CheckAccounting() {
 		panic(fmt.Sprintf("sim: overflow count drift: %d live entries, heapLive says %d",
 			inHeap, s.heapLive))
 	}
-	if s.live != s.wheel.count+s.heapLive {
-		panic(fmt.Sprintf("sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d",
-			s.live, s.wheel.count, s.heapLive))
+	s.checkLanes()
+	if s.live != s.wheel.count+s.heapLive+s.laneLive {
+		panic(fmt.Sprintf("sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d + lanes=%d",
+			s.live, s.wheel.count, s.heapLive, s.laneLive))
 	}
 }
 

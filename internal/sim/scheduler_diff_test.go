@@ -1,13 +1,15 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
 
-// Differential test: the timing-wheel scheduler must produce exactly the
-// same dispatch trace as the pre-wheel single-heap scheduler for any
-// stream of schedule / cancel / reset / nested-schedule / advance
+// Differential test: the scheduler — FIFO lanes, timing wheel and
+// overflow heap together — must produce exactly the same dispatch trace
+// as the pre-wheel single-heap scheduler for any stream of schedule /
+// AfterFIFO / cancel / reset / nested-schedule / step / stop / advance
 // operations. refSched below is a faithful transcription of the old core
 // — a min-heap on (at, seq) with lazy cancellation — kept test-only as
 // the ordering oracle.
@@ -31,10 +33,11 @@ type refEvent struct {
 // refSched is the old scheduler: one binary min-heap, lazy cancellation,
 // FIFO seq ordering for simultaneous events.
 type refSched struct {
-	heap []*refEvent
-	now  Time
-	seq  uint64
-	live int
+	heap    []*refEvent
+	now     Time
+	seq     uint64
+	live    int
+	stopped bool
 }
 
 func (s *refSched) After(d time.Duration, fn func()) *refEvent {
@@ -89,7 +92,8 @@ func (s *refSched) step() {
 }
 
 func (s *refSched) runUntil(t Time) {
-	for {
+	s.stopped = false
+	for !s.stopped {
 		ev := s.peek()
 		if ev == nil {
 			break
@@ -106,6 +110,13 @@ func (s *refSched) runUntil(t Time) {
 }
 
 func (s *refSched) run() { s.runUntil(End) }
+
+func (s *refSched) peekTime() Time {
+	if ev := s.peek(); ev != nil {
+		return ev.at
+	}
+	return End
+}
 
 func refLess(a, b *refEvent) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
@@ -157,10 +168,65 @@ type traceEntry struct {
 	at Time
 }
 
-// diffProgram decodes a byte stream into a deterministic operation
+// diffResult is what one program leaves behind on the scheduler under
+// test, for comparing two runs of the same program with each other.
+type diffResult struct {
+	trace []traceEntry
+	now   Time
+	fired uint64
+	stats Stats
+}
+
+// Program opcodes, each followed by its operands. A plain program draws
+// from the first opWheelCount (op byte modulo opWheelCount): the encoding
+// from before AfterFIFO existed, which the corpus committed under
+// testdata/fuzz was grown against, so those inputs still decode to the
+// programs that made them interesting. A program whose first byte is
+// progLanes draws from all opCount (op byte modulo opCount).
+const (
+	opAfter      = iota // u16 µs
+	opStop              // timer index
+	opReset             // timer index, u16 µs
+	opNested            // u16 µs parent, u16 µs child
+	opRunUntil          // u16 µs horizon
+	opFar               // seconds: overflow heap
+	opWheelCount        // ops of a plain program
+)
+
+const (
+	opFIFO      = opWheelCount + iota // delay index, chain length: recurring AfterFIFO
+	opFIFOOnce                        // u16 ns: one-off AfterFIFO
+	opStep                            // one Step on each side
+	opFIFOStops                       // delay index: AfterFIFO whose callback calls Stop
+	opCount
+
+	progLanes = 0xFF // first byte of a program using all opCount ops
+)
+
+// fifoDelays are the recurring AfterFIFO delays a program picks from: the
+// six the Fig. 8 tree arms, then enough others to run out of lanes.
+var fifoDelays = func() []time.Duration {
+	ds := []time.Duration{32, 320, 1200, 12_000, 10_000, 20_000}
+	for i := 1; len(ds) < maxLanes+8; i++ {
+		ds = append(ds, time.Duration(i)*777)
+	}
+	return ds
+}()
+
+// fifoDelay maps an operand byte to a recurring delay, favouring the
+// first four so short programs still see lanes admitted.
+func fifoDelay(b byte) time.Duration {
+	k := int(b) % 32
+	if k >= len(fifoDelays) {
+		k %= 4
+	}
+	return fifoDelays[k]
+}
+
+// runDifferential decodes a byte stream into a deterministic operation
 // program and replays it against both schedulers, comparing dispatch
-// traces and every Stop/Reset verdict.
-func runDifferential(t *testing.T, data []byte) {
+// traces, clocks, PeekTime, Len and every Stop/Reset/Step verdict.
+func runDifferential(t *testing.T, data []byte) diffResult {
 	t.Helper()
 	const maxOps = 2048
 
@@ -176,7 +242,10 @@ func runDifferential(t *testing.T, data []byte) {
 	}
 	var timers []timerPair
 
-	pos := 0
+	pos, ops := 0, byte(opWheelCount)
+	if len(data) > 0 && data[0] == progLanes {
+		pos, ops = 1, opCount
+	}
 	next := func() (byte, bool) {
 		if pos >= len(data) {
 			return 0, false
@@ -198,52 +267,60 @@ func runDifferential(t *testing.T, data []byte) {
 	}
 
 	nextID := 0
-	// schedule registers one callback pair appending (id, now) on each
-	// side; when nest is positive the callback also schedules a child.
-	var schedule func(d, nest time.Duration) timerPair
-	schedule = func(d, nest time.Duration) timerPair {
+	// schedule registers one callback on each side appending (id, now);
+	// when nest is positive each callback also schedules a child on its
+	// own side under an id derived from the parent's, so neither side's
+	// trace depends on the other's dispatch order.
+	schedule := func(d, nest time.Duration) {
 		id := nextID
 		nextID++
-		var rfn func()
+		cid := -id - 1000000
 		wfn := func() {
 			wheelTrace = append(wheelTrace, traceEntry{id, wheelSched.Now()})
 			if nest > 0 {
-				schedule(nest, 0)
-			}
-		}
-		// The paired ref callback must replicate the wheel callback's
-		// scheduling side effects against the ref scheduler. schedule()
-		// itself registers on both sides, so only one side may call it;
-		// the ref callback mirrors the trace append alone and relies on
-		// the wheel callback running at the same dispatch position to
-		// have created the child pair — which only holds if traces
-		// agree, the property under test. To avoid that circularity the
-		// child is scheduled independently on each side.
-		rfn = func() {
-			refTrace = append(refTrace, traceEntry{id, ref.now})
-			if nest > 0 {
-				childID := id // child ids are derived, not allocated
-				_ = childID
-				cid := -id - 1000000 // stable derived id for the nested child
-				ref.After(nest, func() {
-					refTrace = append(refTrace, traceEntry{cid, ref.now})
-				})
-			}
-		}
-		if nest > 0 {
-			// Re-bind the wheel callback so its child uses the same
-			// derived id as the ref child.
-			cid := -id - 1000000
-			wfn = func() {
-				wheelTrace = append(wheelTrace, traceEntry{id, wheelSched.Now()})
 				wheelSched.After(nest, func() {
 					wheelTrace = append(wheelTrace, traceEntry{cid, wheelSched.Now()})
 				})
 			}
 		}
-		p := timerPair{wt: wheelSched.After(d, wfn), rt: ref.After(d, rfn), rfn: rfn}
-		timers = append(timers, p)
-		return p
+		rfn := func() {
+			refTrace = append(refTrace, traceEntry{id, ref.now})
+			if nest > 0 {
+				ref.After(nest, func() {
+					refTrace = append(refTrace, traceEntry{cid, ref.now})
+				})
+			}
+		}
+		timers = append(timers, timerPair{wt: wheelSched.After(d, wfn), rt: ref.After(d, rfn), rfn: rfn})
+	}
+	// scheduleFIFO arms one AfterFIFO event (After on the reference). Its
+	// callback re-arms the same delay chain more times — a link sending
+	// back to back — and calls Stop when stops is set.
+	scheduleFIFO := func(d time.Duration, chain int, stops bool) {
+		base := nextID
+		nextID++
+		var wfn, rfn func()
+		wstep, rstep := 0, 0
+		wfn = func() {
+			wheelTrace = append(wheelTrace, traceEntry{base + wstep<<20, wheelSched.Now()})
+			if wstep++; wstep <= chain {
+				wheelSched.AfterFIFO(d, wfn)
+			}
+			if stops {
+				wheelSched.Stop()
+			}
+		}
+		rfn = func() {
+			refTrace = append(refTrace, traceEntry{base + rstep<<20, ref.now})
+			if rstep++; rstep <= chain {
+				ref.After(d, rfn)
+			}
+			if stops {
+				ref.stopped = true
+			}
+		}
+		wheelSched.AfterFIFO(d, wfn)
+		ref.After(d, rfn)
 	}
 
 	for op := 0; op < maxOps; op++ {
@@ -251,14 +328,14 @@ func runDifferential(t *testing.T, data []byte) {
 		if !ok {
 			break
 		}
-		switch b % 6 {
-		case 0: // near-future schedule
+		switch b % ops {
+		case opAfter:
 			us, ok := next16()
 			if !ok {
 				break
 			}
 			schedule(time.Duration(us)*time.Microsecond, 0)
-		case 1: // stop
+		case opStop:
 			idx, ok := next()
 			if !ok || len(timers) == 0 {
 				break
@@ -269,7 +346,7 @@ func runDifferential(t *testing.T, data []byte) {
 			if wOK != rOK {
 				t.Fatalf("op %d: Stop verdicts diverge: wheel=%v ref=%v", op, wOK, rOK)
 			}
-		case 2: // reset
+		case opReset:
 			idx, ok := next()
 			if !ok || len(timers) == 0 {
 				break
@@ -286,7 +363,7 @@ func runDifferential(t *testing.T, data []byte) {
 			if wOK != rOK {
 				t.Fatalf("op %d: Reset verdicts diverge: wheel=%v ref=%v", op, wOK, rOK)
 			}
-		case 3: // nested schedule
+		case opNested:
 			us, ok := next16()
 			if !ok {
 				break
@@ -297,7 +374,7 @@ func runDifferential(t *testing.T, data []byte) {
 			}
 			schedule(time.Duration(us)*time.Microsecond,
 				time.Duration(us2)*time.Microsecond+time.Nanosecond)
-		case 4: // advance both clocks by the same horizon
+		case opRunUntil: // advance both clocks by the same horizon
 			us, ok := next16()
 			if !ok {
 				break
@@ -305,21 +382,62 @@ func runDifferential(t *testing.T, data []byte) {
 			horizon := wheelSched.Now().Add(time.Duration(us) * time.Microsecond)
 			wheelSched.RunUntil(horizon)
 			ref.runUntil(horizon)
-			if wheelSched.Now() != ref.now {
-				t.Fatalf("op %d: clocks diverge after RunUntil(%v): wheel=%v ref=%v",
-					op, horizon, wheelSched.Now(), ref.now)
-			}
-		case 5: // far-future schedule (exercises the overflow heap)
+		case opFar: // exercises the overflow heap
 			secs, ok := next()
 			if !ok {
 				break
 			}
 			schedule(time.Duration(secs)*time.Second, 0)
+		case opFIFO:
+			k, ok := next()
+			if !ok {
+				break
+			}
+			chain, _ := next()
+			scheduleFIFO(fifoDelay(k), int(chain%16), false)
+		case opFIFOOnce:
+			ns, ok := next16()
+			if !ok {
+				break
+			}
+			scheduleFIFO(time.Duration(ns), 0, false)
+		case opStep:
+			wOK := wheelSched.Step()
+			rOK := ref.peek() != nil
+			if rOK {
+				ref.step()
+			}
+			if wOK != rOK {
+				t.Fatalf("op %d: Step verdicts diverge: wheel=%v ref=%v", op, wOK, rOK)
+			}
+		case opFIFOStops:
+			k, ok := next()
+			if !ok {
+				break
+			}
+			scheduleFIFO(fifoDelay(k), 0, true)
+		}
+		if wheelSched.Now() != ref.now {
+			t.Fatalf("op %d: clocks diverge: wheel=%v ref=%v", op, wheelSched.Now(), ref.now)
+		}
+		if wp, rp := wheelSched.PeekTime(), ref.peekTime(); wp != rp {
+			t.Fatalf("op %d: PeekTime diverges: wheel=%v ref=%v", op, wp, rp)
+		}
+		if wheelSched.Len() != ref.live {
+			t.Fatalf("op %d: live counts diverge: wheel=%d ref=%d", op, wheelSched.Len(), ref.live)
+		}
+		if InvariantChecks() {
+			wheelSched.CheckAccounting()
 		}
 	}
 
-	wheelSched.Run()
-	ref.run()
+	// Drain; a callback that calls Stop only ends one Run.
+	for wheelSched.Len() > 0 {
+		wheelSched.Run()
+	}
+	for ref.live > 0 {
+		ref.run()
+	}
 
 	if len(wheelTrace) != len(refTrace) {
 		t.Fatalf("trace lengths diverge: wheel=%d ref=%d", len(wheelTrace), len(refTrace))
@@ -329,52 +447,176 @@ func runDifferential(t *testing.T, data []byte) {
 			t.Fatalf("traces diverge at %d: wheel=%+v ref=%+v", i, wheelTrace[i], refTrace[i])
 		}
 	}
-	if wheelSched.Len() != ref.live {
-		t.Fatalf("live counts diverge after drain: wheel=%d ref=%d", wheelSched.Len(), ref.live)
+	if wheelSched.Now() != ref.now {
+		t.Fatalf("clocks diverge after drain: wheel=%v ref=%v", wheelSched.Now(), ref.now)
 	}
+	if uint64(len(wheelTrace)) != wheelSched.Fired() {
+		t.Fatalf("Fired() = %d, trace has %d entries", wheelSched.Fired(), len(wheelTrace))
+	}
+	return diffResult{trace: wheelTrace, now: wheelSched.Now(), fired: wheelSched.Fired(), stats: wheelSched.Stats()}
 }
 
-// FuzzScheduler feeds random operation streams through the wheel and the
-// reference heap scheduler in lockstep; any (time, seq) dispatch
-// divergence, mismatched Stop/Reset verdict, or clock drift fails.
+// FuzzScheduler feeds random operation streams through the scheduler and
+// the reference heap scheduler in lockstep; any (time, seq) dispatch
+// divergence, mismatched Stop/Reset/Step verdict, or clock drift fails.
 func FuzzScheduler(f *testing.F) {
-	f.Add([]byte{0, 0, 10})
-	f.Add([]byte{0, 0, 10, 0, 0, 10, 1, 0, 4, 0, 200})
-	f.Add([]byte{2, 0, 0, 50, 3, 0, 5, 0, 3, 5, 200, 4, 255, 255})
-	f.Add([]byte{5, 30, 0, 1, 0, 4, 255, 255, 2, 0, 0, 1, 4, 255, 255, 4, 255, 255})
-	f.Add([]byte{3, 0, 0, 0, 0, 3, 0, 0, 0, 0, 4, 0, 0, 1, 1, 2, 2, 0, 9})
+	f.Add([]byte{opAfter, 0, 10})
+	f.Add([]byte{opAfter, 0, 10, opAfter, 0, 10, opStop, 0, opRunUntil, 0, 200})
+	f.Add([]byte{opReset, 0, 0, 50, opNested, 0, 5, 0, 3, opFar, 200, opRunUntil, 255, 255})
+	f.Add([]byte{opFar, 30, opAfter, 1, 0, opRunUntil, 255, 255, opReset, 0, 0, 1, opRunUntil, 255, 255, opRunUntil, 255, 255})
+	f.Add([]byte{opNested, 0, 0, 0, 0, opNested, 0, 0, 0, 0, opRunUntil, 0, 0, opStop, 1, opReset, 2, 0, 9})
+	f.Add(lanesProgram(NewRand(1), 64))
+	f.Add(manyDelaysProgram())
+	f.Add(reclaimProgram())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runDifferential(t, data)
 	})
 }
 
+// lanesProgram builds a well-formed program of n ops dominated by
+// AfterFIFO — recurring chains and one-offs — with wheel timers being
+// reset and stopped, Steps, Stops from lane callbacks and short RunUntil
+// horizons in between, so lane heads and wheel events interleave.
+func lanesProgram(rng *rand.Rand, n int) []byte {
+	mix := []byte{opFIFO, opFIFO, opFIFO, opFIFO, opFIFOOnce, opAfter, opReset, opStop,
+		opRunUntil, opStep, opFIFOStops, opNested, opFar}
+	data := []byte{progLanes}
+	for i := 0; i < n; i++ {
+		op := mix[rng.Intn(len(mix))]
+		data = append(data, op)
+		switch op {
+		case opRunUntil, opAfter: // ≤ 63 µs: horizons fall between pending events
+			data = append(data, 0, byte(rng.Intn(64)))
+		case opReset:
+			data = append(data, byte(rng.Intn(256)), 0, byte(rng.Intn(64)))
+		case opNested:
+			data = append(data, 0, byte(rng.Intn(64)), 0, byte(rng.Intn(8)))
+		case opFIFO, opFIFOOnce:
+			data = append(data, byte(rng.Intn(256)), byte(rng.Intn(256)))
+		case opStop, opFar, opFIFOStops:
+			data = append(data, byte(rng.Intn(256)))
+		}
+	}
+	return data
+}
+
+// manyDelaysProgram arms every recurring delay often enough to be
+// admitted — more delays than there are lanes — and runs them out.
+func manyDelaysProgram() []byte {
+	data := []byte{progLanes}
+	for rep := 0; rep < laneAdmitAfter+2; rep++ {
+		for k := range fifoDelays {
+			data = append(data, opFIFO, byte(k), 1)
+		}
+		data = append(data, opRunUntil, 0, 1)
+	}
+	return data
+}
+
+// reclaimProgram takes every lane with delays that then stop recurring,
+// and only afterwards starts back-to-back chains of the tree's first four:
+// laneIdleAfter sequence numbers on, those take over idle lanes.
+func reclaimProgram() []byte {
+	data := []byte{progLanes}
+	for rep := 0; rep < laneAdmitAfter+2; rep++ {
+		for k := 6; k < len(fifoDelays); k++ {
+			data = append(data, opFIFO, byte(k), 1)
+		}
+		data = append(data, opRunUntil, 0, 1)
+	}
+	for i := 0; i < 2*laneIdleAfter/16; i++ {
+		data = append(data, opFIFO, byte(i%4), 15, opRunUntil, 0, byte(i%8))
+	}
+	return data
+}
+
 // TestSchedulerDifferentialRandom drives the same lockstep comparison
 // with seeded pseudo-random programs so plain `go test` covers the
-// differential property without the fuzzer.
+// differential property without the fuzzer: each byte string once as a
+// plain program and once, behind progLanes, over all ops.
 func TestSchedulerDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := NewRand(seed)
 		n := 32 + rng.Intn(480)
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(rng.Intn(256))
+		data := make([]byte, 1+n)
+		data[0] = progLanes
+		for i := range data[1:] {
+			data[1+i] = byte(rng.Intn(256))
 		}
+		runDifferential(t, data[1:])
 		runDifferential(t, data)
 	}
 }
 
-// TestSchedulerDifferentialInvariants reruns a slice of the random
-// programs with invariant checks armed, so the accounting assertions in
-// dispatch cover the differential workload too.
+// TestSchedulerDifferentialLanes runs lane-heavy programs against the
+// reference, then once more with every AfterFIFO forced to After: trace,
+// clock and Fired must not depend on the container.
+func TestSchedulerDifferentialLanes(t *testing.T) {
+	var laneFired uint64
+	for seed := int64(0); seed < 200; seed++ {
+		data := lanesProgram(NewRand(seed), 64+int(seed)*4)
+		lanes := runDifferential(t, data)
+		fifoToWheel = true
+		wheelOnly := runDifferential(t, data)
+		fifoToWheel = false
+		if wheelOnly.stats.FiredLane != 0 || wheelOnly.stats.Lanes != 0 {
+			t.Fatalf("seed %d: forced-wheel run used lanes: %+v", seed, wheelOnly.stats)
+		}
+		if lanes.now != wheelOnly.now || lanes.fired != wheelOnly.fired || len(lanes.trace) != len(wheelOnly.trace) {
+			t.Fatalf("seed %d: lanes now=%v fired=%d trace=%d, wheel only now=%v fired=%d trace=%d", seed,
+				lanes.now, lanes.fired, len(lanes.trace), wheelOnly.now, wheelOnly.fired, len(wheelOnly.trace))
+		}
+		for i := range lanes.trace {
+			if lanes.trace[i] != wheelOnly.trace[i] {
+				t.Fatalf("seed %d: traces diverge at %d: lanes=%+v wheel only=%+v", seed, i, lanes.trace[i], wheelOnly.trace[i])
+			}
+		}
+		laneFired += lanes.stats.FiredLane
+	}
+	if laneFired == 0 {
+		t.Fatal("no program fired a single event from a lane")
+	}
+}
+
+// TestSchedulerDifferentialLaneOverflow arms more recurring delays than
+// there are lanes: the surplus stays in the wheel and order still holds.
+func TestSchedulerDifferentialLaneOverflow(t *testing.T) {
+	res := runDifferential(t, manyDelaysProgram())
+	if res.stats.Lanes != maxLanes {
+		t.Errorf("Lanes = %d, want all %d taken", res.stats.Lanes, maxLanes)
+	}
+	if res.stats.FiredLane == 0 || res.stats.FiredWheel == 0 || res.stats.FIFONoLane == 0 {
+		t.Errorf("want events fired from both containers and unserved AfterFIFO calls: %+v", res.stats)
+	}
+}
+
+// TestSchedulerDifferentialLaneReclaim: delays that arrive after every lane
+// is taken by delays gone quiet get lanes, and order still holds.
+func TestSchedulerDifferentialLaneReclaim(t *testing.T) {
+	res := runDifferential(t, reclaimProgram())
+	cold := uint64((laneAdmitAfter + 2) * (len(fifoDelays) - 6) * 2)
+	if res.stats.Lanes != maxLanes || res.stats.FiredLane < cold+laneIdleAfter/2 {
+		t.Errorf("lanes fired %d events, %d at most from the %d early delays: the late ones got no lane (%+v)",
+			res.stats.FiredLane, cold, len(fifoDelays)-6, res.stats)
+	}
+}
+
+// TestSchedulerDifferentialInvariants reruns a slice of the random and
+// lane-heavy programs with invariant checks armed, so the accounting
+// assertions in dispatch, and CheckAccounting after every op, cover the
+// differential workload too.
 func TestSchedulerDifferentialInvariants(t *testing.T) {
 	SetInvariantChecks(true)
 	defer SetInvariantChecks(false)
 	for seed := int64(1000); seed < 1050; seed++ {
 		rng := NewRand(seed)
-		data := make([]byte, 256)
-		for i := range data {
-			data[i] = byte(rng.Intn(256))
+		data := make([]byte, 1+256)
+		data[0] = progLanes
+		for i := range data[1:] {
+			data[1+i] = byte(rng.Intn(256))
 		}
+		runDifferential(t, data[1:])
 		runDifferential(t, data)
+		runDifferential(t, lanesProgram(rng, 200))
 	}
 }

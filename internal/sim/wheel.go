@@ -2,7 +2,9 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timing wheel: the scheduler's near-future core.
+// Hierarchical timing wheel: the scheduler's store for near-future events
+// that may be cancelled or re-armed (RTO, delayed-ACK and probe timers,
+// jittered deliveries) and for what AfterFIFO could not put in a lane.
 //
 // Virtual time is hashed into wheelLevels levels of wheelSlots slots each.
 // Level 0 slots are 2^granShift ns wide (~1µs), and each higher level's
@@ -26,14 +28,16 @@ import "math/bits"
 //     before every level-(l+1) event, so the global minimum is the
 //     earliest event of the lowest occupied level.
 //   - In-slot scan. Slots keep an unsorted intrusive doubly-linked list;
-//     the minimum is found by a linear (at, seq) scan, so findMin is
-//     O(slot occupancy), not O(1). Slots are narrow (µs at level 0), which
-//     keeps occupancy small but not 1: a mean of 4.6 events per occupied
-//     level-0 slot on the Fig. 8 tree, where the scan is 20 % of the run's
-//     CPU (EXPERIMENTS.md "Where the wheel's time goes" has the
-//     measurements and the two resizings that did not pay). Same-instant
-//     events compare by seq — preserving the scheduler's FIFO guarantee
+//     the minimum is found by a linear (at, seq) scan, so a findMin that
+//     has to look is O(slot occupancy), not O(1). Same-instant events
+//     compare by seq — preserving the scheduler's FIFO guarantee
 //     bit-for-bit.
+//
+// findMin's answer is cached for the whole wheel: insert keeps it current
+// with one comparison; only removing the cached event or rewriting a
+// sequence number in place makes the next peek rescan. With per-packet
+// events in lanes the earliest slot is usually a level-1 slot of hundreds of
+// RTO timers, and the run loop peeks once per fired event (EXPERIMENTS.md).
 //
 // Insert, remove (eager cancellation), and re-slot (Timer.Reset) are all
 // O(1); cascading touches each event at most wheelLevels-1 times over its
@@ -75,9 +79,15 @@ func levelFor(x uint64) int {
 // wheel is the slot storage: per-level intrusive lists plus occupancy
 // bitmaps so the earliest occupied slot is a few word scans away.
 type wheel struct {
-	slots [wheelLevels][wheelSlots]*event
-	occ   [wheelLevels][wheelWords]uint64
-	count int
+	slots             [wheelLevels][wheelSlots]*event
+	occ               [wheelLevels][wheelWords]uint64
+	count             int
+	min               *event // findMin's cached answer; nil: unknown, or empty
+	cascades, rescans uint64 // for Scheduler.Stats
+}
+
+func eventLess(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // insert files ev into the slot addressed by its instant relative to now.
@@ -96,6 +106,9 @@ func (w *wheel) insert(ev *event, now Time) {
 	ev.where = placeWheel
 	ev.level = uint8(l)
 	ev.slot = uint8(slot)
+	if w.count == 0 || (w.min != nil && eventLess(ev, w.min)) {
+		w.min = ev
+	}
 	w.count++
 }
 
@@ -115,6 +128,9 @@ func (w *wheel) remove(ev *event) {
 	}
 	ev.next, ev.prev = nil, nil
 	ev.where = placeNone
+	if w.min == ev {
+		w.min = nil
+	}
 	w.count--
 }
 
@@ -123,9 +139,10 @@ func (w *wheel) remove(ev *event) {
 // occupied slot of the lowest occupied level holds the minimum: a bitmap
 // scan to find the slot, then a linear scan of its list.
 func (w *wheel) findMin(now Time) *event {
-	if w.count == 0 {
-		return nil
+	if w.count == 0 || w.min != nil {
+		return w.min
 	}
+	w.rescans++
 	for l := 0; l < wheelLevels; l++ {
 		from := int(uint64(now)>>levelShift(l)) & wheelMask
 		idx := nextSet(&w.occ[l], from)
@@ -134,10 +151,11 @@ func (w *wheel) findMin(now Time) *event {
 		}
 		best := w.slots[l][idx]
 		for ev := best.next; ev != nil; ev = ev.next {
-			if ev.at < best.at || (ev.at == best.at && ev.seq < best.seq) {
+			if eventLess(ev, best) {
 				best = ev
 			}
 		}
+		w.min = best
 		return best
 	}
 	panic("sim: timing wheel count positive but no occupied slot at or after the clock")
@@ -153,6 +171,7 @@ func (w *wheel) cascade(l, idx int, now Time) {
 	}
 	w.slots[l][idx] = nil
 	w.occ[l][idx>>6] &^= 1 << (uint(idx) & 63)
+	w.cascades++
 	for ev != nil {
 		next := ev.next
 		w.count--

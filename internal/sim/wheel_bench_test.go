@@ -5,10 +5,12 @@ import (
 	"time"
 )
 
-// BenchmarkSchedulerWheel measures the wheel scheduler's three hot
-// operations — schedule+fire churn, and in-place Reset — against a
-// standing population of live timers, at the two population sizes the
-// paper's workloads span (1k ≈ one fig5 trial, 100k ≈ fig8 large-scale).
+// BenchmarkSchedulerWheel measures the scheduler's hot operations —
+// schedule+fire churn through the wheel (sparse, and eight events to a
+// 1 µs slot) and through one and six FIFO lanes, and in-place Reset —
+// against a standing population of live timers, at the two population
+// sizes the paper's workloads span (1k ≈ one fig5 trial, 100k ≈ fig8
+// large-scale). Every case must run allocation-free.
 func BenchmarkSchedulerWheel(b *testing.B) {
 	for _, live := range []int{1_000, 100_000} {
 		population := func(s *Scheduler) []Timer {
@@ -37,6 +39,59 @@ func BenchmarkSchedulerWheel(b *testing.B) {
 			}
 		})
 
+		b.Run(sizeLabel("ScheduleFire/dense", live), func(b *testing.B) {
+			s := NewScheduler()
+			population(s)
+			fn := func() {}
+			// Eight events stay pending 125 ns apart, so the slot findMin
+			// scans always holds about eight.
+			for i := 1; i <= 8; i++ {
+				s.After(time.Duration(i)*125*time.Nanosecond, fn)
+			}
+			cycle := func() {
+				s.After(time.Microsecond, fn)
+				s.Step()
+			}
+			requireZeroAllocs(b, cycle)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
+
+		for _, delays := range [][]time.Duration{{1200}, {32, 320, 1200, 12_000, 10_000, 20_000}} {
+			delays := delays
+			b.Run(sizeLabel("AfterFIFO/ScheduleFire/lanes="+itoa(len(delays)), live), func(b *testing.B) {
+				s := NewScheduler()
+				population(s)
+				fn := func() {}
+				// A hop's worth of events per lane stays in flight.
+				for i := 0; i < 16*len(delays); i++ {
+					s.AfterFIFO(delays[i%len(delays)], fn)
+					if i%2 == 1 {
+						s.Step()
+					}
+				}
+				i := 0
+				cycle := func() {
+					s.AfterFIFO(delays[i%len(delays)], fn)
+					s.Step()
+					i++
+				}
+				requireZeroAllocs(b, cycle)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for n := 0; n < b.N; n++ {
+					cycle()
+				}
+				b.StopTimer()
+				if st := s.Stats(); st.Lanes != len(delays) || st.FiredLane < uint64(b.N) {
+					b.Fatalf("stats %+v: want %d lanes firing the measured events", st, len(delays))
+				}
+			})
+		}
+
 		b.Run(sizeLabel("Reset", live), func(b *testing.B) {
 			s := NewScheduler()
 			timers := population(s)
@@ -49,6 +104,17 @@ func BenchmarkSchedulerWheel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// requireZeroAllocs fails the benchmark if one warm cycle allocates.
+func requireZeroAllocs(b *testing.B, cycle func()) {
+	b.Helper()
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		b.Fatalf("%.2f allocs/op, want 0", allocs)
 	}
 }
 
