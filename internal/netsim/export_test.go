@@ -3,10 +3,10 @@ package netsim
 // Test-only views of the routing state for the external routes tests
 // (package netsim_test, which may import internal/topology).
 
-// ReferenceRoutes is the routing-table builder the flat next-hop table
-// replaced, kept verbatim as the oracle: a BFS from dst over reversed
-// links, then for every node all outgoing pipes that decrease the
-// distance to dst, in out[node] order.
+// ReferenceRoutes is the first routing-table builder, kept verbatim as the
+// oracle for what replaced it: a BFS from dst over reversed links, then
+// for every node all outgoing pipes that decrease the distance to dst, in
+// out[node] order.
 func (n *Network) ReferenceRoutes(dst NodeID) [][]*Pipe {
 	const unreachable = int(^uint(0) >> 1)
 	dist := make([]int, len(n.nodes))
@@ -43,17 +43,47 @@ func (n *Network) ReferenceRoutes(dst NodeID) [][]*Pipe {
 	return table
 }
 
-// NextHops returns the equal-cost next-hop pipes the live table holds for
-// (node, dst), building dst's tree on first use like forward does.
+// NextHops returns the equal-cost next-hop pipes the live forwarding state
+// holds for (node, dst), building dst's column on first use like forward
+// does: a row entry for a node with several cables, the one cable otherwise.
 func (n *Network) NextHops(node, dst NodeID) []*Pipe {
-	if n.NextHop(node, dst, 0) == nil {
+	pipe := n.NextHop(node, dst, 0)
+	if pipe == nil {
 		return nil
 	}
-	h := n.routes[dst].hop[node]
-	if h >= 0 {
-		return []*Pipe{n.out[node][h]}
+	if row := n.rows[node]; row != nil && row[dst] < 0 {
+		return n.ecmp[^row[dst]]
 	}
-	return n.routes[dst].ecmp[^h]
+	return []*Pipe{pipe}
+}
+
+// RouteBuilds is the number of BFS runs routing has cost so far.
+func (n *Network) RouteBuilds() int { return n.routeBuilds }
+
+// RouteRows is the number of nodes that hold a forwarding row.
+func (n *Network) RouteRows() int {
+	rows := 0
+	for _, row := range n.rows {
+		if row != nil {
+			rows++
+		}
+	}
+	return rows
+}
+
+// RoutingBytes totals the memory the forwarding state holds: rows, their
+// index, the ECMP side table, component labels, built flags, BFS scratch.
+func (n *Network) RoutingBytes() int {
+	const slice, word = 24, 8
+	bytes := cap(n.rows)*slice + cap(n.ecmp)*slice + cap(n.comp)*4 + cap(n.built) +
+		cap(n.bfsDist)*4 + cap(n.bfsQueue)*word
+	for _, row := range n.rows {
+		bytes += cap(row) * 4
+	}
+	for _, hops := range n.ecmp {
+		bytes += cap(hops) * word
+	}
+	return bytes
 }
 
 // NextHop is the forwarding decision for one flow.

@@ -26,22 +26,41 @@ type NetworkStats struct {
 
 // Network is a topology of hosts and switches plus its routing state.
 // Build the topology first (AddHost/AddSwitch/Connect), then run traffic;
-// routes are computed lazily per destination and invalidated on Connect.
+// routes are computed lazily per destination and dropped by every change
+// to the topology.
+//
+// Forwarding state lives where a switch keeps it: only a node with more
+// than one cable ever chooses, so only such a node has a row, indexed by
+// destination. Everything else forwards through its one cable to whatever
+// its component label says it can reach. On the Fig. 8 tree that is a row
+// per switch (11 at 10 ToRs, 26 at 25) instead of an entry per (host,
+// destination) pair, small enough to stay in cache between a flow's packets.
 type Network struct {
 	sched *sim.Scheduler
 	nodes []Node
 	// out[node] = that node's outgoing pipes. NodeIDs are dense (register
-	// hands them out sequentially), so both adjacency and routes live in
-	// flat slices: the per-packet forward path indexes instead of hashing.
+	// hands them out sequentially), so adjacency and routes live in flat
+	// slices: the per-packet forward path indexes instead of hashing.
 	out [][]*Pipe
-	// routes[dst] = next hops toward dst from every node; a nil hop slice
-	// means that destination's tree is not built yet.
-	routes []routeTable
+	// rows[node][dst], for a node with several cables (nil otherwise), is
+	// the index into out[node] of the only shortest-path pipe toward dst,
+	// noRoute (node is dst or cannot reach it), or ^i for ecmp[i]: the
+	// equal-cost pipes of a node that has several (fat-tree switches), in
+	// out[node] order. Column dst is valid once built[dst]; one BFS from
+	// dst fills it in every row and labels dst's component in comp (0 =
+	// not labelled yet; two nodes reach each other iff their labels are
+	// equal and nonzero). built is nil while the state is dropped.
+	rows  [][]int32
+	ecmp  [][]*Pipe
+	comp  []int32
+	built []bool
 	// buildRoutes' scratch, reused across destinations (one goroutine
-	// builds tables: lazily when unsharded, up front in Shard otherwise).
-	bfsDist  []int32
-	bfsQueue []NodeID
-	nextID   NodeID
+	// builds columns: lazily when unsharded, up front in Shard otherwise),
+	// and the number of BFS runs so far, for the build-cost tests.
+	bfsDist     []int32
+	bfsQueue    []NodeID
+	routeBuilds int
+	nextID      NodeID
 
 	// pools holds the per-shard packet free lists (see pool.go); an
 	// unsharded network has exactly one. shStats likewise keeps routing
@@ -57,15 +76,6 @@ type Network struct {
 	group        *sim.ShardGroup
 	nodeShard    []int32
 	routesFrozen bool
-}
-
-// routeTable is one destination's next hops. hop[node] is the index into
-// out[node] of the only shortest-path pipe toward it, noRoute (node is the
-// destination or cannot reach it), or ^i for ecmp[i]: the equal-cost pipes
-// of a node that has several (fat-tree switches), in out[node] order.
-type routeTable struct {
-	hop  []int32
-	ecmp [][]*Pipe
 }
 
 const noRoute = math.MinInt32
@@ -137,12 +147,18 @@ func (n *Network) AddSwitch(name string) *Switch {
 func (n *Network) register(node Node) {
 	n.nodes = append(n.nodes, node)
 	n.out = append(n.out, nil)
-	n.routes = append(n.routes, routeTable{})
 	n.nextID++
+	n.dropRoutes()
+}
+
+// dropRoutes forgets all forwarding state; the next forward rebuilds what
+// it needs for the topology as it then is.
+func (n *Network) dropRoutes() {
+	n.rows, n.ecmp, n.comp, n.built = nil, nil, nil, nil
 }
 
 // Connect wires a full-duplex cable between a and b and returns the two
-// directed pipes (a→b, b→a). Adding links invalidates cached routes.
+// directed pipes (a→b, b→a). Adding nodes or links drops cached routes.
 func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Pipe, *Pipe) {
 	if n.group != nil {
 		panic("netsim: Connect after Shard; build the topology before partitioning it")
@@ -165,7 +181,7 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Pipe, *Pipe) {
 	}
 	n.out[a.ID()] = append(n.out[a.ID()], ab)
 	n.out[b.ID()] = append(n.out[b.ID()], ba)
-	clear(n.routes)
+	n.dropRoutes()
 	return ab, ba
 }
 
@@ -190,36 +206,72 @@ func (n *Network) forward(node Node, pkt *Packet) {
 }
 
 // nextHop returns the pipe flow takes from node toward dst (nil = none),
-// computing and caching the destination's routing tree on first use.
-// Once the cache is frozen (sharded networks prewarm every host
-// destination so parallel segments only ever read the table), an unbuilt
-// tree means the destination is not a routable endpoint and the packet drops.
+// computing and caching the destination's column on first use. Once the
+// cache is frozen (sharded networks prewarm every host destination so
+// parallel segments only ever read it), an unbuilt column means the
+// destination is not a routable endpoint and the packet drops.
 func (n *Network) nextHop(node, dst NodeID, flow FlowID) *Pipe {
-	if int(dst) >= len(n.routes) {
-		return nil
+	if uint(dst) >= uint(len(n.built)) {
+		// Outside the network, or the state was dropped since the last hop.
+		if uint(dst) >= uint(len(n.nodes)) || n.routesFrozen {
+			return nil
+		}
+		n.resetRoutes()
 	}
-	t := &n.routes[dst]
-	if t.hop == nil {
+	if !n.built[dst] {
 		if n.routesFrozen {
 			return nil
 		}
-		*t = n.buildRoutes(dst)
+		n.buildRoutes(dst)
 	}
-	switch h := t.hop[node]; {
+	pipes := n.out[node]
+	row := n.rows[node]
+	if row == nil {
+		// At most one cable: it leads to everything this node can reach.
+		if len(pipes) == 0 || node == dst || n.comp[node] != n.comp[dst] {
+			return nil
+		}
+		return pipes[0]
+	}
+	switch h := row[dst]; {
 	case h >= 0:
-		return n.out[node][h]
+		return pipes[h]
 	case h == noRoute:
 		return nil
 	default:
-		hops := t.ecmp[^h]
+		hops := n.ecmp[^h]
 		return hops[ecmpHash(flow, node)%uint64(len(hops))]
 	}
 }
 
-// buildRoutes runs a BFS from dst over reversed links, then records, for
-// every node, the outgoing pipes that decrease the distance to dst.
-func (n *Network) buildRoutes(dst NodeID) routeTable {
+// resetRoutes sizes empty forwarding state for the current topology: a row
+// per node with several cables (one allocation holds them all), no column
+// built, no component labelled.
+func (n *Network) resetRoutes() {
+	total := len(n.nodes)
+	multi := 0
+	for _, pipes := range n.out {
+		if len(pipes) > 1 {
+			multi++
+		}
+	}
+	flat := make([]int32, multi*total)
+	n.rows = make([][]int32, total)
+	for u, pipes := range n.out {
+		if len(pipes) > 1 {
+			n.rows[u], flat = flat[:total:total], flat[total:]
+		}
+	}
+	n.comp = make([]int32, total)
+	n.built = make([]bool, total)
+}
+
+// buildRoutes runs a BFS from dst over reversed links, then records, in
+// every row, the outgoing pipes that decrease the distance to dst. The
+// first BFS to enter a component labels it with its root: dst+1.
+func (n *Network) buildRoutes(dst NodeID) {
 	const unreachable = math.MaxInt32
+	n.routeBuilds++
 	if len(n.bfsDist) < len(n.nodes) {
 		n.bfsDist = make([]int32, len(n.nodes))
 	}
@@ -242,25 +294,34 @@ func (n *Network) buildRoutes(dst NodeID) routeTable {
 		}
 	}
 	n.bfsQueue = queue
-	t := routeTable{hop: make([]int32, len(n.nodes))}
-	for u, pipes := range n.out {
-		t.hop[u] = noRoute
+	if n.comp[dst] == 0 {
+		for _, u := range queue {
+			n.comp[u] = int32(dst) + 1
+		}
+	}
+	for u, row := range n.rows {
+		if row == nil {
+			continue
+		}
+		pipes := n.out[u]
+		h := int32(noRoute)
 		for i, pipe := range pipes {
 			if dist[pipe.to.ID()] != dist[u]-1 { // never true from an unreachable u
 				continue
 			}
-			switch h := t.hop[u]; {
+			switch {
 			case h == noRoute:
-				t.hop[u] = int32(i)
+				h = int32(i)
 			case h >= 0: // a second equal-cost hop: move the node to the side table
-				t.hop[u] = ^int32(len(t.ecmp))
-				t.ecmp = append(t.ecmp, []*Pipe{pipes[h], pipe})
+				n.ecmp = append(n.ecmp, []*Pipe{pipes[h], pipe})
+				h = ^int32(len(n.ecmp) - 1)
 			default:
-				t.ecmp[^h] = append(t.ecmp[^h], pipe)
+				n.ecmp[^h] = append(n.ecmp[^h], pipe)
 			}
 		}
+		row[dst] = h
 	}
-	return t
+	n.built[dst] = true
 }
 
 // ecmpHash mixes the flow id with the deciding node so that different

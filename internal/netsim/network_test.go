@@ -300,6 +300,57 @@ func TestUnroutableDestinationsDropAndRelease(t *testing.T) {
 	}
 }
 
+// TestLateHostFailsClosed: a host added after traffic built routing state
+// costs its first Send a RoutingDrop while it has no cable (the state built
+// for the smaller network must not be indexed with the new id), and is
+// reachable both ways once cabled.
+func TestLateHostFailsClosed(t *testing.T) {
+	sched := sim.NewScheduler()
+	cfg := LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}}
+	net, senders, fe := star(sched, 2, cfg)
+	delivered := 0
+	fe.SetHandler(func(*Packet) { delivered++ })
+	send := func(from *Host, dst NodeID) {
+		pkt := from.AllocPacket()
+		pkt.Src, pkt.Dst, pkt.Size = from.ID(), dst, 1500
+		from.Send(pkt)
+		sched.Run()
+	}
+	send(senders[0], fe.ID())
+	late := net.AddHost("late")
+	send(late, fe.ID())
+	send(senders[0], late.ID())
+	if drops, live := net.Stats().RoutingDrops, net.LivePackets(); drops != 2 || live != 0 || delivered != 1 {
+		t.Fatalf("uncabled late host: %d routing drops, %d live packets, %d delivered; want 2, 0, 1", drops, live, delivered)
+	}
+	atLate := 0
+	late.SetHandler(func(*Packet) { atLate++ })
+	net.Connect(late, net.nodes[0], cfg)
+	send(late, fe.ID())
+	send(senders[0], late.ID())
+	if drops, live := net.Stats().RoutingDrops, net.LivePackets(); drops != 2 || live != 0 || delivered != 2 || atLate != 1 {
+		t.Errorf("cabled late host: %d routing drops, %d live, %d at the front end, %d at the late host; want 2, 0, 2, 1",
+			drops, live, delivered, atLate)
+	}
+}
+
+// TestNegativeDestinationDrops: an id below the network's range is as
+// unroutable as one above it.
+func TestNegativeDestinationDrops(t *testing.T) {
+	sched := sim.NewScheduler()
+	cfg := LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}}
+	net, senders, _ := star(sched, 1, cfg)
+	for i, dst := range []NodeID{-1, -1 << 40} {
+		pkt := net.AllocPacket()
+		pkt.Src, pkt.Dst, pkt.Size = senders[0].ID(), dst, 1500
+		senders[0].Send(pkt)
+		sched.Run()
+		if drops, live := net.Stats().RoutingDrops, net.LivePackets(); drops != i+1 || live != 0 {
+			t.Errorf("dst %d: %d routing drops, %d live packets; want %d, 0", dst, drops, live, i+1)
+		}
+	}
+}
+
 // TestFrozenRoutesDoNotBuild: Shard prewarms host destinations and freezes
 // the table; any other destination is then unroutable, never built by a
 // (possibly parallel) forward.
@@ -317,8 +368,8 @@ func TestFrozenRoutesDoNotBuild(t *testing.T) {
 	if got := net.nextHop(senders[0].ID(), sw, 0); got != nil {
 		t.Errorf("frozen table routed to the switch (not prewarmed) via %v", got)
 	}
-	if net.routes[sw].hop != nil {
-		t.Error("a lookup built a table after the freeze")
+	if net.built[sw] {
+		t.Error("a lookup built a column after the freeze")
 	}
 }
 

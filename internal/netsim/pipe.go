@@ -98,7 +98,7 @@ type Pipe struct {
 	// Per-pipe event plumbing, allocated once instead of one closure per
 	// packet: txPkt is the packet currently serializing, inFlight the FIFO
 	// of packets on the wire (arrival events fire in schedule order, so
-	// the head is always the next to deliver).
+	// the head is always the next to deliver; see popFlight).
 	txPkt      *Packet
 	inFlight   []*Packet
 	flightHead int
@@ -359,8 +359,13 @@ func (p *Pipe) popFlight() *Packet {
 	pkt := p.inFlight[p.flightHead]
 	p.inFlight[p.flightHead] = nil
 	p.flightHead++
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if p.flightHead > 32 && p.flightHead*2 >= len(p.inFlight) {
+	if p.flightHead == len(p.inFlight) {
+		// Drained: restart at the front. A wire that carries one packet at
+		// a time then lives in its first slot instead of crawling through
+		// the array until the compaction below.
+		p.inFlight, p.flightHead = p.inFlight[:0], 0
+	} else if p.flightHead > 32 && p.flightHead*2 >= len(p.inFlight) {
+		// Compact once the dead prefix dominates, keeping amortized O(1).
 		n := copy(p.inFlight, p.inFlight[p.flightHead:])
 		p.inFlight = p.inFlight[:n]
 		p.flightHead = 0

@@ -37,7 +37,9 @@ type QueueStats struct {
 //
 // Storage is two FIFO bands: the favoured band (used only when the
 // discipline issues Favour verdicts, e.g. FavourQueue) drains strictly
-// before the main band. Both share the configured capacity.
+// before the main band. Both share the configured capacity. A band is a
+// slice consumed from head; it restarts at slot 0 whenever it drains (see
+// pop), so a port that mostly queues one packet stays in one cache line.
 type Queue struct {
 	capPackets int
 	capBytes   int
@@ -217,15 +219,17 @@ func (q *Queue) DrainOne() *Packet {
 }
 
 // pop removes the head packet — favoured band first — returning it with
-// its enqueue instant.
+// its enqueue instant. A band that drains restarts at the front of its
+// arrays; otherwise it compacts once the dead prefix dominates, amortized O(1).
 func (q *Queue) pop() (*Packet, sim.Time) {
 	if q.favHead < len(q.fav) {
 		p, at := q.fav[q.favHead], q.favTimes[q.favHead]
 		q.fav[q.favHead] = nil
 		q.favHead++
 		q.bytes -= p.Size
-		// Compact once the dead prefix dominates, keeping amortized O(1).
-		if q.favHead > 64 && q.favHead*2 >= len(q.fav) {
+		if q.favHead == len(q.fav) {
+			q.fav, q.favTimes, q.favHead = q.fav[:0], q.favTimes[:0], 0
+		} else if q.favHead > 64 && q.favHead*2 >= len(q.fav) {
 			n := copy(q.fav, q.fav[q.favHead:])
 			copy(q.favTimes, q.favTimes[q.favHead:])
 			q.fav = q.fav[:n]
@@ -241,8 +245,9 @@ func (q *Queue) pop() (*Packet, sim.Time) {
 	q.pkts[q.head] = nil
 	q.head++
 	q.bytes -= p.Size
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
+	if q.head == len(q.pkts) {
+		q.pkts, q.times, q.head = q.pkts[:0], q.times[:0], 0
+	} else if q.head > 64 && q.head*2 >= len(q.pkts) {
 		n := copy(q.pkts, q.pkts[q.head:])
 		copy(q.times, q.times[q.head:])
 		q.pkts = q.pkts[:n]

@@ -1,7 +1,8 @@
 package netsim_test
 
-// The flat next-hop table against the table builder it replaced, on every
-// topology the experiments run on.
+// The per-node forwarding rows and the one-cable rule against the table
+// builder they replaced, on every topology the experiments run on and on
+// the shapes the one-cable rule has to get right.
 
 import (
 	"math/rand"
@@ -26,45 +27,166 @@ func fatTree(t testing.TB, k int) *topology.FatTree {
 	return f
 }
 
-// TestFlatRoutesMatchReference compares, for every (node, dst) pair, the
-// next-hop set (members and order) and, on nodes with several equal-cost
-// hops, the pipe chosen for 1000 random flow ids.
-func TestFlatRoutesMatchReference(t *testing.T) {
-	nets := map[string]*netsim.Network{
+// islands is three components and every one-cable shape: a star whose
+// switch also carries a one-cable switch and a two-cable relay host with a
+// leaf behind it, two hosts cabled back to back, and a host with no cable.
+func islands() *netsim.Network {
+	net := netsim.NewNetwork(sim.NewScheduler())
+	sw := net.AddSwitch("sw")
+	for i := 0; i < 3; i++ {
+		net.Connect(net.AddHost(""), sw, routeLink)
+	}
+	net.Connect(net.AddSwitch("stub"), sw, routeLink)
+	relay := net.AddHost("relay")
+	net.Connect(relay, sw, routeLink)
+	net.Connect(net.AddHost("leaf"), relay, routeLink)
+	net.Connect(net.AddHost("pair-a"), net.AddHost("pair-b"), routeLink)
+	net.AddHost("island")
+	return net
+}
+
+func routedNetworks(t *testing.T) map[string]*netsim.Network {
+	return map[string]*netsim.Network{
 		"star":      topology.NewStar(sim.NewScheduler(), 20, routeLink).Net,
 		"tree-5":    topology.NewTwoLevelTree(sim.NewScheduler(), topology.TwoLevelTreeConfig{ToRs: 5}).Net,
 		"tree-25":   topology.NewTwoLevelTree(sim.NewScheduler(), topology.TwoLevelTreeConfig{ToRs: 25}).Net,
 		"multihop":  topology.NewMultiHop(sim.NewScheduler(), topology.MultiHopConfig{GroupSize: 5}).Net,
 		"fattree-4": fatTree(t, 4).Net,
 		"fattree-8": fatTree(t, 8).Net,
+		"islands":   islands(),
 	}
-	for name, net := range nets {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1))
-			ecmpNodes := 0
-			for d := 0; d < net.Nodes(); d++ {
-				dst := netsim.NodeID(d)
-				want := net.ReferenceRoutes(dst)
-				for u := 0; u < net.Nodes(); u++ {
-					node := netsim.NodeID(u)
-					if got := net.NextHops(node, dst); !slices.Equal(got, want[u]) {
-						t.Fatalf("next hops %d->%d: got %v, reference %v", u, d, got, want[u])
-					}
-					if len(want[u]) < 2 {
-						continue
-					}
-					ecmpNodes++
-					for i := 0; i < 1000; i++ {
-						flow := netsim.FlowID(rng.Uint64())
-						ref := want[u][netsim.ECMPHash(flow, node)%uint64(len(want[u]))]
-						if got := net.NextHop(node, dst, flow); got != ref {
-							t.Fatalf("flow %d at %d->%d: took pipe %p, reference %p", flow, u, d, got, ref)
-						}
-					}
+}
+
+// checkAgainstReference compares, for every (node, dst) pair — dst == node
+// and unreachable pairs included — the next-hop set (members and order)
+// and, on nodes with several equal-cost hops, the pipe chosen for 1000
+// random flow ids. routable says which destinations the live state may
+// answer for at all (a frozen network: the prewarmed ones). It returns the
+// number of pairs that had several equal-cost hops.
+func checkAgainstReference(t *testing.T, net *netsim.Network, routable func(netsim.NodeID) bool) int {
+	t.Helper()
+	rng := rand.New(rand.NewSource(1))
+	ecmpPairs := 0
+	for d := 0; d < net.Nodes(); d++ {
+		dst := netsim.NodeID(d)
+		want := net.ReferenceRoutes(dst)
+		if !routable(dst) {
+			want = make([][]*netsim.Pipe, net.Nodes())
+		}
+		for u := 0; u < net.Nodes(); u++ {
+			node := netsim.NodeID(u)
+			if got := net.NextHops(node, dst); !slices.Equal(got, want[u]) {
+				t.Fatalf("next hops %d->%d: got %v, reference %v", u, d, got, want[u])
+			}
+			if len(want[u]) < 2 {
+				continue
+			}
+			ecmpPairs++
+			for i := 0; i < 1000; i++ {
+				flow := netsim.FlowID(rng.Uint64())
+				ref := want[u][netsim.ECMPHash(flow, node)%uint64(len(want[u]))]
+				if got := net.NextHop(node, dst, flow); got != ref {
+					t.Fatalf("flow %d at %d->%d: took pipe %p, reference %p", flow, u, d, got, ref)
 				}
 			}
-			if wantECMP := name == "fattree-4" || name == "fattree-8"; (ecmpNodes > 0) != wantECMP {
-				t.Errorf("%d (node, dst) pairs have several equal-cost hops, want some only on a fat-tree", ecmpNodes)
+		}
+	}
+	return ecmpPairs
+}
+
+// TestFlatRoutesMatchReference: the forwarding decision equals the
+// reference builder's everywhere, and building it costs one BFS per
+// distinct destination and a row per node with several cables, not a
+// table per destination.
+func TestFlatRoutesMatchReference(t *testing.T) {
+	for name, net := range routedNetworks(t) {
+		t.Run(name, func(t *testing.T) {
+			ecmpPairs := checkAgainstReference(t, net, func(netsim.NodeID) bool { return true })
+			if wantECMP := name == "fattree-4" || name == "fattree-8"; (ecmpPairs > 0) != wantECMP {
+				t.Errorf("%d (node, dst) pairs have several equal-cost hops, want some only on a fat-tree", ecmpPairs)
+			}
+			multi := 0
+			for u := 0; u < net.Nodes(); u++ {
+				if len(net.PipesFrom(netsim.NodeID(u))) > 1 {
+					multi++
+				}
+			}
+			nodes, rows := net.Nodes(), net.RouteRows()
+			if rows != multi {
+				t.Errorf("%d forwarding rows for %d nodes with several cables", rows, multi)
+			}
+			if builds := net.RouteBuilds(); builds > nodes+rows {
+				t.Errorf("%d BFS runs for %d distinct destinations and %d rows", builds, nodes, rows)
+			}
+			if ecmpPairs > 0 {
+				return // the ECMP side table is per (node, dst) pair, as before
+			}
+			if bytes, limit := net.RoutingBytes(), rows*nodes*4+64*nodes; bytes > limit {
+				t.Errorf("routing state holds %d bytes, want at most %d (%d rows x %d nodes x 4 + O(nodes))",
+					bytes, limit, rows, nodes)
+			}
+		})
+	}
+}
+
+// TestIslandsOneCableRule spells out what the one-cable rule decides on
+// the hand-built shapes, beyond agreeing with the reference.
+func TestIslandsOneCableRule(t *testing.T) {
+	net := islands()
+	id := map[string]netsim.NodeID{}
+	for u := 0; u < net.Nodes(); u++ {
+		id[net.Node(netsim.NodeID(u)).Name()] = netsim.NodeID(u)
+	}
+	cases := []struct {
+		from, to string
+		via      string // "" = routing drop
+	}{
+		{"stub", "leaf", "sw"},         // a one-cable switch forwards like a host
+		{"stub", "stub", ""},           // dst == node
+		{"stub", "pair-a", ""},         // another component
+		{"leaf", "host1", "relay"},     // behind a host that has a row
+		{"relay", "leaf", "leaf"},      // a two-cable host chooses
+		{"relay", "host1", "sw"},       //
+		{"pair-a", "pair-b", "pair-b"}, // back to back
+		{"pair-a", "host1", ""},
+		{"host1", "island", ""},
+		{"island", "host1", ""},
+		{"island", "island", ""},
+	}
+	for _, c := range cases {
+		via := ""
+		if pipe := net.NextHop(id[c.from], id[c.to], 7); pipe != nil {
+			via = pipe.To().Name()
+		}
+		if via != c.via {
+			t.Errorf("%s -> %s goes via %q, want %q", c.from, c.to, via, c.via)
+		}
+	}
+}
+
+// TestFrozenRoutesMatchReference: after Shard the prewarmed (host)
+// destinations route exactly as before from every node, any other
+// destination from none, and lookups build nothing.
+func TestFrozenRoutesMatchReference(t *testing.T) {
+	for name, net := range routedNetworks(t) {
+		t.Run(name, func(t *testing.T) {
+			group := sim.NewShardGroup(1)
+			if err := net.Shard(group, func(netsim.Node) int { return 0 }); err != nil {
+				t.Fatal(err)
+			}
+			hosts := 0
+			isHost := func(id netsim.NodeID) bool { _, ok := net.Node(id).(*netsim.Host); return ok }
+			for u := 0; u < net.Nodes(); u++ {
+				if isHost(netsim.NodeID(u)) {
+					hosts++
+				}
+			}
+			if builds := net.RouteBuilds(); builds != hosts {
+				t.Fatalf("Shard ran %d BFS for %d hosts", builds, hosts)
+			}
+			checkAgainstReference(t, net, isHost)
+			if builds := net.RouteBuilds(); builds != hosts {
+				t.Errorf("lookups on a frozen network ran %d more BFS", builds-hosts)
 			}
 		})
 	}

@@ -110,15 +110,17 @@ func (n *Network) Shard(g *sim.ShardGroup, shardOf func(Node) int) error {
 	}
 
 	// Prewarm the route cache for every deliverable destination, then
-	// freeze it: parallel segments only ever read the map, and a frozen
+	// freeze it: parallel segments only ever read the rows, and a frozen
 	// miss is a routing drop instead of a racing cache fill.
+	if n.built == nil {
+		n.resetRoutes()
+	}
 	for _, node := range n.nodes {
 		if _, ok := node.(*Host); !ok {
 			continue
 		}
-		dst := node.ID()
-		if n.routes[dst].hop == nil {
-			n.routes[dst] = n.buildRoutes(dst)
+		if dst := node.ID(); !n.built[dst] {
+			n.buildRoutes(dst)
 		}
 	}
 	n.routesFrozen = true

@@ -184,6 +184,102 @@ func TestLaneReclaimedForLateHotDelays(t *testing.T) {
 	}
 }
 
+// laneHolding returns the index of the lane whose delay is d, or -1.
+func laneHolding(s *Scheduler, d time.Duration) int {
+	for i := 0; s.lanes != nil && i < s.lanes.n; i++ {
+		if s.lanes.lanes[i].delay == d {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestLaneLookupByDelayOnly: whatever two delays share — a candidate slot,
+// or a lane one of them lost to the other — an event only ever enters the
+// lane that holds its own delay, and fires at its own instant.
+func TestLaneLookupByDelayOnly(t *testing.T) {
+	// armChecked arms one event and has it verify its own firing instant.
+	armChecked := func(t *testing.T, s *Scheduler, d time.Duration) {
+		want := s.Now().Add(d)
+		s.AfterFIFO(d, func() {
+			if s.Now() != want {
+				t.Errorf("delay %v fired at %v, want %v", d, s.Now(), want)
+			}
+		})
+	}
+
+	t.Run("two delays share a candidate slot", func(t *testing.T) {
+		s := NewScheduler()
+		a, b := time.Duration(32), time.Duration(320) // the tree's two ACK serialization times
+		if candSlot(a) != candSlot(b) {
+			b = collidingDelay(a)
+		}
+		for i := 0; i < 2*laneAdmitAfter; i++ {
+			armFIFO(s, a, 1)
+			armFIFO(s, b, 1)
+		}
+		s.Run()
+		la, lb := laneHolding(s, a), laneHolding(s, b)
+		if la < 0 || lb < 0 || la == lb {
+			t.Fatalf("lanes %d and %d for two delays sharing slot %d", la, lb, candSlot(a))
+		}
+		before := s.Stats()
+		for i := 0; i < 500; i++ {
+			armChecked(t, s, a)
+			if n := s.lanes.lanes[la].n; n != 1 {
+				t.Fatalf("round %d: lane of %v holds %d events after arming it, want 1", i, a, n)
+			}
+			armChecked(t, s, b)
+			if n := s.lanes.lanes[lb].n; n != 1 {
+				t.Fatalf("round %d: lane of %v holds %d events after arming it, want 1", i, b, n)
+			}
+			s.CheckAccounting()
+			s.Run()
+		}
+		if st := s.Stats(); st.FiredLane-before.FiredLane != 1000 || st.FIFONoLane != before.FIFONoLane {
+			t.Errorf("stats %+v after %+v: want all 1000 events served by the two lanes", st, before)
+		}
+	})
+
+	t.Run("a delay that lost its lane", func(t *testing.T) {
+		s := NewScheduler()
+		cold := make([]time.Duration, maxLanes)
+		for k := range cold {
+			cold[k] = time.Duration(7000 + 13*k)
+			armFIFO(s, cold[k], laneAdmitAfter+2)
+		}
+		s.Run()
+		if s.Stats().Lanes != maxLanes {
+			t.Fatalf("Lanes = %d, want all %d held by cold delays", s.Stats().Lanes, maxLanes)
+		}
+		const hot = time.Duration(1200)
+		for i := 0; i < laneIdleAfter+laneAdmitAfter; i++ {
+			armFIFO(s, hot, 1)
+			s.Run()
+		}
+		taken := laneHolding(s, hot)
+		if taken < 0 {
+			t.Fatal("the hot delay took over no idle lane")
+		}
+		var evicted time.Duration
+		for _, d := range cold {
+			if laneHolding(s, d) < 0 {
+				evicted = d
+			}
+		}
+		before := s.Stats().FIFONoLane
+		armChecked(t, s, evicted)
+		if n := s.lanes.lanes[taken].n; n != 0 {
+			t.Errorf("an event of the evicted delay %v went into the lane now serving %v", evicted, hot)
+		}
+		if got := s.Stats().FIFONoLane - before; got != 1 {
+			t.Errorf("FIFONoLane rose by %d, want 1: the evicted delay is a candidate again", got)
+		}
+		s.CheckAccounting()
+		s.Run()
+	})
+}
+
 func TestAfterFIFOShardedFallsBackToWheel(t *testing.T) {
 	g := NewShardGroup(1)
 	s := g.Shard(0)
@@ -377,9 +473,11 @@ func TestCheckAccountingDetectsCorruption(t *testing.T) {
 		}, ") drift: mask"},
 		{"lane entry before now", func(s *Scheduler) {
 			l := &s.lanes.lanes[0]
-			l.at, l.buf[l.head].at = s.now-1, s.now-1
+			s.lanes.headAt[0], l.buf[l.head].at = s.now-1, s.now-1
 		}, ") drift: mask"},
-		{"lane head mirror", func(s *Scheduler) { s.lanes.lanes[1].seq++ }, ") drift: mask"},
+		{"lane head mirror", func(s *Scheduler) { s.lanes.headSeq[1]++ }, ") drift: mask"},
+		{"lane head instant mirror", func(s *Scheduler) { s.lanes.headAt[1]++ }, ") drift: mask"},
+		{"lane index", func(s *Scheduler) { s.lanes.lanes[1].idx = 0 }, ") drift: mask"},
 		{"lane active mask", func(s *Scheduler) { s.laneMask &^= 2 }, ") drift: mask"},
 		{"lane count", func(s *Scheduler) { s.laneLive++; s.live++ }, "lane count drift"},
 		{"live", func(s *Scheduler) { s.live++ }, "live-event accounting drift"},

@@ -278,7 +278,7 @@ func (s *Scheduler) Group() *ShardGroup { return s.group }
 func (s *Scheduler) PeekTime() Time {
 	l, ev := s.next()
 	if l != nil {
-		return l.at
+		return s.lanes.headAt[l.idx]
 	}
 	if ev != nil {
 		return ev.at
@@ -319,7 +319,7 @@ func (s *Scheduler) RunUntil(t Time) {
 	for !s.stopped {
 		l, ev := s.next()
 		if l != nil {
-			if l.at > t {
+			if s.lanes.headAt[l.idx] > t {
 				s.advanceTo(t)
 				return
 			}
