@@ -123,7 +123,6 @@ func (t *Trim) Name() string { return "TCP-TRIM" }
 // Attach implements tcp.CongestionControl.
 func (t *Trim) Attach(ctl tcp.Control) {
 	t.ctl = ctl
-	t.probeFn = t.onProbeDeadline
 	if t.cfg.BaseRTT > 0 {
 		// K is a topology constant when D is configured; no need to wait
 		// for RTT samples.
@@ -231,6 +230,11 @@ func (t *Trim) armProbeDeadline() {
 		deadline = time.Millisecond
 	}
 	if !t.probeTimer.Reset(deadline) {
+		if t.probeFn == nil {
+			// Bound at the first deadline, not in Attach: a policy that
+			// outlives its connections is re-attached once per train.
+			t.probeFn = t.onProbeDeadline
+		}
 		t.probeTimer = t.ctl.After(deadline, t.probeFn)
 	}
 }

@@ -73,7 +73,7 @@ func TestLargeScaleHybridInvariant(t *testing.T) {
 // TestMillionSmoke runs the CI-sized fig8million configuration and
 // asserts the scale layer held: everything completed, the materialized
 // population stayed orders of magnitude below the fleet, and the heap
-// footprint stayed inside the per-connection budget.
+// footprint per connection stayed where it was measured.
 func TestMillionSmoke(t *testing.T) {
 	res, err := RunMillion([]Protocol{ProtoTRIM}, MillionSmoke, Options{})
 	if err != nil {
@@ -90,14 +90,21 @@ func TestMillionSmoke(t *testing.T) {
 	if row.ArenaCap != row.PeakLive {
 		t.Errorf("arena slots %d != peak live %d", row.ArenaCap, row.PeakLive)
 	}
-	// Heap budget: flow store + timeline + collector are the O(conns)
-	// terms, a few hundred bytes each; 2 KB/conn plus 16 MB of fixed
-	// overhead (topology, schedulers, buffers) is a generous ceiling that
-	// a packet-level fleet (tens of KB per conn) blows immediately.
-	budget := uint64(16<<20) + uint64(2<<10)*uint64(res.Conns)
+	// Heap tripwire. Measured on this configuration (go1.24, amd64): 6.02 MB
+	// after the run, 602 B/conn, alone, 603 under -race, 613 at the end of
+	// the whole package's run. Per connection that is the flow store's
+	// 193 B, one core.Trim (240) and one classic (16) per released flow,
+	// a timeline entry (32), a completion record (40) and 56 B of the
+	// fleet's and the stacks' per-flow tables; the rest is topology and
+	// pools. The ceiling is the measurement plus a third: the 1 441 B/conn
+	// this test saw while every demoted flow still pinned its last
+	// tcp.Conn is 1.8× over it.
+	const measuredPerConn = 602
+	budget := uint64(measuredPerConn+measuredPerConn/3) * uint64(res.Conns)
+	t.Logf("heap %d B after the run, %.0f B/conn", row.HeapBytes, row.BytesPerConn)
 	if row.HeapBytes > budget {
-		t.Errorf("heap %d B exceeds budget %d B (%.0f B/conn)",
-			row.HeapBytes, budget, row.BytesPerConn)
+		t.Errorf("heap %d B exceeds budget %d B (%.0f B/conn, measured %d when the budget was set)",
+			row.HeapBytes, budget, row.BytesPerConn, measuredPerConn)
 	}
 }
 

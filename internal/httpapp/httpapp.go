@@ -116,6 +116,11 @@ func (b *collBucket) add(label string, bytes int, res tcp.TrainResult) Response 
 		Released:  res.Released,
 		Completed: res.Completed,
 	}
+	if b.responses == nil {
+		// One allocation for everything announced so far; a response
+		// scheduled later (or on another shard's bucket) grows it.
+		b.responses = make([]Response, 0, b.scheduled)
+	}
 	b.responses = append(b.responses, r)
 	return r
 }

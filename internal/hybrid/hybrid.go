@@ -6,17 +6,21 @@
 // flow store while it is OFF, advancing the whole idle population in one
 // chained synchronization event per epoch, and drops to packet level
 // only for connections with an ON train: a release materializes the flow
-// into a real tcp.Conn (arena-backed hot state, congestion window and
-// RTT estimator inherited from the store — TRIM's cross-train window
-// inheritance intact), and a per-epoch sweep detaches connections that
-// have gone quiescent back into the store. Small-scale runs are
-// byte-identical across fidelities; the differential tests in
-// internal/experiment prove it per figure.
+// into a real tcp.Conn (a shell and a hot line recycled through the
+// shard's tcp.Arena, congestion window and RTT estimator inherited from
+// the store — TRIM's cross-train window inheritance intact), and a
+// per-epoch sweep detaches connections that have gone quiescent back
+// into the store. What is tested byte-identical across fidelities is
+// TCP-TRIM on the pinned small-scale figures (the *HybridInvariant tests
+// in internal/experiment: fig6 and the 3-ToR fig8 cell) and random small
+// fleets (FuzzHybridFleetLockstep); plain TCP on the 25-ToR tree is
+// known to differ (ROADMAP item 6).
 package hybrid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"tcptrim/internal/httpapp"
@@ -98,15 +102,24 @@ const (
 	relConn
 )
 
-// release is one deferred ON event of a flow.
+// release is one deferred ON event of a flow: 32 bytes and no pointer,
+// so a timeline of a million of them is sorted by value and never
+// scanned by the collector. What a release reports to or calls lives in
+// a side table that ref indexes: Fleet.sinks for relResponse,
+// Fleet.connFns for relConn.
 type release struct {
 	at    sim.Time
-	flow  int32
 	bytes int
+	flow  int32
+	ref   int32
 	kind  uint8
+}
+
+// sink is where a response's completion is recorded. Runners label
+// responses per fleet or per flow, so consecutive releases share one.
+type sink struct {
 	label string
 	coll  *httpapp.Collector
-	fn    func(*tcp.Conn)
 }
 
 // flowStore is the struct-of-arrays compact state: one slot per flow,
@@ -228,6 +241,10 @@ type Fleet struct {
 	initCwnd float64                 // resolved Base.InitialCwnd
 
 	timeline  []release
+	sinks     []sink
+	connFns   []func(*tcp.Conn)
+	stepFn    func()         // f.step, bound once: re-arming must not box it anew
+	restoring tcp.SavedState // what materialize hands NewConn; not kept by it
 	nextRel   int
 	armed     bool
 	liveCount int
@@ -276,12 +293,17 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	}
 	n := len(cfg.Senders) * f.per
 	f.net = net
+	// Flows register in release order, not id order: tell each stack its
+	// id range so its table is built once.
 	f.frontEnd = tcp.NewStack(net, cfg.FrontEnd)
+	f.frontEnd.ReserveFlows(cfg.FirstFlow, n)
 	f.drv = cfg.FrontEnd.Scheduler()
 	f.stacks = make([]*tcp.Stack, len(cfg.Senders))
 	for i, h := range cfg.Senders {
 		f.stacks[i] = tcp.NewStack(net, h)
+		f.stacks[i].ReserveFlows(cfg.FirstFlow+netsim.FlowID(i*f.per), f.per)
 	}
+	f.stepFn = f.step
 	f.coll = &httpapp.Collector{}
 	f.store = newFlowStore(n)
 	f.conns = make([]*tcp.Conn, n)
@@ -371,11 +393,21 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 		return fmt.Errorf("hybrid: schedule after Arm")
 	}
 	coll.NoteScheduled(f.shardOfStack(f.stackOf(int32(i))))
-	f.timeline = append(f.timeline, release{
-		at: at, flow: int32(i), bytes: bytes, kind: relResponse,
-		label: label, coll: coll,
-	})
+	to := sink{label, coll}
+	if n := len(f.sinks); n == 0 || f.sinks[n-1] != to {
+		f.sinks = append(f.sinks, to)
+	}
+	f.addRelease(release{at: at, bytes: bytes, flow: int32(i), ref: int32(len(f.sinks) - 1), kind: relResponse})
 	return nil
+}
+
+// addRelease appends to the timeline, which is sized on first use for
+// the common shape of one release per flow.
+func (f *Fleet) addRelease(r release) {
+	if f.timeline == nil {
+		f.timeline = make([]release, 0, len(f.conns))
+	}
+	f.timeline = append(f.timeline, r)
 }
 
 // StartBackgroundFlow releases an effectively endless train on flow i:
@@ -391,9 +423,7 @@ func (f *Fleet) StartBackgroundFlow(i int, at sim.Time, bytes int) error {
 	if f.armed {
 		return fmt.Errorf("hybrid: schedule after Arm")
 	}
-	f.timeline = append(f.timeline, release{
-		at: at, flow: int32(i), bytes: bytes, kind: relBackground,
-	})
+	f.addRelease(release{at: at, bytes: bytes, flow: int32(i), kind: relBackground})
 	return nil
 }
 
@@ -412,7 +442,8 @@ func (f *Fleet) ScheduleConnAt(i int, at sim.Time, fn func(*tcp.Conn)) error {
 	if f.armed {
 		return fmt.Errorf("hybrid: schedule after Arm")
 	}
-	f.timeline = append(f.timeline, release{at: at, flow: int32(i), kind: relConn, fn: fn})
+	f.connFns = append(f.connFns, fn)
+	f.addRelease(release{at: at, flow: int32(i), ref: int32(len(f.connFns) - 1), kind: relConn})
 	return nil
 }
 
@@ -430,11 +461,11 @@ func (f *Fleet) Arm() error {
 	// Stable by release instant: equal-instant releases keep their
 	// scheduling order, which is exactly the event-insertion order the
 	// packet fidelity would have used.
-	sort.SliceStable(f.timeline, func(a, b int) bool { return f.timeline[a].at < f.timeline[b].at })
+	slices.SortStableFunc(f.timeline, func(a, b release) int { return cmp.Compare(a.at, b.at) })
 	if len(f.timeline) == 0 {
 		return nil
 	}
-	return f.syncAt(f.timeline[0].at, f.step)
+	return f.syncAt(f.timeline[0].at, f.stepFn)
 }
 
 // syncAt schedules fn at t as a global sync point (plain event when the
@@ -472,7 +503,7 @@ func (f *Fleet) step() {
 		// fully folded into the store and the chain ends.
 		return
 	}
-	if err := f.syncAt(next, f.step); err != nil && f.firstErr == nil {
+	if err := f.syncAt(next, f.stepFn); err != nil && f.firstErr == nil {
 		f.firstErr = err
 	}
 }
@@ -517,14 +548,14 @@ func (f *Fleet) fire(r *release) {
 	}
 	switch r.kind {
 	case relConn:
-		r.fn(c)
+		f.connFns[r.ref](c)
 	case relBackground:
 		c.SendTrain(r.bytes, nil)
 	default:
 		sh := f.shardOfStack(f.stackOf(r.flow))
-		coll, label, bytes := r.coll, r.label, r.bytes
+		to, bytes := f.sinks[r.ref], r.bytes
 		c.SendTrain(bytes, func(res tcp.TrainResult) {
-			coll.Record(sh, label, bytes, res)
+			to.coll.Record(sh, to.label, bytes, res)
 		})
 	}
 }
@@ -555,10 +586,9 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	if f.recs[i] != nil {
 		cfg.Recovery = f.recs[i]
 	}
-	var st tcp.SavedState
 	if f.store.saved(i) {
-		st = f.store.load(i)
-		cfg.Restore = &st
+		f.restoring = f.store.load(i)
+		cfg.Restore = &f.restoring
 	}
 	c, err := tcp.NewConn(cfg)
 	if err != nil {

@@ -46,16 +46,17 @@ type trainSpec struct {
 // given fidelity on a fresh sequential scheduler.
 func buildFleet(tb testing.TB, n, per int, base tcp.Config, fid Fidelity, epoch time.Duration) (*Fleet, *sim.Scheduler) {
 	tb.Helper()
+	return buildFleetFrom(tb, n, FleetConfig{ConnsPerSender: per, Base: base, Fidelity: fid, Epoch: epoch})
+}
+
+// buildFleetFrom is buildFleet for a configuration that sets more than
+// that (policy factories); the network fields are filled in here.
+func buildFleetFrom(tb testing.TB, n int, cfg FleetConfig) (*Fleet, *sim.Scheduler) {
+	tb.Helper()
 	sched := sim.NewScheduler()
 	star := topology.NewStar(sched, n, topology.DefaultStarLink(100))
-	fleet, err := NewFleet(star.Net, FleetConfig{
-		Senders:        star.Senders,
-		ConnsPerSender: per,
-		FrontEnd:       star.FrontEnd,
-		Base:           base,
-		Fidelity:       fid,
-		Epoch:          epoch,
-	})
+	cfg.Senders, cfg.FrontEnd = star.Senders, star.FrontEnd
+	fleet, err := NewFleet(star.Net, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -67,9 +68,21 @@ func buildFleet(tb testing.TB, n, per int, base tcp.Config, fid Fidelity, epoch 
 func runScenario(tb testing.TB, n, per int, base tcp.Config, epoch time.Duration,
 	trains []trainSpec, horizon sim.Time) (pkt, hyb *Fleet) {
 	tb.Helper()
+	return runScenarioFrom(tb, n, func() FleetConfig {
+		return FleetConfig{ConnsPerSender: per, Base: base, Epoch: epoch}
+	}, trains, horizon)
+}
+
+// runScenarioFrom is runScenario with the fleet configuration built anew
+// for each fidelity, so that a stateful policy factory starts over.
+func runScenarioFrom(tb testing.TB, n int, mk func() FleetConfig,
+	trains []trainSpec, horizon sim.Time) (pkt, hyb *Fleet) {
+	tb.Helper()
 	fleets := make([]*Fleet, 2)
 	for fi, fid := range []Fidelity{FidelityPacket, FidelityHybrid} {
-		fleet, sched := buildFleet(tb, n, per, base, fid, epoch)
+		cfg := mk()
+		cfg.Fidelity = fid
+		fleet, sched := buildFleetFrom(tb, n, cfg)
 		for _, tr := range trains {
 			if err := fleet.ScheduleResponse(tr.flow, tr.at, tr.bytes); err != nil {
 				tb.Fatal(err)
@@ -274,12 +287,22 @@ func TestHybridFlowRangeChecks(t *testing.T) {
 // ties are the one place event insertion order differs by construction
 // between the fidelities (packet fidelity registers releases at setup,
 // hybrid fires them from the chained sync event).
+//
+// One seed in four (the multiples of four) is a wide fleet instead, see
+// runWideFleet; the others decode as they always have.
 func FuzzHybridFleetLockstep(f *testing.F) {
 	for seed := int64(1); seed <= 5; seed++ {
 		f.Add(seed)
 	}
+	f.Add(int64(8))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := sim.NewRand(seed)
+		if seed&3 == 0 {
+			if hyb := runWideFleet(t, rng); hyb.Live() != 0 {
+				t.Errorf("seed %d: %d of %d conns still live", seed, hyb.Live(), hyb.NumFlows())
+			}
+			return
+		}
 		n := 1 + int(rng.Int63n(4))
 		per := 1 + int(rng.Int63n(3))
 		epoch := time.Duration(1+rng.Int63n(20)) * time.Millisecond

@@ -27,21 +27,27 @@ type connHot struct {
 // reallocated, so &slab[i] stays stable for the arena's lifetime.
 const arenaSlabSize = 1024
 
-// Arena is a slab allocator for connection hot state, one per shard.
-// Freed slots are recycled LIFO, keeping the working set of a
-// materialize/detach churn (the hybrid-fidelity fleet's steady state)
-// inside a few hot cache lines regardless of how many connections have
-// ever existed. Not safe for concurrent use: an arena belongs to one
-// shard and is only touched from that shard's event context or from a
-// sync (quiesced) section.
+// Arena is a slab allocator for connection hot state and a free list of
+// whole connection shells, one per shard. Freed slots and shells are
+// recycled LIFO, keeping the working set of a materialize/detach churn
+// (the hybrid-fidelity fleet's steady state) inside a few hot cache
+// lines, and its garbage at zero, regardless of how many connections
+// have ever existed. Not safe for concurrent use: an arena belongs to
+// one shard and is only touched from that shard's event context or from
+// a sync (quiesced) section.
 type Arena struct {
 	slabs [][]connHot
 	free  []int32
 	next  int32
 	inUse []bool
+	// shells are detached connections waiting for their next life: the
+	// Conn struct, its two bound timer callbacks and the storage of its
+	// trains/sacked/ooo slices. Each waits with hot == nil, so a stale
+	// reference faults until NewConn hands the shell out again.
+	shells []*Conn
 }
 
-// NewArena returns an empty hot-state arena.
+// NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
 // Live returns the number of slots currently allocated.
@@ -86,6 +92,38 @@ func (a *Arena) release(slot int32) {
 	}
 	a.inUse[slot] = false
 	a.free = append(a.free, slot)
+}
+
+// newShell returns a connection shell with nothing but its timer
+// callbacks bound (once, so re-arming a timer never allocates a fresh
+// method value).
+func newShell() *Conn {
+	c := &Conn{}
+	c.rtoFn = c.onRTO
+	c.ackFlushFn = c.flushPendingAck
+	return c
+}
+
+// shell hands out a connection shell, the most recently detached first.
+// A recycled shell keeps what binds to its address or is plain storage —
+// the timer callbacks and the (emptied) slices — and is zero everywhere
+// else, so NewConn fills a recycled shell and a fresh one the same way.
+func (a *Arena) shell() *Conn {
+	n := len(a.shells)
+	if n == 0 {
+		return newShell()
+	}
+	c := a.shells[n-1]
+	a.shells[n-1] = nil
+	a.shells = a.shells[:n-1]
+	*c = Conn{
+		rtoFn:      c.rtoFn,
+		ackFlushFn: c.ackFlushFn,
+		trains:     c.trains[:0],
+		sacked:     c.sacked[:0],
+		ooo:        c.ooo[:0],
+	}
+	return c
 }
 
 // at returns the record backing slot.

@@ -85,12 +85,15 @@ type Config struct {
 	// Arena, when non-nil, places the connection's hot state (sequence
 	// pointers, window, RTT estimator) in the given shard-local arena
 	// instead of a standalone allocation, keeping co-sharded connections'
-	// hot lines contiguous. Detach returns the slot to the arena.
+	// hot lines contiguous, and takes the Conn itself from the arena's
+	// free list of detached shells. Detach returns both, after which the
+	// *Conn may come back from a later NewConn as another flow.
 	Arena *Arena
 	// Restore, when non-nil, seeds the connection from state captured by
 	// Detach on a predecessor, continuing the same logical flow: sequence
 	// space, congestion window, RTT estimator, Karn back-off, packet-ID
-	// counters, and lifetime stats all carry over.
+	// counters, and lifetime stats all carry over. NewConn copies out of
+	// it and keeps no reference.
 	Restore *SavedState
 	// Observer, when non-nil, receives connection lifecycle events
 	// (sends, ACKs, recoveries, timeouts) for tracing.
@@ -268,29 +271,32 @@ func NewConn(cfg Config) (*Conn, error) {
 	if cfg.Recovery == nil {
 		cfg.Recovery = NewClassicRecovery()
 	}
-	c := &Conn{
-		sched:    cfg.Sender.host.Scheduler(),
-		rsched:   cfg.Receiver.host.Scheduler(),
-		cfg:      cfg,
-		cc:       cfg.CC,
-		recovery: cfg.Recovery,
-		mss:      cfg.MSS,
-		slot:     -1,
-		minCwnd:  cfg.MinCwnd,
-	}
+	// Restore is read here and not kept: a caller may reuse the
+	// SavedState it points at for its next connection.
+	saved := cfg.Restore
+	cfg.Restore = nil
+	var c *Conn
 	if cfg.Arena != nil {
+		c = cfg.Arena.shell()
 		c.arena = cfg.Arena
 		c.hot, c.slot = cfg.Arena.alloc()
 	} else {
+		c = newShell()
 		c.hot = &connHot{}
+		c.slot = -1
 	}
+	c.sched = cfg.Sender.host.Scheduler()
+	c.rsched = cfg.Receiver.host.Scheduler()
+	c.cfg = cfg
+	c.cc = cfg.CC
+	c.recovery = cfg.Recovery
+	c.mss = cfg.MSS
+	c.minCwnd = cfg.MinCwnd
 	c.hot.cwnd = cfg.InitialCwnd
 	c.hot.ssthresh = defaultSsthresh
-	if cfg.Restore != nil {
-		c.restore(cfg.Restore)
+	if saved != nil {
+		c.restore(saved)
 	}
-	c.rtoFn = c.onRTO
-	c.ackFlushFn = c.flushPendingAck
 	if err := cfg.Sender.registerSender(cfg.Flow, c); err != nil {
 		c.releaseHot()
 		return nil, err
@@ -305,15 +311,17 @@ func NewConn(cfg Config) (*Conn, error) {
 	return c, nil
 }
 
-// releaseHot returns the hot-state slot to the arena, if any, and poisons
-// the pointer so any further use of the connection faults loudly.
+// releaseHot poisons the hot-state pointer so any further use of the
+// connection faults loudly, and returns the slot and the shell to the
+// arena, if any. The shell waits there poisoned; Arena.shell resets it.
 func (c *Conn) releaseHot() {
-	if c.arena != nil {
-		c.arena.release(c.slot)
+	c.hot = nil
+	if a := c.arena; a != nil {
+		a.release(c.slot)
 		c.arena = nil
 		c.slot = -1
+		a.shells = append(a.shells, c)
 	}
-	c.hot = nil
 }
 
 // Scheduler returns the scheduler driving the sender side of this
@@ -914,7 +922,12 @@ func (c *Conn) completeTrains() {
 	now := c.sched.Now()
 	for len(c.trains) > 0 && c.trains[0].end <= c.hot.sndUna {
 		tr := c.trains[0]
-		c.trains = c.trains[1:]
+		// Copy down rather than reslice past the head, so the storage is
+		// reused for as long as the connection (or its shell) lives, and
+		// drop the vacated entry's callback.
+		n := copy(c.trains, c.trains[1:])
+		c.trains[n] = train{}
+		c.trains = c.trains[:n]
 		if tr.done != nil {
 			tr.done(TrainResult{Released: tr.released, Completed: now, Bytes: tr.bytes})
 		}
@@ -1139,11 +1152,17 @@ func (c *Conn) appendSackBlocks(blocks []netsim.SackBlock) []netsim.SackBlock {
 }
 
 func (c *Conn) drainOutOfOrder() {
-	for len(c.ooo) > 0 && c.ooo[0].start <= c.rcvNxt {
-		if c.ooo[0].end > c.rcvNxt {
-			c.rcvNxt = c.ooo[0].end
+	n := 0
+	for n < len(c.ooo) && c.ooo[n].start <= c.rcvNxt {
+		if c.ooo[n].end > c.rcvNxt {
+			c.rcvNxt = c.ooo[n].end
 		}
-		c.ooo = c.ooo[1:]
+		n++
+	}
+	if n > 0 {
+		// Copy down: reslicing past the drained islands would walk the
+		// backing array forward until insertOutOfOrder has to reallocate.
+		c.ooo = c.ooo[:copy(c.ooo, c.ooo[n:])]
 	}
 }
 

@@ -61,6 +61,16 @@ func (s *Stack) registerReceiver(flow netsim.FlowID, c *Conn) error {
 	return nil
 }
 
+// ReserveFlows tells the stack that it will carry the n flows numbered
+// from first, in whatever order they register: each direction's dense
+// table is then allocated once, at its first registration inside that
+// range, instead of growing (and, at every new smallest id, shifting)
+// as ids arrive. A direction that already has a table keeps it.
+func (s *Stack) ReserveFlows(first netsim.FlowID, n int) {
+	s.send.reserve(first, n)
+	s.recv.reserve(first, n)
+}
+
 // unregisterSender and unregisterReceiver forget a flow (Conn.Detach);
 // a packet of the flow arriving afterwards counts as stray.
 func (s *Stack) unregisterSender(flow netsim.FlowID)   { s.send.del(flow) }
@@ -82,6 +92,16 @@ type flowTable struct {
 	base  netsim.FlowID
 	dense []*Conn
 	spill map[netsim.FlowID]*Conn
+	// reserved is the span announced by Stack.ReserveFlows, counted from
+	// base; it matters only until dense exists.
+	reserved int
+}
+
+// reserve records the id range the table will be asked to hold.
+func (t *flowTable) reserve(first netsim.FlowID, n int) {
+	if t.dense == nil && n > 0 && n <= maxDenseFlowSpan {
+		t.base, t.reserved = first, n
+	}
 }
 
 // get returns the connection registered for f, or nil.
@@ -101,6 +121,11 @@ func (t *flowTable) put(f netsim.FlowID, c *Conn) bool {
 		return false
 	}
 	if t.dense == nil {
+		if i := uint64(f) - uint64(t.base); i < uint64(t.reserved) {
+			t.dense = make([]*Conn, t.reserved)
+			t.dense[i] = c
+			return true
+		}
 		t.base = f
 		t.dense = append(t.dense, c)
 		return true

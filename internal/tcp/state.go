@@ -11,7 +11,8 @@ import (
 // persistent HTTP connection in the paper's workload spends most of its
 // life OFF (between trains); Detach captures everything a quiescent
 // connection would carry into its next ON period into a SavedState worth
-// tens of bytes, releases the Conn (maps, timers, slices, arena slot),
+// a couple of hundred bytes, releases the Conn (an arena-backed one goes
+// back to its arena whole, to be the shell of some later connection),
 // and a later NewConn with Config.Restore resumes the same logical flow.
 // TRIM's whole premise — the congestion window inherited across ON/OFF
 // train boundaries — survives because the window, the RTT estimator, and
@@ -88,9 +89,14 @@ type Quiescer interface {
 // Detach captures the connection's compact state and dismantles the
 // connection: both stacks forget the flow, the recovery policy unbinds
 // (ready to re-attach to a successor), and the arena slot — if any — is
-// released. The Conn must not be used afterwards. Errors if the
-// connection is not Quiescent.
+// released together with the Conn itself, which a later NewConn on the
+// same arena may hand out again as a different flow. The Conn must not
+// be used afterwards. Errors if the connection is not Quiescent or was
+// detached already.
 func (c *Conn) Detach() (SavedState, error) {
+	if c.hot == nil {
+		return SavedState{}, fmt.Errorf("tcp: flow %d already detached", c.cfg.Flow)
+	}
 	if !c.Quiescent() {
 		return SavedState{}, fmt.Errorf("tcp: flow %d not quiescent (pending=%d rto=%v trains=%d)",
 			c.cfg.Flow, c.Pending(), c.rtoTimer.Pending(), len(c.trains))
