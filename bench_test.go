@@ -162,6 +162,36 @@ func BenchmarkFig8MillionSmoke(b *testing.B) {
 	}
 }
 
+// BenchmarkFig8MillionOverload is the one-command profile of the hybrid
+// layer's overloaded regime: 400k connections released over 1.2 s, the
+// full fig8million run's release rate in a run 2.5× shorter, so tens of
+// thousands of connections are materialized at once and the driver steps
+// at every few microseconds of simulated time. Both protocols, as in the
+// full run (plain TCP overloads harder: more timeouts, a higher live
+// peak).
+//
+//	go test -run '^$' -bench Fig8MillionOverload -benchtime 1x -cpuprofile cpu.out .
+func BenchmarkFig8MillionOverload(b *testing.B) {
+	overload := experiment.MillionConfig{
+		ToRs: 25, ServersPerToR: 40, ConnsPerServer: 400,
+		LPTsPerToR: 1, Window: 1200 * time.Millisecond, Drain: 2 * time.Second,
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := experiment.RunMillion(
+			[]experiment.Protocol{experiment.ProtoTCP, experiment.ProtoTRIM},
+			overload, experiment.Options{Seed: int64(i) + 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			p := string(row.Protocol)
+			b.ReportMetric(float64(row.PeakLive), p+"-peak-live")
+			b.ReportMetric(row.BytesPerConn, p+"-B/conn")
+			b.ReportMetric(row.NsPerConn, p+"-ns/conn")
+		}
+	}
+}
+
 // BenchmarkFig9Properties regenerates Fig. 9(a)–(d): queue behaviour,
 // drops and goodput for 2–10 concurrent flows.
 func BenchmarkFig9Properties(b *testing.B) {

@@ -130,6 +130,20 @@ func (t *Trim) Attach(ctl tcp.Control) {
 	}
 }
 
+// Recycle resets the policy to what New returned for its configuration —
+// no RTT history, no saved window, no counters — so that it can serve an
+// unrelated flow once its own is over (hybrid.FleetConfig.NewCC). Only
+// storage survives: the two probe slices and the deadline callback,
+// which is bound to the object. Call it detached and Quiescent.
+func (t *Trim) Recycle() {
+	*t = Trim{
+		cfg:       t.cfg,
+		probeEnds: t.probeEnds[:0],
+		probeRTTs: t.probeRTTs[:0],
+		probeFn:   t.probeFn,
+	}
+}
+
 // SmoothRTT returns the policy's smoothed RTT (Algorithm 2 line 2).
 func (t *Trim) SmoothRTT() time.Duration { return t.smoothRTT }
 

@@ -80,7 +80,7 @@ func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (
 			Seed     int64    `json:"seed"`
 		}{"concurrency", proto, k.lpts, k.spts, opts.seed()}
 		cell, _, err := cachedCell(opts, spec, func() (*ConcurrencyCell, error) {
-			return runConcurrencyCell(proto, k.lpts, k.spts, opts.seed(), opts.shards())
+			return runConcurrencyCell(proto, k.lpts, k.spts, opts.seed(), opts)
 		})
 		if err == nil {
 			ctr.finished(fmt.Sprintf("%d-lpts/%d-spts", k.lpts, k.spts))
@@ -97,9 +97,9 @@ func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (
 	return out, nil
 }
 
-func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, shards int) (*ConcurrencyCell, error) {
+func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options) (*ConcurrencyCell, error) {
 	rng := sim.NewRand(seed + int64(lpts)*1000 + int64(spts))
-	env := newSimEnv(shards)
+	env := newSimEnv(opts)
 	sched := env.sched
 	star := topology.NewStar(sched, lpts+spts, topology.DefaultStarLink(100))
 	if err := env.partition(star.Shard); err != nil {
@@ -152,7 +152,9 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, shards int) 
 	if err := env.syncAt(sched, sim.At(concSPTStart), watch); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(concHorizon))
+	if err := env.runUntil(sim.At(concHorizon)); err != nil {
+		return nil, err
+	}
 
 	var d metrics.Distribution
 	for _, r := range spt.Responses() {

@@ -165,9 +165,10 @@ type Options struct {
 	// shard goroutines; implementations must be concurrency-safe.
 	Progress Progress
 	// Context optionally bounds the run. Runners with long cell
-	// fan-outs poll it between cells and abort with its error; the
-	// service uses it to cancel in-flight jobs. nil means run to
-	// completion.
+	// fan-outs poll it between cells, and a cell that runs through
+	// simEnv polls it every runSlice of simulated time; either way the
+	// run aborts with the context's error. The service uses it to
+	// cancel in-flight jobs. nil means run to completion.
 	Context context.Context
 }
 

@@ -95,7 +95,7 @@ func RunFatTree(protos []Protocol, podCounts []int, opts Options) (*FatTreeResul
 				Seed     int64    `json:"seed"`
 			}{"fattree", proto, pods, opts.seed()}
 			row, _, err := cachedCell(opts, spec, func() (*FatTreeRow, error) {
-				return runFatTreeCell(proto, pods, opts.seed(), opts.shards())
+				return runFatTreeCell(proto, pods, opts.seed(), opts)
 			})
 			if err != nil {
 				return nil, err
@@ -107,9 +107,9 @@ func RunFatTree(protos []Protocol, podCounts []int, opts Options) (*FatTreeResul
 	return out, nil
 }
 
-func runFatTreeCell(proto Protocol, pods int, seed int64, shards int) (*FatTreeRow, error) {
+func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTreeRow, error) {
 	rng := sim.NewRand(seed + int64(pods)*101)
-	env := newSimEnv(shards)
+	env := newSimEnv(opts)
 	sched := env.sched
 	link := netsim.LinkConfig{
 		Rate:  10 * netsim.Gbps,
@@ -196,7 +196,9 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, shards int) (*FatTreeR
 	if err := env.syncAt(sched, sim.At(ftBigStart), watch); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(ftHorizon))
+	if err := env.runUntil(sim.At(ftHorizon)); err != nil {
+		return nil, err
+	}
 
 	var cts metrics.Distribution
 	for _, r := range collector.Responses() {

@@ -90,16 +90,18 @@ func TestMillionSmoke(t *testing.T) {
 	if row.ArenaCap != row.PeakLive {
 		t.Errorf("arena slots %d != peak live %d", row.ArenaCap, row.PeakLive)
 	}
-	// Heap tripwire. Measured on this configuration (go1.24, amd64): 6.02 MB
-	// after the run, 602 B/conn, alone, 603 under -race, 613 at the end of
+	// Heap tripwire. Measured on this configuration (go1.24, amd64): 3.67 MB
+	// after the run, 367 B/conn, alone, 368 under -race, 370 at the end of
 	// the whole package's run. Per connection that is the flow store's
-	// 193 B, one core.Trim (240) and one classic (16) per released flow,
-	// a timeline entry (32), a completion record (40) and 56 B of the
-	// fleet's and the stacks' per-flow tables; the rest is topology and
-	// pools. The ceiling is the measurement plus a third: the 1 441 B/conn
-	// this test saw while every demoted flow still pinned its last
-	// tcp.Conn is 1.8× over it.
-	const measuredPerConn = 602
+	// 193 B, a timeline entry (32), a completion record (40) and 56 B of
+	// the fleet's and the stacks' per-flow tables; the rest is topology
+	// and pools. The policy objects are not in it: a finished flow's
+	// core.Trim (240) and classic (16) serve the next flow, so the run
+	// makes as many as were ever live at once. The ceiling is the
+	// measurement plus a third: the 602 B/conn of one policy pair per
+	// released flow is 1.2× over it, the 1 441 B/conn of every demoted
+	// flow pinning its last tcp.Conn 2.9×.
+	const measuredPerConn = 367
 	budget := uint64(measuredPerConn+measuredPerConn/3) * uint64(res.Conns)
 	t.Logf("heap %d B after the run, %.0f B/conn", row.HeapBytes, row.BytesPerConn)
 	if row.HeapBytes > budget {

@@ -155,7 +155,7 @@ func runImpairmentCustom(label string, newCC func() tcp.CongestionControl, opts 
 func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybrid.Fidelity, opts Options) (*impairmentSnapshot, error) {
 	proto := Protocol(label)
 	rng := sim.NewRand(opts.seed())
-	env := newSimEnv(opts.shards())
+	env := newSimEnv(opts)
 	sched := env.sched
 	link := topology.DefaultStarLink(impairmentBuffer)
 	if aqmCfg, ok, err := opts.aqmOverride(); err != nil {
@@ -245,7 +245,9 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 	if err := fleet.Arm(); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(impairmentHorizon))
+	if err := env.runUntil(sim.At(impairmentHorizon)); err != nil {
+		return nil, err
+	}
 	if err := fleet.Err(); err != nil {
 		return nil, err
 	}

@@ -109,7 +109,7 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 			Seed     int64    `json:"seed"`
 		}{"largescale", c.proto, c.tors, reps, string(fid), opts.seed()}
 		row, _, err := cachedCell(opts, spec, func() (*LargeScaleRow, error) {
-			return runLargeScaleCell(c.proto, c.tors, reps, opts.seed(), opts.shards(), fid)
+			return runLargeScaleCell(c.proto, c.tors, reps, opts.seed(), opts, fid)
 		})
 		if err == nil {
 			ctr.finished(fmt.Sprintf("%s/%d-tors", c.proto, c.tors))
@@ -126,11 +126,11 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 	return out, nil
 }
 
-func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, shards int, fid hybrid.Fidelity) (*LargeScaleRow, error) {
+func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, opts Options, fid hybrid.Fidelity) (*LargeScaleRow, error) {
 	var acts metrics.Distribution
 	row := &LargeScaleRow{Protocol: proto, ToRs: tors, Servers: tors * 42}
 	for rep := 0; rep < reps; rep++ {
-		if err := runLargeScaleOnce(proto, tors, seed+int64(rep)*7919+int64(tors), shards, fid, &acts, row); err != nil {
+		if err := runLargeScaleOnce(proto, tors, seed+int64(rep)*7919+int64(tors), opts, fid, &acts, row); err != nil {
 			return nil, err
 		}
 	}
@@ -139,9 +139,9 @@ func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, shards int, f
 	return row, nil
 }
 
-func runLargeScaleOnce(proto Protocol, tors int, seed int64, shards int, fid hybrid.Fidelity, acts *metrics.Distribution, row *LargeScaleRow) error {
+func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid hybrid.Fidelity, acts *metrics.Distribution, row *LargeScaleRow) error {
 	rng := sim.NewRand(seed)
-	env := newSimEnv(shards)
+	env := newSimEnv(opts)
 	sched := env.sched
 	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{ToRs: tors})
 	if err := env.partition(tree.Shard); err != nil {
@@ -213,7 +213,9 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, shards int, fid hyb
 	if err := fleet.Arm(); err != nil {
 		return err
 	}
-	env.runUntil(sim.At(lsHorizon))
+	if err := env.runUntil(sim.At(lsHorizon)); err != nil {
+		return err
+	}
 	if err := fleet.Err(); err != nil {
 		return err
 	}

@@ -142,7 +142,7 @@ func RunMillion(protos []Protocol, cfg MillionConfig, opts Options) (*MillionRes
 func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts Options) (*MillionRow, error) {
 	start := time.Now()
 	rng := sim.NewRand(opts.seed())
-	env := newSimEnv(opts.shards())
+	env := newSimEnv(opts)
 	sched := env.sched
 	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{
 		ToRs: cfg.ToRs, ServersPerToR: cfg.ServersPerToR,
@@ -216,7 +216,9 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	if err := fleet.Arm(); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(mlStart + cfg.Window + cfg.Drain))
+	if err := env.runUntil(sim.At(mlStart + cfg.Window + cfg.Drain)); err != nil {
+		return nil, err
+	}
 	if err := fleet.Err(); err != nil {
 		return nil, err
 	}

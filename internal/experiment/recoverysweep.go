@@ -157,7 +157,7 @@ func RunRecoverySweep(policies, aqms []string, intensities []FaultIntensity, buf
 			Seed      int64          `json:"seed"`
 		}{"recoverysweep", c.policy, c.aqm, c.fi, c.buffer, seed}
 		row, _, err := cachedCell(opts, spec, func() (*RecoverySweepRow, error) {
-			return runRecoveryCell(c.policy, c.aqm, c.fi, c.buffer, seed, opts.shards())
+			return runRecoveryCell(c.policy, c.aqm, c.fi, c.buffer, seed, opts)
 		})
 		if err == nil {
 			ctr.finished(fmt.Sprintf("%s/%s/%s/%d-pkts", c.policy, c.aqm, c.fi.Name, c.buffer))
@@ -174,9 +174,9 @@ func RunRecoverySweep(policies, aqms []string, intensities []FaultIntensity, buf
 	return out, nil
 }
 
-func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed int64, shards int) (*RecoverySweepRow, error) {
+func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed int64, opts Options) (*RecoverySweepRow, error) {
 	rng := sim.NewRand(seed)
-	env := newSimEnv(shards)
+	env := newSimEnv(opts)
 	sched := env.sched
 
 	queueCfg := netsim.QueueConfig{CapPackets: buffer}
@@ -296,7 +296,9 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 	}
 
 	star.Net.ScheduleInvariantChecks(rsCheckEvery)
-	env.runUntil(sim.At(rwDeadline))
+	if err := env.runUntil(sim.At(rwDeadline)); err != nil {
+		return nil, err
+	}
 	star.Net.CheckInvariants()
 
 	row := &RecoverySweepRow{

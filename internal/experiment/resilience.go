@@ -176,7 +176,7 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 		// so the cached cell carries it unset and the recomputation below
 		// stays exact on warm runs.
 		row, _, err := cachedCell(opts, spec, func() (*ResilienceRow, error) {
-			return runResilienceCell(c.proto, c.fi, seed, aqmCfg, aqmSet, recovery, opts.shards())
+			return runResilienceCell(c.proto, c.fi, seed, aqmCfg, aqmSet, recovery, opts)
 		})
 		if err == nil {
 			ctr.finished(fmt.Sprintf("%s/%s", c.proto, c.fi.Name))
@@ -205,9 +205,9 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 	return out, nil
 }
 
-func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm.Config, aqmSet bool, recovery string, shards int) (*ResilienceRow, error) {
+func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm.Config, aqmSet bool, recovery string, opts Options) (*ResilienceRow, error) {
 	rng := sim.NewRand(seed)
-	env := newSimEnv(shards)
+	env := newSimEnv(opts)
 	sched := env.sched
 	queueCfg := netsim.QueueConfig{CapPackets: 100, ECNThresholdPackets: 20}
 	if aqmSet {
@@ -310,7 +310,9 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 	}
 
 	star.Net.ScheduleInvariantChecks(rsCheckEvery)
-	env.runUntil(sim.At(rsDeadline))
+	if err := env.runUntil(sim.At(rsDeadline)); err != nil {
+		return nil, err
+	}
 	star.Net.CheckInvariants()
 
 	row := &ResilienceRow{

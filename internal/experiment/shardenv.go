@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -19,16 +20,22 @@ import (
 type simEnv struct {
 	group *sim.ShardGroup
 	sched *sim.Scheduler
+	// ctx, when non-nil, ends the run early (runUntil polls it).
+	ctx context.Context
+	// stopped records that stop was called, which a run cut into slices
+	// cannot tell from a slice reaching its end by the clock alone (the
+	// stopping event may sit exactly on a slice boundary).
+	stopped bool
 }
 
-// newSimEnv builds the environment for the given shard count (≤1 →
-// sequential).
-func newSimEnv(shards int) *simEnv {
-	if shards > 1 {
+// newSimEnv builds the environment opts asks for: its shard count (≤1 →
+// sequential) and the context that may cancel the run.
+func newSimEnv(opts Options) *simEnv {
+	if shards := opts.shards(); shards > 1 {
 		g := sim.NewShardGroup(shards)
-		return &simEnv{group: g, sched: g.Shard(0)}
+		return &simEnv{group: g, sched: g.Shard(0), ctx: opts.Context}
 	}
-	return &simEnv{sched: sim.NewScheduler()}
+	return &simEnv{sched: sim.NewScheduler(), ctx: opts.Context}
 }
 
 // partition applies a topology's shard plan (its Shard method) when the
@@ -77,6 +84,7 @@ func (e *simEnv) syncer() hybrid.Syncer {
 
 // stop halts the run; under sharding it is only legal from a sync event.
 func (e *simEnv) stop() {
+	e.stopped = true
 	if e.group == nil {
 		e.sched.Stop()
 		return
@@ -84,13 +92,58 @@ func (e *simEnv) stop() {
 	e.group.Stop()
 }
 
-// runUntil executes the simulation to the horizon (or stop).
-func (e *simEnv) runUntil(t sim.Time) {
-	if e.group == nil {
-		e.sched.RunUntil(t)
-		return
+// runSlice is how much simulated time runUntil lets pass between two
+// looks at the context: a fiftieth of a second-long release window, tens
+// of milliseconds of host time in the densest run there is (fig8million
+// at full scale), and a few hundred cheap calls in an ordinary cell.
+const runSlice = 10 * time.Millisecond
+
+// runUntil executes the simulation to the horizon t, to a stop from
+// inside it, or until the context is done, in which case it returns the
+// context's error. The run advances in slices of simulated time and the
+// context is polled between slices: nothing is scheduled for it and no
+// sequence number drawn, so the events that run, and their order, are
+// those of one uninterrupted run to t. A slice reaches at least to the
+// next pending event, so a stretch in which nothing happens (a faulted
+// cell waiting out a backed-off RTO under a 30 s deadline) costs one
+// slice, not one per runSlice of it.
+func (e *simEnv) runUntil(t sim.Time) error {
+	at := e.sched.Now()
+	for at < t && !e.stopped {
+		at = at.Add(runSlice)
+		if next := e.nextEvent(); next > at {
+			at = next
+		}
+		if at > t {
+			at = t
+		}
+		if e.group == nil {
+			e.sched.RunUntil(at)
+		} else {
+			e.group.RunUntil(at)
+		}
+		if e.ctx != nil {
+			if err := e.ctx.Err(); err != nil {
+				return err
+			}
+		}
 	}
-	e.group.RunUntil(t)
+	return nil
+}
+
+// nextEvent returns the earliest pending instant on any shard, sim.End
+// when nothing is pending.
+func (e *simEnv) nextEvent() sim.Time {
+	if e.group == nil {
+		return e.sched.PeekTime()
+	}
+	next := sim.End
+	for i := 0; i < e.group.NumShards(); i++ {
+		if pt := e.group.Shard(i).PeekTime(); pt < next {
+			next = pt
+		}
+	}
+	return next
 }
 
 // trialWorkers is the worker-pool size for trial fan-outs when every

@@ -85,7 +85,7 @@ func RunARCT(protos []Protocol, meanSizes []int, opts Options) (*ARCTResult, err
 	out := &ARCTResult{}
 	for _, proto := range protos {
 		for _, mean := range meanSizes {
-			row, err := runARCTCell(proto, mean, opts.seed(), opts.shards())
+			row, err := runARCTCell(proto, mean, opts.seed(), opts)
 			if err != nil {
 				return nil, err
 			}
@@ -95,9 +95,9 @@ func RunARCT(protos []Protocol, meanSizes []int, opts Options) (*ARCTResult, err
 	return out, nil
 }
 
-func runARCTCell(proto Protocol, meanBytes int, seed int64, shards int) (*ARCTRow, error) {
+func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCTRow, error) {
 	rng := sim.NewRand(seed + int64(meanBytes))
-	env := newSimEnv(shards)
+	env := newSimEnv(opts)
 	sched := env.sched
 	link := netsim.LinkConfig{
 		Rate:  100 * netsim.Mbps,
@@ -165,7 +165,9 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, shards int) (*ARCTRo
 		return nil, err
 	}
 	_ = srv
-	env.runUntil(sim.At(10 * time.Minute)) // bounded by the done watch
+	if err := env.runUntil(sim.At(10 * time.Minute)); err != nil { // bounded by the done watch
+		return nil, err
+	}
 
 	var d metrics.Distribution
 	for _, r := range responses.Responses() {
@@ -235,7 +237,7 @@ var WebServiceProtocols = []Protocol{ProtoCUBIC, ProtoTCP, ProtoTRIM}
 func RunWebService(protos []Protocol, opts Options) (*WebServiceResult, error) {
 	out := &WebServiceResult{}
 	for _, proto := range protos {
-		row, err := runWebServiceCell(proto, opts.seed(), opts.shards())
+		row, err := runWebServiceCell(proto, opts.seed(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -244,12 +246,12 @@ func RunWebService(protos []Protocol, opts Options) (*WebServiceResult, error) {
 	return out, nil
 }
 
-func runWebServiceCell(proto Protocol, seed int64, shards int) (*WebServiceRow, error) {
+func runWebServiceCell(proto Protocol, seed int64, opts Options) (*WebServiceRow, error) {
 	if _, err := NewCC(proto); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRand(seed)
-	env := newSimEnv(shards)
+	env := newSimEnv(opts)
 	sched := env.sched
 	star := topology.NewStar(sched, tbWebServers, netsim.LinkConfig{
 		Rate:  netsim.Gbps,
@@ -292,7 +294,9 @@ func runWebServiceCell(proto Protocol, seed int64, shards int) (*WebServiceRow, 
 	if err := env.syncAt(sched, sim.At(tbWebWindow), watch); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(tbWebHorizon))
+	if err := env.runUntil(sim.At(tbWebHorizon)); err != nil {
+		return nil, err
+	}
 
 	row := &WebServiceRow{Protocol: proto, Scheduled: scheduled}
 	var all metrics.Distribution

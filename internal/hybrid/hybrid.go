@@ -8,9 +8,14 @@
 // only for connections with an ON train: a release materializes the flow
 // into a real tcp.Conn (a shell and a hot line recycled through the
 // shard's tcp.Arena, congestion window and RTT estimator inherited from
-// the store — TRIM's cross-train window inheritance intact), and a
-// per-epoch sweep detaches connections that have gone quiescent back
-// into the store. What is tested byte-identical across fidelities is
+// the store — TRIM's cross-train window inheritance intact), and the
+// driver, which steps at every release and once per epoch while anything
+// is materialized, detaches the connections that have gone quiescent
+// back into the store. It looks only at connections that ran since its
+// previous step (tcp.Arena.DrainTouched), so a step costs what happened,
+// not what is live; a flow demoted after its last release also leaves
+// its policy objects to the next flow that needs a pair. What is tested
+// byte-identical across fidelities is
 // TCP-TRIM on the pinned small-scale figures (the *HybridInvariant tests
 // in internal/experiment: fig6 and the 3-ToR fig8 cell) and random small
 // fleets (FuzzHybridFleetLockstep); plain TCP on the 25-ToR tree is
@@ -72,7 +77,13 @@ const DefaultEpoch = 10 * time.Millisecond
 
 // FleetConfig configures NewFleet. Senders, FrontEnd, NewCC,
 // NewRecovery, Base, FirstFlow, and LabelPrefix mean exactly what they
-// mean on httpapp.FleetConfig.
+// mean on httpapp.FleetConfig, with one requirement more: NewCC and
+// NewRecovery must be pure — every call returns a fresh policy
+// equivalent to every other call's. Packet fidelity calls them once per
+// flow at set-up; hybrid fidelity when a flow first materializes, unless
+// a finished flow has left a policy that has a Recycle method (core.Trim,
+// tcp.Reno, every tcp.RecoveryPolicy), which it resets and reuses. A
+// factory dealing kinds by call count would make the fidelities differ.
 type FleetConfig struct {
 	Senders []*netsim.Host
 	// ConnsPerSender opens that many flows per sender host; 0 means 1.
@@ -95,11 +106,14 @@ type FleetConfig struct {
 	Epoch time.Duration
 }
 
-// releaseKind discriminates timeline entries.
+// releaseKind discriminates timeline entries. relLast is a flag on top:
+// Arm sets it on each flow's last release.
 const (
 	relResponse = uint8(iota)
 	relBackground
 	relConn
+
+	relLast = uint8(0x80)
 )
 
 // release is one deferred ON event of a flow: 32 bytes and no pointer,
@@ -148,6 +162,9 @@ const (
 	flagSaved = uint8(1 << iota)
 	flagHasSent
 	flagRcvCE
+	// flagPending: a release of the flow has yet to fire. Set by Arm,
+	// cleared when the flow's last release fires; not part of SavedState.
+	flagPending
 )
 
 func newFlowStore(n int) *flowStore {
@@ -182,7 +199,7 @@ func (s *flowStore) save(i int32, st tcp.SavedState) {
 	s.nextAck[i] = st.NextAck
 	s.backoff[i] = int32(st.Backoff)
 	s.sackRotate[i] = int32(st.SackRotate)
-	flags := flagSaved
+	flags := flagSaved | s.flags[i]&flagPending
 	if st.HasSent {
 		flags |= flagHasSent
 	}
@@ -234,21 +251,29 @@ type Fleet struct {
 	coll     *httpapp.Collector
 	store    *flowStore
 	conns    []*tcp.Conn             // non-nil while materialized
-	ccs      []tcp.CongestionControl // persistent per-flow policy
-	recs     []tcp.RecoveryPolicy    // persistent per-flow policy
+	ccs      []tcp.CongestionControl // per-flow policy, from first release to last demotion
+	recs     []tcp.RecoveryPolicy    // per-flow policy, from first release to last demotion
 	arenas   []*tcp.Arena            // per shard
-	live     [][]int32               // per shard: materialized flows
 	initCwnd float64                 // resolved Base.InitialCwnd
+	// Policies finished flows left, reset (see popOr).
+	freeCCs  []tcp.CongestionControl
+	freeRecs []tcp.RecoveryPolicy
 
-	timeline  []release
-	sinks     []sink
+	timeline []release
+	sinks    []sink
+	// sinkDone[ref*shards+sh] reports a completion on sender shard sh to
+	// sinks[ref]; bound by Arm, so that a release allocates no callback.
+	sinkDone  []func(tcp.TrainResult)
+	shards    int // one more than the highest sender shard index
 	connFns   []func(*tcp.Conn)
-	stepFn    func()         // f.step, bound once: re-arming must not box it anew
-	restoring tcp.SavedState // what materialize hands NewConn; not kept by it
+	stepFn    func()          // f.step, bound once: re-arming must not box it anew
+	demoteFn  func(*tcp.Conn) // f.demoteIfQuiescent, bound once likewise
+	restoring tcp.SavedState  // what materialize hands NewConn; not kept by it
 	nextRel   int
 	armed     bool
 	liveCount int
 	peakLive  int
+	evals     int // Quiescent() evaluations made by sweep
 	firstErr  error
 }
 
@@ -304,6 +329,7 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 		f.stacks[i].ReserveFlows(cfg.FirstFlow+netsim.FlowID(i*f.per), f.per)
 	}
 	f.stepFn = f.step
+	f.demoteFn = f.demoteIfQuiescent
 	f.coll = &httpapp.Collector{}
 	f.store = newFlowStore(n)
 	f.conns = make([]*tcp.Conn, n)
@@ -313,14 +339,12 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	if f.initCwnd == 0 {
 		f.initCwnd = tcp.DefaultInitCwnd
 	}
-	// Pre-grow collector buckets and live lists for every sender shard
-	// (single-threaded setup; parallel callbacks only index).
+	// Pre-grow collector buckets for every sender shard (single-threaded
+	// setup; parallel callbacks only index).
 	for i := range f.stacks {
 		sh := f.shardOfStack(i)
-		for len(f.live) <= sh {
-			f.live = append(f.live, nil)
-		}
 		f.coll.Reserve(sh)
+		f.shards = max(f.shards, sh+1)
 	}
 	return f, nil
 }
@@ -465,7 +489,30 @@ func (f *Fleet) Arm() error {
 	if len(f.timeline) == 0 {
 		return nil
 	}
+	// One pass from the end: the first release met of a flow is its last,
+	// and every (sink, shard) a response reports to gets its callback
+	// (tcp.TrainResult carries the train's size, so one serves them all).
+	f.sinkDone = make([]func(tcp.TrainResult), len(f.sinks)*f.shards)
+	for k := len(f.timeline) - 1; k >= 0; k-- {
+		r := &f.timeline[k]
+		if f.store.flags[r.flow]&flagPending == 0 {
+			f.store.flags[r.flow] |= flagPending
+			r.kind |= relLast
+		}
+		if r.kind&^relLast != relResponse {
+			continue
+		}
+		if done := f.doneFn(r); *done == nil {
+			to, sh := f.sinks[r.ref], f.shardOfStack(f.stackOf(r.flow))
+			*done = func(res tcp.TrainResult) { to.coll.Record(sh, to.label, res.Bytes, res) }
+		}
+	}
 	return f.syncAt(f.timeline[0].at, f.stepFn)
+}
+
+// doneFn returns the slot of the completion callback of response r.
+func (f *Fleet) doneFn(r *release) *func(tcp.TrainResult) {
+	return &f.sinkDone[int(r.ref)*f.shards+f.shardOfStack(f.stackOf(r.flow))]
 }
 
 // syncAt schedules fn at t as a global sync point (plain event when the
@@ -509,32 +556,63 @@ func (f *Fleet) step() {
 }
 
 // sweep detaches every quiescent materialized connection into the flow
-// store. Runs inside a sync event: every shard is halted, so detaching
-// (which unregisters from the shard-0 front-end stack) is safe.
+// store. A connection turns quiescent only inside one of its own events,
+// and each of those puts it on a touched list — its arena's for the
+// sender side, the front-end stack's for the receiver side — so the
+// lists hold every candidate, however many connections are live. Runs
+// inside a sync event: every shard is halted, so reading lists other
+// shards append to, and detaching (which unregisters from the shard-0
+// front-end stack), are safe.
 func (f *Fleet) sweep() {
-	for sh := range f.live {
-		list := f.live[sh]
-		kept := list[:0]
-		for _, i := range list {
-			c := f.conns[i]
-			if !c.Quiescent() {
-				kept = append(kept, i)
-				continue
-			}
-			st, err := c.Detach()
-			if err != nil {
-				if f.firstErr == nil {
-					f.firstErr = fmt.Errorf("hybrid: demote flow %d: %w", i, err)
-				}
-				kept = append(kept, i)
-				continue
-			}
-			f.store.save(i, st)
-			f.conns[i] = nil
-			f.liveCount--
+	f.frontEnd.DrainTouched(f.demoteFn)
+	for _, a := range f.arenas {
+		if a != nil {
+			a.DrainTouched(f.demoteFn)
 		}
-		f.live[sh] = kept
 	}
+	if sim.InvariantChecks() {
+		// The oracle: a scan of every materialized connection, which is
+		// what the sweep used to be, must find nothing left to demote.
+		for i, c := range f.conns {
+			if c != nil && c.Quiescent() {
+				panic(fmt.Sprintf("hybrid: flow %d is live and quiescent at %v, yet on no touched list", i, f.drv.Now()))
+			}
+		}
+	}
+}
+
+// demoteIfQuiescent folds a touched connection into the store if it has
+// gone quiescent. A flow with no release left also gives up its policy
+// objects: to the free lists if they can be reset, else to the collector.
+func (f *Fleet) demoteIfQuiescent(c *tcp.Conn) {
+	i := int32(c.Flow() - f.cfg.FirstFlow)
+	if f.conns[i] != c {
+		return // touched on both sides, and demoted from the other list
+	}
+	f.evals++
+	if !c.Quiescent() {
+		return
+	}
+	st, err := c.Detach()
+	if err != nil {
+		if f.firstErr == nil {
+			f.firstErr = fmt.Errorf("hybrid: demote flow %d: %w", i, err)
+		}
+		return
+	}
+	f.store.save(i, st)
+	f.conns[i] = nil
+	f.liveCount--
+	if f.store.flags[i]&flagPending != 0 {
+		return
+	}
+	if r, ok := f.ccs[i].(interface{ Recycle() }); ok {
+		r.Recycle()
+		f.freeCCs = append(f.freeCCs, f.ccs[i])
+	}
+	f.recs[i].Recycle()
+	f.freeRecs = append(f.freeRecs, f.recs[i])
+	f.ccs[i], f.recs[i] = nil, nil
 }
 
 // fire materializes a release's flow and starts its train.
@@ -546,17 +624,16 @@ func (f *Fleet) fire(r *release) {
 		}
 		return
 	}
-	switch r.kind {
+	if r.kind&relLast != 0 {
+		f.store.flags[r.flow] &^= flagPending
+	}
+	switch r.kind &^ relLast {
 	case relConn:
 		f.connFns[r.ref](c)
 	case relBackground:
 		c.SendTrain(r.bytes, nil)
 	default:
-		sh := f.shardOfStack(f.stackOf(r.flow))
-		to, bytes := f.sinks[r.ref], r.bytes
-		c.SendTrain(bytes, func(res tcp.TrainResult) {
-			to.coll.Record(sh, to.label, bytes, res)
-		})
+		c.SendTrain(r.bytes, *f.doneFn(r))
 	}
 }
 
@@ -574,14 +651,14 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	cfg.Flow = f.cfg.FirstFlow + netsim.FlowID(i)
 	sh := f.shardOfStack(si)
 	cfg.Arena = f.arena(sh)
-	if f.ccs[i] == nil && f.cfg.NewCC != nil {
-		f.ccs[i] = f.cfg.NewCC()
+	if f.ccs[i] == nil {
+		f.ccs[i] = popOr(&f.freeCCs, f.cfg.NewCC)
 	}
 	if f.ccs[i] != nil {
 		cfg.CC = f.ccs[i]
 	}
-	if f.recs[i] == nil && f.cfg.NewRecovery != nil {
-		f.recs[i] = f.cfg.NewRecovery()
+	if f.recs[i] == nil {
+		f.recs[i] = popOr(&f.freeRecs, f.cfg.NewRecovery)
 	}
 	if f.recs[i] != nil {
 		cfg.Recovery = f.recs[i]
@@ -599,12 +676,23 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	f.ccs[i] = c.CC()
 	f.recs[i] = c.Recovery()
 	f.conns[i] = c
-	f.live[sh] = append(f.live[sh], i)
 	f.liveCount++
 	if f.liveCount > f.peakLive {
 		f.peakLive = f.liveCount
 	}
 	return c, nil
+}
+
+// popOr gives a flow's first life the policy a finished flow left last,
+// else a new one from the factory, else nil (NewConn has a default).
+func popOr[T any](free *[]T, factory func() T) (p T) {
+	if n := len(*free); n > 0 {
+		p, (*free)[n-1] = (*free)[n-1], p
+		*free = (*free)[:n-1]
+	} else if factory != nil {
+		p = factory()
+	}
+	return p
 }
 
 // arena returns shard sh's connection arena, creating it on first use.

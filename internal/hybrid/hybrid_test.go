@@ -298,7 +298,7 @@ func FuzzHybridFleetLockstep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := sim.NewRand(seed)
 		if seed&3 == 0 {
-			if hyb := runWideFleet(t, rng); hyb.Live() != 0 {
+			if hyb, _ := runWideFleet(t, rng); hyb.Live() != 0 {
 				t.Errorf("seed %d: %d of %d conns still live", seed, hyb.Live(), hyb.NumFlows())
 			}
 			return

@@ -33,6 +33,20 @@ func init() {
 	if err != nil {
 		panic(err)
 	}
+	// One long cell and nothing else: cancellation has to reach inside it.
+	err = experiment.Register(experiment.RunnerInfo{
+		ID:          "test-million-cell",
+		Description: "test runner: one fig8million-smoke cell",
+	}, func(opts experiment.Options, w io.Writer) error {
+		res, err := experiment.RunMillion([]experiment.Protocol{experiment.ProtoTRIM}, experiment.MillionSmoke, opts)
+		if err != nil {
+			return err
+		}
+		return res.WriteTables(w)
+	})
+	if err != nil {
+		panic(err)
+	}
 	// Two overlapping concurrency slices: wide's first three cells are
 	// exactly narrow's cells, so a narrow-then-wide submission exercises
 	// cross-runner cell reuse through the shared store.
@@ -347,6 +361,46 @@ func TestCancelRunningJob(t *testing.T) {
 	if len(events) == 0 || events[len(events)-1]["kind"] != "canceled" {
 		t.Errorf("stream did not end with canceled: %v", events)
 	}
+}
+
+// TestCancelInsideCell cancels a job whose runner is one long simulation
+// cell, once the cell is demonstrably running (its first live event has
+// been streamed): the job must end canceled — not done, which is what a
+// runner that only looks at its context between cells makes it — and the
+// worker must be free for the next job.
+func TestCancelInsideCell(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	job := submit(t, ts, RunSpec{Runner: "test-million-cell"})
+
+	resp, err := http.Get(ts.URL + "/v1/runs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() && !strings.Contains(sc.Text(), `"kind":"responses"`) {
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	del, err := http.DefaultClient.Do(mustReq(t, http.MethodDelete, ts.URL+"/v1/runs/"+job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	del.Body.Close()
+	// The stream ends when the job is terminal.
+	last := ""
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "data: ") {
+			last = sc.Text()
+		}
+	}
+	if got := getJob(t, ts, job.ID); got.State != StateCanceled || !strings.Contains(last, `"kind":"canceled"`) {
+		t.Fatalf("job canceled inside its cell ended %s (%s); last event %s", got.State, got.Error, last)
+	}
+	next := submit(t, ts, RunSpec{Runner: "eq22"})
+	waitState(t, ts, next.ID, StateDone)
 }
 
 func TestCancelQueuedJob(t *testing.T) {

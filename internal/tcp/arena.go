@@ -32,9 +32,11 @@ const arenaSlabSize = 1024
 // recycled LIFO, keeping the working set of a materialize/detach churn
 // (the hybrid-fidelity fleet's steady state) inside a few hot cache
 // lines, and its garbage at zero, regardless of how many connections
-// have ever existed. Not safe for concurrent use: an arena belongs to
-// one shard and is only touched from that shard's event context or from
-// a sync (quiesced) section.
+// have ever existed. It also lists which of its connections ran since
+// anyone last asked (DrainTouched), so that whoever demotes quiescent
+// connections looks at those and not at every live one. Not safe for
+// concurrent use: an arena belongs to one shard and is only touched from
+// that shard's event context or from a sync (quiesced) section.
 type Arena struct {
 	slabs [][]connHot
 	free  []int32
@@ -45,6 +47,9 @@ type Arena struct {
 	// trains/sacked/ooo slices. Each waits with hot == nil, so a stale
 	// reference faults until NewConn hands the shell out again.
 	shells []*Conn
+	// touched holds each connection whose sender side ran an entry point
+	// (see Conn.touchSnd) since the last DrainTouched, once.
+	touched []*Conn
 }
 
 // NewArena returns an empty arena.
@@ -124,6 +129,34 @@ func (a *Arena) shell() *Conn {
 		ooo:        c.ooo[:0],
 	}
 	return c
+}
+
+// noteTouched is the slow half of Conn.touchSnd.
+//
+//go:noinline
+func (a *Arena) noteTouched(c *Conn) {
+	c.sndTouched = true
+	a.touched = append(a.touched, c)
+}
+
+// DrainTouched hands visit every connection of this arena whose sender
+// side has run since the previous call — it was created, given a train,
+// received an ACK, or had a retransmission or policy timer fire — and
+// forgets them. A connection's receiver side reports to the receiving
+// Stack instead (Stack.DrainTouched), because under a sharded network it
+// runs on another shard. A connection can only have become Quiescent
+// inside one of those entry points, so between two drains every
+// connection that turned quiescent is on one of the two lists. A listed
+// connection may have been detached since it was touched; visit must
+// tell (the caller knows which connections it holds). visit may Detach
+// but must not otherwise drive a connection. Call from a sync section.
+func (a *Arena) DrainTouched(visit func(*Conn)) {
+	for i, c := range a.touched {
+		a.touched[i] = nil
+		c.sndTouched = false
+		visit(c)
+	}
+	a.touched = a.touched[:0]
 }
 
 // at returns the record backing slot.

@@ -186,6 +186,10 @@ type Conn struct {
 	suspended bool
 	bonus     int
 	sending   bool // re-entrancy guard for trySend
+	// sndTouched and rcvTouched say that the connection is already on its
+	// arena's, respectively its receiving stack's, touched list (see
+	// touchSnd). Each is written from its own side's shard only.
+	sndTouched bool
 
 	hasSent    bool
 	lastSendAt sim.Time
@@ -222,6 +226,7 @@ type Conn struct {
 	// lastTouched is the ooo range most recently created or extended;
 	// it is always advertised first (RFC 2018 behaviour).
 	lastTouched interval
+	rcvTouched  bool // see sndTouched
 	// Delayed-ACK state (only used when cfg.DelayedAck > 0).
 	ackPending   bool
 	pendingEcho  sim.Time
@@ -308,7 +313,34 @@ func NewConn(cfg Config) (*Conn, error) {
 	}
 	c.recovery.attach(c)
 	c.cc.Attach(c)
+	c.touchSnd() // born quiescent: whoever sweeps must hear of it once
 	return c, nil
+}
+
+// touchSnd puts an arena-built connection on its arena's touched list
+// unless it is there already. Every sender-side scheduler entry point
+// calls it first: SendTrain, an arriving ACK, the RTO, a recovery
+// policy's timers, and the Control methods that arm a timer (After) or
+// change what Quiescent reads (Suspend, Resume, AllowBeyondWindow),
+// which is how a congestion-control policy's own timer acts. A
+// connection can only turn Quiescent inside such an entry point (or a
+// receiver-side one, see touchRcv), so Arena.DrainTouched finds every
+// newly quiescent connection without looking at the others. Connections
+// without an arena (packet fidelity) pay the one branch; the appends are
+// kept out of line so that is all the entry points grow by.
+func (c *Conn) touchSnd() {
+	if c.arena != nil && !c.sndTouched {
+		c.arena.noteTouched(c)
+	}
+}
+
+// touchRcv is touchSnd for the receiver-side entry points (arriving
+// data, the delayed-ACK timer). Those run on the receiving host's shard,
+// so the list is the receiving stack's and not the arena's.
+func (c *Conn) touchRcv() {
+	if c.arena != nil && !c.rcvTouched {
+		c.cfg.Receiver.noteTouched(c)
+	}
 }
 
 // releaseHot poisons the hot-state pointer so any further use of the
@@ -347,10 +379,11 @@ func (c *Conn) Stats() Stats { return c.stats }
 // when the sender receives the cumulative ACK covering the train's last
 // byte.
 func (c *Conn) SendTrain(size int, done func(TrainResult)) {
+	c.touchSnd()
 	if size <= 0 {
 		if done != nil {
 			now := c.sched.Now()
-			done(TrainResult{Released: now, Completed: now})
+			done(TrainResult{Released: now, Completed: now, Bytes: size})
 		}
 		return
 	}
@@ -374,6 +407,7 @@ func (c *Conn) Now() sim.Time { return c.sched.Now() }
 
 // After implements Control.
 func (c *Conn) After(d time.Duration, fn func()) sim.Timer {
+	c.touchSnd()
 	return c.sched.After(d, fn)
 }
 
@@ -431,10 +465,14 @@ func (c *Conn) sackedBytes() int64 {
 func (c *Conn) SRTT() time.Duration { return c.hot.srtt }
 
 // Suspend implements Control.
-func (c *Conn) Suspend() { c.suspended = true }
+func (c *Conn) Suspend() {
+	c.touchSnd()
+	c.suspended = true
+}
 
 // Resume implements Control.
 func (c *Conn) Resume() {
+	c.touchSnd()
 	if !c.suspended {
 		return
 	}
@@ -444,6 +482,7 @@ func (c *Conn) Resume() {
 
 // AllowBeyondWindow implements Control.
 func (c *Conn) AllowBeyondWindow(n int) {
+	c.touchSnd()
 	if n < 0 {
 		n = 0
 	}
@@ -674,6 +713,7 @@ func (c *Conn) observe(kind EventKind, seq, ack int64) {
 
 // handleAck processes an ACK arriving at the sender.
 func (c *Conn) handleAck(pkt *netsim.Packet) {
+	c.touchSnd()
 	if pkt.RecoverySignal {
 		// Switch-assisted recovery signal (netsim.TRACKsAgent): not a
 		// receiver ACK — no RTT sample, no window-edge bookkeeping. The
@@ -985,6 +1025,7 @@ func (c *Conn) armRTO() {
 }
 
 func (c *Conn) onRTO() {
+	c.touchSnd()
 	c.rtoTimer = sim.Timer{}
 	if c.hot.sndUna == c.hot.sndNxt {
 		return
@@ -1026,6 +1067,7 @@ func (c *Conn) onRTO() {
 // deadline, while out-of-order arrivals, duplicates, and CE transitions
 // flush immediately.
 func (c *Conn) handleData(pkt *netsim.Packet) {
+	c.touchRcv()
 	seq, end := pkt.Seq, pkt.Seq+int64(pkt.Payload)
 	if pkt.Retransmit {
 		// Spurious-retransmission accounting (counter only): the resend
@@ -1084,6 +1126,7 @@ func (c *Conn) handleData(pkt *netsim.Packet) {
 
 // flushPendingAck emits a deferred ACK, if any.
 func (c *Conn) flushPendingAck() {
+	c.touchRcv()
 	if !c.ackPending {
 		return
 	}

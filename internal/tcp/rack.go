@@ -83,8 +83,12 @@ func (p *RACKTLP) attach(c *Conn) {
 		panic("tcp: recovery policy already attached to a connection")
 	}
 	p.c = c
-	p.timerFn = p.onReorderTimer
-	p.ptoFn = p.onPTO
+	if p.timerFn == nil {
+		// Bound once per policy object, not per attach: a policy that
+		// outlives its connections is re-attached once per train.
+		p.timerFn = p.onReorderTimer
+		p.ptoFn = p.onPTO
+	}
 }
 
 func (p *RACKTLP) onSent(seq, end int64, retransmit bool) {
@@ -195,6 +199,13 @@ func (p *RACKTLP) detach() {
 	p.ptoTmr.Stop()
 	p.ptoTmr = sim.Timer{}
 	p.c = nil
+}
+
+// Recycle implements RecoveryPolicy: the delivery evidence goes (it is
+// another flow's history); the segment table's storage and the two
+// callbacks, which are bound to the object, stay.
+func (p *RACKTLP) Recycle() {
+	*p = RACKTLP{segs: p.segs[:0], timerFn: p.timerFn, ptoFn: p.ptoFn}
 }
 
 func (p *RACKTLP) onTimeout() {
@@ -354,6 +365,7 @@ func (p *RACKTLP) repair(s *rackSeg) {
 }
 
 func (p *RACKTLP) onReorderTimer() {
+	p.c.touchSnd()
 	p.timer = sim.Timer{}
 	p.detectLosses(p.c.sched.Now())
 }
@@ -398,6 +410,7 @@ func (p *RACKTLP) armPTO(idle bool) {
 // segment to provoke an ACK (or SACK) that RACK detection can work with.
 // The RTO stays armed underneath — a lost probe still ends in a timeout.
 func (p *RACKTLP) onPTO() {
+	p.c.touchSnd()
 	p.ptoTmr = sim.Timer{}
 	c := p.c
 	if c.hot.sndUna == c.hot.sndNxt || c.inRecovery || p.tlpOut {

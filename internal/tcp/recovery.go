@@ -60,6 +60,13 @@ type RecoveryPolicy interface {
 	// detach unbinds the policy from its connection (Conn.Detach), after
 	// which attach may bind it to a successor. Only called quiescent.
 	detach()
+	// Recycle resets a detached policy to what its constructor returns,
+	// keeping only storage (slice capacity, bound timer callbacks), so
+	// that it can serve an unrelated flow as if new. It is exported, alone
+	// among the methods, because who decides that a flow is over is the
+	// owner of the policy object, not the connection: the hybrid fleet
+	// recycles the policies of flows with no release left.
+	Recycle()
 }
 
 // RecoveryNames lists the selectable policies in NewRecoveryPolicy order.
@@ -157,3 +164,7 @@ func (p *classic) onTimeout() {}
 func (p *classic) quiescent() bool { return true }
 
 func (p *classic) detach() { p.c = nil }
+
+// Recycle implements RecoveryPolicy: classic keeps nothing but its
+// binding, which detach already dropped.
+func (p *classic) Recycle() { *p = classic{} }

@@ -17,6 +17,12 @@ func (r *Reno) Name() string { return "TCP" }
 // Attach implements CongestionControl.
 func (r *Reno) Attach(ctl Control) { r.ctl = ctl }
 
+// Recycle resets the policy to what NewReno returns: Reno keeps nothing
+// but the connection it was last attached to. Recycle is optional for a
+// CongestionControl; a policy that has it can be handed to another flow
+// once its own is over (hybrid.FleetConfig.NewCC).
+func (r *Reno) Recycle() { *r = Reno{} }
+
 // BeforeSend implements CongestionControl.
 func (r *Reno) BeforeSend() {}
 

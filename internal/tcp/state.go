@@ -81,7 +81,11 @@ func (c *Conn) Quiescent() bool {
 
 // Quiescer is implemented by congestion-control policies that hold timers
 // or multi-event episodes of their own (TRIM's probe cycle); policies
-// without it are assumed quiescent whenever the connection is.
+// without it are assumed quiescent whenever the connection is. A policy
+// may only turn quiescent inside a connection event or in a timer
+// callback of its own that also calls Suspend, Resume, AllowBeyondWindow
+// or After on its Control: those are what tells an arena-built
+// connection's owner to look at it again (Conn.touchSnd).
 type Quiescer interface {
 	Quiescent() bool
 }
