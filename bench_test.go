@@ -120,26 +120,6 @@ func BenchmarkFig8LargeScale(b *testing.B) {
 	}
 }
 
-// BenchmarkFig8LargeScaleSharded is BenchmarkFig8LargeScale on the
-// 4-shard PDES core (results are byte-identical; only wall-clock time
-// changes). The spread vs the sequential benchmark is the parallel
-// speedup on this host — on a single-core runner it instead bounds the
-// sharding machinery's overhead, since the windows run inline.
-func BenchmarkFig8LargeScaleSharded(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunLargeScale(
-			[]experiment.Protocol{experiment.ProtoTCP, experiment.ProtoTRIM},
-			[]int{5, 15}, experiment.Options{Seed: int64(i) + 1, Reps: 1, Shards: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tcpACT := res.Row(experiment.ProtoTCP, 15).ACT
-		trimACT := res.Row(experiment.ProtoTRIM, 15).ACT
-		b.ReportMetric(ms(tcpACT), "TCP-ACT-ms")
-		b.ReportMetric(ms(trimACT), "TRIM-ACT-ms")
-	}
-}
-
 // BenchmarkFig8MillionSmoke regenerates fig8million at its CI scale
 // (10k connections, hybrid fidelity) and reports the scale layer's
 // headline quantities: heap bytes and wall-clock nanoseconds per

@@ -43,8 +43,6 @@ func run(args []string) error {
 			strings.Join(aqm.Names(), ", ")+"; default: each scenario's drop-tail)")
 		recSel = fs.String("recovery", "", "TCP loss-recovery policy override for resilience/recoverysweep ("+
 			strings.Join(tcp.RecoveryNames(), ", ")+"; default: each scenario's classic)")
-		shards = fs.Int("shards", 1, "parallel simulation shards per run (1 = sequential; "+
-			"results are byte-identical at any count; more than GOMAXPROCS only adds overhead)")
 		fidSel = fs.String("fidelity", "", "connection simulation fidelity for fig4/fig6/fig8/fig8million ("+
 			strings.Join(hybrid.Names(), ", ")+"; default: packet, except fig8million which defaults to hybrid)")
 		cacheDir = fs.String("cache", "", "cell-result cache directory: sweep cells already computed "+
@@ -54,13 +52,8 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards < 1 {
-		// Options.Validate treats 0 like 1; keep the CLI's stricter
-		// historical contract.
-		return fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
-	}
 	opts := experiment.Options{Seed: *seed, Reps: *reps, CSVDir: *csvDir, AQM: *aqmSel,
-		Recovery: *recSel, Shards: *shards, Fidelity: *fidSel}
+		Recovery: *recSel, Fidelity: *fidSel}
 	// One consolidated gate (shared with the trimsvc REST API) checks
 	// every option up front, so a typo fails before any simulation runs.
 	if err := opts.Validate(); err != nil {

@@ -43,7 +43,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"-run", "fig4", "-aqm", "bogus"},
 		{"-run", "fig4", "-recovery", "bogus"},
 		{"-run", "fig4", "-fidelity", "bogus"},
-		{"-run", "fig4", "-shards", "0"},
 		{"-run", "fig8", "-reps", "-1"},
 	} {
 		if err := run(args); err == nil {
@@ -73,5 +72,10 @@ func TestRunNoArgs(t *testing.T) {
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("bad flag should error")
+	}
+	// There is no -shards: a command line that asks for shards fails
+	// instead of running something else.
+	if err := run([]string{"-run", "fig2", "-shards", "2"}); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Errorf("-shards: err = %v, want an undefined-flag error", err)
 	}
 }

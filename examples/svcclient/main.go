@@ -33,16 +33,12 @@ func run() error {
 	svc := flag.String("svc", "http://127.0.0.1:8089", "trimsvc base URL")
 	runner := flag.String("runner", "fig4", "experiment id (see trimsim -list)")
 	seed := flag.Int64("seed", 0, "random seed (0 = default)")
-	shards := flag.Int("shards", 0, "simulation shards (0 = sequential)")
 	flag.Parse()
 
 	// Submit.
 	spec := map[string]any{"runner": *runner}
 	if *seed != 0 {
 		spec["seed"] = *seed
-	}
-	if *shards > 1 {
-		spec["shards"] = *shards
 	}
 	body, _ := json.Marshal(spec)
 	resp, err := http.Post(*svc+"/v1/runs", "application/json", bytes.NewReader(body))

@@ -5,13 +5,12 @@
 // SHA-256 over the canonical spec and the code version and stored as the
 // result struct's JSON encoding.
 //
-// The cache is sound because the simulator underneath is deterministic:
-// a cell is a pure function of its spec — worker count, shard count, and
-// Progress hooks provably never change results (the differential
-// *ShardInvariant test family pins this), so none of them appear in the
-// key. Go's JSON encoding round-trips float64 and int64 values exactly
-// (shortest-representation floats, full-precision integers), so a row
-// decoded from the cache renders byte-identically to one just computed.
+// The cache is sound because the simulator underneath is deterministic: a
+// cell is a pure function of its spec — worker count and Progress hooks
+// never change results, so neither appears in the key. Go's JSON encoding
+// round-trips float64 and int64 values exactly (shortest-representation
+// floats, full-precision integers), so a row decoded from the cache
+// renders byte-identically to one just computed.
 //
 // The same store backs both the batch path (trimsim -cache) and the
 // experiment service (trimsvc), whose run-level cache becomes a

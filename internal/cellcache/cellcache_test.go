@@ -445,9 +445,9 @@ func TestCacheKeyMemoFollowsTheMemoryTier(t *testing.T) {
 	// A second spec type with the same encoding shares the entry; the entry
 	// keeps one memo slot.
 	type alias struct {
-		Family string `json:"family"`
-		Seed   int64  `json:"seed"`
-		Shards int    `json:"-"`
+		Family  string `json:"family"`
+		Seed    int64  `json:"seed"`
+		Workers int    `json:"-"`
 	}
 	mustCell(t, s, alias{"memo", 3, 4}, false, countedRow{})
 	if len(s.keys) != s.Len() {

@@ -53,13 +53,6 @@ type Scenario struct {
 	Jitter       time.Duration
 
 	Horizon time.Duration
-
-	// Shards > 1 runs the scenario on a sharded PDES group (senders on
-	// their own shards, the faulted bottleneck and receiver on shard 0).
-	// The shadow executor sees the identical event order either way, so
-	// divergence results are shard-count independent. GenScenario leaves
-	// it zero; sweeps set it to prove sharding under the oracle.
-	Shards int
 }
 
 // Describe summarizes the scenario for reports.
@@ -207,12 +200,7 @@ func RunScenario(sc Scenario) (*Result, error) {
 // runScenarioWith runs the scenario with a caller-supplied shadow
 // (tests use it to prove a tampered oracle is detected).
 func runScenarioWith(sc Scenario, shadow *Shadow) (*Result, error) {
-	var group *sim.ShardGroup
 	sched := sim.NewScheduler()
-	if sc.Shards > 1 {
-		group = sim.NewShardGroup(sc.Shards)
-		sched = group.Shard(0)
-	}
 	net := netsim.NewNetwork(sched)
 	rng := sim.NewRand(sc.Seed)
 
@@ -230,27 +218,6 @@ func runScenarioWith(sc Scenario, shadow *Shadow) (*Result, error) {
 	if len(sc.CrossTrains) > 0 {
 		hx = net.AddHost("x")
 		net.Connect(hx, sw, link)
-	}
-	if group != nil {
-		// Senders own their shards; the switch, receiver, and hence every
-		// faulted pipe (sw↔hr) stay together on shard 0. The cut pipes
-		// are the sender uplinks, whose delay is the lookahead.
-		crossShard := 1
-		if sc.Shards > 2 {
-			crossShard = 2
-		}
-		if err := net.Shard(group, func(n netsim.Node) int {
-			switch {
-			case n.ID() == hs.ID():
-				return 1
-			case hx != nil && n.ID() == hx.ID():
-				return crossShard
-			default:
-				return 0
-			}
-		}); err != nil {
-			return nil, err
-		}
 	}
 
 	if sc.Loss.Enabled() {
@@ -320,11 +287,7 @@ func runScenarioWith(sc Scenario, shadow *Shadow) (*Result, error) {
 		}
 	}
 
-	if group != nil {
-		group.RunUntil(sim.At(sc.Horizon))
-	} else {
-		sched.RunUntil(sim.At(sc.Horizon))
-	}
+	sched.RunUntil(sim.At(sc.Horizon))
 
 	res.Divergences = shadow.Finish()
 	res.Total = shadow.Total()

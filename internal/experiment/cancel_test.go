@@ -33,35 +33,31 @@ func (c *cancelAfter) Publish(ev ProgressEvent) {
 }
 
 func TestCancelInsideMillionCell(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		before := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		hook := &cancelAfter{trigger: 500, cancel: cancel}
-		// One protocol, so one cell: the poll between cells comes before
-		// the cancellation and cannot be what notices it.
-		res, err := RunMillion([]Protocol{ProtoTRIM}, MillionSmoke,
-			Options{Context: ctx, Progress: hook, Shards: shards})
-		cancel()
-		if !errors.Is(err, context.Canceled) || res != nil {
-			t.Fatalf("shards=%d: canceled inside the cell, RunMillion returned %v, %v", shards, res, err)
-		}
-		// The release window spreads 9,900 responses over a second, a
-		// hundred to a slice of runSlice: the run may finish the slice the
-		// cancellation fell in, not start many more.
-		overshoot := hook.seen.Load() - hook.trigger
-		perSlice := int64(MillionSmoke.Flows()) * int64(runSlice) / int64(MillionSmoke.Window)
-		t.Logf("shards=%d: %d responses completed after the cancellation (%d to a slice)", shards, overshoot, perSlice)
-		if overshoot > 2*perSlice {
-			t.Errorf("shards=%d: the run went on for %d responses after it was canceled, over %d to a slice",
-				shards, overshoot, perSlice)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("shards=%d: %d goroutines before the run, %d after it was canceled", shards, before, after)
-		}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	hook := &cancelAfter{trigger: 500, cancel: cancel}
+	// One protocol, so one cell: the poll between cells comes before the
+	// cancellation and cannot be what notices it.
+	res, err := RunMillion([]Protocol{ProtoTRIM}, MillionSmoke, Options{Context: ctx, Progress: hook})
+	cancel()
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("canceled inside the cell, RunMillion returned %v, %v", res, err)
+	}
+	// The release window spreads 9,900 responses over a second, a hundred
+	// to a slice of runSlice: the run may finish the slice the
+	// cancellation fell in, not start many more.
+	overshoot := hook.seen.Load() - hook.trigger
+	perSlice := int64(MillionSmoke.Flows()) * int64(runSlice) / int64(MillionSmoke.Window)
+	t.Logf("%d responses completed after the cancellation (%d to a slice)", overshoot, perSlice)
+	if overshoot > 2*perSlice {
+		t.Errorf("the run went on for %d responses after it was canceled, over %d to a slice", overshoot, perSlice)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before the run, %d after it was canceled", before, after)
 	}
 }
 
@@ -71,33 +67,30 @@ func TestCancelInsideMillionCell(t *testing.T) {
 // stops must reach its horizon exactly.
 func TestStopInsideRunEndsItAtTheSameInstant(t *testing.T) {
 	for _, stopAt := range []time.Duration{0, 3 * runSlice, 3*runSlice + 1234, 7*runSlice - 1} {
-		for _, shards := range []int{1, 2} {
-			env := newSimEnv(Options{Shards: shards})
-			horizon := 10*runSlice + 77
-			var fired []time.Duration
-			for _, at := range []time.Duration{1, 3 * runSlice, 3*runSlice + 1234, 7*runSlice - 1, 9 * runSlice} {
-				at := at
-				err := env.syncAt(env.sched, sim.At(at), func() {
-					fired = append(fired, at)
-					if at == stopAt {
-						env.stop()
-					}
-				})
-				if err != nil {
-					t.Fatal(err)
+		env := newSimEnv(Options{})
+		horizon := 10*runSlice + 77
+		var fired []time.Duration
+		for _, at := range []time.Duration{1, 3 * runSlice, 3*runSlice + 1234, 7*runSlice - 1, 9 * runSlice} {
+			at := at
+			_, err := env.sched.At(sim.At(at), func() {
+				fired = append(fired, at)
+				if at == stopAt {
+					env.stop()
 				}
-			}
-			if err := env.runUntil(sim.At(horizon)); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-			want, last := horizon, 9*runSlice
-			if stopAt != 0 {
-				want, last = stopAt, stopAt
-			}
-			if now := time.Duration(env.sched.Now()); now != want || fired[len(fired)-1] != last {
-				t.Errorf("stop at %v, shards=%d: run ended at %v after events %v; want %v",
-					stopAt, shards, now, fired, want)
-			}
+		}
+		if err := env.runUntil(sim.At(horizon)); err != nil {
+			t.Fatal(err)
+		}
+		want, last := horizon, 9*runSlice
+		if stopAt != 0 {
+			want, last = stopAt, stopAt
+		}
+		if now := time.Duration(env.sched.Now()); now != want || fired[len(fired)-1] != last {
+			t.Errorf("stop at %v: run ended at %v after events %v; want %v", stopAt, now, fired, want)
 		}
 	}
 }

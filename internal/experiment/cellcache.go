@@ -11,12 +11,10 @@ package experiment
 //   - Coordinates and seed: everything that determines the cell's output
 //     (protocol, discipline/policy names, concurrency, fault intensity,
 //     buffer, reps, fidelity, and the cell's SplitSeed-derived seed).
-//   - NOT Shards, worker counts, or Progress: the differential
-//     *ShardInvariant tests prove results are byte-identical at any
-//     shard count, the SplitSeed design makes them worker-independent,
-//     and Progress hooks only observe code paths that already execute.
-//     Normalizing these out of the key is what makes the cache shardable
-//     across machines.
+//   - NOT worker counts or Progress: the SplitSeed design makes results
+//     worker-independent, and Progress hooks only observe code paths
+//     that already execute. Normalizing these out of the key is what
+//     makes the cache shareable across machines.
 //   - NOT CSVDir: it changes which files are written, never the result.
 //   - The code version (stamped VCS revision, or "dev"): any code change
 //     invalidates every cell.

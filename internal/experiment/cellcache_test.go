@@ -1,13 +1,12 @@
 package experiment
 
-// Cache-correctness proofs for the cell-grained memoization layer:
-// every cached sweep must render byte-identical output with the cache
-// off, cold, and warm (the warm run additionally at a different shard
-// count and with a Progress hook armed, pinning that neither enters the
-// key); a one-axis change must re-simulate only the changed cells; and
-// key derivation must be sensitive to every option that shapes output
-// (seed, aqm, recovery, fidelity, reps) while normalized options
-// (fidelity "" vs explicit "packet") share cells.
+// Cache-correctness proofs for the cell-grained memoization layer: every
+// cached sweep must render byte-identical output with the cache off, cold,
+// and warm (the warm run additionally with a Progress hook armed, pinning
+// that it does not enter the key); a one-axis change must re-simulate only
+// the changed cells; and key derivation must be sensitive to every option
+// that shapes output (seed, aqm, recovery, fidelity, reps) while
+// normalized options (fidelity "" vs explicit "packet") share cells.
 
 import (
 	"bytes"
@@ -117,12 +116,12 @@ var cacheRenderers = []struct {
 
 // TestCacheColdWarmByteIdentity is the central soundness pin: cache off,
 // cache cold (filling), and three warm passes (every cell a hit; the
-// first at a different shard count with a Progress hook armed) must
+// first with a Progress hook armed) must
 // render the same bytes, on a memory-only store and on a disk-backed one
 // re-read by a fresh store the way a new process would (first warm pass
 // decodes from disk, the later ones are value copies out of the memory
 // tier). A zero warm-run miss count additionally proves the keys are
-// independent of shard count and observation, and that the warm output
+// independent of observation, and that the warm output
 // really came from the store rather than a re-simulation. The sweeps
 // resolve their cells from parallel trial workers, so under -race this is
 // also the concurrency test of the hit path.
@@ -155,7 +154,7 @@ func TestCacheColdWarmByteIdentity(t *testing.T) {
 				}
 				store.ResetStats()
 				for pass, opts := range []Options{
-					{Seed: 7, Cache: store, Shards: 4, Progress: &eventLog{}},
+					{Seed: 7, Cache: store, Progress: &eventLog{}},
 					{Seed: 7, Cache: store},
 					{Seed: 7, Cache: store},
 				} {
@@ -168,7 +167,7 @@ func TestCacheColdWarmByteIdentity(t *testing.T) {
 					}
 				}
 				if m := store.Misses(); m != 0 {
-					t.Errorf("warm runs re-simulated %d cells (keys depend on shards or Progress?)", m)
+					t.Errorf("warm runs re-simulated %d cells (keys depend on Progress?)", m)
 				}
 				if store.Hits() == 0 {
 					t.Error("warm runs recorded no cache hits")

@@ -67,7 +67,7 @@ func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (
 		}
 	}
 	ctr := opts.cells(len(keys))
-	cells, err := RunTrialsWorkers(len(keys), trialWorkers(opts.shards()), func(i int) (*ConcurrencyCell, error) {
+	cells, err := RunTrials(len(keys), func(i int) (*ConcurrencyCell, error) {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
@@ -102,9 +102,6 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 	env := newSimEnv(opts)
 	sched := env.sched
 	star := topology.NewStar(sched, lpts+spts, topology.DefaultStarLink(100))
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
 		FrontEnd: star.FrontEnd,
@@ -139,17 +136,16 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 		}
 	}
 	// Stop as soon as every measured SPT completed; the background flows
-	// would otherwise run to the horizon for nothing. The watch is a sync
-	// event: it reads every shard's collector bucket.
+	// would otherwise run to the horizon for nothing.
 	var watch func()
 	watch = func() {
 		if spt.Pending() == 0 {
 			env.stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(concSPTStart), watch); err != nil {
+	if _, err := sched.At(sim.At(concSPTStart), watch); err != nil {
 		return nil, err
 	}
 	if err := env.runUntil(sim.At(concHorizon)); err != nil {

@@ -17,18 +17,15 @@ const conformanceSeeds = 64
 // SplitSeed, so the matrix is worker-count independent) and returns the
 // per-scenario summaries. Any divergence is an error: the first failing
 // scenario is shrunk with the delta-debugging minimizer and reported
-// with its divergence trace. shards > 1 runs every scenario on a sharded
-// PDES group — the oracle observes the identical event order, so a
-// sharding bug that perturbs TRIM's decisions surfaces as a divergence.
-func RunConformance(base int64, reps, shards int, w io.Writer) error {
+// with its divergence trace.
+func RunConformance(base int64, reps int, w io.Writer) error {
 	type row struct {
 		seed int64
 		desc string
 		res  *conformance.Result
 	}
-	rows, err := RunSeededTrialsWorkers(reps, base, trialWorkers(shards), func(i int, seed int64) (row, error) {
+	rows, err := RunSeededTrials(reps, base, func(i int, seed int64) (row, error) {
 		sc := conformance.GenScenario(seed)
-		sc.Shards = shards
 		res, err := conformance.RunScenario(sc)
 		if err != nil {
 			return row{}, fmt.Errorf("scenario %d (seed %d): %w", i, seed, err)
@@ -39,12 +36,8 @@ func RunConformance(base int64, reps, shards int, w io.Writer) error {
 		return err
 	}
 
-	title := fmt.Sprintf("Paper-conformance shadow sweep (%d scenarios)", reps)
-	if shards > 1 {
-		title = fmt.Sprintf("Paper-conformance shadow sweep (%d scenarios, %d shards)", reps, shards)
-	}
 	tbl := &Table{
-		Title: title,
+		Title: fmt.Sprintf("Paper-conformance shadow sweep (%d scenarios)", reps),
 		Header: []string{"scenario", "seed", "workload", "hooks", "probe rounds",
 			"probe timeouts", "queue cuts", "RTOs", "divergences"},
 	}
@@ -99,5 +92,5 @@ var _ = register("conformance",
 	"Paper-conformance oracle: shadow-execute Algorithms 1-2 against the live TRIM policy over a seed matrix",
 	[]string{"reps"},
 	func(opts Options, w io.Writer) error {
-		return RunConformance(opts.seed(), opts.reps(conformanceSeeds), opts.shards(), w)
+		return RunConformance(opts.seed(), opts.reps(conformanceSeeds), w)
 	})

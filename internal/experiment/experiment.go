@@ -131,13 +131,6 @@ type Options struct {
 	// byte for byte. The tracks policy additionally attaches a T-RACKs
 	// agent to the scenario's switches.
 	Recovery string
-	// Shards partitions each simulated network into that many PDES
-	// shards run under conservative synchronization (0 or 1 keeps the
-	// sequential scheduler). Results are byte-identical at any shard
-	// count; only wall-clock time changes. Runners that fan trials out
-	// in parallel divide their worker pool by Shards so shard goroutines
-	// never oversubscribe GOMAXPROCS.
-	Shards int
 	// Fidelity selects the connection simulation mode in the runners
 	// that honor it (fig4/fig6 impairment, fig8 large-scale,
 	// fig8million): a name accepted by hybrid.ParseFidelity — packet
@@ -161,8 +154,8 @@ type Options struct {
 	// completed responses, finished cells — see ProgressEvent) while the
 	// run simulates. Hooks fire only from code paths that execute
 	// anyway, so arming one never changes results: the same spec still
-	// produces byte-identical output. Publish is called from worker and
-	// shard goroutines; implementations must be concurrency-safe.
+	// produces byte-identical output. Publish is called from worker
+	// goroutines; implementations must be concurrency-safe.
 	Progress Progress
 	// Context optionally bounds the run. Runners with long cell
 	// fan-outs poll it between cells, and a cell that runs through
@@ -175,14 +168,6 @@ type Options struct {
 // fidelity resolves the Fidelity option (empty → packet).
 func (o Options) fidelity() (hybrid.Fidelity, error) {
 	return hybrid.ParseFidelity(o.Fidelity)
-}
-
-// shards normalizes the Shards option (≤1 → 1).
-func (o Options) shards() int {
-	if o.Shards <= 1 {
-		return 1
-	}
-	return o.Shards
 }
 
 // aqmOverride resolves the AQM option; ok is false when the option is
@@ -331,9 +316,9 @@ type Runner func(opts Options, w io.Writer) error
 type RunnerInfo struct {
 	ID          string `json:"id"`
 	Description string `json:"description"`
-	// Options lists the Options fields beyond Seed and Shards (which
-	// every runner honors) that this runner consumes: "reps", "csv",
-	// "aqm", "recovery", "fidelity".
+	// Options lists the Options fields beyond Seed (which every runner
+	// honors) that this runner consumes: "reps", "csv", "aqm",
+	// "recovery", "fidelity".
 	Options []string `json:"options,omitempty"`
 }
 
@@ -368,7 +353,7 @@ func Register(info RunnerInfo, r Runner) error {
 // register is called from each experiment file's top-level declarations
 // (a registry is one of the sanctioned uses of initialization-time side
 // effects: deterministic, no I/O). honors lists the Options fields
-// beyond Seed/Shards the runner consumes; a clash panics at init.
+// beyond Seed the runner consumes; a clash panics at init.
 func register(id, desc string, honors []string, r Runner) bool {
 	if err := Register(RunnerInfo{ID: id, Description: desc, Options: honors}, r); err != nil {
 		panic(err)

@@ -123,9 +123,6 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTre
 	if err != nil {
 		return nil, err
 	}
-	if err := env.partition(ft.Shard); err != nil {
-		return nil, err
-	}
 	n := len(ft.Hosts)
 	stacks := make([]*tcp.Stack, n)
 	for i, h := range ft.Hosts {
@@ -191,9 +188,9 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTre
 			env.stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(ftBigStart), watch); err != nil {
+	if _, err := sched.At(sim.At(ftBigStart), watch); err != nil {
 		return nil, err
 	}
 	if err := env.runUntil(sim.At(ftHorizon)); err != nil {

@@ -2,40 +2,32 @@ package experiment
 
 // Differential fidelity proof at the experiment layer: the figures that
 // honor Options.Fidelity must render byte-identical tables at hybrid
-// fidelity — across every shard count — as the packet-level sequential
-// run. Hybrid fidelity changes how idle connections are represented, not
-// what happens on the wire, so every completion time, timeout count, and
-// sampled series must survive the demote/materialize cycles exactly.
+// fidelity as at packet fidelity. Hybrid fidelity changes how idle
+// connections are represented, not what happens on the wire, so every
+// completion time, timeout count, and sampled series must survive the
+// demote/materialize cycles exactly.
 
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
 
-// renderFidelitySweep renders one experiment at fidelity {packet,
-// hybrid} × shards {1, 2, 4} and fails on the first byte difference
-// against the packet-level sequential baseline.
+// renderFidelitySweep renders one experiment at fidelity packet and
+// hybrid and fails on the first byte difference.
 func renderFidelitySweep(t *testing.T, name string, render func(opts Options) ([]byte, error)) {
 	t.Helper()
-	var base []byte
-	for _, fid := range []string{"packet", "hybrid"} {
-		for _, k := range []int{1, 2, 4} {
-			out, err := render(Options{Seed: 7, Shards: k, Fidelity: fid})
-			if err != nil {
-				t.Fatalf("%s fidelity=%s shards=%d: %v", name, fid, k, err)
-			}
-			if fid == "packet" && k == 1 {
-				base = out
-				continue
-			}
-			if !bytes.Equal(base, out) {
-				t.Errorf("%s diverges at fidelity=%s shards=%d:\n-- packet/1 --\n%s\n-- %s/%d --\n%s",
-					name, fid, k, base, fid, k, out)
-			}
-		}
+	packet, err := render(Options{Seed: 7, Fidelity: "packet"})
+	if err != nil {
+		t.Fatalf("%s fidelity=packet: %v", name, err)
+	}
+	hybrid, err := render(Options{Seed: 7, Fidelity: "hybrid"})
+	if err != nil {
+		t.Fatalf("%s fidelity=hybrid: %v", name, err)
+	}
+	if !bytes.Equal(packet, hybrid) {
+		t.Errorf("%s diverges at fidelity=hybrid:\n-- packet --\n%s\n-- hybrid --\n%s", name, packet, hybrid)
 	}
 }
 
@@ -117,34 +109,5 @@ func TestMillionPacketRefused(t *testing.T) {
 	_, err := RunMillion([]Protocol{ProtoTRIM}, MillionFull, Options{Fidelity: "packet"})
 	if err == nil || !strings.Contains(err.Error(), "packet fidelity") {
 		t.Errorf("err = %v", err)
-	}
-}
-
-// TestMillionSmokeShardInvariant: the fig8million table is deterministic
-// across shard counts like every other figure (the resource lines are
-// not, so only the table is compared).
-func TestMillionSmokeShardInvariant(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// Still valid sequentially, just slower; run anyway.
-		t.Log("single-CPU host: shard sweep runs sequentially")
-	}
-	var base string
-	for _, k := range []int{1, 2} {
-		res, err := RunMillion([]Protocol{ProtoTRIM}, MillionSmoke, Options{Shards: k})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
-		}
-		var buf bytes.Buffer
-		if err := res.WriteTables(&buf); err != nil {
-			t.Fatal(err)
-		}
-		table := buf.String()[:strings.Index(buf.String(), "\n\n")]
-		if k == 1 {
-			base = table
-			continue
-		}
-		if table != base {
-			t.Errorf("fig8million table diverges at shards=%d:\n%s\nvs\n%s", k, base, table)
-		}
 	}
 }

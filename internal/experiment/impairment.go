@@ -164,9 +164,6 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 		link.Queue.AQM = aqmCfg
 	}
 	star := topology.NewStar(sched, impairmentServers, link)
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 
 	fleet, err := hybrid.NewFleet(star.Net, hybrid.FleetConfig{
 		Senders:  star.Senders,
@@ -178,7 +175,6 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 			LinkRate: netsim.Gbps,
 		},
 		Fidelity: fid,
-		Sync:     env.syncer(),
 	})
 	if err != nil {
 		return nil, err
@@ -196,10 +192,8 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 		}
 	}
 
-	// Window snapshot + long train at 0.5 s, on each connection's own
-	// shard (the snapshot reads sender-side window state). Completion
-	// instants land in per-connection slots so callbacks running in
-	// parallel window segments never share a word.
+	// Window snapshot + long train at 0.5 s; completion instants land in
+	// per-connection slots.
 	res := &ImpairmentResult{Protocol: proto, CwndAtLPTStart: make([]float64, impairmentServers)}
 	lptDone := make([]time.Duration, impairmentServers)
 	lptDoneAt := make([]sim.Time, impairmentServers)
@@ -217,16 +211,13 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 	}
 
 	// Traces: connection 5's goodput and window, aggregate goodput,
-	// bottleneck queue. Each sampler lives on the shard owning the state
-	// it reads: delivered bytes and the bottleneck queue are front-end /
-	// switch state on shard 0 (sched), the window is sender state on the
-	// traced connection's shard.
+	// bottleneck queue.
 	traced := impairmentServers - 1
 	res.TracedThroughput = metrics.BinnedRate(sched, 0, sim.At(impairmentHorizon),
 		10*time.Millisecond, func() int64 { return fleet.DeliveredBytes(traced) })
 	res.TotalThroughput = metrics.BinnedRate(sched, 0, sim.At(impairmentHorizon),
 		10*time.Millisecond, func() int64 { return fleet.TotalDelivered() })
-	res.TracedCwnd = metrics.Sample(fleet.SchedulerOf(traced), 0, sim.At(impairmentHorizon),
+	res.TracedCwnd = metrics.Sample(sched, 0, sim.At(impairmentHorizon),
 		impairmentSampleStep, func() float64 { return fleet.Cwnd(traced) })
 	queue := star.Bottleneck.Queue()
 	queueSeries := metrics.Sample(sched, 0, sim.At(impairmentHorizon),

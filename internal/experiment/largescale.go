@@ -92,7 +92,7 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 		}
 	}
 	ctr := opts.cells(len(cells))
-	rows, err := RunTrialsWorkers(len(cells), trialWorkers(opts.shards()), func(i int) (*LargeScaleRow, error) {
+	rows, err := RunTrials(len(cells), func(i int) (*LargeScaleRow, error) {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
@@ -144,9 +144,6 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 	env := newSimEnv(opts)
 	sched := env.sched
 	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{ToRs: tors})
-	if err := env.partition(tree.Shard); err != nil {
-		return err
-	}
 	fleet, err := hybrid.NewFleet(tree.Net, hybrid.FleetConfig{
 		Senders:  tree.AllServers(),
 		FrontEnd: tree.FrontEnd,
@@ -157,7 +154,6 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 			LinkRate: netsim.Gbps,
 		},
 		Fidelity: fid,
-		Sync:     env.syncer(),
 	})
 	if err != nil {
 		return err
@@ -197,17 +193,16 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 			sptFlows = append(sptFlows, i)
 		}
 	}
-	// Stop once every SPT completed (a sync event: it reads every
-	// shard's collector bucket).
+	// Stop once every SPT completed.
 	var watch func()
 	watch = func() {
 		if spt.Pending() == 0 {
 			env.stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(lsStart+lsWindow), watch); err != nil {
+	if _, err := sched.At(sim.At(lsStart+lsWindow), watch); err != nil {
 		return err
 	}
 	if err := fleet.Arm(); err != nil {

@@ -147,9 +147,6 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{
 		ToRs: cfg.ToRs, ServersPerToR: cfg.ServersPerToR,
 	})
-	if err := env.partition(tree.Shard); err != nil {
-		return nil, err
-	}
 	fleet, err := hybrid.NewFleet(tree.Net, hybrid.FleetConfig{
 		Senders:        tree.AllServers(),
 		ConnsPerSender: cfg.ConnsPerServer,
@@ -162,7 +159,6 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 			ArmRTOOnLoneTail: true,
 		},
 		Fidelity: fid,
-		Sync:     env.syncer(),
 	})
 	if err != nil {
 		return nil, err
@@ -208,9 +204,9 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 			env.stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(mlStart+cfg.Window), watch); err != nil {
+	if _, err := sched.At(sim.At(mlStart+cfg.Window), watch); err != nil {
 		return nil, err
 	}
 	if err := fleet.Arm(); err != nil {

@@ -46,7 +46,7 @@ type ProgressEvent struct {
 
 // Progress receives live events from a running experiment. Publish must
 // be safe for concurrent use — trial fan-outs call it from worker
-// goroutines and samplers from shard goroutines — and must return
+// goroutines — and must return
 // quickly (it runs on the simulation's critical path; buffer or drop,
 // never block on I/O). Implementations must not touch simulation state.
 type Progress interface {
@@ -108,17 +108,17 @@ func (o Options) replaySeries(name string, s *metrics.Series) {
 }
 
 // tapResponses streams a running completed-response count from coll as
-// "responses" events. Completions fire on shard goroutines during
-// parallel windows, hence the atomic counter. No-op without a hook.
+// "responses" events. No-op without a hook.
 func (o Options) tapResponses(coll *httpapp.Collector) {
 	if o.Progress == nil || coll == nil {
 		return
 	}
 	p := o.Progress
-	var completed atomic.Int64
+	completed := 0
 	coll.Tap(func(r httpapp.Response) {
+		completed++
 		p.Publish(ProgressEvent{Kind: "responses", At: r.Completed.Seconds(),
-			Value: float64(completed.Add(1))})
+			Value: float64(completed)})
 	})
 }
 

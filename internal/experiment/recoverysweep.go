@@ -101,7 +101,7 @@ func (r *RecoverySweepResult) Row(policy, aqmName, intensity string, buffer int)
 
 // RunRecoverySweep crosses policies × AQMs × intensities × buffers, one
 // independent simulation per cell, each seeded via SplitSeed so the
-// matrix is byte-identical regardless of worker or shard count.
+// matrix is byte-identical regardless of worker count.
 func RunRecoverySweep(policies, aqms []string, intensities []FaultIntensity, buffers []int, opts Options) (*RecoverySweepResult, error) {
 	// An explicit -recovery / -aqm option narrows the matching axis: the
 	// sweep's point is the cross product, but a single-policy run is the
@@ -143,7 +143,7 @@ func RunRecoverySweep(policies, aqms []string, intensities []FaultIntensity, buf
 		}
 	}
 	ctr := opts.cells(len(cells))
-	rows, err := RunSeededTrialsWorkers(len(cells), opts.seed(), trialWorkers(opts.shards()), func(i int, seed int64) (*RecoverySweepRow, error) {
+	rows, err := RunSeededTrials(len(cells), opts.seed(), func(i int, seed int64) (*RecoverySweepRow, error) {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
@@ -197,12 +197,8 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 		Delay: 50 * time.Microsecond,
 		Queue: queueCfg,
 	})
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	if policy == "tracks" {
-		// Switch assistance, attached after partitioning so the agent
-		// binds to the ToR's shard scheduler.
+		// Switch assistance: the agent taps the star's ToR.
 		if _, err := netsim.AttachTRACKs(star.Net, star.Switch, netsim.TRACKsConfig{}); err != nil {
 			return nil, err
 		}
@@ -280,18 +276,17 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 	}
 
 	// Stop as soon as the backlog drains; timeout-bound cells otherwise
-	// idle to the deadline. The watch is a sync event (it reads every
-	// shard's collector bucket), started after the fault window so the
-	// goodput snapshot above still runs.
+	// idle to the deadline. The watch starts after the fault window so
+	// the goodput snapshot above still runs.
 	var watch func()
 	watch = func() {
 		if fleet.Collector.Pending() == 0 {
 			env.stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(rwFaultEnd), watch); err != nil {
+	if _, err := sched.At(sim.At(rwFaultEnd), watch); err != nil {
 		return nil, err
 	}
 

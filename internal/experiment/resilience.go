@@ -153,7 +153,7 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 		return nil, err
 	}
 	ctr := opts.cells(len(cells))
-	rows, err := RunSeededTrialsWorkers(len(cells), opts.seed(), trialWorkers(opts.shards()), func(i int, seed int64) (*ResilienceRow, error) {
+	rows, err := RunSeededTrials(len(cells), opts.seed(), func(i int, seed int64) (*ResilienceRow, error) {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
@@ -221,20 +221,11 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 		Delay: 50 * time.Microsecond,
 		Queue: queueCfg,
 	})
-	// The whole fault matrix injects on the bottleneck (switch →
-	// front-end), which the star's shard plan keeps on shard 0 together
-	// with both its endpoints — so every injector, including flaps, stays
-	// shard-internal and the fault-arming events below run on the pipe's
-	// own shard.
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	var newRecovery func() tcp.RecoveryPolicy
 	if recovery != "" {
 		newRecovery = func() tcp.RecoveryPolicy { return mustRecovery(recovery) }
 		if recovery == "tracks" {
-			// Switch assistance: the agent taps the star's ToR (attached
-			// after partitioning so it binds to the switch's shard).
+			// Switch assistance: the agent taps the star's ToR.
 			if _, err := netsim.AttachTRACKs(star.Net, star.Switch, netsim.TRACKsConfig{}); err != nil {
 				return nil, err
 			}

@@ -25,14 +25,6 @@ import (
 // uneven cell durations (large-scale sweeps mix tiny and huge topologies)
 // still load-balance.
 func RunTrials[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return RunTrialsWorkers(n, runtime.GOMAXPROCS(0), fn)
-}
-
-// RunTrialsWorkers is RunTrials with an explicit worker-pool bound, for
-// fan-outs whose trials are themselves parallel (sharded simulations):
-// pass trialWorkers(shards) so trials × shard goroutines stay within
-// GOMAXPROCS. workers ≤ 0 is clamped to one.
-func RunTrialsWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -40,12 +32,7 @@ func RunTrialsWorkers[T any](n, workers int, fn func(i int) (T, error)) ([]T, er
 	errs := make([]error, n)
 	panics := make([]any, n)
 
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(n, runtime.GOMAXPROCS(0))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -94,14 +81,6 @@ func SplitSeed(base int64, i int) int64 {
 // it. Same base, same results — byte-identical regardless of GOMAXPROCS.
 func RunSeededTrials[T any](n int, base int64, fn func(i int, seed int64) (T, error)) ([]T, error) {
 	return RunTrials(n, func(i int) (T, error) {
-		return fn(i, SplitSeed(base, i))
-	})
-}
-
-// RunSeededTrialsWorkers is RunSeededTrials with an explicit worker-pool
-// bound (see RunTrialsWorkers).
-func RunSeededTrialsWorkers[T any](n int, base int64, workers int, fn func(i int, seed int64) (T, error)) ([]T, error) {
-	return RunTrialsWorkers(n, workers, func(i int) (T, error) {
 		return fn(i, SplitSeed(base, i))
 	})
 }

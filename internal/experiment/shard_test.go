@@ -1,46 +1,56 @@
 package experiment
 
-// Differential determinism proof at the experiment layer: every figure
-// runner must render byte-identical tables at any shard count, because
-// sharding is a pure relabeling of the same event total order. These
-// tests sweep shard counts over the paper scenarios (including the
-// fault-injection matrix, whose GE loss, flaps, reordering, and
-// duplication exercise the fault layer under parallel windows) and
+// Differential determinism proof at the experiment layer: a runner shards
+// its trials across a pool of min(trials, GOMAXPROCS) workers, each trial
+// on a scheduler of its own, and must render byte-identical tables at any
+// pool size. These tests sweep GOMAXPROCS over the paper scenarios
+// (including the fault-injection matrix, whose GE loss, flaps, reordering,
+// and duplication exercise the fault layer on concurrent trials) and
 // require the rendered output — every completion time, timeout count,
-// queue statistic, and throughput bin — to match the sequential run
+// queue statistic, and throughput bin — to match the one-worker run
 // exactly.
 
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tcptrim/internal/aqm"
 	"tcptrim/internal/conformance"
+	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 )
 
-// shardSweep is the shard-count axis every differential test sweeps.
-// 1 is the sequential baseline; 8 exceeds this star's sender count, so
-// round-robin placement leaves some shards sparse.
+// shardSweep is the worker-pool axis (GOMAXPROCS) every differential test
+// sweeps. 1 is the sequential baseline; 8 exceeds most runners' trial
+// counts here, so the pool is capped by the trials.
 var shardSweep = []int{1, 2, 4, 8}
 
-// renderShardSweep renders one experiment at every shard count and
-// fails the test on the first byte difference against shards=1.
+// withProcs runs fn at GOMAXPROCS k.
+func withProcs(k int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(k))
+	fn()
+}
+
+// renderShardSweep renders one experiment at every pool size and fails
+// the test on the first byte difference against one worker.
 func renderShardSweep(t *testing.T, name string, render func(opts Options) ([]byte, error)) {
 	t.Helper()
 	var base []byte
 	for _, k := range shardSweep {
-		out, err := render(Options{Seed: 7, Shards: k})
+		var out []byte
+		var err error
+		withProcs(k, func() { out, err = render(Options{Seed: 7}) })
 		if err != nil {
-			t.Fatalf("%s shards=%d: %v", name, k, err)
+			t.Fatalf("%s GOMAXPROCS=%d: %v", name, k, err)
 		}
 		if k == 1 {
 			base = out
 			continue
 		}
 		if !bytes.Equal(base, out) {
-			t.Errorf("%s diverges at shards=%d:\n-- shards=1 --\n%s\n-- shards=%d --\n%s",
+			t.Errorf("%s diverges at GOMAXPROCS=%d:\n-- GOMAXPROCS=1 --\n%s\n-- GOMAXPROCS=%d --\n%s",
 				name, k, base, k, out)
 		}
 	}
@@ -57,7 +67,7 @@ func TestImpairmentShardInvariant(t *testing.T) {
 			return nil, err
 		}
 		// The rendered table omits the traced series; fold their points in
-		// so a sampler landing on the wrong shard cannot hide.
+		// so a sampler reading the wrong trial cannot hide.
 		fmt.Fprintf(&buf, "cwnd=%v goodput=%v\n",
 			res.TracedCwnd.Points(), res.TracedThroughput.Points())
 		return buf.Bytes(), nil
@@ -104,7 +114,7 @@ func TestFatTreeShardInvariant(t *testing.T) {
 // TestResilienceMatrixShardInvariant is the fault-scenario property test:
 // the resilience matrix (GE bursty loss, a link flap, bounded reordering,
 // and duplication on the bottleneck, invariant checker armed) must
-// produce identical rows at every shard count.
+// produce identical rows at every pool size.
 func TestResilienceMatrixShardInvariant(t *testing.T) {
 	renderShardSweep(t, "resilience", func(opts Options) ([]byte, error) {
 		// [:3] spans clean, GE+reorder+dup (mild), and GE+flap+reorder+dup
@@ -121,9 +131,9 @@ func TestResilienceMatrixShardInvariant(t *testing.T) {
 
 // TestRecoverySweepShardInvariant covers the recovery × AQM × fault
 // sweep, whose T-RACKs cells route switch-agent signal injections and
-// RACK-TLP cells route probe timers through the sharded scheduler — the
+// RACK-TLP cells route probe timers through each cell's scheduler — the
 // rendered matrix (goodput, FCT percentiles, retransmission breakdowns,
-// recovery times) must not depend on the shard count.
+// recovery times) must not depend on the pool size.
 func TestRecoverySweepShardInvariant(t *testing.T) {
 	renderShardSweep(t, "recoverysweep", func(opts Options) ([]byte, error) {
 		res, err := RunRecoverySweep(tcp.RecoveryNames(), []string{"droptail"},
@@ -150,51 +160,63 @@ func TestARCTShardInvariant(t *testing.T) {
 	})
 }
 
-// TestConformanceShardedSweep shadow-executes the oracle's randomized
-// scenario matrix under sharding: every scenario must report zero
-// divergences and the identical activity counters at every shard count —
-// the TRIM policy cannot tell how many shards carried its packets.
-func TestConformanceShardedSweep(t *testing.T) {
-	const seeds = 64
-	for i := 0; i < seeds; i++ {
-		seed := SplitSeed(11, i)
-		var base *conformance.Result
-		for _, k := range shardSweep {
-			sc := conformance.GenScenario(seed)
-			sc.Shards = k
-			res, err := conformance.RunScenario(sc)
-			if err != nil {
-				t.Fatalf("seed %d shards=%d: %v", seed, k, err)
-			}
-			if res.Total != 0 {
-				t.Fatalf("seed %d shards=%d: %d divergences, first: %v",
-					seed, k, res.Total, res.Divergences[0])
-			}
-			if k == 1 {
-				base = res
-				continue
-			}
-			if res.Hooks != base.Hooks || res.ProbeRounds != base.ProbeRounds ||
-				res.ProbeTimeouts != base.ProbeTimeouts ||
-				res.QueueReductions != base.QueueReductions ||
-				res.Timeouts != base.Timeouts || res.TrainsDone != base.TrainsDone {
-				t.Fatalf("seed %d shards=%d: counters differ from sequential run:\n%+v\nvs\n%+v",
-					seed, k, res, base)
-			}
-		}
-	}
+// TestMillionSmokeShardInvariant: the million-connection runner at smoke
+// scale renders the same table at every pool size (the host-measured
+// resource lines after it are not simulated output).
+func TestMillionSmokeShardInvariant(t *testing.T) {
+	renderShardSweep(t, "fig8million-smoke", func(opts Options) ([]byte, error) {
+		var buf bytes.Buffer
+		err := Run("fig8million-smoke", opts, &buf)
+		table, _, _ := bytes.Cut(buf.Bytes(), []byte("\n\n"))
+		return table, err
+	})
 }
 
-func TestShardsOptionNormalization(t *testing.T) {
-	for in, want := range map[int]int{-1: 1, 0: 1, 1: 1, 2: 2, 8: 8} {
-		if got := (Options{Shards: in}).shards(); got != want {
-			t.Errorf("Options{Shards: %d}.shards() = %d, want %d", in, got, want)
+// TestConformanceShardedSweep shadow-executes the oracle's randomized
+// scenario matrix sharded across the trial pool, at every pool size and
+// once more with the FIFO lanes switched off: every scenario must report
+// zero divergences and the identical activity counters each time — the
+// TRIM policy cannot tell which worker, or which event container, carried
+// its packets.
+func TestConformanceShardedSweep(t *testing.T) {
+	const seeds = 64
+	sweep := func() []*conformance.Result {
+		res, err := RunTrials(seeds, func(i int) (*conformance.Result, error) {
+			return conformance.RunScenario(conformance.GenScenario(SplitSeed(11, i)))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var base []*conformance.Result
+	check := func(arm string, results []*conformance.Result) {
+		for i, res := range results {
+			seed := SplitSeed(11, i)
+			if res.Total != 0 {
+				t.Fatalf("seed %d %s: %d divergences, first: %v", seed, arm, res.Total, res.Divergences[0])
+			}
+			if base == nil {
+				continue
+			}
+			b := base[i]
+			if res.Hooks != b.Hooks || res.ProbeRounds != b.ProbeRounds ||
+				res.ProbeTimeouts != b.ProbeTimeouts ||
+				res.QueueReductions != b.QueueReductions ||
+				res.Timeouts != b.Timeouts || res.TrainsDone != b.TrainsDone {
+				t.Fatalf("seed %d %s: counters differ from the sequential run:\n%+v\nvs\n%+v", seed, arm, res, b)
+			}
 		}
 	}
-	if w := trialWorkers(1 << 20); w != 1 {
-		t.Errorf("trialWorkers with huge shard count = %d, want 1 (never zero workers)", w)
+	for _, k := range shardSweep {
+		var results []*conformance.Result
+		withProcs(k, func() { results = sweep() })
+		check(fmt.Sprintf("GOMAXPROCS=%d", k), results)
+		if base == nil {
+			base = results
+		}
 	}
-	if w := trialWorkers(0); w < 1 {
-		t.Errorf("trialWorkers(0) = %d, want >= 1", w)
-	}
+	var wheel []*conformance.Result
+	sim.WheelOnly(func() { wheel = sweep() })
+	check("wheel only", wheel)
 }

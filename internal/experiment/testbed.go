@@ -105,9 +105,6 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCT
 		Queue: netsim.QueueConfig{CapPackets: tbBufferPackets},
 	}
 	star := topology.NewStar(sched, 3, link)
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
 		FrontEnd: star.FrontEnd,
@@ -128,10 +125,8 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCT
 		}
 	}
 	// The third machine sends its responses sequentially: the next is
-	// released a think-time after the previous completes. The chain lives
-	// entirely on that connection's shard (rng draws included); when it
-	// finishes it raises done, and a sync watch — the only place a
-	// sharded run may stop globally — ends the run.
+	// released a think-time after the previous completes. When the chain
+	// finishes it raises done, and a watch ends the run.
 	responses := &httpapp.Collector{}
 	srv := httpapp.NewServer(fleet.Conns[2].Scheduler(), fleet.Conns[2], "responses", responses)
 	sizes := workload.JitteredSize{Mean: meanBytes, Jitter: 0.1}
@@ -159,9 +154,9 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCT
 			env.stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(100*time.Millisecond), watch); err != nil {
+	if _, err := sched.At(sim.At(100*time.Millisecond), watch); err != nil {
 		return nil, err
 	}
 	_ = srv
@@ -258,9 +253,6 @@ func runWebServiceCell(proto Protocol, seed int64, opts Options) (*WebServiceRow
 		Delay: tbLANDelay,
 		Queue: netsim.QueueConfig{CapPackets: tbBufferPackets},
 	})
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
 		FrontEnd: star.FrontEnd,
@@ -289,9 +281,9 @@ func runWebServiceCell(proto Protocol, seed int64, opts Options) (*WebServiceRow
 			env.stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(tbWebWindow), watch); err != nil {
+	if _, err := sched.At(sim.At(tbWebWindow), watch); err != nil {
 		return nil, err
 	}
 	if err := env.runUntil(sim.At(tbWebHorizon)); err != nil {

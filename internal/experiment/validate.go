@@ -1,12 +1,11 @@
 package experiment
 
 // Options cross-validation, consolidated. Historically each knob was
-// checked wherever it happened to be consumed — shard bounds in
-// trimsim's flag parsing, AQM/recovery/fidelity names inside individual
-// runners, the packet-fidelity scale refusal in the million runner —
-// so the CLI and any new entry point had to re-scatter the same checks.
-// Validate is the one gate both trimsim and the experiment service's
-// REST API call before running anything.
+// checked wherever it happened to be consumed — AQM/recovery/fidelity
+// names inside individual runners, the packet-fidelity scale refusal in
+// the million runner — so the CLI and any new entry point had to
+// re-scatter the same checks. Validate is the one gate both trimsim and
+// the experiment service's REST API call before running anything.
 
 import (
 	"fmt"
@@ -14,31 +13,19 @@ import (
 	"tcptrim/internal/hybrid"
 )
 
-// MaxShards bounds Options.Shards: beyond GOMAXPROCS extra shards only
-// add synchronization overhead, and an absurd count (a typo'd spec
-// submitted to the service) would allocate that many full schedulers
-// per trial. 256 is far above any machine this runs on.
-const MaxShards = 256
-
 // PacketFidelityMaxConns is the largest connection count a runner may
 // materialize packet-by-packet; beyond it only hybrid fidelity is
 // accepted (see CheckFidelityScale).
 const PacketFidelityMaxConns = 100_000
 
 // Validate checks the full Options surface in one place: field bounds
-// (Reps, Shards) and every name-typed knob (AQM, Recovery, Fidelity).
+// (Reps) and every name-typed knob (AQM, Recovery, Fidelity).
 // It returns the first violation, with the underlying parser's error
 // for name typos so the caller sees the accepted values. A zero Options
 // is always valid — every field's zero value means "default".
 func (o Options) Validate() error {
 	if o.Reps < 0 {
 		return fmt.Errorf("experiment: reps must be >= 0 (got %d)", o.Reps)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("experiment: shards must be >= 0 (got %d; 0 and 1 both mean sequential)", o.Shards)
-	}
-	if o.Shards > MaxShards {
-		return fmt.Errorf("experiment: shards must be <= %d (got %d)", MaxShards, o.Shards)
 	}
 	if _, _, err := o.aqmOverride(); err != nil {
 		return err

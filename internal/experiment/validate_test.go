@@ -14,9 +14,6 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	valid := []Options{
 		{},
 		{Seed: 42, Reps: 10},
-		{Shards: 0},
-		{Shards: 1},
-		{Shards: MaxShards},
 		{AQM: "codel", Recovery: "rack-tlp", Fidelity: "hybrid"},
 		{AQM: "droptail", Recovery: "classic", Fidelity: "packet"},
 		{AQM: "red"}, {AQM: "ared"}, {AQM: "favour"},
@@ -39,8 +36,6 @@ func TestValidateRejections(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"negative reps", Options{Reps: -1}, "reps"},
-		{"negative shards", Options{Shards: -2}, "shards"},
-		{"shards beyond bound", Options{Shards: MaxShards + 1}, "shards"},
 		{"unknown aqm", Options{AQM: "bogus"}, "unknown discipline"},
 		{"unknown recovery", Options{Recovery: "bogus"}, "recovery"},
 		{"unknown fidelity", Options{Fidelity: "bogus"}, "fidelity"},
@@ -62,9 +57,9 @@ func TestValidateRejections(t *testing.T) {
 // options for every runner, so no entry point (CLI, service) can skip
 // the gate.
 func TestRunValidates(t *testing.T) {
-	err := Run("fig2", Options{Shards: -1}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Errorf("Run with invalid shards: err = %v", err)
+	err := Run("fig2", Options{Reps: -1}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "reps") {
+		t.Errorf("Run with invalid reps: err = %v", err)
 	}
 }
 

@@ -32,147 +32,65 @@ func (r Response) CompletionTime() time.Duration {
 	return r.Completed.Sub(r.Released)
 }
 
-// Collector accumulates completed responses across servers. Under a
-// sharded network every server reports into its own shard's bucket, so
-// completion callbacks running in parallel window segments never share
-// memory; Responses merges the buckets back into global completion
-// order. The zero value is ready to use.
+// Collector accumulates completed responses across servers. The zero
+// value is ready to use.
 type Collector struct {
-	buckets []collBucket
-	merged  []Response
-	tap     func(Response)
+	responses []Response
+	scheduled int
+	completed int
+	tap       func(Response)
 }
 
 // Tap registers fn to observe every completion as it is recorded — the
 // live-streaming hook the experiment service uses to watch a fleet's
-// progress while the run is still simulating. One tap per collector;
-// set it before the simulation starts (like bucket growth, only
-// single-threaded phases may install it). fn runs on whichever shard
-// goroutine records the completion, so it must be safe for concurrent
-// invocation and must never touch simulation state.
+// progress while the run is still simulating. One tap per collector; set
+// it before the simulation starts. fn runs inside the simulation's event
+// loop and must never touch simulation state.
 func (c *Collector) Tap(fn func(Response)) { c.tap = fn }
 
-// collBucket is one shard's private slice of the collector. scheduled
-// and completed are kept separately (incremented on possibly different
-// shards for RPC chains) so Pending never needs a shared counter.
-type collBucket struct {
-	responses []Response
-	scheduled int
-	completed int
-}
-
-// bucket returns shard sh's bucket, growing the table as needed. Only
-// single-threaded phases (experiment setup, sync events) may grow it;
-// parallel completion callbacks index into pre-existing buckets.
-func (c *Collector) bucket(sh int) *collBucket {
-	for len(c.buckets) <= sh {
-		c.buckets = append(c.buckets, collBucket{})
-	}
-	return &c.buckets[sh]
-}
-
-// Add records a completed response into the default (shard 0) bucket.
-// Callers on other shards must go through a Server, which records into
-// its own shard's bucket.
+// Add records a completed response.
 func (c *Collector) Add(label string, bytes int, res tcp.TrainResult) {
-	c.notify(c.bucket(0).add(label, bytes, res))
-}
-
-// notify forwards a just-recorded response to the tap, if one is set.
-func (c *Collector) notify(r Response) {
+	r := c.add(label, bytes, res)
 	if c.tap != nil {
 		c.tap(r)
 	}
 }
 
-// Reserve pre-grows the bucket table through shard sh without recording
-// anything, so later parallel-segment Record calls only index. Like all
-// bucket growth it is legal only in single-threaded phases.
-func (c *Collector) Reserve(sh int) { c.bucket(sh) }
-
-// NoteScheduled counts one scheduled-but-not-yet-completed response on
-// shard sh, growing the bucket table as needed — callable only from
-// single-threaded phases (setup, sync events). Record reports the
-// completion. The hybrid fleet uses this pair directly because its
-// releases are not bound to a Server.
-func (c *Collector) NoteScheduled(sh int) {
-	c.bucket(sh).scheduled++
-}
-
-// Record reports a completed response on shard sh, previously announced
-// by NoteScheduled. Unlike NoteScheduled it may run inside a parallel
-// window segment: it indexes the pre-grown bucket table and touches only
-// shard sh's bucket.
-func (c *Collector) Record(sh int, label string, bytes int, res tcp.TrainResult) {
-	b := &c.buckets[sh]
-	b.completed++
-	c.notify(b.add(label, bytes, res))
-}
-
-func (b *collBucket) add(label string, bytes int, res tcp.TrainResult) Response {
+// add records a completed response without showing it to the tap.
+func (c *Collector) add(label string, bytes int, res tcp.TrainResult) Response {
 	r := Response{
 		Label:     label,
 		Bytes:     bytes,
 		Released:  res.Released,
 		Completed: res.Completed,
 	}
-	if b.responses == nil {
+	if c.responses == nil {
 		// One allocation for everything announced so far; a response
-		// scheduled later (or on another shard's bucket) grows it.
-		b.responses = make([]Response, 0, b.scheduled)
+		// scheduled later grows it.
+		c.responses = make([]Response, 0, c.scheduled)
 	}
-	b.responses = append(b.responses, r)
+	c.responses = append(c.responses, r)
 	return r
 }
 
-// Responses returns all completed responses in completion order (shared
-// slice; callers must not mutate it). Per-bucket slices are already in
-// completion order — callbacks fire at their completion instants — so a
-// k-way merge on Completed (ties broken by shard index) reconstructs the
-// global order the unsharded simulation would have appended in.
-func (c *Collector) Responses() []Response {
-	total := 0
-	for i := range c.buckets {
-		total += len(c.buckets[i].responses)
-	}
-	if len(c.merged) == total {
-		return c.merged
-	}
-	if len(c.buckets) == 1 {
-		c.merged = c.buckets[0].responses
-		return c.merged
-	}
-	idx := make([]int, len(c.buckets))
-	merged := make([]Response, 0, total)
-	for len(merged) < total {
-		best := -1
-		for i := range c.buckets {
-			if idx[i] >= len(c.buckets[i].responses) {
-				continue
-			}
-			if best < 0 || c.buckets[i].responses[idx[i]].Completed <
-				c.buckets[best].responses[idx[best]].Completed {
-				best = i
-			}
-		}
-		merged = append(merged, c.buckets[best].responses[idx[best]])
-		idx[best]++
-	}
-	c.merged = merged
-	return merged
+// NoteScheduled counts one scheduled-but-not-yet-completed response;
+// Record reports its completion. The hybrid fleet uses this pair directly
+// because its releases are not bound to a Server.
+func (c *Collector) NoteScheduled() { c.scheduled++ }
+
+// Record reports a completed response previously announced by
+// NoteScheduled.
+func (c *Collector) Record(label string, bytes int, res tcp.TrainResult) {
+	c.completed++
+	c.Add(label, bytes, res)
 }
 
+// Responses returns all completed responses in completion order (shared
+// slice; callers must not mutate it).
+func (c *Collector) Responses() []Response { return c.responses }
+
 // Pending returns the number of scheduled responses not yet completed.
-// Under sharding it is exact only between events of a quiescent group —
-// experiment watch loops read it from sync events, where every shard has
-// halted at the same instant.
-func (c *Collector) Pending() int {
-	n := 0
-	for i := range c.buckets {
-		n += c.buckets[i].scheduled - c.buckets[i].completed
-	}
-	return n
-}
+func (c *Collector) Pending() int { return c.scheduled - c.completed }
 
 // CompletionTimes returns the distribution of completion times, filtered
 // by filter (nil keeps everything).
@@ -204,20 +122,12 @@ type Server struct {
 	conn      *tcp.Conn
 	label     string
 	collector *Collector
-	shard     int
 }
 
-// NewServer wraps conn; completions are reported to collector under
-// label. sched must be the scheduler owning the connection's sender
-// (conn.Scheduler()) so releases and completion records stay on the
-// sender's shard. Creating a server pre-grows the collector's bucket
-// table, which must only happen in single-threaded phases — construct
-// all servers before running the group.
+// NewServer wraps conn, whose releases sched (conn.Scheduler()) runs;
+// completions are reported to collector under label.
 func NewServer(sched *sim.Scheduler, conn *tcp.Conn, label string, collector *Collector) *Server {
-	s := &Server{sched: sched, conn: conn, label: label, collector: collector,
-		shard: sched.ShardIndex()}
-	collector.bucket(s.shard)
-	return s
+	return &Server{sched: sched, conn: conn, label: label, collector: collector}
 }
 
 // Conn returns the underlying connection.
@@ -229,19 +139,14 @@ func (s *Server) Label() string { return s.label }
 // ScheduleResponse releases a response of the given size at the given
 // instant.
 func (s *Server) ScheduleResponse(at sim.Time, bytes int) error {
-	s.collector.bucket(s.shard).scheduled++
+	s.collector.NoteScheduled()
 	_, err := s.sched.At(at, func() {
 		s.conn.SendTrain(bytes, func(res tcp.TrainResult) {
-			// Resolve the bucket at completion time: the table may have
-			// grown between scheduling and completion (it never grows once
-			// the run starts).
-			b := &s.collector.buckets[s.shard]
-			b.completed++
-			s.collector.notify(b.add(s.label, bytes, res))
+			s.collector.Record(s.label, bytes, res)
 		})
 	})
 	if err != nil {
-		s.collector.bucket(s.shard).scheduled--
+		s.collector.scheduled--
 		return fmt.Errorf("schedule response at %v: %w", at, err)
 	}
 	return nil

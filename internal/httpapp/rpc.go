@@ -14,11 +14,6 @@ import (
 // when the request actually arrives (plus a server think time) rather
 // than at a pre-scheduled instant. The user-perceived latency spans from
 // request release to response completion.
-//
-// The request/response chain hops between the two endpoints' schedulers
-// through plain closures, so RPC traffic requires both endpoints on the
-// same shard (or an unsharded network); it records into the collector's
-// default bucket.
 type RPC struct {
 	sched    *sim.Scheduler
 	request  *tcp.Conn // front-end → server
@@ -41,15 +36,14 @@ func (r *RPC) Call(at sim.Time, reqBytes, respBytes int, think time.Duration) er
 	if reqBytes <= 0 || respBytes <= 0 {
 		return fmt.Errorf("httpapp: rpc sizes must be positive (req %d, resp %d)", reqBytes, respBytes)
 	}
-	r.out.bucket(0).scheduled++
+	r.out.NoteScheduled()
 	_, err := r.sched.At(at, func() {
 		issued := r.sched.Now()
 		r.request.SendTrain(reqBytes, func(tcp.TrainResult) {
 			r.sched.After(think, func() {
 				r.response.SendTrain(respBytes, func(res tcp.TrainResult) {
-					b := r.out.bucket(0)
-					b.completed++
-					b.add(r.label, respBytes, tcp.TrainResult{
+					r.out.completed++
+					r.out.add(r.label, respBytes, tcp.TrainResult{
 						Released:  issued,
 						Completed: res.Completed,
 						Bytes:     respBytes,
@@ -59,7 +53,7 @@ func (r *RPC) Call(at sim.Time, reqBytes, respBytes int, think time.Duration) er
 		})
 	})
 	if err != nil {
-		r.out.bucket(0).scheduled--
+		r.out.scheduled--
 		return fmt.Errorf("schedule rpc at %v: %w", at, err)
 	}
 	return nil

@@ -326,8 +326,8 @@ func TestHybridCycleAllocatesNothing(t *testing.T) {
 	sched.RunUntil(sim.At(1900 * time.Millisecond))
 	settled(2)
 	// The Conn, its callbacks, its slices, the restored state, the
-	// driver's re-arm and the completion callback (one per sink and shard,
-	// bound by Arm) all come from what set-up and the first rounds left.
+	// driver's re-arm and the completion callback (one per sink, bound
+	// by Arm) all come from what set-up and the first rounds left.
 	// (One per cycle, the callback, before it was shared; seven before
 	// shells were.)
 	steady := perCycle(2900 * time.Millisecond)

@@ -4,10 +4,10 @@
 // httpapp.Fleet — the historical shape, byte for byte). Hybrid fidelity
 // keeps each connection as a few-dozen-byte record in a struct-of-arrays
 // flow store while it is OFF, advancing the whole idle population in one
-// chained synchronization event per epoch, and drops to packet level
-// only for connections with an ON train: a release materializes the flow
-// into a real tcp.Conn (a shell and a hot line recycled through the
-// shard's tcp.Arena, congestion window and RTT estimator inherited from
+// chained driver event per epoch, and drops to packet level only for
+// connections with an ON train: a release materializes the flow into a
+// real tcp.Conn (a shell and a hot line recycled through the fleet's
+// tcp.Arena, congestion window and RTT estimator inherited from
 // the store — TRIM's cross-train window inheritance intact), and the
 // driver, which steps at every release and once per epoch while anything
 // is materialized, detaches the connections that have gone quiescent
@@ -62,14 +62,6 @@ func ParseFidelity(s string) (Fidelity, error) {
 // Names returns the accepted fidelity names.
 func Names() []string { return []string{string(FidelityPacket), string(FidelityHybrid)} }
 
-// Syncer schedules a callback as a global synchronization point: every
-// shard quiesced at exactly the callback's instant, cross-shard reads
-// and writes legal. sim.ShardGroup implements it; a nil Syncer means the
-// fleet runs on a sequential scheduler and plain At suffices.
-type Syncer interface {
-	SyncAt(s *sim.Scheduler, t sim.Time, fn func()) (sim.Timer, error)
-}
-
 // DefaultEpoch is the hybrid demote-sweep period: how long a quiescent
 // connection may stay materialized past its last event before the sweep
 // folds it back into the flow store.
@@ -96,12 +88,6 @@ type FleetConfig struct {
 	LabelPrefix    string
 	// Fidelity selects the simulation mode; empty means packet.
 	Fidelity Fidelity
-	// Sync provides global sync points under sharding (pass the
-	// sim.ShardGroup); nil means the network runs on one sequential
-	// scheduler. Hybrid fidelity requires it to match the network: all
-	// materialize/demote transitions run inside sync events because they
-	// mutate the (shard-0) front-end stack's flow table.
-	Sync Syncer
 	// Epoch is the demote-sweep period; 0 means DefaultEpoch.
 	Epoch time.Duration
 }
@@ -253,18 +239,17 @@ type Fleet struct {
 	conns    []*tcp.Conn             // non-nil while materialized
 	ccs      []tcp.CongestionControl // per-flow policy, from first release to last demotion
 	recs     []tcp.RecoveryPolicy    // per-flow policy, from first release to last demotion
-	arenas   []*tcp.Arena            // per shard
-	initCwnd float64                 // resolved Base.InitialCwnd
+	arena    *tcp.Arena
+	initCwnd float64 // resolved Base.InitialCwnd
 	// Policies finished flows left, reset (see popOr).
 	freeCCs  []tcp.CongestionControl
 	freeRecs []tcp.RecoveryPolicy
 
 	timeline []release
 	sinks    []sink
-	// sinkDone[ref*shards+sh] reports a completion on sender shard sh to
-	// sinks[ref]; bound by Arm, so that a release allocates no callback.
+	// sinkDone[ref] reports a completion to sinks[ref]; bound by Arm, so
+	// that a release allocates no callback.
 	sinkDone  []func(tcp.TrainResult)
-	shards    int // one more than the highest sender shard index
 	connFns   []func(*tcp.Conn)
 	stepFn    func()          // f.step, bound once: re-arming must not box it anew
 	demoteFn  func(*tcp.Conn) // f.demoteIfQuiescent, bound once likewise
@@ -335,16 +320,10 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	f.conns = make([]*tcp.Conn, n)
 	f.ccs = make([]tcp.CongestionControl, n)
 	f.recs = make([]tcp.RecoveryPolicy, n)
+	f.arena = tcp.NewArena()
 	f.initCwnd = cfg.Base.InitialCwnd
 	if f.initCwnd == 0 {
 		f.initCwnd = tcp.DefaultInitCwnd
-	}
-	// Pre-grow collector buckets for every sender shard (single-threaded
-	// setup; parallel callbacks only index).
-	for i := range f.stacks {
-		sh := f.shardOfStack(i)
-		f.coll.Reserve(sh)
-		f.shards = max(f.shards, sh+1)
 	}
 	return f, nil
 }
@@ -366,11 +345,6 @@ func (f *Fleet) Collector() *httpapp.Collector {
 		return f.pkt.Collector
 	}
 	return f.coll
-}
-
-// shardOfStack returns the shard index of sender stack i.
-func (f *Fleet) shardOfStack(i int) int {
-	return f.stacks[i].Host().Scheduler().ShardIndex()
 }
 
 // stackOf returns the sender-stack index owning flow i.
@@ -416,7 +390,7 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 	if f.armed {
 		return fmt.Errorf("hybrid: schedule after Arm")
 	}
-	coll.NoteScheduled(f.shardOfStack(f.stackOf(int32(i))))
+	coll.NoteScheduled()
 	to := sink{label, coll}
 	if n := len(f.sinks); n == 0 || f.sinks[n-1] != to {
 		f.sinks = append(f.sinks, to)
@@ -471,9 +445,9 @@ func (f *Fleet) ScheduleConnAt(i int, at sim.Time, fn func(*tcp.Conn)) error {
 	return nil
 }
 
-// Arm finalizes the hybrid release timeline and starts the sync-event
-// driver. Call exactly once, after all scheduling and before the run; in
-// packet mode it is a no-op.
+// Arm finalizes the hybrid release timeline and starts the driver. Call
+// exactly once, after all scheduling and before the run; in packet mode
+// it is a no-op.
 func (f *Fleet) Arm() error {
 	if f.pkt != nil {
 		return nil
@@ -490,9 +464,9 @@ func (f *Fleet) Arm() error {
 		return nil
 	}
 	// One pass from the end: the first release met of a flow is its last,
-	// and every (sink, shard) a response reports to gets its callback
+	// and every sink a response reports to gets its callback
 	// (tcp.TrainResult carries the train's size, so one serves them all).
-	f.sinkDone = make([]func(tcp.TrainResult), len(f.sinks)*f.shards)
+	f.sinkDone = make([]func(tcp.TrainResult), len(f.sinks))
 	for k := len(f.timeline) - 1; k >= 0; k-- {
 		r := &f.timeline[k]
 		if f.store.flags[r.flow]&flagPending == 0 {
@@ -502,33 +476,18 @@ func (f *Fleet) Arm() error {
 		if r.kind&^relLast != relResponse {
 			continue
 		}
-		if done := f.doneFn(r); *done == nil {
-			to, sh := f.sinks[r.ref], f.shardOfStack(f.stackOf(r.flow))
-			*done = func(res tcp.TrainResult) { to.coll.Record(sh, to.label, res.Bytes, res) }
+		if done := &f.sinkDone[r.ref]; *done == nil {
+			to := f.sinks[r.ref]
+			*done = func(res tcp.TrainResult) { to.coll.Record(to.label, res.Bytes, res) }
 		}
 	}
-	return f.syncAt(f.timeline[0].at, f.stepFn)
-}
-
-// doneFn returns the slot of the completion callback of response r.
-func (f *Fleet) doneFn(r *release) *func(tcp.TrainResult) {
-	return &f.sinkDone[int(r.ref)*f.shards+f.shardOfStack(f.stackOf(r.flow))]
-}
-
-// syncAt schedules fn at t as a global sync point (plain event when the
-// network is unsharded).
-func (f *Fleet) syncAt(t sim.Time, fn func()) error {
-	if f.cfg.Sync != nil {
-		_, err := f.cfg.Sync.SyncAt(f.drv, t, fn)
-		return err
-	}
-	_, err := f.drv.At(t, fn)
+	_, err := f.drv.At(f.timeline[0].at, f.stepFn)
 	return err
 }
 
 // step is the chained driver: demote-sweep, fire due releases, re-arm at
-// the next release or epoch tick — one sync event in flight at any time,
-// so the group's sync registry stays O(1) regardless of timeline length.
+// the next release or epoch tick — one driver event in flight at any
+// time, whatever the timeline's length.
 func (f *Fleet) step() {
 	now := f.drv.Now()
 	f.sweep()
@@ -550,26 +509,17 @@ func (f *Fleet) step() {
 		// fully folded into the store and the chain ends.
 		return
 	}
-	if err := f.syncAt(next, f.stepFn); err != nil && f.firstErr == nil {
+	if _, err := f.drv.At(next, f.stepFn); err != nil && f.firstErr == nil {
 		f.firstErr = err
 	}
 }
 
 // sweep detaches every quiescent materialized connection into the flow
 // store. A connection turns quiescent only inside one of its own events,
-// and each of those puts it on a touched list — its arena's for the
-// sender side, the front-end stack's for the receiver side — so the
-// lists hold every candidate, however many connections are live. Runs
-// inside a sync event: every shard is halted, so reading lists other
-// shards append to, and detaching (which unregisters from the shard-0
-// front-end stack), are safe.
+// and each of those puts it on the arena's touched list, so the list
+// holds every candidate, however many connections are live.
 func (f *Fleet) sweep() {
-	f.frontEnd.DrainTouched(f.demoteFn)
-	for _, a := range f.arenas {
-		if a != nil {
-			a.DrainTouched(f.demoteFn)
-		}
-	}
+	f.arena.DrainTouched(f.demoteFn)
 	if sim.InvariantChecks() {
 		// The oracle: a scan of every materialized connection, which is
 		// what the sweep used to be, must find nothing left to demote.
@@ -587,7 +537,7 @@ func (f *Fleet) sweep() {
 func (f *Fleet) demoteIfQuiescent(c *tcp.Conn) {
 	i := int32(c.Flow() - f.cfg.FirstFlow)
 	if f.conns[i] != c {
-		return // touched on both sides, and demoted from the other list
+		return // not flow i's live connection: nothing to demote
 	}
 	f.evals++
 	if !c.Quiescent() {
@@ -633,13 +583,13 @@ func (f *Fleet) fire(r *release) {
 	case relBackground:
 		c.SendTrain(r.bytes, nil)
 	default:
-		c.SendTrain(r.bytes, *f.doneFn(r))
+		c.SendTrain(r.bytes, f.sinkDone[r.ref])
 	}
 }
 
 // materialize returns flow i's live connection, creating it from the
-// store (or from scratch on first release) if needed. Runs inside sync
-// events only.
+// store (or from scratch on first release) if needed. Runs inside the
+// driver's events only.
 func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	if c := f.conns[i]; c != nil {
 		return c, nil
@@ -649,8 +599,7 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	cfg.Sender = f.stacks[si]
 	cfg.Receiver = f.frontEnd
 	cfg.Flow = f.cfg.FirstFlow + netsim.FlowID(i)
-	sh := f.shardOfStack(si)
-	cfg.Arena = f.arena(sh)
+	cfg.Arena = f.arena
 	if f.ccs[i] == nil {
 		f.ccs[i] = popOr(&f.freeCCs, f.cfg.NewCC)
 	}
@@ -695,17 +644,6 @@ func popOr[T any](free *[]T, factory func() T) (p T) {
 	return p
 }
 
-// arena returns shard sh's connection arena, creating it on first use.
-func (f *Fleet) arena(sh int) *tcp.Arena {
-	for len(f.arenas) <= sh {
-		f.arenas = append(f.arenas, nil)
-	}
-	if f.arenas[sh] == nil {
-		f.arenas[sh] = tcp.NewArena()
-	}
-	return f.arenas[sh]
-}
-
 // Err returns the first asynchronous error the driver hit (a failed
 // materialize or re-arm); runners check it after the run.
 func (f *Fleet) Err() error { return f.firstErr }
@@ -728,27 +666,15 @@ func (f *Fleet) PeakLive() int {
 	return f.peakLive
 }
 
-// ArenaCap returns the total hot-state slots ever allocated across the
-// sender-shard arenas — the materialized-connection high-water mark as
-// the arena saw it. Zero in packet mode, where connections use
-// standalone hot state.
+// ArenaCap returns the total hot-state slots ever allocated in the
+// fleet's arena — the materialized-connection high-water mark as the
+// arena saw it. Zero in packet mode, where connections use standalone
+// hot state.
 func (f *Fleet) ArenaCap() int {
-	n := 0
-	for _, a := range f.arenas {
-		if a != nil {
-			n += a.Cap()
-		}
+	if f.arena == nil {
+		return 0
 	}
-	return n
-}
-
-// SchedulerOf returns the scheduler owning flow i's sender-side state
-// (for samplers that must live on the sender's shard).
-func (f *Fleet) SchedulerOf(i int) *sim.Scheduler {
-	if f.pkt != nil {
-		return f.pkt.Conns[i].Scheduler()
-	}
-	return f.stacks[f.stackOf(int32(i))].Host().Scheduler()
+	return f.arena.Cap()
 }
 
 // Cwnd returns flow i's congestion window in segments: the live value

@@ -286,7 +286,7 @@ func TestHybridFlowRangeChecks(t *testing.T) {
 // coincides exactly with another flow's packet events — exact-nanosecond
 // ties are the one place event insertion order differs by construction
 // between the fidelities (packet fidelity registers releases at setup,
-// hybrid fires them from the chained sync event).
+// hybrid fires them from the chained driver event).
 //
 // One seed in four (the multiples of four) is a wide fleet instead, see
 // runWideFleet; the others decode as they always have.

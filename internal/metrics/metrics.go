@@ -308,9 +308,9 @@ type Series struct {
 // Tap registers fn to observe every subsequent Record as it happens —
 // the live-streaming hook the experiment service uses to forward
 // sampler output while a run is still simulating. One tap per series;
-// set it before the simulation starts. fn runs on whichever goroutine
-// records (a shard's, under PDES), so it must be safe for concurrent
-// use with taps on other series and must never touch simulation state.
+// set it before the simulation starts. fn runs on the goroutine that
+// records, so it must be safe for concurrent use with taps on series of
+// other runs and must never touch simulation state.
 func (s *Series) Tap(fn func(TimePoint)) { s.tap = fn }
 
 // Record appends an observation.

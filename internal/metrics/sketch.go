@@ -9,8 +9,8 @@ package metrics
 // by about 0.55% (subBuckets controls the trade; memory is a fixed
 // ~60 KB per engaged distribution regardless of sample count). The
 // mapping is pure float arithmetic — no randomness, no data-dependent
-// layout — so sketched output is bit-reproducible across runs and shard
-// counts, unlike reservoir sampling, and unlike P² it answers arbitrary
+// layout — so sketched output is bit-reproducible across runs, unlike
+// reservoir sampling, and unlike P² it answers arbitrary
 // quantiles after the fact.
 
 import "math"

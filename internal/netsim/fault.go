@@ -13,14 +13,15 @@ package netsim
 // Ownership discipline: a faulted packet always has exactly one owner.
 // Drops release the packet to the network pool at the drop point;
 // duplication clones through the pool (the clone is a distinct packet, so
-// original and copy are released independently); reordering transfers
-// ownership to a held-back delivery event that is accounted for by the
-// invariant checker (see invariant.go).
+// original and copy are released independently); reordering hands the
+// packet to a held-back arrival event, which carries it like any other
+// (see invariant.go).
 
 import (
 	"fmt"
 	"math/rand"
 	"time"
+	"unsafe"
 
 	"tcptrim/internal/sim"
 )
@@ -86,16 +87,6 @@ type pipeFaults struct {
 	reorderProb  float64
 	reorderExtra time.Duration
 	reorderRng   *rand.Rand
-	// heldPooled counts pooled packets owned by pending late-delivery
-	// events; the invariant checker's conservation sum includes it.
-	heldPooled int
-	held       int
-	// On a cut pipe the late-delivery event runs on the destination shard
-	// and must not write the source-side held counters during a parallel
-	// segment; it bumps these instead, and the checker balances
-	// heldPooled − arrivedPooled.
-	arrived       int
-	arrivedPooled int
 
 	dupProb float64
 	dupRng  *rand.Rand
@@ -214,14 +205,6 @@ type FlapConfig struct {
 // the pipe's flap timer to the new first edge and adopts the new
 // configuration, rather than layering a second chain on top of the first.
 func (p *Pipe) ScheduleFlaps(cfg FlapConfig) error {
-	if p.dstSched != nil {
-		// A flap edge mutates f.down on the source shard while in-flight
-		// arrivals read it on the destination shard — unsynchronized under
-		// parallel segments. Keep flapped pipes shard-internal: cut the
-		// topology elsewhere or merge the two shards.
-		return fmt.Errorf("netsim: cannot flap cut pipe %s->%s; keep flapped pipes shard-internal",
-			p.from.Name(), p.to.Name())
-	}
 	if cfg.DownFor <= 0 {
 		return fmt.Errorf("netsim: flap DownFor must be positive, got %v", cfg.DownFor)
 	}
@@ -288,7 +271,7 @@ func (p *Pipe) armFlapEdge(d time.Duration) {
 func (p *Pipe) clonePacket(pkt *Packet) *Packet {
 	var c *Packet
 	if p.net != nil {
-		c = p.net.allocShard(p.shard)
+		c = p.net.AllocPacket()
 	} else {
 		c = &Packet{}
 	}
@@ -300,53 +283,16 @@ func (p *Pipe) clonePacket(pkt *Packet) *Packet {
 	return c
 }
 
-// deliverLate delivers pkt outside the FIFO flight: it arrives extra time
+// deliverLate delivers pkt outside the FIFO wire: it arrives extra time
 // after its nominal arrival instant at, without advancing the FIFO's
-// lastArrival clamp, so packets serialized later may overtake it. If the
-// link flaps down while the packet is held, it is blackholed on delivery.
+// lastArrival clamp, so packets serialized later may overtake it. Its
+// arrival event is an ordinary one, carrying it: if the link flaps down
+// while the packet is held, it is blackholed on delivery.
 func (p *Pipe) deliverLate(pkt *Packet, at sim.Time) {
 	f := p.faults
 	extra := time.Duration(1 + f.reorderRng.Int63n(int64(f.reorderExtra)))
 	p.stats.Reordered++
-	f.held++
-	if pkt.pooled {
-		f.heldPooled++
-	}
-	if p.dstSched != nil {
-		// Cut pipe: the arrival runs on the destination shard. It records
-		// consumption in the arrived counters (never touching the source-
-		// side held ledger) and retires drops into the destination pool.
-		// The per-packet closure allocates, but only under reorder
-		// injection — the zero-fault hot path stays closure-free.
-		fn := func() {
-			f.arrived++
-			if pkt.pooled {
-				f.arrivedPooled++
-			}
-			if f.down {
-				p.flapDropsDst++
-				p.releaseDst(pkt)
-				return
-			}
-			p.to.Receive(pkt, p)
-		}
-		p.sched.Post(p.dstSched, at.Add(extra), nil, fn)
-		return
-	}
-	fn := func() {
-		f.held--
-		if pkt.pooled {
-			f.heldPooled--
-		}
-		if f.down {
-			p.stats.FlapDrops++
-			p.release(pkt)
-			return
-		}
-		p.to.Receive(pkt, p)
-	}
-	if _, err := p.sched.At(at.Add(extra), fn); err != nil {
-		// Unreachable: at is never in the past.
-		p.sched.After(extra, fn)
+	if err := p.sched.AtFIFO(at.Add(extra), p.deliverFn, unsafe.Pointer(pkt)); err != nil {
+		panic("netsim: held arrival scheduled in the past") // at is never in the past
 	}
 }

@@ -364,10 +364,9 @@ func TestSendAfterReleasePanicsUnderInvariants(t *testing.T) {
 // TestFaultedDeliveryIndependentOfContainer sends the same bursts over a
 // clean, jittered, reordering, duplicating, flapping and all-of-these
 // pipe twice: on a plain scheduler, where serialization and unjittered
-// propagation events ride the FIFO lanes, and on the lone shard of a
-// ShardGroup, where AfterFIFO is After and everything sits in the wheel
-// as at the parent commit. Arrival order, instants and fault counters
-// must not depend on the container.
+// propagation events ride the FIFO lanes, and under sim.WheelOnly, where
+// every event sits in the wheel. Arrival order, instants and fault
+// counters must not depend on the container.
 func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
 	withInvariants(t)
 	type arrival struct {
@@ -399,7 +398,8 @@ func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
 		}
 	}})
 
-	run := func(sched *sim.Scheduler, inject func(*Pipe), drive func()) ([]arrival, PipeStats, sim.Stats) {
+	run := func(inject func(*Pipe)) ([]arrival, PipeStats, sim.Stats) {
+		sched := sim.NewScheduler()
 		r := newFaultRigOn(t, sched, 64)
 		var got []arrival
 		r.b.SetHandler(func(p *Packet) { got = append(got, arrival{p.ID, sched.Now()}) })
@@ -410,7 +410,7 @@ func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
 			r.sendAt(t, time.Duration(burst)*50*time.Microsecond, 6, uint64(burst)*100)
 			r.sendSizedAt(t, time.Duration(burst)*50*time.Microsecond+time.Microsecond, 64+burst, uint64(burst)*100+50)
 		}
-		drive()
+		sched.Run()
 		r.net.CheckInvariants()
 		if live := r.net.LivePackets(); live != 0 {
 			t.Fatalf("%d pooled packets leaked", live)
@@ -419,15 +419,16 @@ func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
-			plain := sim.NewScheduler()
-			lanes, laneStats, ls := run(plain, f.inject, plain.Run)
-			g := sim.NewShardGroup(1)
-			wheel, wheelStats, ws := run(g.Shard(0), f.inject, g.Run)
+			lanes, laneStats, ls := run(f.inject)
+			var wheel []arrival
+			var wheelStats PipeStats
+			var ws sim.Stats
+			sim.WheelOnly(func() { wheel, wheelStats, ws = run(f.inject) })
 			if ls.FiredLane == 0 || ws.FiredLane != 0 {
-				t.Fatalf("lane-fired events: plain scheduler %d (want > 0), sharded %d (want 0)", ls.FiredLane, ws.FiredLane)
+				t.Fatalf("lane-fired events: plain scheduler %d (want > 0), wheel only %d (want 0)", ls.FiredLane, ws.FiredLane)
 			}
-			if f.name == "clean" && ls.FiredLane*4 < plain.Fired()*3 {
-				t.Errorf("clean pipe: %d of %d events fired from lanes, want the bulk", ls.FiredLane, plain.Fired())
+			if fired := ls.FiredLane + ls.FiredWheel + ls.FiredOverflow; f.name == "clean" && ls.FiredLane*4 < fired*3 {
+				t.Errorf("clean pipe: %d of %d events fired from lanes, want the bulk", ls.FiredLane, fired)
 			}
 			if laneStats != wheelStats {
 				t.Errorf("pipe stats differ: lanes %+v, wheel only %+v", laneStats, wheelStats)

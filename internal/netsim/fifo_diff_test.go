@@ -1,15 +1,16 @@
 package netsim
 
-// The queue bands and the wire FIFO restart at the front of their arrays
-// when they drain. These tests hold them against a transcription of the
-// code that crawled on until a compaction (the storage only: admission,
-// verdicts and counters are the live code's), and pin the footprint the
-// restart buys.
+// The queue bands restart at the front of their arrays when they drain.
+// These tests hold them, and a pipe's wire, against a transcription of the
+// FIFO code that crawled on until a compaction (the storage only:
+// admission, verdicts and counters are the live code's), and pin the
+// footprint the restart buys.
 
 import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tcptrim/internal/aqm"
 	"tcptrim/internal/sim"
@@ -233,11 +234,16 @@ func TestQueueMatchesCrawlAndCompact(t *testing.T) {
 	}
 }
 
-// TestFlightFIFOMatchesCrawlAndCompact shadows a faulted pipe's wire FIFO
-// with the transcription: every packet onTxDone puts on the wire is pushed
-// to the shadow, every arrival pops both, and the heads must be the same
-// packet — under plain, jittered, reordered, duplicated and flapped links,
-// with bursts deep enough to compact and gaps that drain.
+// TestFlightFIFOMatchesCrawlAndCompact shadows a faulted pipe's wire with
+// the transcription: every packet onTxDone puts on the wire is pushed to
+// the shadow with its arrival instant (a duplicate right behind its
+// original), every arrival pops it, and the packet the arrival event
+// carries must be the shadow's head, at the shadow's instant — under
+// plain, jittered, reordered, duplicated and flapped links, with bursts
+// deep enough to compact and gaps that drain. A packet a reorder injector
+// holds back arrives outside that order and is checked off on its own.
+// The wire itself is the set of pending arrival events: after every
+// arrival the invariant walk must count as many as the shadow expects.
 func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 	faults := map[string]func(r *faultRig, rng *rand.Rand){
 		"plain":      func(*faultRig, *rand.Rand) {},
@@ -260,26 +266,43 @@ func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 			r.ab.delay = 100 * time.Microsecond
 			inject(r, rand.New(rand.NewSource(7)))
 			shadow := crawlFIFO{limit: 32}
+			held := map[uint64]bool{} // held back by the reorder injector, not yet arrived
 			p := r.ab
-			live := func() int { return len(p.inFlight) - p.flightHead }
-			pops, deepest := 0, 0
-			p.txDoneFn = func() {
-				before := live()
-				p.onTxDone()
-				for _, pkt := range p.inFlight[len(p.inFlight)-(live()-before):] {
-					shadow.push(pkt, 0)
-				}
-				deepest = max(deepest, live())
+			onWire := func() int {
+				n := 0
+				r.net.walkWire(func(_ *Packet, role wireRole) {
+					if role.pipe == p && !role.tx {
+						n++
+					}
+				})
+				return n
 			}
-			p.deliverFn = func() {
-				want, _ := shadow.pop()
-				if got := p.inFlight[p.flightHead]; got != want {
-					t.Fatalf("arrival %d: wire head is %v, crawl-and-compact %v", pops, got, want)
+			pops, deepest := 0, 0
+			p.txDoneFn = func(arg unsafe.Pointer) {
+				id, before := (*Packet)(arg).ID, p.stats
+				p.onTxDone(arg)
+				switch st := p.stats; {
+				case st.FlapDrops > before.FlapDrops: // died serializing
+				case st.Reordered > before.Reordered:
+					held[id] = true
+				default:
+					for i := 0; i <= st.Duplicated-before.Duplicated; i++ {
+						shadow.push(&Packet{ID: id}, p.lastArrival)
+					}
+				}
+				deepest = max(deepest, shadow.len())
+			}
+			p.deliverFn = func(arg unsafe.Pointer) {
+				got, now := (*Packet)(arg), r.sched.Now()
+				if held[got.ID] {
+					delete(held, got.ID)
+				} else if want, at := shadow.pop(); got.ID != want.ID || now != at {
+					t.Fatalf("arrival %d: the event carries packet %d at %v, crawl-and-compact %d at %v", pops, got.ID, now, want.ID, at)
 				}
 				pops++
-				p.onDeliver()
-				if live() != shadow.len() {
-					t.Fatalf("arrival %d: %d on the wire, crawl-and-compact %d", pops, live(), shadow.len())
+				p.onDeliver(arg)
+				if w := onWire(); w != shadow.len()+len(held) {
+					t.Fatalf("arrival %d: %d arrivals pending, crawl-and-compact %d plus %d held back", pops, w, shadow.len(), len(held))
 				}
 			}
 			rng := rand.New(rand.NewSource(11))
@@ -297,8 +320,8 @@ func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 			}
 			r.finish(t)
 			st := p.Stats()
-			if pops == 0 || live() != 0 || shadow.len() != 0 || p.flightHead != 0 || len(p.inFlight) != 0 {
-				t.Errorf("after the run: %d arrivals, %d on the wire (head %d, len %d), shadow %d", pops, live(), p.flightHead, len(p.inFlight), shadow.len())
+			if pops == 0 || onWire() != 0 || shadow.len() != 0 || len(held) != 0 {
+				t.Errorf("after the run: %d arrivals, %d on the wire, shadow %d, %d held back", pops, onWire(), shadow.len(), len(held))
 			}
 			if shadow.compactions == 0 {
 				t.Errorf("the wire held at most %d packets and the transcription never compacted: that path was not reached", deepest)
@@ -316,8 +339,8 @@ func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 }
 
 // TestIdleFIFOsStayInOneCacheLine: a link that carries one packet at a
-// time keeps reusing the first slots of its queue and wire arrays. Before
-// the restart each of them crawled to 64+ slots between compactions.
+// time keeps reusing the first slots of its queue arrays. Before the
+// restart each of them crawled to 64+ slots between compactions.
 func TestIdleFIFOsStayInOneCacheLine(t *testing.T) {
 	q := NewQueue(QueueConfig{CapPackets: 100})
 	pkt := dataPkt(1, 1500)
@@ -341,8 +364,8 @@ func TestIdleFIFOsStayInOneCacheLine(t *testing.T) {
 		t.Fatalf("delivered %d of 20000", len(r.got))
 	}
 	pq := r.ab.Queue()
-	if cap(pq.pkts) > 8 || cap(pq.times) > 8 || cap(r.ab.inFlight) > 8 {
-		t.Errorf("10000 send/deliver rounds grew the pipe's arrays to queue %d/%d, wire %d slots, want at most 8",
-			cap(pq.pkts), cap(pq.times), cap(r.ab.inFlight))
+	if cap(pq.pkts) > 8 || cap(pq.times) > 8 {
+		t.Errorf("10000 send/deliver rounds grew the pipe's queue arrays to %d/%d slots, want at most 8",
+			cap(pq.pkts), cap(pq.times))
 	}
 }

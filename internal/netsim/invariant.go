@@ -7,38 +7,30 @@ package netsim
 // properties loud:
 //
 //   - packet conservation: every pooled packet is either in the free list
-//     or owned by exactly one pipe (queued, serializing, in flight, or
-//     held by a reorder injector) whenever the simulation is between
-//     events;
+//     or held exactly once by a pipe — in its queue, or carried by one of
+//     its pending events (serializing, on the wire, or held back by a
+//     reorder injector) — whenever the simulation is between events;
 //   - no double release / no use-after-release (inline checks in
-//     ReleasePacket and Pipe.Send, gated on sim.InvariantChecks);
+//     ReleasePacket and Pipe.Send, gated on sim.InvariantChecks, and here:
+//     no pending event carries a packet that is back in the pool);
 //   - queue occupancy within configured bounds.
 //
-// CheckInvariants is cheap enough to run every simulated millisecond in
-// the chaos experiments; violations panic with a per-pipe diagnostic dump.
+// The pipes keep no record of the packets their events carry; the checker
+// finds them with the scheduler's walk over its argument-carrying events.
+// CheckInvariants allocates nothing once it has run and is cheap enough to
+// run every few simulated milliseconds in the chaos experiments;
+// violations panic with a per-pipe diagnostic dump.
 
 import (
 	"fmt"
 	"strings"
 	"time"
+	"unsafe"
 )
 
-// ownedPooled counts the pooled packets this pipe currently owns.
-func (p *Pipe) ownedPooled() int {
+// queuedPooled counts the pooled packets in this pipe's queue.
+func (p *Pipe) queuedPooled() int {
 	n := 0
-	if p.txPkt != nil && p.txPkt.pooled {
-		n++
-	}
-	for _, pkt := range p.inFlight[p.flightHead:] {
-		if pkt != nil && pkt.pooled {
-			n++
-		}
-	}
-	for _, pkt := range p.pendingFlight[p.pendingHead:] {
-		if pkt != nil && pkt.pooled {
-			n++
-		}
-	}
 	q := p.queue
 	for _, pkt := range q.pkts[q.head:] {
 		if pkt != nil && pkt.pooled {
@@ -50,12 +42,40 @@ func (p *Pipe) ownedPooled() int {
 			n++
 		}
 	}
-	if p.faults != nil {
-		// On a cut pipe the held ledger splits across shards: the source
-		// counts holds, the destination counts consumptions.
-		n += p.faults.heldPooled - p.faults.arrivedPooled
-	}
 	return n
+}
+
+// wireRole is what an event armed with one of a pipe's callbacks does
+// with the packet it carries.
+type wireRole struct {
+	pipe *Pipe
+	tx   bool // transmit-done: the packet is serializing; else it is arriving
+}
+
+// callbackID identifies a func value by its closure. A pipe binds each of
+// its callbacks once (Network.Connect) and every event it arms holds a
+// copy of that value, so the closure names the pipe and the role.
+func callbackID(fn func(unsafe.Pointer)) unsafe.Pointer {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&fn))
+}
+
+// walkWire visits every packet a pending event carries to one of the
+// network's pipes, with what the event will do with it.
+func (n *Network) walkWire(visit func(pkt *Packet, r wireRole)) {
+	if n.wireRoles == nil {
+		n.wireRoles = make(map[unsafe.Pointer]wireRole)
+		for _, pipes := range n.out {
+			for _, p := range pipes {
+				n.wireRoles[callbackID(p.txDoneFn)] = wireRole{p, true}
+				n.wireRoles[callbackID(p.deliverFn)] = wireRole{p, false}
+			}
+		}
+	}
+	n.sched.WalkFIFO(func(fn func(unsafe.Pointer), arg unsafe.Pointer) {
+		if r, ok := n.wireRoles[callbackID(fn)]; ok {
+			visit((*Packet)(arg), r)
+		}
+	})
 }
 
 // checkBounds verifies the queue's occupancy against its configured
@@ -83,29 +103,38 @@ func (n *Network) CheckInvariants() {
 	// The scheduler's own structural walk (wheel slots, bitmaps, overflow
 	// heap, live accounting) rides along: a corrupted timer structure
 	// would surface as misdelivered packets long after the actual fault.
-	// Under sharding every shard's wheel gets the walk, not just shard 0's.
-	if g := n.group; g != nil {
-		for i := 0; i < g.NumShards(); i++ {
-			g.Shard(i).CheckAccounting()
-		}
-	} else {
-		n.sched.CheckAccounting()
-	}
+	n.sched.CheckAccounting()
 	owned := 0
 	var violations []string
+	n.walkWire(func(pkt *Packet, r wireRole) {
+		if !pkt.pooled {
+			return
+		}
+		owned++
+		if pkt.inPool {
+			violations = append(violations, fmt.Sprintf(
+				"pipe %s->%s: a pending event carries a packet already back in the pool",
+				r.pipe.from.Name(), r.pipe.to.Name()))
+		}
+	})
 	for _, pipes := range n.out {
 		for _, p := range pipes {
-			owned += p.ownedPooled()
+			owned += p.queuedPooled()
 			if msg := p.queue.checkBounds(); msg != "" {
 				violations = append(violations,
 					fmt.Sprintf("pipe %s->%s: %s", p.from.Name(), p.to.Name(), msg))
 			}
 		}
 	}
-	if live := n.LivePackets(); owned != live {
+	switch live := n.LivePackets(); {
+	case owned < live:
 		violations = append(violations, fmt.Sprintf(
-			"packet conservation: %d pooled packets outstanding but %d owned by pipes (leak or stolen reference of %d)",
+			"packet conservation: %d pooled packets outstanding but %d held by pipes (%d leaked)",
 			live, owned, live-owned))
+	case owned > live:
+		violations = append(violations, fmt.Sprintf(
+			"packet conservation: %d pooled packets outstanding but %d held by pipes (%d held twice, or after release)",
+			live, owned, owned-live))
 	}
 	if len(violations) == 0 {
 		return
@@ -116,29 +145,32 @@ func (n *Network) CheckInvariants() {
 
 // dumpState renders the per-pipe ownership picture for invariant panics.
 func (n *Network) dumpState() string {
+	type carried struct{ tx, inFlight int }
+	onWire := make(map[*Pipe]*carried)
+	n.walkWire(func(_ *Packet, r wireRole) {
+		c := onWire[r.pipe]
+		if c == nil {
+			c = &carried{}
+			onWire[r.pipe] = c
+		}
+		if r.tx {
+			c.tx++
+		} else {
+			c.inFlight++
+		}
+	})
 	var b strings.Builder
-	free := 0
-	for i := range n.pools {
-		free += len(n.pools[i].free)
-	}
 	fmt.Fprintf(&b, "network state: live=%d free=%d pool=%+v stats=%+v\n",
-		n.LivePackets(), free, n.PoolStats(), n.Stats())
+		n.LivePackets(), len(n.pool.free), n.PoolStats(), n.Stats())
 	for _, pipes := range n.out {
 		for _, p := range pipes {
-			tx := 0
-			if p.txPkt != nil {
-				tx = 1
-			}
-			held := 0
-			down := false
-			if p.faults != nil {
-				held = p.faults.held
-				down = p.faults.down
+			c := onWire[p]
+			if c == nil {
+				c = &carried{}
 			}
 			fmt.Fprintf(&b,
-				"  pipe %s->%s: queued=%d inflight=%d tx=%d held=%d down=%v aqm=%s stats=%+v qstats=%+v\n",
-				p.from.Name(), p.to.Name(), p.queue.Len(),
-				len(p.inFlight)-p.flightHead, tx, held, down,
+				"  pipe %s->%s: queued=%d inflight=%d tx=%d down=%v aqm=%s stats=%+v qstats=%+v\n",
+				p.from.Name(), p.to.Name(), p.queue.Len(), c.inFlight, c.tx, p.Down(),
 				p.queue.disc.Name(), p.stats, p.queue.stats)
 		}
 	}
@@ -152,21 +184,6 @@ func (n *Network) dumpState() string {
 func (n *Network) ScheduleInvariantChecks(every time.Duration) {
 	if every <= 0 {
 		every = time.Millisecond
-	}
-	if g := n.group; g != nil {
-		// Conservation is only meaningful with every shard halted at the
-		// same instant, so the tick rides the group's sync-point machinery.
-		// The rearm condition reads the group-wide event count — the same
-		// value the unsharded tick sees in its scheduler.
-		var tick func()
-		tick = func() {
-			n.CheckInvariants()
-			if g.Len() > 0 {
-				g.SyncAfter(n.sched, every, tick)
-			}
-		}
-		g.SyncAfter(n.sched, every, tick)
-		return
 	}
 	var tick func()
 	tick = func() {

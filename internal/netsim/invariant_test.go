@@ -72,3 +72,71 @@ func TestScheduledInvariantChecksCoverFaultyRun(t *testing.T) {
 		t.Errorf("chaos run did not exercise every injector: %+v", st)
 	}
 }
+
+// TestCheckInvariantsCatchesWireCorruption: no pipe keeps a record of its
+// packets on the wire — the checker finds them through the events that
+// carry them — so a packet an event carries is still accounted for: one
+// released to the pool while its arrival is pending, or armed twice, makes
+// CheckInvariants panic and say which.
+func TestCheckInvariantsCatchesWireCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(r *faultRig, pkt *Packet)
+		want    []string
+	}{
+		{"released while its arrival is pending", func(r *faultRig, pkt *Packet) { r.net.ReleasePacket(pkt) },
+			[]string{"a->b: a pending event carries a packet already back in the pool", "held twice, or after release", "inflight=1"}},
+		{"armed twice", func(r *faultRig, pkt *Packet) { r.ab.arrive(pkt, r.sched.Now().Add(r.ab.delay)) },
+			[]string{"2 pooled packets outstanding but 3 held by pipes (1 held twice", "inflight=2"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newFaultRig(t, 100)
+			r.sendAt(t, 0, 2, 1)
+			// The first is on the wire (12 µs to serialize, 10 to arrive),
+			// the second serializing.
+			r.sched.RunUntil(sim.At(15 * time.Microsecond))
+			var onWire *Packet
+			tx := 0
+			r.net.walkWire(func(pkt *Packet, role wireRole) {
+				if role.tx {
+					tx++
+				} else {
+					onWire = pkt
+				}
+			})
+			if onWire == nil || tx != 1 {
+				t.Fatalf("found packet %v on the wire and %d serializing, want one of each", onWire, tx)
+			}
+			r.net.CheckInvariants() // clean
+			tc.corrupt(r, onWire)
+			defer func() {
+				msg, _ := recover().(string)
+				for _, want := range tc.want {
+					if !strings.Contains(msg, want) {
+						t.Errorf("CheckInvariants panicked with %q, want it to contain %q", msg, want)
+					}
+				}
+			}()
+			r.net.CheckInvariants()
+		})
+	}
+}
+
+// TestCheckInvariantsAllocatesNothing: the chaos sweeps check every few
+// simulated milliseconds, so a check over packets queued, serializing and
+// on the wire must not allocate once it has run.
+func TestCheckInvariantsAllocatesNothing(t *testing.T) {
+	r := newFaultRig(t, 100)
+	r.ab.InjectReorder(0.5, 50*time.Microsecond, sim.NewRand(1))
+	r.sendAt(t, 0, 40, 1)
+	r.sched.RunUntil(sim.At(100 * time.Microsecond))
+	r.net.CheckInvariants()
+	if n := r.ab.Queue().Len(); n == 0 {
+		t.Fatal("nothing queued: the check would not see every kind of holder")
+	}
+	if allocs := testing.AllocsPerRun(100, r.net.CheckInvariants); allocs != 0 {
+		t.Errorf("CheckInvariants allocates %.2f times per call, want 0", allocs)
+	}
+	r.finish(t)
+}

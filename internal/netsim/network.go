@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"tcptrim/internal/sim"
 )
@@ -54,64 +55,34 @@ type Network struct {
 	ecmp  [][]*Pipe
 	comp  []int32
 	built []bool
-	// buildRoutes' scratch, reused across destinations (one goroutine
-	// builds columns: lazily when unsharded, up front in Shard otherwise),
-	// and the number of BFS runs so far, for the build-cost tests.
+	// buildRoutes' scratch, reused across destinations, and the number of
+	// BFS runs so far, for the build-cost tests.
 	bfsDist     []int32
 	bfsQueue    []NodeID
 	routeBuilds int
 	nextID      NodeID
 
-	// pools holds the per-shard packet free lists (see pool.go); an
-	// unsharded network has exactly one. shStats likewise keeps routing
-	// counters per shard so parallel window segments never share a
-	// counter word.
-	pools   []pktPool
-	shStats []NetworkStats
+	pool  pktPool // packet free list (see pool.go)
+	stats NetworkStats
 
-	// Sharding state (see shard.go): group is non-nil once the topology
-	// has been partitioned, nodeShard maps every node to its shard, and
-	// routesFrozen marks the route cache immutable (prewarmed for every
-	// host) so parallel segments can read it without synchronization.
-	group        *sim.ShardGroup
-	nodeShard    []int32
-	routesFrozen bool
+	// wireRoles maps the pipes' bound callbacks to their pipes for the
+	// invariant checker (invariant.go); built on first use, dropped by
+	// Connect.
+	wireRoles map[unsafe.Pointer]wireRole
 }
 
 const noRoute = math.MinInt32
 
 // NewNetwork returns an empty network driven by sched.
 func NewNetwork(sched *sim.Scheduler) *Network {
-	return &Network{
-		sched:   sched,
-		pools:   make([]pktPool, 1),
-		shStats: make([]NetworkStats, 1),
-	}
+	return &Network{sched: sched}
 }
 
-// Scheduler returns the event scheduler driving this network (shard 0's
-// scheduler once sharded).
+// Scheduler returns the event scheduler driving this network.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 
-// Group returns the shard group partitioning this network, or nil.
-func (n *Network) Group() *sim.ShardGroup { return n.group }
-
-// Stats returns the network-wide counters, summed across shards.
-func (n *Network) Stats() NetworkStats {
-	var s NetworkStats
-	for i := range n.shStats {
-		s.RoutingDrops += n.shStats[i].RoutingDrops
-	}
-	return s
-}
-
-// shardOf returns the shard owning node id (0 when unsharded).
-func (n *Network) shardOf(id NodeID) int32 {
-	if n.nodeShard == nil {
-		return 0
-	}
-	return n.nodeShard[id]
-}
+// Stats returns the network-wide counters.
+func (n *Network) Stats() NetworkStats { return n.stats }
 
 // Nodes returns the number of nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
@@ -160,9 +131,6 @@ func (n *Network) dropRoutes() {
 // Connect wires a full-duplex cable between a and b and returns the two
 // directed pipes (a→b, b→a). Adding nodes or links drops cached routes.
 func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Pipe, *Pipe) {
-	if n.group != nil {
-		panic("netsim: Connect after Shard; build the topology before partitioning it")
-	}
 	ab := &Pipe{
 		sched: n.sched, net: n, from: a, to: b,
 		rate: cfg.Rate, delay: cfg.Delay,
@@ -173,15 +141,18 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Pipe, *Pipe) {
 		rate: cfg.Rate, delay: cfg.Delay,
 		queue: NewQueue(cfg.Queue),
 	}
-	// Queues stamp enqueue times with the simulation clock (sojourn-time
-	// AQMs need it) and return head-dropped packets to the pool.
-	for _, q := range [...]*Queue{ab.queue, ba.queue} {
-		q.SetClock(n.sched.Now)
-		q.SetDropHandler(n.ReleasePacket)
+	// Each pipe binds its two event callbacks once. Queues stamp enqueue
+	// times with the simulation clock (sojourn-time AQMs need it) and
+	// return head-dropped packets to the pool.
+	for _, p := range [...]*Pipe{ab, ba} {
+		p.txDoneFn, p.deliverFn = p.onTxDone, p.onDeliver
+		p.queue.SetClock(n.sched.Now)
+		p.queue.SetDropHandler(n.ReleasePacket)
 	}
 	n.out[a.ID()] = append(n.out[a.ID()], ab)
 	n.out[b.ID()] = append(n.out[b.ID()], ba)
 	n.dropRoutes()
+	n.wireRoles = nil
 	return ab, ba
 }
 
@@ -197,31 +168,24 @@ func (n *Network) forward(node Node, pkt *Packet) {
 		pipe = n.nextHop(node.ID(), pkt.Dst, pkt.Flow)
 	}
 	if pipe == nil { // hop limit exceeded or no route
-		sh := n.shardOf(node.ID())
-		n.shStats[sh].RoutingDrops++
-		n.releaseShard(pkt, sh)
+		n.stats.RoutingDrops++
+		n.ReleasePacket(pkt)
 		return
 	}
 	pipe.Send(pkt)
 }
 
 // nextHop returns the pipe flow takes from node toward dst (nil = none),
-// computing and caching the destination's column on first use. Once the
-// cache is frozen (sharded networks prewarm every host destination so
-// parallel segments only ever read it), an unbuilt column means the
-// destination is not a routable endpoint and the packet drops.
+// computing and caching the destination's column on first use.
 func (n *Network) nextHop(node, dst NodeID, flow FlowID) *Pipe {
 	if uint(dst) >= uint(len(n.built)) {
 		// Outside the network, or the state was dropped since the last hop.
-		if uint(dst) >= uint(len(n.nodes)) || n.routesFrozen {
+		if uint(dst) >= uint(len(n.nodes)) {
 			return nil
 		}
 		n.resetRoutes()
 	}
 	if !n.built[dst] {
-		if n.routesFrozen {
-			return nil
-		}
 		n.buildRoutes(dst)
 	}
 	pipes := n.out[node]

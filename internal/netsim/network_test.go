@@ -351,25 +351,36 @@ func TestNegativeDestinationDrops(t *testing.T) {
 	}
 }
 
-// TestFrozenRoutesDoNotBuild: Shard prewarms host destinations and freezes
-// the table; any other destination is then unroutable, never built by a
-// (possibly parallel) forward.
+// TestFrozenRoutesDoNotBuild: a destination's column, once built, is
+// frozen until the topology changes — lookups toward it from any node read
+// it and build nothing, a lookup toward another destination builds that
+// column alone, and adding a node drops them all.
 func TestFrozenRoutesDoNotBuild(t *testing.T) {
-	group := sim.NewShardGroup(1)
 	cfg := LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}}
-	net, senders, fe := star(group.Shard(0), 2, cfg)
-	if err := net.Shard(group, func(Node) int { return 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if net.nextHop(senders[0].ID(), fe.ID(), 0) == nil {
-		t.Error("no route to a prewarmed host destination")
-	}
+	net, senders, fe := star(sim.NewScheduler(), 2, cfg)
 	sw := net.nodes[0].ID()
-	if got := net.nextHop(senders[0].ID(), sw, 0); got != nil {
-		t.Errorf("frozen table routed to the switch (not prewarmed) via %v", got)
+	if net.nextHop(senders[0].ID(), fe.ID(), 0) == nil {
+		t.Fatal("no route to the front end")
 	}
-	if net.built[sw] {
-		t.Error("a lookup built a column after the freeze")
+	for _, from := range []NodeID{senders[1].ID(), sw, fe.ID()} {
+		net.nextHop(from, fe.ID(), 0)
+	}
+	if net.routeBuilds != 1 || net.built[sw] {
+		t.Errorf("lookups toward one destination ran %d BFS (switch column built: %v), want 1 and false", net.routeBuilds, net.built[sw])
+	}
+	if got := net.nextHop(senders[0].ID(), sw, 0); got == nil || got.To().ID() != sw {
+		t.Errorf("sender routes to the switch via %v", got)
+	}
+	if net.routeBuilds != 2 || !net.built[sw] || !net.built[fe.ID()] {
+		t.Errorf("a second destination: %d BFS, built %v; want 2 and both columns", net.routeBuilds, net.built)
+	}
+	net.AddHost("late")
+	if net.built != nil {
+		t.Fatal("adding a node kept the frozen columns")
+	}
+	net.nextHop(senders[0].ID(), fe.ID(), 0)
+	if net.routeBuilds != 3 {
+		t.Errorf("first lookup after the topology changed: %d BFS in all, want 3", net.routeBuilds)
 	}
 }
 

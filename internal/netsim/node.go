@@ -28,13 +28,6 @@ type Host struct {
 	name    string
 	handler Handler
 	tap     Handler
-
-	// Sharding (see shard.go): sched is the owning shard's scheduler (nil
-	// until partitioned) and shard its index. The transport layer must arm
-	// host-side timers on Scheduler() and allocate from AllocPacket() so
-	// its events and pool traffic stay on the host's shard.
-	sched *sim.Scheduler
-	shard int32
 }
 
 var _ Node = (*Host)(nil)
@@ -49,19 +42,11 @@ func (h *Host) Name() string { return h.name }
 // uses it to reach the packet free list).
 func (h *Host) Network() *Network { return h.net }
 
-// Scheduler returns the scheduler driving this host's events: its shard's
-// once the network is partitioned, the network-wide one before.
-func (h *Host) Scheduler() *sim.Scheduler {
-	if h.sched != nil {
-		return h.sched
-	}
-	return h.net.sched
-}
+// Scheduler returns the scheduler driving this host's events.
+func (h *Host) Scheduler() *sim.Scheduler { return h.net.sched }
 
-// AllocPacket draws a packet from this host's shard pool. The transport
-// layer must use it (rather than Network.AllocPacket) so a sharded run's
-// pool traffic stays shard-local.
-func (h *Host) AllocPacket() *Packet { return h.net.allocShard(h.shard) }
+// AllocPacket draws a packet from the network's pool.
+func (h *Host) AllocPacket() *Packet { return h.net.AllocPacket() }
 
 // SetHandler installs the delivery callback for packets addressed to this
 // host. The transport layer installs its demultiplexer here.
@@ -102,7 +87,7 @@ func (h *Host) deliver(pkt *Packet) {
 	if h.handler != nil {
 		h.handler(pkt)
 	}
-	h.net.releaseShard(pkt, h.shard)
+	h.net.ReleasePacket(pkt)
 }
 
 // Switch is a store-and-forward switch. Each egress port is a Pipe with
@@ -125,11 +110,7 @@ func (s *Switch) Name() string { return s.name }
 
 // SetTap installs a passive observer invoked for every packet the switch
 // forwards (the T-RACKs agent's vantage point). Taps must not retain the
-// packet or its Sack slice past their return. Under a sharded network a
-// tap runs on whichever shard delivers the packet to the switch — safe
-// when every pipe into the switch delivers on the switch's own shard, as
-// the stock topology shard plans guarantee (cut pipes deliver on their
-// destination's shard).
+// packet or its Sack slice past their return.
 func (s *Switch) SetTap(fn Handler) { s.tap = fn }
 
 // Receive implements Node.

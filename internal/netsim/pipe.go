@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+	"unsafe"
 
 	"tcptrim/internal/sim"
 )
@@ -95,30 +96,11 @@ type Pipe struct {
 	// fault.go.
 	faults *pipeFaults
 
-	// Per-pipe event plumbing, allocated once instead of one closure per
-	// packet: txPkt is the packet currently serializing, inFlight the FIFO
-	// of packets on the wire (arrival events fire in schedule order, so
-	// the head is always the next to deliver; see popFlight).
-	txPkt      *Packet
-	inFlight   []*Packet
-	flightHead int
-	txDoneFn   func()
-	deliverFn  func()
-
-	// Sharding (see shard.go). shard owns the pipe's source side; on a cut
-	// pipe dstSched is the destination shard's scheduler and arrivals cross
-	// via sim.Post: the packet waits in pendingFlight (source-owned) until
-	// the barrier runs xferFn, which moves it to inFlight (destination-
-	// owned) in global dispatch order. flapDropsDst counts blackholes on
-	// the destination side, whose stats word must not be shared with the
-	// source shard's FlapDrops during parallel segments.
-	dstSched      *sim.Scheduler
-	shard         int32
-	dstShard      int32
-	pendingFlight []*Packet
-	pendingHead   int
-	xferFn        func()
-	flapDropsDst  int
+	// The pipe's two event callbacks, bound once by Network.Connect. The
+	// packet rides as the event's argument: the scheduler's FIFO lanes are
+	// the wire, and no per-packet closure or second record exists.
+	txDoneFn  func(unsafe.Pointer)
+	deliverFn func(unsafe.Pointer)
 }
 
 // InjectJitter adds uniform random extra propagation delay in
@@ -163,11 +145,7 @@ func (p *Pipe) Delay() time.Duration { return p.delay }
 func (p *Pipe) Queue() *Queue { return p.queue }
 
 // Stats returns a copy of the transmit counters.
-func (p *Pipe) Stats() PipeStats {
-	s := p.stats
-	s.FlapDrops += p.flapDropsDst
-	return s
-}
+func (p *Pipe) Stats() PipeStats { return p.stats }
 
 // Send offers pkt to the pipe. If the transmitter is idle the packet
 // starts serializing immediately; otherwise it joins the egress queue
@@ -206,46 +184,27 @@ func (p *Pipe) Send(pkt *Packet) {
 	}
 }
 
-// release returns a dead packet to the free list of the pipe's source
-// shard (no-op for hand-built packets or pipes wired without a Network,
-// as in unit tests).
+// release returns a dead packet to the network's free list (no-op for
+// hand-built packets or pipes wired without a Network, as in unit tests).
 func (p *Pipe) release(pkt *Packet) {
 	if p.net != nil {
-		p.net.releaseShard(pkt, p.shard)
+		p.net.ReleasePacket(pkt)
 	}
 }
 
-// releaseDst retires a packet that died on the destination side of a cut
-// pipe into the destination shard's pool.
-func (p *Pipe) releaseDst(pkt *Packet) {
-	if p.net != nil {
-		p.net.releaseShard(pkt, p.dstShard)
-	}
-}
-
-// transmit serializes pkt and schedules its arrival at the peer, then
-// pulls the next queued packet. The serialization-done and delivery
-// callbacks are bound once per pipe: per-packet state travels through
-// txPkt and the inFlight FIFO instead of fresh closures, keeping the
-// transmit path allocation-free.
+// transmit starts serializing pkt: its transmit-done event carries it.
 func (p *Pipe) transmit(pkt *Packet) {
-	if p.txDoneFn == nil {
-		p.txDoneFn = p.onTxDone
-		p.deliverFn = p.onDeliver
-	}
 	p.busy = true
 	p.stats.SentPackets++
 	p.stats.SentBytes += int64(pkt.Size)
-	p.txPkt = pkt
-	p.sched.AfterFIFO(p.rate.TransmitTime(pkt.Size), p.txDoneFn)
+	p.sched.AfterFIFO(p.rate.TransmitTime(pkt.Size), p.txDoneFn, unsafe.Pointer(pkt))
 }
 
-// onTxDone fires when the current packet finished serializing: put it on
-// the wire (or hand it to a fault injector) and start on the next queued
-// packet.
-func (p *Pipe) onTxDone() {
-	pkt := p.txPkt
-	p.txPkt = nil
+// onTxDone fires when the packet it carries finished serializing: put it
+// on the wire (or hand it to a fault injector) and start on the next
+// queued packet.
+func (p *Pipe) onTxDone(arg unsafe.Pointer) {
+	pkt := (*Packet)(arg)
 	f := p.faults
 	switch {
 	case f != nil && f.down:
@@ -273,10 +232,10 @@ func (p *Pipe) onTxDone() {
 			// instant (FIFO order still holds: equal times fire in push
 			// order).
 			p.stats.Duplicated++
-			p.handoff(pkt, at)
+			p.arrive(pkt, at)
 			pkt = p.clonePacket(pkt)
 		}
-		p.handoff(pkt, at)
+		p.arrive(pkt, at)
 	}
 	if next := p.queue.Dequeue(); next != nil {
 		p.transmit(next)
@@ -285,90 +244,27 @@ func (p *Pipe) onTxDone() {
 	p.busy = false
 }
 
-// handoff puts pkt on the wire with arrival instant at. Same-shard pipes
-// push the flight FIFO and arm a local arrival event. Cut pipes park the
-// packet in pendingFlight and post the arrival to the destination shard:
-// at the merge barrier xferFn moves it into inFlight in global dispatch
-// order, so the FIFO invariant onDeliver relies on holds across the
-// boundary too. Both paths are allocation-free: xferFn and deliverFn are
-// bound once per pipe.
-func (p *Pipe) handoff(pkt *Packet, at sim.Time) {
-	if p.dstSched != nil {
-		p.pendingFlight = append(p.pendingFlight, pkt)
-		p.sched.Post(p.dstSched, at, p.xferFn, p.deliverFn)
-		return
-	}
-	p.pushFlight(pkt)
-	p.scheduleDeliver(at)
-}
-
-// onXfer is the cut-pipe transfer hook: the barrier runs it (in global
-// event order) to move the pending head onto the destination-owned
-// flight FIFO before the posted arrival can fire.
-func (p *Pipe) onXfer() {
-	pkt := p.pendingFlight[p.pendingHead]
-	p.pendingFlight[p.pendingHead] = nil
-	p.pendingHead++
-	if p.pendingHead > 32 && p.pendingHead*2 >= len(p.pendingFlight) {
-		n := copy(p.pendingFlight, p.pendingFlight[p.pendingHead:])
-		p.pendingFlight = p.pendingFlight[:n]
-		p.pendingHead = 0
-	}
-	p.pushFlight(pkt)
-}
-
-// scheduleDeliver arms one arrival event; the plain delay takes a lane.
-func (p *Pipe) scheduleDeliver(at sim.Time) {
+// arrive puts pkt on the wire: one arrival event, carrying it, at at.
+// The plain propagation delay takes a lane; jittered and clamped instants
+// go to the wheel.
+func (p *Pipe) arrive(pkt *Packet, at sim.Time) {
 	if at == p.sched.Now().Add(p.delay) {
-		p.sched.AfterFIFO(p.delay, p.deliverFn)
+		p.sched.AfterFIFO(p.delay, p.deliverFn, unsafe.Pointer(pkt))
 		return
 	}
-	if _, err := p.sched.At(at, p.deliverFn); err != nil {
+	if err := p.sched.AtFIFO(at, p.deliverFn, unsafe.Pointer(pkt)); err != nil {
 		panic("netsim: arrival scheduled in the past") // jitter and the FIFO clamp only ever delay
 	}
 }
 
-// onDeliver hands the next wire arrival to the peer. Arrival events are
-// scheduled in FIFO order with nondecreasing times, so the scheduler
-// fires them in push order and the flight head is always the right
-// packet. A downed link blackholes in-flight packets at their arrival
-// instant.
-func (p *Pipe) onDeliver() {
-	pkt := p.popFlight()
+// onDeliver hands the packet its event carries to the peer. A downed link
+// blackholes packets on the wire at their arrival instant.
+func (p *Pipe) onDeliver(arg unsafe.Pointer) {
+	pkt := (*Packet)(arg)
 	if f := p.faults; f != nil && f.down {
-		// On a cut pipe this runs on the destination shard: count and
-		// recycle there. (Flapping cut pipes is rejected by ScheduleFlaps,
-		// but SetLinkDown at setup time can still get here.)
-		if p.dstSched != nil {
-			p.flapDropsDst++
-			p.releaseDst(pkt)
-			return
-		}
 		p.stats.FlapDrops++
 		p.release(pkt)
 		return
 	}
 	p.to.Receive(pkt, p)
-}
-
-func (p *Pipe) pushFlight(pkt *Packet) {
-	p.inFlight = append(p.inFlight, pkt)
-}
-
-func (p *Pipe) popFlight() *Packet {
-	pkt := p.inFlight[p.flightHead]
-	p.inFlight[p.flightHead] = nil
-	p.flightHead++
-	if p.flightHead == len(p.inFlight) {
-		// Drained: restart at the front. A wire that carries one packet at
-		// a time then lives in its first slot instead of crawling through
-		// the array until the compaction below.
-		p.inFlight, p.flightHead = p.inFlight[:0], 0
-	} else if p.flightHead > 32 && p.flightHead*2 >= len(p.inFlight) {
-		// Compact once the dead prefix dominates, keeping amortized O(1).
-		n := copy(p.inFlight, p.inFlight[p.flightHead:])
-		p.inFlight = p.inFlight[:n]
-		p.flightHead = 0
-	}
-	return pkt
 }

@@ -10,20 +10,9 @@ import (
 // packets whose lifetime is a handful of events (serialize → propagate →
 // deliver or drop); allocating each one individually makes the garbage
 // collector the bottleneck of large-scale experiments. Every Network owns
-// packet free lists instead: the transport layer allocates from them
-// and the network layer returns packets at their well-defined death
-// points (delivery to a host handler, tail drop, injected loss, routing
-// drop).
-//
-// Unsharded networks keep a single free list with no locking. A sharded
-// network (see shard.go) keeps one free list per shard, and every
-// alloc/release goes to the pool of the shard *doing* it — the allocating
-// sender, the delivering receiver, the dropping queue — so parallel
-// window segments never contend: each pool is touched only by its own
-// shard's events (or by the single-threaded barrier/sync phases). A
-// packet may be allocated from one pool and retired to another; the
-// conservation quantity the invariant checker balances is the sum of
-// live counts, which individual pools may legitimately see go negative.
+// a packet free list instead: the transport layer allocates from it and
+// the network layer returns packets at their well-defined death points
+// (delivery to a host handler, tail drop, injected loss, routing drop).
 //
 // Packets built by hand (&Packet{...}, as tests do) are not marked
 // pooled and are ignored by release, which keeps external ownership
@@ -40,25 +29,20 @@ type PoolStats struct {
 	Releases int
 }
 
-// pktPool is one shard's packet free list and ledger.
+// pktPool is the packet free list and its ledger.
 type pktPool struct {
 	free  []*Packet
 	stats PoolStats
-	// live counts this pool's allocations minus its releases; negative
-	// when a shard retires more cross-shard packets than it originates.
-	live int
+	live  int // allocations minus releases
 }
 
-// AllocPacket returns a zeroed packet owned by the caller, drawn from
-// the default (shard 0) pool. The packet's Sack slice retains its
-// previous capacity so SACK-carrying ACKs do not reallocate in steady
-// state. The caller must hand the packet to the network (Host.Send) or
-// return it with ReleasePacket.
-func (n *Network) AllocPacket() *Packet { return n.allocShard(0) }
-
-// allocShard allocates from shard sh's pool.
-func (n *Network) allocShard(sh int32) *Packet {
-	pool := &n.pools[sh]
+// AllocPacket returns a zeroed packet owned by the caller, drawn from the
+// network's pool. The packet's Sack slice retains its previous capacity so
+// SACK-carrying ACKs do not reallocate in steady state. The caller must
+// hand the packet to the network (Host.Send) or return it with
+// ReleasePacket.
+func (n *Network) AllocPacket() *Packet {
+	pool := &n.pool
 	pool.live++
 	if l := len(pool.free); l > 0 {
 		p := pool.free[l-1]
@@ -72,21 +56,18 @@ func (n *Network) allocShard(sh int32) *Packet {
 	return &Packet{pooled: true}
 }
 
-// ReleasePacket returns a packet obtained from AllocPacket to the
-// default pool's free list, zeroing its fields. Packets not allocated
-// from any pool (built by hand, as tests do) are ignored, so callers may
-// release unconditionally at packet-death points. Releasing the same
-// packet twice is a bug — an aliased reference now points into the free
-// list — and panics when invariant checks are enabled
-// (sim.SetInvariantChecks); otherwise the duplicate release is dropped.
-func (n *Network) ReleasePacket(p *Packet) { n.releaseShard(p, 0) }
-
-// releaseShard retires a packet into shard sh's pool.
-func (n *Network) releaseShard(p *Packet, sh int32) {
+// ReleasePacket returns a packet obtained from AllocPacket to the free
+// list, zeroing its fields. Packets not allocated from any pool (built by
+// hand, as tests do) are ignored, so callers may release unconditionally
+// at packet-death points. Releasing the same packet twice is a bug — an
+// aliased reference now points into the free list — and panics when
+// invariant checks are enabled (sim.SetInvariantChecks); otherwise the
+// duplicate release is dropped.
+func (n *Network) ReleasePacket(p *Packet) {
 	if p == nil || !p.pooled {
 		return
 	}
-	pool := &n.pools[sh]
+	pool := &n.pool
 	if p.inPool {
 		if sim.InvariantChecks() {
 			panic(fmt.Sprintf("netsim: double release of pooled packet (pool=%d live=%d)",
@@ -101,25 +82,10 @@ func (n *Network) releaseShard(p *Packet, sh int32) {
 	pool.free = append(pool.free, p)
 }
 
-// PoolStats returns the packet free-list counters summed across shards.
-func (n *Network) PoolStats() PoolStats {
-	var s PoolStats
-	for i := range n.pools {
-		s.Allocs += n.pools[i].stats.Allocs
-		s.Reuses += n.pools[i].stats.Reuses
-		s.Releases += n.pools[i].stats.Releases
-	}
-	return s
-}
+// PoolStats returns the packet free-list counters.
+func (n *Network) PoolStats() PoolStats { return n.pool.stats }
 
 // LivePackets returns the number of pooled packets currently outside the
-// free lists, summed across shards. At quiescence (scheduler drained,
-// queues empty) it is zero: every packet has reached one of its death
-// points and been recycled.
-func (n *Network) LivePackets() int {
-	live := 0
-	for i := range n.pools {
-		live += n.pools[i].live
-	}
-	return live
-}
+// free list. At quiescence (scheduler drained, queues empty) it is zero:
+// every packet has reached one of its death points and been recycled.
+func (n *Network) LivePackets() int { return n.pool.live }

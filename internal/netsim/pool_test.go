@@ -123,27 +123,50 @@ func TestReleasePacketResetsStateKeepsSackCapacity(t *testing.T) {
 }
 
 func TestPacketChurnSteadyStateZeroAlloc(t *testing.T) {
-	// With the packet pool, the scheduler's lane rings, and per-pipe
-	// callbacks all warmed, a full send→serialize→propagate→deliver cycle
-	// allocates nothing — and runs on the FIFO lanes, not the wheel.
-	sched, net, a, b := poolPair(t)
-	b.SetHandler(func(*Packet) {})
-	send := func() {
-		pkt := net.AllocPacket()
-		pkt.Src, pkt.Dst = a.ID(), b.ID()
-		pkt.Size = 1500
-		a.Send(pkt)
-		sched.RunUntil(sched.Now().Add(time.Millisecond))
+	// With the packet pool, the scheduler's lane rings and free events,
+	// and per-pipe callbacks all warmed, a full send→serialize→propagate→
+	// deliver cycle allocates nothing: on a clean pipe, where both events
+	// of a hop run on the FIFO lanes, and on one that jitters, reorders and
+	// duplicates, where arrivals go through the wheel carrying their packet.
+	churn := func(t *testing.T, inject func(*Pipe)) (PipeStats, sim.Stats, sim.Stats) {
+		sched, net, a, b := poolPair(t)
+		ab := net.PipesFrom(a.ID())[0]
+		inject(ab)
+		b.SetHandler(func(*Packet) {})
+		send := func() {
+			pkt := net.AllocPacket()
+			pkt.Src, pkt.Dst = a.ID(), b.ID()
+			pkt.Size = 1500
+			a.Send(pkt)
+			sched.RunUntil(sched.Now().Add(time.Millisecond))
+		}
+		for i := 0; i < 64; i++ {
+			send()
+		}
+		before := sched.Stats()
+		allocs := testing.AllocsPerRun(500, send)
+		if allocs != 0 {
+			t.Errorf("steady-state packet churn allocates %.2f allocs/op, want 0", allocs)
+		}
+		if live := net.LivePackets(); live != 0 {
+			t.Errorf("%d pooled packets outstanding after the churn", live)
+		}
+		return ab.Stats(), before, sched.Stats()
 	}
-	for i := 0; i < 64; i++ {
-		send()
-	}
-	before := sched.Stats()
-	allocs := testing.AllocsPerRun(500, send)
-	if allocs != 0 {
-		t.Errorf("steady-state packet churn allocates %.2f allocs/op, want 0", allocs)
-	}
-	if st := sched.Stats(); st.Lanes != 2 || st.FiredLane-before.FiredLane != 2*501 || st.FiredWheel != before.FiredWheel {
-		t.Errorf("warm pipe: stats %+v (before %+v), want both events of all 501 hops fired from 2 lanes", st, before)
-	}
+	t.Run("clean", func(t *testing.T) {
+		_, before, st := churn(t, func(*Pipe) {})
+		if st.Lanes != 2 || st.FiredLane-before.FiredLane != 2*501 || st.FiredWheel != before.FiredWheel {
+			t.Errorf("warm pipe: stats %+v (before %+v), want both events of all 501 hops fired from 2 lanes", st, before)
+		}
+	})
+	t.Run("jittered, reordering, duplicating", func(t *testing.T) {
+		ps, before, st := churn(t, func(p *Pipe) {
+			p.InjectJitter(3*time.Microsecond, sim.NewRand(1))
+			p.InjectReorder(0.3, 20*time.Microsecond, sim.NewRand(2))
+			p.InjectDuplicate(0.3, sim.NewRand(3))
+		})
+		if ps.Reordered < 100 || ps.Duplicated < 100 || st.FiredWheel-before.FiredWheel < 501 {
+			t.Errorf("pipe stats %+v, scheduler %+v (before %+v): want reordering, duplication and wheel arrivals throughout", ps, st, before)
+		}
+	})
 }

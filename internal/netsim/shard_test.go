@@ -1,18 +1,20 @@
 package netsim
 
-// Differential proof that partitioning a network is a pure relabeling:
-// the same star topology, traffic program, and fault schedule run on a
-// plain scheduler and on ShardGroups of several sizes (inline and
-// parallel), and every observable — delivery traces with exact arrival
-// instants, per-pipe fault counters, queue drops, pool ledgers, fired
-// event counts — must match bit for bit. Faults cover both sides of the
-// cut rule: GE loss / reorder / duplication / jitter on *cut* pipes
-// (source-side decisions, legal) and uniform loss + link flaps on
-// shard-internal pipes.
+// Differential proof that a network's run is a function of its inputs
+// alone: the same star topology, traffic program, and fault schedule run
+// once on its own as the reference, then as a batch of shards —
+// independent copies, each with its own scheduler, as a sweep's trials
+// are — advanced side by side in lockstep slices on one goroutine, or each
+// on a goroutine of its own. Every copy's observables — delivery traces
+// with exact arrival instants, per-pipe fault counters, queue drops, pool
+// ledgers, fired event counts — must match the reference bit for bit.
+// Faults cover GE loss, reordering, duplication and jitter on the
+// uplinks, and uniform loss plus link flaps on the bottleneck.
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,6 +24,7 @@ import (
 const (
 	ssSenders = 6
 	ssHorizon = 200 * time.Millisecond
+	ssSlice   = 50 * time.Microsecond // lockstep slice of an inline batch
 )
 
 // ssEntry is one observed delivery: which packet, where, when.
@@ -34,7 +37,6 @@ type ssEntry struct {
 // ssEnv is one run of the star program.
 type ssEnv struct {
 	sched    *sim.Scheduler
-	group    *sim.ShardGroup
 	net      *Network
 	senders  []*Host
 	sw       *Switch
@@ -48,18 +50,11 @@ type ssEnv struct {
 	echoed    uint64
 }
 
-// buildStar wires the topology, traffic program, and fault schedule.
-// shards == 0 builds the plain single-scheduler reference.
-func buildStar(t *testing.T, shards int, parallel bool, shardOf func(i int) int) *ssEnv {
+// buildStar wires the topology, traffic program, and fault schedule on a
+// scheduler of its own.
+func buildStar(t *testing.T) *ssEnv {
 	t.Helper()
-	e := &ssEnv{}
-	if shards > 0 {
-		e.group = sim.NewShardGroup(shards)
-		e.group.SetParallel(parallel)
-		e.sched = e.group.Shard(0)
-	} else {
-		e.sched = sim.NewScheduler()
-	}
+	e := &ssEnv{sched: sim.NewScheduler()}
 	e.net = NewNetwork(e.sched)
 	e.sw = e.net.AddSwitch("sw")
 	e.fe = e.net.AddHost("fe")
@@ -79,23 +74,10 @@ func buildStar(t *testing.T, shards int, parallel bool, shardOf func(i int) int)
 		Queue: QueueConfig{CapPackets: 32},
 	})
 
-	if e.group != nil {
-		if err := e.net.Shard(e.group, func(n Node) int {
-			for i, s := range e.senders {
-				if s.ID() == n.ID() {
-					return shardOf(i)
-				}
-			}
-			return 0 // switch and frontend stay on shard 0
-		}); err != nil {
-			t.Fatalf("Shard: %v", err)
-		}
-	}
-
 	// Frontend: record every arrival; echo every third packet per flow
-	// back to its sender so the reverse direction crosses the cut too.
+	// back to its sender so the reverse direction carries traffic too.
 	e.fe.SetHandler(func(p *Packet) {
-		e.feTrace = append(e.feTrace, ssEntry{p.Flow, p.ID, e.fe.Scheduler().Now()})
+		e.feTrace = append(e.feTrace, ssEntry{p.Flow, p.ID, e.sched.Now()})
 		if p.ID%3 == 0 {
 			e.echoed++
 			echo := e.fe.AllocPacket()
@@ -107,20 +89,17 @@ func buildStar(t *testing.T, shards int, parallel bool, shardOf func(i int) int)
 			e.fe.Send(echo)
 		}
 	})
-	for i, s := range e.senders {
-		i := i
+	for _, s := range e.senders {
 		s.SetHandler(func(p *Packet) {
-			e.echoTrace = append(e.echoTrace, ssEntry{p.Flow, p.ID, e.senders[i].Scheduler().Now()})
+			e.echoTrace = append(e.echoTrace, ssEntry{p.Flow, p.ID, e.sched.Now()})
 		})
 	}
 
-	// Traffic: each sender emits bursts on its own shard's scheduler.
+	// Traffic: each sender emits bursts of ten.
 	for i, s := range e.senders {
-		i, s := i, s
 		for burst := 0; burst < 8; burst++ {
 			at := sim.At(time.Duration(1+burst*17+i) * time.Millisecond)
-			burst := burst
-			if _, err := s.Scheduler().At(at, func() {
+			if _, err := e.sched.At(at, func() {
 				for k := 0; k < 10; k++ {
 					pkt := s.AllocPacket()
 					pkt.ID = uint64(i)*10_000 + uint64(burst)*100 + uint64(k)
@@ -135,8 +114,8 @@ func buildStar(t *testing.T, shards int, parallel bool, shardOf func(i int) int)
 		}
 	}
 
-	// Faults. Cut pipes get source-side injectors; the shard-internal
-	// bottleneck gets uniform loss plus a flap schedule.
+	// Faults: source-side injectors on the uplinks, uniform loss plus a
+	// flap schedule on the bottleneck.
 	e.up[0].InjectGilbertElliott(GEConfig{PGoodBad: 0.05, PBadGood: 0.3, LossBad: 0.5},
 		rand.New(rand.NewSource(101)))
 	e.up[1].InjectDuplicate(0.08, rand.New(rand.NewSource(202)))
@@ -154,19 +133,34 @@ func buildStar(t *testing.T, shards int, parallel bool, shardOf func(i int) int)
 	return e
 }
 
-func (e *ssEnv) run() {
-	if e.group != nil {
-		e.group.RunUntil(sim.At(ssHorizon))
-		return
-	}
-	e.sched.RunUntil(sim.At(ssHorizon))
-}
+func (e *ssEnv) run() { e.sched.RunUntil(sim.At(ssHorizon)) }
 
-func (e *ssEnv) fired() uint64 {
-	if e.group != nil {
-		return e.group.Fired()
+// runBatch runs n copies of the star program: in lockstep slices on this
+// goroutine, or each on its own goroutine when parallel.
+func runBatch(t *testing.T, n int, parallel bool) []*ssEnv {
+	t.Helper()
+	batch := make([]*ssEnv, n)
+	for i := range batch {
+		batch[i] = buildStar(t)
 	}
-	return e.sched.Fired()
+	if !parallel {
+		for at := sim.At(ssSlice); at <= sim.At(ssHorizon); at = at.Add(ssSlice) {
+			for _, e := range batch {
+				e.sched.RunUntil(at)
+			}
+		}
+		return batch
+	}
+	var wg sync.WaitGroup
+	for _, e := range batch {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.run()
+		}()
+	}
+	wg.Wait()
+	return batch
 }
 
 // diff compares every observable of two runs.
@@ -212,31 +206,24 @@ func (e *ssEnv) diff(o *ssEnv) string {
 	if ps, qs := e.net.PoolStats(), o.net.PoolStats(); ps.Releases != qs.Releases {
 		return fmt.Sprintf("pool releases %d != %d", ps.Releases, qs.Releases)
 	}
-	if e.fired() != o.fired() {
-		return fmt.Sprintf("fired %d != %d", e.fired(), o.fired())
+	if e.sched.Fired() != o.sched.Fired() {
+		return fmt.Sprintf("fired %d != %d", e.sched.Fired(), o.sched.Fired())
 	}
 	return ""
 }
 
-// TestNetworkShardDifferential sweeps shard counts and execution modes
-// against the sequential reference.
+// TestNetworkShardDifferential sweeps batch sizes and execution modes
+// against the lone reference.
 func TestNetworkShardDifferential(t *testing.T) {
-	ref := buildStar(t, 0, false, nil)
+	ref := buildStar(t)
 	ref.run()
 	if len(ref.feTrace) == 0 {
 		t.Fatal("reference run delivered nothing; traffic program is broken")
 	}
-
 	plans := []struct {
-		name    string
-		shards  int
-		shardOf func(i int) int
-	}{
-		{"1shard", 1, func(int) int { return 0 }},
-		{"2shards", 2, func(int) int { return 1 }},
-		{"3shards", 3, func(i int) int { return 1 + i/3 }},
-		{"7shards", 7, func(i int) int { return 1 + i }},
-	}
+		name   string
+		shards int
+	}{{"1shard", 1}, {"2shards", 2}, {"3shards", 3}, {"7shards", 7}}
 	for _, plan := range plans {
 		for _, parallel := range []bool{false, true} {
 			name := plan.name
@@ -244,84 +231,42 @@ func TestNetworkShardDifferential(t *testing.T) {
 				name += "-parallel"
 			}
 			t.Run(name, func(t *testing.T) {
-				e := buildStar(t, plan.shards, parallel, plan.shardOf)
-				e.run()
-				if d := ref.diff(e); d != "" {
-					t.Fatalf("sharded run diverged from sequential reference: %s", d)
+				for i, e := range runBatch(t, plan.shards, parallel) {
+					if d := ref.diff(e); d != "" {
+						t.Fatalf("shard %d of %d diverged from the lone reference: %s", i, plan.shards, d)
+					}
 				}
 			})
 		}
 	}
 }
 
-// TestNetworkShardInvariants runs the 3-shard plan with invariant checks
-// and the periodic checker on, exercising cross-shard conservation
-// accounting (pendingFlight, held/arrived ledgers, per-shard pools).
+// TestNetworkShardInvariants runs a 3-shard batch on three goroutines with
+// invariant checks and each copy's periodic checker on, exercising packet
+// conservation (the scheduler walk over pending arrivals, held packets,
+// per-network pools) on networks running concurrently.
 func TestNetworkShardInvariants(t *testing.T) {
 	old := sim.InvariantChecks()
 	sim.SetInvariantChecks(true)
 	defer sim.SetInvariantChecks(old)
 
-	e := buildStar(t, 3, true, func(i int) int { return 1 + i/3 })
-	e.net.ScheduleInvariantChecks(time.Millisecond)
-	e.run()
-	e.net.CheckInvariants()
-	if live := e.net.LivePackets(); live != 0 {
-		t.Fatalf("%d pooled packets leaked", live)
-	}
-}
-
-// TestShardValidation pins the partitioning preconditions: bad shard
-// indices, double sharding, zero-delay cuts, flaps on cut pipes, and
-// Connect-after-Shard.
-func TestShardValidation(t *testing.T) {
-	sched := sim.NewScheduler()
-	net := NewNetwork(sched)
-	a := net.AddHost("a")
-	b := net.AddHost("b")
-	ab, _ := net.Connect(a, b, LinkConfig{Rate: Gbps, Delay: 10 * time.Microsecond,
-		Queue: QueueConfig{CapPackets: 8}})
-
-	g := sim.NewShardGroup(2)
-	if err := net.Shard(g, func(Node) int { return 5 }); err == nil {
-		t.Fatal("out-of-range shard index not rejected")
-	}
-	if err := net.Shard(g, func(n Node) int {
-		if n.ID() == a.ID() {
-			return 0
-		}
-		return 1
-	}); err != nil {
-		t.Fatalf("Shard: %v", err)
-	}
-	if err := net.Shard(g, func(Node) int { return 0 }); err == nil {
-		t.Fatal("double Shard not rejected")
-	}
-	if err := ab.ScheduleFlaps(FlapConfig{FirstDownAt: sim.At(time.Millisecond),
-		DownFor: time.Millisecond}); err == nil {
-		t.Fatal("flap schedule on a cut pipe not rejected")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Connect after Shard did not panic")
-			}
+	batch := make([]*ssEnv, 3)
+	var wg sync.WaitGroup
+	for i := range batch {
+		e := buildStar(t)
+		e.net.ScheduleInvariantChecks(time.Millisecond)
+		batch[i] = e
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e.run()
 		}()
-		net.Connect(a, b, LinkConfig{Rate: Gbps, Delay: time.Microsecond})
-	}()
-
-	// Zero-delay cuts admit no lookahead.
-	net2 := NewNetwork(sim.NewScheduler())
-	c := net2.AddHost("c")
-	d := net2.AddHost("d")
-	net2.Connect(c, d, LinkConfig{Rate: Gbps, Delay: 0, Queue: QueueConfig{CapPackets: 8}})
-	g2 := sim.NewShardGroup(2)
-	if err := net2.Shard(g2, func(n Node) int {
-		if n.ID() == c.ID() {
-			return 0
+	}
+	wg.Wait()
+	for i, e := range batch {
+		e.net.CheckInvariants()
+		if live := e.net.LivePackets(); live != 0 {
+			t.Fatalf("shard %d: %d pooled packets leaked", i, live)
 		}
-		return 1
-	}); err == nil {
-		t.Fatal("zero-delay cut pipe not rejected")
 	}
 }

@@ -6,9 +6,8 @@ package netsim
 // a handful of RTTs, orders of magnitude below the end-host RTO floor —
 // gets a recovery signal: an ACK-shaped packet flagged RecoverySignal,
 // injected toward the sender through the normal pipes (so it shares
-// their fate under fault injection and stays shard-deterministic). The
-// tcp TRACKs recovery policy turns a valid signal into a fast
-// retransmit.
+// their fate under fault injection). The tcp TRACKs recovery policy turns
+// a valid signal into a fast retransmit.
 
 import (
 	"fmt"
@@ -58,16 +57,13 @@ type trackFlow struct {
 	signalled    bool
 }
 
-// TRACKsAgent is one switch's shim. Attach with AttachTRACKs after the
-// network is partitioned (the agent binds to the switch's shard
-// scheduler). Flows are scanned in first-seen order so signal emission
-// is deterministic.
+// TRACKsAgent is one switch's shim. Flows are scanned in first-seen order
+// so signal emission is deterministic.
 type TRACKsAgent struct {
 	net   *Network
 	sw    *Switch
 	cfg   TRACKsConfig
 	sched *sim.Scheduler
-	shard int32
 
 	flows map[FlowID]int // index into order
 	order []trackFlow
@@ -79,29 +75,22 @@ type TRACKsAgent struct {
 }
 
 // AttachTRACKs installs a T-RACKs agent on sw: a packet tap plus a
-// periodic scan on the switch's shard scheduler. Attach after
-// Network.Shard (if sharding) and before running; the scan ticks until
-// the run's horizon, so drive the simulation with RunUntil, not Run.
+// periodic scan. Attach before running; the scan ticks until the run's
+// horizon, so drive the simulation with RunUntil, not Run.
 func AttachTRACKs(n *Network, sw *Switch, cfg TRACKsConfig) (*TRACKsAgent, error) {
 	if sw == nil {
 		return nil, fmt.Errorf("netsim: T-RACKs agent needs a switch")
-	}
-	shard := n.shardOf(sw.id)
-	sched := n.sched
-	if n.group != nil {
-		sched = n.group.Shard(int(shard))
 	}
 	a := &TRACKsAgent{
 		net:   n,
 		sw:    sw,
 		cfg:   cfg.withDefaults(),
-		sched: sched,
-		shard: shard,
+		sched: n.sched,
 		flows: make(map[FlowID]int),
 	}
 	a.tickFn = a.tick
 	sw.SetTap(a.observe)
-	a.timer = sched.After(a.cfg.Period, a.tickFn)
+	a.timer = a.sched.After(a.cfg.Period, a.tickFn)
 	return a, nil
 }
 
@@ -178,7 +167,7 @@ func (a *TRACKsAgent) tick() {
 // inject crafts the recovery signal and forwards it from the switch
 // toward the flow's sender over the normal egress pipes.
 func (a *TRACKsAgent) inject(f *trackFlow, now sim.Time) {
-	pkt := a.net.allocShard(a.shard)
+	pkt := a.net.AllocPacket()
 	a.nextID++
 	// Bits 31:30 = 0b11 keep agent IDs disjoint from both endpoint
 	// counters (sender data: bit31=0, receiver ACKs: bit31=1, bit30=0).

@@ -41,7 +41,7 @@ type Job struct {
 // Config tunes a Server.
 type Config struct {
 	// Workers is the number of concurrent simulations (0 = GOMAXPROCS/2,
-	// minimum 1; each simulation may itself use Shards goroutines).
+	// minimum 1).
 	Workers int
 	// CacheDir persists results across restarts ("" = memory only).
 	CacheDir string

@@ -175,7 +175,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, body := range []string{
 		`{"runner":"nope"}`,
-		`{"runner":"fig4","shards":-1}`,
+		`{"runner":"fig4","reps":-1}`,
 		`{"runner":"fig4","bogus":true}`, // unknown fields are typos, not extensions
 		`{`,
 	} {
@@ -187,6 +187,31 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitRejectsShards: a spec has no shard count, and a body that
+// carries one is refused as an unknown field — never run with the field
+// silently dropped.
+func TestSubmitRejectsShards(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(`{"runner":"fig4","shards":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Errorf("400 body is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], `unknown field "shards"`) {
+		t.Errorf("spec with shards: status %d body %v, want 400 naming the unknown field", resp.StatusCode, body)
+	}
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	if jobs != 0 {
+		t.Errorf("job table holds %d runs after a refused submit, want 0", jobs)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestSpecValidate(t *testing.T) {
 	if err := (RunSpec{Runner: "nope"}).Validate(); err == nil {
 		t.Error("unknown runner accepted")
 	}
-	if err := (RunSpec{Runner: "fig4", Shards: -1}).Validate(); err == nil {
+	if err := (RunSpec{Runner: "fig4", Reps: -1}).Validate(); err == nil {
 		t.Error("invalid options accepted")
 	}
 }

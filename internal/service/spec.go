@@ -3,10 +3,10 @@
 // SSE, fetch byte-exact results) with a content-addressed result cache.
 //
 // The cache is sound because the simulator underneath is deterministic:
-// the same RunSpec at the same code version produces byte-identical
-// output on every machine, at any shard count, with or without a
-// Progress hook armed. A result keyed by (canonical spec, code version)
-// can therefore be replayed forever without re-simulating.
+// the same RunSpec at the same code version produces byte-identical output
+// on every machine, with or without a Progress hook armed. A result keyed
+// by (canonical spec, code version) can therefore be replayed forever
+// without re-simulating.
 package service
 
 import (
@@ -31,9 +31,6 @@ type RunSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Reps repeats randomized scenarios (0 = runner default).
 	Reps int `json:"reps,omitempty"`
-	// Shards partitions the simulated network (0/1 = sequential).
-	// Results are byte-identical at any shard count.
-	Shards int `json:"shards,omitempty"`
 	// AQM / Recovery / Fidelity name overrides, as in trimsim flags.
 	AQM      string `json:"aqm,omitempty"`
 	Recovery string `json:"recovery,omitempty"`
@@ -46,7 +43,6 @@ func (s RunSpec) Options() experiment.Options {
 	return experiment.Options{
 		Seed:     s.Seed,
 		Reps:     s.Reps,
-		Shards:   s.Shards,
 		AQM:      s.AQM,
 		Recovery: s.Recovery,
 		Fidelity: s.Fidelity,
@@ -68,9 +64,7 @@ func (s RunSpec) Validate() error {
 
 // canonical returns the spec's canonical encoding: JSON with fields in
 // struct order and zero values omitted, so two specs that mean the same
-// run encode identically. Shards is deliberately part of the key even
-// though results are shard-invariant — proving that invariance is the
-// differential tests' job, not the cache's.
+// run encode identically.
 func (s RunSpec) canonical() []byte {
 	b, err := json.Marshal(s)
 	if err != nil {

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // FIFO lanes: the scheduler's third container, next to the wheel and the
@@ -13,9 +15,11 @@ import (
 //
 // Events armed with one delay fire in arming order, because the clock
 // never goes back: at = now+d is nondecreasing, seq strictly increasing.
-// A lane is therefore a ring of {at, seq, fn} sorted by construction:
+// A lane is therefore a ring of {at, seq, fn, arg} sorted by construction:
 // arming appends, the earliest event is the head, and there is no event
-// struct, free-list traffic or slot link. An event draws its sequence
+// struct, free-list traffic or slot link. The entry carries the one
+// pointer its callback needs — a link's packet — so the ring is the wire
+// itself, not a second record of it. An event draws its sequence
 // number exactly when After would, and the run loop fires whichever of
 // {earliest lane head, wheel/overflow minimum} has the smaller (at, seq),
 // so dispatch order is bit-for-bit the wheel's; only the container differs.
@@ -28,8 +32,7 @@ import (
 // collision only postpones that: the slot's holder is replaced once
 // outnumbered, and leaves when admitted); with all maxLanes in use it takes
 // over an empty lane idle for laneIdleAfter sequence numbers. Until then
-// its events go to the wheel. Lanes are sequential-only: a sharded
-// scheduler's barrier merge renumbers armed events, so there AfterFIFO is After.
+// its events go to the wheel, through AtFIFO.
 
 const (
 	maxLanes       = 16
@@ -39,13 +42,27 @@ const (
 	laneInitCap    = 8 // power of two; rings double when full
 )
 
-// fifoToWheel makes every AfterFIFO an After; only tests set it.
-var fifoToWheel bool
+// fifoToWheel, while positive, makes every scheduler built from then on
+// serve each AfterFIFO from the wheel (see WheelOnly).
+var fifoToWheel atomic.Int32
+
+// WheelOnly runs fn with the FIFO lanes switched off: every scheduler
+// built while fn runs serves each AfterFIFO from the timing wheel, as if
+// no delay had earned a lane. Dispatch order, and so every simulated byte,
+// must not depend on the container, which makes a WheelOnly run the
+// reference the lanes are tested against, here and in the packages above.
+// It is for tests only. Calls may nest and overlap.
+func WheelOnly(fn func()) {
+	fifoToWheel.Add(1)
+	defer fifoToWheel.Add(-1)
+	fn()
+}
 
 type laneEntry struct {
 	at  Time
 	seq uint64
-	fn  func()
+	fn  func(unsafe.Pointer)
+	arg unsafe.Pointer
 }
 
 // lane is one delay's FIFO.
@@ -77,17 +94,20 @@ func candSlot(d time.Duration) int {
 	return int(uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneCandBits))
 }
 
-// AfterFIFO is After for an event nobody will cancel or re-arm: same
-// instant, same single sequence number drawn at the same moment, no Timer.
-// Recurring delays are served from a FIFO lane instead of the wheel.
-func (s *Scheduler) AfterFIFO(d time.Duration, fn func()) {
+// AfterFIFO schedules fn(arg) d after the current instant, for an event
+// nobody will cancel or re-arm: the instant and the single sequence number
+// drawn are After's, but there is no Timer. Recurring delays are served
+// from a FIFO lane instead of the wheel. Negative d is clamped to zero.
+func (s *Scheduler) AfterFIFO(d time.Duration, fn func(unsafe.Pointer), arg unsafe.Pointer) {
 	if d < 0 {
 		d = 0
 	}
 	at := s.now.Add(d)
 	l := s.laneFor(d)
 	if l == nil || at < s.now {
-		s.After(d, fn)
+		// An instant past End wraps below now, and AtFIFO drops it as
+		// After would.
+		_ = s.AtFIFO(at, fn, arg)
 		return
 	}
 	if l.n == len(l.buf) {
@@ -96,7 +116,7 @@ func (s *Scheduler) AfterFIFO(d time.Duration, fn func()) {
 		copy(buf[n:], l.buf[:l.head])
 		l.buf, l.head = buf, 0
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: at, seq: s.seq, fn: fn}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = laneEntry{at: at, seq: s.seq, fn: fn, arg: arg}
 	if l.n == 0 {
 		s.lanes.headAt[l.idx], s.lanes.headSeq[l.idx] = at, s.seq
 		s.laneMask |= 1 << uint(l.idx)
@@ -107,11 +127,27 @@ func (s *Scheduler) AfterFIFO(d time.Duration, fn func()) {
 	s.live++
 }
 
+// AtFIFO schedules fn(arg) at the absolute instant t in the timing wheel:
+// AfterFIFO's arm for what no lane serves — a delay that has not earned
+// one, an instant set by jitter or a clamp, a packet held back to be
+// reordered. The event is never cancelled or re-armed; t before the
+// current instant returns ErrPastEvent.
+func (s *Scheduler) AtFIFO(t Time, fn func(unsafe.Pointer), arg unsafe.Pointer) error {
+	if t < s.now {
+		return ErrPastEvent
+	}
+	ev := s.alloc(t, nil)
+	ev.afn, ev.arg = fn, arg
+	s.place(ev)
+	s.live++
+	return nil
+}
+
 // laneFor returns the lane serving delay d, admitting d when it has
 // recurred often enough, or nil when the event belongs in the wheel.
 func (s *Scheduler) laneFor(d time.Duration) *lane {
-	if s.group != nil || fifoToWheel {
-		s.stats.FIFOSharded++
+	if s.wheelOnly {
+		s.stats.FIFONoLane++
 		return nil
 	}
 	if s.lanes == nil {
@@ -191,11 +227,11 @@ func (s *Scheduler) next() (*lane, *event) {
 // fireLane pops l's head, advances the clock to it and runs it.
 func (s *Scheduler) fireLane(l *lane) {
 	e := &l.buf[l.head]
-	at, fn := e.at, e.fn
+	at, fn, arg := e.at, e.fn, e.arg
 	if invariantChecks.Load() {
 		s.verifyAccounting(at, e.seq)
 	}
-	e.fn = nil
+	e.fn, e.arg = nil, nil
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
 	if l.n == 0 {
@@ -208,7 +244,7 @@ func (s *Scheduler) fireLane(l *lane) {
 	s.fired++
 	s.stats.FiredLane++
 	s.live--
-	fn()
+	fn(arg)
 }
 
 // checkLanes: rings sorted and not before the clock, head-key mirrors, mask, laneLive.

@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // armFIFO arms n no-op AfterFIFO events with delay d.
 func armFIFO(s *Scheduler, d time.Duration, n int) {
 	for i := 0; i < n; i++ {
-		s.AfterFIFO(d, func() {})
+		s.AfterFIFO(d, func(unsafe.Pointer) {}, nil)
 	}
 }
 
@@ -30,7 +31,7 @@ func TestLaneAdmission(t *testing.T) {
 
 	// A one-off delay never gets a lane, however many different ones pass.
 	for i := 0; i < 1000; i++ {
-		s.AfterFIFO(time.Duration(5000+i), func() {})
+		s.AfterFIFO(time.Duration(5000+i), func(unsafe.Pointer) {}, nil)
 	}
 	if st := s.Stats(); st.Lanes != 1 || st.FIFONoLane != 1000+laneAdmitAfter-1 {
 		t.Fatalf("one-off delays: Lanes=%d FIFONoLane=%d, want 1 and %d", st.Lanes, st.FIFONoLane, 1000+laneAdmitAfter-1)
@@ -130,7 +131,7 @@ func TestLaneReclaimedForLateHotDelays(t *testing.T) {
 		s = NewScheduler()
 		arm := func(d time.Duration) {
 			id := int(s.seq)
-			s.AfterFIFO(d, func() { trace = append(trace, fired{id, s.Now()}) })
+			s.AfterFIFO(d, func(unsafe.Pointer) { trace = append(trace, fired{id, s.Now()}) }, nil)
 		}
 		for k := 0; k < maxLanes+4; k++ { // more cold delays than lanes
 			d := time.Duration(7000 + 13*k)
@@ -171,9 +172,8 @@ func TestLaneReclaimedForLateHotDelays(t *testing.T) {
 	if total := uint64(20_000 * len(hot)); st.FiredLane*100 < total*90 {
 		t.Errorf("lanes fired %d of about %d events: late delays were kept out", st.FiredLane, total)
 	}
-	fifoToWheel = true
-	want, _, _ := run()
-	fifoToWheel = false
+	var want []fired
+	WheelOnly(func() { want, _, _ = run() })
 	if len(trace) != len(want) {
 		t.Fatalf("fired %d events, the wheel alone %d", len(trace), len(want))
 	}
@@ -201,11 +201,11 @@ func TestLaneLookupByDelayOnly(t *testing.T) {
 	// armChecked arms one event and has it verify its own firing instant.
 	armChecked := func(t *testing.T, s *Scheduler, d time.Duration) {
 		want := s.Now().Add(d)
-		s.AfterFIFO(d, func() {
+		s.AfterFIFO(d, func(unsafe.Pointer) {
 			if s.Now() != want {
 				t.Errorf("delay %v fired at %v, want %v", d, s.Now(), want)
 			}
-		})
+		}, nil)
 	}
 
 	t.Run("two delays share a candidate slot", func(t *testing.T) {
@@ -280,17 +280,39 @@ func TestLaneLookupByDelayOnly(t *testing.T) {
 	})
 }
 
+// TestAfterFIFOShardedFallsBackToWheel: a scheduler built under WheelOnly
+// gives no delay a lane, however often it recurs — every AfterFIFO is a
+// wheel event fired with its own argument — and one built after
+// WheelOnly returns earns lanes again.
 func TestAfterFIFOShardedFallsBackToWheel(t *testing.T) {
-	g := NewShardGroup(1)
-	s := g.Shard(0)
-	fired := 0
-	for i := 0; i < 3*laneAdmitAfter; i++ {
-		s.AfterFIFO(time.Microsecond, func() { fired++ })
+	const n = 3 * laneAdmitAfter
+	run := func() (Stats, []int) {
+		s := NewScheduler()
+		ids := make([]int, n)
+		var got []int
+		for i := range ids {
+			ids[i] = i
+			s.AfterFIFO(time.Microsecond, func(arg unsafe.Pointer) { got = append(got, *(*int)(arg)) }, unsafe.Pointer(&ids[i]))
+		}
+		s.Run()
+		return s.Stats(), got
 	}
-	g.Run()
-	st := s.Stats()
-	if fired != 3*laneAdmitAfter || st.FiredLane != 0 || st.Lanes != 0 || st.FIFOSharded != 3*laneAdmitAfter {
-		t.Errorf("fired=%d stats=%+v: want every AfterFIFO counted as a sharded fallback", fired, st)
+	var st Stats
+	var got []int
+	WheelOnly(func() { st, got = run() })
+	if st.FiredLane != 0 || st.Lanes != 0 || st.FIFONoLane != n {
+		t.Errorf("stats %+v: want every AfterFIFO counted as a wheel fallback", st)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("event %d fired with the argument of event %d", i, id)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("fired %d of %d events", len(got), n)
+	}
+	if st, _ := run(); st.Lanes != 1 || st.FiredLane == 0 {
+		t.Errorf("after WheelOnly: stats %+v, want the delay back in a lane", st)
 	}
 }
 
@@ -304,7 +326,7 @@ func TestRunUntilStopsBetweenLaneAndWheel(t *testing.T) {
 	base := s.Now()
 
 	s.After(5*time.Microsecond, func() { got = append(got, "wheel5") })
-	s.AfterFIFO(10*time.Microsecond, func() { got = append(got, "lane10") })
+	s.AfterFIFO(10*time.Microsecond, func(unsafe.Pointer) { got = append(got, "lane10") }, nil)
 	s.After(15*time.Microsecond, func() { got = append(got, "wheel15") })
 	if s.laneLive != 1 {
 		t.Fatalf("laneLive = %d, want the 10µs event in its lane", s.laneLive)
@@ -347,7 +369,7 @@ func TestLaneSameInstantOrder(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		i := i
 		if i%2 == 0 {
-			s.AfterFIFO(d, func() { got = append(got, i) })
+			s.AfterFIFO(d, func(unsafe.Pointer) { got = append(got, i) }, nil)
 		} else {
 			s.After(d, func() { got = append(got, i) })
 		}
@@ -367,15 +389,17 @@ func TestLaneRingGrowsAndWraps(t *testing.T) {
 	s := NewScheduler()
 	const d = time.Microsecond
 	next := 0
+	// One callback for every event: each entry's argument says which it is.
+	check := func(arg unsafe.Pointer) {
+		if id := *(*uint64)(arg); int(id) != next {
+			t.Fatalf("fired seq %d, want %d", id, next)
+		}
+		next++
+	}
 	arm := func(n int) {
 		for i := 0; i < n; i++ {
 			id := s.seq
-			s.AfterFIFO(d, func() {
-				if int(id) != next {
-					t.Fatalf("fired seq %d, want %d", id, next)
-				}
-				next++
-			})
+			s.AfterFIFO(d, check, unsafe.Pointer(&id))
 		}
 	}
 	arm(laneAdmitAfter)
@@ -398,17 +422,21 @@ func TestAfterFIFOSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 1000; i++ { // standing timers in the wheel
 		s.After(time.Duration(1+i%1000)*time.Millisecond, func() {})
 	}
-	fn := func() {}
 	delays := []time.Duration{32, 320, 1200, 12_000, 10_000, 20_000}
+	var weights [6]int
+	sum := 0
+	fn := func(arg unsafe.Pointer) { sum += *(*int)(arg) }
 	for i := 0; i < 64; i++ { // admit the lanes, size the rings
-		for _, d := range delays {
-			s.AfterFIFO(d, fn)
+		for k, d := range delays {
+			weights[k] = 1 << k
+			s.AfterFIFO(d, fn, unsafe.Pointer(&weights[k]))
 		}
 	}
 	s.RunUntil(s.Now().Add(100 * time.Microsecond))
+	sum = 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		for _, d := range delays {
-			s.AfterFIFO(d, fn)
+		for k, d := range delays {
+			s.AfterFIFO(d, fn, unsafe.Pointer(&weights[k]))
 		}
 		for range delays {
 			if !s.Step() {
@@ -418,6 +446,10 @@ func TestAfterFIFOSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AfterFIFO+fire allocates %.2f allocs/op, want 0", allocs)
+	}
+	s.Run()
+	if sum != 1001*63 {
+		t.Errorf("the events' arguments sum to %d, want %d: an event ran with another's argument", sum, 1001*63)
 	}
 	if st := s.Stats(); st.Lanes != len(delays) || st.FiredLane < 6000 {
 		t.Errorf("stats %+v: want %d lanes carrying the measured events", st, len(delays))
@@ -515,35 +547,55 @@ func TestVerifyAccountingCoversLanes(t *testing.T) {
 	s.Step()
 }
 
-// TestShardMergeRewriteDropsCachedMin: shard 1 consumes three sequence
-// numbers and then posts X to shard 0 for instant T; later in the same
-// window shard 0 arms Y for T under a provisional number smaller than
-// X's definitive one. Y is the wheel's cached minimum when the barrier
-// files X and then rewrites Y's number past it, so X must fire first —
-// as it does on one core.
-func TestShardMergeRewriteDropsCachedMin(t *testing.T) {
-	const lookahead = 100 * time.Microsecond
-	run := func(a, b *Scheduler, post func(at Time, fn func()), drive func()) string {
-		var got []string
-		at := Time(4*time.Microsecond + lookahead)
-		for i := 1; i <= 3; i++ {
-			b.After(time.Duration(i)*time.Microsecond, func() { b.After(time.Second, func() {}) })
-		}
-		b.After(4*time.Microsecond, func() { post(at, func() { got = append(got, "X") }) })
-		a.After(5*time.Microsecond, func() {
-			a.After(at.Sub(a.Now()), func() { got = append(got, "Y") })
-		})
-		drive()
-		return strings.Join(got, "")
+// TestWalkFIFOVisitsEveryContainer arms argument-carrying events in a
+// lane, in the wheel (a delay without a lane, and AtFIFO) and in the
+// overflow heap: the walk visits each pending one once with its own
+// argument, and none that has fired or is a plain event.
+func TestWalkFIFOVisitsEveryContainer(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	fn := func(unsafe.Pointer) { fired++ }
+	ids := make([]int, 64)
+	next := 0
+	arm := func(arm func(arg unsafe.Pointer)) {
+		ids[next] = next
+		arm(unsafe.Pointer(&ids[next]))
+		next++
 	}
-	one := NewScheduler()
-	want := run(one, one, func(at Time, fn func()) { one.At(at, fn) }, func() { one.RunUntil(Time(time.Millisecond)) }) //nolint:errcheck // at is ahead
-	g := NewShardGroup(2)
-	g.SetLookahead(Time(lookahead))
-	g.SetParallel(false)
-	a, b := g.Shard(0), g.Shard(1)
-	got := run(a, b, func(at Time, fn func()) { b.Post(a, at, nil, fn) }, func() { g.RunUntil(Time(time.Millisecond)) })
-	if want != "XY" || got != want {
-		t.Errorf("sharded run fired %q, one core %q, want XY", got, want)
+	armFIFO(s, 1200, laneAdmitAfter) // admit the lane
+	s.Run()
+	for i := 0; i < 5; i++ {
+		arm(func(arg unsafe.Pointer) { s.AfterFIFO(1200, fn, arg) })                  // lane
+		arm(func(arg unsafe.Pointer) { s.AfterFIFO(time.Duration(7000+i), fn, arg) }) // no lane yet
+	}
+	arm(func(arg unsafe.Pointer) {
+		if err := s.AtFIFO(s.Now().Add(3*time.Microsecond), fn, arg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	arm(func(arg unsafe.Pointer) {
+		if err := s.AtFIFO(s.Now().Add(40*time.Second), fn, arg); err != nil { // overflow heap
+			t.Fatal(err)
+		}
+	})
+	s.After(time.Microsecond, func() {}) // plain: never visited
+	if err := s.AtFIFO(s.Now()-1, fn, nil); err != ErrPastEvent {
+		t.Errorf("AtFIFO in the past: err = %v, want ErrPastEvent", err)
+	}
+	walk := func() map[int]int {
+		seen := map[int]int{}
+		s.WalkFIFO(func(_ func(unsafe.Pointer), arg unsafe.Pointer) { seen[*(*int)(arg)]++ })
+		return seen
+	}
+	if seen := walk(); len(seen) != next {
+		t.Fatalf("walk saw %d distinct arguments, want %d: %v", len(seen), next, seen)
+	}
+	if st := s.Stats(); s.laneLive != 5 || s.heapLive != 1 || st.FIFONoLane == 0 {
+		t.Fatalf("lanes %d, overflow %d, stats %+v: want events in all three containers", s.laneLive, s.heapLive, st)
+	}
+	s.RunUntil(s.Now().Add(time.Millisecond))
+	seen := walk()
+	if len(seen) != 1 || seen[next-1] != 1 || fired != next-1 {
+		t.Errorf("after the near events fired (%d of them), walk saw %v; want only the far one", fired, seen)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 )
 
 // ErrPastEvent is returned when an event is scheduled before the current
@@ -27,7 +28,8 @@ const (
 	placeHeap        // referenced by an overflow-heap entry
 )
 
-// event is a scheduled callback. seq provides stable FIFO ordering among
+// event is a scheduled callback: fn, or afn(arg) for an event armed
+// through AfterFIFO or AtFIFO. seq provides stable FIFO ordering among
 // events with the same firing time so that runs are fully deterministic;
 // it is reassigned on every arming (schedule or Timer.Reset), which also
 // lets stale overflow-heap entries be recognized by seq mismatch. Events
@@ -39,6 +41,8 @@ type event struct {
 	seq   uint64
 	gen   uint64
 	fn    func()
+	afn   func(unsafe.Pointer)
+	arg   unsafe.Pointer
 	next  *event // wheel slot list links (intrusive, nil off-wheel)
 	prev  *event
 	sched *Scheduler
@@ -112,10 +116,11 @@ func (t Timer) Pending() bool {
 //
 // The pending set lives in three containers. Per-packet serialization and
 // propagation events, armed through AfterFIFO and never cancelled, sit in
-// per-delay FIFO lanes (lanes.go). Cancellable near-future events —
-// delayed ACKs, RTO and probe deadlines, jittered deliveries — hash into
-// O(1) slots of a hierarchical timing wheel (wheel.go); far-future events
-// (flap schedules, experiment end markers) go to a small 4-ary min-heap
+// per-delay FIFO lanes (lanes.go), each entry carrying its packet.
+// Near-future events — delayed ACKs, RTO and probe deadlines, jittered
+// deliveries — hash into O(1) slots of a hierarchical timing wheel
+// (wheel.go); far-future events (flap schedules, experiment end markers)
+// go to a small 4-ary min-heap
 // and migrate into the wheel as the clock approaches. The run loop fires
 // the smaller (at, seq) of the earliest lane head and the wheel/overflow
 // minimum, so dispatch order does not depend on the container. A cancelled
@@ -139,6 +144,8 @@ type Scheduler struct {
 	laneMask uint32
 	laneLive int
 	stats    Stats
+	// wheelOnly sends every AfterFIFO to the wheel (see WheelOnly).
+	wheelOnly bool
 	// Wheel synchronization keys: cascadeKey[l] tracks now>>levelShift(l)
 	// so crossing a level's slot boundary cascades that level's current
 	// slot exactly once; spanKey tracks now>>wheelSpanShift to migrate
@@ -146,52 +153,11 @@ type Scheduler struct {
 	// strict level ordering findMin relies on.
 	cascadeKey [wheelLevels]uint64
 	spanKey    uint64
-
-	// Sharding hooks (see shard.go). group is non-nil when this scheduler
-	// is one shard of a ShardGroup; shardIdx is its index there. logging
-	// is true only while a parallel window segment executes: sequence
-	// numbers handed out are then provisional, and every consumption is
-	// recorded in calls (aligned with the provisional numbering) so the
-	// barrier merge can replay the global assignment deterministically.
-	group    *ShardGroup
-	shardIdx int
-	logging  bool
-	calls    []callRec
-	execs    []execRec
-}
-
-// callRec records one sequence-number consumption during a logged window
-// segment. Record k of a segment corresponds to provisional sequence
-// base+k; the barrier merge revisits the records in merged dispatch order
-// and binds each to its definitive global sequence number.
-type callRec struct {
-	// Local arming (At/After/Reset): the event armed, and the generation
-	// it carried, so the merge can tell whether the arming still stands.
-	ev  *event
-	gen uint64
-	// Cross-shard Post: deferred until the barrier, where the payload
-	// transfer runs and the destination event is filed under its
-	// definitive sequence number.
-	post bool
-	dst  *Scheduler
-	at   Time
-	xfer func()
-	fn   func()
-}
-
-// execRec records one event dispatched during a logged window segment:
-// its firing key (at, raw seq — provisional when >= the segment base) and
-// how many callRecs its callback appended. Per-shard exec streams are in
-// dispatch order; the merge interleaves them into the global total order.
-type execRec struct {
-	at     Time
-	seq    uint64
-	nCalls int32
 }
 
 // NewScheduler returns an empty scheduler positioned at Start.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	return &Scheduler{wheelOnly: fifoToWheel.Load() > 0}
 }
 
 // Now returns the current virtual time.
@@ -208,7 +174,7 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 type Stats struct {
 	FiredLane, FiredWheel, FiredOverflow uint64 // events fired, by container
 	Lanes                                int    // lanes in use
-	FIFONoLane, FIFOSharded              uint64 // AfterFIFO calls that became After: no lane (yet) / sharded scheduler
+	FIFONoLane                           uint64 // AfterFIFO calls that went to the wheel: no lane (yet)
 	Cascades, Migrations, Rescans        uint64 // upper slots cascaded, overflow events migrated, findMin rescans
 }
 
@@ -249,31 +215,10 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 }
 
 // Stop halts the run loop after the event currently executing returns.
-// On a sharded scheduler it halts the whole group; stopping from inside a
-// parallel window segment would make the halt instant depend on goroutine
-// interleaving, so that is a programming error — stop from a sync event
-// (ShardGroup.SyncAt/SyncAfter) instead.
-func (s *Scheduler) Stop() {
-	if s.group != nil {
-		if s.logging {
-			panic("sim: Stop called from a parallel shard segment; use a ShardGroup sync event")
-		}
-		s.group.Stop()
-		return
-	}
-	s.stopped = true
-}
-
-// ShardIndex returns this scheduler's index within its ShardGroup, or 0
-// for an ungrouped scheduler.
-func (s *Scheduler) ShardIndex() int { return s.shardIdx }
-
-// Group returns the ShardGroup this scheduler belongs to, or nil.
-func (s *Scheduler) Group() *ShardGroup { return s.group }
+func (s *Scheduler) Stop() { s.stopped = true }
 
 // PeekTime returns the firing instant of the earliest pending event, or
-// End when the queue is empty. The shard group's window loop uses it as
-// the shard's horizon query; it costs one wheel findMin (cached, else
+// End when the queue is empty. It costs one wheel findMin (cached, else
 // O(occupancy of the earliest slot), see wheel.go).
 func (s *Scheduler) PeekTime() Time {
 	l, ev := s.next()
@@ -306,9 +251,6 @@ func (s *Scheduler) Step() bool {
 // executed event and t (when the horizon was reached with events pending,
 // time advances to t exactly).
 func (s *Scheduler) RunUntil(t Time) {
-	if s.group != nil {
-		panic("sim: RunUntil on a sharded scheduler; drive the ShardGroup instead")
-	}
 	if s.running {
 		return
 	}
@@ -372,8 +314,12 @@ func (s *Scheduler) dispatch(ev *event) {
 	s.advanceTo(ev.at)
 	s.fired++
 	s.live--
-	fn := ev.fn
+	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	s.release(ev)
+	if afn != nil {
+		afn(arg)
+		return
+	}
 	fn()
 }
 
@@ -458,14 +404,6 @@ func (s *Scheduler) migrateOverflow() {
 
 // alloc takes an event off the free list (or allocates one) and arms it.
 func (s *Scheduler) alloc(at Time, fn func()) *event {
-	ev := s.allocRaw(at, fn)
-	s.assignSeq(ev)
-	return ev
-}
-
-// allocRaw arms an event without assigning a sequence number; the caller
-// supplies one (assignSeq, or a definitive number at the barrier merge).
-func (s *Scheduler) allocRaw(at Time, fn func()) *event {
 	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -477,102 +415,21 @@ func (s *Scheduler) allocRaw(at Time, fn func()) *event {
 	ev.at = at
 	ev.fn = fn
 	ev.state = evScheduled
+	s.assignSeq(ev)
 	return ev
 }
 
-// assignSeq hands ev its sequence number for this arming. Ungrouped
-// schedulers draw from the local counter; a sharded scheduler draws from
-// the group's shared counter (so program-order arming during the
-// single-threaded phases numbers exactly as a single core would), except
-// during a logged window segment, where numbers are provisional local
-// ones and each consumption is recorded for the barrier merge.
+// assignSeq hands ev the next sequence number for this arming.
 func (s *Scheduler) assignSeq(ev *event) {
-	if s.logging {
-		ev.seq = s.seq
-		s.seq++
-		s.calls = append(s.calls, callRec{ev: ev, gen: ev.gen})
-		return
-	}
-	if s.group != nil {
-		ev.seq = s.group.takeSeq()
-		return
-	}
 	ev.seq = s.seq
 	s.seq++
-}
-
-// scheduleSeq files a new event under a caller-chosen sequence number
-// (the barrier merge uses it to deliver cross-shard posts under their
-// definitive global numbers).
-func (s *Scheduler) scheduleSeq(at Time, fn func(), seq uint64) {
-	if invariantChecks.Load() && at < s.now {
-		panic(fmt.Sprintf("sim: cross-shard post at %v is before destination clock %v (lookahead violated)", at, s.now))
-	}
-	ev := s.allocRaw(at, fn)
-	ev.seq = seq
-	s.place(ev)
-	s.live++
-}
-
-// rewriteSeq rebinds a still-armed event to its definitive sequence
-// number. Wheel slots are unsorted intrusive lists, so the in-place
-// rewrite is safe once the cached minimum is dropped; an event resident in
-// the overflow heap gets a fresh entry under the new key while the old one
-// goes stale by seq mismatch (heapLive counts events, not entries).
-func (s *Scheduler) rewriteSeq(ev *event, seq uint64) {
-	ev.seq = seq
-	s.wheel.min = nil
-	if ev.where == placeHeap {
-		s.overflowPush(heapEntry{at: ev.at, seq: seq, ev: ev})
-	}
-}
-
-// Post schedules fn on the destination shard dst at the absolute instant
-// at, running xfer (which may move payload between shard-local pools)
-// before fn becomes reachable by dst. Outside a logged segment it applies
-// immediately, numbering from the shared counter exactly as a single core
-// would; inside a logged segment it consumes one provisional number and
-// is deferred to the barrier, where the merge applies it in global
-// dispatch order. Conservative lookahead guarantees at is never in dst's
-// past.
-func (s *Scheduler) Post(dst *Scheduler, at Time, xfer, fn func()) {
-	if s.logging {
-		s.seq++
-		s.calls = append(s.calls, callRec{post: true, dst: dst, at: at, xfer: xfer, fn: fn})
-		return
-	}
-	if xfer != nil {
-		xfer()
-	}
-	if g := s.group; g != nil && at < g.minPost {
-		g.minPost = at
-	}
-	if _, err := dst.At(at, fn); err != nil {
-		panic(fmt.Sprintf("sim: cross-shard post at %v is before destination clock %v (lookahead violated)", at, dst.now))
-	}
-}
-
-// runSegment dispatches this shard's events with firing key strictly
-// below (limAt, limSeq), recording the exec stream for the barrier
-// merge. The caller arms logging mode and the provisional base first.
-func (s *Scheduler) runSegment(limAt Time, limSeq uint64) {
-	for {
-		ev := s.peekEvent()
-		if ev == nil || ev.at > limAt || (ev.at == limAt && ev.seq >= limSeq) {
-			return
-		}
-		at, seq := ev.at, ev.seq
-		nBefore := len(s.calls)
-		s.dispatch(ev)
-		s.execs = append(s.execs, execRec{at: at, seq: seq, nCalls: int32(len(s.calls) - nBefore)})
-	}
 }
 
 // release recycles a fired or cancelled event. Bumping gen invalidates
 // every Timer handle that still references this event.
 func (s *Scheduler) release(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.afn, ev.arg = nil, nil, nil
 	ev.state = evDone
 	ev.where = placeNone
 	s.free = append(s.free, ev)
@@ -664,6 +521,34 @@ func (s *Scheduler) CheckAccounting() {
 	if s.live != s.wheel.count+s.heapLive+s.laneLive {
 		panic(fmt.Sprintf("sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d + lanes=%d",
 			s.live, s.wheel.count, s.heapLive, s.laneLive))
+	}
+}
+
+// WalkFIFO calls visit with the callback and argument of every pending
+// event armed through AfterFIFO or AtFIFO, wherever it is stored: lanes,
+// wheel slots, the overflow heap. The order is unspecified. It is for
+// invariant checks between events, not for the hot path.
+func (s *Scheduler) WalkFIFO(visit func(fn func(unsafe.Pointer), arg unsafe.Pointer)) {
+	for i := 0; s.lanes != nil && i < s.lanes.n; i++ {
+		l := &s.lanes.lanes[i]
+		for k := 0; k < l.n; k++ {
+			e := &l.buf[(l.head+k)&(len(l.buf)-1)]
+			visit(e.fn, e.arg)
+		}
+	}
+	for l := range s.wheel.slots {
+		for _, head := range &s.wheel.slots[l] {
+			for ev := head; ev != nil; ev = ev.next {
+				if ev.afn != nil {
+					visit(ev.afn, ev.arg)
+				}
+			}
+		}
+	}
+	for _, e := range s.overflow {
+		if e.ev.seq == e.seq && e.ev.state == evScheduled && e.ev.afn != nil {
+			visit(e.ev.afn, e.ev.arg)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // Differential test: the scheduler — FIFO lanes, timing wheel and
@@ -295,16 +296,21 @@ func runDifferential(t *testing.T, data []byte) diffResult {
 	}
 	// scheduleFIFO arms one AfterFIFO event (After on the reference). Its
 	// callback re-arms the same delay chain more times — a link sending
-	// back to back — and calls Stop when stops is set.
+	// back to back — and calls Stop when stops is set. The chain's id rides
+	// as the event's argument, and the callback checks it got its own.
 	scheduleFIFO := func(d time.Duration, chain int, stops bool) {
 		base := nextID
 		nextID++
-		var wfn, rfn func()
+		var wfn func(unsafe.Pointer)
+		var rfn func()
 		wstep, rstep := 0, 0
-		wfn = func() {
+		wfn = func(arg unsafe.Pointer) {
+			if got := *(*int)(arg); got != base {
+				t.Fatalf("chain %d fired with the argument of chain %d", base, got)
+			}
 			wheelTrace = append(wheelTrace, traceEntry{base + wstep<<20, wheelSched.Now()})
 			if wstep++; wstep <= chain {
-				wheelSched.AfterFIFO(d, wfn)
+				wheelSched.AfterFIFO(d, wfn, arg)
 			}
 			if stops {
 				wheelSched.Stop()
@@ -319,7 +325,7 @@ func runDifferential(t *testing.T, data []byte) diffResult {
 				ref.stopped = true
 			}
 		}
-		wheelSched.AfterFIFO(d, wfn)
+		wheelSched.AfterFIFO(d, wfn, unsafe.Pointer(&base))
 		ref.After(d, rfn)
 	}
 
@@ -549,16 +555,15 @@ func TestSchedulerDifferentialRandom(t *testing.T) {
 }
 
 // TestSchedulerDifferentialLanes runs lane-heavy programs against the
-// reference, then once more with every AfterFIFO forced to After: trace,
+// reference, then once more with every AfterFIFO sent to the wheel: trace,
 // clock and Fired must not depend on the container.
 func TestSchedulerDifferentialLanes(t *testing.T) {
 	var laneFired uint64
 	for seed := int64(0); seed < 200; seed++ {
 		data := lanesProgram(NewRand(seed), 64+int(seed)*4)
 		lanes := runDifferential(t, data)
-		fifoToWheel = true
-		wheelOnly := runDifferential(t, data)
-		fifoToWheel = false
+		var wheelOnly diffResult
+		WheelOnly(func() { wheelOnly = runDifferential(t, data) })
 		if wheelOnly.stats.FiredLane != 0 || wheelOnly.stats.Lanes != 0 {
 			t.Fatalf("seed %d: forced-wheel run used lanes: %+v", seed, wheelOnly.stats)
 		}

@@ -1,15 +1,18 @@
 package sim
 
-// Differential determinism proof for the sharded core, in the
-// FuzzScheduler lockstep idiom: a byte stream decodes into a small
-// deterministic program over K logical shards — root events, timers,
-// cross-shard posts, sync points — which runs three ways on identical
-// input: against a single plain Scheduler (the reference semantics every
-// figure was generated with), against a ShardGroup executing segments
-// inline, and against a ShardGroup fanning segments out to goroutines.
-// Every observable — per-shard dispatch traces, per-shard work counters,
-// cross-shard transfer ledgers, sync-point global reads, fired counts,
-// shard clocks — must match bit for bit across the three runs.
+// Differential determinism proof for handoffs, in the FuzzScheduler
+// lockstep idiom: a byte stream decodes into a small deterministic program
+// over K shards — logical partitions of one scheduler's events, standing
+// for the nodes of a network — with root events, timers, handoffs from one
+// shard to another, and sync points. A handoff is how a link hands a
+// packet to the next hop: an AfterFIFO event whose argument carries the
+// payload. The program runs three ways on identical input: with every
+// handoff armed as a plain At closure (the reference semantics every
+// figure was generated with), through the scheduler's FIFO lanes, and with
+// the lanes switched off (WheelOnly), where handoffs take the wheel's
+// argument-carrying arm. Every observable — per-shard dispatch traces,
+// per-shard work counters, handoff ledgers, sync-point global reads, fired
+// counts, the clock — must match bit for bit across the three runs.
 
 import (
 	"bytes"
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // splitmix is splitmix64: a cheap, well-mixed hash for deriving
@@ -29,11 +33,12 @@ func splitmix(x uint64) uint64 {
 }
 
 const (
-	sdShards    = 4
-	sdLookahead = Time(100 * time.Microsecond)
-	sdQuantum   = Time(50 * time.Microsecond)
-	sdHorizon   = Time(40 * time.Second)
-	sdStopAt    = 600 // sync-read threshold that stops the run
+	sdShards  = 4
+	sdHop     = Time(100 * time.Microsecond) // a handoff's shortest delay
+	sdDelays  = 4                            // handoff delays: sdHop + k*sdQuantum, k < sdDelays
+	sdQuantum = Time(50 * time.Microsecond)
+	sdHorizon = Time(40 * time.Second)
+	sdStopAt  = 600 // sync-read threshold that stops the run
 )
 
 // sdEntry is one observed dispatch: which program event fired and when.
@@ -42,12 +47,18 @@ type sdEntry struct {
 	at Time
 }
 
-// sdEnv hosts one run of the differential program. For the reference
-// run, every logical shard maps to the same plain Scheduler; for the
-// sharded runs each maps to its ShardGroup shard.
+// sdHandoff is the payload a handoff carries to its target shard.
+type sdHandoff struct {
+	target int
+	id     uint64
+	depth  int
+}
+
+// sdEnv hosts one run of the differential program.
 type sdEnv struct {
-	scheds [sdShards]*Scheduler
-	group  *ShardGroup
+	sched *Scheduler
+	fifo  bool // handoffs through AfterFIFO; else At closures
+	recv  func(unsafe.Pointer)
 
 	counters [sdShards]int64
 	xferred  [sdShards]int64
@@ -56,70 +67,51 @@ type sdEnv struct {
 	syncLog  []string
 }
 
-func newRefEnv() *sdEnv {
-	e := &sdEnv{}
-	s := NewScheduler()
-	for i := range e.scheds {
-		e.scheds[i] = s
-	}
-	return e
-}
-
-func newShardEnv(parallel bool) *sdEnv {
-	e := &sdEnv{group: NewShardGroup(sdShards)}
-	e.group.SetLookahead(sdLookahead)
-	e.group.SetParallel(parallel)
-	for i := range e.scheds {
-		e.scheds[i] = e.group.Shard(i)
-	}
-	return e
-}
-
-func (e *sdEnv) run() {
-	if e.group != nil {
-		e.group.RunUntil(sdHorizon)
-		return
-	}
-	e.scheds[0].RunUntil(sdHorizon)
-}
-
-func (e *sdEnv) fired() uint64 {
-	if e.group != nil {
-		return e.group.Fired()
-	}
-	return e.scheds[0].Fired()
-}
-
-func (e *sdEnv) stop() {
-	if e.group != nil {
-		e.group.Stop()
-		return
-	}
-	e.scheds[0].Stop()
-}
-
-// post hands an event across logical shards: immediately on the
-// reference scheduler (matching Post's shared-mode semantics), via the
-// PDES handoff on a sharded run.
-func (e *sdEnv) post(from, to int, at Time, xfer, fn func()) {
-	s, d := e.scheds[from], e.scheds[to]
-	if s == d {
-		if xfer != nil {
-			xfer()
+// newSDEnv returns an environment whose links are warm: each handoff delay
+// has carried laneAdmitAfter empty events before the program starts, so a
+// program's first handoffs already meet their lanes.
+func newSDEnv(fifo bool) *sdEnv {
+	e := &sdEnv{sched: NewScheduler(), fifo: fifo}
+	e.recv = e.receive
+	for k := Time(0); k < sdDelays; k++ {
+		d := (sdHop + k*sdQuantum).Duration()
+		for i := 0; i < laneAdmitAfter; i++ {
+			if fifo {
+				e.sched.AfterFIFO(d, func(unsafe.Pointer) {}, nil)
+			} else {
+				e.sched.After(d, func() {})
+			}
 		}
-		d.At(at, fn) //nolint:errcheck // at is never in the past here
+	}
+	return e
+}
+
+func (e *sdEnv) run() { e.sched.RunUntil(sdHorizon) }
+
+// post hands an event to shard to, d from now.
+func (e *sdEnv) post(to int, d time.Duration, id uint64, depth int) {
+	h := &sdHandoff{target: to, id: id, depth: depth}
+	if e.fifo {
+		e.sched.AfterFIFO(d, e.recv, unsafe.Pointer(h))
 		return
 	}
-	s.Post(d, at, xfer, fn)
+	e.sched.At(e.sched.Now().Add(d), func() { e.receive(unsafe.Pointer(h)) }) //nolint:errcheck // d is never negative
+}
+
+// receive books a handoff on its target shard and runs the event it carries.
+func (e *sdEnv) receive(arg unsafe.Pointer) {
+	h := (*sdHandoff)(arg)
+	e.xferred[h.target]++
+	e.fire(h.target, h.id, h.depth)()
 }
 
 // fire is the program's event body: do work, observe, and — salt-driven
 // — spawn same-shard children (quantized deltas, so distinct shards
 // collide on identical instants and exercise the global tie-break),
-// cross-shard posts one lookahead or more out, and timer manipulations.
+// handoffs one hop or more out, and timer manipulations.
 func (e *sdEnv) fire(shard int, id uint64, depth int) func() {
 	return func() {
-		s := e.scheds[shard]
+		s := e.sched
 		e.counters[shard]++
 		e.traces[shard] = append(e.traces[shard], sdEntry{id: id, at: s.Now()})
 		if depth <= 0 {
@@ -131,14 +123,11 @@ func (e *sdEnv) fire(shard int, id uint64, depth int) func() {
 			h = splitmix(h + uint64(k))
 			target := int(h>>4) % sdShards
 			childID := id*7 + uint64(k) + 1
-			child := e.fire(target, childID, depth-1)
 			if target == shard {
 				delta := Time((h>>12)%8) * sdQuantum
-				s.At(s.Now()+delta, child) //nolint:errcheck
+				s.At(s.Now()+delta, e.fire(target, childID, depth-1)) //nolint:errcheck
 			} else {
-				at := s.Now() + sdLookahead + Time((h>>12)%4)*sdQuantum
-				tgt := target
-				e.post(shard, target, at, func() { e.xferred[tgt]++ }, child)
+				e.post(target, (sdHop + Time((h>>12)%sdDelays)*sdQuantum).Duration(), childID, depth-1)
 			}
 		}
 		// Shard-local timer surgery: reset pushes a pending timer out
@@ -168,34 +157,29 @@ func (e *sdEnv) buildProgram(data []byte) {
 		switch b0 % 8 {
 		case 6: // far root: beyond the wheel span, lands in the overflow heap
 			far := Time(20*time.Second) + Time(b2)*sdQuantum
-			e.scheds[shard].At(far, e.fire(shard, id, int(b3%3))) //nolint:errcheck
+			e.sched.At(far, e.fire(shard, id, int(b3%3))) //nolint:errcheck
 		case 5: // timer: fires as a plain observed event unless stopped
-			tm := e.scheds[shard].After(at.Duration(), e.fire(shard, id, 0))
+			tm := e.sched.After(at.Duration(), e.fire(shard, id, 0))
 			e.timers[shard] = append(e.timers[shard], tm)
 		case 4: // sync point: exact global read, stop past the threshold
-			e.syncAt(shard, at+sdQuantum/2, id)
+			e.syncAt(at+sdQuantum/2, id)
 		default: // near root
-			e.scheds[shard].At(at, e.fire(shard, id, int(b3%4))) //nolint:errcheck
+			e.sched.At(at, e.fire(shard, id, int(b3%4))) //nolint:errcheck
 		}
 	}
 }
 
-func (e *sdEnv) syncAt(shard int, at Time, id uint64) {
-	fn := func() {
+func (e *sdEnv) syncAt(at Time, id uint64) {
+	e.sched.At(at, func() { //nolint:errcheck
 		var sum int64
 		for i := range e.counters {
 			sum += e.counters[i] + e.xferred[i]
 		}
 		e.syncLog = append(e.syncLog, fmt.Sprintf("%d@%v=%d", id, at, sum))
 		if sum > sdStopAt {
-			e.stop()
+			e.sched.Stop()
 		}
-	}
-	if e.group != nil {
-		e.group.SyncAt(e.scheds[shard], at, fn) //nolint:errcheck
-	} else {
-		e.scheds[shard].At(at, fn) //nolint:errcheck
-	}
+	})
 }
 
 // diff compares every observable of two runs, returning a description
@@ -216,9 +200,9 @@ func (e *sdEnv) diff(o *sdEnv) string {
 				return fmt.Sprintf("shard %d trace[%d] %+v != %+v", i, j, e.traces[i][j], o.traces[i][j])
 			}
 		}
-		if e.scheds[i].Now() != o.scheds[i].Now() {
-			return fmt.Sprintf("shard %d clock %v != %v", i, e.scheds[i].Now(), o.scheds[i].Now())
-		}
+	}
+	if e.sched.Now() != o.sched.Now() {
+		return fmt.Sprintf("clock %v != %v", e.sched.Now(), o.sched.Now())
 	}
 	if len(e.syncLog) != len(o.syncLog) {
 		return fmt.Sprintf("sync log length %d != %d", len(e.syncLog), len(o.syncLog))
@@ -228,36 +212,40 @@ func (e *sdEnv) diff(o *sdEnv) string {
 			return fmt.Sprintf("sync log[%d] %q != %q", i, e.syncLog[i], o.syncLog[i])
 		}
 	}
-	if e.fired() != o.fired() {
-		return fmt.Sprintf("fired %d != %d", e.fired(), o.fired())
+	if e.sched.Fired() != o.sched.Fired() {
+		return fmt.Sprintf("fired %d != %d", e.sched.Fired(), o.sched.Fired())
 	}
 	return ""
 }
 
-// runShardDifferential drives the three runs and asserts bit-identical
-// observables.
-func runShardDifferential(t *testing.T, data []byte) {
+// runShardDifferential drives the three runs, asserts bit-identical
+// observables, and returns how many events the lanes fired.
+func runShardDifferential(t *testing.T, data []byte) uint64 {
 	t.Helper()
-	ref := newRefEnv()
-	ref.buildProgram(data)
-	ref.run()
-
-	seq := newShardEnv(false)
-	seq.buildProgram(data)
-	seq.run()
-	if d := ref.diff(seq); d != "" {
-		t.Fatalf("sharded (inline) run diverged from single-core: %s", d)
+	run := func(fifo bool) *sdEnv {
+		e := newSDEnv(fifo)
+		e.buildProgram(data)
+		e.run()
+		return e
 	}
-
-	par := newShardEnv(true)
-	par.buildProgram(data)
-	par.run()
-	if d := ref.diff(par); d != "" {
-		t.Fatalf("sharded (parallel) run diverged from single-core: %s", d)
+	ref := run(false)
+	lanes := run(true)
+	if d := ref.diff(lanes); d != "" {
+		t.Fatalf("handoffs through the lanes diverged from At closures: %s", d)
 	}
+	var wheel *sdEnv
+	WheelOnly(func() { wheel = run(true) })
+	if d := ref.diff(wheel); d != "" {
+		t.Fatalf("handoffs through the wheel diverged from At closures: %s", d)
+	}
+	if st := wheel.sched.Stats(); st.FiredLane != 0 || st.Lanes != 0 {
+		t.Fatalf("wheel-only run used lanes: %+v", st)
+	}
+	return lanes.sched.Stats().FiredLane
 }
 
 func TestShardDifferentialRandom(t *testing.T) {
+	var laneFired uint64
 	for seed := uint64(0); seed < 300; seed++ {
 		data := make([]byte, 64)
 		x := splitmix(seed * 11)
@@ -266,8 +254,11 @@ func TestShardDifferentialRandom(t *testing.T) {
 			data[i] = byte(x)
 		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runShardDifferential(t, data)
+			laneFired += runShardDifferential(t, data)
 		})
+	}
+	if laneFired == 0 {
+		t.Error("no handoff ever rode a lane: the programs never exercised the lane path")
 	}
 }
 
@@ -286,9 +277,9 @@ func TestShardDifferentialInvariants(t *testing.T) {
 	}
 }
 
-// FuzzShardHandoff is the committed-corpus fuzz target for the
-// shard-boundary handoff: the fuzzer explores program shapes, the
-// lockstep oracle rejects any interleaving-visible divergence.
+// FuzzShardHandoff is the committed-corpus fuzz target for handoffs: the
+// fuzzer explores program shapes, the lockstep oracle rejects any
+// container-visible divergence.
 func FuzzShardHandoff(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3})
 	f.Add([]byte{0, 1, 4, 3, 1, 2, 4, 3, 4, 0, 8, 0})
@@ -305,9 +296,9 @@ func FuzzShardHandoff(f *testing.F) {
 	})
 }
 
-// TestShardSoloEquivalence pins the solo fast path: a group whose
-// traffic lives on one shard must execute exactly like a plain
-// scheduler, including timer surgery and horizon handling.
+// TestShardSoloEquivalence pins a program whose roots all live on one
+// shard — its handoffs still leave it — including timer surgery and
+// horizon handling.
 func TestShardSoloEquivalence(t *testing.T) {
 	data := []byte{
 		0, 0, 3, 3, 5, 0, 7, 0, 0, 0, 9, 2,
@@ -316,22 +307,95 @@ func TestShardSoloEquivalence(t *testing.T) {
 	runShardDifferential(t, data)
 }
 
-func TestShardGroupValidation(t *testing.T) {
-	g := NewShardGroup(2)
-	func() {
+// pingPong builds the handoff hot-path workload on s: two shards, each
+// re-arming a local ticker every 700ns that hands a payload to the other
+// shard one hop (1µs) ahead through AfterFIFO. Returns per-destination
+// delivery counters, which are the payloads themselves.
+func pingPong(s *Scheduler) *[2]uint64 {
+	var delivered [2]uint64
+	recv := func(arg unsafe.Pointer) { *(*uint64)(arg)++ }
+	for i := 0; i < 2; i++ {
+		payload := unsafe.Pointer(&delivered[1-i])
+		var tick func()
+		tick = func() {
+			s.AfterFIFO(time.Microsecond, recv, payload)
+			s.After(700*time.Nanosecond, tick)
+		}
+		// Staggered starts so the two tickers never share an instant.
+		s.After(time.Duration(100+i*50)*time.Nanosecond, tick)
+	}
+	return &delivered
+}
+
+// TestCrossShardHandoffZeroAlloc pins the handoff path at zero allocations
+// in steady state: lane entries carry the payload in place, and ticks come
+// off the event free list. A regression here multiplies across every
+// packet on every hop. inline drives one scheduler on the test goroutine;
+// parallel drives two, each from its own goroutine, as the experiment
+// layer's trial workers drive theirs.
+func TestCrossShardHandoffZeroAlloc(t *testing.T) {
+	check := func(t *testing.T, s *Scheduler, delivered *[2]uint64, allocs float64) {
+		t.Helper()
+		if delivered[0] == 0 || delivered[1] == 0 {
+			t.Fatalf("workload did not hand off both ways: delivered=%v", *delivered)
+		}
+		if st := s.Stats(); st.Lanes != 1 || st.FiredLane == 0 {
+			t.Fatalf("stats %+v: want the handoffs in one lane", st)
+		}
+		if allocs != 0 {
+			t.Errorf("handoff allocates %.2f allocs/op, want 0", allocs)
+		}
+	}
+	t.Run("inline", func(t *testing.T) {
+		s := NewScheduler()
+		delivered := pingPong(s)
+		end := Time(200_000)
+		s.RunUntil(end) // warm: sizes the lane ring and the free list
+		allocs := testing.AllocsPerRun(100, func() {
+			end += 7_000 // ten ticks per shard, twenty handoffs
+			s.RunUntil(end)
+		})
+		check(t, s, delivered, allocs)
+	})
+	t.Run("parallel", func(t *testing.T) {
+		const workers = 2
+		var scheds [workers]*Scheduler
+		var delivered [workers]*[2]uint64
+		start := make([]chan struct{}, workers)
+		done := make(chan struct{})
+		for w := range scheds {
+			scheds[w] = NewScheduler()
+			delivered[w] = pingPong(scheds[w])
+			start[w] = make(chan struct{})
+			go func(s *Scheduler, start <-chan struct{}) {
+				end := Time(200_000)
+				s.RunUntil(end)
+				done <- struct{}{}
+				for range start {
+					end += 7_000
+					s.RunUntil(end)
+					done <- struct{}{}
+				}
+			}(scheds[w], start[w])
+		}
 		defer func() {
-			if recover() == nil {
-				t.Fatal("SetLookahead(0) did not panic")
+			for _, c := range start {
+				close(c)
 			}
 		}()
-		g.SetLookahead(0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("RunUntil on a shard scheduler did not panic")
+		for range scheds {
+			<-done // warm
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, c := range start {
+				c <- struct{}{}
 			}
-		}()
-		g.Shard(0).RunUntil(End)
-	}()
+			for range start {
+				<-done
+			}
+		})
+		for w := range scheds {
+			check(t, scheds[w], delivered[w], allocs)
+		}
+	})
 }

@@ -34,8 +34,8 @@ import "math/bits"
 //     bit-for-bit.
 //
 // findMin's answer is cached for the whole wheel: insert keeps it current
-// with one comparison; only removing the cached event or rewriting a
-// sequence number in place makes the next peek rescan. With per-packet
+// with one comparison; only removing the cached event makes the next peek
+// rescan. With per-packet
 // events in lanes the earliest slot is usually a level-1 slot of hundreds of
 // RTO timers, and the run loop peeks once per fired event (EXPERIMENTS.md).
 //

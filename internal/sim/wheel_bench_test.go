@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // BenchmarkSchedulerWheel measures the scheduler's hot operations —
@@ -65,17 +66,17 @@ func BenchmarkSchedulerWheel(b *testing.B) {
 			b.Run(sizeLabel("AfterFIFO/ScheduleFire/lanes="+itoa(len(delays)), live), func(b *testing.B) {
 				s := NewScheduler()
 				population(s)
-				fn := func() {}
+				fn := func(unsafe.Pointer) {}
 				// A hop's worth of events per lane stays in flight.
 				for i := 0; i < 16*len(delays); i++ {
-					s.AfterFIFO(delays[i%len(delays)], fn)
+					s.AfterFIFO(delays[i%len(delays)], fn, nil)
 					if i%2 == 1 {
 						s.Step()
 					}
 				}
 				i := 0
 				cycle := func() {
-					s.AfterFIFO(delays[i%len(delays)], fn)
+					s.AfterFIFO(delays[i%len(delays)], fn, nil)
 					s.Step()
 					i++
 				}

@@ -8,8 +8,8 @@ import (
 // connHot is the per-connection hot state: the sequence pointers, the
 // congestion window, and the RTT estimator — the fields every ACK and
 // every send touch. It is exactly one 64-byte cache line, so an arena
-// slab packs the hot lines of co-sharded connections contiguously while
-// the cold remainder of Conn stays behind the pointer.
+// slab packs the hot lines of its connections contiguously while the cold
+// remainder of Conn stays behind the pointer.
 type connHot struct {
 	sndUna  int64
 	sndNxt  int64
@@ -28,15 +28,14 @@ type connHot struct {
 const arenaSlabSize = 1024
 
 // Arena is a slab allocator for connection hot state and a free list of
-// whole connection shells, one per shard. Freed slots and shells are
+// whole connection shells. Freed slots and shells are
 // recycled LIFO, keeping the working set of a materialize/detach churn
 // (the hybrid-fidelity fleet's steady state) inside a few hot cache
 // lines, and its garbage at zero, regardless of how many connections
 // have ever existed. It also lists which of its connections ran since
 // anyone last asked (DrainTouched), so that whoever demotes quiescent
 // connections looks at those and not at every live one. Not safe for
-// concurrent use: an arena belongs to one shard and is only touched from
-// that shard's event context or from a sync (quiesced) section.
+// concurrent use.
 type Arena struct {
 	slabs [][]connHot
 	free  []int32
@@ -47,8 +46,8 @@ type Arena struct {
 	// trains/sacked/ooo slices. Each waits with hot == nil, so a stale
 	// reference faults until NewConn hands the shell out again.
 	shells []*Conn
-	// touched holds each connection whose sender side ran an entry point
-	// (see Conn.touchSnd) since the last DrainTouched, once.
+	// touched holds each connection that ran an entry point (see
+	// Conn.touch) since the last DrainTouched, once.
 	touched []*Conn
 }
 
@@ -131,29 +130,28 @@ func (a *Arena) shell() *Conn {
 	return c
 }
 
-// noteTouched is the slow half of Conn.touchSnd.
+// noteTouched is the slow half of Conn.touch.
 //
 //go:noinline
 func (a *Arena) noteTouched(c *Conn) {
-	c.sndTouched = true
+	c.touched = true
 	a.touched = append(a.touched, c)
 }
 
-// DrainTouched hands visit every connection of this arena whose sender
-// side has run since the previous call — it was created, given a train,
-// received an ACK, or had a retransmission or policy timer fire — and
-// forgets them. A connection's receiver side reports to the receiving
-// Stack instead (Stack.DrainTouched), because under a sharded network it
-// runs on another shard. A connection can only have become Quiescent
-// inside one of those entry points, so between two drains every
-// connection that turned quiescent is on one of the two lists. A listed
-// connection may have been detached since it was touched; visit must
-// tell (the caller knows which connections it holds). visit may Detach
-// but must not otherwise drive a connection. Call from a sync section.
+// DrainTouched hands visit every connection of this arena that has run
+// since the previous call — it was created, given a train, received an
+// ACK or a data segment, or had a retransmission, delayed-ACK or policy
+// timer fire — and forgets them. A connection can only have become
+// Quiescent inside one of those entry points, so between two drains every
+// connection that turned quiescent is on the list. A listed connection
+// may have been detached since it was touched; visit must tell (the
+// caller knows which connections it holds). visit may Detach but must not
+// otherwise drive a connection. Call from an event of your own, never from
+// inside one of a connection's.
 func (a *Arena) DrainTouched(visit func(*Conn)) {
 	for i, c := range a.touched {
 		a.touched[i] = nil
-		c.sndTouched = false
+		c.touched = false
 		visit(c)
 	}
 	a.touched = a.touched[:0]

@@ -83,9 +83,9 @@ type Config struct {
 	// it on. The deviation is catalogued in DESIGN.md §7.
 	ArmRTOOnLoneTail bool
 	// Arena, when non-nil, places the connection's hot state (sequence
-	// pointers, window, RTT estimator) in the given shard-local arena
-	// instead of a standalone allocation, keeping co-sharded connections'
-	// hot lines contiguous, and takes the Conn itself from the arena's
+	// pointers, window, RTT estimator) in the given arena instead of a
+	// standalone allocation, keeping its connections' hot lines
+	// contiguous, and takes the Conn itself from the arena's
 	// free list of detached shells. Detach returns both, after which the
 	// *Conn may come back from a later NewConn as another flow.
 	Arena *Arena
@@ -157,14 +157,9 @@ type interval struct{ start, end int64 }
 // Conn is one simulated TCP connection. It holds both the sender and the
 // receiver endpoint state; the simulation has a global view, so splitting
 // them into separate objects would only add plumbing. Not safe for
-// concurrent use by arbitrary callers; under a sharded network the
-// sender-side methods run on the sender host's shard and the
-// receiver-side ones (handleData through sendAck) on the receiver's,
-// which touch disjoint fields — sched/rsched keep each side's timers on
-// its own shard, and the packet-ID counters are split per side.
+// concurrent use.
 type Conn struct {
-	sched    *sim.Scheduler // sender host's scheduler
-	rsched   *sim.Scheduler // receiver host's scheduler (delayed-ACK timer)
+	sched    *sim.Scheduler
 	cfg      Config
 	cc       CongestionControl
 	recovery RecoveryPolicy
@@ -172,8 +167,8 @@ type Conn struct {
 
 	// hot is the connection's hot state — sequence pointers, congestion
 	// window, and the RTT estimator — split out of the struct so arenas
-	// can pack co-sharded connections' hot lines contiguously (cold state
-	// stays behind this index). Standalone when cfg.Arena is nil.
+	// can pack connections' hot lines contiguously (cold state stays
+	// behind this index). Standalone when cfg.Arena is nil.
 	hot     *connHot
 	arena   *Arena
 	slot    int32
@@ -186,10 +181,9 @@ type Conn struct {
 	suspended bool
 	bonus     int
 	sending   bool // re-entrancy guard for trySend
-	// sndTouched and rcvTouched say that the connection is already on its
-	// arena's, respectively its receiving stack's, touched list (see
-	// touchSnd). Each is written from its own side's shard only.
-	sndTouched bool
+	// touched says that the connection is already on its arena's touched
+	// list (see touch).
+	touched bool
 
 	hasSent    bool
 	lastSendAt sim.Time
@@ -226,7 +220,6 @@ type Conn struct {
 	// lastTouched is the ooo range most recently created or extended;
 	// it is always advertised first (RFC 2018 behaviour).
 	lastTouched interval
-	rcvTouched  bool // see sndTouched
 	// Delayed-ACK state (only used when cfg.DelayedAck > 0).
 	ackPending   bool
 	pendingEcho  sim.Time
@@ -291,7 +284,6 @@ func NewConn(cfg Config) (*Conn, error) {
 		c.slot = -1
 	}
 	c.sched = cfg.Sender.host.Scheduler()
-	c.rsched = cfg.Receiver.host.Scheduler()
 	c.cfg = cfg
 	c.cc = cfg.CC
 	c.recovery = cfg.Recovery
@@ -313,33 +305,24 @@ func NewConn(cfg Config) (*Conn, error) {
 	}
 	c.recovery.attach(c)
 	c.cc.Attach(c)
-	c.touchSnd() // born quiescent: whoever sweeps must hear of it once
+	c.touch() // born quiescent: whoever sweeps must hear of it once
 	return c, nil
 }
 
-// touchSnd puts an arena-built connection on its arena's touched list
-// unless it is there already. Every sender-side scheduler entry point
-// calls it first: SendTrain, an arriving ACK, the RTO, a recovery
-// policy's timers, and the Control methods that arm a timer (After) or
-// change what Quiescent reads (Suspend, Resume, AllowBeyondWindow),
-// which is how a congestion-control policy's own timer acts. A
-// connection can only turn Quiescent inside such an entry point (or a
-// receiver-side one, see touchRcv), so Arena.DrainTouched finds every
-// newly quiescent connection without looking at the others. Connections
-// without an arena (packet fidelity) pay the one branch; the appends are
-// kept out of line so that is all the entry points grow by.
-func (c *Conn) touchSnd() {
-	if c.arena != nil && !c.sndTouched {
+// touch puts an arena-built connection on its arena's touched list unless
+// it is there already. Every scheduler entry point calls it first:
+// SendTrain, an arriving ACK or data segment, the RTO and delayed-ACK
+// timers, a recovery policy's timers, and the Control methods that arm a
+// timer (After) or change what Quiescent reads (Suspend, Resume,
+// AllowBeyondWindow), which is how a congestion-control policy's own
+// timer acts. A connection can only turn Quiescent inside such an entry
+// point, so Arena.DrainTouched finds every newly quiescent connection
+// without looking at the others. Connections without an arena (packet
+// fidelity) pay the one branch; the append is kept out of line so that is
+// all the entry points grow by.
+func (c *Conn) touch() {
+	if c.arena != nil && !c.touched {
 		c.arena.noteTouched(c)
-	}
-}
-
-// touchRcv is touchSnd for the receiver-side entry points (arriving
-// data, the delayed-ACK timer). Those run on the receiving host's shard,
-// so the list is the receiving stack's and not the arena's.
-func (c *Conn) touchRcv() {
-	if c.arena != nil && !c.rcvTouched {
-		c.cfg.Receiver.noteTouched(c)
 	}
 }
 
@@ -356,10 +339,7 @@ func (c *Conn) releaseHot() {
 	}
 }
 
-// Scheduler returns the scheduler driving the sender side of this
-// connection — the sender host's shard under a partitioned network. The
-// application layer must schedule train releases on it so they run on
-// the shard that owns the connection's sender state.
+// Scheduler returns the scheduler driving this connection.
 func (c *Conn) Scheduler() *sim.Scheduler { return c.sched }
 
 // Flow returns the connection's flow id.
@@ -379,7 +359,7 @@ func (c *Conn) Stats() Stats { return c.stats }
 // when the sender receives the cumulative ACK covering the train's last
 // byte.
 func (c *Conn) SendTrain(size int, done func(TrainResult)) {
-	c.touchSnd()
+	c.touch()
 	if size <= 0 {
 		if done != nil {
 			now := c.sched.Now()
@@ -407,7 +387,7 @@ func (c *Conn) Now() sim.Time { return c.sched.Now() }
 
 // After implements Control.
 func (c *Conn) After(d time.Duration, fn func()) sim.Timer {
-	c.touchSnd()
+	c.touch()
 	return c.sched.After(d, fn)
 }
 
@@ -466,13 +446,13 @@ func (c *Conn) SRTT() time.Duration { return c.hot.srtt }
 
 // Suspend implements Control.
 func (c *Conn) Suspend() {
-	c.touchSnd()
+	c.touch()
 	c.suspended = true
 }
 
 // Resume implements Control.
 func (c *Conn) Resume() {
-	c.touchSnd()
+	c.touch()
 	if !c.suspended {
 		return
 	}
@@ -482,7 +462,7 @@ func (c *Conn) Resume() {
 
 // AllowBeyondWindow implements Control.
 func (c *Conn) AllowBeyondWindow(n int) {
-	c.touchSnd()
+	c.touch()
 	if n < 0 {
 		n = 0
 	}
@@ -688,9 +668,8 @@ func (c *Conn) nextPktID() uint64 {
 	return uint64(c.cfg.Flow)<<32 | c.nextPkt
 }
 
-// nextAckID numbers receiver-originated packets from a counter the
-// sender side never touches (the two endpoints may live on different
-// shards); bit 31 keeps the two ID spaces disjoint.
+// nextAckID numbers receiver-originated packets from a counter of their
+// own; bit 31 keeps the two ID spaces disjoint.
 func (c *Conn) nextAckID() uint64 {
 	c.nextAck++
 	return uint64(c.cfg.Flow)<<32 | 1<<31 | c.nextAck
@@ -713,7 +692,7 @@ func (c *Conn) observe(kind EventKind, seq, ack int64) {
 
 // handleAck processes an ACK arriving at the sender.
 func (c *Conn) handleAck(pkt *netsim.Packet) {
-	c.touchSnd()
+	c.touch()
 	if pkt.RecoverySignal {
 		// Switch-assisted recovery signal (netsim.TRACKsAgent): not a
 		// receiver ACK — no RTT sample, no window-edge bookkeeping. The
@@ -1025,7 +1004,7 @@ func (c *Conn) armRTO() {
 }
 
 func (c *Conn) onRTO() {
-	c.touchSnd()
+	c.touch()
 	c.rtoTimer = sim.Timer{}
 	if c.hot.sndUna == c.hot.sndNxt {
 		return
@@ -1067,7 +1046,7 @@ func (c *Conn) onRTO() {
 // deadline, while out-of-order arrivals, duplicates, and CE transitions
 // flush immediately.
 func (c *Conn) handleData(pkt *netsim.Packet) {
-	c.touchRcv()
+	c.touch()
 	seq, end := pkt.Seq, pkt.Seq+int64(pkt.Payload)
 	if pkt.Retransmit {
 		// Spurious-retransmission accounting (counter only): the resend
@@ -1120,13 +1099,13 @@ func (c *Conn) handleData(pkt *netsim.Packet) {
 	c.pendingCE = pkt.CE
 	c.pendingProbe = pkt.Probe
 	if !c.ackTimer.Reset(c.cfg.DelayedAck) {
-		c.ackTimer = c.rsched.After(c.cfg.DelayedAck, c.ackFlushFn)
+		c.ackTimer = c.sched.After(c.cfg.DelayedAck, c.ackFlushFn)
 	}
 }
 
 // flushPendingAck emits a deferred ACK, if any.
 func (c *Conn) flushPendingAck() {
-	c.touchRcv()
+	c.touch()
 	if !c.ackPending {
 		return
 	}

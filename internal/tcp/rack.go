@@ -365,7 +365,7 @@ func (p *RACKTLP) repair(s *rackSeg) {
 }
 
 func (p *RACKTLP) onReorderTimer() {
-	p.c.touchSnd()
+	p.c.touch()
 	p.timer = sim.Timer{}
 	p.detectLosses(p.c.sched.Now())
 }
@@ -410,7 +410,7 @@ func (p *RACKTLP) armPTO(idle bool) {
 // segment to provoke an ACK (or SACK) that RACK detection can work with.
 // The RTO stays armed underneath — a lost probe still ends in a timeout.
 func (p *RACKTLP) onPTO() {
-	p.c.touchSnd()
+	p.c.touch()
 	p.ptoTmr = sim.Timer{}
 	c := p.c
 	if c.hot.sndUna == c.hot.sndNxt || c.inRecovery || p.tlpOut {

@@ -15,9 +15,6 @@ type Stack struct {
 	send  flowTable
 	recv  flowTable
 	stray int
-	// touched holds each arena-built connection whose receiver side, which
-	// lives on this stack, ran since the last DrainTouched, once.
-	touched []*Conn
 }
 
 // NewStack attaches a transport stack to host.
@@ -32,27 +29,6 @@ func NewStack(net *netsim.Network, host *netsim.Host) *Stack {
 
 // Host returns the underlying host.
 func (s *Stack) Host() *netsim.Host { return s.host }
-
-// noteTouched is the slow half of Conn.touchRcv.
-//
-//go:noinline
-func (s *Stack) noteTouched(c *Conn) {
-	c.rcvTouched = true
-	s.touched = append(s.touched, c)
-}
-
-// DrainTouched is Arena.DrainTouched for the other half of a connection:
-// it visits, and forgets, the arena-built connections received on this
-// stack whose receiver side ran — data arrived or the delayed-ACK timer
-// fired — since the previous call. Call from a sync section.
-func (s *Stack) DrainTouched(visit func(*Conn)) {
-	for i, c := range s.touched {
-		s.touched[i] = nil
-		c.rcvTouched = false
-		visit(c)
-	}
-	s.touched = s.touched[:0]
-}
 
 // StrayPackets returns the number of packets received with no matching
 // connection (useful for catching wiring mistakes in experiments).
@@ -111,7 +87,7 @@ const maxDenseFlowSpan = 1 << 22
 // a base-offset slice — dispatch, the hottest per-packet path on
 // front-end hosts, replaces a map lookup with an index. Ids far outside
 // the dense span fall back to a spill map; lookups stay correct either
-// way. A Stack is owned by one shard, so the table needs no locking.
+// way.
 type flowTable struct {
 	base  netsim.FlowID
 	dense []*Conn

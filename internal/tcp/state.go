@@ -85,7 +85,7 @@ func (c *Conn) Quiescent() bool {
 // may only turn quiescent inside a connection event or in a timer
 // callback of its own that also calls Suspend, Resume, AllowBeyondWindow
 // or After on its Control: those are what tells an arena-built
-// connection's owner to look at it again (Conn.touchSnd).
+// connection's owner to look at it again (Conn.touch).
 type Quiescer interface {
 	Quiescent() bool
 }
