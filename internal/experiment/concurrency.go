@@ -130,8 +130,7 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 			return nil, err
 		}
 		// The measured SPT burst at 0.3 s.
-		sptServer := httpapp.NewServer(fleet.Conns[i].Scheduler(), fleet.Conns[i], concSPTLabel, spt)
-		if err := sptServer.ScheduleResponse(sim.At(concSPTStart), concSPTPackets*tcp.DefaultMSS); err != nil {
+		if err := fleet.Servers[i].ScheduleResponseAs(sim.At(concSPTStart), concSPTPackets*tcp.DefaultMSS, concSPTLabel, spt); err != nil {
 			return nil, err
 		}
 	}

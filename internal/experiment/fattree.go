@@ -176,8 +176,7 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTre
 		// (release at 0.5 s → last byte ACKed) is the tail-defining
 		// sample. done tracks big objects so the run can stop early.
 		remainder := ftTotalBytes - sent
-		big := httpapp.NewServer(conn.Scheduler(), conn, "big", bigC)
-		if err := big.ScheduleResponse(sim.At(ftBigStart), remainder); err != nil {
+		if err := srv.ScheduleResponseAs(sim.At(ftBigStart), remainder, "big", bigC); err != nil {
 			return nil, err
 		}
 	}

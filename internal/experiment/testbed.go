@@ -128,7 +128,6 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCT
 	// released a think-time after the previous completes. When the chain
 	// finishes it raises done, and a watch ends the run.
 	responses := &httpapp.Collector{}
-	srv := httpapp.NewServer(fleet.Conns[2].Scheduler(), fleet.Conns[2], "responses", responses)
 	sizes := workload.JitteredSize{Mean: meanBytes, Jitter: 0.1}
 	csched := fleet.Conns[2].Scheduler()
 	var sendNext func()
@@ -159,7 +158,6 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCT
 	if _, err := sched.At(sim.At(100*time.Millisecond), watch); err != nil {
 		return nil, err
 	}
-	_ = srv
 	if err := env.runUntil(sim.At(10 * time.Minute)); err != nil { // bounded by the done watch
 		return nil, err
 	}

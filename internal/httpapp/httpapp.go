@@ -122,12 +122,116 @@ type Server struct {
 	conn      *tcp.Conn
 	label     string
 	collector *Collector
+
+	rq     *releaseQueue         // shared by a Fleet's servers; a standalone server's own, made on first use
+	idx    int32                 // position in rq.servers
+	sink   int32                 // label and collector in rq.sinks; noSink until first used
+	doneFn func(tcp.TrainResult) // s.done, bound once
+	// Sinks of the responses in flight, in release order: the connection
+	// completes its trains in the order they were appended.
+	inFlight []int32
+	head     int
 }
 
 // NewServer wraps conn, whose releases sched (conn.Scheduler()) runs;
 // completions are reported to collector under label.
 func NewServer(sched *sim.Scheduler, conn *tcp.Conn, label string, collector *Collector) *Server {
-	return &Server{sched: sched, conn: conn, label: label, collector: collector}
+	s := &Server{sched: sched, conn: conn, label: label, collector: collector, sink: noSink}
+	s.doneFn = s.done
+	return s
+}
+
+// release is a response waiting for its instant in a releaseQueue: which
+// server sends it, where its completion is reported, its size. No
+// pointers, so a fleet's waiting responses are never scanned by the
+// collector.
+type release struct {
+	server int32
+	sink   int32 // index into releaseQueue.sinks, or unreported
+	bytes  int
+}
+
+const (
+	noSink     = int32(-1) // Server.sink not yet interned
+	unreported = int32(-2) // a background flow: completion goes nowhere
+)
+
+// sink is where a response's completion is recorded.
+type sink struct {
+	label string
+	coll  *Collector
+}
+
+// releaseQueue holds every response its servers have scheduled and not yet
+// released, as values in one sim.Releases heap.
+type releaseQueue struct {
+	q       *sim.Releases[release]
+	servers []*Server
+	sinks   []sink
+	sinkIdx map[sink]int32
+}
+
+func newReleaseQueue(sched *sim.Scheduler) *releaseQueue {
+	rq := &releaseQueue{sinkIdx: make(map[sink]int32)}
+	rq.q = sim.NewReleases(sched, rq.fire)
+	return rq
+}
+
+// add makes srv one of rq's servers.
+func (rq *releaseQueue) add(srv *Server) {
+	srv.rq, srv.idx = rq, int32(len(rq.servers))
+	rq.servers = append(rq.servers, srv)
+}
+
+// intern returns the index of (label, coll) in the sink table.
+func (rq *releaseQueue) intern(label string, coll *Collector) int32 {
+	k := sink{label, coll}
+	i, ok := rq.sinkIdx[k]
+	if !ok {
+		i = int32(len(rq.sinks))
+		rq.sinks = append(rq.sinks, k)
+		rq.sinkIdx[k] = i
+	}
+	return i
+}
+
+// fire releases r: it appends the train to its server's connection.
+func (rq *releaseQueue) fire(r release) {
+	srv := rq.servers[r.server]
+	switch {
+	case r.sink == unreported:
+		srv.conn.SendTrain(r.bytes, nil)
+	case r.bytes <= 0:
+		// SendTrain completes an empty train on the spot.
+		srv.conn.SendTrain(r.bytes, nil)
+		now := srv.sched.Now()
+		rq.record(r.sink, tcp.TrainResult{Released: now, Completed: now, Bytes: r.bytes})
+	default:
+		srv.inFlight = append(srv.inFlight, r.sink)
+		srv.conn.SendTrain(r.bytes, srv.doneFn)
+	}
+}
+
+func (rq *releaseQueue) record(i int32, res tcp.TrainResult) {
+	k := rq.sinks[i]
+	k.coll.Record(k.label, res.Bytes, res)
+}
+
+// done reports the completion of the oldest response in flight.
+func (s *Server) done(res tcp.TrainResult) {
+	i := s.inFlight[s.head]
+	if s.head++; s.head == len(s.inFlight) {
+		s.inFlight, s.head = s.inFlight[:0], 0
+	}
+	s.rq.record(i, res)
+}
+
+// queue returns the server's release queue, making a standalone server's.
+func (s *Server) queue() *releaseQueue {
+	if s.rq == nil {
+		newReleaseQueue(s.sched).add(s)
+	}
+	return s.rq
 }
 
 // Conn returns the underlying connection.
@@ -139,14 +243,24 @@ func (s *Server) Label() string { return s.label }
 // ScheduleResponse releases a response of the given size at the given
 // instant.
 func (s *Server) ScheduleResponse(at sim.Time, bytes int) error {
-	s.collector.NoteScheduled()
-	_, err := s.sched.At(at, func() {
-		s.conn.SendTrain(bytes, func(res tcp.TrainResult) {
-			s.collector.Record(s.label, bytes, res)
-		})
-	})
-	if err != nil {
-		s.collector.scheduled--
+	rq := s.queue()
+	if s.sink == noSink {
+		s.sink = rq.intern(s.label, s.collector)
+	}
+	return s.schedule(at, bytes, s.sink)
+}
+
+// ScheduleResponseAs is ScheduleResponse reporting the completion to coll
+// under label instead of the server's own.
+func (s *Server) ScheduleResponseAs(at sim.Time, bytes int, label string, coll *Collector) error {
+	return s.schedule(at, bytes, s.queue().intern(label, coll))
+}
+
+func (s *Server) schedule(at sim.Time, bytes int, sink int32) error {
+	k := s.rq.sinks[sink]
+	k.coll.NoteScheduled()
+	if err := s.rq.q.Push(at, release{server: s.idx, sink: sink, bytes: bytes}); err != nil {
+		k.coll.scheduled--
 		return fmt.Errorf("schedule response at %v: %w", at, err)
 	}
 	return nil
@@ -154,6 +268,7 @@ func (s *Server) ScheduleResponse(at sim.Time, bytes int) error {
 
 // ScheduleTrains releases a whole workload schedule.
 func (s *Server) ScheduleTrains(trains []workload.Train) error {
+	s.queue().q.Grow(len(trains))
 	for _, tr := range trains {
 		if err := s.ScheduleResponse(tr.At, tr.Bytes); err != nil {
 			return err
@@ -166,8 +281,7 @@ func (s *Server) ScheduleTrains(trains []workload.Train) error {
 // instant: the paper's "LPTs running throughout the test". Its completion
 // is not reported to the collector; measure it by throughput instead.
 func (s *Server) StartBackgroundFlow(at sim.Time, bytes int) error {
-	_, err := s.sched.At(at, func() { s.conn.SendTrain(bytes, nil) })
-	if err != nil {
+	if err := s.queue().q.Push(at, release{server: s.idx, sink: unreported, bytes: bytes}); err != nil {
 		return fmt.Errorf("schedule background flow at %v: %w", at, err)
 	}
 	return nil
@@ -245,6 +359,7 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 		Collector: &Collector{},
 		frontEnd:  tcp.NewStack(net, cfg.FrontEnd),
 	}
+	rq := newReleaseQueue(cfg.FrontEnd.Scheduler())
 	per := cfg.ConnsPerSender
 	if per <= 0 {
 		per = 1
@@ -269,7 +384,9 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 			}
 			f.Conns = append(f.Conns, conn)
 			label := fmt.Sprintf("%s%d", cfg.LabelPrefix, i+1)
-			f.Servers = append(f.Servers, NewServer(conn.Scheduler(), conn, label, f.Collector))
+			srv := NewServer(conn.Scheduler(), conn, label, f.Collector)
+			rq.add(srv)
+			f.Servers = append(f.Servers, srv)
 			i++
 		}
 	}

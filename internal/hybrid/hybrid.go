@@ -383,9 +383,7 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 		return err
 	}
 	if f.pkt != nil {
-		conn := f.pkt.Conns[i]
-		srv := httpapp.NewServer(conn.Scheduler(), conn, label, coll)
-		return srv.ScheduleResponse(at, bytes)
+		return f.pkt.Servers[i].ScheduleResponseAs(at, bytes, label, coll)
 	}
 	if f.armed {
 		return fmt.Errorf("hybrid: schedule after Arm")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tcptrim/internal/httpapp"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
@@ -328,4 +329,48 @@ func FuzzHybridFleetLockstep(f *testing.F) {
 			t.Errorf("seed %d: %d conns still live", seed, hyb.Live())
 		}
 	})
+}
+
+// TestPacketResponsesAsShareServers pins the packet path of
+// ScheduleResponseAs to the fleet's own servers: a response with its own
+// label and collector joins the fleet's release queue instead of wrapping
+// the connection in a new server, so scheduling allocates only the queue's
+// amortized growth, and each completion lands under its own label.
+func TestPacketResponsesAsShareServers(t *testing.T) {
+	const n = 1000
+	fleet, sched := buildFleet(t, 2, 1, tcp.Config{}, FidelityPacket, 0)
+	coll := &httpapp.Collector{}
+	next := 0
+	schedule := func() {
+		for k := 0; k < n; k++ {
+			at := sim.At(time.Duration(1+next) * 100 * time.Microsecond)
+			label := "even"
+			if next%2 == 1 {
+				label = "odd"
+			}
+			if err := fleet.ScheduleResponseAs(next%2, at, tcp.DefaultMSS, label, coll); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, schedule); allocs > n/100 && !raceEnabled {
+		t.Errorf("scheduling %d responses allocates %.0f times, want at most %d", n, allocs, n/100)
+	}
+	if err := fleet.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	sched.RunUntil(sim.At(time.Second))
+	rs := coll.Responses()
+	if len(rs) != next || coll.Pending() != 0 {
+		t.Fatalf("%d completions, %d pending; want %d and 0", len(rs), coll.Pending(), next)
+	}
+	for _, r := range rs {
+		if want := []string{"even", "odd"}[int(r.Released.Sub(sim.Start)/(100*time.Microsecond)-1)%2]; r.Label != want {
+			t.Fatalf("response released at %v recorded under %q, want %q", r.Released, r.Label, want)
+		}
+	}
+	if len(fleet.Collector().Responses()) != 0 {
+		t.Error("responses with their own collector reached the fleet's")
+	}
 }

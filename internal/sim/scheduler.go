@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 	"unsafe"
 )
@@ -139,6 +140,11 @@ type Scheduler struct {
 	heapLive int // armed events currently resident in the overflow heap
 	free     []*event
 
+	// Release queues (releases.go): queued counts their values waiting
+	// behind each queue's armed minimum, so live stays every pending callback.
+	releases []releaseChecker
+	queued   int
+
 	// FIFO lanes: laneMask bit i says lanes.lanes[i] holds events; laneLive counts them all.
 	lanes    *laneSet
 	laneMask uint32
@@ -164,7 +170,8 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of live pending events: scheduled callbacks that
-// have neither fired nor been cancelled.
+// have neither fired nor been cancelled, a value waiting in a Releases
+// queue included.
 func (s *Scheduler) Len() int { return s.live }
 
 // Fired returns the total number of events executed so far.
@@ -404,19 +411,23 @@ func (s *Scheduler) migrateOverflow() {
 
 // alloc takes an event off the free list (or allocates one) and arms it.
 func (s *Scheduler) alloc(at Time, fn func()) *event {
-	var ev *event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		ev = &event{sched: s}
-	}
+	ev := s.newEvent()
 	ev.at = at
 	ev.fn = fn
 	ev.state = evScheduled
 	s.assignSeq(ev)
 	return ev
+}
+
+// newEvent takes an event off the free list, or allocates one.
+func (s *Scheduler) newEvent() *event {
+	if n := len(s.free); n > 0 {
+		ev := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return ev
+	}
+	return &event{sched: s}
 }
 
 // assignSeq hands ev the next sequence number for this arming.
@@ -437,26 +448,28 @@ func (s *Scheduler) release(ev *event) {
 
 // verifyAccounting runs the per-event invariant assertions on the event
 // about to fire: the clock never goes backwards, and the live-event
-// accounting covers wheel slots, the overflow heap and the lanes exactly.
+// accounting covers wheel slots, the overflow heap, the lanes and the
+// values queued unarmed in release queues exactly.
 func (s *Scheduler) verifyAccounting(at Time, seq uint64) {
 	if at < s.now {
 		panic(fmt.Sprintf(
-			"sim: time went backwards: event seq=%d at=%v fired at now=%v (wheel=%d overflow=%d lanes=%d live=%d fired=%d)",
-			seq, at, s.now, s.wheel.count, s.heapLive, s.laneLive, s.live, s.fired))
+			"sim: time went backwards: event seq=%d at=%v fired at now=%v (wheel=%d overflow=%d lanes=%d queued=%d live=%d fired=%d)",
+			seq, at, s.now, s.wheel.count, s.heapLive, s.laneLive, s.queued, s.live, s.fired))
 	}
-	if s.live != s.wheel.count+s.heapLive+s.laneLive {
+	if s.live != s.wheel.count+s.heapLive+s.laneLive+s.queued {
 		panic(fmt.Sprintf(
-			"sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d + lanes=%d at now=%v",
-			s.live, s.wheel.count, s.heapLive, s.laneLive, s.now))
+			"sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d + lanes=%d + queued=%d at now=%v",
+			s.live, s.wheel.count, s.heapLive, s.laneLive, s.queued, s.now))
 	}
 }
 
 // CheckAccounting walks the wheel slots (by bitmap word: lists are followed
-// only under set bits), the overflow heap and the lanes and verifies the
-// scheduler's structural invariants: occupancy bitmaps match slot lists,
-// every armed event is addressed where its bookkeeping says, nothing is
-// scheduled before the clock or the cached wheel minimum, lanes are sorted,
-// and the live count equals the events actually stored. It panics with a
+// only under set bits), the overflow heap, the lanes and the release queues
+// and verifies the scheduler's structural invariants: occupancy bitmaps
+// match slot lists, every armed event is addressed where its bookkeeping
+// says, nothing is scheduled before the clock or the cached wheel minimum,
+// lanes are sorted, each release queue's armed event is its heap minimum,
+// and the live count equals the events and queued values actually stored. It panics with a
 // diagnostic on violation. Like netsim's packet-conservation checker it must
 // run between events; the chaos harness schedules it when checks are armed.
 func (s *Scheduler) CheckAccounting() {
@@ -518,16 +531,27 @@ func (s *Scheduler) CheckAccounting() {
 			inHeap, s.heapLive))
 	}
 	s.checkLanes()
-	if s.live != s.wheel.count+s.heapLive+s.laneLive {
-		panic(fmt.Sprintf("sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d + lanes=%d",
-			s.live, s.wheel.count, s.heapLive, s.laneLive))
+	queued := 0
+	for _, q := range s.releases {
+		queued += q.checkReleases()
+	}
+	if queued != s.queued {
+		panic(fmt.Sprintf("sim: release queue count drift: %d values wait unarmed, queued says %d", queued, s.queued))
+	}
+	if s.live != s.wheel.count+s.heapLive+s.laneLive+s.queued {
+		panic(fmt.Sprintf("sim: live-event accounting drift: live=%d but wheel=%d + overflow=%d + lanes=%d + queued=%d",
+			s.live, s.wheel.count, s.heapLive, s.laneLive, s.queued))
 	}
 }
 
 // WalkFIFO calls visit with the callback and argument of every pending
 // event armed through AfterFIFO or AtFIFO, wherever it is stored: lanes,
-// wheel slots, the overflow heap. The order is unspecified. It is for
-// invariant checks between events, not for the hot path.
+// wheel slots, the overflow heap. A Releases queue's armed minimum is such
+// an event too, visited with the queue's own callback and the queue as its
+// argument (the values behind it are not visited). The order is
+// unspecified. It is for invariant checks between events, not for the hot
+// path. Wheel slots are found through the occupancy bitmaps, which
+// CheckAccounting verifies against the slot lists.
 func (s *Scheduler) WalkFIFO(visit func(fn func(unsafe.Pointer), arg unsafe.Pointer)) {
 	for i := 0; s.lanes != nil && i < s.lanes.n; i++ {
 		l := &s.lanes.lanes[i]
@@ -536,11 +560,13 @@ func (s *Scheduler) WalkFIFO(visit func(fn func(unsafe.Pointer), arg unsafe.Poin
 			visit(e.fn, e.arg)
 		}
 	}
-	for l := range s.wheel.slots {
-		for _, head := range &s.wheel.slots[l] {
-			for ev := head; ev != nil; ev = ev.next {
-				if ev.afn != nil {
-					visit(ev.afn, ev.arg)
+	for l := range s.wheel.occ {
+		for wi, word := range s.wheel.occ[l] {
+			for ; word != 0; word &= word - 1 {
+				for ev := s.wheel.slots[l][wi<<6+bits.TrailingZeros64(word)]; ev != nil; ev = ev.next {
+					if ev.afn != nil {
+						visit(ev.afn, ev.arg)
+					}
 				}
 			}
 		}
