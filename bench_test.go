@@ -348,9 +348,9 @@ func BenchmarkAQMSweepSmokeWarm(b *testing.B) {
 
 // BenchmarkWarmSweepPass re-runs the four sweeps of the repo benchmark's
 // cache_warm workload (recoverysweep, resilience, resilience under red and
-// favour: 72 cells) against a warm memory store and renders their tables:
-// one op is one pass, nothing simulates, so ns/op and allocs/op are the
-// whole read side — key, memory-tier hit, row copy, Table.Write.
+// favour: 72 cells) against a warm memory store: one op is one pass,
+// nothing simulates, and each run is one whole-run hit written as stored,
+// so ns/op and allocs/op are the read side of experiment.Run.
 func BenchmarkWarmSweepPass(b *testing.B) {
 	store := cellcache.NewMemory()
 	pass := func() {
@@ -373,7 +373,7 @@ func BenchmarkWarmSweepPass(b *testing.B) {
 	if store.Misses() != 0 {
 		b.Fatalf("warm passes simulated %d cells", store.Misses())
 	}
-	b.ReportMetric(float64(store.Hits())/float64(b.N), "cells-cached")
+	b.ReportMetric(float64(store.Runs().Hits)/float64(b.N), "runs-stored")
 }
 
 // BenchmarkEq22KSweep regenerates the Section III.B threshold guideline

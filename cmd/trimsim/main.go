@@ -45,8 +45,8 @@ func run(args []string) error {
 			strings.Join(tcp.RecoveryNames(), ", ")+"; default: each scenario's classic)")
 		fidSel = fs.String("fidelity", "", "connection simulation fidelity for fig4/fig6/fig8/fig8million ("+
 			strings.Join(hybrid.Names(), ", ")+"; default: packet, except fig8million which defaults to hybrid)")
-		cacheDir = fs.String("cache", "", "cell-result cache directory: sweep cells already computed "+
-			"(by any prior trimsim or trimsvc run at this code version) are reassembled instead of re-simulated")
+		cacheDir = fs.String("cache", "", "result store directory, shared with trimsvc -cache: a run already stored "+
+			"at this code version is printed whole, and sweep cells already computed are reassembled instead of re-simulated")
 		cacheForce = fs.Bool("cache-force", false, "allow -cache without a VCS-stamped build (unsound across differing dev builds)")
 	)
 	if err := fs.Parse(args); err != nil {

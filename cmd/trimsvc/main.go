@@ -1,6 +1,6 @@
 // Command trimsvc serves the experiment service: a REST control plane
 // over the same runner registry trimsim uses, with live SSE metric
-// streams and a content-addressed result cache.
+// streams and the content-addressed store trimsim -cache uses.
 //
 //	trimsvc -addr :8089 &
 //	curl -s localhost:8089/v1/runners | jq '.runners[].id'
@@ -10,7 +10,8 @@
 //
 // SIGINT/SIGTERM drain the service: in-flight runs get -drain to finish
 // (canceled at the next sweep-cell boundary past it), SSE clients see a
-// terminal event, and the cache index is persisted.
+// terminal event. The store needs no flush: each entry is written when
+// it is made.
 package main
 
 import (
@@ -39,14 +40,14 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("trimsvc", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8089", "listen address")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS/2)")
-	cacheDir := fs.String("cache", "", "persist results under this directory (default: in-memory only)")
+	cacheDir := fs.String("cache", "", "persist whole runs and sweep cells under this directory, shared with trimsim -cache (default: in-memory only)")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown grace for in-flight runs")
 	force := fs.Bool("cache-force", false, "allow -cache without a VCS-stamped build (unsound across differing dev builds)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	version := service.CodeVersion()
+	version := cellcache.CodeVersion()
 	if *cacheDir != "" {
 		if err := cellcache.ValidatePersistent(version, *force); err != nil {
 			return err

@@ -12,17 +12,21 @@
 // floats, full-precision integers), so a row decoded from the cache
 // renders byte-identically to one just computed.
 //
-// The same store backs both the batch path (trimsim -cache) and the
-// experiment service (trimsvc), whose run-level cache becomes a
-// composition of cell hits on a warm store.
+// Beside cells the store keeps whole runs' rendered output (GetRun), in
+// the same LRU and directory under the same key function; Hits/Misses
+// count cells only. The store backs both trimsim -cache and trimsvc: a
+// run or a cell either one computed is a hit for the other.
 package cellcache
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,14 +114,16 @@ func ValidatePersistent(codeVersion string, force bool) error {
 // store is persistent). It counts payload bytes only: the decoded row an
 // entry may carry (see Cell) is no larger and leaves with it. Cell payloads
 // are small JSON rows — a few hundred bytes to a few hundred KB for
-// series-bearing results — so the default holds every sweep in the repo.
+// series-bearing results — and a run's output is its printed tables, so
+// the default holds every sweep in the repo.
 const DefaultMemLimit = 64 << 20
 
 // Store is a two-tier content-addressed store: an in-memory LRU over
-// JSON payloads, optionally backed by a directory where every payload is
-// written as it arrives (named by its key, atomically renamed into
-// place, so a crash never leaves a torn result). All methods are safe
-// for concurrent use — sweep cells resolve from parallel trial workers.
+// cell JSON payloads and run outputs, optionally backed by a directory
+// where every payload is written as it arrives (named by its key,
+// atomically renamed into place, so a crash never leaves a torn result).
+// All methods are safe for concurrent use — sweep cells resolve from
+// parallel trial workers.
 type Store struct {
 	mu      sync.Mutex
 	dir     string // "" = memory only
@@ -125,12 +131,14 @@ type Store struct {
 	memUsed int64
 	lru     *list.List // front = most recently used
 	mem     map[string]*list.Element
-	// keys remembers Key for the specs Cell resolved: a warm cell is hashed
-	// once, not per hit. Each slot is evicted with the entry it names.
+	// keys remembers Key for the specs Cell and the run kind resolved: a
+	// warm entry is hashed once, not per hit. Each slot is evicted with the
+	// entry it names.
 	keys map[specID]string
+	runs int // run entries among mem
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits, misses       atomic.Int64
+	runHits, runMisses atomic.Int64
 }
 
 // lruEntry is one in-memory payload and, once Cell has seen it, the row it
@@ -141,6 +149,7 @@ type lruEntry struct {
 	payload []byte
 	value   any
 	id      specID // its slot in Store.keys; zero = none
+	run     bool   // a whole run's output, not a cell
 }
 
 // specID is a comparable cell spec with its code version, as a map key.
@@ -183,63 +192,90 @@ func (s *Store) SetMemLimit(bytes int64) {
 // Dir returns the persistence directory ("" for memory-only stores).
 func (s *Store) Dir() string { return s.dir }
 
-// path is the on-disk location of one cell payload.
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key+".cell")
+// path is the on-disk location of one entry: ext is ".cell" or ".run".
+func (s *Store) path(key, ext string) string {
+	return filepath.Join(s.dir, key+ext)
 }
 
 // Get returns the payload cached under key, if any, and counts the
 // lookup as a hit or a miss. Callers must not mutate the returned slice.
 func (s *Store) Get(key string) ([]byte, bool) {
-	payload, _, ok := s.get(key)
+	payload, _, ok := s.get(key, specID{}, false)
 	return payload, ok
 }
 
-// get is Get plus the decoded row riding in the memory entry, if any.
-func (s *Store) get(key string) ([]byte, any, bool) {
+// get looks key up as a cell or, with run set, as a whole run: in memory,
+// else on disk, counting the lookup against that kind. It is Get plus the
+// decoded row riding in the memory entry, if any; id is the memo slot a
+// disk hit takes.
+func (s *Store) get(key string, id specID, run bool) ([]byte, any, bool) {
+	hits, misses := &s.hits, &s.misses
+	if run {
+		hits, misses = &s.runHits, &s.runMisses
+	}
 	s.mu.Lock()
-	if el, ok := s.mem[key]; ok {
+	if el, ok := s.mem[key]; ok && el.Value.(*lruEntry).run == run {
 		s.lru.MoveToFront(el)
 		e := el.Value.(*lruEntry)
 		payload, value := e.payload, e.value
 		s.mu.Unlock()
-		s.hits.Add(1)
+		hits.Add(1)
 		return payload, value, true
 	}
 	s.mu.Unlock()
-	if s.dir != "" {
-		if payload, err := os.ReadFile(s.path(key)); err == nil {
-			s.mu.Lock()
-			s.insertLocked(key, payload, nil, specID{})
-			s.mu.Unlock()
-			s.hits.Add(1)
-			return payload, nil, true
-		}
+	if payload, ok := s.read(key, run); ok {
+		s.mu.Lock()
+		s.insertLocked(key, payload, nil, id, run)
+		s.mu.Unlock()
+		hits.Add(1)
+		return payload, nil, true
 	}
-	s.misses.Add(1)
+	misses.Add(1)
 	return nil, nil, false
+}
+
+// read returns an entry's payload from disk: a cell file as it is, a run
+// file only when its frame matches its key and contents.
+func (s *Store) read(key string, run bool) ([]byte, bool) {
+	if s.dir == "" {
+		return nil, false
+	}
+	if !run {
+		payload, err := os.ReadFile(s.path(key, ".cell"))
+		return payload, err == nil
+	}
+	b, _ := os.ReadFile(s.path(key, ".run"))
+	if len(b) < runHeader || !bytes.Equal(b[:runHeader], runFrame(key, b[runHeader:])) {
+		return nil, false
+	}
+	return b[runHeader:], true
 }
 
 // Put stores a payload under key: into the memory tier, and — for
 // persistent stores — onto disk immediately (tmp file renamed into
 // place, so concurrent readers never observe a torn write).
 func (s *Store) Put(key string, payload []byte) error {
-	return s.put(key, payload, nil, specID{})
+	return s.put(key, payload, nil, specID{}, false)
 }
 
-// put is Put plus the row the payload decodes to and the spec it answers.
-func (s *Store) put(key string, payload []byte, value any, id specID) error {
+// put is Put plus the row the payload decodes to, the spec it answers and
+// its kind: a run goes to disk framed, as <key>.run.
+func (s *Store) put(key string, payload []byte, value any, id specID, run bool) error {
 	s.mu.Lock()
-	s.insertLocked(key, payload, value, id)
+	s.insertLocked(key, payload, value, id, run)
 	s.mu.Unlock()
 	if s.dir == "" {
 		return nil
 	}
-	tmp := s.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, payload, 0o644); err != nil {
+	path, data := s.path(key, ".cell"), payload
+	if run {
+		path, data = s.path(key, ".run"), append(runFrame(key, payload), payload...)
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("cellcache: write: %w", err)
 	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("cellcache: write: %w", err)
 	}
 	return nil
@@ -247,7 +283,7 @@ func (s *Store) put(key string, payload []byte, value any, id specID) error {
 
 // insertLocked adds or refreshes a memory-tier entry and evicts down to
 // the budget. Caller holds s.mu.
-func (s *Store) insertLocked(key string, payload []byte, value any, id specID) {
+func (s *Store) insertLocked(key string, payload []byte, value any, id specID, run bool) {
 	el, ok := s.mem[key]
 	if !ok {
 		el = s.lru.PushFront(&lruEntry{key: key})
@@ -255,7 +291,12 @@ func (s *Store) insertLocked(key string, payload []byte, value any, id specID) {
 	}
 	e := el.Value.(*lruEntry)
 	s.memUsed += int64(len(payload)) - int64(len(e.payload))
-	e.payload, e.value = payload, value
+	if run && !e.run {
+		s.runs++
+	} else if e.run && !run {
+		s.runs--
+	}
+	e.payload, e.value, e.run = payload, value, run
 	s.lru.MoveToFront(el)
 	if id.spec != nil && id != e.id {
 		delete(s.keys, e.id) // two specs with one encoding: the entry keeps the latest
@@ -277,18 +318,22 @@ func (s *Store) evictLocked() {
 		delete(s.mem, e.key)
 		delete(s.keys, e.id)
 		s.memUsed -= int64(len(e.payload))
+		if e.run {
+			s.runs--
+		}
 	}
 }
 
-// Len reports how many payloads the memory tier currently holds.
+// Len reports how many cell payloads the memory tier currently holds.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.mem)
+	return len(s.mem) - s.runs
 }
 
 // Hits returns how many Gets found a payload. On a warm sweep re-run
-// this equals the number of cells reassembled from cache.
+// this equals the number of cells reassembled from cache. Run lookups
+// are not counted (see Runs).
 func (s *Store) Hits() int64 { return s.hits.Load() }
 
 // Misses returns how many Gets came up empty. On a warm sweep re-run
@@ -296,10 +341,76 @@ func (s *Store) Hits() int64 { return s.hits.Load() }
 // only-changed-cells assertions in the tests and /v1/stats both read it.
 func (s *Store) Misses() int64 { return s.misses.Load() }
 
-// ResetStats zeroes the hit/miss counters (payloads are kept).
+// ResetStats zeroes the hit/miss counters of both kinds (payloads are
+// kept).
 func (s *Store) ResetStats() {
 	s.hits.Store(0)
 	s.misses.Store(0)
+	s.runHits.Store(0)
+	s.runMisses.Store(0)
+}
+
+// RunStats counts the run kind apart from the cells: GetRun lookups that
+// found an entry and that found none, and run entries in the memory tier.
+type RunStats struct {
+	Hits, Misses int64
+	Held         int
+}
+
+// Runs returns the run kind's counters.
+func (s *Store) Runs() RunStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return RunStats{s.runHits.Load(), s.runMisses.Load(), s.runs}
+}
+
+// A run file is runFrame(key, output) followed by output: a magic, the
+// output's length and a CRC-32C over key and output, so a torn,
+// truncated, renamed or foreign file reads as a miss.
+const (
+	runMagic  = "TRUN"
+	runHeader = len(runMagic) + 8 + 4
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func runFrame(key string, output []byte) []byte {
+	h := binary.LittleEndian.AppendUint64([]byte(runMagic), uint64(len(output)))
+	sum := crc32.Update(crc32.Checksum([]byte(key), castagnoli), castagnoli, output)
+	return binary.LittleEndian.AppendUint32(h, sum)
+}
+
+// GetRun returns the output stored for a whole run — spec names the
+// runner and its options — if any. A memory-tier hit hands out the
+// stored slice itself: callers must not modify it.
+func (s *Store) GetRun(spec any, codeVersion string) ([]byte, bool) {
+	key, id := s.key(spec, codeVersion)
+	output, _, ok := s.get(key, id, true)
+	return output, ok
+}
+
+// PutRun stores a whole run's output under its spec: into the memory
+// tier, and for persistent stores into a framed <key>.run file. The store
+// keeps output; callers must not modify it afterwards.
+func (s *Store) PutRun(spec any, codeVersion string, output []byte) error {
+	key, id := s.key(spec, codeVersion)
+	return s.put(key, output, nil, id, true)
+}
+
+// key returns Key(spec, codeVersion), from the memo when the spec was
+// resolved before, and the memo slot a comparable spec takes.
+func (s *Store) key(spec any, codeVersion string) (string, specID) {
+	var id specID
+	if t := reflect.TypeOf(spec); t != nil && t.Comparable() {
+		id = specID{spec, codeVersion}
+	}
+	s.mu.Lock()
+	key, ok := s.keys[id]
+	s.mu.Unlock()
+	if !ok {
+		key = Key(spec, codeVersion)
+	}
+	return key, id
 }
 
 // Cell resolves one cell through the store: a hit returns the cached row
@@ -313,17 +424,8 @@ func (s *Store) ResetStats() {
 // decides: any other T is decoded from the payload on every hit, and no
 // two callers ever share mutable state.
 func Cell[T any](s *Store, spec any, codeVersion string, compute func() (*T, error)) (*T, bool, error) {
-	var id specID
-	if t := reflect.TypeOf(spec); t != nil && t.Comparable() {
-		id = specID{spec, codeVersion}
-	}
-	s.mu.Lock()
-	key, ok := s.keys[id]
-	s.mu.Unlock()
-	if !ok {
-		key = Key(spec, codeVersion)
-	}
-	if payload, value, ok := s.get(key); ok {
+	key, id := s.key(spec, codeVersion)
+	if payload, value, ok := s.get(key, id, false); ok {
 		out := new(T)
 		if row, ok := value.(T); ok {
 			*out = row
@@ -332,7 +434,7 @@ func Cell[T any](s *Store, spec any, codeVersion string, compute func() (*T, err
 		if json.Unmarshal(payload, out) == nil {
 			if row := shareable(out); row != nil {
 				s.mu.Lock()
-				s.insertLocked(key, payload, row, id)
+				s.insertLocked(key, payload, row, id, false)
 				s.mu.Unlock()
 			}
 			return out, false, nil
@@ -348,7 +450,7 @@ func Cell[T any](s *Store, spec any, codeVersion string, compute func() (*T, err
 	if err != nil {
 		return nil, true, err
 	}
-	if err := s.put(key, payload, shareable(out), id); err != nil {
+	if err := s.put(key, payload, shareable(out), id, false); err != nil {
 		return nil, true, err
 	}
 	return out, true, nil

@@ -475,3 +475,125 @@ func TestCacheKeyMemoFollowsTheMemoryTier(t *testing.T) {
 		t.Errorf("%d memoized keys with no memory tier", len(s.keys))
 	}
 }
+
+// runSpec stands in for experiment's run key.
+type runSpec struct {
+	Runner string `json:"runner"`
+	Seed   int64  `json:"seed"`
+}
+
+// TestRunKindApartFromCells: a run entry shares the LRU and the directory
+// with the cells but never their counters — Hits, Misses and Len stay
+// about cells — and is found again from memory and from a fresh store,
+// under its own spec and code version only.
+func TestRunKindApartFromCells(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := runSpec{"fig4", 1}
+	if _, ok := s.GetRun(spec, "v1"); ok {
+		t.Fatal("empty store returned a run")
+	}
+	if err := s.PutRun(spec, "v1", []byte("tables\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("c", []byte("row")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.GetRun(spec, "v1"); !ok || string(got) != "tables\n" {
+		t.Fatalf("GetRun = %q, %v", got, ok)
+	}
+	for name, miss := range map[string]struct {
+		spec    any
+		version string
+	}{
+		"seed":         {runSpec{"fig4", 2}, "v1"},
+		"runner":       {runSpec{"fig6", 1}, "v1"},
+		"code version": {spec, "v2"},
+	} {
+		if _, ok := s.GetRun(miss.spec, miss.version); ok {
+			t.Errorf("a run with another %s hit", name)
+		}
+	}
+	if got := s.Runs(); got != (RunStats{Hits: 1, Misses: 4, Held: 1}) {
+		t.Errorf("Runs() = %+v, want 1 hit, 4 misses, 1 held", got)
+	}
+	if s.Hits() != 0 || s.Misses() != 0 || s.Len() != 1 {
+		t.Errorf("cell counters moved: hits=%d misses=%d len=%d, want 0, 0, 1", s.Hits(), s.Misses(), s.Len())
+	}
+	s.ResetStats()
+	if got := s.Runs(); got.Hits != 0 || got.Misses != 0 {
+		t.Errorf("ResetStats left run counters %+v", got)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.GetRun(spec, "v1"); !ok || string(got) != "tables\n" {
+		t.Fatalf("reopened GetRun = %q, %v", got, ok)
+	}
+	if got := s2.Runs(); got != (RunStats{Hits: 1, Held: 1}) || s2.Len() != 0 {
+		t.Errorf("reopened: Runs() = %+v, Len() = %d", got, s2.Len())
+	}
+	s2.SetMemLimit(0)
+	if got := s2.Runs(); got.Held != 0 {
+		t.Errorf("%d run entries held past a zero budget", got.Held)
+	}
+}
+
+// TestRunFileFraming: a run file that is truncated, empty, foreign (a
+// cell's JSON), copied from another key or flipped in one byte is a miss,
+// and the next PutRun rewrites it.
+func TestRunFileFraming(t *testing.T) {
+	dir := t.TempDir()
+	spec, other := runSpec{"fig4", 1}, runSpec{"fig4", 2}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRun(spec, "v1", []byte("tables\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRun(other, "v1", []byte("other\n")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, Key(spec, "v1")+".run")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherFile, err := os.ReadFile(filepath.Join(dir, Key(other, "v1")+".run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	for name, content := range map[string][]byte{
+		"truncated": good[:len(good)-1],
+		"header":    good[:runHeader-1],
+		"empty":     {},
+		"foreign":   []byte(`{"goodput":1}`),
+		"other key": otherFile,
+		"flipped":   flipped,
+	} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := fresh.GetRun(spec, "v1"); ok {
+			t.Errorf("%s run file: hit %q", name, got)
+		}
+		if err := fresh.PutRun(spec, "v1", []byte("tables\n")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
+			t.Errorf("%s run file not rewritten: %q, %v", name, got, err)
+		}
+	}
+}

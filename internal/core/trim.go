@@ -74,11 +74,17 @@ type Trim struct {
 	minRTT    time.Duration
 	k         time.Duration
 
-	probing     bool
-	savedCwnd   float64
-	probeEnds   []int64
-	probeRTTs   []time.Duration
+	probing   bool
+	savedCwnd float64
+	// probeEnds[:probesSent] are the end sequences of this exchange's
+	// probes, in send order; the first probesAcked are covered by the
+	// cumulative ACK. probeRTTs[:nProbeRTTs] are its RTT samples, at most
+	// one per covering ACK. Arrays, not slices: a round allocates nothing.
+	probeEnds   [probeCount]int64
+	probeRTTs   [probeCount]time.Duration
 	probesSent  int
+	probesAcked int
+	nProbeRTTs  int
 	probeTimer  sim.Timer
 	probeFn     func()
 	probeRounds int
@@ -133,15 +139,10 @@ func (t *Trim) Attach(ctl tcp.Control) {
 // Recycle resets the policy to what New returned for its configuration —
 // no RTT history, no saved window, no counters — so that it can serve an
 // unrelated flow once its own is over (hybrid.FleetConfig.NewCC). Only
-// storage survives: the two probe slices and the deadline callback,
-// which is bound to the object. Call it detached and Quiescent.
+// the deadline callback, which is bound to the object, survives. Call it
+// detached and Quiescent.
 func (t *Trim) Recycle() {
-	*t = Trim{
-		cfg:       t.cfg,
-		probeEnds: t.probeEnds[:0],
-		probeRTTs: t.probeRTTs[:0],
-		probeFn:   t.probeFn,
-	}
+	*t = Trim{cfg: t.cfg, probeFn: t.probeFn}
 }
 
 // SmoothRTT returns the policy's smoothed RTT (Algorithm 2 line 2).
@@ -207,9 +208,7 @@ func (t *Trim) BeforeSend() {
 	t.probing = true
 	t.probeRounds++
 	t.savedCwnd = t.ctl.Cwnd()
-	t.probeEnds = t.probeEnds[:0]
-	t.probeRTTs = t.probeRTTs[:0]
-	t.probesSent = 0
+	t.probesSent, t.probesAcked, t.nProbeRTTs = 0, 0, 0
 	t.ctl.SetCwnd(probeCount)
 	// Stale flight from a stalled previous train must not dead-lock the
 	// probe exchange: grant the probes passage beyond the (now tiny)
@@ -224,8 +223,8 @@ func (t *Trim) OnSent(ev tcp.SendEvent) bool {
 	if !t.probing || ev.Retransmit || t.probesSent >= probeCount {
 		return false
 	}
+	t.probeEnds[t.probesSent] = ev.EndSeq
 	t.probesSent++
-	t.probeEnds = append(t.probeEnds, ev.EndSeq)
 	if t.probesSent == 1 {
 		t.armProbeDeadline()
 	}
@@ -300,14 +299,15 @@ func (t *Trim) OnAck(ev tcp.AckEvent) {
 // by the cumulative ACK, tune the inherited window per Eq. 1 and resume.
 func (t *Trim) onProbeAck(ev tcp.AckEvent) {
 	matched := false
-	for len(t.probeEnds) > 0 && t.probeEnds[0] <= ev.Ack {
-		t.probeEnds = t.probeEnds[1:]
+	for t.probesAcked < t.probesSent && t.probeEnds[t.probesAcked] <= ev.Ack {
+		t.probesAcked++
 		matched = true
 	}
 	if matched && ev.RTT > 0 {
-		t.probeRTTs = append(t.probeRTTs, ev.RTT)
+		t.probeRTTs[t.nProbeRTTs] = ev.RTT
+		t.nProbeRTTs++
 	}
-	if t.probesSent == 0 || len(t.probeEnds) > 0 {
+	if t.probesSent == 0 || t.probesAcked < t.probesSent {
 		return
 	}
 	t.endProbe()
@@ -326,14 +326,14 @@ func (t *Trim) onProbeAck(ev tcp.AckEvent) {
 func (t *Trim) tunedWindow() float64 {
 	minW := t.ctl.MinCwnd()
 	base := t.baseRTT()
-	if len(t.probeRTTs) == 0 || base <= 0 {
+	if t.nProbeRTTs == 0 || base <= 0 {
 		return minW
 	}
 	var sum time.Duration
-	for _, r := range t.probeRTTs {
+	for _, r := range t.probeRTTs[:t.nProbeRTTs] {
 		sum += r
 	}
-	probeRTT := sum / time.Duration(len(t.probeRTTs))
+	probeRTT := sum / time.Duration(t.nProbeRTTs)
 	factor := 1 - float64(probeRTT-base)/float64(base)
 	w := t.savedCwnd * factor
 	if w < minW {

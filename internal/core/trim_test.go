@@ -520,3 +520,32 @@ func TestTrimProbeRoundsCounted(t *testing.T) {
 		t.Errorf("ProbeRounds after re-entry = %d", tr.ProbeRounds())
 	}
 }
+
+// TestProbeRoundAllocatesNothing: a whole probe exchange — gap, two
+// probes, their two ACKs, the Eq. 1 window — allocates nothing once the
+// policy has run one.
+func TestProbeRoundAllocatesNothing(t *testing.T) {
+	ctl := newFakeCtl()
+	tr := New(Config{})
+	tr.Attach(ctl)
+	seedRTT(tr, 200*time.Microsecond)
+	ctl.hasSent, ctl.gap = true, 5*time.Millisecond
+	var seq int64
+	round := func() {
+		ctl.sched.RunUntil(ctl.Now().Add(ctl.gap)) // the idle gap since the last exchange
+		tr.BeforeSend()
+		tr.OnSent(tcp.SendEvent{Seq: seq, EndSeq: seq + 1460})
+		tr.OnSent(tcp.SendEvent{Seq: seq + 1460, EndSeq: seq + 2920})
+		tr.OnAck(tcp.AckEvent{Ack: seq + 1460, AckedSegs: 1, RTT: 240 * time.Microsecond})
+		tr.OnAck(tcp.AckEvent{Ack: seq + 2920, AckedSegs: 1, RTT: 260 * time.Microsecond})
+		seq += 2920
+	}
+	round()
+	rounds := tr.ProbeRounds()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a probe round allocates %v objects, want 0", allocs)
+	}
+	if tr.Probing() || tr.ProbeRounds() != rounds+101 {
+		t.Errorf("rounds did not complete: probing=%v, %d rounds", tr.Probing(), tr.ProbeRounds()-rounds)
+	}
+}

@@ -23,6 +23,9 @@ package experiment
 // FaultIntensity ladders) are identified in the spec by their exported
 // fields and names; callers extending an axis must give new behavior a
 // new name, the same contract the rendered tables already rely on.
+//
+// Above the cells, Run keeps each whole run's output in the same store
+// under a runKey, so a repeated run is one lookup (see StoredRun).
 
 import (
 	"sync"
@@ -45,4 +48,31 @@ func cachedCell[T any](opts Options, spec any, compute func() (*T, error)) (*T, 
 		return out, true, err
 	}
 	return cellcache.Cell(opts.Cache, spec, cacheCodeVersion(), compute)
+}
+
+// runKey is what a whole run's output is stored under, besides the code
+// version: the runner and every Options field that shapes what it prints.
+// Seed 0 means seed 1, as it does to every runner.
+type runKey struct {
+	Runner   string `json:"runner"`
+	Seed     int64  `json:"seed"`
+	Reps     int    `json:"reps,omitempty"`
+	AQM      string `json:"aqm,omitempty"`
+	Recovery string `json:"recovery,omitempty"`
+	Fidelity string `json:"fidelity,omitempty"`
+}
+
+func runKeyOf(id string, opts Options) runKey {
+	return runKey{id, opts.seed(), opts.Reps, opts.AQM, opts.Recovery, opts.Fidelity}
+}
+
+// StoredRun returns exactly what Run would write for id and opts when
+// opts.Cache holds the whole run, without running anything. With CSVDir
+// set there is never a stored run: only the runner writes CSV files.
+// Callers must not modify the returned slice.
+func StoredRun(id string, opts Options) ([]byte, bool) {
+	if opts.Cache == nil || opts.CSVDir != "" {
+		return nil, false
+	}
+	return opts.Cache.GetRun(runKeyOf(id, opts), cacheCodeVersion())
 }

@@ -6,12 +6,15 @@ package experiment
 // that it does not enter the key); a one-axis change must re-simulate only
 // the changed cells; and key derivation must be sensitive to every option
 // that shapes output (seed, aqm, recovery, fidelity, reps) while
-// normalized options (fidelity "" vs explicit "packet") share cells.
+// normalized options (fidelity "" vs explicit "packet") share cells. The
+// run kind above the cells gets the same proofs through Run.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -533,6 +536,155 @@ func TestWarmImpairmentReplaysSeries(t *testing.T) {
 	for _, kind := range []string{"retrans", "fct"} {
 		if c, w := len(cold.kind(kind)), len(warm.kind(kind)); c != 1 || w != 1 {
 			t.Errorf("%s events: cold %d, warm %d, want 1 and 1", kind, c, w)
+		}
+	}
+}
+
+// runIDs are registered sweep ids cheap enough to run whole in a test.
+var runIDs = []string{"resilience-smoke", "recoverysweep-smoke", "aqmsweep-smoke", "fig4"}
+
+// runOut runs id through Run and returns what it printed.
+func runOut(t *testing.T, id string, opts Options) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Run(id, opts, &buf); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return buf.Bytes()
+}
+
+// TestRunKindByteIdentity: through Run, each id prints the same bytes with
+// the cache off, cold on a fresh store, warm from memory and warm from a
+// fresh store over the same directory. The cold run leaves Misses() equal
+// to the cells it simulated (one file each) and Hits() at 0; the warm runs
+// are whole-run hits that move neither and publish no Progress event.
+func TestRunKindByteIdentity(t *testing.T) {
+	for _, id := range runIDs {
+		t.Run(id, func(t *testing.T) {
+			off := runOut(t, id, Options{})
+			dir := t.TempDir()
+			store, err := cellcache.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold := runOut(t, id, Options{Cache: store}); !bytes.Equal(cold, off) {
+				t.Errorf("cold run differs from the cache-off run:\n%s\n--\n%s", cold, off)
+			}
+			cells, _ := filepath.Glob(filepath.Join(dir, "*.cell"))
+			if store.Misses() == 0 || store.Misses() != int64(len(cells)) || store.Hits() != 0 {
+				t.Fatalf("cold: %d misses, %d hits, %d cell files", store.Misses(), store.Hits(), len(cells))
+			}
+			fresh, err := cellcache.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, st := range map[string]*cellcache.Store{"memory": store, "disk": fresh} {
+				log := &eventLog{}
+				if warm := runOut(t, id, Options{Cache: st, Progress: log}); !bytes.Equal(warm, off) {
+					t.Errorf("warm from %s differs from the cache-off run", name)
+				}
+				if st.Runs().Hits != 1 || len(log.events) != 0 {
+					t.Errorf("warm from %s: %d run hits, %d Progress events", name, st.Runs().Hits, len(log.events))
+				}
+			}
+			if store.Misses() != int64(len(cells)) || store.Hits() != 0 || fresh.Misses()+fresh.Hits() != 0 {
+				t.Errorf("warm runs moved the cell counters: %d/%d then %d/%d",
+					store.Misses(), store.Hits(), fresh.Misses(), fresh.Hits())
+			}
+		})
+	}
+}
+
+// TestRunKindCSVDirRuns: with CSVDir set the runner runs and writes its
+// CSV files although the whole run is stored.
+func TestRunKindCSVDirRuns(t *testing.T) {
+	store := cellcache.NewMemory()
+	want := runOut(t, "fig4", Options{Cache: store})
+	csvDir := t.TempDir()
+	if got := runOut(t, "fig4", Options{Cache: store, CSVDir: csvDir}); !bytes.Equal(got, want) {
+		t.Error("the run with CSVDir printed other bytes")
+	}
+	if csvs, _ := filepath.Glob(filepath.Join(csvDir, "*.csv")); len(csvs) == 0 {
+		t.Error("no CSV file written: the stored run answered instead of the runner")
+	}
+	if got := store.Runs(); got.Hits != 0 || got.Held != 1 {
+		t.Errorf("Runs() = %+v, want no hit and the one entry held", got)
+	}
+}
+
+// TestRunKeyFields: every field of the run key changes it — a run with
+// one option changed is a whole-run miss — and seed 0 is seed 1.
+func TestRunKeyFields(t *testing.T) {
+	store := cellcache.NewMemory()
+	runOut(t, "fig4", Options{Seed: 1, Cache: store})
+	for _, tc := range []struct {
+		name string
+		id   string
+		opts Options
+		hit  bool
+	}{
+		{"seed 0 is seed 1", "fig4", Options{}, true},
+		{"runner", "fig6", Options{Seed: 1}, false},
+		{"seed", "fig4", Options{Seed: 2}, false},
+		{"reps", "fig4", Options{Seed: 1, Reps: 2}, false},
+		{"aqm", "fig4", Options{Seed: 1, AQM: "codel"}, false},
+		{"recovery", "fig4", Options{Seed: 1, Recovery: "rack-tlp"}, false},
+		{"fidelity", "fig4", Options{Seed: 1, Fidelity: "hybrid"}, false},
+	} {
+		before := store.Runs()
+		tc.opts.Cache = store
+		runOut(t, tc.id, tc.opts)
+		if hit := store.Runs().Hits > before.Hits; hit != tc.hit {
+			t.Errorf("%s: whole-run hit = %v, want %v", tc.name, hit, tc.hit)
+		}
+	}
+	// Options are keyed as given, not normalized: the default recovery
+	// policy spelled out is another run, which composes from the cells.
+	v := cacheCodeVersion()
+	if cellcache.Key(runKeyOf("recoverysweep", Options{}), v) ==
+		cellcache.Key(runKeyOf("recoverysweep", Options{Recovery: "classic"}), v) {
+		t.Error("recoverysweep and recoverysweep -recovery classic share a run key")
+	}
+}
+
+// TestRunFileRewritten: a truncated, foreign or empty run file is a
+// whole-run miss for Run, which prints the right bytes from its cells and
+// rewrites the file.
+func TestRunFileRewritten(t *testing.T) {
+	dir := t.TempDir()
+	store, err := cellcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runOut(t, "resilience-smoke", Options{Cache: store})
+	runs, _ := filepath.Glob(filepath.Join(dir, "*.run"))
+	if len(runs) != 1 {
+		t.Fatalf("%d run files, want 1", len(runs))
+	}
+	good, err := os.ReadFile(runs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{
+		"truncated": good[:len(good)-3],
+		"foreign":   []byte("== a table ==\n"),
+		"empty":     {},
+	} {
+		if err := os.WriteFile(runs[0], content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := cellcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runOut(t, "resilience-smoke", Options{Cache: fresh}); !bytes.Equal(got, want) {
+			t.Errorf("%s run file: printed other bytes", name)
+		}
+		if r := fresh.Runs(); r.Hits != 0 || r.Misses != 1 || fresh.Misses() != 0 {
+			t.Errorf("%s run file: Runs() = %+v, %d cells simulated", name, r, fresh.Misses())
+		}
+		if got, _ := os.ReadFile(runs[0]); !bytes.Equal(got, good) {
+			t.Errorf("%s run file was not rewritten", name)
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -145,10 +146,10 @@ type Options struct {
 	// resilience, fig4/fig5/fig6/fig7/fig8, fig12/table1 and their smoke
 	// slices) key each cell by its canonical machine-independent spec
 	// (family, coordinates, seed split) plus the code version, and answer
-	// warm cells from the store without simulating. Results are
-	// byte-identical with the cache off, cold, or warm: cells are pure
-	// functions of their spec, and JSON round-trips every row exactly.
-	// nil disables memoization.
+	// warm cells from the store without simulating; Run keeps whole runs
+	// there too (see Run). Results are byte-identical with the cache off,
+	// cold, or warm: cells are pure functions of their spec, and JSON
+	// round-trips every row exactly. nil disables memoization.
 	Cache *cellcache.Store
 	// Progress optionally receives live observability events (samples,
 	// completed responses, finished cells — see ProgressEvent) while the
@@ -388,7 +389,9 @@ func Describe(id string) (RunnerInfo, bool) {
 
 // Run executes the experiment with the given id. Options are validated
 // first (see Validate), so every entry point — CLI, service, tests —
-// rejects a malformed spec before any simulation starts.
+// rejects a malformed spec before any simulation starts. With a Cache and
+// no CSVDir a run already stored is written as it is, with no Progress
+// events, and a new one is stored once it completes.
 func Run(id string, opts Options, w io.Writer) error {
 	e, ok := registry[id]
 	if !ok {
@@ -397,5 +400,22 @@ func Run(id string, opts Options, w io.Writer) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	return e.run(opts, w)
+	if out, ok := StoredRun(id, opts); ok {
+		_, err := w.Write(out)
+		return err
+	}
+	if opts.Cache == nil || opts.CSVDir != "" {
+		return e.run(opts, w)
+	}
+	// A failed run's partial output is written but not stored; a failed
+	// store write costs only a future re-run.
+	var buf bytes.Buffer
+	err := e.run(opts, &buf)
+	if err == nil {
+		_ = opts.Cache.PutRun(runKeyOf(id, opts), cacheCodeVersion(), buf.Bytes())
+	}
+	if _, werr := w.Write(buf.Bytes()); err == nil {
+		err = werr
+	}
+	return err
 }

@@ -23,10 +23,6 @@ const replayCap = 8192
 // subCap is each live subscriber's channel depth.
 const subCap = 256
 
-func newStream() *stream {
-	return &stream{subs: map[chan []byte]struct{}{}}
-}
-
 // publish appends one encoded event and fans it out.
 func (st *stream) publish(data []byte) {
 	st.mu.Lock()
@@ -70,7 +66,7 @@ func (st *stream) close(terminal []byte) {
 	for ch := range st.subs {
 		close(ch)
 	}
-	st.subs = map[chan []byte]struct{}{}
+	st.subs = nil
 }
 
 // subscribe returns the replay so far and a live channel (nil if the
@@ -85,6 +81,9 @@ func (st *stream) subscribe() (replay [][]byte, ch chan []byte, cancel func()) {
 		return replay, nil, func() {}
 	}
 	ch = make(chan []byte, subCap)
+	if st.subs == nil {
+		st.subs = map[chan []byte]struct{}{}
+	}
 	st.subs[ch] = struct{}{}
 	return replay, ch, func() {
 		st.mu.Lock()

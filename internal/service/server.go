@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +34,7 @@ type Job struct {
 	Error  string  `json:"error,omitempty"`
 	Cached bool    `json:"cached"`
 
+	seq    int // submission order
 	output []byte
 	cancel context.CancelFunc
 	stream *stream
@@ -43,10 +45,12 @@ type Config struct {
 	// Workers is the number of concurrent simulations (0 = GOMAXPROCS/2,
 	// minimum 1).
 	Workers int
-	// CacheDir persists results across restarts ("" = memory only).
+	// CacheDir persists the store — whole runs and sweep cells — across
+	// restarts ("" = memory only).
 	CacheDir string
-	// CodeVersion overrides the cache key's code component (tests pin
-	// it; "" = CodeVersion()).
+	// CodeVersion is the version /v1/stats reports ("" =
+	// cellcache.CodeVersion()). It labels the service only: every entry
+	// in the store is keyed by the running build's own version.
 	CodeVersion string
 	// StreamMinGap throttles high-frequency SSE events per metric
 	// (0 = DefaultStreamMinGap; negative = no throttle).
@@ -60,18 +64,24 @@ type Config struct {
 // "sample"/"responses" event per metric per gap.
 const DefaultStreamMinGap = 50 * time.Millisecond
 
+// maxTerminalJobs bounds the finished jobs a Server remembers (≈ 370 B
+// each): past it the job that ended longest ago is forgotten and its id
+// answers 404; queued and running jobs never are. Much smaller, the live
+// heap sits at the runtime's 4 MB floor and a busy service collects
+// several times as often.
+const maxTerminalJobs = 16384
+
 // Server is the experiment service: REST control plane, SSE streams,
-// result cache, worker pool. It implements http.Handler.
+// result store, worker pool. It implements http.Handler.
 type Server struct {
 	mux         *http.ServeMux
-	cache       *Cache
-	cells       *cellcache.Store
+	store       *cellcache.Store
 	codeVersion string
 	minGap      time.Duration
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
-	order []string
+	ended []string // ids of the terminal jobs in jobs, in the order they ended
 	seq   int
 
 	queue   chan *Job
@@ -87,15 +97,10 @@ type Server struct {
 
 // New builds a Server and starts its workers.
 func New(cfg Config) (*Server, error) {
-	cache, err := NewCache(cfg.CacheDir)
-	if err != nil {
-		return nil, err
-	}
-	// The cell store shares the run cache's directory: run results are
-	// <key>.out, cells <key>.cell, so the two stores never collide. With
-	// it armed, a run that misses the run-level cache still skips every
-	// sweep cell some earlier run (of any runner) already computed.
-	cells, err := cellcache.Open(cfg.CacheDir)
+	// One store holds whole runs and sweep cells: a repeated spec is one
+	// lookup, and a new one still skips every cell some earlier run (of
+	// any runner, in trimsvc or trimsim) already computed.
+	store, err := cellcache.Open(cfg.CacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +113,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	version := cfg.CodeVersion
 	if version == "" {
-		version = CodeVersion()
+		version = cellcache.CodeVersion()
 	}
 	minGap := cfg.StreamMinGap
 	switch {
@@ -123,8 +128,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cache:       cache,
-		cells:       cells,
+		store:       store,
 		codeVersion: version,
 		minGap:      minGap,
 		jobs:        map[string]*Job{},
@@ -190,12 +194,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"jobs":          jobs,
 		"simulations":   s.simulations.Load(),
 		"cacheHits":     s.cacheHits.Load(),
-		"cachedResults": s.cache.Len(),
+		"cachedResults": s.store.Runs().Held, // whole runs in the store's memory tier
 		// Cell-grained counters: cellMisses is the number of sweep cells
 		// actually simulated, cellHits the number answered from the store.
-		"cellHits":    s.cells.Hits(),
-		"cellMisses":  s.cells.Misses(),
-		"cachedCells": s.cells.Len(),
+		"cellHits":    s.store.Hits(),
+		"cellMisses":  s.store.Misses(),
+		"cachedCells": s.store.Len(),
 	})
 }
 
@@ -204,8 +208,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // bound is not a spec.
 const maxSpecBytes = 1 << 20
 
-// handleSubmit validates a spec, answers from the cache when the result
-// is already known, and queues a simulation otherwise. An oversized body
+// handleSubmit validates a spec, answers from the store when the whole
+// run is already there, and queues a simulation otherwise. An oversized body
 // is refused before anything is recorded.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.closing.Load() {
@@ -229,22 +233,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	job := &Job{Spec: spec, stream: newStream()}
+	opts := spec.Options()
+	opts.Cache = s.store
+	output, cached := experiment.StoredRun(spec.Runner, opts)
+	job := &Job{Spec: spec, stream: storedStream}
+	if !cached {
+		job.stream = &stream{}
+	}
 	s.mu.Lock()
 	s.seq++
-	job.ID = fmt.Sprintf("run-%06d", s.seq)
+	job.ID, job.seq = fmt.Sprintf("run-%06d", s.seq), s.seq
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
 
-	if output, ok := s.cache.Get(spec.Key(s.codeVersion)); ok {
+	if cached {
 		// Same spec, same code version: the result is already exact.
-		job.State = StateDone
 		job.Cached = true
 		job.output = output
+		s.endLocked(job, StateDone, "")
 		snap := s.snapshotLocked(job)
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
-		job.stream.close(terminalEvent("done", ""))
 		writeJSON(w, http.StatusCreated, snap)
 		return
 	}
@@ -276,17 +284,18 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := make([]Job, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.snapshotLocked(s.jobs[id]))
+	jobs := make([]Job, 0, len(s.jobs))
+	for _, job := range s.jobs {
+		jobs = append(jobs, s.snapshotLocked(job))
 	}
 	s.mu.Unlock()
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].seq < jobs[j].seq })
 	writeJSON(w, http.StatusOK, map[string]any{"runs": jobs})
 }
 
 // snapshotLocked copies a job's public fields under s.mu.
 func (s *Server) snapshotLocked(job *Job) Job {
-	return Job{ID: job.ID, Spec: job.Spec, State: job.State, Error: job.Error, Cached: job.Cached}
+	return Job{ID: job.ID, Spec: job.Spec, State: job.State, Error: job.Error, Cached: job.Cached, seq: job.seq}
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -384,6 +393,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // --- job execution ---
 
+// doneEvent ends the stream of every run that completes; streams only
+// read it, so all of them share one copy.
+var doneEvent = terminalEvent("done", "")
+
+// storedStream is the stream of every job answered from the store: its
+// replay is doneEvent alone and, closed, it is never written again.
+var storedStream = &stream{buf: [][]byte{doneEvent}, closed: true}
+
 // terminalEvent encodes the end-of-stream event.
 func terminalEvent(kind, msg string) []byte {
 	ev := map[string]string{"kind": kind}
@@ -421,22 +438,18 @@ func (s *Server) runJob(job *Job) {
 
 	opts := job.Spec.Options()
 	opts.Context = ctx
-	opts.Cache = s.cells
+	opts.Cache = s.store
 	opts.Progress = newSink(job.stream, s.minGap)
 	var buf bytes.Buffer
 	s.simulations.Add(1)
 	err := experiment.Run(job.Spec.Runner, opts, &buf)
 	switch {
 	case err == nil:
-		// A failed cache write only costs a future re-simulation; the
-		// run itself succeeded, so the job still completes as done.
-		_ = s.cache.Put(job.Spec.Key(s.codeVersion), job.Spec, buf.Bytes())
 		s.mu.Lock()
 		job.output = buf.Bytes()
-		job.State = StateDone
-		job.cancel = nil
+		s.endLocked(job, StateDone, "")
 		s.mu.Unlock()
-		job.stream.close(terminalEvent("done", ""))
+		job.stream.close(doneEvent)
 	case errors.Is(err, context.Canceled) && s.closing.Load():
 		s.finishJob(job, StateCanceled, "service shut down before completion")
 	case errors.Is(err, context.Canceled):
@@ -455,9 +468,7 @@ func (s *Server) finishJob(job *Job, state, msg string) {
 		s.mu.Unlock()
 		return
 	}
-	job.State = state
-	job.Error = msg
-	job.cancel = nil
+	s.endLocked(job, state, msg)
 	s.mu.Unlock()
 	kind := "error"
 	if state == StateCanceled {
@@ -469,13 +480,25 @@ func (s *Server) finishJob(job *Job, state, msg string) {
 	job.stream.close(terminalEvent(kind, msg))
 }
 
+// endLocked moves a job that is not yet terminal to a terminal state and
+// forgets the job that ended longest ago once more than maxTerminalJobs
+// have. Caller holds s.mu.
+func (s *Server) endLocked(job *Job, state, msg string) {
+	job.State, job.Error, job.cancel = state, msg, nil
+	s.ended = append(s.ended, job.ID)
+	if len(s.ended) > maxTerminalJobs {
+		delete(s.jobs, s.ended[0])
+		s.ended = s.ended[1:]
+	}
+}
+
 // --- shutdown ---
 
 // Shutdown drains the service: new submissions are refused, queued jobs
 // are canceled, and running jobs get until ctx's deadline to finish on
 // their own before their contexts are canceled (runners stop at the
-// next cell boundary). Every open SSE stream receives a terminal event,
-// and the cache index is persisted last.
+// next cell boundary). Every open SSE stream receives a terminal event.
+// The store needs no flush: every entry reached disk when it was made.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closing.Store(true)
 	close(s.quit)
@@ -515,9 +538,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	for _, job := range open {
 		s.finishJob(job, StateCanceled, "service shut down before completion")
-	}
-	if serr := s.cache.SaveIndex(); serr != nil && err == nil {
-		err = serr
 	}
 	return err
 }

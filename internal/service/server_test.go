@@ -453,7 +453,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestShutdownDrains exercises the graceful path: SIGTERM-equivalent
 // Shutdown with an already-expired drain deadline cancels the in-flight
 // run, closes its SSE stream with a shutdown event, refuses new
-// submissions, and persists the cache index.
+// submissions, and leaves no index behind.
 func TestShutdownDrains(t *testing.T) {
 	dir := t.TempDir()
 	svc, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
@@ -485,8 +485,10 @@ func TestShutdownDrains(t *testing.T) {
 		t.Errorf("submit after shutdown: status %d, want 503", resp.StatusCode)
 	}
 
-	if _, err := os.Stat(filepath.Join(dir, "index.json")); err != nil {
-		t.Errorf("cache index not persisted: %v", err)
+	// Every store entry reached disk when it was made; shutdown writes no
+	// index of them.
+	if _, err := os.Stat(filepath.Join(dir, "index.json")); !os.IsNotExist(err) {
+		t.Errorf("shutdown wrote an index: %v", err)
 	}
 }
 
@@ -499,6 +501,52 @@ func TestShutdownFinishesIdle(t *testing.T) {
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatalf("idle Shutdown = %v", err)
 	}
+}
+
+// TestJobTableBounded: past maxTerminalJobs finished jobs the first to
+// end are forgotten — the table stays bounded, the newest job is there,
+// the oldest answers 404 — while a running job older than all of them
+// stays, and can still be fetched once it ends.
+func TestJobTableBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	running := submit(t, ts, RunSpec{Runner: "test-block"})
+	<-blockStarted
+	oldest := submit(t, ts, RunSpec{Runner: "fig4"})
+	waitState(t, ts, oldest.ID, StateDone)
+	var newest Job
+	for i := 0; i < maxTerminalJobs+10; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(`{"runner":"fig4"}`)))
+		if err := json.Unmarshal(rec.Body.Bytes(), &newest); err != nil || rec.Code != http.StatusCreated || !newest.Cached {
+			t.Fatalf("submission %d: status %d, cached %v (%v)", i, rec.Code, newest.Cached, err)
+		}
+	}
+	srv.mu.Lock()
+	jobs, ended := len(srv.jobs), len(srv.ended)
+	srv.mu.Unlock()
+	if jobs != maxTerminalJobs+1 || ended != maxTerminalJobs {
+		t.Errorf("%d jobs, %d ended, want %d and %d", jobs, ended, maxTerminalJobs+1, maxTerminalJobs)
+	}
+	if got := getJob(t, ts, newest.ID); got.State != StateDone {
+		t.Errorf("newest job %s is %q", newest.ID, got.State)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + oldest.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("oldest finished job: status %d, want 404", resp.StatusCode)
+	}
+	if got := getJob(t, ts, running.ID); got.State != StateRunning {
+		t.Errorf("running job is %q", got.State)
+	}
+	del, err := http.DefaultClient.Do(mustReq(t, http.MethodDelete, ts.URL+"/v1/runs/"+running.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	del.Body.Close()
+	waitState(t, ts, running.ID, StateCanceled)
 }
 
 func TestStatsEndpoint(t *testing.T) {
@@ -531,7 +579,7 @@ func TestCellCacheComposesAcrossRunners(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 1})
 
 	cellStats := func() (hits, misses, simulations int64) {
-		return svc.cells.Hits(), svc.cells.Misses(), svc.simulations.Load()
+		return svc.store.Hits(), svc.store.Misses(), svc.simulations.Load()
 	}
 
 	narrow := submit(t, ts, RunSpec{Runner: "test-conc-narrow"})

@@ -1,28 +1,38 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"tcptrim/internal/cellcache"
 	"tcptrim/internal/experiment"
 )
 
+// TestSpecKeyCanonical: two specs that mean the same run share one stored
+// run — zero values are omitted and seed 0 is seed 1 — while another
+// seed, runner or option is another address.
 func TestSpecKeyCanonical(t *testing.T) {
-	a := RunSpec{Runner: "fig4"}
-	b := RunSpec{Runner: "fig4", Seed: 0, Reps: 0} // zero values omit from the encoding
-	if a.Key("v1") != b.Key("v1") {
-		t.Error("equivalent specs hash differently")
-	}
-	if a.Key("v1") == a.Key("v2") {
-		t.Error("code version does not roll the key")
-	}
-	if a.Key("v1") == (RunSpec{Runner: "fig4", Seed: 2}).Key("v1") {
-		t.Error("seed change does not roll the key")
-	}
-	if a.Key("v1") == (RunSpec{Runner: "fig6"}).Key("v1") {
-		t.Error("runner change does not roll the key")
+	svc, ts := newTestServer(t, Config{Workers: 1})
+	waitState(t, ts, submit(t, ts, RunSpec{Runner: "fig4"}).ID, StateDone)
+	for _, tc := range []struct {
+		spec   RunSpec
+		stored bool
+	}{
+		{RunSpec{Runner: "fig4"}, true},
+		{RunSpec{Runner: "fig4", Seed: 1, Reps: 0}, true},
+		{RunSpec{Runner: "fig4", Seed: 2}, false},
+		{RunSpec{Runner: "fig6"}, false},
+		{RunSpec{Runner: "fig4", AQM: "droptail"}, false},
+	} {
+		opts := tc.spec.Options()
+		opts.Cache = svc.store
+		if _, ok := experiment.StoredRun(tc.spec.Runner, opts); ok != tc.stored {
+			t.Errorf("%+v: stored = %v, want %v", tc.spec, ok, tc.stored)
+		}
 	}
 }
 
@@ -41,49 +51,61 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestCachePersistsAcrossProcesses: a run one service computed is answered
+// whole by the next service on the same directory and by experiment.Run
+// the way trimsim -cache calls it, with nothing simulated and no cell
+// looked up; a run file that has gone is a miss, not an error.
 func TestCachePersistsAcrossProcesses(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := RunSpec{Runner: "fig4"}
-	key := spec.Key("v1")
-	if err := c1.Put(key, spec, []byte("result bytes")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.SaveIndex(); err != nil {
+	spec := RunSpec{Runner: "resilience-smoke"}
+	svc1, ts1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	job := submit(t, ts1, spec)
+	waitState(t, ts1, job.ID, StateDone)
+	want := fetchResult(t, ts1, job.ID)
+	if err := svc1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// A "new process": fresh cache over the same directory.
-	c2, err := NewCache(dir)
-	if err != nil {
-		t.Fatal(err)
+	// A "new process": a fresh service over the same directory.
+	svc2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	again := submit(t, ts2, spec)
+	if !again.Cached || !bytes.Equal(fetchResult(t, ts2, again.ID), want) {
+		t.Fatalf("restarted service: cached=%v, or the result differs", again.Cached)
 	}
-	got, ok := c2.Get(key)
-	if !ok || string(got) != "result bytes" {
-		t.Fatalf("Get after reload = %q, %t", got, ok)
-	}
-	if _, ok := c2.Get(spec.Key("v2")); ok {
-		t.Error("different code version hit the cache")
+	if n := svc2.simulations.Load(); n != 0 {
+		t.Errorf("restarted service simulated %d runs", n)
 	}
 
-	// An index entry whose result file vanished is a miss, not an error.
-	if err := os.Remove(filepath.Join(dir, key+".out")); err != nil {
-		t.Fatal(err)
-	}
-	c3, err := NewCache(dir)
+	store, err := cellcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c3.Get(key); ok {
-		t.Error("hit with the result file missing")
+	var buf bytes.Buffer
+	if err := experiment.Run(spec.Runner, experiment.Options{Cache: store}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) || store.Runs().Hits != 1 || store.Hits()+store.Misses() != 0 {
+		t.Errorf("experiment.Run on the service's directory: %d run hits, %d cell lookups, same bytes %v",
+			store.Runs().Hits, store.Hits()+store.Misses(), bytes.Equal(buf.Bytes(), want))
+	}
+
+	runs, _ := filepath.Glob(filepath.Join(dir, "*.run"))
+	if len(runs) != 1 {
+		t.Fatalf("%d run files, want 1", len(runs))
+	}
+	if err := os.Remove(runs[0]); err != nil {
+		t.Fatal(err)
+	}
+	_, ts3 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	if job := submit(t, ts3, spec); job.Cached {
+		t.Error("hit with the run file missing")
+	} else {
+		waitState(t, ts3, job.ID, StateDone)
 	}
 }
 
 func TestStreamReplayAndFanout(t *testing.T) {
-	st := newStream()
+	st := &stream{}
 	st.publish([]byte("a"))
 	st.publish([]byte("b"))
 
@@ -122,7 +144,7 @@ func TestStreamReplayAndFanout(t *testing.T) {
 }
 
 func TestSinkThrottlesSamples(t *testing.T) {
-	st := newStream()
+	st := &stream{}
 	s := newSink(st, time.Hour) // nothing but the first of each metric passes
 	for i := 0; i < 10; i++ {
 		s.Publish(experiment.ProgressEvent{Kind: "sample", Name: "goodput", Value: float64(i)})

@@ -1,21 +1,17 @@
 // Package service is the long-running experiment control plane: a REST
 // API over the experiment registry (submit runs, watch them live over
-// SSE, fetch byte-exact results) with a content-addressed result cache.
+// SSE, fetch byte-exact results) over one content-addressed store.
 //
-// The cache is sound because the simulator underneath is deterministic:
-// the same RunSpec at the same code version produces byte-identical output
-// on every machine, with or without a Progress hook armed. A result keyed
-// by (canonical spec, code version) can therefore be replayed forever
-// without re-simulating.
+// The store is the cellcache.Store trimsim -cache uses. Because the
+// simulator underneath is deterministic, the same RunSpec at the same
+// code version produces byte-identical output on every machine, with or
+// without a Progress hook armed, so experiment.Run keeps each finished
+// run there whole and a repeated spec is answered without re-simulating.
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
-	"tcptrim/internal/cellcache"
 	"tcptrim/internal/experiment"
 )
 
@@ -60,35 +56,4 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("service: unknown runner %q (see GET /v1/runners)", s.Runner)
 	}
 	return s.Options().Validate()
-}
-
-// canonical returns the spec's canonical encoding: JSON with fields in
-// struct order and zero values omitted, so two specs that mean the same
-// run encode identically.
-func (s RunSpec) canonical() []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// A struct of scalars cannot fail to marshal.
-		panic(err)
-	}
-	return b
-}
-
-// Key returns the content address of the spec's result: a hex SHA-256
-// over the canonical spec and the code version. Any code change rolls
-// the version and so invalidates every cached result.
-func (s RunSpec) Key(codeVersion string) string {
-	h := sha256.New()
-	h.Write(s.canonical())
-	h.Write([]byte{0})
-	h.Write([]byte(codeVersion))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// CodeVersion identifies the running simulator build for cache keying.
-// It is cellcache.CodeVersion: the run-level cache and the cell store
-// must agree on the version or a warm run could mix results from
-// different builds.
-func CodeVersion() string {
-	return cellcache.CodeVersion()
 }

@@ -1150,6 +1150,11 @@ func (c *Conn) DeliveredBytes() int64 { return c.rcvNxt }
 // touched block first, then the remaining blocks in rotation so
 // consecutive ACKs cover the whole out-of-order picture.
 func (c *Conn) appendSackBlocks(blocks []netsim.SackBlock) []netsim.SackBlock {
+	if cap(blocks) < netsim.MaxSackBlocks {
+		// The packet keeps this storage through the pool: size it once for
+		// the most an ACK carries instead of growing it 1→2→4.
+		blocks = make([]netsim.SackBlock, 0, netsim.MaxSackBlocks)
+	}
 	appendIv := func(iv interval) {
 		for _, b := range blocks {
 			if b.Start == iv.start && b.End == iv.end {

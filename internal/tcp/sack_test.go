@@ -214,3 +214,22 @@ func TestSACKReceiverReportsBlocks(t *testing.T) {
 		t.Error("no SACK blocks observed despite loss")
 	}
 }
+
+// TestSackBlocksGrowOnce: an ACK on a packet with no block storage sizes
+// it once, at MaxSackBlocks, and a recycled packet's storage is reused
+// without allocating.
+func TestSackBlocksGrowOnce(t *testing.T) {
+	_, c, _ := lossyNet(t, 0, 1, true)
+	c.ooo = []interval{{10, 20}, {30, 40}, {50, 60}, {70, 80}}
+	c.lastTouched = c.ooo[1]
+	if allocs := testing.AllocsPerRun(100, func() { c.appendSackBlocks(nil) }); allocs != 1 {
+		t.Errorf("blocks for a fresh packet: %v allocations, want 1", allocs)
+	}
+	blocks := c.appendSackBlocks(nil)
+	if len(blocks) != netsim.MaxSackBlocks || blocks[0] != (netsim.SackBlock{Start: 30, End: 40}) {
+		t.Fatalf("blocks = %v, want %d led by the last-touched range", blocks, netsim.MaxSackBlocks)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { blocks = c.appendSackBlocks(blocks[:0]) }); allocs != 0 {
+		t.Errorf("blocks for a recycled packet: %v allocations, want 0", allocs)
+	}
+}

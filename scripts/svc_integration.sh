@@ -3,10 +3,12 @@
 # and from CI: boot the service on a free port, submit a fig4 run,
 # stream its SSE events, compare the result byte-for-byte against a
 # direct trimsim run of the same spec, then resubmit and prove the
-# content-addressed cache answered without a second simulation.
+# content-addressed store answered without a second simulation, and that
+# trimsim -cache on the same directory prints the run whole from it.
 set -euo pipefail
 
 workdir=$(mktemp -d)
+store="$workdir/store"
 cleanup() {
 	[ -n "${svc_pid:-}" ] && kill "$svc_pid" 2>/dev/null || true
 	rm -rf "$workdir"
@@ -18,7 +20,9 @@ go build -o "$workdir/trimsvc" ./cmd/trimsvc
 go build -o "$workdir/trimsim" ./cmd/trimsim
 
 echo "--- boot trimsvc"
-"$workdir/trimsvc" -addr 127.0.0.1:0 >"$workdir/svc.log" 2>&1 &
+# -cache-force: a locally built tree may be dirty, and both binaries come
+# from the same build, so they agree on the code version.
+"$workdir/trimsvc" -addr 127.0.0.1:0 -cache "$store" -cache-force >"$workdir/svc.log" 2>&1 &
 svc_pid=$!
 base=""
 for _ in $(seq 1 100); do
@@ -73,6 +77,16 @@ sims_after=$(curl -fsS "$base/v1/stats" | jq -r .simulations)
 [ "$sims_before" = "$sims_after" ] || { echo "cache hit ran a simulation ($sims_before -> $sims_after)"; exit 1; }
 curl -fsS "$base/v1/runs/$id2/result" >"$workdir/cached.out"
 cmp "$workdir/cached.out" "$workdir/direct.out"
+
+echo "--- trimsim -cache answers the service's run whole, with no cell"
+ls "$store"/*.cell >/dev/null || { echo "the service stored no cell"; exit 1; }
+rm -f "$store"/*.cell
+"$workdir/trimsim" -cache "$store" -cache-force -run fig4 >"$workdir/store.out"
+cmp "$workdir/store.out" "$workdir/direct.out"
+if ls "$store"/*.cell >/dev/null 2>&1; then
+	echo "trimsim recomputed cells instead of reading the stored run"
+	exit 1
+fi
 
 echo "--- graceful shutdown on SIGTERM"
 kill -TERM "$svc_pid"
