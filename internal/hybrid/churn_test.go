@@ -97,6 +97,29 @@ func runWideFleet(tb testing.TB, rng *rand.Rand) (*Fleet, int) {
 	return hyb, kind
 }
 
+// held returns the policy objects flow i holds, none if it holds no slot.
+func held(f *Fleet, i int) policies {
+	if k := f.store[i].pol; k != 0 {
+		return f.pols[k-1]
+	}
+	return policies{}
+}
+
+// freed returns the policy objects waiting in free slots, in the order
+// the slots were freed.
+func freed(f *Fleet) (ccs []tcp.CongestionControl, recs []tcp.RecoveryPolicy) {
+	for _, k := range f.freePols {
+		p := f.pols[k-1]
+		if p.cc != nil {
+			ccs = append(ccs, p.cc)
+		}
+		if p.rec != nil {
+			recs = append(recs, p.rec)
+		}
+	}
+	return ccs, recs
+}
+
 // TestHybridShellsCrossFlowsAndPolicies runs wide fleets, with the
 // full-scan oracle on, until every policy pair has had one: under each,
 // shells and — where the kind allows — policy objects pass from flow to
@@ -127,18 +150,21 @@ func TestHybridShellsCrossFlowsAndPolicies(t *testing.T) {
 			if hyb.DeliveredBytes(i) == 0 {
 				t.Errorf("kind %d: flow %d never ran", kind, i)
 			}
-			if hyb.ccs[i] != nil || hyb.recs[i] != nil {
-				t.Errorf("kind %d: finished flow %d still holds policy objects", kind, i)
+			if hyb.store[i].pol != 0 {
+				t.Errorf("kind %d: finished flow %d still holds policy slot %d", kind, i, hyb.store[i].pol)
 			}
 		}
 		// Every recovery policy comes back; a window policy does if it can
 		// be reset, and DCTCP and CUBIC, which cannot, go to the collector
-		// and are made per flow as they always were.
-		if len(hyb.freeRecs) == 0 {
-			t.Errorf("kind %d: no recovery policy on the free list", kind)
+		// and are made per flow as they always were. Every slot is free
+		// and the slab is no longer than the flows that held one at once.
+		ccs, recs := freed(hyb)
+		if len(recs) == 0 || len(hyb.freePols) != len(hyb.pols) || len(hyb.pols) >= flows {
+			t.Errorf("kind %d: %d recovery policies in %d free slots of %d, for %d flows",
+				kind, len(recs), len(hyb.freePols), len(hyb.pols), flows)
 		}
-		if recyclable := kind%4 == 0 || kind%4 == 3; recyclable != (len(hyb.freeCCs) > 0) {
-			t.Errorf("kind %d: %d window policies on the free list", kind, len(hyb.freeCCs))
+		if recyclable := kind%4 == 0 || kind%4 == 3; recyclable != (len(ccs) > 0) {
+			t.Errorf("kind %d: %d window policies in free slots", kind, len(ccs))
 		}
 	}
 }
@@ -177,7 +203,8 @@ func TestHybridLaterReleaseKeepsItsPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.RunUntil(at(50))
-	polA, recA := hyb.ccs[0], hyb.recs[0]
+	heldA := held(hyb, 0)
+	polA, recA := heldA.cc, heldA.rec
 	if hyb.Live() != 0 || polA == nil || recA == nil {
 		t.Fatalf("after A's first train: %d live, policies %v %v", hyb.Live(), polA, recA)
 	}
@@ -185,31 +212,32 @@ func TestHybridLaterReleaseKeepsItsPolicy(t *testing.T) {
 		t.Fatal("A's first train left no RTT estimate to inherit")
 	}
 	sched.RunUntil(at(60)) // B's release has fired, its train is on the wire
-	polB := hyb.ccs[1]
+	polB := held(hyb, 1).cc
 	sched.RunUntil(at(110))
-	if hyb.ccs[1] != nil || len(hyb.freeCCs) != 1 || hyb.freeCCs[0] != polB {
-		t.Fatalf("B is over: its policy %p should be the free list, which is %v", polB, hyb.freeCCs)
+	if free, _ := freed(hyb); held(hyb, 1).cc != nil || len(free) != 1 || free[0] != polB {
+		t.Fatalf("B is over: its policy %p should be in the one free slot; free are %v", polB, free)
 	}
 	if got := polB.(*core.Trim).SmoothRTT(); got != 0 {
 		t.Errorf("B's recycled policy still carries B's RTT estimate %v", got)
 	}
 	sched.RunUntil(at(120))
-	if hyb.ccs[2] != polB || len(hyb.freeCCs) != 0 {
-		t.Errorf("C took policy %p, want B's %p; free list %v", hyb.ccs[2], polB, hyb.freeCCs)
+	if free, _ := freed(hyb); held(hyb, 2).cc != polB || len(free) != 0 {
+		t.Errorf("C took policy %p, want B's %p; free are %v", held(hyb, 2).cc, polB, free)
 	}
-	if hyb.ccs[0] != polA || hyb.recs[0] != recA {
+	if held(hyb, 0) != heldA {
 		t.Errorf("A lost its policy objects between its trains")
 	}
 	sched.RunUntil(at(300))
-	if hyb.ccs[0] != polA || hyb.recs[0] != recA || hyb.conns[0] == nil || hyb.conns[0].CC() != polA {
+	if held(hyb, 0) != heldA || hyb.conns[0] == nil || hyb.conns[0].CC() != polA {
 		t.Errorf("A's second train does not run on the objects of its first")
 	}
 	sched.RunUntil(at(2000))
 	if err := hyb.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if hyb.Live() != 0 || hyb.ccs[0] != nil || len(hyb.freeCCs) != 2 {
-		t.Errorf("at the end: %d live, A holds %v, %d policies free", hyb.Live(), hyb.ccs[0], len(hyb.freeCCs))
+	if free, _ := freed(hyb); hyb.Live() != 0 || held(hyb, 0).cc != nil || len(free) != 2 || len(hyb.pols) != 2 {
+		t.Errorf("at the end: %d live, A holds %v, %d policies free in a slab of %d",
+			hyb.Live(), held(hyb, 0).cc, len(free), len(hyb.pols))
 	}
 	// And none of the handing over shows: the same schedule at packet
 	// fidelity, where every flow owns its objects for the whole run.
@@ -336,15 +364,15 @@ func TestHybridCycleAllocatesNothing(t *testing.T) {
 	if steady > 0.05 {
 		t.Errorf("%.2f allocations per cycle, want 0", steady)
 	}
-	// A last cycle ends by handing the flow's two policy objects to the
-	// free lists. Nobody takes them here (no flow is new in round four),
-	// so the lists grow to the fleet's size: two slices doubling.
+	// A last cycle ends by freeing the flow's policy slot. Nobody takes
+	// one here (no flow is new in round four), so the free list grows to
+	// the fleet's size: one slice doubling.
 	last := perCycle(4 * time.Second)
 	settled(4)
 	t.Logf("%.2f allocations per cycle that retires its flow", last)
-	if last > 0.15 || len(fleet.freeCCs) != flows || len(fleet.freeRecs) != flows {
-		t.Errorf("%.2f allocations per retiring cycle, %d + %d policies retired; want the free lists' growth only, and %d each",
-			last, len(fleet.freeCCs), len(fleet.freeRecs), flows)
+	if ccs, recs := freed(fleet); last > 0.15 || len(ccs) != flows || len(recs) != flows {
+		t.Errorf("%.2f allocations per retiring cycle, %d + %d policies retired; want the free list's growth only, and %d each",
+			last, len(ccs), len(recs), flows)
 	}
 }
 
@@ -380,16 +408,18 @@ func TestHybridRetainedHeapFollowsLiveConns(t *testing.T) {
 	perFlow := float64(heap()-base) / float64(n*per)
 	runtime.KeepAlive(fleet)
 	runtime.KeepAlive(sched)
-	// Measured (go1.24, amd64): 470 B per demoted flow — the flow store's
-	// 200, the flow's label, its timeline entry, its completion record
-	// and, because this fleet labels responses per flow, a sink and its
-	// completion callback per flow (one per fleet where the label is
-	// shared, as in fig8million); its Reno and classic objects are on the
-	// free lists, two for the whole fleet — against 1 250 B when each
-	// flow's policy still pinned the tcp.Conn of its last train. The bound
-	// is the measurement plus a third.
+	// Measured (go1.24, amd64): 343 B per demoted flow — the flow store's
+	// 128-byte record, the flow's label, its 24-byte timeline entry, its
+	// completion record and, because this fleet labels responses per
+	// flow, a sink and its completion callback per flow (one per fleet
+	// where the label is shared, as in fig8million); its Reno and classic
+	// objects wait in a free policy slot, a handful for the whole fleet —
+	// against 451 B with thirteen parallel store arrays and two policy
+	// interface slots per flow, and 1 250 B when each flow's policy still
+	// pinned the tcp.Conn of its last train. The bound is the measurement
+	// plus a third.
 	t.Logf("%.0f B of heap per demoted flow", perFlow)
-	if perFlow > 630 {
+	if perFlow > 457 {
 		t.Errorf("%.0f B of heap per demoted flow: demoted flows pin connection state", perFlow)
 	}
 }

@@ -2,8 +2,8 @@
 // persistent HTTP connections that can run at two fidelities. Packet
 // fidelity materializes every connection up front (delegating to
 // httpapp.Fleet — the historical shape, byte for byte). Hybrid fidelity
-// keeps each connection as a few-dozen-byte record in a struct-of-arrays
-// flow store while it is OFF, advancing the whole idle population in one
+// keeps each connection as one 128-byte, pointer-free record in the flow
+// store while it is OFF, advancing the whole idle population in one
 // chained driver event per epoch, and drops to packet level only for
 // connections with an ON train: a release materializes the flow into a
 // real tcp.Conn (a shell and a hot line recycled through the fleet's
@@ -14,17 +14,18 @@
 // back into the store. It looks only at connections that ran since its
 // previous step (tcp.Arena.DrainTouched), so a step costs what happened,
 // not what is live; a flow demoted after its last release also leaves
-// its policy objects to the next flow that needs a pair. What is tested
-// byte-identical across fidelities is
-// TCP-TRIM on the pinned small-scale figures (the *HybridInvariant tests
-// in internal/experiment: fig6 and the 3-ToR fig8 cell) and random small
-// fleets (FuzzHybridFleetLockstep); plain TCP on the 25-ToR tree is
-// known to differ (ROADMAP item 6).
+// its policy slot, objects reset, to the next flow that needs one. What
+// is tested byte-identical across fidelities is TCP-TRIM on the pinned
+// small-scale figures (the *HybridInvariant tests in internal/experiment:
+// fig6 and the 3-ToR fig8 cell) and random small fleets
+// (FuzzHybridFleetLockstep); plain TCP on the 25-ToR tree is known to
+// differ (ROADMAP item 6).
 package hybrid
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -102,14 +103,14 @@ const (
 	relLast = uint8(0x80)
 )
 
-// release is one deferred ON event of a flow: 32 bytes and no pointer,
+// release is one deferred ON event of a flow: 24 bytes and no pointer,
 // so a timeline of a million of them is sorted by value and never
 // scanned by the collector. What a release reports to or calls lives in
 // a side table that ref indexes: Fleet.sinks for relResponse,
 // Fleet.connFns for relConn.
 type release struct {
 	at    sim.Time
-	bytes int
+	bytes int32
 	flow  int32
 	ref   int32
 	kind  uint8
@@ -122,26 +123,37 @@ type sink struct {
 	coll  *httpapp.Collector
 }
 
-// flowStore is the struct-of-arrays compact state: one slot per flow,
-// valid when the saved flag is set (the flow has been materialized and
-// detached at least once). Fields mirror tcp.SavedState; splitting them
-// into parallel arrays keeps the hot ones (offset, cwnd) contiguous for
-// the sweep and total-delivered scans and costs nothing for fields a
-// given experiment never touches.
-type flowStore struct {
-	offset     []int64
-	cwnd       []float64
-	ssthresh   []float64
-	srtt       []time.Duration
-	rttvar     []time.Duration
-	lastRTOAt  []sim.Time
-	lastSendAt []sim.Time
-	nextPkt    []uint64
-	nextAck    []uint64
-	backoff    []int32
-	sackRotate []int32
-	flags      []uint8
-	stats      []tcp.Stats
+// flowRec is one flow's slot in the flow store, valid once flagSaved is
+// set (the flow has been materialized and detached at least once): a
+// tcp.SavedState at the widths a flow can reach, in 128 bytes with no
+// pointer, so the collector never scans a store of a million of them and
+// a demotion or a materialization touches two cache lines. The packet-ID
+// counters are 32 bits because tcp packs them into 31 bits of every
+// packet ID, the lifetime counters 32 bits each, and Stats.AckedBytes is
+// not kept: a drained flow has had every byte acknowledged, so it is
+// offset. save refuses a state these widths cannot hold.
+type flowRec struct {
+	offset     int64
+	cwnd       float64
+	ssthresh   float64
+	srtt       time.Duration
+	rttvar     time.Duration
+	lastRTOAt  sim.Time
+	lastSendAt sim.Time
+	nextPkt    uint32
+	nextAck    uint32
+	stats      recStats
+	backoff    int32
+	sackRotate int32
+	// pol is the flow's slot in Fleet.pols plus one; 0 while it holds none.
+	pol   int32
+	flags uint8
+}
+
+// recStats is tcp.Stats without AckedBytes, one uint32 per counter.
+type recStats struct {
+	timeouts, fastRecoveries, retransSegs, sentSegs, probeSegs, acksSent, eceSeen    uint32
+	rtoRetransSegs, fastRetransSegs, tlpProbes, spuriousRetransSegs, recoverySignals uint32
 }
 
 const (
@@ -153,66 +165,113 @@ const (
 	flagPending
 )
 
-func newFlowStore(n int) *flowStore {
-	return &flowStore{
-		offset:     make([]int64, n),
-		cwnd:       make([]float64, n),
-		ssthresh:   make([]float64, n),
-		srtt:       make([]time.Duration, n),
-		rttvar:     make([]time.Duration, n),
-		lastRTOAt:  make([]sim.Time, n),
-		lastSendAt: make([]sim.Time, n),
-		nextPkt:    make([]uint64, n),
-		nextAck:    make([]uint64, n),
-		backoff:    make([]int32, n),
-		sackRotate: make([]int32, n),
-		flags:      make([]uint8, n),
-		stats:      make([]tcp.Stats, n),
+func (r *flowRec) saved() bool { return r.flags&flagSaved != 0 }
+
+// save stores a detached flow's state, or leaves the record as it was and
+// says why the state does not fit.
+func (r *flowRec) save(st tcp.SavedState) error {
+	s := &st.Stats
+	switch {
+	case s.AckedBytes != st.Offset:
+		return fmt.Errorf("acked bytes %d differ from offset %d", s.AckedBytes, st.Offset)
+	case st.NextPkt >= 1<<31 || st.NextAck >= 1<<31:
+		return fmt.Errorf("packet-ID counters %d/%d reach 2^31", st.NextPkt, st.NextAck)
+	case !fitsUint32(s.Timeouts, s.FastRecoveries, s.RetransSegs, s.SentSegs, s.ProbeSegs, s.AcksSent, s.ECESeen,
+		s.RTORetransSegs, s.FastRetransSegs, s.TLPProbes, s.SpuriousRetransSegs, s.RecoverySignals):
+		return fmt.Errorf("a counter does not fit in 32 bits: %+v", *s)
+	case st.Backoff != int(int32(st.Backoff)) || st.SackRotate != int(int32(st.SackRotate)):
+		return fmt.Errorf("back-off %d or SACK rotation %d does not fit in 32 bits", st.Backoff, st.SackRotate)
 	}
-}
-
-func (s *flowStore) saved(i int32) bool { return s.flags[i]&flagSaved != 0 }
-
-func (s *flowStore) save(i int32, st tcp.SavedState) {
-	s.offset[i] = st.Offset
-	s.cwnd[i] = st.Cwnd
-	s.ssthresh[i] = st.Ssthresh
-	s.srtt[i] = st.SRTT
-	s.rttvar[i] = st.RTTVar
-	s.lastRTOAt[i] = st.LastRTOAt
-	s.lastSendAt[i] = st.LastSendAt
-	s.nextPkt[i] = st.NextPkt
-	s.nextAck[i] = st.NextAck
-	s.backoff[i] = int32(st.Backoff)
-	s.sackRotate[i] = int32(st.SackRotate)
-	flags := flagSaved | s.flags[i]&flagPending
+	flags := flagSaved | r.flags&flagPending
 	if st.HasSent {
 		flags |= flagHasSent
 	}
 	if st.RcvCE {
 		flags |= flagRcvCE
 	}
-	s.flags[i] = flags
-	s.stats[i] = st.Stats
+	*r = flowRec{
+		offset:     st.Offset,
+		cwnd:       st.Cwnd,
+		ssthresh:   st.Ssthresh,
+		srtt:       st.SRTT,
+		rttvar:     st.RTTVar,
+		lastRTOAt:  st.LastRTOAt,
+		lastSendAt: st.LastSendAt,
+		nextPkt:    uint32(st.NextPkt),
+		nextAck:    uint32(st.NextAck),
+		stats: recStats{
+			uint32(s.Timeouts), uint32(s.FastRecoveries), uint32(s.RetransSegs), uint32(s.SentSegs),
+			uint32(s.ProbeSegs), uint32(s.AcksSent), uint32(s.ECESeen),
+			uint32(s.RTORetransSegs), uint32(s.FastRetransSegs), uint32(s.TLPProbes),
+			uint32(s.SpuriousRetransSegs), uint32(s.RecoverySignals),
+		},
+		backoff:    int32(st.Backoff),
+		sackRotate: int32(st.SackRotate),
+		pol:        r.pol,
+		flags:      flags,
+	}
+	return nil
 }
 
-func (s *flowStore) load(i int32) tcp.SavedState {
-	return tcp.SavedState{
-		Offset:     s.offset[i],
-		Cwnd:       s.cwnd[i],
-		Ssthresh:   s.ssthresh[i],
-		SRTT:       s.srtt[i],
-		RTTVar:     s.rttvar[i],
-		Backoff:    int(s.backoff[i]),
-		LastRTOAt:  s.lastRTOAt[i],
-		HasSent:    s.flags[i]&flagHasSent != 0,
-		LastSendAt: s.lastSendAt[i],
-		SackRotate: int(s.sackRotate[i]),
-		RcvCE:      s.flags[i]&flagRcvCE != 0,
-		NextPkt:    s.nextPkt[i],
-		NextAck:    s.nextAck[i],
-		Stats:      s.stats[i],
+// fitsUint32 reports whether every value is a valid uint32.
+func fitsUint32(vs ...int) bool {
+	for _, v := range vs {
+		if v < 0 || uint64(v) > math.MaxUint32 {
+			return false
+		}
 	}
+	return true
+}
+
+func (r *flowRec) load() tcp.SavedState {
+	return tcp.SavedState{
+		Offset:     r.offset,
+		Cwnd:       r.cwnd,
+		Ssthresh:   r.ssthresh,
+		SRTT:       r.srtt,
+		RTTVar:     r.rttvar,
+		Backoff:    int(r.backoff),
+		LastRTOAt:  r.lastRTOAt,
+		HasSent:    r.flags&flagHasSent != 0,
+		LastSendAt: r.lastSendAt,
+		SackRotate: int(r.sackRotate),
+		RcvCE:      r.flags&flagRcvCE != 0,
+		NextPkt:    uint64(r.nextPkt),
+		NextAck:    uint64(r.nextAck),
+		Stats:      r.tcpStats(),
+	}
+}
+
+// tcpStats returns the flow's lifetime counters (zero before its first
+// demotion).
+func (r *flowRec) tcpStats() tcp.Stats {
+	s := &r.stats
+	return tcp.Stats{
+		Timeouts:            int(s.timeouts),
+		FastRecoveries:      int(s.fastRecoveries),
+		RetransSegs:         int(s.retransSegs),
+		SentSegs:            int(s.sentSegs),
+		ProbeSegs:           int(s.probeSegs),
+		AcksSent:            int(s.acksSent),
+		AckedBytes:          r.offset,
+		ECESeen:             int(s.eceSeen),
+		RTORetransSegs:      int(s.rtoRetransSegs),
+		FastRetransSegs:     int(s.fastRetransSegs),
+		TLPProbes:           int(s.tlpProbes),
+		SpuriousRetransSegs: int(s.spuriousRetransSegs),
+		RecoverySignals:     int(s.recoverySignals),
+	}
+}
+
+// policies is what a flow's window inheritance lives in beside its
+// record: its congestion-control and recovery objects, held in a slot of
+// Fleet.pols from its first release to its last demotion. A free slot
+// keeps the objects reset for the next flow (cc nil if it cannot be
+// reset), so the slab is as long as the most flows that ever held
+// policies at once, not the fleet.
+type policies struct {
+	cc  tcp.CongestionControl
+	rec tcp.RecoveryPolicy
 }
 
 // Fleet is a group of persistent connections from sender hosts to one
@@ -235,15 +294,15 @@ type Fleet struct {
 	per      int          // flows per sender
 	drv      *sim.Scheduler
 	coll     *httpapp.Collector
-	store    *flowStore
-	conns    []*tcp.Conn             // non-nil while materialized
-	ccs      []tcp.CongestionControl // per-flow policy, from first release to last demotion
-	recs     []tcp.RecoveryPolicy    // per-flow policy, from first release to last demotion
+	store    []flowRec   // one per flow
+	conns    []*tcp.Conn // non-nil while materialized
 	arena    *tcp.Arena
 	initCwnd float64 // resolved Base.InitialCwnd
-	// Policies finished flows left, reset (see popOr).
-	freeCCs  []tcp.CongestionControl
-	freeRecs []tcp.RecoveryPolicy
+	// pols holds the policy objects of the flows between their first
+	// release and their last demotion (flowRec.pol), and in freePols'
+	// slots those finished flows left.
+	pols     []policies
+	freePols []int32
 
 	timeline []release
 	sinks    []sink
@@ -316,10 +375,8 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	f.stepFn = f.step
 	f.demoteFn = f.demoteIfQuiescent
 	f.coll = &httpapp.Collector{}
-	f.store = newFlowStore(n)
+	f.store = make([]flowRec, n)
 	f.conns = make([]*tcp.Conn, n)
-	f.ccs = make([]tcp.CongestionControl, n)
-	f.recs = make([]tcp.RecoveryPolicy, n)
 	f.arena = tcp.NewArena()
 	f.initCwnd = cfg.Base.InitialCwnd
 	if f.initCwnd == 0 {
@@ -363,11 +420,24 @@ func (f *Fleet) checkFlow(i int) error {
 	return nil
 }
 
+// checkRelease validates a release's flow and size. A hybrid timeline
+// entry holds the size in 32 bits; both fidelities refuse a size it
+// cannot hold, so that a runner behaves the same at either.
+func (f *Fleet) checkRelease(i, bytes int) error {
+	if err := f.checkFlow(i); err != nil {
+		return err
+	}
+	if bytes != int(int32(bytes)) {
+		return fmt.Errorf("hybrid: a %d-byte release on flow %d does not fit in 32 bits", bytes, i)
+	}
+	return nil
+}
+
 // ScheduleResponse releases a response on flow i at the given instant,
 // reporting completion to the fleet's collector under the flow's default
 // label.
 func (f *Fleet) ScheduleResponse(i int, at sim.Time, bytes int) error {
-	if err := f.checkFlow(i); err != nil {
+	if err := f.checkRelease(i, bytes); err != nil {
 		return err
 	}
 	if f.pkt != nil {
@@ -379,7 +449,7 @@ func (f *Fleet) ScheduleResponse(i int, at sim.Time, bytes int) error {
 // ScheduleResponseAs is ScheduleResponse with an explicit label and
 // collector (the large-scale runner's separate measured-SPT collector).
 func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, coll *httpapp.Collector) error {
-	if err := f.checkFlow(i); err != nil {
+	if err := f.checkRelease(i, bytes); err != nil {
 		return err
 	}
 	if f.pkt != nil {
@@ -393,7 +463,7 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 	if n := len(f.sinks); n == 0 || f.sinks[n-1] != to {
 		f.sinks = append(f.sinks, to)
 	}
-	f.addRelease(release{at: at, bytes: bytes, flow: int32(i), ref: int32(len(f.sinks) - 1), kind: relResponse})
+	f.addRelease(release{at: at, bytes: int32(bytes), flow: int32(i), ref: int32(len(f.sinks) - 1), kind: relResponse})
 	return nil
 }
 
@@ -410,7 +480,7 @@ func (f *Fleet) addRelease(r release) {
 // completion is not collected (measure by throughput). The flow stays
 // materialized for as long as the train runs.
 func (f *Fleet) StartBackgroundFlow(i int, at sim.Time, bytes int) error {
-	if err := f.checkFlow(i); err != nil {
+	if err := f.checkRelease(i, bytes); err != nil {
 		return err
 	}
 	if f.pkt != nil {
@@ -419,7 +489,7 @@ func (f *Fleet) StartBackgroundFlow(i int, at sim.Time, bytes int) error {
 	if f.armed {
 		return fmt.Errorf("hybrid: schedule after Arm")
 	}
-	f.addRelease(release{at: at, bytes: bytes, flow: int32(i), kind: relBackground})
+	f.addRelease(release{at: at, bytes: int32(bytes), flow: int32(i), kind: relBackground})
 	return nil
 }
 
@@ -467,8 +537,8 @@ func (f *Fleet) Arm() error {
 	f.sinkDone = make([]func(tcp.TrainResult), len(f.sinks))
 	for k := len(f.timeline) - 1; k >= 0; k-- {
 		r := &f.timeline[k]
-		if f.store.flags[r.flow]&flagPending == 0 {
-			f.store.flags[r.flow] |= flagPending
+		if rec := &f.store[r.flow]; rec.flags&flagPending == 0 {
+			rec.flags |= flagPending
 			r.kind |= relLast
 		}
 		if r.kind&^relLast != relResponse {
@@ -507,8 +577,8 @@ func (f *Fleet) step() {
 		// fully folded into the store and the chain ends.
 		return
 	}
-	if _, err := f.drv.At(next, f.stepFn); err != nil && f.firstErr == nil {
-		f.firstErr = err
+	if _, err := f.drv.At(next, f.stepFn); err != nil {
+		f.fail(err)
 	}
 }
 
@@ -530,8 +600,7 @@ func (f *Fleet) sweep() {
 }
 
 // demoteIfQuiescent folds a touched connection into the store if it has
-// gone quiescent. A flow with no release left also gives up its policy
-// objects: to the free lists if they can be reset, else to the collector.
+// gone quiescent.
 func (f *Fleet) demoteIfQuiescent(c *tcp.Conn) {
 	i := int32(c.Flow() - f.cfg.FirstFlow)
 	if f.conns[i] != c {
@@ -543,45 +612,54 @@ func (f *Fleet) demoteIfQuiescent(c *tcp.Conn) {
 	}
 	st, err := c.Detach()
 	if err != nil {
-		if f.firstErr == nil {
-			f.firstErr = fmt.Errorf("hybrid: demote flow %d: %w", i, err)
-		}
+		f.fail(fmt.Errorf("hybrid: demote flow %d: %w", i, err))
 		return
 	}
-	f.store.save(i, st)
 	f.conns[i] = nil
 	f.liveCount--
-	if f.store.flags[i]&flagPending != 0 {
+	f.fold(i, st)
+}
+
+// fold saves a detached flow's state into its record. A flow with no
+// release left also frees its policy slot, which keeps the objects that
+// can be reset for the next flow and drops the others to the collector.
+func (f *Fleet) fold(i int32, st tcp.SavedState) {
+	r := &f.store[i]
+	if err := r.save(st); err != nil {
+		f.fail(fmt.Errorf("hybrid: demote flow %d: %w", i, err))
 		return
 	}
-	if r, ok := f.ccs[i].(interface{ Recycle() }); ok {
-		r.Recycle()
-		f.freeCCs = append(f.freeCCs, f.ccs[i])
+	if r.flags&flagPending != 0 {
+		return
 	}
-	f.recs[i].Recycle()
-	f.freeRecs = append(f.freeRecs, f.recs[i])
-	f.ccs[i], f.recs[i] = nil, nil
+	p := &f.pols[r.pol-1]
+	if rc, ok := p.cc.(interface{ Recycle() }); ok {
+		rc.Recycle()
+	} else {
+		p.cc = nil
+	}
+	p.rec.Recycle()
+	f.freePols = append(f.freePols, r.pol)
+	r.pol = 0
 }
 
 // fire materializes a release's flow and starts its train.
 func (f *Fleet) fire(r *release) {
 	c, err := f.materialize(r.flow)
 	if err != nil {
-		if f.firstErr == nil {
-			f.firstErr = fmt.Errorf("hybrid: release flow %d at %v: %w", r.flow, r.at, err)
-		}
+		f.fail(fmt.Errorf("hybrid: release flow %d at %v: %w", r.flow, r.at, err))
 		return
 	}
 	if r.kind&relLast != 0 {
-		f.store.flags[r.flow] &^= flagPending
+		f.store[r.flow].flags &^= flagPending
 	}
 	switch r.kind &^ relLast {
 	case relConn:
 		f.connFns[r.ref](c)
 	case relBackground:
-		c.SendTrain(r.bytes, nil)
+		c.SendTrain(int(r.bytes), nil)
 	default:
-		c.SendTrain(r.bytes, f.sinkDone[r.ref])
+		c.SendTrain(int(r.bytes), f.sinkDone[r.ref])
 	}
 }
 
@@ -598,20 +676,15 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	cfg.Receiver = f.frontEnd
 	cfg.Flow = f.cfg.FirstFlow + netsim.FlowID(i)
 	cfg.Arena = f.arena
-	if f.ccs[i] == nil {
-		f.ccs[i] = popOr(&f.freeCCs, f.cfg.NewCC)
+	p := f.holdPolicies(i)
+	if p.cc != nil {
+		cfg.CC = p.cc
 	}
-	if f.ccs[i] != nil {
-		cfg.CC = f.ccs[i]
+	if p.rec != nil {
+		cfg.Recovery = p.rec
 	}
-	if f.recs[i] == nil {
-		f.recs[i] = popOr(&f.freeRecs, f.cfg.NewRecovery)
-	}
-	if f.recs[i] != nil {
-		cfg.Recovery = f.recs[i]
-	}
-	if f.store.saved(i) {
-		f.restoring = f.store.load(i)
+	if r := &f.store[i]; r.saved() {
+		f.restoring = r.load()
 		cfg.Restore = &f.restoring
 	}
 	c, err := tcp.NewConn(cfg)
@@ -620,8 +693,7 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	}
 	// Capture the defaulted policies so the flow's next life reuses the
 	// same objects (window inheritance lives in them, not the config).
-	f.ccs[i] = c.CC()
-	f.recs[i] = c.Recovery()
+	p.cc, p.rec = c.CC(), c.Recovery()
 	f.conns[i] = c
 	f.liveCount++
 	if f.liveCount > f.peakLive {
@@ -630,20 +702,41 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	return c, nil
 }
 
-// popOr gives a flow's first life the policy a finished flow left last,
-// else a new one from the factory, else nil (NewConn has a default).
-func popOr[T any](free *[]T, factory func() T) (p T) {
-	if n := len(*free); n > 0 {
-		p, (*free)[n-1] = (*free)[n-1], p
-		*free = (*free)[:n-1]
-	} else if factory != nil {
-		p = factory()
+// holdPolicies returns flow i's policy slot, giving a flow that holds
+// none the slot a finished flow freed last, else a new one. A half the
+// slot lacks comes from the factory, if there is one (else NewConn has a
+// default).
+func (f *Fleet) holdPolicies(i int32) *policies {
+	r := &f.store[i]
+	if r.pol == 0 {
+		if n := len(f.freePols); n > 0 {
+			r.pol = f.freePols[n-1]
+			f.freePols = f.freePols[:n-1]
+		} else {
+			f.pols = append(f.pols, policies{})
+			r.pol = int32(len(f.pols))
+		}
+	}
+	p := &f.pols[r.pol-1]
+	if p.cc == nil && f.cfg.NewCC != nil {
+		p.cc = f.cfg.NewCC()
+	}
+	if p.rec == nil && f.cfg.NewRecovery != nil {
+		p.rec = f.cfg.NewRecovery()
 	}
 	return p
 }
 
+// fail keeps the first asynchronous error.
+func (f *Fleet) fail(err error) {
+	if f.firstErr == nil {
+		f.firstErr = err
+	}
+}
+
 // Err returns the first asynchronous error the driver hit (a failed
-// materialize or re-arm); runners check it after the run.
+// materialize or re-arm, a demoted state the flow store cannot hold);
+// runners check it after the run.
 func (f *Fleet) Err() error { return f.firstErr }
 
 // Live returns the number of currently materialized connections
@@ -687,8 +780,8 @@ func (f *Fleet) Cwnd(i int) float64 {
 	if c := f.conns[i]; c != nil {
 		return c.Cwnd()
 	}
-	if f.store.saved(int32(i)) {
-		return f.store.cwnd[i]
+	if r := &f.store[i]; r.saved() {
+		return r.cwnd
 	}
 	return f.initCwnd
 }
@@ -701,7 +794,7 @@ func (f *Fleet) DeliveredBytes(i int) int64 {
 	if c := f.conns[i]; c != nil {
 		return c.DeliveredBytes()
 	}
-	return f.store.offset[i]
+	return f.store[i].offset
 }
 
 // TotalDelivered sums delivered bytes across all flows.
@@ -714,7 +807,7 @@ func (f *Fleet) TotalDelivered() int64 {
 		if c := f.conns[i]; c != nil {
 			total += c.DeliveredBytes()
 		} else {
-			total += f.store.offset[i]
+			total += f.store[i].offset
 		}
 	}
 	return total
@@ -728,7 +821,7 @@ func (f *Fleet) Stats(i int) tcp.Stats {
 	if c := f.conns[i]; c != nil {
 		return c.Stats()
 	}
-	return f.store.stats[i]
+	return f.store[i].tcpStats()
 }
 
 // TotalTimeouts sums TCP timeouts across the fleet.

@@ -108,9 +108,10 @@ type Stats struct {
 	SentSegs       int
 	ProbeSegs      int
 	AcksSent       int
-	AckedBytes     int64
-	DeliveredBytes int64
-	ECESeen        int
+	// AckedBytes is the sender's cumulatively acknowledged byte count; the
+	// receiver's in-order count is Conn.DeliveredBytes.
+	AckedBytes int64
+	ECESeen    int
 
 	// Recovery-path breakdown of RetransSegs: RTORetransSegs counts the
 	// post-timeout go-back-N resends, FastRetransSegs the loss-detection
