@@ -120,8 +120,9 @@ const DefaultMemLimit = 64 << 20
 
 // Store is a two-tier content-addressed store: an in-memory LRU over
 // cell JSON payloads and run outputs, optionally backed by a directory
-// where every payload is written as it arrives (named by its key,
-// atomically renamed into place, so a crash never leaves a torn result).
+// where every payload is written as it arrives (named by its key, framed
+// with a checksum, atomically renamed into place, so a crash never leaves
+// a torn result and a damaged file is never served).
 // All methods are safe for concurrent use — sweep cells resolve from
 // parallel trial workers.
 type Store struct {
@@ -234,21 +235,18 @@ func (s *Store) get(key string, id specID, run bool) ([]byte, any, bool) {
 	return nil, nil, false
 }
 
-// read returns an entry's payload from disk: a cell file as it is, a run
-// file only when its frame matches its key and contents.
+// read returns an entry's payload from disk, only when the file's frame
+// matches its kind, its key and its contents.
 func (s *Store) read(key string, run bool) ([]byte, bool) {
 	if s.dir == "" {
 		return nil, false
 	}
-	if !run {
-		payload, err := os.ReadFile(s.path(key, ".cell"))
-		return payload, err == nil
-	}
-	b, _ := os.ReadFile(s.path(key, ".run"))
-	if len(b) < runHeader || !bytes.Equal(b[:runHeader], runFrame(key, b[runHeader:])) {
+	ext, magic := kind(run)
+	b, _ := os.ReadFile(s.path(key, ext))
+	if len(b) < frameHeader || !bytes.Equal(b[:frameHeader], frame(magic, key, b[frameHeader:])) {
 		return nil, false
 	}
-	return b[runHeader:], true
+	return b[frameHeader:], true
 }
 
 // Put stores a payload under key: into the memory tier, and — for
@@ -259,7 +257,8 @@ func (s *Store) Put(key string, payload []byte) error {
 }
 
 // put is Put plus the row the payload decodes to, the spec it answers and
-// its kind: a run goes to disk framed, as <key>.run.
+// its kind: a cell goes to disk as <key>.cell, a run as <key>.run, each
+// framed.
 func (s *Store) put(key string, payload []byte, value any, id specID, run bool) error {
 	s.mu.Lock()
 	s.insertLocked(key, payload, value, id, run)
@@ -267,10 +266,8 @@ func (s *Store) put(key string, payload []byte, value any, id specID, run bool) 
 	if s.dir == "" {
 		return nil
 	}
-	path, data := s.path(key, ".cell"), payload
-	if run {
-		path, data = s.path(key, ".run"), append(runFrame(key, payload), payload...)
-	}
+	ext, magic := kind(run)
+	path, data := s.path(key, ext), append(frame(magic, key, payload), payload...)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("cellcache: write: %w", err)
@@ -364,19 +361,30 @@ func (s *Store) Runs() RunStats {
 	return RunStats{s.runHits.Load(), s.runMisses.Load(), s.runs}
 }
 
-// A run file is runFrame(key, output) followed by output: a magic, the
-// output's length and a CRC-32C over key and output, so a torn,
-// truncated, renamed or foreign file reads as a miss.
+// An entry file is frame(magic, key, payload) followed by payload: a magic
+// naming the kind, the payload's length and a CRC-32C over key and
+// payload, so a torn, truncated, renamed, foreign or bit-flipped file
+// reads as a miss, and the next store of that entry rewrites it.
 const (
-	runMagic  = "TRUN"
-	runHeader = len(runMagic) + 8 + 4
+	cellMagic   = "TCEL"
+	runMagic    = "TRUN"
+	frameHeader = 4 + 8 + 4
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func runFrame(key string, output []byte) []byte {
-	h := binary.LittleEndian.AppendUint64([]byte(runMagic), uint64(len(output)))
-	sum := crc32.Update(crc32.Checksum([]byte(key), castagnoli), castagnoli, output)
+// kind returns the file extension and magic of a cell or, with run set, a
+// run.
+func kind(run bool) (ext, magic string) {
+	if run {
+		return ".run", runMagic
+	}
+	return ".cell", cellMagic
+}
+
+func frame(magic, key string, payload []byte) []byte {
+	h := binary.LittleEndian.AppendUint64([]byte(magic), uint64(len(payload)))
+	sum := crc32.Update(crc32.Checksum([]byte(key), castagnoli), castagnoli, payload)
 	return binary.LittleEndian.AppendUint32(h, sum)
 }
 
@@ -439,8 +447,8 @@ func Cell[T any](s *Store, spec any, codeVersion string, compute func() (*T, err
 			}
 			return out, false, nil
 		}
-		// A corrupt payload (truncated disk file, foreign format) is
-		// treated as a miss: recompute and overwrite it below.
+		// A payload that does not decode into T (an intact file of another
+		// row type) is treated as a miss: recompute and overwrite it below.
 	}
 	out, err := compute()
 	if err != nil {

@@ -381,8 +381,8 @@ func TestCacheCorruptPayloadRecomputes(t *testing.T) {
 	if got := mustCell(t, fresh, spec, false, countedRow{}); *got != want {
 		t.Fatalf("hit after the recompute = %+v, want %+v", *got, want)
 	}
-	if b, err := os.ReadFile(file); err != nil || !json.Valid(b) {
-		t.Errorf("disk payload after the recompute = %q (%v), want the row's JSON", b, err)
+	if b, err := os.ReadFile(file); err != nil || len(b) < frameHeader || !json.Valid(b[frameHeader:]) {
+		t.Errorf("disk file after the recompute = %q (%v), want the row's JSON framed", b, err)
 	}
 }
 
@@ -573,7 +573,7 @@ func TestRunFileFraming(t *testing.T) {
 	flipped[len(flipped)-1] ^= 1
 	for name, content := range map[string][]byte{
 		"truncated": good[:len(good)-1],
-		"header":    good[:runHeader-1],
+		"header":    good[:frameHeader-1],
 		"empty":     {},
 		"foreign":   []byte(`{"goodput":1}`),
 		"other key": otherFile,
@@ -594,6 +594,68 @@ func TestRunFileFraming(t *testing.T) {
 		}
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
 			t.Errorf("%s run file not rewritten: %q, %v", name, got, err)
+		}
+	}
+}
+
+// TestCellFileFraming: a cell file that is torn, truncated, empty,
+// foreign (bare JSON, or a run file), copied from another key or has one
+// digit of a number flipped is a miss — the flipped digit still decodes,
+// so only the checksum can tell — and the next Cell rewrites it.
+func TestCellFileFraming(t *testing.T) {
+	dir := t.TempDir()
+	spec, other := rowSpec{"framed", 1}, rowSpec{"framed", 2}
+	want := countedRow{"a", 1234, 0.5}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCell(t, s, spec, true, want)
+	mustCell(t, s, other, true, countedRow{"b", 5, 6})
+	if err := s.PutRun(runSpec{"fig4", 1}, "v1", []byte(`{"name":"a","n":1234,"f":0.5}`)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, Key(spec, "v1")+".cell")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	flipped := bytes.Replace(good, []byte("1234"), []byte("1235"), 1)
+	if bytes.Equal(flipped, good) {
+		t.Fatalf("no digit to flip in %q", good)
+	}
+	for name, content := range map[string][]byte{
+		"torn":      good[:len(good)/2],
+		"truncated": good[:len(good)-1],
+		"header":    good[:frameHeader-1],
+		"empty":     {},
+		"bare json": good[frameHeader:],
+		"run file":  read(Key(runSpec{"fig4", 1}, "v1") + ".run"),
+		"other key": read(Key(other, "v1") + ".cell"),
+		"flipped":   flipped,
+	} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := fresh.Get(Key(spec, "v1")); ok {
+			t.Errorf("%s cell file: hit %q", name, got)
+		}
+		if got := mustCell(t, fresh, spec, true, want); *got != want {
+			t.Errorf("%s cell file: recomputed %+v, want %+v", name, *got, want)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
+			t.Errorf("%s cell file not rewritten: %q, %v", name, got, err)
 		}
 	}
 }

@@ -171,18 +171,18 @@ type AlphaResult struct {
 func RunAlphaAblation(alphas []float64, opts Options) (*AlphaResult, error) {
 	out := &AlphaResult{}
 	for _, alpha := range alphas {
-		row, err := runAlphaCell(alpha)
+		row, err := runAlphaCell(alpha, opts)
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, *row)
 	}
-	_ = opts
 	return out, nil
 }
 
-func runAlphaCell(alpha float64) (*AlphaRow, error) {
-	sched := sim.NewScheduler()
+func runAlphaCell(alpha float64, opts Options) (*AlphaRow, error) {
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, 5, topology.DefaultStarLink(100))
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
@@ -206,7 +206,9 @@ func runAlphaCell(alpha float64) (*AlphaRow, error) {
 	queue := star.Bottleneck.Queue()
 	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
 		propSampleStep, func() float64 { return float64(queue.Len()) })
-	sched.RunUntil(sim.At(propFlowStop))
+	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+		return nil, err
+	}
 
 	window := (propFlowStop - propFlowStart).Seconds()
 	return &AlphaRow{

@@ -152,7 +152,7 @@ func RunAQMSweep(protos []Protocol, discs []AQMDiscipline, concs []int, opts Opt
 			Seed        int64    `json:"seed"`
 		}{"aqmsweep", c.proto, c.disc.Name, c.conc, seed}
 		row, _, err := cachedCell(opts, spec, func() (*AQMSweepRow, error) {
-			return runAQMSweepCell(c.proto, c.disc, c.conc, seed)
+			return runAQMSweepCell(c.proto, c.disc, c.conc, seed, opts)
 		})
 		if err == nil {
 			// Fires on cache hits too, so a warm run streams the same
@@ -171,9 +171,10 @@ func RunAQMSweep(protos []Protocol, discs []AQMDiscipline, concs []int, opts Opt
 	return out, nil
 }
 
-func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64) (*AQMSweepRow, error) {
+func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64, opts Options) (*AQMSweepRow, error) {
 	rng := sim.NewRand(seed)
-	sched := sim.NewScheduler()
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, asLPTs+conc, netsim.LinkConfig{
 		Rate:  netsim.Gbps,
 		Delay: 50 * time.Microsecond,
@@ -197,6 +198,8 @@ func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64) (
 	if err != nil {
 		return nil, err
 	}
+	var d metrics.Distribution
+	fleet.Collector.StreamTo(&d)
 	// Two endless background flows keep a standing queue under the short
 	// responses for the whole measurement.
 	for i := 0; i < asLPTs; i++ {
@@ -229,7 +232,7 @@ func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64) (
 	watch = func() {
 		if fleet.Collector.Pending() == 0 {
 			doneAt, doneBytes = sched.Now(), fleet.TotalDelivered()
-			sched.Stop()
+			env.stop()
 			return
 		}
 		sched.After(time.Millisecond, watch)
@@ -239,16 +242,14 @@ func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64) (
 	}
 
 	star.Net.ScheduleInvariantChecks(asCheckEvery)
-	sched.RunUntil(sim.At(asDeadline))
+	if err := env.runUntil(sim.At(asDeadline)); err != nil {
+		return nil, err
+	}
 	star.Net.CheckInvariants()
 	if doneAt == 0 {
 		doneAt, doneBytes = sched.Now(), fleet.TotalDelivered()
 	}
 
-	var d metrics.Distribution
-	for _, r := range fleet.Collector.Responses() {
-		d.AddDuration(r.CompletionTime())
-	}
 	row := &AQMSweepRow{
 		Protocol:    proto,
 		Discipline:  disc.Name,

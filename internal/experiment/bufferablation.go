@@ -63,7 +63,7 @@ func RunBufferAblation(protos []Protocol, buffers []int, opts Options) (*BufferR
 		}
 	}
 	rows, err := RunTrials(len(cells), func(i int) (*BufferRow, error) {
-		return runBufferCell(cells[i].proto, cells[i].buf)
+		return runBufferCell(cells[i].proto, cells[i].buf, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -72,12 +72,12 @@ func RunBufferAblation(protos []Protocol, buffers []int, opts Options) (*BufferR
 	for _, row := range rows {
 		out.Rows = append(out.Rows, *row)
 	}
-	_ = opts
 	return out, nil
 }
 
-func runBufferCell(proto Protocol, buffer int) (*BufferRow, error) {
-	sched := sim.NewScheduler()
+func runBufferCell(proto Protocol, buffer int, opts Options) (*BufferRow, error) {
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, 5, topology.DefaultStarLink(buffer))
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
@@ -100,7 +100,9 @@ func runBufferCell(proto Protocol, buffer int) (*BufferRow, error) {
 	queue := star.Bottleneck.Queue()
 	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
 		propSampleStep, func() float64 { return float64(queue.Len()) })
-	sched.RunUntil(sim.At(propFlowStop))
+	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+		return nil, err
+	}
 
 	window := (propFlowStop - propFlowStart).Seconds()
 	return &BufferRow{

@@ -8,7 +8,12 @@ package experiment
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,5 +97,69 @@ func TestStopInsideRunEndsItAtTheSameInstant(t *testing.T) {
 		if now := time.Duration(env.sched.Now()); now != want || fired[len(fired)-1] != last {
 			t.Errorf("stop at %v: run ended at %v after events %v; want %v", stopAt, now, fired, want)
 		}
+	}
+}
+
+// canceledCtx is a context that is already canceled and counts how often
+// the run asks it: runUntil asks once after each slice, so one question
+// means the cell gave up after its first slice.
+type canceledCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *canceledCtx) Err() error {
+	c.polls++
+	return context.Canceled
+}
+
+// TestCanceledCellsStopAfterOneSlice: cells that build their own scenario
+// poll the context inside the cell, not only between cells. An aqmsweep
+// cell otherwise runs to its 20 s simulated deadline.
+func TestCanceledCellsStopAfterOneSlice(t *testing.T) {
+	for name, cell := range map[string]func(Options) error{
+		"aqmsweep": func(o Options) error {
+			_, err := runAQMSweepCell(ProtoTRIM, DefaultAQMDisciplines[0], 8, 1, o)
+			return err
+		},
+		"ext-loss": func(o Options) error {
+			_, err := runLossCell("TCP", 1, 1, o)
+			return err
+		},
+	} {
+		ctx := &canceledCtx{Context: context.Background()}
+		if err := cell(Options{Context: ctx}); !errors.Is(err, context.Canceled) || ctx.polls != 1 {
+			t.Errorf("%s cell under a canceled context: %v after %d slices, want %v after 1",
+				name, err, ctx.polls, context.Canceled)
+		}
+	}
+}
+
+// TestOnlySimEnvMakesSchedulers: a runner that builds its own scheduler
+// and runs it directly never looks at Options.Context inside a cell, so a
+// canceled job keeps simulating. Every scheduler in the package comes from
+// newSimEnv.
+func TestOnlySimEnvMakesSchedulers(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || name == "simenv.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "NewScheduler" {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == "sim" {
+					t.Errorf("%s: sim.NewScheduler outside simenv.go; use newSimEnv", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }

@@ -120,7 +120,9 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 			return nil, err
 		}
 	}
+	var d metrics.Distribution
 	spt := &httpapp.Collector{}
+	spt.StreamTo(&d)
 	for i := lpts; i < lpts+spts; i++ {
 		// Warm-up: 200 small responses build the inherited window.
 		warm := workload.ScheduleCount(rng, sim.At(impairmentRespStart), impairmentResponses,
@@ -151,10 +153,6 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 		return nil, err
 	}
 
-	var d metrics.Distribution
-	for _, r := range spt.Responses() {
-		d.AddDuration(r.CompletionTime())
-	}
 	if d.Count() != spts {
 		return nil, fmt.Errorf("concurrency cell L=%d S=%d: %d of %d SPTs completed",
 			lpts, spts, d.Count(), spts)

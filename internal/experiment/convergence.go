@@ -50,7 +50,8 @@ func RunConvergence(proto Protocol, opts Options) (*ConvergenceResult, error) {
 	if _, err := NewCC(proto); err != nil {
 		return nil, err
 	}
-	sched := sim.NewScheduler()
+	env := newSimEnv(opts)
+	sched := env.sched
 	net := netsim.NewNetwork(sched)
 	sw := net.AddSwitch("sw")
 	recvLink := netsim.LinkConfig{
@@ -100,7 +101,9 @@ func RunConvergence(proto Protocol, opts Options) (*ConvergenceResult, error) {
 			func() int64 { return conn.DeliveredBytes() })
 		res.Throughput = append(res.Throughput, series)
 	}
-	sched.RunUntil(sim.At(convHorizon))
+	if err := env.runUntil(sim.At(convHorizon)); err != nil {
+		return nil, err
+	}
 
 	for i, s := range res.Throughput {
 		scaleSeries(s, 1e-6)

@@ -71,13 +71,12 @@ func (r *DeadlineResult) Row(policy string) *DeadlineRow {
 func RunDeadline(opts Options) (*DeadlineResult, error) {
 	out := &DeadlineResult{TightBudget: dlTightBudget, LooseBudget: dlLooseBudget}
 	for _, policy := range []string{"DCTCP", "D2TCP"} {
-		row, err := runDeadlineCell(policy)
+		row, err := runDeadlineCell(policy, opts)
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, *row)
 	}
-	_ = opts
 	return out, nil
 }
 
@@ -88,8 +87,9 @@ func deadlineFor(flowIdx int) time.Duration {
 	return dlLooseBudget
 }
 
-func runDeadlineCell(policy string) (*DeadlineRow, error) {
-	sched := sim.NewScheduler()
+func runDeadlineCell(policy string, opts Options) (*DeadlineRow, error) {
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, dlSenders, netsim.LinkConfig{
 		Rate:  netsim.Gbps,
 		Delay: 50 * time.Microsecond,
@@ -126,7 +126,9 @@ func runDeadlineCell(policy string) (*DeadlineRow, error) {
 			return nil, err
 		}
 	}
-	sched.RunUntil(sim.At(dlHorizon))
+	if err := env.runUntil(sim.At(dlHorizon)); err != nil {
+		return nil, err
+	}
 
 	row := &DeadlineRow{Policy: policy}
 	var sum time.Duration

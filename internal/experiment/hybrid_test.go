@@ -82,21 +82,26 @@ func TestMillionSmoke(t *testing.T) {
 	if row.ArenaCap != row.PeakLive {
 		t.Errorf("arena slots %d != peak live %d", row.ArenaCap, row.PeakLive)
 	}
-	// Heap tripwire. Measured on this configuration (go1.24, amd64): 2.60 MB
-	// after the run, 260 B/conn alone (363 when the flow store was thirteen
-	// parallel arrays and every flow had two policy interface slots). Per
-	// connection that is the flow store's 128 B record, a timeline entry
-	// (24), a completion record (40) and 24 B of per-flow tables (the
-	// fleet's live-connection slot, the two stacks' dispatch entries); the
-	// rest is topology and pools. The policy objects are not in it: they
-	// sit in slots only the flows between their first release and their
-	// last demotion hold, and a finished flow's core.Trim (240) and
-	// classic (16) serve the next flow, so the run makes as many as were
-	// ever live at once. The ceiling is the measurement plus a third: the
-	// 363 B/conn of the thirteen arrays is just over it, the 602 B/conn of
-	// one policy pair per released flow 1.7× over, the 1 441 B/conn of
-	// every demoted flow pinning its last tcp.Conn 4.2×.
-	const measuredPerConn = 260
+	// Heap tripwire. Measured on this configuration (go1.24, amd64): 2.29 MB
+	// after the run, 229 B/conn alone (260 when the collector kept a 40-byte
+	// record of every completed response, 363 when the flow store was
+	// thirteen parallel arrays and every flow had two policy interface
+	// slots). Per connection that is the flow store's 128 B record, a
+	// timeline entry (24), the completion time's 8 B sample in the FCT
+	// distribution (below the sample cap; above it the sketch is a fixed
+	// 60 KB) and 24 B of per-flow tables (the fleet's live-connection
+	// slot, the two stacks' dispatch entries); the rest is topology and
+	// pools. The policy objects are not in it: they sit in slots only the
+	// flows between their first release and their last demotion hold, and
+	// a finished flow's core.Trim (240) and classic (16) serve the next
+	// flow, so the run makes as many as were ever live at once. The ceiling
+	// is the measurement plus a third (305 B/conn): the 363 B/conn of the
+	// thirteen arrays is 1.2× over it, the 602 B/conn of one policy pair
+	// per released flow 2.0×, the 1 441 B/conn of every demoted flow
+	// pinning its last tcp.Conn 4.7×. The records alone (260) would fit
+	// under it; TestStreamingCollectorMatchesRecords in httpapp is their
+	// tripwire.
+	const measuredPerConn = 229
 	budget := uint64(measuredPerConn+measuredPerConn/3) * uint64(res.Conns)
 	t.Logf("heap %d B after the run, %.0f B/conn", row.HeapBytes, row.BytesPerConn)
 	if row.HeapBytes > budget {

@@ -252,11 +252,7 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 	res.QueueStats = queue.Stats()
 	res.QueueDrops = res.QueueStats.Dropped
 	res.BottleneckFaults = star.Bottleneck.Stats()
-	for _, r := range fleet.Collector().Responses() {
-		if r.Completed > res.AllDoneBy {
-			res.AllDoneBy = r.Completed
-		}
-	}
+	res.AllDoneBy = fleet.Collector().Last()
 	for _, at := range lptDoneAt {
 		if at > res.AllDoneBy {
 			res.AllDoneBy = at

@@ -40,7 +40,7 @@ type JitterResult struct {
 func RunJitter(jitters []time.Duration, opts Options) (*JitterResult, error) {
 	out := &JitterResult{}
 	for _, j := range jitters {
-		row, err := runJitterCell(j, opts.seed())
+		row, err := runJitterCell(j, opts.seed(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -49,8 +49,9 @@ func RunJitter(jitters []time.Duration, opts Options) (*JitterResult, error) {
 	return out, nil
 }
 
-func runJitterCell(jitter time.Duration, seed int64) (*JitterRow, error) {
-	sched := sim.NewScheduler()
+func runJitterCell(jitter time.Duration, seed int64, opts Options) (*JitterRow, error) {
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, ksFlows, topology.DefaultStarLink(100))
 	if jitter > 0 {
 		star.Bottleneck.InjectJitter(jitter, sim.NewRand(seed+int64(jitter)))
@@ -79,7 +80,9 @@ func runJitterCell(jitter time.Duration, seed int64) (*JitterRow, error) {
 	queue := star.Bottleneck.Queue()
 	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
 		propSampleStep, func() float64 { return float64(queue.Len()) })
-	sched.RunUntil(sim.At(propFlowStop))
+	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+		return nil, err
+	}
 
 	window := (propFlowStop - propFlowStart).Seconds()
 	goodput := float64(fleet.TotalDelivered()) * 8 / window

@@ -47,7 +47,7 @@ func RunKSweep(factors []float64, opts Options) (*KSweepResult, error) {
 	kStar := core.GuidelineKForLink(netsim.Gbps, netsim.MSS+netsim.HeaderSize, ksBaseRTT)
 	out := &KSweepResult{KStar: kStar, Rows: make([]KSweepRow, len(factors))}
 	rows, err := RunTrials(len(factors), func(i int) (*KSweepRow, error) {
-		row, err := runKSweepCell(time.Duration(factors[i] * float64(kStar)))
+		row, err := runKSweepCell(time.Duration(factors[i]*float64(kStar)), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -60,12 +60,12 @@ func RunKSweep(factors []float64, opts Options) (*KSweepResult, error) {
 	for i, row := range rows {
 		out.Rows[i] = *row
 	}
-	_ = opts
 	return out, nil
 }
 
-func runKSweepCell(k time.Duration) (*KSweepRow, error) {
-	sched := sim.NewScheduler()
+func runKSweepCell(k time.Duration, opts Options) (*KSweepRow, error) {
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, ksFlows, topology.DefaultStarLink(100))
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
@@ -93,7 +93,9 @@ func runKSweepCell(k time.Duration) (*KSweepRow, error) {
 	if _, err := sched.At(sim.At(propFlowStart), func() { startBytes = fleet.TotalDelivered() }); err != nil {
 		return nil, err
 	}
-	sched.RunUntil(sim.At(propFlowStop))
+	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+		return nil, err
+	}
 
 	window := (propFlowStop - propFlowStart).Seconds()
 	goodput := float64(fleet.TotalDelivered()-startBytes) * 8 / window

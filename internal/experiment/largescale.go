@@ -165,6 +165,7 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 	perToR := len(tree.Servers[0])
 	var sptFlows []int
 	spt := &httpapp.Collector{}
+	spt.StreamTo(acts)
 	idx := 0
 	for t := 0; t < tors; t++ {
 		for s := 0; s < perToR; s++ {
@@ -215,10 +216,7 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 		return err
 	}
 
-	for _, r := range spt.Responses() {
-		acts.AddDuration(r.CompletionTime())
-	}
-	row.Completed += len(spt.Responses())
+	row.Completed += spt.Count()
 	row.Scheduled += len(sptFlows)
 	for _, i := range sptFlows {
 		row.Timeouts += fleet.Stats(i).Timeouts

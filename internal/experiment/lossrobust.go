@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"tcptrim/internal/httpapp"
+	"tcptrim/internal/metrics"
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
@@ -57,7 +58,7 @@ func RunLossRobustness(lossPcts []float64, opts Options) (*LossResult, error) {
 	out := &LossResult{}
 	for _, pct := range lossPcts {
 		for _, variant := range LossVariants {
-			row, err := runLossCell(variant, pct, opts.seed())
+			row, err := runLossCell(variant, pct, opts.seed(), opts)
 			if err != nil {
 				return nil, err
 			}
@@ -67,9 +68,10 @@ func RunLossRobustness(lossPcts []float64, opts Options) (*LossResult, error) {
 	return out, nil
 }
 
-func runLossCell(variant string, lossPct float64, seed int64) (*LossRow, error) {
+func runLossCell(variant string, lossPct float64, seed int64, opts Options) (*LossRow, error) {
 	rng := sim.NewRand(seed)
-	sched := sim.NewScheduler()
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, 3, topology.DefaultStarLink(200))
 	// Loss on the shared bottleneck, deterministic per cell.
 	star.Bottleneck.InjectLoss(lossPct/100, sim.NewRand(seed+int64(lossPct*100)))
@@ -94,6 +96,8 @@ func runLossCell(variant string, lossPct float64, seed int64) (*LossRow, error) 
 	if err != nil {
 		return nil, err
 	}
+	var cts metrics.Distribution
+	fleet.Collector.StreamTo(&cts)
 	const perServer = 150
 	for _, srv := range fleet.Servers {
 		trains := workload.ScheduleCount(rng, sim.At(100*time.Millisecond), perServer,
@@ -103,10 +107,11 @@ func runLossCell(variant string, lossPct float64, seed int64) (*LossRow, error) 
 			return nil, err
 		}
 	}
-	sched.RunUntil(sim.At(20 * time.Second))
+	if err := env.runUntil(sim.At(20 * time.Second)); err != nil {
+		return nil, err
+	}
 
 	row := &LossRow{Variant: variant, LossPct: lossPct, Total: 3 * perServer}
-	cts := fleet.Collector.CompletionTimes(nil)
 	row.Complete = cts.Count()
 	row.ACT = secondsToDuration(cts.Mean())
 	row.P99 = secondsToDuration(cts.Percentile(99))

@@ -168,7 +168,9 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	// connections' hosts to background long trains (one per server);
 	// every connection of the remaining servers sends one short train of
 	// 1–4 segments at a uniform instant inside the window.
+	var fct metrics.Distribution
 	coll := &httpapp.Collector{}
+	coll.StreamTo(&fct)
 	opts.tapResponses(coll)
 	row := &MillionRow{Protocol: proto}
 	perServer := cfg.ConnsPerServer
@@ -219,10 +221,6 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 		return nil, err
 	}
 
-	var fct metrics.Distribution
-	for _, r := range coll.Responses() {
-		fct.AddDuration(r.CompletionTime())
-	}
 	row.Completed = fct.Count()
 	row.ACT = secondsToDuration(fct.Mean())
 	row.P99 = secondsToDuration(fct.Percentile(99))

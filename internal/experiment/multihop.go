@@ -39,7 +39,8 @@ func RunMultiHop(proto Protocol, opts Options) (*MultiHopResult, error) {
 	if _, err := NewCC(proto); err != nil {
 		return nil, err
 	}
-	sched := sim.NewScheduler()
+	env := newSimEnv(opts)
+	sched := env.sched
 	m := topology.NewMultiHop(sched, topology.MultiHopConfig{})
 
 	base := tcp.Config{
@@ -89,7 +90,9 @@ func RunMultiHop(proto Protocol, opts Options) (*MultiHopResult, error) {
 			return nil, err
 		}
 	}
-	sched.RunUntil(sim.At(mhHorizon))
+	if err := env.runUntil(sim.At(mhHorizon)); err != nil {
+		return nil, err
+	}
 
 	window := (mhHorizon - mhFlowStart).Seconds()
 	meanOf := func(conns []*tcp.Conn) float64 {

@@ -84,7 +84,7 @@ func RunProperties(protos []Protocol, minFlows, maxFlows int, opts Options) (*Pr
 		trace *metrics.Series
 	}
 	results, err := RunTrials(len(cells), func(i int) (propCell, error) {
-		row, trace, err := runPropertiesCell(cells[i].proto, cells[i].flows, cells[i].trace)
+		row, trace, err := runPropertiesCell(cells[i].proto, cells[i].flows, cells[i].trace, opts)
 		return propCell{row: row, trace: trace}, err
 	})
 	if err != nil {
@@ -104,8 +104,9 @@ func RunProperties(protos []Protocol, minFlows, maxFlows int, opts Options) (*Pr
 	return out, nil
 }
 
-func runPropertiesCell(proto Protocol, flows int, trace bool) (*PropertiesRow, *metrics.Series, error) {
-	sched := sim.NewScheduler()
+func runPropertiesCell(proto Protocol, flows int, trace bool, opts Options) (*PropertiesRow, *metrics.Series, error) {
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, flows, topology.DefaultStarLink(100))
 	rto := propShortRTO
 	if trace {
@@ -137,7 +138,9 @@ func runPropertiesCell(proto Protocol, flows int, trace bool) (*PropertiesRow, *
 	if _, err := sched.At(sim.At(propFlowStart), func() { startBytes = fleet.TotalDelivered() }); err != nil {
 		return nil, nil, err
 	}
-	sched.RunUntil(sim.At(propFlowStop))
+	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+		return nil, nil, err
+	}
 
 	window := propFlowStop - propFlowStart
 	deliveredBits := float64(fleet.TotalDelivered()-startBytes) * 8

@@ -223,6 +223,8 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 	if err != nil {
 		return nil, err
 	}
+	var d metrics.Distribution
+	fleet.Collector.StreamTo(&d)
 	for _, srv := range fleet.Servers {
 		trains := workload.ScheduleCount(rng, sim.At(100*time.Millisecond), rwPerServer,
 			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
@@ -309,22 +311,14 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 	for _, c := range fleet.Conns {
 		row.Timeouts += c.Stats().Timeouts
 	}
-	var d metrics.Distribution
-	var last sim.Time
-	for _, resp := range fleet.Collector.Responses() {
-		d.AddDuration(resp.CompletionTime())
-		if resp.Completed > last {
-			last = resp.Completed
-		}
-	}
-	row.Complete = len(fleet.Collector.Responses())
+	row.Complete = fleet.Collector.Count()
 	row.MeanFCT = secondsToDuration(d.Mean())
 	row.P99FCT = secondsToDuration(d.Percentile(99))
 	switch {
 	case row.Complete < row.Total:
 		row.RecoveryTime = -1
-	case last > sim.At(rwFaultEnd):
-		row.RecoveryTime = last.Sub(sim.At(rwFaultEnd))
+	case fleet.Collector.Last() > sim.At(rwFaultEnd):
+		row.RecoveryTime = fleet.Collector.Last().Sub(sim.At(rwFaultEnd))
 	}
 	return row, nil
 }

@@ -246,6 +246,8 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 	if err != nil {
 		return nil, err
 	}
+	// The row reads the count and the last completion only.
+	fleet.Collector.StreamTo(nil)
 	for _, srv := range fleet.Servers {
 		trains := workload.ScheduleCount(rng, sim.At(100*time.Millisecond), rsPerServer,
 			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
@@ -320,18 +322,12 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 		row.Timeouts += c.Stats().Timeouts
 		row.Retrans += c.Stats().RetransSegs
 	}
-	row.Complete = len(fleet.Collector.Responses())
-	var last sim.Time
-	for _, resp := range fleet.Collector.Responses() {
-		if resp.Completed > last {
-			last = resp.Completed
-		}
-	}
+	row.Complete = fleet.Collector.Count()
 	switch {
 	case row.Complete < row.Total:
 		row.RecoveryTime = -1
-	case last > sim.At(rsFaultEnd):
-		row.RecoveryTime = last.Sub(sim.At(rsFaultEnd))
+	case fleet.Collector.Last() > sim.At(rsFaultEnd):
+		row.RecoveryTime = fleet.Collector.Last().Sub(sim.At(rsFaultEnd))
 	}
 	return row, nil
 }

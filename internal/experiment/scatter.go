@@ -62,7 +62,7 @@ func (r *ScatterResult) Row(proto Protocol) *ScatterRow {
 func RunScatterGather(protos []Protocol, opts Options) (*ScatterResult, error) {
 	out := &ScatterResult{}
 	for _, proto := range protos {
-		row, err := runScatterCell(proto, opts.seed())
+		row, err := runScatterCell(proto, opts.seed(), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -71,12 +71,13 @@ func RunScatterGather(protos []Protocol, opts Options) (*ScatterResult, error) {
 	return out, nil
 }
 
-func runScatterCell(proto Protocol, seed int64) (*ScatterRow, error) {
+func runScatterCell(proto Protocol, seed int64, opts Options) (*ScatterRow, error) {
 	if _, err := NewCC(proto); err != nil {
 		return nil, err
 	}
 	_ = seed
-	sched := sim.NewScheduler()
+	env := newSimEnv(opts)
+	sched := env.sched
 	// ECN marking enabled at the standard 1 Gbps threshold so DCTCP has
 	// its signal; non-ECT traffic (TCP, TRIM) is unaffected.
 	star := topology.NewStar(sched, scWorkers, netsim.LinkConfig{
@@ -124,7 +125,9 @@ func runScatterCell(proto Protocol, seed int64) (*ScatterRow, error) {
 			return nil, err
 		}
 	}
-	sched.RunUntil(sim.At(scHorizon))
+	if err := env.runUntil(sim.At(scHorizon)); err != nil {
+		return nil, err
+	}
 
 	row := &ScatterRow{Protocol: proto, Rounds: barriers.Count()}
 	row.MeanBarrier = secondsToDuration(barriers.Mean())

@@ -45,7 +45,8 @@ type TrainAnalysisResult struct {
 // the arrival trace, and recovers the packet trains.
 func RunTrainAnalysis(opts Options) (*TrainAnalysisResult, error) {
 	rng := sim.NewRand(opts.seed())
-	sched := sim.NewScheduler()
+	env := newSimEnv(opts)
+	sched := env.sched
 	star := topology.NewStar(sched, 1, topology.DefaultStarLink(1000))
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
@@ -66,7 +67,9 @@ func RunTrainAnalysis(opts Options) (*TrainAnalysisResult, error) {
 	if err := fleet.Servers[0].ScheduleTrains(trains); err != nil {
 		return nil, err
 	}
-	sched.RunUntil(sim.At(trWindow + time.Second))
+	if err := env.runUntil(sim.At(trWindow + time.Second)); err != nil {
+		return nil, err
+	}
 
 	recovered := workload.SplitTrains(trace, trGapThreshold)
 	res := &TrainAnalysisResult{Trains: len(recovered)}

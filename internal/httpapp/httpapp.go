@@ -33,13 +33,31 @@ func (r Response) CompletionTime() time.Duration {
 }
 
 // Collector accumulates completed responses across servers. The zero
-// value is ready to use.
+// value keeps a Response record of every completion, in completion order,
+// for a runner that reads labels, sizes or release instants; StreamTo
+// makes it keep none. Either way it counts completions and pending
+// responses and remembers the latest completion instant.
 type Collector struct {
 	responses []Response
+	// stream is set by StreamTo: no records, completion times go to fct
+	// (or nowhere when fct is nil).
+	stream    bool
+	fct       *metrics.Distribution
 	scheduled int
-	completed int
+	completed int // Record calls, the other side of Pending
+	count     int // every completion added, Record or Add
+	last      sim.Time
 	tap       func(Response)
 }
+
+// StreamTo makes c keep no per-response record: each completion time goes
+// into fct as it happens. fct receives the values CompletionTimes(nil)
+// would add after the run, in the same order, so its mean, percentiles
+// and sketch come out bit for bit the same. fct reserves its exact-sample
+// storage once, at the first completion, for every response scheduled by
+// then. A nil fct keeps only Count, Pending and Last. Call it before the
+// first completion.
+func (c *Collector) StreamTo(fct *metrics.Distribution) { c.stream, c.fct = true, fct }
 
 // Tap registers fn to observe every completion as it is recorded — the
 // live-streaming hook the experiment service uses to watch a fleet's
@@ -64,12 +82,25 @@ func (c *Collector) add(label string, bytes int, res tcp.TrainResult) Response {
 		Released:  res.Released,
 		Completed: res.Completed,
 	}
-	if c.responses == nil {
-		// One allocation for everything announced so far; a response
-		// scheduled later grows it.
-		c.responses = make([]Response, 0, c.scheduled)
+	first := c.count == 0
+	c.count++
+	if r.Completed > c.last {
+		c.last = r.Completed
 	}
-	c.responses = append(c.responses, r)
+	switch {
+	case !c.stream:
+		if first {
+			// One allocation for everything announced so far; a response
+			// scheduled later grows it.
+			c.responses = make([]Response, 0, c.scheduled)
+		}
+		c.responses = append(c.responses, r)
+	case c.fct != nil:
+		if first {
+			c.fct.Reserve(c.scheduled)
+		}
+		c.fct.AddDuration(r.CompletionTime())
+	}
 	return r
 }
 
@@ -86,14 +117,27 @@ func (c *Collector) Record(label string, bytes int, res tcp.TrainResult) {
 }
 
 // Responses returns all completed responses in completion order (shared
-// slice; callers must not mutate it).
-func (c *Collector) Responses() []Response { return c.responses }
+// slice; callers must not mutate it). A streaming collector has none and
+// panics rather than answer as if nothing completed.
+func (c *Collector) Responses() []Response {
+	if c.stream {
+		panic("httpapp: Responses of a streaming collector")
+	}
+	return c.responses
+}
+
+// Count returns the number of completed responses.
+func (c *Collector) Count() int { return c.count }
+
+// Last returns the latest completion instant (0 before the first).
+func (c *Collector) Last() sim.Time { return c.last }
 
 // Pending returns the number of scheduled responses not yet completed.
 func (c *Collector) Pending() int { return c.scheduled - c.completed }
 
 // CompletionTimes returns the distribution of completion times, filtered
-// by filter (nil keeps everything).
+// by filter (nil keeps everything). It reads the records, so a streaming
+// collector panics here too.
 func (c *Collector) CompletionTimes(filter func(Response) bool) *metrics.Distribution {
 	var d metrics.Distribution
 	for _, r := range c.Responses() {

@@ -98,19 +98,13 @@ func (s *ScatterGather) Scatter(at sim.Time, reqBytes, respBytes int, think time
 			s.sched.After(100*time.Microsecond, watch)
 			return
 		}
-		var last sim.Time
-		for _, r := range barrier.Responses() {
-			if r.Completed > last {
-				last = r.Completed
-			}
-		}
 		for _, r := range barrier.Responses() {
 			s.out.Add(r.Label, r.Bytes, tcp.TrainResult{
 				Released: r.Released, Completed: r.Completed, Bytes: r.Bytes,
 			})
 		}
 		if done != nil {
-			done(last.Sub(at))
+			done(barrier.Last().Sub(at))
 		}
 	}
 	if _, err := s.sched.At(at, watch); err != nil {

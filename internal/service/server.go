@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -208,6 +209,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // bound is not a spec.
 const maxSpecBytes = 1 << 20
 
+// decodeSpec reads a POST /v1/runs body: one JSON object of at most
+// maxSpecBytes with no field RunSpec does not have.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (RunSpec, error) {
+	var spec RunSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // handleSubmit validates a spec, answers from the store when the whole
 // run is already there, and queues a simulation otherwise. An oversized body
 // is refused before anything is recorded.
@@ -216,10 +227,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "service is shutting down")
 		return
 	}
-	var spec RunSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, "spec larger than %d bytes", tooLarge.Limit)
