@@ -250,8 +250,9 @@ func (s *Store) read(key string, run bool) ([]byte, bool) {
 }
 
 // Put stores a payload under key: into the memory tier, and — for
-// persistent stores — onto disk immediately (tmp file renamed into
-// place, so concurrent readers never observe a torn write).
+// persistent stores — onto disk immediately (a temp file of its own
+// renamed into place, so concurrent readers never observe a torn write
+// and concurrent writers never share one).
 func (s *Store) Put(key string, payload []byte) error {
 	return s.put(key, payload, nil, specID{}, false)
 }
@@ -267,15 +268,38 @@ func (s *Store) put(key string, payload []byte, value any, id specID, run bool) 
 		return nil
 	}
 	ext, magic := kind(run)
-	path, data := s.path(key, ext), append(frame(magic, key, payload), payload...)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("cellcache: write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeFile(s.path(key, ext), frame(magic, key, payload), payload); err != nil {
 		return fmt.Errorf("cellcache: write: %w", err)
 	}
 	return nil
+}
+
+// writeFile puts head and body at path through a temp file of its own in
+// the same directory, renamed into place: writers of one key in several
+// goroutines or processes never share a temp file, and a failed write
+// leaves none behind.
+func writeFile(path string, head, body []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(head)
+	if err == nil {
+		_, err = f.Write(body)
+	}
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // the write error is the one to report
+	}
+	return err
 }
 
 // insertLocked adds or refreshes a memory-tier entry and evicts down to

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -657,5 +658,104 @@ func TestCellFileFraming(t *testing.T) {
 		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, good) {
 			t.Errorf("%s cell file not rewritten: %q, %v", name, got, err)
 		}
+	}
+}
+
+// TestTwoProcessesShareADirectory: two processes on one directory — as
+// trimsim -cache beside trimsvc, or two service jobs sharing a cell — put
+// and get the same keys over and over. No put fails, every read from disk
+// is the payload its key was put with, and no temp file is left behind.
+func TestTwoProcessesShareADirectory(t *testing.T) {
+	if dir := os.Getenv("CELLCACHE_SHARED_DIR"); dir != "" {
+		putAndGetShared(t, dir)
+		return
+	}
+	dir := t.TempDir()
+	procs := make([]*exec.Cmd, 2)
+	outs := make([]bytes.Buffer, len(procs))
+	for i := range procs {
+		procs[i] = exec.Command(os.Args[0], "-test.run=^TestTwoProcessesShareADirectory$")
+		procs[i].Env = append(os.Environ(), "CELLCACHE_SHARED_DIR="+dir)
+		procs[i].Stdout, procs[i].Stderr = &outs[i], &outs[i]
+		if err := procs[i].Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range procs {
+		if err := p.Wait(); err != nil {
+			t.Errorf("process %d: %v\n%s", i, err, outs[i].Bytes())
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("temp files left behind: %v", tmps)
+	}
+}
+
+// putAndGetShared is one process of TestTwoProcessesShareADirectory.
+func putAndGetShared(t *testing.T, dir string) {
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetMemLimit(0) // every Get reads the file
+	for round := 0; round < 100; round++ {
+		for k := 0; k < 8; k++ {
+			key := Key(rowSpec{"shared", int64(k)}, "v1")
+			payload := bytes.Repeat([]byte{byte('a' + k)}, 64<<10)
+			if err := w.Put(key, payload); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			if got, ok := r.Get(key); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("round %d key %d: hit=%v, %d bytes, want the %d bytes put", round, k, ok, len(got), len(payload))
+			}
+		}
+	}
+}
+
+// TestFailedPutReadsAsMiss: a put whose file cannot be written — here a
+// directory stands at the entry's path, which fails the rename even for
+// root, as a full disk fails the write — returns an error and leaves no
+// temp file, and a later process finds a miss and recomputes: never a
+// torn hit, never a panic.
+func TestFailedPutReadsAsMiss(t *testing.T) {
+	dir := t.TempDir()
+	spec, want := rowSpec{"blocked", 1}, countedRow{"a", 1, 2}
+	key := Key(spec, "v1")
+	blocker := filepath.Join(dir, key+".cell")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(key, []byte(`{"name":"a","n":1,"f":2}`)); err == nil {
+		t.Fatal("Put over a directory reported no error")
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("failed put left temp files: %v", tmps)
+	}
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := fresh.Get(key); ok {
+		t.Errorf("failed put read back as a hit: %q", got)
+	}
+	if _, computed, err := Cell(fresh, spec, "v1", func() (*countedRow, error) { v := want; return &v, nil }); !computed || err == nil {
+		t.Errorf("Cell over the failed entry: computed=%v err=%v, want a recompute whose put fails", computed, err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustCell(t, fresh, spec, true, want); *got != want {
+		t.Errorf("recomputed %+v, want %+v", *got, want)
 	}
 }

@@ -1,13 +1,14 @@
 package experiment
 
-// Cache-correctness proofs for the cell-grained memoization layer: every
-// cached sweep must render byte-identical output with the cache off, cold,
-// and warm (the warm run additionally with a Progress hook armed, pinning
-// that it does not enter the key); a one-axis change must re-simulate only
-// the changed cells; and key derivation must be sensitive to every option
-// that shapes output (seed, aqm, recovery, fidelity, reps) while
-// normalized options (fidelity "" vs explicit "packet") share cells. The
-// run kind above the cells gets the same proofs through Run.
+// Cache-correctness proofs for the cell-grained memoization layer beyond
+// the byte identity TestRunnerGoldens pins for every runner on a disk
+// store: every cached sweep family, at a CI-sized slice, renders the same
+// bytes on a memory-only store too; a one-axis change must re-simulate
+// only the changed cells; hits never alias; warm runs replay the cold
+// run's Progress milestones; and key derivation must be sensitive to
+// every option that shapes output (seed, aqm, recovery, fidelity, reps)
+// while normalized options (fidelity "" vs explicit "packet") share
+// cells. The run kind above the cells gets the same proofs through Run.
 
 import (
 	"bytes"
@@ -35,99 +36,42 @@ var cacheRenderers = []struct {
 	render func(opts Options) ([]byte, error)
 }{
 	{"aqmsweep", func(opts Options) ([]byte, error) {
-		res, err := RunAQMSweep([]Protocol{ProtoTRIM}, DefaultAQMDisciplines,
-			AQMSweepConcurrency[:1], opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
+		return tablesOf(RunAQMSweep([]Protocol{ProtoTRIM}, DefaultAQMDisciplines, AQMSweepConcurrency[:1], opts))
 	}},
 	{"recoverysweep", func(opts Options) ([]byte, error) {
-		res, err := RunRecoverySweep(tcp.RecoveryNames(), []string{"droptail"},
-			[]FaultIntensity{DefaultFaultIntensities[2]}, []int{aqm.TinyBufferPackets}, opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
+		return tablesOf(RunRecoverySweep(tcp.RecoveryNames(), []string{"droptail"},
+			[]FaultIntensity{DefaultFaultIntensities[2]}, []int{aqm.TinyBufferPackets}, opts))
 	}},
 	{"resilience", func(opts Options) ([]byte, error) {
-		res, err := RunResilience([]Protocol{ProtoTRIM}, DefaultFaultIntensities[:2], opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
+		return tablesOf(RunResilience([]Protocol{ProtoTRIM}, DefaultFaultIntensities[:2], opts))
 	}},
 	{"fig4", func(opts Options) ([]byte, error) {
 		res, err := RunImpairment(ProtoTCP, opts)
+		out, err := tablesOf(res, err)
 		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := res.WriteTables(&buf); err != nil {
 			return nil, err
 		}
 		// The rendered table omits the traced series; fold their points in
 		// so the cached-series round trip is pinned to the float.
-		fmt.Fprintf(&buf, "cwnd=%v goodput=%v total=%v\n",
-			res.TracedCwnd.Points(), res.TracedThroughput.Points(), res.TotalThroughput.Points())
-		return buf.Bytes(), nil
+		return fmt.Appendf(out, "cwnd=%v goodput=%v total=%v\n",
+			res.TracedCwnd.Points(), res.TracedThroughput.Points(), res.TotalThroughput.Points()), nil
 	}},
 	{"fig5", func(opts Options) ([]byte, error) {
-		res, err := RunConcurrency(ProtoTCP, []int{2}, 4, opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
+		return tablesOf(RunConcurrency(ProtoTCP, []int{2}, 4, opts))
 	}},
-	{"fig6", func(opts Options) ([]byte, error) {
-		res, err := RunImpairment(ProtoTRIM, opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
-	}},
-	{"fig8", func(opts Options) ([]byte, error) {
-		opts.Reps = 1
-		res, err := RunLargeScale([]Protocol{ProtoTRIM}, []int{3}, opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
-	}},
-	{"table1", func(opts Options) ([]byte, error) {
-		res, err := RunFatTree([]Protocol{ProtoTRIM}, []int{4}, opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
-	}},
+	{"fig6", func(opts Options) ([]byte, error) { return tablesOf(RunImpairment(ProtoTRIM, opts)) }},
+	{"fig8", fig8Slice},
+	{"table1", table1Slice},
 }
 
-// TestCacheColdWarmByteIdentity is the central soundness pin: cache off,
-// cache cold (filling), and three warm passes (every cell a hit; the
-// first with a Progress hook armed) must
-// render the same bytes, on a memory-only store and on a disk-backed one
-// re-read by a fresh store the way a new process would (first warm pass
-// decodes from disk, the later ones are value copies out of the memory
-// tier). A zero warm-run miss count additionally proves the keys are
-// independent of observation, and that the warm output
-// really came from the store rather than a re-simulation. The sweeps
-// resolve their cells from parallel trial workers, so under -race this is
-// also the concurrency test of the hit path.
+// TestCacheColdWarmByteIdentity: cache off, cache cold (filling), and
+// three warm passes (every cell a hit; the first with a Progress hook
+// armed) render the same bytes, on a memory-only store and on a
+// disk-backed one re-read by a fresh store the way a new process would.
+// A zero warm miss count proves the keys are independent of observation
+// and that the warm output came from the store. The sweeps resolve their
+// cells from parallel trial workers, so under -race this is also the
+// concurrency test of the hit path.
 func TestCacheColdWarmByteIdentity(t *testing.T) {
 	for _, tc := range cacheRenderers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,10 +80,7 @@ func TestCacheColdWarmByteIdentity(t *testing.T) {
 				t.Fatalf("cache off: %v", err)
 			}
 			for _, dir := range []string{"", t.TempDir()} {
-				store, err := cellcache.Open(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
+				store := openStore(t, dir)
 				cold, err := tc.render(Options{Seed: 7, Cache: store})
 				if err != nil {
 					t.Fatalf("cache cold: %v", err)
@@ -151,9 +92,7 @@ func TestCacheColdWarmByteIdentity(t *testing.T) {
 					t.Fatal("cold run hit an empty store — Get was never consulted?")
 				}
 				if dir != "" {
-					if store, err = cellcache.Open(dir); err != nil {
-						t.Fatal(err)
-					}
+					store = openStore(t, dir)
 				}
 				store.ResetStats()
 				for pass, opts := range []Options{
@@ -540,9 +479,6 @@ func TestWarmImpairmentReplaysSeries(t *testing.T) {
 	}
 }
 
-// runIDs are registered sweep ids cheap enough to run whole in a test.
-var runIDs = []string{"resilience-smoke", "recoverysweep-smoke", "aqmsweep-smoke", "fig4"}
-
 // runOut runs id through Run and returns what it printed.
 func runOut(t *testing.T, id string, opts Options) []byte {
 	t.Helper()
@@ -553,43 +489,26 @@ func runOut(t *testing.T, id string, opts Options) []byte {
 	return buf.Bytes()
 }
 
+// runIDs are registered sweep ids cheap enough to run whole in a test.
+var runIDs = []string{"resilience-smoke", "recoverysweep-smoke", "aqmsweep-smoke", "fig4"}
+
 // TestRunKindByteIdentity: through Run, each id prints the same bytes with
 // the cache off, cold on a fresh store, warm from memory and warm from a
-// fresh store over the same directory. The cold run leaves Misses() equal
-// to the cells it simulated (one file each) and Hits() at 0; the warm runs
-// are whole-run hits that move neither and publish no Progress event.
+// fresh store over the same directory, with storeRuns' counter checks;
+// the cold run simulates at least one cell.
 func TestRunKindByteIdentity(t *testing.T) {
 	for _, id := range runIDs {
 		t.Run(id, func(t *testing.T) {
 			off := runOut(t, id, Options{})
-			dir := t.TempDir()
-			store, err := cellcache.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cold := runOut(t, id, Options{Cache: store}); !bytes.Equal(cold, off) {
-				t.Errorf("cold run differs from the cache-off run:\n%s\n--\n%s", cold, off)
-			}
-			cells, _ := filepath.Glob(filepath.Join(dir, "*.cell"))
-			if store.Misses() == 0 || store.Misses() != int64(len(cells)) || store.Hits() != 0 {
-				t.Fatalf("cold: %d misses, %d hits, %d cell files", store.Misses(), store.Hits(), len(cells))
-			}
-			fresh, err := cellcache.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, st := range map[string]*cellcache.Store{"memory": store, "disk": fresh} {
-				log := &eventLog{}
-				if warm := runOut(t, id, Options{Cache: st, Progress: log}); !bytes.Equal(warm, off) {
-					t.Errorf("warm from %s differs from the cache-off run", name)
-				}
-				if st.Runs().Hits != 1 || len(log.events) != 0 {
-					t.Errorf("warm from %s: %d run hits, %d Progress events", name, st.Runs().Hits, len(log.events))
-				}
-			}
-			if store.Misses() != int64(len(cells)) || store.Hits() != 0 || fresh.Misses()+fresh.Hits() != 0 {
-				t.Errorf("warm runs moved the cell counters: %d/%d then %d/%d",
-					store.Misses(), store.Hits(), fresh.Misses(), fresh.Hits())
+			_, cold := storeRuns(t, id,
+				func(opts Options) []byte { return runOut(t, id, opts) },
+				func(arm string, out []byte) {
+					if !bytes.Equal(out, off) {
+						t.Errorf("%s differs from the cache-off run:\n%s\n--\n%s", arm, out, off)
+					}
+				})
+			if cold.Misses() == 0 {
+				t.Error("the cold run simulated no cell")
 			}
 		})
 	}

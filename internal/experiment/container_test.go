@@ -7,6 +7,8 @@ package experiment
 // switches the lanes off. Each runner below renders byte-identical output
 // both ways, with every packet handed to its hop through the event that
 // carries it: through the lanes, or through the wheel's arg-carrying arm.
+// TestRunnerGoldens' wheel arm covers every runner whole; the fig8 and
+// fig8million slices here are the ones it reaches only under -golden.all.
 
 import (
 	"bytes"
@@ -16,45 +18,32 @@ import (
 )
 
 func TestRunnersIndependentOfEventContainer(t *testing.T) {
-	run := func(id string) func() ([]byte, error) {
-		return func() ([]byte, error) {
+	run := func(id string) func(Options) ([]byte, error) {
+		return func(opts Options) ([]byte, error) {
 			var buf bytes.Buffer
-			err := Run(id, Options{}, &buf)
+			err := Run(id, opts, &buf)
 			return buf.Bytes(), err
 		}
 	}
 	cases := []struct {
 		name   string
-		render func() ([]byte, error)
+		render func(Options) ([]byte, error)
 	}{
 		{"fig4", run("fig4")},
 		{"fig6", run("fig6")},
-		{"fig8 3 ToRs", func() ([]byte, error) {
-			res, err := RunLargeScale([]Protocol{ProtoTRIM}, []int{3}, Options{Reps: 1})
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			err = res.WriteTables(&buf)
-			return buf.Bytes(), err
-		}},
+		{"fig8 3 ToRs", fig8Slice},
 		{"resilience-smoke", run("resilience-smoke")},
 		{"recoverysweep-smoke", run("recoverysweep-smoke")},
-		{"fig8million-smoke", func() ([]byte, error) {
-			out, err := run("fig8million-smoke")()
-			// The table, not the host-measured resource lines after it.
-			table, _, _ := bytes.Cut(out, []byte("\n\n"))
-			return table, err
-		}},
+		{"fig8million-smoke", millionSmokeTable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			lanes, err := tc.render()
+			lanes, err := tc.render(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var wheel []byte
-			sim.WheelOnly(func() { wheel, err = tc.render() })
+			sim.WheelOnly(func() { wheel, err = tc.render(Options{}) })
 			if err != nil {
 				t.Fatalf("wheel only: %v", err)
 			}

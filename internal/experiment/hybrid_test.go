@@ -1,65 +1,27 @@
 package experiment
 
-// Differential fidelity proof at the experiment layer: the figures that
-// honor Options.Fidelity must render byte-identical tables at hybrid
-// fidelity as at packet fidelity. Hybrid fidelity changes how idle
-// connections are represented, not what happens on the wire, so every
-// completion time, timeout count, and sampled series must survive the
-// demote/materialize cycles exactly.
-
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 )
 
-// renderFidelitySweep renders one experiment at fidelity packet and
-// hybrid and fails on the first byte difference.
-func renderFidelitySweep(t *testing.T, name string, render func(opts Options) ([]byte, error)) {
-	t.Helper()
-	packet, err := render(Options{Seed: 7, Fidelity: "packet"})
+// TestLargeScaleHybridInvariant: fig8's 3-ToR slice renders the same
+// tables at hybrid fidelity as at packet fidelity — every completion
+// time and timeout count survives the demote/materialize cycles. The
+// whole fig8 is TestRunnerGoldens' hybrid arm under -golden.all.
+func TestLargeScaleHybridInvariant(t *testing.T) {
+	packet, err := fig8Slice(Options{Seed: 7, Fidelity: "packet"})
 	if err != nil {
-		t.Fatalf("%s fidelity=packet: %v", name, err)
+		t.Fatalf("fidelity=packet: %v", err)
 	}
-	hybrid, err := render(Options{Seed: 7, Fidelity: "hybrid"})
+	hybrid, err := fig8Slice(Options{Seed: 7, Fidelity: "hybrid"})
 	if err != nil {
-		t.Fatalf("%s fidelity=hybrid: %v", name, err)
+		t.Fatalf("fidelity=hybrid: %v", err)
 	}
 	if !bytes.Equal(packet, hybrid) {
-		t.Errorf("%s diverges at fidelity=hybrid:\n-- packet --\n%s\n-- hybrid --\n%s", name, packet, hybrid)
+		t.Errorf("diverges at fidelity=hybrid:\n-- packet --\n%s\n-- hybrid --\n%s", packet, hybrid)
 	}
-}
-
-func TestImpairmentHybridInvariant(t *testing.T) {
-	renderFidelitySweep(t, "impairment", func(opts Options) ([]byte, error) {
-		res, err := RunImpairment(ProtoTRIM, opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := res.WriteTables(&buf); err != nil {
-			return nil, err
-		}
-		// Fold the traced series in: the window trace reads through the
-		// conn/store boundary, so a stale store value cannot hide.
-		fmt.Fprintf(&buf, "cwnd=%v goodput=%v\n",
-			res.TracedCwnd.Points(), res.TracedThroughput.Points())
-		return buf.Bytes(), nil
-	})
-}
-
-func TestLargeScaleHybridInvariant(t *testing.T) {
-	renderFidelitySweep(t, "largescale", func(opts Options) ([]byte, error) {
-		opts.Reps = 1
-		res, err := RunLargeScale([]Protocol{ProtoTRIM}, []int{3}, opts)
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		err = res.WriteTables(&buf)
-		return buf.Bytes(), err
-	})
 }
 
 // TestMillionSmoke runs the CI-sized fig8million configuration and

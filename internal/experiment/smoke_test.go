@@ -9,37 +9,6 @@ import (
 	"testing"
 )
 
-func TestSmokeFig4(t *testing.T) {
-	if err := Run("fig4", Options{}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSmokeFig6(t *testing.T) {
-	if err := Run("fig6", Options{}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSmokeFig1(t *testing.T) {
-	if err := Run("fig1", Options{}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSmokeAQMSweep(t *testing.T) {
-	var sb strings.Builder
-	if err := Run("aqmsweep-smoke", Options{}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"droptail", "red", "codel", "favour"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("aqmsweep-smoke output missing discipline %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestSmokeImpairmentAQMOverride(t *testing.T) {
 	// The -aqm plumbing end to end: a CoDel override must run and report
 	// the drop split; a bad name must fail before simulating.
@@ -53,29 +22,6 @@ func TestSmokeImpairmentAQMOverride(t *testing.T) {
 	if err := Run("fig4", Options{AQM: "bogus"}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "unknown discipline") {
 		t.Errorf("bogus AQM name: err = %v", err)
-	}
-}
-
-func TestRunnersRegistered(t *testing.T) {
-	want := []string{
-		"abl-alpha", "abl-buffer", "abl-inherit", "abl-probe",
-		"aqmsweep", "aqmsweep-smoke",
-		"conformance", "eq22",
-		"ext-deadline", "ext-delay", "ext-jitter", "ext-loss", "ext-scatter",
-		"fig1", "fig10", "fig11", "fig12", "fig13", "fig13a",
-		"fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig8million", "fig8million-smoke", "fig9",
-		"recoverysweep", "recoverysweep-smoke",
-		"resilience", "resilience-smoke", "table1",
-	}
-	got := IDs()
-	if len(got) != len(want) {
-		t.Fatalf("IDs() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("IDs()[%d] = %q, want %q", i, got[i], want[i])
-		}
 	}
 }
 

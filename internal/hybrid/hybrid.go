@@ -15,11 +15,11 @@
 // previous step (tcp.Arena.DrainTouched), so a step costs what happened,
 // not what is live; a flow demoted after its last release also leaves
 // its policy slot, objects reset, to the next flow that needs one. What
-// is tested byte-identical across fidelities is TCP-TRIM on the pinned
-// small-scale figures (the *HybridInvariant tests in internal/experiment:
-// fig6 and the 3-ToR fig8 cell) and random small fleets
-// (FuzzHybridFleetLockstep); plain TCP on the 25-ToR tree is known to
-// differ (ROADMAP item 6).
+// is tested byte-identical across fidelities is every packet-fidelity
+// runner that honors the fidelity option (TestRunnerGoldens in
+// internal/experiment: fig4, fig6 and fig8) and random small fleets
+// (FuzzHybridFleetLockstep); plain TCP on the 25-ToR fig8 tree is known to
+// differ, pinned as testdata/golden/fig8.hybrid.txt (ROADMAP item 3).
 package hybrid
 
 import (
