@@ -195,10 +195,11 @@ func BenchmarkFig9Properties(b *testing.B) {
 // converging to the fair share.
 func BenchmarkFig10Convergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunConvergence(experiment.ProtoTRIM, experiment.Options{Seed: int64(i) + 1})
+		all, err := experiment.RunConvergence([]experiment.Protocol{experiment.ProtoTRIM}, experiment.Options{Seed: int64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := all[0]
 		b.ReportMetric(res.JainAllActive, "jain")
 		b.ReportMetric(float64(res.Timeouts), "timeouts")
 	}
@@ -208,10 +209,11 @@ func BenchmarkFig10Convergence(b *testing.B) {
 // the dual-bottleneck topology.
 func BenchmarkFig11MultiHop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMultiHop(experiment.ProtoTRIM, experiment.Options{Seed: int64(i) + 1})
+		all, err := experiment.RunMultiHop([]experiment.Protocol{experiment.ProtoTRIM}, experiment.Options{Seed: int64(i) + 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := all[0]
 		b.ReportMetric(res.MeanMbps["A"], "A-Mbps")
 		b.ReportMetric(res.MeanMbps["B"], "B-Mbps")
 		b.ReportMetric(res.MeanMbps["C"], "C-Mbps")

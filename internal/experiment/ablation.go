@@ -6,12 +6,8 @@ import (
 	"time"
 
 	"tcptrim/internal/core"
-	"tcptrim/internal/httpapp"
 	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
-	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
-	"tcptrim/internal/topology"
 )
 
 // Ablations for the design choices DESIGN.md calls out:
@@ -114,20 +110,21 @@ func (r *MechanismResult) Row(proto Protocol) *MechanismRow {
 }
 
 // RunMechanismAblation compares full TRIM against its two mechanisms in
-// isolation (and Reno) on the 2-LPT × 8-SPT concurrency cell.
+// isolation (and Reno) on the 2-LPT × 8-SPT concurrency cell; the TCP and
+// TRIM cells are fig7's.
 func RunMechanismAblation(opts Options) (*MechanismResult, error) {
-	out := &MechanismResult{}
+	var cells []concurrencyCell
 	for _, proto := range []Protocol{ProtoTCP, ProtoTRIMNoProbe, ProtoTRIMNoQueue, ProtoTRIM} {
-		res, err := RunConcurrency(proto, []int{2}, 8, opts)
-		if err != nil {
-			return nil, err
-		}
-		cell := res.Cell(2, 8)
-		if cell == nil {
-			return nil, fmt.Errorf("ablation: missing cell for %s", proto)
-		}
+		cells = append(cells, concurrencyCell{proto, 2, 8, opts.seed()})
+	}
+	rows, err := sweepConcurrency(cells, opts)
+	if err != nil {
+		return nil, err
+	}
+	out := &MechanismResult{}
+	for i, cell := range rows {
 		out.Rows = append(out.Rows, MechanismRow{
-			Protocol: proto,
+			Protocol: cells[i].Protocol,
 			ACT:      cell.ACT,
 			MaxCT:    cell.Max,
 			Timeouts: cell.Timeouts,
@@ -169,53 +166,31 @@ type AlphaResult struct {
 // RunAlphaAblation sweeps TRIM's smoothed-RTT gain on the Fig. 9 5-flow
 // scenario.
 func RunAlphaAblation(alphas []float64, opts Options) (*AlphaResult, error) {
-	out := &AlphaResult{}
-	for _, alpha := range alphas {
-		row, err := runAlphaCell(alpha, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
-}
-
-func runAlphaCell(alpha float64, opts Options) (*AlphaRow, error) {
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, 5, topology.DefaultStarLink(100))
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC: func() tcp.CongestionControl {
-			return core.New(core.Config{Alpha: alpha, BaseRTT: ksBaseRTT})
-		},
-		Base: tcp.Config{
-			MinRTO:   10 * time.Millisecond,
-			LinkRate: netsim.Gbps,
-		},
+	rows, err := sweep(opts, "abl-alpha", seededCells(opts, alphas), func(c seededCell[float64]) (*AlphaRow, error) {
+		return runAlphaCell(c.Value, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, srv := range fleet.Servers {
-		if err := srv.StartBackgroundFlow(sim.At(propFlowStart), concBackground); err != nil {
-			return nil, err
-		}
-	}
-	queue := star.Bottleneck.Queue()
-	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
-		propSampleStep, func() float64 { return float64(queue.Len()) })
-	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+	return &AlphaResult{Rows: rows}, nil
+}
+
+func runAlphaCell(alpha float64, opts Options) (*AlphaRow, error) {
+	lf, err := newLongFlows(opts, 5, 100, func() tcp.CongestionControl {
+		return core.New(core.Config{Alpha: alpha, BaseRTT: ksBaseRTT})
+	}, tcp.Config{MinRTO: 10 * time.Millisecond})
+	if err != nil {
 		return nil, err
 	}
-
-	window := (propFlowStop - propFlowStart).Seconds()
+	goodput, err := lf.run()
+	if err != nil {
+		return nil, err
+	}
 	return &AlphaRow{
 		Alpha:       alpha,
-		AvgQueue:    series.Mean(),
-		Drops:       queue.Stats().Dropped,
-		GoodputMbps: float64(fleet.TotalDelivered()) * 8 / window / 1e6,
+		AvgQueue:    lf.series.Mean(),
+		Drops:       lf.queue.Stats().Dropped,
+		GoodputMbps: goodput / 1e6,
 	}, nil
 }
 
@@ -239,32 +214,16 @@ func (r *AlphaResult) WriteTables(w io.Writer) error {
 var _ = register("abl-inherit",
 	"Ablation: window inheritance policy on the Fig. 4 workload",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunInheritanceAblation(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(RunInheritanceAblation))
 
 var _ = register("abl-probe",
 	"Ablation: TRIM probe and queue-control mechanisms (2 LPTs x 8 SPTs)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunMechanismAblation(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(RunMechanismAblation))
 
 var _ = register("abl-alpha",
 	"Ablation: smoothed-RTT gain alpha on the Fig. 9 scenario",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunAlphaAblation([]float64{0.125, 0.25, 0.5}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*AlphaResult, error) {
+		return RunAlphaAblation([]float64{0.125, 0.25, 0.5}, opts)
+	}))

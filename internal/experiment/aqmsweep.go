@@ -121,54 +121,38 @@ type AQMSweepResult struct {
 	Rows []AQMSweepRow
 }
 
+// aqmCell is one coordinate of the sweep; the discipline is keyed by name.
+type aqmCell struct {
+	Protocol    Protocol `json:"protocol"`
+	Discipline  string   `json:"discipline"`
+	Concurrency int      `json:"concurrency"`
+	Seed        int64    `json:"seed"`
+	disc        AQMDiscipline
+}
+
+func (c aqmCell) String() string {
+	return fmt.Sprintf("%s/%s/%d-conns", c.Protocol, c.Discipline, c.Concurrency)
+}
+
 // RunAQMSweep crosses protocols × disciplines × concurrency levels, one
 // independent simulation per cell, each seeded via SplitSeed so the
 // matrix is byte-identical regardless of worker count.
 func RunAQMSweep(protos []Protocol, discs []AQMDiscipline, concs []int, opts Options) (*AQMSweepResult, error) {
-	type cell struct {
-		proto Protocol
-		disc  AQMDiscipline
-		conc  int
-	}
-	var cells []cell
+	var cells []aqmCell
 	for _, p := range protos {
 		for _, d := range discs {
 			for _, c := range concs {
-				cells = append(cells, cell{p, d, c})
+				cells = append(cells, aqmCell{p, d.Name, c, SplitSeed(opts.seed(), len(cells)), d})
 			}
 		}
 	}
-	ctr := opts.cells(len(cells))
-	rows, err := RunSeededTrials(len(cells), opts.seed(), func(i int, seed int64) (*AQMSweepRow, error) {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
-		c := cells[i]
-		spec := struct {
-			Family      string   `json:"family"`
-			Protocol    Protocol `json:"protocol"`
-			Discipline  string   `json:"discipline"`
-			Concurrency int      `json:"concurrency"`
-			Seed        int64    `json:"seed"`
-		}{"aqmsweep", c.proto, c.disc.Name, c.conc, seed}
-		row, _, err := cachedCell(opts, spec, func() (*AQMSweepRow, error) {
-			return runAQMSweepCell(c.proto, c.disc, c.conc, seed, opts)
-		})
-		if err == nil {
-			// Fires on cache hits too, so a warm run streams the same
-			// cell-milestone sequence a cold run would.
-			ctr.finished(fmt.Sprintf("%s/%s/%d-conns", c.proto, c.disc.Name, c.conc))
-		}
-		return row, err
+	rows, err := sweep(opts, "aqmsweep", cells, func(c aqmCell) (*AQMSweepRow, error) {
+		return runAQMSweepCell(c.Protocol, c.disc, c.Concurrency, c.Seed, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &AQMSweepResult{}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, *r)
-	}
-	return out, nil
+	return &AQMSweepResult{Rows: rows}, nil
 }
 
 func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64, opts Options) (*AQMSweepRow, error) {
@@ -228,16 +212,13 @@ func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64, o
 	// would otherwise run to the deadline for nothing.
 	var doneAt sim.Time
 	var doneBytes int64
-	var watch func()
-	watch = func() {
-		if fleet.Collector.Pending() == 0 {
-			doneAt, doneBytes = sched.Now(), fleet.TotalDelivered()
-			env.stop()
-			return
+	if err := env.stopWhen(sim.At(asStart).Add(time.Millisecond), time.Millisecond, func() bool {
+		if fleet.Collector.Pending() > 0 {
+			return false
 		}
-		sched.After(time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(asStart).Add(time.Millisecond), watch); err != nil {
+		doneAt, doneBytes = sched.Now(), fleet.TotalDelivered()
+		return true
+	}); err != nil {
 		return nil, err
 	}
 
@@ -307,24 +288,16 @@ func (r *AQMSweepResult) WriteTables(w io.Writer) error {
 var _ = register("aqmsweep",
 	"TRIM-vs-AQM interplay: protocol x discipline x concurrency, FCT/goodput/drop split",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunAQMSweep(AQMSweepProtocols, DefaultAQMDisciplines, AQMSweepConcurrency, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*AQMSweepResult, error) {
+		return RunAQMSweep(AQMSweepProtocols, DefaultAQMDisciplines, AQMSweepConcurrency, opts)
+	}))
 
 // aqmsweep-smoke is the CI slice: one protocol, every discipline, lowest
 // concurrency, fast enough for every push.
 var _ = register("aqmsweep-smoke",
 	"CI slice of aqmsweep: one protocol, every discipline, lowest concurrency",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunAQMSweep([]Protocol{ProtoTRIM}, DefaultAQMDisciplines,
+	tables(func(opts Options) (*AQMSweepResult, error) {
+		return RunAQMSweep([]Protocol{ProtoTRIM}, DefaultAQMDisciplines,
 			AQMSweepConcurrency[:1], opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	}))

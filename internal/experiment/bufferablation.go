@@ -6,12 +6,7 @@ import (
 	"time"
 
 	"tcptrim/internal/aqm"
-	"tcptrim/internal/httpapp"
-	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
-	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
-	"tcptrim/internal/topology"
 )
 
 // abl-buffer: switch-buffer sensitivity. The paper's deployment argument
@@ -52,66 +47,47 @@ func RunBufferAblation(protos []Protocol, buffers []int, opts Options) (*BufferR
 			return nil, err
 		}
 	}
-	type cell struct {
-		proto Protocol
-		buf   int
-	}
-	var cells []cell
+	var cells []bufferCell
 	for _, p := range protos {
 		for _, b := range buffers {
-			cells = append(cells, cell{p, b})
+			cells = append(cells, bufferCell{p, b, opts.seed()})
 		}
 	}
-	rows, err := RunTrials(len(cells), func(i int) (*BufferRow, error) {
-		return runBufferCell(cells[i].proto, cells[i].buf, opts)
+	rows, err := sweep(opts, "abl-buffer", cells, func(c bufferCell) (*BufferRow, error) {
+		return runBufferCell(c.Protocol, c.Buffer, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &BufferResult{}
-	for _, row := range rows {
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
+	return &BufferResult{Rows: rows}, nil
 }
 
+// bufferCell is one (protocol, buffer) cell.
+type bufferCell struct {
+	Protocol Protocol `json:"protocol"`
+	Buffer   int      `json:"buffer"`
+	Seed     int64    `json:"seed"`
+}
+
+func (c bufferCell) String() string { return fmt.Sprintf("%s/%d-pkts", c.Protocol, c.Buffer) }
+
 func runBufferCell(proto Protocol, buffer int, opts Options) (*BufferRow, error) {
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, 5, topology.DefaultStarLink(buffer))
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, ksBaseRTT) },
-		Base: tcp.Config{
-			MinRTO:   10 * time.Millisecond,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
-	})
+	lf, err := newLongFlows(opts, 5, buffer, func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, ksBaseRTT) },
+		tcp.Config{MinRTO: 10 * time.Millisecond, ECN: UsesECN(proto)})
 	if err != nil {
 		return nil, err
 	}
-	for _, srv := range fleet.Servers {
-		if err := srv.StartBackgroundFlow(sim.At(propFlowStart), concBackground); err != nil {
-			return nil, err
-		}
-	}
-	queue := star.Bottleneck.Queue()
-	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
-		propSampleStep, func() float64 { return float64(queue.Len()) })
-	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+	goodput, err := lf.run()
+	if err != nil {
 		return nil, err
 	}
-
-	window := (propFlowStop - propFlowStart).Seconds()
 	return &BufferRow{
 		Protocol:    proto,
 		Buffer:      buffer,
-		AvgQueue:    series.Mean(),
-		Drops:       queue.Stats().Dropped,
-		Timeouts:    fleet.TotalTimeouts(),
-		GoodputMbps: float64(fleet.TotalDelivered()) * 8 / window / 1e6,
+		AvgQueue:    lf.series.Mean(),
+		Drops:       lf.queue.Stats().Dropped,
+		Timeouts:    lf.fleet.TotalTimeouts(),
+		GoodputMbps: goodput / 1e6,
 	}, nil
 }
 
@@ -144,10 +120,6 @@ func BufferAblationCaps() []int {
 var _ = register("abl-buffer",
 	"Ablation: switch-buffer sensitivity from the tiny-buffer regime up to 200 packets",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunBufferAblation([]Protocol{ProtoTCP, ProtoTRIM}, BufferAblationCaps(), opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*BufferResult, error) {
+		return RunBufferAblation([]Protocol{ProtoTCP, ProtoTRIM}, BufferAblationCaps(), opts)
+	}))

@@ -163,3 +163,52 @@ func TestOnlySimEnvMakesSchedulers(t *testing.T) {
 		})
 	}
 }
+
+// TestOnlySweepFansOutCells: a runner that hand-rolls its cell loop
+// decides on its own which cells it caches, what it keys them by, whether
+// it stops when canceled and what progress it reports. Outside the sweep
+// (runner.go), only impairment.go, whose one cell replays its series on a
+// hit, and million.go, whose full-scale cells must not run side by side,
+// fan out cells themselves; cellcache.go and progress.go define what they
+// call.
+func TestOnlySweepFansOutCells(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exempt := map[string]bool{"runner.go": true, "impairment.go": true, "million.go": true,
+		"cellcache.go": true, "progress.go": true}
+	fanOut := map[string]bool{"RunTrials": true, "RunSeededTrials": true, "cachedCell": true,
+		"cells": true, "interrupted": true}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || exempt[name] {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fun := call.Fun
+			if ix, ok := fun.(*ast.IndexExpr); ok { // cachedCell[T](...)
+				fun = ix.X
+			}
+			var called string
+			switch fn := fun.(type) {
+			case *ast.Ident:
+				called = fn.Name
+			case *ast.SelectorExpr: // opts.cells(...), opts.interrupted()
+				called = fn.Sel.Name
+			}
+			if fanOut[called] {
+				t.Errorf("%s: %s outside the sweep; build the cells and call sweep", fset.Position(call.Pos()), called)
+			}
+			return true
+		})
+	}
+}

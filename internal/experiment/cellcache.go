@@ -1,16 +1,16 @@
 package experiment
 
-// Cell-grained memoization: every sweep runner decomposes its matrix
-// into canonical cell specs and resolves each cell through cachedCell,
-// so a warm re-run of a sweep where one axis value changed simulates
-// only the affected cells and reassembles the rest byte-identically from
-// the store.
+// Cell-grained memoization: every matrix runner hands its cells to sweep,
+// which resolves each through cachedCell (fig4/fig6 call it for their one
+// cell; fig8million stores none), so a warm re-run where one axis value
+// changed simulates only the affected cells.
 //
-// What goes into a cell key — and, more importantly, what doesn't:
+// What goes into a cell key — the cell value itself, beside its family —
+// and, more importantly, what doesn't:
 //
 //   - Coordinates and seed: everything that determines the cell's output
 //     (protocol, discipline/policy names, concurrency, fault intensity,
-//     buffer, reps, fidelity, and the cell's SplitSeed-derived seed).
+//     buffer, reps, fidelity, and the cell's seed).
 //   - NOT worker counts or Progress: the SplitSeed design makes results
 //     worker-independent, and Progress hooks only observe code paths
 //     that already execute. Normalizing these out of the key is what

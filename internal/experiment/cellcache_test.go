@@ -202,9 +202,10 @@ func rowGuard[T any](t *testing.T) {
 	})
 }
 
-// TestCacheHitsNeverAlias covers all seven cell types. fillDistinct
-// panics on a pointer, slice or map, so a row type that gains one fails
-// here until it is given a guard like the impairment snapshot's.
+// TestCacheHitsNeverAlias covers every pointer-free cell row and the
+// impairment snapshot. fillDistinct panics on a pointer, slice or map, so
+// a row type that gains one fails here until it is given a guard like the
+// impairment snapshot's.
 func TestCacheHitsNeverAlias(t *testing.T) {
 	rowGuard[AQMSweepRow](t)
 	rowGuard[ConcurrencyCell](t)
@@ -212,6 +213,15 @@ func TestCacheHitsNeverAlias(t *testing.T) {
 	rowGuard[LargeScaleRow](t)
 	rowGuard[RecoverySweepRow](t)
 	rowGuard[ResilienceRow](t)
+	rowGuard[BufferRow](t)
+	rowGuard[KSweepRow](t)
+	rowGuard[ARCTRow](t)
+	rowGuard[WebServiceRow](t)
+	rowGuard[LossRow](t)
+	rowGuard[ScatterRow](t)
+	rowGuard[JitterRow](t)
+	rowGuard[DeadlineRow](t)
+	rowGuard[AlphaRow](t)
 
 	// The impairment snapshot holds pointers RunImpairment hands to its
 	// caller: series, per-connection slices, the FCT snapshot.
@@ -515,19 +525,59 @@ func TestRunKindByteIdentity(t *testing.T) {
 }
 
 // TestRunKindCSVDirRuns: with CSVDir set the runner runs and writes its
-// CSV files although the whole run is stored.
+// CSV files although the whole run is stored, and the files it writes
+// from warm cells equal those a cold run wrote.
 func TestRunKindCSVDirRuns(t *testing.T) {
+	csvs := func(dir string) map[string]string {
+		files, _ := filepath.Glob(filepath.Join(dir, "*.csv"))
+		out := map[string]string{}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(f)] = string(data)
+		}
+		return out
+	}
+	for _, id := range []string{"fig4", "fig9", "fig10"} {
+		t.Run(id, func(t *testing.T) {
+			store := cellcache.NewMemory()
+			coldDir, warmDir := t.TempDir(), t.TempDir()
+			cold := runOut(t, id, Options{Cache: store, CSVDir: coldDir})
+			if want := runOut(t, id, Options{Cache: store}); !bytes.Equal(cold, want) {
+				t.Error("the run with CSVDir printed other bytes")
+			}
+			misses := store.Misses()
+			if got := runOut(t, id, Options{Cache: store, CSVDir: warmDir}); !bytes.Equal(got, cold) {
+				t.Error("the warm run with CSVDir printed other bytes")
+			}
+			if store.Misses() != misses {
+				t.Errorf("the warm run simulated %d cells", store.Misses()-misses)
+			}
+			if c, w := csvs(coldDir), csvs(warmDir); len(c) == 0 || !reflect.DeepEqual(c, w) {
+				t.Errorf("CSV files from warm cells differ from the cold run's: %d cold, %d warm files", len(c), len(w))
+			}
+			if got := store.Runs(); got.Hits != 0 || got.Held != 1 {
+				t.Errorf("Runs() = %+v, want no hit and the one entry held", got)
+			}
+		})
+	}
+}
+
+// TestMechanismAblationSharesFig7Cells: concurrency cells are keyed by
+// (protocol, LPTs, SPTs, seed) alone, so abl-probe after fig7 simulates
+// only its two TRIM variants and takes TCP and TRIM from fig7's cells.
+func TestMechanismAblationSharesFig7Cells(t *testing.T) {
 	store := cellcache.NewMemory()
-	want := runOut(t, "fig4", Options{Cache: store})
-	csvDir := t.TempDir()
-	if got := runOut(t, "fig4", Options{Cache: store, CSVDir: csvDir}); !bytes.Equal(got, want) {
-		t.Error("the run with CSVDir printed other bytes")
+	want := runOut(t, "abl-probe", Options{})
+	runOut(t, "fig7", Options{Cache: store})
+	store.ResetStats()
+	if got := runOut(t, "abl-probe", Options{Cache: store}); !bytes.Equal(got, want) {
+		t.Errorf("abl-probe on fig7's store:\n%s\nwant:\n%s", got, want)
 	}
-	if csvs, _ := filepath.Glob(filepath.Join(csvDir, "*.csv")); len(csvs) == 0 {
-		t.Error("no CSV file written: the stored run answered instead of the runner")
-	}
-	if got := store.Runs(); got.Hits != 0 || got.Held != 1 {
-		t.Errorf("Runs() = %+v, want no hit and the one entry held", got)
+	if store.Misses() != 2 || store.Hits() != 2 {
+		t.Errorf("abl-probe after fig7: %d misses, %d hits; want 2 and 2", store.Misses(), store.Hits())
 	}
 }
 

@@ -59,42 +59,34 @@ func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (
 	if _, err := NewCC(proto); err != nil {
 		return nil, err
 	}
-	type cellKey struct{ lpts, spts int }
-	var keys []cellKey
+	var cells []concurrencyCell
 	for _, lpts := range lptCounts {
 		for spts := 1; spts <= maxSPT; spts++ {
-			keys = append(keys, cellKey{lpts, spts})
+			cells = append(cells, concurrencyCell{proto, lpts, spts, opts.seed()})
 		}
 	}
-	ctr := opts.cells(len(keys))
-	cells, err := RunTrials(len(keys), func(i int) (*ConcurrencyCell, error) {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
-		k := keys[i]
-		spec := struct {
-			Family   string   `json:"family"`
-			Protocol Protocol `json:"protocol"`
-			LPTs     int      `json:"lpts"`
-			SPTs     int      `json:"spts"`
-			Seed     int64    `json:"seed"`
-		}{"concurrency", proto, k.lpts, k.spts, opts.seed()}
-		cell, _, err := cachedCell(opts, spec, func() (*ConcurrencyCell, error) {
-			return runConcurrencyCell(proto, k.lpts, k.spts, opts.seed(), opts)
-		})
-		if err == nil {
-			ctr.finished(fmt.Sprintf("%d-lpts/%d-spts", k.lpts, k.spts))
-		}
-		return cell, err
-	})
+	rows, err := sweepConcurrency(cells, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := &ConcurrencyResult{Protocol: proto}
-	for _, c := range cells {
-		out.Cells = append(out.Cells, *c)
-	}
-	return out, nil
+	return &ConcurrencyResult{Protocol: proto, Cells: rows}, nil
+}
+
+// concurrencyCell is one (protocol, LPTs, SPTs) cell; fig5, fig7 and
+// abl-probe share the cells they have in common.
+type concurrencyCell struct {
+	Protocol Protocol `json:"protocol"`
+	LPTs     int      `json:"lpts"`
+	SPTs     int      `json:"spts"`
+	Seed     int64    `json:"seed"`
+}
+
+func (c concurrencyCell) String() string { return fmt.Sprintf("%d-lpts/%d-spts", c.LPTs, c.SPTs) }
+
+func sweepConcurrency(cells []concurrencyCell, opts Options) ([]ConcurrencyCell, error) {
+	return sweep(opts, "concurrency", cells, func(c concurrencyCell) (*ConcurrencyCell, error) {
+		return runConcurrencyCell(c.Protocol, c.LPTs, c.SPTs, c.Seed, opts)
+	})
 }
 
 func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options) (*ConcurrencyCell, error) {
@@ -138,15 +130,7 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 	}
 	// Stop as soon as every measured SPT completed; the background flows
 	// would otherwise run to the horizon for nothing.
-	var watch func()
-	watch = func() {
-		if spt.Pending() == 0 {
-			env.stop()
-			return
-		}
-		sched.After(10*time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(concSPTStart), watch); err != nil {
+	if err := env.stopWhen(sim.At(concSPTStart), 10*time.Millisecond, func() bool { return spt.Pending() == 0 }); err != nil {
 		return nil, err
 	}
 	if err := env.runUntil(sim.At(concHorizon)); err != nil {
@@ -196,13 +180,9 @@ func (r *ConcurrencyResult) WriteTables(w io.Writer) error {
 var _ = register("fig5",
 	"Concurrency impairment under legacy TCP: timeouts and completion vs background LPT count (Fig. 5)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunConcurrency(ProtoTCP, []int{0, 1, 2}, 10, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*ConcurrencyResult, error) {
+		return RunConcurrency(ProtoTCP, []int{0, 1, 2}, 10, opts)
+	}))
 
 var _ = register("fig7",
 	"Concurrency impairment under TCP-TRIM on the Fig. 5 scenario (Fig. 7)",

@@ -13,24 +13,23 @@ import (
 // the paper-pseudocode Oracle in lockstep (DESIGN.md §7).
 const conformanceSeeds = 64
 
-// RunConformance sweeps reps randomized scenarios (seeded from base via
-// SplitSeed, so the matrix is worker-count independent) and returns the
-// per-scenario summaries. Any divergence is an error: the first failing
-// scenario is shrunk with the delta-debugging minimizer and reported
-// with its divergence trace.
-func RunConformance(base int64, reps int, w io.Writer) error {
-	type row struct {
-		seed int64
-		desc string
-		res  *conformance.Result
+// RunConformance sweeps reps randomized scenarios (seeded from the run's
+// seed via SplitSeed, so the matrix is worker-count independent) and
+// writes the per-scenario summaries. Any divergence is an error: the first
+// failing scenario is shrunk with the delta-debugging minimizer and
+// reported with its divergence trace.
+func RunConformance(reps int, opts Options, w io.Writer) error {
+	cells := make([]seededCell[int], reps)
+	for i := range cells {
+		cells[i] = seededCell[int]{i, SplitSeed(opts.seed(), i)}
 	}
-	rows, err := RunSeededTrials(reps, base, func(i int, seed int64) (row, error) {
-		sc := conformance.GenScenario(seed)
+	rows, err := sweep(opts, "conformance", cells, func(c seededCell[int]) (*conformanceRow, error) {
+		sc := conformance.GenScenario(c.Seed)
 		res, err := conformance.RunScenario(sc)
 		if err != nil {
-			return row{}, fmt.Errorf("scenario %d (seed %d): %w", i, seed, err)
+			return nil, fmt.Errorf("scenario %d (seed %d): %w", c.Value, c.Seed, err)
 		}
-		return row{seed: seed, desc: sc.Describe(), res: res}, nil
+		return &conformanceRow{Seed: c.Seed, Desc: sc.Describe(), Res: res}, nil
 	})
 	if err != nil {
 		return err
@@ -43,15 +42,15 @@ func RunConformance(base int64, reps int, w io.Writer) error {
 	}
 	var hooks, rounds, timeouts, cuts, divs int
 	for i, r := range rows {
-		tbl.Rows = append(tbl.Rows, []string{fmt.Sprint(i), fmt.Sprint(r.seed), r.desc,
-			fmt.Sprint(r.res.Hooks), fmt.Sprint(r.res.ProbeRounds),
-			fmt.Sprint(r.res.ProbeTimeouts), fmt.Sprint(r.res.QueueReductions),
-			fmt.Sprint(r.res.Timeouts), fmt.Sprint(r.res.Total)})
-		hooks += r.res.Hooks
-		rounds += r.res.ProbeRounds
-		timeouts += r.res.ProbeTimeouts
-		cuts += r.res.QueueReductions
-		divs += r.res.Total
+		tbl.Rows = append(tbl.Rows, []string{fmt.Sprint(i), fmt.Sprint(r.Seed), r.Desc,
+			fmt.Sprint(r.Res.Hooks), fmt.Sprint(r.Res.ProbeRounds),
+			fmt.Sprint(r.Res.ProbeTimeouts), fmt.Sprint(r.Res.QueueReductions),
+			fmt.Sprint(r.Res.Timeouts), fmt.Sprint(r.Res.Total)})
+		hooks += r.Res.Hooks
+		rounds += r.Res.ProbeRounds
+		timeouts += r.Res.ProbeTimeouts
+		cuts += r.Res.QueueReductions
+		divs += r.Res.Total
 	}
 	if err := tbl.Write(w); err != nil {
 		return err
@@ -66,14 +65,14 @@ func RunConformance(base int64, reps int, w io.Writer) error {
 
 	// Report the first diverging scenario, minimized.
 	for _, r := range rows {
-		if r.res.Total == 0 {
+		if r.Res.Total == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "\nseed %d diverged (%d divergences):\n", r.seed, r.res.Total)
-		for _, d := range r.res.Divergences {
+		fmt.Fprintf(w, "\nseed %d diverged (%d divergences):\n", r.Seed, r.Res.Total)
+		for _, d := range r.Res.Divergences {
 			fmt.Fprintf(w, "  %s\n", d)
 		}
-		min := conformance.MinimizeFailing(conformance.GenScenario(r.seed))
+		min := conformance.MinimizeFailing(conformance.GenScenario(r.Seed))
 		fmt.Fprintf(w, "minimized reproduction: seed=%d %s trains=%v\n",
 			min.Seed, min.Describe(), min.Trains)
 		if res, err := conformance.RunScenario(min); err == nil && len(res.Divergences) > 0 {
@@ -88,9 +87,16 @@ func RunConformance(base int64, reps int, w io.Writer) error {
 	return fmt.Errorf("conformance: %d divergences between core.Trim and the paper oracle", divs)
 }
 
+// conformanceRow is one scenario's summary.
+type conformanceRow struct {
+	Seed int64               `json:"seed"`
+	Desc string              `json:"desc"`
+	Res  *conformance.Result `json:"res"`
+}
+
 var _ = register("conformance",
 	"Paper-conformance oracle: shadow-execute Algorithms 1-2 against the live TRIM policy over a seed matrix",
 	[]string{"reps"},
 	func(opts Options, w io.Writer) error {
-		return RunConformance(opts.seed(), opts.reps(conformanceSeeds), w)
+		return RunConformance(opts.reps(conformanceSeeds), opts, w)
 	})

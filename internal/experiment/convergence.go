@@ -45,11 +45,33 @@ type ConvergenceResult struct {
 	Timeouts int
 }
 
-// RunConvergence executes the Fig. 10 fairness/convergence test.
-func RunConvergence(proto Protocol, opts Options) (*ConvergenceResult, error) {
-	if _, err := NewCC(proto); err != nil {
+// RunConvergence executes the Fig. 10 fairness/convergence test once per
+// protocol.
+func RunConvergence(protos []Protocol, opts Options) ([]ConvergenceResult, error) {
+	for _, p := range protos {
+		if _, err := NewCC(p); err != nil {
+			return nil, err
+		}
+	}
+	res, err := sweep(opts, "fig10", seededCells(opts, protos), func(c seededCell[Protocol]) (*ConvergenceResult, error) {
+		return runConvergenceCell(c.Value, opts)
+	})
+	if err != nil {
 		return nil, err
 	}
+	// CSV export runs on cold and warm cells alike: CSVDir is not part of
+	// a cell's key.
+	for _, r := range res {
+		for i, s := range r.Throughput {
+			if err := saveSeriesCSV(opts, fmt.Sprintf("fig10-%s-c%d", r.Protocol, i+1), "mbps", s); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return res, nil
+}
+
+func runConvergenceCell(proto Protocol, opts Options) (*ConvergenceResult, error) {
 	env := newSimEnv(opts)
 	sched := env.sched
 	net := netsim.NewNetwork(sched)
@@ -105,12 +127,8 @@ func RunConvergence(proto Protocol, opts Options) (*ConvergenceResult, error) {
 		return nil, err
 	}
 
-	for i, s := range res.Throughput {
+	for _, s := range res.Throughput {
 		scaleSeries(s, 1e-6)
-		name := fmt.Sprintf("fig10-%s-c%d", proto, i+1)
-		if err := saveSeriesCSV(opts, name, "mbps", s); err != nil {
-			return nil, err
-		}
 	}
 	// All-active window: after the last flow started and before the
 	// first stopped.
@@ -162,12 +180,12 @@ var _ = register("fig10",
 	"Convergence and fairness of staggered long flows: Jain index and share spread (Fig. 10)",
 	[]string{"csv"},
 	func(opts Options, w io.Writer) error {
-		for _, proto := range []Protocol{ProtoTCP, ProtoTRIM} {
-			res, err := RunConvergence(proto, opts)
-			if err != nil {
-				return err
-			}
-			if err := res.WriteTables(w); err != nil {
+		res, err := RunConvergence([]Protocol{ProtoTCP, ProtoTRIM}, opts)
+		if err != nil {
+			return err
+		}
+		for _, r := range res {
+			if err := r.WriteTables(w); err != nil {
 				return err
 			}
 		}

@@ -141,15 +141,14 @@ type Options struct {
 	// stay byte-identical across fidelities.
 	Fidelity string
 	// Cache optionally memoizes individual sweep cells in a
-	// content-addressed store. Runners that support cell decomposition
-	// (the sweeps and figure matrices — aqmsweep, recoverysweep,
-	// resilience, fig4/fig5/fig6/fig7/fig8, fig12/table1 and their smoke
-	// slices) key each cell by its canonical machine-independent spec
-	// (family, coordinates, seed split) plus the code version, and answer
-	// warm cells from the store without simulating; Run keeps whole runs
-	// there too (see Run). Results are byte-identical with the cache off,
-	// cold, or warm: cells are pure functions of their spec, and JSON
-	// round-trips every row exactly. nil disables memoization.
+	// content-addressed store. Every matrix runner (all but fig1/fig2 and
+	// fig8million; fig4/fig6 are one cell each) keys each cell by its
+	// machine-independent value (family, coordinates, seed) plus the code
+	// version, and answers warm cells from the store without simulating;
+	// Run keeps whole runs there too (see Run). Results are byte-identical
+	// with the cache off, cold, or warm: cells are pure functions of their
+	// spec, and JSON round-trips every row exactly. nil disables
+	// memoization.
 	Cache *cellcache.Store
 	// Progress optionally receives live observability events (samples,
 	// completed responses, finished cells — see ProgressEvent) while the
@@ -158,11 +157,11 @@ type Options struct {
 	// produces byte-identical output. Publish is called from worker
 	// goroutines; implementations must be concurrency-safe.
 	Progress Progress
-	// Context optionally bounds the run. Runners with long cell
-	// fan-outs poll it between cells, and a cell that runs through
-	// simEnv polls it every runSlice of simulated time; either way the
-	// run aborts with the context's error. The service uses it to
-	// cancel in-flight jobs. nil means run to completion.
+	// Context optionally bounds the run. Matrix runners poll it between
+	// cells, and a cell that runs through simEnv polls it every runSlice
+	// of simulated time; either way the run aborts with the context's
+	// error. The service uses it to cancel in-flight jobs. nil means run
+	// to completion.
 	Context context.Context
 }
 
@@ -309,6 +308,17 @@ func (t *Table) Write(w io.Writer) error {
 
 // Runner executes one registered experiment and writes its tables.
 type Runner func(opts Options, w io.Writer) error
+
+// tables is the Runner that writes the tables of what run returns.
+func tables[R interface{ WriteTables(io.Writer) error }](run func(Options) (R, error)) Runner {
+	return func(opts Options, w io.Writer) error {
+		res, err := run(opts)
+		if err != nil {
+			return err
+		}
+		return res.WriteTables(w)
+	}
+}
 
 // RunnerInfo describes one registered experiment: what it reproduces
 // and which Options fields it honors. trimsim -list and the service's

@@ -69,15 +69,14 @@ func (r *DeadlineResult) Row(policy string) *DeadlineRow {
 
 // RunDeadline executes the deadline incast under DCTCP and D2TCP.
 func RunDeadline(opts Options) (*DeadlineResult, error) {
-	out := &DeadlineResult{TightBudget: dlTightBudget, LooseBudget: dlLooseBudget}
-	for _, policy := range []string{"DCTCP", "D2TCP"} {
-		row, err := runDeadlineCell(policy, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, *row)
+	policies := []string{"DCTCP", "D2TCP"}
+	rows, err := sweep(opts, "ext-deadline", seededCells(opts, policies), func(c seededCell[string]) (*DeadlineRow, error) {
+		return runDeadlineCell(c.Value, opts)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &DeadlineResult{TightBudget: dlTightBudget, LooseBudget: dlLooseBudget, Rows: rows}, nil
 }
 
 func deadlineFor(flowIdx int) time.Duration {
@@ -261,21 +260,9 @@ func (r *DelayBasedResult) WriteTables(w io.Writer) error {
 var _ = register("ext-deadline",
 	"Extension: D2TCP vs DCTCP on a deadline-bound incast",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunDeadline(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(RunDeadline))
 
 var _ = register("ext-delay",
 	"Extension: delay-based schemes (Vegas) on the ON/OFF impairment workload",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunDelayBased(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(RunDelayBased))

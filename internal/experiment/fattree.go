@@ -81,31 +81,29 @@ func RunFatTree(protos []Protocol, podCounts []int, opts Options) (*FatTreeResul
 			return nil, err
 		}
 	}
-	out := &FatTreeResult{}
-	ctr := opts.cells(len(podCounts) * len(protos))
+	var cells []fatTreeCell
 	for _, pods := range podCounts {
 		for _, proto := range protos {
-			if err := opts.interrupted(); err != nil {
-				return nil, err
-			}
-			spec := struct {
-				Family   string   `json:"family"`
-				Protocol Protocol `json:"protocol"`
-				Pods     int      `json:"pods"`
-				Seed     int64    `json:"seed"`
-			}{"fattree", proto, pods, opts.seed()}
-			row, _, err := cachedCell(opts, spec, func() (*FatTreeRow, error) {
-				return runFatTreeCell(proto, pods, opts.seed(), opts)
-			})
-			if err != nil {
-				return nil, err
-			}
-			ctr.finished(fmt.Sprintf("%s/%d-pods", proto, pods))
-			out.Rows = append(out.Rows, *row)
+			cells = append(cells, fatTreeCell{proto, pods, opts.seed()})
 		}
 	}
-	return out, nil
+	rows, err := sweep(opts, "fattree", cells, func(c fatTreeCell) (*FatTreeRow, error) {
+		return runFatTreeCell(c.Protocol, c.Pods, c.Seed, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &FatTreeResult{Rows: rows}, nil
 }
+
+// fatTreeCell is one (protocol, pods) cell.
+type fatTreeCell struct {
+	Protocol Protocol `json:"protocol"`
+	Pods     int      `json:"pods"`
+	Seed     int64    `json:"seed"`
+}
+
+func (c fatTreeCell) String() string { return fmt.Sprintf("%s/%d-pods", c.Protocol, c.Pods) }
 
 func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTreeRow, error) {
 	rng := sim.NewRand(seed + int64(pods)*101)
@@ -181,15 +179,9 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTre
 		}
 	}
 
-	var watch func()
-	watch = func() {
-		if bigC.Pending() == 0 && collector.Pending() == 0 {
-			env.stop()
-			return
-		}
-		sched.After(10*time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(ftBigStart), watch); err != nil {
+	if err := env.stopWhen(sim.At(ftBigStart), 10*time.Millisecond, func() bool {
+		return bigC.Pending() == 0 && collector.Pending() == 0
+	}); err != nil {
 		return nil, err
 	}
 	if err := env.runUntil(sim.At(ftHorizon)); err != nil {
@@ -249,21 +241,13 @@ var FatTreeProtocols = []Protocol{ProtoTCP, ProtoDCTCP, ProtoL2DCT, ProtoTRIM}
 var _ = register("fig12",
 	"Mean and maximum completion times in the 10 Gbps fat-tree (Fig. 12)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunFatTree(FatTreeProtocols, []int{4, 6, 8, 10}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*FatTreeResult, error) {
+		return RunFatTree(FatTreeProtocols, []int{4, 6, 8, 10}, opts)
+	}))
 
 var _ = register("table1",
 	"Timeout counts per protocol in the 10 Gbps fat-tree (Table I)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunFatTree(FatTreeProtocols, []int{4, 6, 8, 10}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*FatTreeResult, error) {
+		return RunFatTree(FatTreeProtocols, []int{4, 6, 8, 10}, opts)
+	}))

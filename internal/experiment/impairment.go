@@ -333,21 +333,13 @@ func writeSeriesTable(w io.Writer, title string, s *metrics.Series, skipBelow, s
 var _ = register("fig4",
 	"Impairment test under legacy TCP: timeouts, inherited windows, LPT completion on the 5-server star (Fig. 4)",
 	[]string{"csv", "aqm", "fidelity"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunImpairment(ProtoTCP, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*ImpairmentResult, error) {
+		return RunImpairment(ProtoTCP, opts)
+	}))
 
 var _ = register("fig6",
 	"Impairment test under TCP-TRIM: probe-based window re-tuning on the Fig. 4 scenario (Fig. 6)",
 	[]string{"csv", "aqm", "fidelity"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunImpairment(ProtoTRIM, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*ImpairmentResult, error) {
+		return RunImpairment(ProtoTRIM, opts)
+	}))

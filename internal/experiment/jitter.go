@@ -14,12 +14,8 @@ import (
 	"time"
 
 	"tcptrim/internal/core"
-	"tcptrim/internal/httpapp"
-	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
-	"tcptrim/internal/topology"
 )
 
 // JitterRow is one jitter setting's outcome.
@@ -38,61 +34,37 @@ type JitterResult struct {
 
 // RunJitter sweeps bottleneck delay jitter under 5 TCP-TRIM long flows.
 func RunJitter(jitters []time.Duration, opts Options) (*JitterResult, error) {
-	out := &JitterResult{}
-	for _, j := range jitters {
-		row, err := runJitterCell(j, opts.seed(), opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
-}
-
-func runJitterCell(jitter time.Duration, seed int64, opts Options) (*JitterRow, error) {
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, ksFlows, topology.DefaultStarLink(100))
-	if jitter > 0 {
-		star.Bottleneck.InjectJitter(jitter, sim.NewRand(seed+int64(jitter)))
-	}
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC: func() tcp.CongestionControl {
-			// K sized for the jitter-free topology: the sweep measures
-			// what unmodeled noise does to that calibration.
-			return core.New(core.Config{BaseRTT: ksBaseRTT})
-		},
-		Base: tcp.Config{
-			MinRTO:   10 * time.Millisecond,
-			LinkRate: netsim.Gbps,
-		},
+	rows, err := sweep(opts, "ext-jitter", seededCells(opts, jitters), func(c seededCell[time.Duration]) (*JitterRow, error) {
+		return runJitterCell(c.Value, c.Seed, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, srv := range fleet.Servers {
-		if err := srv.StartBackgroundFlow(sim.At(propFlowStart), concBackground); err != nil {
-			return nil, err
-		}
-	}
-	queue := star.Bottleneck.Queue()
-	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
-		propSampleStep, func() float64 { return float64(queue.Len()) })
-	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
+	return &JitterResult{Rows: rows}, nil
+}
+
+func runJitterCell(jitter time.Duration, seed int64, opts Options) (*JitterRow, error) {
+	// K sized for the jitter-free topology: the sweep measures what
+	// unmodeled noise does to that calibration.
+	lf, err := newLongFlows(opts, ksFlows, 100, func() tcp.CongestionControl {
+		return core.New(core.Config{BaseRTT: ksBaseRTT})
+	}, tcp.Config{MinRTO: 10 * time.Millisecond})
+	if err != nil {
 		return nil, err
 	}
-
-	window := (propFlowStop - propFlowStart).Seconds()
-	goodput := float64(fleet.TotalDelivered()) * 8 / window
-	ceiling := float64(netsim.Gbps) * netsim.MSS / (netsim.MSS + netsim.HeaderSize)
+	if jitter > 0 {
+		lf.star.Bottleneck.InjectJitter(jitter, sim.NewRand(seed+int64(jitter)))
+	}
+	goodput, err := lf.run()
+	if err != nil {
+		return nil, err
+	}
 	return &JitterRow{
 		Jitter:      jitter,
-		Utilization: goodput / ceiling,
-		AvgQueue:    series.Mean(),
-		Drops:       queue.Stats().Dropped,
-		Timeouts:    fleet.TotalTimeouts(),
+		Utilization: utilization(goodput),
+		AvgQueue:    lf.series.Mean(),
+		Drops:       lf.queue.Stats().Dropped,
+		Timeouts:    lf.fleet.TotalTimeouts(),
 	}, nil
 }
 
@@ -117,16 +89,12 @@ func (r *JitterResult) WriteTables(w io.Writer) error {
 var _ = register("ext-jitter",
 	"Extension: TRIM's delay signal under per-packet RTT jitter",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunJitter([]time.Duration{
+	tables(func(opts Options) (*JitterResult, error) {
+		return RunJitter([]time.Duration{
 			0,
 			20 * time.Microsecond,
 			50 * time.Microsecond,
 			100 * time.Microsecond,
 			300 * time.Microsecond,
 		}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	}))

@@ -6,12 +6,8 @@ import (
 	"time"
 
 	"tcptrim/internal/core"
-	"tcptrim/internal/httpapp"
-	"tcptrim/internal/metrics"
 	"tcptrim/internal/netsim"
-	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
-	"tcptrim/internal/topology"
 )
 
 // Eq. 22 validation: five TCP-TRIM long flows on the star, sweeping K
@@ -45,67 +41,37 @@ type KSweepResult struct {
 // RunKSweep sweeps K across the given multiples of the Eq. 22 guideline.
 func RunKSweep(factors []float64, opts Options) (*KSweepResult, error) {
 	kStar := core.GuidelineKForLink(netsim.Gbps, netsim.MSS+netsim.HeaderSize, ksBaseRTT)
-	out := &KSweepResult{KStar: kStar, Rows: make([]KSweepRow, len(factors))}
-	rows, err := RunTrials(len(factors), func(i int) (*KSweepRow, error) {
-		row, err := runKSweepCell(time.Duration(factors[i]*float64(kStar)), opts)
+	rows, err := sweep(opts, "eq22", seededCells(opts, factors), func(c seededCell[float64]) (*KSweepRow, error) {
+		row, err := runKSweepCell(time.Duration(c.Value*float64(kStar)), opts)
 		if err != nil {
 			return nil, err
 		}
-		row.Factor = factors[i]
+		row.Factor = c.Value
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, row := range rows {
-		out.Rows[i] = *row
-	}
-	return out, nil
+	return &KSweepResult{KStar: kStar, Rows: rows}, nil
 }
 
 func runKSweepCell(k time.Duration, opts Options) (*KSweepRow, error) {
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, ksFlows, topology.DefaultStarLink(100))
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC: func() tcp.CongestionControl {
-			return core.New(core.Config{K: k, BaseRTT: ksBaseRTT})
-		},
-		Base: tcp.Config{
-			MinRTO:   10 * time.Millisecond,
-			LinkRate: netsim.Gbps,
-		},
-	})
+	lf, err := newLongFlows(opts, ksFlows, 100, func() tcp.CongestionControl {
+		return core.New(core.Config{K: k, BaseRTT: ksBaseRTT})
+	}, tcp.Config{MinRTO: 10 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-	for _, srv := range fleet.Servers {
-		if err := srv.StartBackgroundFlow(sim.At(propFlowStart), concBackground); err != nil {
-			return nil, err
-		}
-	}
-	queue := star.Bottleneck.Queue()
-	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
-		propSampleStep, func() float64 { return float64(queue.Len()) })
-	var startBytes int64
-	if _, err := sched.At(sim.At(propFlowStart), func() { startBytes = fleet.TotalDelivered() }); err != nil {
+	goodput, err := lf.run()
+	if err != nil {
 		return nil, err
 	}
-	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
-		return nil, err
-	}
-
-	window := (propFlowStop - propFlowStart).Seconds()
-	goodput := float64(fleet.TotalDelivered()-startBytes) * 8 / window
-	ceiling := float64(netsim.Gbps) * netsim.MSS / (netsim.MSS + netsim.HeaderSize)
 	return &KSweepRow{
 		K:           k,
-		Utilization: goodput / ceiling,
-		AvgQueue:    series.Mean(),
-		MaxQueue:    int(series.Max()),
-		Drops:       queue.Stats().Dropped,
+		Utilization: utilization(goodput),
+		AvgQueue:    lf.series.Mean(),
+		MaxQueue:    int(lf.series.Max()),
+		Drops:       lf.queue.Stats().Dropped,
 	}, nil
 }
 
@@ -131,10 +97,6 @@ func (r *KSweepResult) WriteTables(w io.Writer) error {
 var _ = register("eq22",
 	"K guideline sweep around Eq. 22's K*: utilization, queue, drops vs K (Sec. III-D)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunKSweep([]float64{0.25, 0.5, 0.75, 1, 1.5, 2, 4}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*KSweepResult, error) {
+		return RunKSweep([]float64{0.25, 0.5, 0.75, 1, 1.5, 2, 4}, opts)
+	}))

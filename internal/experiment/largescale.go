@@ -75,56 +75,37 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 			return nil, err
 		}
 	}
-	reps := opts.reps(3)
 	fid, err := opts.fidelity()
 	if err != nil {
 		return nil, err
 	}
-
-	type cell struct {
-		proto Protocol
-		tors  int
-	}
-	var cells []cell
+	var cells []largeScaleCell
 	for _, p := range protos {
 		for _, tors := range torCounts {
-			cells = append(cells, cell{p, tors})
+			cells = append(cells, largeScaleCell{p, tors, opts.reps(3), string(fid), opts.seed()})
 		}
 	}
-	ctr := opts.cells(len(cells))
-	rows, err := RunTrials(len(cells), func(i int) (*LargeScaleRow, error) {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
-		c := cells[i]
-		// Reps and fidelity shape the cell's output, so both are part of
-		// the key; fidelity is keyed by its parsed, normalized name so an
-		// explicit "packet" hits the same cells as the default.
-		spec := struct {
-			Family   string   `json:"family"`
-			Protocol Protocol `json:"protocol"`
-			ToRs     int      `json:"tors"`
-			Reps     int      `json:"reps"`
-			Fidelity string   `json:"fidelity"`
-			Seed     int64    `json:"seed"`
-		}{"largescale", c.proto, c.tors, reps, string(fid), opts.seed()}
-		row, _, err := cachedCell(opts, spec, func() (*LargeScaleRow, error) {
-			return runLargeScaleCell(c.proto, c.tors, reps, opts.seed(), opts, fid)
-		})
-		if err == nil {
-			ctr.finished(fmt.Sprintf("%s/%d-tors", c.proto, c.tors))
-		}
-		return row, err
+	rows, err := sweep(opts, "largescale", cells, func(c largeScaleCell) (*LargeScaleRow, error) {
+		return runLargeScaleCell(c.Protocol, c.ToRs, c.Reps, c.Seed, opts, hybrid.Fidelity(c.Fidelity))
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &LargeScaleResult{}
-	for _, row := range rows {
-		out.Rows = append(out.Rows, *row)
-	}
-	return out, nil
+	return &LargeScaleResult{Rows: rows}, nil
 }
+
+// largeScaleCell is one (protocol, scale) cell. Reps and fidelity shape
+// its row, so both are in the key; fidelity by its parsed, normalized
+// name, so an explicit "packet" hits the same cells as the default.
+type largeScaleCell struct {
+	Protocol Protocol `json:"protocol"`
+	ToRs     int      `json:"tors"`
+	Reps     int      `json:"reps"`
+	Fidelity string   `json:"fidelity"`
+	Seed     int64    `json:"seed"`
+}
+
+func (c largeScaleCell) String() string { return fmt.Sprintf("%s/%d-tors", c.Protocol, c.ToRs) }
 
 func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, opts Options, fid hybrid.Fidelity) (*LargeScaleRow, error) {
 	var acts metrics.Distribution
@@ -195,15 +176,7 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 		}
 	}
 	// Stop once every SPT completed.
-	var watch func()
-	watch = func() {
-		if spt.Pending() == 0 {
-			env.stop()
-			return
-		}
-		sched.After(10*time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(lsStart+lsWindow), watch); err != nil {
+	if err := env.stopWhen(sim.At(lsStart+lsWindow), 10*time.Millisecond, func() bool { return spt.Pending() == 0 }); err != nil {
 		return err
 	}
 	if err := fleet.Arm(); err != nil {
@@ -262,10 +235,6 @@ func (r *LargeScaleResult) WriteTables(w io.Writer) error {
 var _ = register("fig8",
 	"ACT of short trains vs network scale on the two-level tree, TCP vs TCP-TRIM (Fig. 8b)",
 	[]string{"reps", "fidelity"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunLargeScale([]Protocol{ProtoTCP, ProtoTRIM}, []int{5, 10, 15, 20, 25}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*LargeScaleResult, error) {
+		return RunLargeScale([]Protocol{ProtoTCP, ProtoTRIM}, []int{5, 10, 15, 20, 25}, opts)
+	}))

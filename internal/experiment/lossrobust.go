@@ -55,18 +55,29 @@ var LossVariants = []string{"TCP", "TCP+SACK", "TCP-TRIM", "TCP-TRIM+SACK"}
 // RunLossRobustness sweeps random loss rates over an ON/OFF response
 // workload.
 func RunLossRobustness(lossPcts []float64, opts Options) (*LossResult, error) {
-	out := &LossResult{}
+	var cells []lossCell
 	for _, pct := range lossPcts {
 		for _, variant := range LossVariants {
-			row, err := runLossCell(variant, pct, opts.seed(), opts)
-			if err != nil {
-				return nil, err
-			}
-			out.Rows = append(out.Rows, *row)
+			cells = append(cells, lossCell{variant, pct, opts.seed()})
 		}
 	}
-	return out, nil
+	rows, err := sweep(opts, "ext-loss", cells, func(c lossCell) (*LossRow, error) {
+		return runLossCell(c.Variant, c.LossPct, c.Seed, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &LossResult{Rows: rows}, nil
 }
+
+// lossCell is one (variant, loss rate) cell.
+type lossCell struct {
+	Variant string  `json:"variant"`
+	LossPct float64 `json:"loss_pct"`
+	Seed    int64   `json:"seed"`
+}
+
+func (c lossCell) String() string { return fmt.Sprintf("%s/%.1f%%", c.Variant, c.LossPct) }
 
 func runLossCell(variant string, lossPct float64, seed int64, opts Options) (*LossRow, error) {
 	rng := sim.NewRand(seed)
@@ -145,10 +156,6 @@ func (r *LossResult) WriteTables(w io.Writer) error {
 var _ = register("ext-loss",
 	"Extension: robustness to random non-congestive loss, with and without SACK",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunLossRobustness([]float64{0, 1, 4}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*LossResult, error) {
+		return RunLossRobustness([]float64{0, 1, 4}, opts)
+	}))

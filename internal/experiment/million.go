@@ -200,15 +200,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	}
 
 	// Stop as soon as every short response completed.
-	var watch func()
-	watch = func() {
-		if coll.Pending() == 0 {
-			env.stop()
-			return
-		}
-		sched.After(10*time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(mlStart+cfg.Window), watch); err != nil {
+	if err := env.stopWhen(sim.At(mlStart+cfg.Window), 10*time.Millisecond, func() bool { return coll.Pending() == 0 }); err != nil {
 		return nil, err
 	}
 	if err := fleet.Arm(); err != nil {

@@ -34,11 +34,19 @@ type MultiHopResult struct {
 	Drops    int
 }
 
-// RunMultiHop executes the Fig. 11 dual-bottleneck test.
-func RunMultiHop(proto Protocol, opts Options) (*MultiHopResult, error) {
-	if _, err := NewCC(proto); err != nil {
-		return nil, err
+// RunMultiHop executes the Fig. 11 dual-bottleneck test once per protocol.
+func RunMultiHop(protos []Protocol, opts Options) ([]MultiHopResult, error) {
+	for _, p := range protos {
+		if _, err := NewCC(p); err != nil {
+			return nil, err
+		}
 	}
+	return sweep(opts, "fig11", seededCells(opts, protos), func(c seededCell[Protocol]) (*MultiHopResult, error) {
+		return runMultiHopCell(c.Value, opts)
+	})
+}
+
+func runMultiHopCell(proto Protocol, opts Options) (*MultiHopResult, error) {
 	env := newSimEnv(opts)
 	sched := env.sched
 	m := topology.NewMultiHop(sched, topology.MultiHopConfig{})
@@ -138,12 +146,12 @@ var _ = register("fig11",
 	"Multi-hop chain throughput, TCP vs TCP-TRIM (Fig. 11)",
 	nil,
 	func(opts Options, w io.Writer) error {
-		for _, proto := range []Protocol{ProtoTCP, ProtoTRIM} {
-			res, err := RunMultiHop(proto, opts)
-			if err != nil {
-				return err
-			}
-			if err := res.WriteTables(w); err != nil {
+		res, err := RunMultiHop([]Protocol{ProtoTCP, ProtoTRIM}, opts)
+		if err != nil {
+			return err
+		}
+		for _, r := range res {
+			if err := r.WriteTables(w); err != nil {
 				return err
 			}
 		}

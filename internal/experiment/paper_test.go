@@ -137,10 +137,11 @@ func TestPaperFig10FairConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long convergence run")
 	}
-	res, err := RunConvergence(ProtoTRIM, Options{})
+	all, err := RunConvergence([]Protocol{ProtoTRIM}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := all[0]
 	// "each of the five connections converges to their fair share
 	// quickly".
 	if res.JainAllActive < 0.99 {
@@ -161,10 +162,11 @@ func TestPaperFig11MultiHopShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long multi-hop run")
 	}
-	trim, err := RunMultiHop(ProtoTRIM, Options{})
+	all, err := RunMultiHop([]Protocol{ProtoTRIM}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	trim := all[0]
 	// Group A crosses both bottlenecks and gets the least; B and C fill
 	// the remaining capacity of their single bottleneck (paper: 342.7 /
 	// 638 / 318 Mbps — our C is capacity-consistent rather than

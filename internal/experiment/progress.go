@@ -61,10 +61,10 @@ func (o Options) publish(ev ProgressEvent) {
 }
 
 // interrupted returns the cancellation error once the run's Context is
-// done, nil before then (and always nil without a Context). Long
-// fan-out runners poll it between cells so a canceled service job stops
-// simulating instead of starting the next one; inside a cell,
-// simEnv.runUntil does the polling.
+// done, nil before then (and always nil without a Context). sweep polls
+// it before each cell so a canceled service job stops simulating instead
+// of starting the next one; inside a cell, simEnv.runUntil does the
+// polling.
 func (o Options) interrupted() error {
 	if o.Context == nil {
 		return nil

@@ -65,99 +65,140 @@ func RunProperties(protos []Protocol, minFlows, maxFlows int, opts Options) (*Pr
 			return nil, err
 		}
 	}
-	out := &PropertiesResult{QueueTrace: make(map[Protocol]*metrics.Series, len(protos))}
-
-	type cell struct {
-		proto Protocol
-		flows int
-		trace bool
-	}
-	var cells []cell
+	var cells []propertiesCell
 	for _, p := range protos {
-		cells = append(cells, cell{proto: p, flows: 5, trace: true})
+		cells = append(cells, propertiesCell{Protocol: p, Flows: 5, Trace: true, Seed: opts.seed()})
 		for n := minFlows; n <= maxFlows; n++ {
-			cells = append(cells, cell{proto: p, flows: n})
+			cells = append(cells, propertiesCell{Protocol: p, Flows: n, Seed: opts.seed()})
 		}
 	}
-	type propCell struct {
-		row   *PropertiesRow
-		trace *metrics.Series
-	}
-	results, err := RunTrials(len(cells), func(i int) (propCell, error) {
-		row, trace, err := runPropertiesCell(cells[i].proto, cells[i].flows, cells[i].trace, opts)
-		return propCell{row: row, trace: trace}, err
+	results, err := sweep(opts, "fig9", cells, func(c propertiesCell) (*propertiesOut, error) {
+		return runPropertiesCell(c.Protocol, c.Flows, c.Trace, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
+	// CSV export runs on cold and warm cells alike: CSVDir is not part of
+	// a cell's key.
+	out := &PropertiesResult{QueueTrace: make(map[Protocol]*metrics.Series, len(protos))}
 	for i, c := range cells {
-		if c.trace {
-			out.QueueTrace[c.proto] = results[i].trace
-			name := "fig9-queue-" + string(c.proto)
-			if err := saveSeriesCSV(opts, name, "packets", results[i].trace); err != nil {
-				return nil, err
-			}
+		if !c.Trace {
+			out.Rows = append(out.Rows, results[i].Row)
 			continue
 		}
-		out.Rows = append(out.Rows, *results[i].row)
+		out.QueueTrace[c.Protocol] = results[i].Trace
+		if err := saveSeriesCSV(opts, "fig9-queue-"+string(c.Protocol), "packets", results[i].Trace); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
-func runPropertiesCell(proto Protocol, flows int, trace bool, opts Options) (*PropertiesRow, *metrics.Series, error) {
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, flows, topology.DefaultStarLink(100))
+// propertiesCell is one (protocol, flows) cell, or with Trace the 5-flow
+// queue trace of Fig. 9(a).
+type propertiesCell struct {
+	Protocol Protocol `json:"protocol"`
+	Flows    int      `json:"flows"`
+	Trace    bool     `json:"trace,omitempty"`
+	Seed     int64    `json:"seed"`
+}
+
+func (c propertiesCell) String() string {
+	if c.Trace {
+		return fmt.Sprintf("%s/trace", c.Protocol)
+	}
+	return fmt.Sprintf("%s/%d-flows", c.Protocol, c.Flows)
+}
+
+// propertiesOut is what one cell keeps: the queue trace of a trace cell,
+// the row of any other.
+type propertiesOut struct {
+	Row   PropertiesRow   `json:"row"`
+	Trace *metrics.Series `json:"trace,omitempty"`
+}
+
+func runPropertiesCell(proto Protocol, flows int, trace bool, opts Options) (*propertiesOut, error) {
 	rto := propShortRTO
 	if trace {
 		rto = impairmentRTO
 	}
+	lf, err := newLongFlows(opts, flows, 100, func() tcp.CongestionControl { return MustCC(proto) },
+		tcp.Config{MinRTO: rto, ECN: UsesECN(proto)})
+	if err != nil {
+		return nil, err
+	}
+	goodput, err := lf.run()
+	if err != nil {
+		return nil, err
+	}
+	if trace {
+		return &propertiesOut{Trace: lf.series}, nil
+	}
+	return &propertiesOut{Row: PropertiesRow{
+		Protocol:    proto,
+		Flows:       flows,
+		AvgQueue:    lf.series.Mean(),
+		MaxQueue:    int(lf.series.Max()),
+		Drops:       lf.queue.Stats().Dropped,
+		Timeouts:    lf.fleet.TotalTimeouts(),
+		GoodputMbps: goodput / 1e6,
+		Utilization: utilization(goodput),
+	}}, nil
+}
+
+// longFlows is the Fig. 9 scenario the K, α, buffer and jitter sweeps
+// share: one endless flow per sender on the 1 Gbps star from
+// propFlowStart to propFlowStop, the bottleneck queue sampled every
+// propSampleStep.
+type longFlows struct {
+	env    *simEnv
+	star   *topology.Star
+	fleet  *httpapp.Fleet
+	queue  *netsim.Queue
+	series *metrics.Series
+}
+
+// newLongFlows builds the scenario with flows senders, a switch buffer of
+// buffer packets, and base (its LinkRate set to the star's) for every
+// connection.
+func newLongFlows(opts Options, flows, buffer int, newCC func() tcp.CongestionControl, base tcp.Config) (*longFlows, error) {
+	env := newSimEnv(opts)
+	star := topology.NewStar(env.sched, flows, topology.DefaultStarLink(buffer))
+	base.LinkRate = netsim.Gbps
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
 		FrontEnd: star.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCC(proto) },
-		Base: tcp.Config{
-			MinRTO:   rto,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
+		NewCC:    newCC,
+		Base:     base,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, srv := range fleet.Servers {
 		if err := srv.StartBackgroundFlow(sim.At(propFlowStart), concBackground); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	queue := star.Bottleneck.Queue()
-	series := metrics.Sample(sched, sim.At(propFlowStart), sim.At(propFlowStop),
+	series := metrics.Sample(env.sched, sim.At(propFlowStart), sim.At(propFlowStop),
 		propSampleStep, func() float64 { return float64(queue.Len()) })
+	return &longFlows{env, star, fleet, queue, series}, nil
+}
 
-	var startBytes int64
-	if _, err := sched.At(sim.At(propFlowStart), func() { startBytes = fleet.TotalDelivered() }); err != nil {
-		return nil, nil, err
+// run simulates to propFlowStop and returns the goodput in bits per second
+// over the flows' lifetime (nothing is delivered at the instant they
+// start).
+func (l *longFlows) run() (float64, error) {
+	if err := l.env.runUntil(sim.At(propFlowStop)); err != nil {
+		return 0, err
 	}
-	if err := env.runUntil(sim.At(propFlowStop)); err != nil {
-		return nil, nil, err
-	}
+	return float64(l.fleet.TotalDelivered()) * 8 / (propFlowStop - propFlowStart).Seconds(), nil
+}
 
-	window := propFlowStop - propFlowStart
-	deliveredBits := float64(fleet.TotalDelivered()-startBytes) * 8
-	goodput := deliveredBits / window.Seconds()
-	row := &PropertiesRow{
-		Protocol:    proto,
-		Flows:       flows,
-		AvgQueue:    series.Mean(),
-		MaxQueue:    int(series.Max()),
-		Drops:       queue.Stats().Dropped,
-		Timeouts:    fleet.TotalTimeouts(),
-		GoodputMbps: goodput / 1e6,
-		// Payload-bytes utilization: the wire ceiling is scaled by the
-		// MSS/wire-size efficiency.
-		Utilization: goodput / (float64(netsim.Gbps) * netsim.MSS / (netsim.MSS + netsim.HeaderSize)),
-	}
-	return row, series, nil
+// utilization is payload goodput over the star's payload ceiling: the wire
+// rate scaled by the MSS/wire-size efficiency.
+func utilization(goodput float64) float64 {
+	return goodput / (float64(netsim.Gbps) * netsim.MSS / (netsim.MSS + netsim.HeaderSize))
 }
 
 // WriteTables renders the Fig. 9 outputs.
@@ -207,10 +248,6 @@ func (r *PropertiesResult) WriteTables(w io.Writer) error {
 var _ = register("fig9",
 	"TRIM properties: queue behaviour with long flows, and queue/drops/goodput vs flow count (Fig. 9)",
 	[]string{"csv"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunProperties([]Protocol{ProtoTCP, ProtoTRIM}, 2, 10, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*PropertiesResult, error) {
+		return RunProperties([]Protocol{ProtoTCP, ProtoTRIM}, 2, 10, opts)
+	}))

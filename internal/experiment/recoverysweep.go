@@ -33,12 +33,10 @@ import (
 // and the RTO floor is the stock DefaultMinRTO so timeout stalls dominate
 // whenever fast retransmit fails.
 const (
-	rwServers    = 3
-	rwPerServer  = 100
-	rwFaultStart = rsFaultStart
-	rwFaultEnd   = rsFaultEnd
-	rwDeadline   = 30 * time.Second
-	rwMaxRTO     = 2 * time.Second
+	rwServers   = 3
+	rwPerServer = 100
+	rwDeadline  = 30 * time.Second
+	rwMaxRTO    = 2 * time.Second
 )
 
 // RecoverySweepAQMs is the default queue-discipline axis.
@@ -126,52 +124,36 @@ func RunRecoverySweep(policies, aqms []string, intensities []FaultIntensity, buf
 			return nil, err
 		}
 	}
-	type cell struct {
-		policy string
-		aqm    string
-		fi     FaultIntensity
-		buffer int
-	}
-	var cells []cell
+	var cells []recoveryCell
 	for _, p := range policies {
 		for _, a := range aqms {
 			for _, fi := range intensities {
 				for _, b := range buffers {
-					cells = append(cells, cell{p, a, fi, b})
+					cells = append(cells, recoveryCell{p, a, fi, b, SplitSeed(opts.seed(), len(cells))})
 				}
 			}
 		}
 	}
-	ctr := opts.cells(len(cells))
-	rows, err := RunSeededTrials(len(cells), opts.seed(), func(i int, seed int64) (*RecoverySweepRow, error) {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
-		c := cells[i]
-		spec := struct {
-			Family    string         `json:"family"`
-			Policy    string         `json:"policy"`
-			AQM       string         `json:"aqm"`
-			Intensity FaultIntensity `json:"intensity"`
-			Buffer    int            `json:"buffer"`
-			Seed      int64          `json:"seed"`
-		}{"recoverysweep", c.policy, c.aqm, c.fi, c.buffer, seed}
-		row, _, err := cachedCell(opts, spec, func() (*RecoverySweepRow, error) {
-			return runRecoveryCell(c.policy, c.aqm, c.fi, c.buffer, seed, opts)
-		})
-		if err == nil {
-			ctr.finished(fmt.Sprintf("%s/%s/%s/%d-pkts", c.policy, c.aqm, c.fi.Name, c.buffer))
-		}
-		return row, err
+	rows, err := sweep(opts, "recoverysweep", cells, func(c recoveryCell) (*RecoverySweepRow, error) {
+		return runRecoveryCell(c.Policy, c.AQM, c.Intensity, c.Buffer, c.Seed, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &RecoverySweepResult{FaultStart: rwFaultStart, FaultEnd: rwFaultEnd}
-	for _, r := range rows {
-		out.Rows = append(out.Rows, *r)
-	}
-	return out, nil
+	return &RecoverySweepResult{Rows: rows, FaultStart: rsFaultStart, FaultEnd: rsFaultEnd}, nil
+}
+
+// recoveryCell is one coordinate of the matrix.
+type recoveryCell struct {
+	Policy    string         `json:"policy"`
+	AQM       string         `json:"aqm"`
+	Intensity FaultIntensity `json:"intensity"`
+	Buffer    int            `json:"buffer"`
+	Seed      int64          `json:"seed"`
+}
+
+func (c recoveryCell) String() string {
+	return fmt.Sprintf("%s/%s/%s/%d-pkts", c.Policy, c.AQM, c.Intensity.Name, c.Buffer)
 }
 
 func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed int64, opts Options) (*RecoverySweepRow, error) {
@@ -234,61 +216,18 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 		}
 	}
 
-	// Fault arming mirrors the resilience matrix: each injector draws from
-	// its own SplitSeed stream on the bottleneck for [rwFaultStart,
-	// rwFaultEnd), flaps included.
-	bn := star.Bottleneck
-	if _, err := sched.At(sim.At(rwFaultStart), func() {
-		if fi.GE.Enabled() {
-			bn.InjectGilbertElliott(fi.GE, sim.NewRand(SplitSeed(seed, 1)))
-		}
-		if fi.ReorderProb > 0 {
-			bn.InjectReorder(fi.ReorderProb, fi.ReorderExtra, sim.NewRand(SplitSeed(seed, 2)))
-		}
-		if fi.DupProb > 0 {
-			bn.InjectDuplicate(fi.DupProb, sim.NewRand(SplitSeed(seed, 3)))
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if _, err := sched.At(sim.At(rwFaultEnd), func() {
-		bn.InjectGilbertElliott(netsim.GEConfig{}, nil)
-		bn.InjectReorder(0, 0, nil)
-		bn.InjectDuplicate(0, nil)
-	}); err != nil {
-		return nil, err
-	}
-	if fi.FlapCount > 0 {
-		if err := bn.ScheduleFlaps(netsim.FlapConfig{
-			FirstDownAt: sim.At(rwFaultStart + 50*time.Millisecond),
-			DownFor:     fi.FlapDown,
-			UpFor:       fi.FlapUp,
-			Count:       fi.FlapCount,
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	var bytesAtStart, bytesAtEnd int64
-	if _, err := sched.At(sim.At(rwFaultStart), func() { bytesAtStart = fleet.TotalDelivered() }); err != nil {
-		return nil, err
-	}
-	if _, err := sched.At(sim.At(rwFaultEnd), func() { bytesAtEnd = fleet.TotalDelivered() }); err != nil {
+	// Fault arming mirrors the resilience matrix.
+	window, err := injectFaults(sched, star.Bottleneck, fi, seed, fleet.TotalDelivered)
+	if err != nil {
 		return nil, err
 	}
 
 	// Stop as soon as the backlog drains; timeout-bound cells otherwise
 	// idle to the deadline. The watch starts after the fault window so
 	// the goodput snapshot above still runs.
-	var watch func()
-	watch = func() {
-		if fleet.Collector.Pending() == 0 {
-			env.stop()
-			return
-		}
-		sched.After(10*time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(rwFaultEnd), watch); err != nil {
+	if err := env.stopWhen(sim.At(rsFaultEnd), 10*time.Millisecond, func() bool {
+		return fleet.Collector.Pending() == 0
+	}); err != nil {
 		return nil, err
 	}
 
@@ -299,26 +238,20 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 	star.Net.CheckInvariants()
 
 	row := &RecoverySweepRow{
-		Policy:    policy,
-		AQM:       aqmName,
-		Intensity: fi.Name,
-		Buffer:    buffer,
-		Total:     rwServers * rwPerServer,
-		WindowMbps: float64(bytesAtEnd-bytesAtStart) * 8 /
-			(rwFaultEnd - rwFaultStart).Seconds() / 1e6,
-		Retrans: fleet.Retransmissions(),
+		Policy:       policy,
+		AQM:          aqmName,
+		Intensity:    fi.Name,
+		Buffer:       buffer,
+		Total:        rwServers * rwPerServer,
+		WindowMbps:   window.mbps(),
+		MeanFCT:      secondsToDuration(d.Mean()),
+		P99FCT:       secondsToDuration(d.Percentile(99)),
+		Retrans:      fleet.Retransmissions(),
+		RecoveryTime: recoveryTime(fleet.Collector, rwServers*rwPerServer),
+		Complete:     fleet.Collector.Count(),
 	}
 	for _, c := range fleet.Conns {
 		row.Timeouts += c.Stats().Timeouts
-	}
-	row.Complete = fleet.Collector.Count()
-	row.MeanFCT = secondsToDuration(d.Mean())
-	row.P99FCT = secondsToDuration(d.Percentile(99))
-	switch {
-	case row.Complete < row.Total:
-		row.RecoveryTime = -1
-	case fleet.Collector.Last() > sim.At(rwFaultEnd):
-		row.RecoveryTime = fleet.Collector.Last().Sub(sim.At(rwFaultEnd))
 	}
 	return row, nil
 }
@@ -364,26 +297,18 @@ func (r *RecoverySweepResult) WriteTables(w io.Writer) error {
 var _ = register("recoverysweep",
 	"Loss-recovery sweep: policy x AQM x fault x buffer on the faulted incast star",
 	[]string{"aqm", "recovery"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunRecoverySweep(tcp.RecoveryNames(), RecoverySweepAQMs,
+	tables(func(opts Options) (*RecoverySweepResult, error) {
+		return RunRecoverySweep(tcp.RecoveryNames(), RecoverySweepAQMs,
 			recoverySweepIntensities(), RecoverySweepBuffers, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	}))
 
 // recoverysweep-smoke is the CI chaos check: all three policies on the
 // hardest corner (severe faults, tiny drop-tail buffer), fast enough for
 // every push.
 var _ = register("recoverysweep-smoke",
 	"CI slice of recoverysweep: all policies on the severe tiny-buffer corner",
-	[]string{"recovery"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunRecoverySweep(tcp.RecoveryNames(), []string{"droptail"},
+	[]string{"aqm", "recovery"},
+	tables(func(opts Options) (*RecoverySweepResult, error) {
+		return RunRecoverySweep(tcp.RecoveryNames(), []string{"droptail"},
 			[]FaultIntensity{DefaultFaultIntensities[3]}, []int{aqm.TinyBufferPackets}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	}))

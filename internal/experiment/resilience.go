@@ -130,87 +130,75 @@ const (
 	rsCheckEvery = 5 * time.Millisecond
 )
 
+// resilienceCell is one coordinate of the matrix. AQM is the raw option
+// string ("" = the scenario's default drop-tail switch) and Recovery the
+// canonical policy name ("" = the fleet default): both tell "unset" from an
+// explicit selection, because the explicit forms change wiring (ECN
+// thresholds, the T-RACKs agent) even when they name the default behavior.
+type resilienceCell struct {
+	Protocol  Protocol       `json:"protocol"`
+	Intensity FaultIntensity `json:"intensity"`
+	AQM       string         `json:"aqm,omitempty"`
+	Recovery  string         `json:"recovery,omitempty"`
+	Seed      int64          `json:"seed"`
+}
+
+func (c resilienceCell) String() string { return fmt.Sprintf("%s/%s", c.Protocol, c.Intensity.Name) }
+
 // RunResilience sweeps protocols × intensities, one independent simulation
 // per cell, each seeded via SplitSeed so the matrix is byte-identical
 // regardless of worker count.
 func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options) (*ResilienceResult, error) {
-	type cell struct {
-		proto Protocol
-		fi    FaultIntensity
-	}
-	var cells []cell
-	for _, p := range protos {
-		for _, fi := range intensities {
-			cells = append(cells, cell{p, fi})
-		}
-	}
-	aqmCfg, aqmSet, err := opts.aqmOverride()
-	if err != nil {
+	if _, _, err := opts.aqmOverride(); err != nil {
 		return nil, err
 	}
 	recovery, _, err := opts.recoveryOverride()
 	if err != nil {
 		return nil, err
 	}
-	ctr := opts.cells(len(cells))
-	rows, err := RunSeededTrials(len(cells), opts.seed(), func(i int, seed int64) (*ResilienceRow, error) {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
+	var cells []resilienceCell
+	for _, p := range protos {
+		for _, fi := range intensities {
+			cells = append(cells, resilienceCell{p, fi, opts.AQM, recovery, SplitSeed(opts.seed(), len(cells))})
 		}
-		c := cells[i]
-		// AQM is keyed by the raw option string ("" = the scenario's
-		// default drop-tail switch) and Recovery by the canonical policy
-		// name ("" = the fleet default): both distinguish "unset" from an
-		// explicit selection, because the explicit forms change wiring
-		// (ECN thresholds, the T-RACKs agent) even when they name the
-		// default behavior.
-		spec := struct {
-			Family    string         `json:"family"`
-			Protocol  Protocol       `json:"protocol"`
-			Intensity FaultIntensity `json:"intensity"`
-			AQM       string         `json:"aqm,omitempty"`
-			Recovery  string         `json:"recovery,omitempty"`
-			Seed      int64          `json:"seed"`
-		}{"resilience", c.proto, c.fi, opts.AQM, recovery, seed}
-		// Retention is derived after the fan-out from the full row set,
-		// so the cached cell carries it unset and the recomputation below
-		// stays exact on warm runs.
-		row, _, err := cachedCell(opts, spec, func() (*ResilienceRow, error) {
-			return runResilienceCell(c.proto, c.fi, seed, aqmCfg, aqmSet, recovery, opts)
-		})
-		if err == nil {
-			ctr.finished(fmt.Sprintf("%s/%s", c.proto, c.fi.Name))
-		}
-		return row, err
+	}
+	// Retention is derived below from the full row set, so a stored cell
+	// carries it unset and warm runs recompute it exactly.
+	rows, err := sweep(opts, "resilience", cells, func(c resilienceCell) (*ResilienceRow, error) {
+		return runResilienceCell(c, opts)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ResilienceResult{FaultStart: rsFaultStart, FaultEnd: rsFaultEnd}
 	// Baseline goodput per protocol (a clean cell, if the sweep has one).
 	baseline := map[Protocol]float64{}
 	for i, r := range rows {
-		if cells[i].fi.clean() {
+		if cells[i].Intensity.clean() {
 			baseline[r.Protocol] = r.WindowMbps
 		}
 	}
-	for _, r := range rows {
+	for i := range rows {
+		r := &rows[i]
 		if base, ok := baseline[r.Protocol]; ok && base > 0 {
 			r.Retention = r.WindowMbps / base
 		} else {
 			r.Retention = -1
 		}
-		out.Rows = append(out.Rows, *r)
 	}
-	return out, nil
+	return &ResilienceResult{Rows: rows, FaultStart: rsFaultStart, FaultEnd: rsFaultEnd}, nil
 }
 
-func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm.Config, aqmSet bool, recovery string, opts Options) (*ResilienceRow, error) {
+func runResilienceCell(c resilienceCell, opts Options) (*ResilienceRow, error) {
+	proto, fi, seed := c.Protocol, c.Intensity, c.Seed
 	rng := sim.NewRand(seed)
 	env := newSimEnv(opts)
 	sched := env.sched
 	queueCfg := netsim.QueueConfig{CapPackets: 100, ECNThresholdPackets: 20}
-	if aqmSet {
+	if c.AQM != "" {
+		aqmCfg, err := aqm.Parse(c.AQM)
+		if err != nil {
+			return nil, err
+		}
 		queueCfg.AQM = aqmCfg
 		if aqmCfg.Kind == aqm.RED {
 			queueCfg.AQM.RED.Seed = SplitSeed(seed, 4)
@@ -222,9 +210,9 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 		Queue: queueCfg,
 	})
 	var newRecovery func() tcp.RecoveryPolicy
-	if recovery != "" {
-		newRecovery = func() tcp.RecoveryPolicy { return mustRecovery(recovery) }
-		if recovery == "tracks" {
+	if c.Recovery != "" {
+		newRecovery = func() tcp.RecoveryPolicy { return mustRecovery(c.Recovery) }
+		if c.Recovery == "tracks" {
 			// Switch assistance: the agent taps the star's ToR.
 			if _, err := netsim.AttachTRACKs(star.Net, star.Switch, netsim.TRACKsConfig{}); err != nil {
 				return nil, err
@@ -257,10 +245,50 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 		}
 	}
 
-	// Arm the faults on the bottleneck for the window [rsFaultStart,
-	// rsFaultEnd). Each injector gets its own SplitSeed-derived stream so
-	// adding one fault never perturbs another's draws.
 	bn := star.Bottleneck
+	window, err := injectFaults(sched, bn, fi, seed, fleet.TotalDelivered)
+	if err != nil {
+		return nil, err
+	}
+
+	star.Net.ScheduleInvariantChecks(rsCheckEvery)
+	if err := env.runUntil(sim.At(rsDeadline)); err != nil {
+		return nil, err
+	}
+	star.Net.CheckInvariants()
+
+	row := &ResilienceRow{
+		Protocol:        proto,
+		Intensity:       fi.Name,
+		Total:           rsServers * rsPerServer,
+		WindowMbps:      window.mbps(),
+		Complete:        fleet.Collector.Count(),
+		RecoveryTime:    recoveryTime(fleet.Collector, rsServers*rsPerServer),
+		Injected:        bn.Stats(),
+		QueueStats:      bn.Queue().Stats(),
+		CongestionDrops: bn.Queue().Stats().Dropped,
+	}
+	for _, c := range fleet.Conns {
+		row.Timeouts += c.Stats().Timeouts
+		row.Retrans += c.Stats().RetransSegs
+	}
+	return row, nil
+}
+
+// faultWindow holds the bytes delivered at the edges of the fault window.
+type faultWindow struct{ atStart, atEnd int64 }
+
+// mbps is the goodput inside the window.
+func (w *faultWindow) mbps() float64 {
+	return float64(w.atEnd-w.atStart) * 8 / (rsFaultEnd - rsFaultStart).Seconds() / 1e6
+}
+
+// injectFaults arms fi on the bottleneck bn for the fault window
+// [rsFaultStart, rsFaultEnd), flaps included, and then snapshots
+// delivered at the window's edges. Each injector draws from its own
+// SplitSeed stream of seed, so adding one fault never perturbs another's
+// draws.
+func injectFaults(sched *sim.Scheduler, bn *netsim.Pipe, fi FaultIntensity, seed int64, delivered func() int64) (*faultWindow, error) {
 	if _, err := sched.At(sim.At(rsFaultStart), func() {
 		if fi.GE.Enabled() {
 			bn.InjectGilbertElliott(fi.GE, sim.NewRand(SplitSeed(seed, 1)))
@@ -291,45 +319,27 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 			return nil, err
 		}
 	}
-
-	// Goodput inside the fault window, by snapshotting delivered bytes at
-	// its edges.
-	var bytesAtStart, bytesAtEnd int64
-	if _, err := sched.At(sim.At(rsFaultStart), func() { bytesAtStart = fleet.TotalDelivered() }); err != nil {
+	w := &faultWindow{}
+	if _, err := sched.At(sim.At(rsFaultStart), func() { w.atStart = delivered() }); err != nil {
 		return nil, err
 	}
-	if _, err := sched.At(sim.At(rsFaultEnd), func() { bytesAtEnd = fleet.TotalDelivered() }); err != nil {
+	if _, err := sched.At(sim.At(rsFaultEnd), func() { w.atEnd = delivered() }); err != nil {
 		return nil, err
 	}
+	return w, nil
+}
 
-	star.Net.ScheduleInvariantChecks(rsCheckEvery)
-	if err := env.runUntil(sim.At(rsDeadline)); err != nil {
-		return nil, err
-	}
-	star.Net.CheckInvariants()
-
-	row := &ResilienceRow{
-		Protocol:  proto,
-		Intensity: fi.Name,
-		Total:     rsServers * rsPerServer,
-		WindowMbps: float64(bytesAtEnd-bytesAtStart) * 8 /
-			(rsFaultEnd - rsFaultStart).Seconds() / 1e6,
-		Injected:        bn.Stats(),
-		QueueStats:      bn.Queue().Stats(),
-		CongestionDrops: bn.Queue().Stats().Dropped,
-	}
-	for _, c := range fleet.Conns {
-		row.Timeouts += c.Stats().Timeouts
-		row.Retrans += c.Stats().RetransSegs
-	}
-	row.Complete = fleet.Collector.Count()
+// recoveryTime is how long past the fault window the last of total
+// responses completed: 0 if the backlog drained inside the window,
+// negative if some never completed.
+func recoveryTime(coll *httpapp.Collector, total int) time.Duration {
 	switch {
-	case row.Complete < row.Total:
-		row.RecoveryTime = -1
-	case fleet.Collector.Last() > sim.At(rsFaultEnd):
-		row.RecoveryTime = fleet.Collector.Last().Sub(sim.At(rsFaultEnd))
+	case coll.Count() < total:
+		return -1
+	case coll.Last() > sim.At(rsFaultEnd):
+		return coll.Last().Sub(sim.At(rsFaultEnd))
 	}
-	return row, nil
+	return 0
 }
 
 // WriteTables renders the matrix with injected-fault drops reported
@@ -382,23 +392,15 @@ func (r *ResilienceResult) WriteTables(w io.Writer) error {
 var _ = register("resilience",
 	"Fault-injection matrix: protocol x fault intensity, goodput retention and recovery time",
 	[]string{"aqm", "recovery"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunResilience(ResilienceProtocols, DefaultFaultIntensities, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*ResilienceResult, error) {
+		return RunResilience(ResilienceProtocols, DefaultFaultIntensities, opts)
+	}))
 
 // resilience-smoke is the CI chaos check: one protocol, clean + mild, fast
 // enough for every push.
 var _ = register("resilience-smoke",
 	"CI slice of resilience: one protocol, clean + mild faults",
 	[]string{"aqm", "recovery"},
-	func(opts Options, w io.Writer) error {
-		res, err := RunResilience([]Protocol{ProtoTRIM}, DefaultFaultIntensities[:2], opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*ResilienceResult, error) {
+		return RunResilience([]Protocol{ProtoTRIM}, DefaultFaultIntensities[:2], opts)
+	}))

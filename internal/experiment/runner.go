@@ -85,6 +85,60 @@ func RunSeededTrials[T any](n int, base int64, fn func(i int, seed int64) (T, er
 	})
 }
 
+// sweep is the one fan-out of every matrix runner: it runs run(cell) for
+// each cell on RunTrials and returns the rows in cell order. A cell does
+// not start once the run is canceled. Each resolves through cachedCell,
+// and the cell value is its key beside family: every exported field of a
+// cell is a coordinate of the key, so a cell carries its seed and every
+// run-level input that shapes its row, and an axis value that carries
+// behaviour stays in an unexported field and is keyed by name. Each
+// finished cell, simulated or answered from the store, publishes a "cell"
+// event under its String, so a warm run streams what a cold one does.
+func sweep[C fmt.Stringer, R any](opts Options, family string, cells []C, run func(C) (*R, error)) ([]R, error) {
+	ctr := opts.cells(len(cells))
+	rows, err := RunTrials(len(cells), func(i int) (*R, error) {
+		if err := opts.interrupted(); err != nil {
+			return nil, err
+		}
+		c := cells[i]
+		key := struct {
+			Family string `json:"family"`
+			Cell   C      `json:"cell"`
+		}{family, c}
+		row, _, err := cachedCell(opts, key, func() (*R, error) { return run(c) })
+		if err != nil {
+			return nil, err
+		}
+		ctr.finished(c.String())
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]R, len(rows))
+	for i, row := range rows {
+		out[i] = *row
+	}
+	return out, nil
+}
+
+// seededCell is the cell of a sweep over one axis: its value and a seed.
+type seededCell[T any] struct {
+	Value T     `json:"value"`
+	Seed  int64 `json:"seed"`
+}
+
+func (c seededCell[T]) String() string { return fmt.Sprint(c.Value) }
+
+// seededCells returns one cell per value, each with the run's seed.
+func seededCells[T any](opts Options, values []T) []seededCell[T] {
+	cells := make([]seededCell[T], len(values))
+	for i, v := range values {
+		cells[i] = seededCell[T]{v, opts.seed()}
+	}
+	return cells
+}
+
 // runTrial executes one trial, converting a panic into a recorded value so
 // the sibling trials finish before it is re-raised.
 func runTrial[T any](i int, fn func(i int) (T, error), results []T, errs []error, panics []any) {

@@ -1,10 +1,16 @@
 package experiment
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"tcptrim/internal/cellcache"
 )
 
 func TestRunTrialsOrderedResults(t *testing.T) {
@@ -102,4 +108,89 @@ func TestRunTrialsPanicPropagatesWithIndex(t *testing.T) {
 		}
 		return i, nil
 	})
+}
+
+// TestSweep: sweep returns rows in cell order whatever the worker count,
+// resolves equal cell values to one store entry, starts no cell once the
+// run is canceled, and streams the same cell names and totals warm as
+// cold.
+func TestSweep(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name   string
+		procs  int
+		values []int
+		// cancelIn cancels the run's context inside that cell (-1: never).
+		cancelIn int
+		// warm re-runs the sweep on the store its cold run filled.
+		warm     bool
+		wantRuns int
+		// wantMisses and wantHits count the cold run's store traffic.
+		wantMisses, wantHits int64
+		wantErr              error
+	}{
+		{name: "order, 1 worker", procs: 1, values: []int{3, 1, 4, 1, 5, 9, 2, 6}, cancelIn: -1, wantRuns: 7, wantMisses: 7, wantHits: 1},
+		{name: "order, 4 workers", procs: 4, values: []int{3, 5, 8, 9, 7, 2, 0, 6, 4, 1}, cancelIn: -1, wantRuns: 10, wantMisses: 10},
+		{name: "equal cells share an entry", procs: 1, values: []int{2, 2, 2}, cancelIn: -1, wantRuns: 1, wantMisses: 1, wantHits: 2},
+		{name: "canceled", procs: 1, values: []int{0, 1, 2}, cancelIn: 0, wantRuns: 1, wantMisses: 1, wantErr: context.Canceled},
+		{name: "warm streams what cold did", procs: 4, values: []int{4, 3, 2, 1}, cancelIn: -1, warm: true, wantRuns: 4, wantMisses: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(tc.procs)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			store := cellcache.NewMemory()
+			var runs atomic.Int64
+			run := func() ([]int, []string, error) {
+				log := &eventLog{}
+				opts := Options{Seed: 5, Cache: store, Context: ctx, Progress: log}
+				rows, err := sweep(opts, "test", seededCells(opts, tc.values), func(c seededCell[int]) (*int, error) {
+					runs.Add(1)
+					if c.Value == tc.cancelIn {
+						cancel()
+					}
+					v := 10*c.Value + int(c.Seed)
+					return &v, nil
+				})
+				var events []string
+				for _, ev := range log.kind("cell") {
+					events = append(events, fmt.Sprintf("%s/%d", ev.Name, ev.Total))
+				}
+				sort.Strings(events)
+				return rows, events, err
+			}
+			rows, events, err := run()
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := runs.Load(); got != int64(tc.wantRuns) {
+				t.Errorf("%d cells ran, want %d", got, tc.wantRuns)
+			}
+			if store.Misses() != tc.wantMisses || store.Hits() != tc.wantHits {
+				t.Errorf("%d misses, %d hits; want %d, %d", store.Misses(), store.Hits(), tc.wantMisses, tc.wantHits)
+			}
+			if err != nil {
+				return
+			}
+			for i, v := range tc.values {
+				if rows[i] != 10*v+5 {
+					t.Fatalf("rows = %v, not in the order of cells %v", rows, tc.values)
+				}
+			}
+			if len(events) != len(tc.values) {
+				t.Errorf("%d cell events for %d cells", len(events), len(tc.values))
+			}
+			if !tc.warm {
+				return
+			}
+			store.ResetStats()
+			warmRows, warmEvents, err := run()
+			if err != nil || fmt.Sprint(warmRows) != fmt.Sprint(rows) || store.Misses() != 0 {
+				t.Errorf("warm run: rows %v, %d misses, err %v; cold rows %v", warmRows, store.Misses(), err, rows)
+			}
+			if fmt.Sprint(warmEvents) != fmt.Sprint(events) {
+				t.Errorf("warm cell events %v, cold %v", warmEvents, events)
+			}
+		})
+	}
 }

@@ -60,22 +60,19 @@ func (r *ScatterResult) Row(proto Protocol) *ScatterRow {
 // RunScatterGather executes the request-driven partition/aggregation
 // comparison.
 func RunScatterGather(protos []Protocol, opts Options) (*ScatterResult, error) {
-	out := &ScatterResult{}
-	for _, proto := range protos {
-		row, err := runScatterCell(proto, opts.seed(), opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, *row)
+	rows, err := sweep(opts, "ext-scatter", seededCells(opts, protos), func(c seededCell[Protocol]) (*ScatterRow, error) {
+		return runScatterCell(c.Value, opts)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &ScatterResult{Rows: rows}, nil
 }
 
-func runScatterCell(proto Protocol, seed int64, opts Options) (*ScatterRow, error) {
+func runScatterCell(proto Protocol, opts Options) (*ScatterRow, error) {
 	if _, err := NewCC(proto); err != nil {
 		return nil, err
 	}
-	_ = seed
 	env := newSimEnv(opts)
 	sched := env.sched
 	// ECN marking enabled at the standard 1 Gbps threshold so DCTCP has
@@ -162,10 +159,6 @@ func (r *ScatterResult) WriteTables(w io.Writer) error {
 var _ = register("ext-scatter",
 	"Extension: request-driven scatter/gather - aggregation barrier latency across rounds",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunScatterGather([]Protocol{ProtoTCP, ProtoDCTCP, ProtoTRIM}, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*ScatterResult, error) {
+		return RunScatterGather([]Protocol{ProtoTCP, ProtoDCTCP, ProtoTRIM}, opts)
+	}))

@@ -31,6 +31,22 @@ func (e *simEnv) stop() {
 	e.sched.Stop()
 }
 
+// stopWhen checks done at from and every interval after, and stops the run
+// the first time it holds: the drain watch of a cell whose background
+// flows would otherwise run to the horizon for nothing.
+func (e *simEnv) stopWhen(from sim.Time, every time.Duration, done func() bool) error {
+	var watch func()
+	watch = func() {
+		if done() {
+			e.stop()
+			return
+		}
+		e.sched.After(every, watch)
+	}
+	_, err := e.sched.At(from, watch)
+	return err
+}
+
 // runSlice is how much simulated time runUntil lets pass between two
 // looks at the context: a fiftieth of a second-long release window, tens
 // of milliseconds of host time in the densest run there is (fig8million

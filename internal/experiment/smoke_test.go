@@ -5,6 +5,7 @@ package experiment
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,25 @@ func TestSmokeImpairmentAQMOverride(t *testing.T) {
 	if err := Run("fig4", Options{AQM: "bogus"}, &sb); err == nil ||
 		!strings.Contains(err.Error(), "unknown discipline") {
 		t.Errorf("bogus AQM name: err = %v", err)
+	}
+}
+
+// TestRecoverySweepSmokeHonorsAQM: recoverysweep-smoke narrows its AQM
+// axis to -aqm, so it lists "aqm" among the options it honors and its
+// output changes with it.
+func TestRecoverySweepSmokeHonorsAQM(t *testing.T) {
+	if info, _ := Describe("recoverysweep-smoke"); !slices.Contains(info.Options, "aqm") {
+		t.Errorf("recoverysweep-smoke options %v do not list aqm", info.Options)
+	}
+	var def, codel strings.Builder
+	if err := Run("recoverysweep-smoke", Options{}, &def); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run("recoverysweep-smoke", Options{AQM: "codel"}, &codel); err != nil {
+		t.Fatal(err)
+	}
+	if def.String() == codel.String() {
+		t.Errorf("-aqm codel printed the default output:\n%s", def.String())
 	}
 }
 

@@ -82,18 +82,29 @@ func RunARCT(protos []Protocol, meanSizes []int, opts Options) (*ARCTResult, err
 			return nil, err
 		}
 	}
-	out := &ARCTResult{}
+	var cells []arctCell
 	for _, proto := range protos {
 		for _, mean := range meanSizes {
-			row, err := runARCTCell(proto, mean, opts.seed(), opts)
-			if err != nil {
-				return nil, err
-			}
-			out.Rows = append(out.Rows, *row)
+			cells = append(cells, arctCell{proto, mean, opts.seed()})
 		}
 	}
-	return out, nil
+	rows, err := sweep(opts, "arct", cells, func(c arctCell) (*ARCTRow, error) {
+		return runARCTCell(c.Protocol, c.MeanBytes, c.Seed, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ARCTResult{Rows: rows}, nil
 }
+
+// arctCell is one (protocol, mean size) cell.
+type arctCell struct {
+	Protocol  Protocol `json:"protocol"`
+	MeanBytes int      `json:"mean_bytes"`
+	Seed      int64    `json:"seed"`
+}
+
+func (c arctCell) String() string { return fmt.Sprintf("%s/%dKB", c.Protocol, c.MeanBytes>>10) }
 
 func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCTRow, error) {
 	rng := sim.NewRand(seed + int64(meanBytes))
@@ -147,15 +158,7 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCT
 	if _, err := csched.At(sim.At(100*time.Millisecond), sendNext); err != nil {
 		return nil, err
 	}
-	var watch func()
-	watch = func() {
-		if done {
-			env.stop()
-			return
-		}
-		sched.After(10*time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(100*time.Millisecond), watch); err != nil {
+	if err := env.stopWhen(sim.At(100*time.Millisecond), 10*time.Millisecond, func() bool { return done }); err != nil {
 		return nil, err
 	}
 	if err := env.runUntil(sim.At(10 * time.Minute)); err != nil { // bounded by the done watch
@@ -228,15 +231,13 @@ var WebServiceProtocols = []Protocol{ProtoCUBIC, ProtoTCP, ProtoTRIM}
 
 // RunWebService executes the Fig. 13(b)–(e) web-service scenario.
 func RunWebService(protos []Protocol, opts Options) (*WebServiceResult, error) {
-	out := &WebServiceResult{}
-	for _, proto := range protos {
-		row, err := runWebServiceCell(proto, opts.seed(), opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, *row)
+	rows, err := sweep(opts, "fig13", seededCells(opts, protos), func(c seededCell[Protocol]) (*WebServiceRow, error) {
+		return runWebServiceCell(c.Value, c.Seed, opts)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &WebServiceResult{Rows: rows}, nil
 }
 
 func runWebServiceCell(proto Protocol, seed int64, opts Options) (*WebServiceRow, error) {
@@ -273,15 +274,7 @@ func runWebServiceCell(proto Protocol, seed int64, opts Options) (*WebServiceRow
 		}
 		scheduled += len(trains)
 	}
-	var watch func()
-	watch = func() {
-		if fleet.Collector.Pending() == 0 {
-			env.stop()
-			return
-		}
-		sched.After(10*time.Millisecond, watch)
-	}
-	if _, err := sched.At(sim.At(tbWebWindow), watch); err != nil {
+	if err := env.stopWhen(sim.At(tbWebWindow), 10*time.Millisecond, func() bool { return fleet.Collector.Pending() == 0 }); err != nil {
 		return nil, err
 	}
 	if err := env.runUntil(sim.At(tbWebHorizon)); err != nil {
@@ -344,21 +337,13 @@ func (r *WebServiceResult) WriteTables(w io.Writer) error {
 var _ = register("fig13a",
 	"ARCT vs mean response size on the 100 Mbps testbed, CUBIC vs TCP-TRIM (Fig. 13a)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunARCT([]Protocol{ProtoCUBIC, ProtoTRIM}, ARCTMeanSizes, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*ARCTResult, error) {
+		return RunARCT([]Protocol{ProtoCUBIC, ProtoTRIM}, ARCTMeanSizes, opts)
+	}))
 
 var _ = register("fig13",
 	"Web-service response completion times across protocols (Fig. 13b-e)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunWebService(WebServiceProtocols, opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(func(opts Options) (*WebServiceResult, error) {
+		return RunWebService(WebServiceProtocols, opts)
+	}))

@@ -156,21 +156,9 @@ func (r *TrainAnalysisResult) WriteTables(w io.Writer) error {
 var _ = register("fig1",
 	"Packet trains recovered from one persistent connection's trace: sizes, gaps, ON/OFF structure (Fig. 1)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunTrainAnalysis(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(RunTrainAnalysis))
 
 var _ = register("fig2",
 	"Packet-train size bands and inter-train gap percentiles over the response mix (Fig. 2)",
 	nil,
-	func(opts Options, w io.Writer) error {
-		res, err := RunTrainAnalysis(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteTables(w)
-	})
+	tables(RunTrainAnalysis))
