@@ -15,7 +15,8 @@ package experiment
 // `sha256sum`-style line per file follows the last table. fig8million's
 // host-measured resource lines are not in it (see tableOnly). Where
 // hybrid fidelity is known to print other bytes, <id>.hybrid.txt pins
-// them; fixing the divergence deletes that file.
+// them; fixing the divergence deletes that file. Each option value in
+// optionArms is pinned in <id>.<arm>.txt for every runner that honors it.
 
 import (
 	"bytes"
@@ -51,6 +52,17 @@ var slowRunners = map[string]bool{
 
 const goldenDir = "testdata/golden"
 
+// optionArms are the option values pinned for every runner that honors
+// the option, each in <id>.<name>.txt: the seeded RED queue and the
+// T-RACKs switch agent, wiring that the default options never reach.
+var optionArms = []struct {
+	option, name string
+	opts         Options
+}{
+	{"aqm", "aqm-red", Options{AQM: "red"}},
+	{"recovery", "recovery-tracks", Options{Recovery: "tracks"}},
+}
+
 func TestRunnerGoldens(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, info := range Runners() {
@@ -83,6 +95,11 @@ func TestRunnerGoldens(t *testing.T) {
 			})
 			if g.honors("fidelity") {
 				t.Run("hybrid", g.hybrid)
+			}
+			for _, arm := range optionArms {
+				if g.honors(arm.option) {
+					t.Run(arm.name, func(t *testing.T) { g.optionArm(t, arm.name, arm.opts) })
+				}
 			}
 			t.Run("cache", g.cache)
 		})
@@ -137,6 +154,21 @@ func (g *golden) hybrid(t *testing.T) {
 		t.Fatalf("%s: %s equals %s; the divergence it pins is gone, delete it", g.ID, file, g.file)
 	}
 	g.compare(t, "fidelity=hybrid", out, file, want)
+}
+
+// optionArm renders with opts against, or under -update into,
+// <id>.<name>.txt.
+func (g *golden) optionArm(t *testing.T, name string, opts Options) {
+	out := g.render(t, opts, true, false)
+	file := filepath.Join(goldenDir, g.ID+"."+name+".txt")
+	if *update {
+		writeGolden(t, file, out)
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("%s: no golden for %s (go test -run TestRunnerGoldens/%s -args -update): %v", g.ID, name, g.ID, err)
+	}
+	g.compare(t, name, out, file, want)
 }
 
 // cache renders through a fresh disk store (cold), as whole-run hits
@@ -240,16 +272,22 @@ func (g *golden) compare(t *testing.T, arm string, got []byte, file string, want
 }
 
 // TestRunnersRegistered: the golden files and IDs() are one set — a
-// runner without a golden fails, and so does a golden without a runner.
+// runner without a golden fails, and so does a golden without a runner or
+// an arm file for an option its runner does not honor.
 func TestRunnersRegistered(t *testing.T) {
 	files, _ := filepath.Glob(filepath.Join(goldenDir, "*.txt"))
+	armOption := map[string]string{"": "", "hybrid": "fidelity"}
+	for _, arm := range optionArms {
+		armOption[arm.name] = arm.option
+	}
 	have := map[string]bool{}
 	for _, f := range files {
-		id, hybrid := strings.CutSuffix(strings.TrimSuffix(filepath.Base(f), ".txt"), ".hybrid")
-		if info, ok := Describe(id); !ok || hybrid && !slices.Contains(info.Options, "fidelity") {
+		id, arm, _ := strings.Cut(strings.TrimSuffix(filepath.Base(f), ".txt"), ".")
+		option, known := armOption[arm]
+		if info, ok := Describe(id); !ok || !known || option != "" && !slices.Contains(info.Options, option) {
 			t.Errorf("%s pins no registered runner", f)
 		}
-		have[id] = have[id] || !hybrid
+		have[id] = have[id] || arm == ""
 	}
 	for _, id := range IDs() {
 		if !have[id] && !*update {
