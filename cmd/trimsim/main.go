@@ -33,17 +33,17 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("trimsim", flag.ContinueOnError)
 	var (
-		list   = fs.Bool("list", false, "list experiment ids and exit")
+		list   = fs.Bool("list", false, "list experiment ids with the options each honors, and exit")
 		id     = fs.String("run", "", "experiment id to run (see -list)")
 		all    = fs.Bool("all", false, "run every registered experiment")
 		seed   = fs.Int64("seed", 1, "random seed")
 		reps   = fs.Int("reps", 0, "repetitions for randomized scenarios (0 = default)")
-		csvDir = fs.String("csv", "", "directory for CSV time-series export (fig4/fig6/fig9/fig10)")
-		aqmSel = fs.String("aqm", "", "switch queue discipline override for fig4/fig6/resilience ("+
+		csvDir = fs.String("csv", "", "directory for CSV time-series export, in the runners that honor csv (see -list)")
+		aqmSel = fs.String("aqm", "", "switch queue discipline override, in the runners that honor aqm (see -list; "+
 			strings.Join(aqm.Names(), ", ")+"; default: each scenario's drop-tail)")
-		recSel = fs.String("recovery", "", "TCP loss-recovery policy override for resilience/recoverysweep ("+
+		recSel = fs.String("recovery", "", "TCP loss-recovery policy override, in the runners that honor recovery (see -list; "+
 			strings.Join(tcp.RecoveryNames(), ", ")+"; default: each scenario's classic)")
-		fidSel = fs.String("fidelity", "", "connection simulation fidelity for fig4/fig6/fig8/fig8million ("+
+		fidSel = fs.String("fidelity", "", "connection simulation fidelity, in the runners that honor it (see -list; "+
 			strings.Join(hybrid.Names(), ", ")+"; default: packet, except fig8million which defaults to hybrid)")
 		cacheDir = fs.String("cache", "", "result store directory, shared with trimsvc -cache: a run already stored "+
 			"at this code version is printed whole, and sweep cells already computed are reassembled instead of re-simulated")
@@ -98,7 +98,8 @@ func run(args []string) error {
 }
 
 // writeList prints the runner registry as an aligned id/description
-// table — the same ids and descriptions GET /v1/runners serves.
+// table, each line ending with the options the runner honors — the same
+// metadata GET /v1/runners serves.
 func writeList(w io.Writer) error {
 	infos := experiment.Runners()
 	width := 0
@@ -108,7 +109,11 @@ func writeList(w io.Writer) error {
 		}
 	}
 	for _, info := range infos {
-		if _, err := fmt.Fprintf(w, "%-*s  %s\n", width, info.ID, info.Description); err != nil {
+		honors := ""
+		if len(info.Options) > 0 {
+			honors = " [" + strings.Join(info.Options, " ") + "]"
+		}
+		if _, err := fmt.Fprintf(w, "%-*s  %s%s\n", width, info.ID, info.Description, honors); err != nil {
 			return err
 		}
 	}

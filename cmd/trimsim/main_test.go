@@ -36,6 +36,24 @@ func TestWriteList(t *testing.T) {
 	}
 }
 
+// TestWriteListNamesOptions: a runner's -list line ends with the options
+// it honors, so the flag help can point there instead of keeping lists.
+func TestWriteListNamesOptions(t *testing.T) {
+	var buf strings.Builder
+	if err := writeList(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "recoverysweep ") {
+			if !strings.HasSuffix(line, "[aqm recovery]") {
+				t.Errorf("recoverysweep line %q does not end with [aqm recovery]", line)
+			}
+			return
+		}
+	}
+	t.Error("-list printed no recoverysweep line")
+}
+
 // TestRunRejectsBadOptions: the consolidated Options.Validate gate runs
 // before any simulation.
 func TestRunRejectsBadOptions(t *testing.T) {

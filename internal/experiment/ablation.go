@@ -176,9 +176,9 @@ func RunAlphaAblation(alphas []float64, opts Options) (*AlphaResult, error) {
 }
 
 func runAlphaCell(alpha float64, opts Options) (*AlphaRow, error) {
-	lf, err := newLongFlows(opts, 5, 100, func() tcp.CongestionControl {
+	lf, err := newLongFlows(opts, 5, 100, scenario{proto: ProtoTRIM, newCC: func() tcp.CongestionControl {
 		return core.New(core.Config{Alpha: alpha, BaseRTT: ksBaseRTT})
-	}, tcp.Config{MinRTO: 10 * time.Millisecond})
+	}, tcp: tcp.Config{MinRTO: 10 * time.Millisecond}})
 	if err != nil {
 		return nil, err
 	}

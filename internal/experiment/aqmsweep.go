@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"tcptrim/internal/aqm"
-	"tcptrim/internal/httpapp"
 	"tcptrim/internal/metrics"
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
@@ -156,52 +155,36 @@ func RunAQMSweep(protos []Protocol, discs []AQMDiscipline, concs []int, opts Opt
 }
 
 func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64, opts Options) (*AQMSweepRow, error) {
-	rng := sim.NewRand(seed)
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, asLPTs+conc, netsim.LinkConfig{
-		Rate:  netsim.Gbps,
-		Delay: 50 * time.Microsecond,
-		Queue: netsim.QueueConfig{
-			CapPackets:          asBuffer,
-			ECNThresholdPackets: disc.ECNThreshold,
-			AQM:                 disc.Config(SplitSeed(seed, 1)),
-		},
-	})
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, ksBaseRTT) },
-		Base: tcp.Config{
-			MinRTO:   10 * time.Millisecond,
-			SACK:     true,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
-	})
+	link := topology.DefaultStarLink(asBuffer)
+	link.Queue.ECNThresholdPackets = disc.ECNThreshold
+	link.Queue.AQM = disc.Config(SplitSeed(seed, 1))
+	sc, err := scenario{
+		servers: asLPTs + conc, link: link,
+		proto: proto, baseRTT: ksBaseRTT,
+		tcp:  tcp.Config{MinRTO: 10 * time.Millisecond, SACK: true},
+		seed: seed, checkEvery: asCheckEvery, drainEvery: time.Millisecond,
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
+	fleet, sched := sc.fleet, sc.sched
 	var d metrics.Distribution
-	fleet.Collector.StreamTo(&d)
+	fleet.Collector().StreamTo(&d)
 	// Two endless background flows keep a standing queue under the short
 	// responses for the whole measurement.
-	for i := 0; i < asLPTs; i++ {
-		if err := fleet.Servers[i].StartBackgroundFlow(sim.At(asStart), concBackground); err != nil {
-			return nil, err
-		}
+	if err := sc.background(0, asLPTs, asStart); err != nil {
+		return nil, err
 	}
 	for i := asLPTs; i < asLPTs+conc; i++ {
-		trains := workload.ScheduleCount(rng, sim.At(asStart), asRespServer,
+		if err := sc.responses(i, asStart, asRespServer,
 			workload.UniformSize{Min: asRespMin, Max: asRespMax},
-			workload.ExponentialGap{Mean: asRespMean})
-		if err := fleet.Servers[i].ScheduleTrains(trains); err != nil {
+			workload.ExponentialGap{Mean: asRespMean}); err != nil {
 			return nil, err
 		}
 	}
 
 	// Bottleneck occupancy, and goodput over [asStart, last completion].
-	queue := star.Bottleneck.Queue()
+	queue := sc.star.Bottleneck.Queue()
 	occupancy := metrics.Sample(sched, sim.At(asStart), sim.At(asDeadline),
 		asSampleStep, func() float64 { return float64(queue.Len()) })
 	var startBytes int64
@@ -212,8 +195,8 @@ func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64, o
 	// would otherwise run to the deadline for nothing.
 	var doneAt sim.Time
 	var doneBytes int64
-	if err := env.stopWhen(sim.At(asStart).Add(time.Millisecond), time.Millisecond, func() bool {
-		if fleet.Collector.Pending() > 0 {
+	if err := sc.run(asDeadline, asStart+time.Millisecond, func() bool {
+		if fleet.Collector().Pending() > 0 {
 			return false
 		}
 		doneAt, doneBytes = sched.Now(), fleet.TotalDelivered()
@@ -221,12 +204,6 @@ func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64, o
 	}); err != nil {
 		return nil, err
 	}
-
-	star.Net.ScheduleInvariantChecks(asCheckEvery)
-	if err := env.runUntil(sim.At(asDeadline)); err != nil {
-		return nil, err
-	}
-	star.Net.CheckInvariants()
 	if doneAt == 0 {
 		doneAt, doneBytes = sched.Now(), fleet.TotalDelivered()
 	}

@@ -42,11 +42,6 @@ func (r *BufferResult) Row(proto Protocol, buffer int) *BufferRow {
 
 // RunBufferAblation sweeps the star's switch buffer for each protocol.
 func RunBufferAblation(protos []Protocol, buffers []int, opts Options) (*BufferResult, error) {
-	for _, p := range protos {
-		if _, err := NewCC(p); err != nil {
-			return nil, err
-		}
-	}
 	var cells []bufferCell
 	for _, p := range protos {
 		for _, b := range buffers {
@@ -72,8 +67,8 @@ type bufferCell struct {
 func (c bufferCell) String() string { return fmt.Sprintf("%s/%d-pkts", c.Protocol, c.Buffer) }
 
 func runBufferCell(proto Protocol, buffer int, opts Options) (*BufferRow, error) {
-	lf, err := newLongFlows(opts, 5, buffer, func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, ksBaseRTT) },
-		tcp.Config{MinRTO: 10 * time.Millisecond, ECN: UsesECN(proto)})
+	lf, err := newLongFlows(opts, 5, buffer, scenario{proto: proto, baseRTT: ksBaseRTT,
+		tcp: tcp.Config{MinRTO: 10 * time.Millisecond}})
 	if err != nil {
 		return nil, err
 	}

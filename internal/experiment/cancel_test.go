@@ -212,3 +212,51 @@ func TestOnlySweepFansOutCells(t *testing.T) {
 		})
 	}
 }
+
+// TestOnlyScenarioBuildsCells: a cell that wires its own topology, fleet,
+// T-RACKs agent or invariant checker decides on its own the ECN, pacing
+// rate, AQM seed and run order the scenario kit decides for every other
+// cell. Outside scenario.go only five cells build their world by hand,
+// each for its reason: fattree.go (each server picks a random per-pod
+// sink), scatter.go (request and response connections come in pairs),
+// extensions.go (ext-deadline's policy depends on the flow's index, and a
+// fleet's NewCC must be pure), multihop.go (group C pairs one-to-one with
+// group D) and convergence.go (1.1 Gbps sender links, chunked flows).
+func TestOnlyScenarioBuildsCells(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exempt := map[string]bool{"scenario.go": true, "fattree.go": true, "scatter.go": true,
+		"extensions.go": true, "multihop.go": true, "convergence.go": true}
+	builds := map[string]bool{"httpapp.NewFleet": true, "hybrid.NewFleet": true,
+		"topology.NewStar": true, "topology.NewTwoLevelTree": true, "netsim.AttachTRACKs": true}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || exempt[name] {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			called := sel.Sel.Name
+			if pkg, ok := sel.X.(*ast.Ident); ok {
+				called = pkg.Name + "." + called
+			}
+			if builds[called] || sel.Sel.Name == "ScheduleInvariantChecks" {
+				t.Errorf("%s: %s outside the scenario kit; declare a scenario and build it", fset.Position(call.Pos()), called)
+			}
+			return true
+		})
+	}
+}

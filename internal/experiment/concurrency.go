@@ -7,7 +7,6 @@ import (
 
 	"tcptrim/internal/httpapp"
 	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
@@ -56,9 +55,6 @@ func (r *ConcurrencyResult) Cell(lpts, spts int) *ConcurrencyCell {
 // concurrent short trains under the given protocol. Cells are
 // independent simulations and run in parallel.
 func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (*ConcurrencyResult, error) {
-	if _, err := NewCC(proto); err != nil {
-		return nil, err
-	}
 	var cells []concurrencyCell
 	for _, lpts := range lptCounts {
 		for spts := 1; spts <= maxSPT; spts++ {
@@ -90,50 +86,35 @@ func sweepConcurrency(cells []concurrencyCell, opts Options) ([]ConcurrencyCell,
 }
 
 func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options) (*ConcurrencyCell, error) {
-	rng := sim.NewRand(seed + int64(lpts)*1000 + int64(spts))
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, lpts+spts, topology.DefaultStarLink(100))
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCC(proto) },
-		Base: tcp.Config{
-			MinRTO:   impairmentRTO,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
-	})
+	sc, err := scenario{
+		servers: lpts + spts, link: topology.DefaultStarLink(100),
+		proto: proto, tcp: tcp.Config{MinRTO: impairmentRTO},
+		seed: seed + int64(lpts)*1000 + int64(spts),
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < lpts; i++ {
-		if err := fleet.Servers[i].StartBackgroundFlow(sim.At(concLPTStart), concBackground); err != nil {
-			return nil, err
-		}
+	if err := sc.background(0, lpts, concLPTStart); err != nil {
+		return nil, err
 	}
 	var d metrics.Distribution
 	spt := &httpapp.Collector{}
 	spt.StreamTo(&d)
 	for i := lpts; i < lpts+spts; i++ {
 		// Warm-up: 200 small responses build the inherited window.
-		warm := workload.ScheduleCount(rng, sim.At(impairmentRespStart), impairmentResponses,
+		if err := sc.responses(i, impairmentRespStart, impairmentResponses,
 			workload.UniformSize{Min: impairmentRespMin, Max: impairmentRespMax},
-			workload.ExponentialGap{Mean: impairmentRespMean})
-		if err := fleet.Servers[i].ScheduleTrains(warm); err != nil {
+			workload.ExponentialGap{Mean: impairmentRespMean}); err != nil {
 			return nil, err
 		}
 		// The measured SPT burst at 0.3 s.
-		if err := fleet.Servers[i].ScheduleResponseAs(sim.At(concSPTStart), concSPTPackets*tcp.DefaultMSS, concSPTLabel, spt); err != nil {
+		if err := sc.fleet.ScheduleResponseAs(i, sim.At(concSPTStart), concSPTPackets*tcp.DefaultMSS, concSPTLabel, spt); err != nil {
 			return nil, err
 		}
 	}
 	// Stop as soon as every measured SPT completed; the background flows
 	// would otherwise run to the horizon for nothing.
-	if err := env.stopWhen(sim.At(concSPTStart), 10*time.Millisecond, func() bool { return spt.Pending() == 0 }); err != nil {
-		return nil, err
-	}
-	if err := env.runUntil(sim.At(concHorizon)); err != nil {
+	if err := sc.run(concHorizon, concSPTStart, func() bool { return spt.Pending() == 0 }); err != nil {
 		return nil, err
 	}
 
@@ -143,7 +124,7 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 	}
 	timeouts := 0
 	for i := lpts; i < lpts+spts; i++ {
-		timeouts += fleet.Conns[i].Stats().Timeouts
+		timeouts += sc.fleet.Stats(i).Timeouts
 	}
 	return &ConcurrencyCell{
 		LPTs: lpts, SPTs: spts,

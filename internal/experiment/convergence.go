@@ -49,7 +49,7 @@ type ConvergenceResult struct {
 // protocol.
 func RunConvergence(protos []Protocol, opts Options) ([]ConvergenceResult, error) {
 	for _, p := range protos {
-		if _, err := NewCC(p); err != nil {
+		if _, err := NewCC(p, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -100,7 +100,7 @@ func runConvergenceCell(proto Protocol, opts Options) (*ConvergenceResult, error
 	fleet, err := httpapp.NewFleet(net, httpapp.FleetConfig{
 		Senders:  senders,
 		FrontEnd: receiver,
-		NewCC:    func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, convBaseRTT) },
+		NewCC:    func() tcp.CongestionControl { return mustCC(proto, convBaseRTT) },
 		Base: tcp.Config{
 			MinRTO:   10 * time.Millisecond,
 			ECN:      UsesECN(proto),

@@ -42,13 +42,16 @@ const (
 	ProtoTRIMNoQueue Protocol = "TRIM-noqueue"
 )
 
-// NewCC returns a fresh congestion-control policy for p.
-func NewCC(p Protocol) (tcp.CongestionControl, error) {
+// NewCC returns a fresh congestion-control policy for p. TCP-TRIM
+// variants take baseRTT as the scenario's known queue-free RTT D (see
+// core.Config.BaseRTT; 0 leaves it unknown); the other protocols ignore
+// it.
+func NewCC(p Protocol, baseRTT time.Duration) (tcp.CongestionControl, error) {
 	switch p {
 	case ProtoTCP:
 		return tcp.NewReno(), nil
 	case ProtoTRIM:
-		return core.New(core.Config{}), nil
+		return core.New(core.Config{BaseRTT: baseRTT}), nil
 	case ProtoDCTCP:
 		return cc.NewDCTCP(), nil
 	case ProtoL2DCT:
@@ -58,20 +61,20 @@ func NewCC(p Protocol) (tcp.CongestionControl, error) {
 	case ProtoGIP:
 		return cc.NewGIP(), nil
 	case ProtoTRIMNoProbe:
-		return core.New(core.Config{DisableProbing: true}), nil
+		return core.New(core.Config{BaseRTT: baseRTT, DisableProbing: true}), nil
 	case ProtoTRIMNoQueue:
-		return core.New(core.Config{DisableQueueControl: true}), nil
+		return core.New(core.Config{BaseRTT: baseRTT, DisableQueueControl: true}), nil
 	default:
 		return nil, fmt.Errorf("experiment: unknown protocol %q", p)
 	}
 }
 
-// MustCC is NewCC for known-constant protocols inside runners.
-func MustCC(p Protocol) tcp.CongestionControl {
-	policy, err := NewCC(p)
+// mustCC is NewCC for protocols a runner has already checked.
+func mustCC(p Protocol, baseRTT time.Duration) tcp.CongestionControl {
+	policy, err := NewCC(p, baseRTT)
 	if err != nil {
-		// Unreachable for the package's own constants; make the bug loud
-		// in experiment code paths rather than silently running Reno.
+		// Unreachable for checked protocols; make the bug loud rather
+		// than silently running Reno.
 		panic(err)
 	}
 	return policy
@@ -83,31 +86,6 @@ func UsesECN(p Protocol) bool {
 	return p == ProtoDCTCP || p == ProtoL2DCT
 }
 
-// NewCCWithBaseRTT returns a fresh policy like NewCC, but configures
-// TCP-TRIM variants with the scenario's known queue-free RTT D (see
-// core.Config.BaseRTT). Non-TRIM protocols ignore the hint.
-func NewCCWithBaseRTT(p Protocol, baseRTT time.Duration) (tcp.CongestionControl, error) {
-	switch p {
-	case ProtoTRIM:
-		return core.New(core.Config{BaseRTT: baseRTT}), nil
-	case ProtoTRIMNoProbe:
-		return core.New(core.Config{BaseRTT: baseRTT, DisableProbing: true}), nil
-	case ProtoTRIMNoQueue:
-		return core.New(core.Config{BaseRTT: baseRTT, DisableQueueControl: true}), nil
-	default:
-		return NewCC(p)
-	}
-}
-
-// MustCCWithBaseRTT is NewCCWithBaseRTT for the package's own constants.
-func MustCCWithBaseRTT(p Protocol, baseRTT time.Duration) tcp.CongestionControl {
-	policy, err := NewCCWithBaseRTT(p, baseRTT)
-	if err != nil {
-		panic(err)
-	}
-	return policy
-}
-
 // Options tunes a run without changing the scenario.
 type Options struct {
 	// Seed drives every random draw; same seed, same run.
@@ -115,30 +93,30 @@ type Options struct {
 	// Reps repeats randomized scenarios (Fig. 8's "repeated 100 times");
 	// 0 means each experiment's default.
 	Reps int
-	// CSVDir, when non-empty, makes runners that produce time series
-	// (fig4, fig6, fig9, fig10) also write them as CSV files into this
-	// directory for plotting.
+	// CSVDir, when non-empty, makes the runners that honor it (their
+	// RunnerInfo.Options list "csv"; trimsim -list prints it) also write
+	// their time series as CSV files into this directory for plotting.
 	CSVDir string
 	// AQM optionally swaps the switch queue discipline in the runners
-	// that honor it (fig4/fig6 impairment, resilience): a name accepted
-	// by aqm.Parse — droptail, red, ared, codel, favour. Empty keeps each
+	// that honor it (RunnerInfo.Options lists "aqm"): a name accepted by
+	// aqm.Parse — droptail, red, ared, codel, favour. Empty keeps each
 	// scenario's default drop-tail switch, preserving historical outputs
 	// byte for byte.
 	AQM string
 	// Recovery optionally swaps the TCP loss-recovery policy in the
-	// runners that honor it (resilience, recoverysweep): a name accepted
-	// by tcp.NewRecoveryPolicy — classic, rack-tlp, tracks. Empty keeps
-	// each scenario's default (Classic), preserving historical outputs
-	// byte for byte. The tracks policy additionally attaches a T-RACKs
-	// agent to the scenario's switches.
+	// runners that honor it (RunnerInfo.Options lists "recovery"): a name
+	// accepted by tcp.NewRecoveryPolicy — classic, rack-tlp, tracks.
+	// Empty keeps each scenario's default (Classic), preserving
+	// historical outputs byte for byte. The tracks policy additionally
+	// attaches a T-RACKs agent to the scenario's switch.
 	Recovery string
 	// Fidelity selects the connection simulation mode in the runners
-	// that honor it (fig4/fig6 impairment, fig8 large-scale,
-	// fig8million): a name accepted by hybrid.ParseFidelity — packet
-	// (default) or hybrid. Hybrid folds idle connections into a compact
-	// flow store and simulates packets only for connections with an
-	// active train; the differential tests pin that small-scale outputs
-	// stay byte-identical across fidelities.
+	// that honor it (RunnerInfo.Options lists "fidelity"): a name
+	// accepted by hybrid.ParseFidelity — packet (default) or hybrid.
+	// Hybrid folds idle connections into a compact flow store and
+	// simulates packets only for connections with an active train; the
+	// differential tests pin that small-scale outputs stay byte-identical
+	// across fidelities.
 	Fidelity string
 	// Cache optionally memoizes individual sweep cells in a
 	// content-addressed store. Every matrix runner (all but fig1/fig2 and

@@ -77,7 +77,7 @@ func (r *FatTreeResult) Row(proto Protocol, pods int) *FatTreeRow {
 // pod counts and protocols.
 func RunFatTree(protos []Protocol, podCounts []int, opts Options) (*FatTreeResult, error) {
 	for _, p := range protos {
-		if _, err := NewCC(p); err != nil {
+		if _, err := NewCC(p, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -148,7 +148,7 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTre
 			Sender:   stacks[i],
 			Receiver: stacks[sink],
 			Flow:     netsim.FlowID(i + 1),
-			CC:       MustCCWithBaseRTT(proto, ftBaseRTT),
+			CC:       mustCC(proto, ftBaseRTT),
 			MinRTO:   ftRTO,
 			ECN:      UsesECN(proto),
 			LinkRate: 10 * netsim.Gbps,

@@ -83,10 +83,10 @@ func (r *ImpairmentResult) TotalTimeouts() int {
 // RunImpairment executes the Section II.B many-to-one scenario under the
 // given protocol.
 func RunImpairment(proto Protocol, opts Options) (*ImpairmentResult, error) {
-	if _, err := NewCC(proto); err != nil {
+	if _, err := NewCC(proto, 0); err != nil {
 		return nil, err
 	}
-	return runImpairmentCustom(string(proto), func() tcp.CongestionControl { return MustCC(proto) }, opts)
+	return runImpairmentCustom(string(proto), func() tcp.CongestionControl { return mustCC(proto, 0) }, opts)
 }
 
 // impairmentSnapshot is the cached payload of one fig4/fig6 run: the
@@ -154,41 +154,30 @@ func runImpairmentCustom(label string, newCC func() tcp.CongestionControl, opts 
 // runImpairmentSim simulates the scenario (the cache-miss path).
 func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybrid.Fidelity, opts Options) (*impairmentSnapshot, error) {
 	proto := Protocol(label)
-	rng := sim.NewRand(opts.seed())
-	env := newSimEnv(opts)
-	sched := env.sched
+	// The -aqm override is the link's own: its RED keeps aqm's default
+	// seed, where the kit's aqm field would draw SplitSeed(seed, 4).
 	link := topology.DefaultStarLink(impairmentBuffer)
 	if aqmCfg, ok, err := opts.aqmOverride(); err != nil {
 		return nil, err
 	} else if ok {
 		link.Queue.AQM = aqmCfg
 	}
-	star := topology.NewStar(sched, impairmentServers, link)
-
-	fleet, err := hybrid.NewFleet(star.Net, hybrid.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC:    newCC,
-		Base: tcp.Config{
-			MinRTO:   impairmentRTO,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
-		Fidelity: fid,
-	})
+	sc, err := scenario{
+		servers: impairmentServers, link: link,
+		proto: proto, newCC: newCC, tcp: tcp.Config{MinRTO: impairmentRTO},
+		seed: opts.seed(), fidelity: fid,
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
+	fleet, sched := sc.fleet, sc.sched
 
 	// 200 small responses per server from 0.1 s.
 	for i := 0; i < impairmentServers; i++ {
-		trains := workload.ScheduleCount(rng, sim.At(impairmentRespStart), impairmentResponses,
+		if err := sc.responses(i, impairmentRespStart, impairmentResponses,
 			workload.UniformSize{Min: impairmentRespMin, Max: impairmentRespMax},
-			workload.ExponentialGap{Mean: impairmentRespMean})
-		for _, tr := range trains {
-			if err := fleet.ScheduleResponse(i, tr.At, tr.Bytes); err != nil {
-				return nil, err
-			}
+			workload.ExponentialGap{Mean: impairmentRespMean}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -219,7 +208,7 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 		10*time.Millisecond, func() int64 { return fleet.TotalDelivered() })
 	res.TracedCwnd = metrics.Sample(sched, 0, sim.At(impairmentHorizon),
 		impairmentSampleStep, func() float64 { return fleet.Cwnd(traced) })
-	queue := star.Bottleneck.Queue()
+	queue := sc.star.Bottleneck.Queue()
 	queueSeries := metrics.Sample(sched, 0, sim.At(impairmentHorizon),
 		100*time.Microsecond, func() float64 { return float64(queue.Len()) })
 
@@ -233,13 +222,7 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 	opts.tapSeries("queue-depth-pkts", 1, queueSeries)
 	opts.tapResponses(fleet.Collector())
 
-	if err := fleet.Arm(); err != nil {
-		return nil, err
-	}
-	if err := env.runUntil(sim.At(impairmentHorizon)); err != nil {
-		return nil, err
-	}
-	if err := fleet.Err(); err != nil {
+	if err := sc.run(impairmentHorizon, 0, nil); err != nil {
 		return nil, err
 	}
 
@@ -251,7 +234,7 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 	res.QueueMax = int(queueSeries.Max())
 	res.QueueStats = queue.Stats()
 	res.QueueDrops = res.QueueStats.Dropped
-	res.BottleneckFaults = star.Bottleneck.Stats()
+	res.BottleneckFaults = sc.star.Bottleneck.Stats()
 	res.AllDoneBy = fleet.Collector().Last()
 	for _, at := range lptDoneAt {
 		if at > res.AllDoneBy {

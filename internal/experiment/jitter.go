@@ -13,7 +13,6 @@ import (
 	"io"
 	"time"
 
-	"tcptrim/internal/core"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 )
@@ -46,9 +45,8 @@ func RunJitter(jitters []time.Duration, opts Options) (*JitterResult, error) {
 func runJitterCell(jitter time.Duration, seed int64, opts Options) (*JitterRow, error) {
 	// K sized for the jitter-free topology: the sweep measures what
 	// unmodeled noise does to that calibration.
-	lf, err := newLongFlows(opts, ksFlows, 100, func() tcp.CongestionControl {
-		return core.New(core.Config{BaseRTT: ksBaseRTT})
-	}, tcp.Config{MinRTO: 10 * time.Millisecond})
+	lf, err := newLongFlows(opts, ksFlows, 100, scenario{proto: ProtoTRIM, baseRTT: ksBaseRTT,
+		tcp: tcp.Config{MinRTO: 10 * time.Millisecond}})
 	if err != nil {
 		return nil, err
 	}

@@ -56,9 +56,9 @@ func RunKSweep(factors []float64, opts Options) (*KSweepResult, error) {
 }
 
 func runKSweepCell(k time.Duration, opts Options) (*KSweepRow, error) {
-	lf, err := newLongFlows(opts, ksFlows, 100, func() tcp.CongestionControl {
+	lf, err := newLongFlows(opts, ksFlows, 100, scenario{proto: ProtoTRIM, newCC: func() tcp.CongestionControl {
 		return core.New(core.Config{K: k, BaseRTT: ksBaseRTT})
-	}, tcp.Config{MinRTO: 10 * time.Millisecond})
+	}, tcp: tcp.Config{MinRTO: 10 * time.Millisecond}})
 	if err != nil {
 		return nil, err
 	}

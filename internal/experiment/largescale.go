@@ -10,7 +10,6 @@ import (
 	"tcptrim/internal/httpapp"
 	"tcptrim/internal/hybrid"
 	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
@@ -70,11 +69,6 @@ func (r *LargeScaleResult) Row(proto Protocol, tors int) *LargeScaleRow {
 // RunLargeScale sweeps the tree size for each protocol, repeating each
 // cell opts.Reps times (default 3; the paper used 100).
 func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScaleResult, error) {
-	for _, p := range protos {
-		if _, err := NewCC(p); err != nil {
-			return nil, err
-		}
-	}
 	fid, err := opts.fidelity()
 	if err != nil {
 		return nil, err
@@ -121,29 +115,20 @@ func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, opts Options,
 }
 
 func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid hybrid.Fidelity, acts *metrics.Distribution, row *LargeScaleRow) error {
-	rng := sim.NewRand(seed)
-	env := newSimEnv(opts)
-	sched := env.sched
-	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{ToRs: tors})
-	fleet, err := hybrid.NewFleet(tree.Net, hybrid.FleetConfig{
-		Senders:  tree.AllServers(),
-		FrontEnd: tree.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, lsBaseRTT) },
-		Base: tcp.Config{
-			MinRTO:   lsRTO,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
-		Fidelity: fid,
-	})
+	sc, err := scenario{
+		tree:  &topology.TwoLevelTreeConfig{ToRs: tors},
+		proto: proto, baseRTT: lsBaseRTT, tcp: tcp.Config{MinRTO: lsRTO},
+		seed: seed, fidelity: fid,
+	}.build(opts)
 	if err != nil {
 		return err
 	}
+	rng := sc.rng
 	// Fig. 2(a) sizes, but the measured trains are SPTs: cap at the LPT
 	// boundary so a measured train is never itself a long flow.
 	sizes := cappedSizes{inner: workload.PTSizes{}, max: workload.PTLargeBytes}
 
-	perToR := len(tree.Servers[0])
+	perToR := len(sc.tree.Servers[0])
 	var sptFlows []int
 	spt := &httpapp.Collector{}
 	spt.StreamTo(acts)
@@ -153,7 +138,7 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 			i := idx
 			idx++
 			if s < lsLPTsPer {
-				if err := fleet.StartBackgroundFlow(i, sim.At(lsStart), concBackground); err != nil {
+				if err := sc.background(i, i+1, lsStart); err != nil {
 					return err
 				}
 				continue
@@ -169,30 +154,21 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, opts Options, fid h
 					offset = lsWindow
 				}
 			}
-			if err := fleet.ScheduleResponseAs(i, sim.At(lsStart+offset), sizes.Sample(rng), "spt", spt); err != nil {
+			if err := sc.fleet.ScheduleResponseAs(i, sim.At(lsStart+offset), sizes.Sample(rng), "spt", spt); err != nil {
 				return err
 			}
 			sptFlows = append(sptFlows, i)
 		}
 	}
 	// Stop once every SPT completed.
-	if err := env.stopWhen(sim.At(lsStart+lsWindow), 10*time.Millisecond, func() bool { return spt.Pending() == 0 }); err != nil {
-		return err
-	}
-	if err := fleet.Arm(); err != nil {
-		return err
-	}
-	if err := env.runUntil(sim.At(lsHorizon)); err != nil {
-		return err
-	}
-	if err := fleet.Err(); err != nil {
+	if err := sc.run(lsHorizon, lsStart+lsWindow, func() bool { return spt.Pending() == 0 }); err != nil {
 		return err
 	}
 
 	row.Completed += spt.Count()
 	row.Scheduled += len(sptFlows)
 	for _, i := range sptFlows {
-		row.Timeouts += fleet.Stats(i).Timeouts
+		row.Timeouts += sc.fleet.Stats(i).Timeouts
 	}
 	return nil
 }

@@ -11,11 +11,10 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
-	"tcptrim/internal/httpapp"
 	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
@@ -80,57 +79,45 @@ type lossCell struct {
 func (c lossCell) String() string { return fmt.Sprintf("%s/%.1f%%", c.Variant, c.LossPct) }
 
 func runLossCell(variant string, lossPct float64, seed int64, opts Options) (*LossRow, error) {
-	rng := sim.NewRand(seed)
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, 3, topology.DefaultStarLink(200))
-	// Loss on the shared bottleneck, deterministic per cell.
-	star.Bottleneck.InjectLoss(lossPct/100, sim.NewRand(seed+int64(lossPct*100)))
-
-	sack := variant == "TCP+SACK" || variant == "TCP-TRIM+SACK"
-	trim := variant == "TCP-TRIM" || variant == "TCP-TRIM+SACK"
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC: func() tcp.CongestionControl {
-			if trim {
-				return MustCCWithBaseRTT(ProtoTRIM, ksBaseRTT)
-			}
-			return MustCC(ProtoTCP)
-		},
-		Base: tcp.Config{
-			MinRTO:   10 * time.Millisecond,
-			SACK:     sack,
-			LinkRate: netsim.Gbps,
-		},
-	})
+	proto := ProtoTCP
+	if strings.HasPrefix(variant, "TCP-TRIM") {
+		proto = ProtoTRIM
+	}
+	sc, err := scenario{
+		servers: 3, link: topology.DefaultStarLink(200),
+		proto: proto, baseRTT: ksBaseRTT,
+		tcp:  tcp.Config{MinRTO: 10 * time.Millisecond, SACK: strings.HasSuffix(variant, "+SACK")},
+		seed: seed,
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
+	// Loss on the shared bottleneck, deterministic per cell.
+	sc.star.Bottleneck.InjectLoss(lossPct/100, sim.NewRand(seed+int64(lossPct*100)))
 	var cts metrics.Distribution
-	fleet.Collector.StreamTo(&cts)
+	sc.fleet.Collector().StreamTo(&cts)
 	const perServer = 150
-	for _, srv := range fleet.Servers {
-		trains := workload.ScheduleCount(rng, sim.At(100*time.Millisecond), perServer,
+	for i := 0; i < 3; i++ {
+		if err := sc.responses(i, 100*time.Millisecond, perServer,
 			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
-			workload.ExponentialGap{Mean: 2 * time.Millisecond})
-		if err := srv.ScheduleTrains(trains); err != nil {
+			workload.ExponentialGap{Mean: 2 * time.Millisecond}); err != nil {
 			return nil, err
 		}
 	}
-	if err := env.runUntil(sim.At(20 * time.Second)); err != nil {
+	if err := sc.run(20*time.Second, 0, nil); err != nil {
 		return nil, err
 	}
 
-	row := &LossRow{Variant: variant, LossPct: lossPct, Total: 3 * perServer}
-	row.Complete = cts.Count()
-	row.ACT = secondsToDuration(cts.Mean())
-	row.P99 = secondsToDuration(cts.Percentile(99))
-	for _, c := range fleet.Conns {
-		row.Timeouts += c.Stats().Timeouts
-		row.Retrans += c.Stats().RetransSegs
-	}
-	return row, nil
+	return &LossRow{
+		Variant:  variant,
+		LossPct:  lossPct,
+		Total:    3 * perServer,
+		Complete: cts.Count(),
+		ACT:      secondsToDuration(cts.Mean()),
+		P99:      secondsToDuration(cts.Percentile(99)),
+		Timeouts: sc.fleet.TotalTimeouts(),
+		Retrans:  sc.fleet.Retransmissions().Total,
+	}, nil
 }
 
 // WriteTables renders ext-loss.

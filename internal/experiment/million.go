@@ -9,7 +9,6 @@ import (
 	"tcptrim/internal/httpapp"
 	"tcptrim/internal/hybrid"
 	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
@@ -126,9 +125,6 @@ func RunMillion(protos []Protocol, cfg MillionConfig, opts Options) (*MillionRes
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
-		if _, err := NewCC(proto); err != nil {
-			return nil, err
-		}
 		row, err := runMillionOnce(proto, cfg, fid, opts)
 		if err != nil {
 			return nil, err
@@ -141,28 +137,16 @@ func RunMillion(protos []Protocol, cfg MillionConfig, opts Options) (*MillionRes
 
 func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts Options) (*MillionRow, error) {
 	start := time.Now()
-	rng := sim.NewRand(opts.seed())
-	env := newSimEnv(opts)
-	sched := env.sched
-	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{
-		ToRs: cfg.ToRs, ServersPerToR: cfg.ServersPerToR,
-	})
-	fleet, err := hybrid.NewFleet(tree.Net, hybrid.FleetConfig{
-		Senders:        tree.AllServers(),
-		ConnsPerSender: cfg.ConnsPerServer,
-		FrontEnd:       tree.FrontEnd,
-		NewCC:          func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, lsBaseRTT) },
-		Base: tcp.Config{
-			MinRTO:           mlRTO,
-			ECN:              UsesECN(proto),
-			LinkRate:         netsim.Gbps,
-			ArmRTOOnLoneTail: true,
-		},
-		Fidelity: fid,
-	})
+	sc, err := scenario{
+		tree:  &topology.TwoLevelTreeConfig{ToRs: cfg.ToRs, ServersPerToR: cfg.ServersPerToR},
+		proto: proto, baseRTT: lsBaseRTT,
+		tcp:  tcp.Config{MinRTO: mlRTO, ArmRTOOnLoneTail: true},
+		seed: opts.seed(), fidelity: fid, connsPer: cfg.ConnsPerServer,
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
+	rng, fleet := sc.rng, sc.fleet
 
 	// The first LPTsPerToR servers of each ToR dedicate all their
 	// connections' hosts to background long trains (one per server);
@@ -180,7 +164,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 			if s < cfg.LPTsPerToR {
 				// One background train on the server's first connection;
 				// its remaining conns stay idle forever (pure store load).
-				if err := fleet.StartBackgroundFlow(idx*perServer, sim.At(mlStart), concBackground); err != nil {
+				if err := sc.background(idx*perServer, idx*perServer+1, mlStart); err != nil {
 					return nil, err
 				}
 				idx++
@@ -200,16 +184,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	}
 
 	// Stop as soon as every short response completed.
-	if err := env.stopWhen(sim.At(mlStart+cfg.Window), 10*time.Millisecond, func() bool { return coll.Pending() == 0 }); err != nil {
-		return nil, err
-	}
-	if err := fleet.Arm(); err != nil {
-		return nil, err
-	}
-	if err := env.runUntil(sim.At(mlStart + cfg.Window + cfg.Drain)); err != nil {
-		return nil, err
-	}
-	if err := fleet.Err(); err != nil {
+	if err := sc.run(mlStart+cfg.Window+cfg.Drain, mlStart+cfg.Window, func() bool { return coll.Pending() == 0 }); err != nil {
 		return nil, err
 	}
 

@@ -37,7 +37,7 @@ type MultiHopResult struct {
 // RunMultiHop executes the Fig. 11 dual-bottleneck test once per protocol.
 func RunMultiHop(protos []Protocol, opts Options) ([]MultiHopResult, error) {
 	for _, p := range protos {
-		if _, err := NewCC(p); err != nil {
+		if _, err := NewCC(p, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -61,7 +61,7 @@ func runMultiHopCell(proto Protocol, opts Options) (*MultiHopResult, error) {
 	fleetAB, err := httpapp.NewFleet(m.Net, httpapp.FleetConfig{
 		Senders:  append(append([]*netsim.Host{}, m.GroupA...), m.GroupB...),
 		FrontEnd: m.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, mhBaseRTT) },
+		NewCC:    func() tcp.CongestionControl { return mustCC(proto, mhBaseRTT) },
 		Base:     base,
 	})
 	if err != nil {
@@ -74,7 +74,7 @@ func runMultiHopCell(proto Protocol, opts Options) (*MultiHopResult, error) {
 			Sender:   tcp.NewStack(m.Net, h),
 			Receiver: tcp.NewStack(m.Net, m.GroupD[i]),
 			Flow:     netsim.FlowID(1000 + i),
-			CC:       MustCCWithBaseRTT(proto, mhBaseRTT),
+			CC:       mustCC(proto, mhBaseRTT),
 			MinRTO:   base.MinRTO,
 			ECN:      base.ECN,
 			LinkRate: base.LinkRate,

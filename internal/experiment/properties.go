@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"tcptrim/internal/httpapp"
 	"tcptrim/internal/metrics"
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
@@ -60,11 +59,6 @@ func (r *PropertiesResult) Row(proto Protocol, flows int) *PropertiesRow {
 // (the paper compares TCP and TCP-TRIM). Alpha, if nonzero, overrides
 // TCP-TRIM's smoothing weight (used by the abl-alpha ablation).
 func RunProperties(protos []Protocol, minFlows, maxFlows int, opts Options) (*PropertiesResult, error) {
-	for _, p := range protos {
-		if _, err := NewCC(p); err != nil {
-			return nil, err
-		}
-	}
 	var cells []propertiesCell
 	for _, p := range protos {
 		cells = append(cells, propertiesCell{Protocol: p, Flows: 5, Trace: true, Seed: opts.seed()})
@@ -122,8 +116,7 @@ func runPropertiesCell(proto Protocol, flows int, trace bool, opts Options) (*pr
 	if trace {
 		rto = impairmentRTO
 	}
-	lf, err := newLongFlows(opts, flows, 100, func() tcp.CongestionControl { return MustCC(proto) },
-		tcp.Config{MinRTO: rto, ECN: UsesECN(proto)})
+	lf, err := newLongFlows(opts, flows, 100, scenario{proto: proto, tcp: tcp.Config{MinRTO: rto}})
 	if err != nil {
 		return nil, err
 	}
@@ -151,45 +144,33 @@ func runPropertiesCell(proto Protocol, flows int, trace bool, opts Options) (*pr
 // propFlowStart to propFlowStop, the bottleneck queue sampled every
 // propSampleStep.
 type longFlows struct {
-	env    *simEnv
-	star   *topology.Star
-	fleet  *httpapp.Fleet
+	*scene
 	queue  *netsim.Queue
 	series *metrics.Series
 }
 
 // newLongFlows builds the scenario with flows senders, a switch buffer of
-// buffer packets, and base (its LinkRate set to the star's) for every
-// connection.
-func newLongFlows(opts Options, flows, buffer int, newCC func() tcp.CongestionControl, base tcp.Config) (*longFlows, error) {
-	env := newSimEnv(opts)
-	star := topology.NewStar(env.sched, flows, topology.DefaultStarLink(buffer))
-	base.LinkRate = netsim.Gbps
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC:    newCC,
-		Base:     base,
-	})
+// buffer packets, and the rest of s.
+func newLongFlows(opts Options, flows, buffer int, s scenario) (*longFlows, error) {
+	s.servers, s.link = flows, topology.DefaultStarLink(buffer)
+	sc, err := s.build(opts)
 	if err != nil {
 		return nil, err
 	}
-	for _, srv := range fleet.Servers {
-		if err := srv.StartBackgroundFlow(sim.At(propFlowStart), concBackground); err != nil {
-			return nil, err
-		}
+	if err := sc.background(0, flows, propFlowStart); err != nil {
+		return nil, err
 	}
-	queue := star.Bottleneck.Queue()
-	series := metrics.Sample(env.sched, sim.At(propFlowStart), sim.At(propFlowStop),
+	queue := sc.star.Bottleneck.Queue()
+	series := metrics.Sample(sc.sched, sim.At(propFlowStart), sim.At(propFlowStop),
 		propSampleStep, func() float64 { return float64(queue.Len()) })
-	return &longFlows{env, star, fleet, queue, series}, nil
+	return &longFlows{sc, queue, series}, nil
 }
 
 // run simulates to propFlowStop and returns the goodput in bits per second
 // over the flows' lifetime (nothing is delivered at the instant they
 // start).
 func (l *longFlows) run() (float64, error) {
-	if err := l.env.runUntil(sim.At(propFlowStop)); err != nil {
+	if err := l.scene.run(propFlowStop, 0, nil); err != nil {
 		return 0, err
 	}
 	return float64(l.fleet.TotalDelivered()) * 8 / (propFlowStop - propFlowStart).Seconds(), nil

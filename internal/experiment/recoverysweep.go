@@ -21,8 +21,6 @@ import (
 	"tcptrim/internal/aqm"
 	"tcptrim/internal/httpapp"
 	"tcptrim/internal/metrics"
-	"tcptrim/internal/netsim"
-	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
 	"tcptrim/internal/workload"
@@ -157,87 +155,49 @@ func (c recoveryCell) String() string {
 }
 
 func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed int64, opts Options) (*RecoverySweepRow, error) {
-	rng := sim.NewRand(seed)
-	env := newSimEnv(opts)
-	sched := env.sched
-
-	queueCfg := netsim.QueueConfig{CapPackets: buffer}
-	aqmCfg, err := aqm.Parse(aqmName)
-	if err != nil {
-		return nil, err
-	}
-	if aqmCfg.Kind == aqm.CoDel && buffer <= aqm.TinyBufferPackets {
-		aqmCfg.CoDel = aqm.TinyCoDelConfig()
-	}
-	if aqmCfg.Kind == aqm.RED {
-		aqmCfg.RED.Seed = SplitSeed(seed, 4)
-	}
-	queueCfg.AQM = aqmCfg
-
-	star := topology.NewStar(sched, rwServers, netsim.LinkConfig{
-		Rate:  netsim.Gbps,
-		Delay: 50 * time.Microsecond,
-		Queue: queueCfg,
-	})
-	if policy == "tracks" {
-		// Switch assistance: the agent taps the star's ToR.
-		if _, err := netsim.AttachTRACKs(star.Net, star.Switch, netsim.TRACKsConfig{}); err != nil {
-			return nil, err
-		}
-	}
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:     star.Senders,
-		FrontEnd:    star.FrontEnd,
-		NewCC:       func() tcp.CongestionControl { return MustCCWithBaseRTT(ProtoTRIM, ksBaseRTT) },
-		NewRecovery: func() tcp.RecoveryPolicy { return mustRecovery(policy) },
-		Base: tcp.Config{
-			MinRTO:   tcp.DefaultMinRTO,
-			MaxRTO:   rwMaxRTO,
-			SACK:     true,
-			LinkRate: netsim.Gbps,
+	sc, err := scenario{
+		servers: rwServers, link: topology.DefaultStarLink(buffer),
+		proto: ProtoTRIM, baseRTT: ksBaseRTT,
+		tcp: tcp.Config{
+			MinRTO: tcp.DefaultMinRTO,
+			MaxRTO: rwMaxRTO,
+			SACK:   true,
 			// The sweep's fault injectors love the lone-tail corner (a
 			// single trailing segment lost with no dupACK source); keep the
 			// RTO armed there so recovery is bounded by the timer, not the
 			// horizon.
 			ArmRTOOnLoneTail: true,
 		},
-	})
+		aqm: aqmName, recovery: policy,
+		seed: seed, checkEvery: rsCheckEvery,
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
+	fleet := sc.fleet
 	var d metrics.Distribution
-	fleet.Collector.StreamTo(&d)
-	for _, srv := range fleet.Servers {
-		trains := workload.ScheduleCount(rng, sim.At(100*time.Millisecond), rwPerServer,
+	fleet.Collector().StreamTo(&d)
+	for i := 0; i < rwServers; i++ {
+		if err := sc.responses(i, 100*time.Millisecond, rwPerServer,
 			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
-			workload.ExponentialGap{Mean: 4 * time.Millisecond})
-		if err := srv.ScheduleTrains(trains); err != nil {
+			workload.ExponentialGap{Mean: 4 * time.Millisecond}); err != nil {
 			return nil, err
 		}
 	}
 
 	// Fault arming mirrors the resilience matrix.
-	window, err := injectFaults(sched, star.Bottleneck, fi, seed, fleet.TotalDelivered)
+	window, err := injectFaults(sc.sched, sc.star.Bottleneck, fi, seed, fleet.TotalDelivered)
 	if err != nil {
 		return nil, err
 	}
-
 	// Stop as soon as the backlog drains; timeout-bound cells otherwise
 	// idle to the deadline. The watch starts after the fault window so
 	// the goodput snapshot above still runs.
-	if err := env.stopWhen(sim.At(rsFaultEnd), 10*time.Millisecond, func() bool {
-		return fleet.Collector.Pending() == 0
-	}); err != nil {
+	if err := sc.run(rwDeadline, rsFaultEnd, func() bool { return fleet.Collector().Pending() == 0 }); err != nil {
 		return nil, err
 	}
 
-	star.Net.ScheduleInvariantChecks(rsCheckEvery)
-	if err := env.runUntil(sim.At(rwDeadline)); err != nil {
-		return nil, err
-	}
-	star.Net.CheckInvariants()
-
-	row := &RecoverySweepRow{
+	return &RecoverySweepRow{
 		Policy:       policy,
 		AQM:          aqmName,
 		Intensity:    fi.Name,
@@ -246,14 +206,11 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 		WindowMbps:   window.mbps(),
 		MeanFCT:      secondsToDuration(d.Mean()),
 		P99FCT:       secondsToDuration(d.Percentile(99)),
+		Timeouts:     fleet.TotalTimeouts(),
 		Retrans:      fleet.Retransmissions(),
-		RecoveryTime: recoveryTime(fleet.Collector, rwServers*rwPerServer),
-		Complete:     fleet.Collector.Count(),
-	}
-	for _, c := range fleet.Conns {
-		row.Timeouts += c.Stats().Timeouts
-	}
-	return row, nil
+		RecoveryTime: recoveryTime(fleet.Collector(), rwServers*rwPerServer),
+		Complete:     fleet.Collector().Count(),
+	}, nil
 }
 
 // WriteTables renders the matrix with the per-trigger retransmission

@@ -17,7 +17,6 @@ import (
 	"io"
 	"time"
 
-	"tcptrim/internal/aqm"
 	"tcptrim/internal/httpapp"
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
@@ -190,89 +189,51 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 
 func runResilienceCell(c resilienceCell, opts Options) (*ResilienceRow, error) {
 	proto, fi, seed := c.Protocol, c.Intensity, c.Seed
-	rng := sim.NewRand(seed)
-	env := newSimEnv(opts)
-	sched := env.sched
-	queueCfg := netsim.QueueConfig{CapPackets: 100, ECNThresholdPackets: 20}
-	if c.AQM != "" {
-		aqmCfg, err := aqm.Parse(c.AQM)
-		if err != nil {
-			return nil, err
-		}
-		queueCfg.AQM = aqmCfg
-		if aqmCfg.Kind == aqm.RED {
-			queueCfg.AQM.RED.Seed = SplitSeed(seed, 4)
-		}
-	}
-	star := topology.NewStar(sched, rsServers, netsim.LinkConfig{
-		Rate:  netsim.Gbps,
-		Delay: 50 * time.Microsecond,
-		Queue: queueCfg,
-	})
-	var newRecovery func() tcp.RecoveryPolicy
-	if c.Recovery != "" {
-		newRecovery = func() tcp.RecoveryPolicy { return mustRecovery(c.Recovery) }
-		if c.Recovery == "tracks" {
-			// Switch assistance: the agent taps the star's ToR.
-			if _, err := netsim.AttachTRACKs(star.Net, star.Switch, netsim.TRACKsConfig{}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:     star.Senders,
-		FrontEnd:    star.FrontEnd,
-		NewCC:       func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, ksBaseRTT) },
-		NewRecovery: newRecovery,
-		Base: tcp.Config{
-			MinRTO:   10 * time.Millisecond,
-			SACK:     true,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
-	})
+	link := topology.DefaultStarLink(100)
+	link.Queue.ECNThresholdPackets = 20
+	sc, err := scenario{
+		servers: rsServers, link: link,
+		proto: proto, baseRTT: ksBaseRTT,
+		tcp: tcp.Config{MinRTO: 10 * time.Millisecond, SACK: true},
+		aqm: c.AQM, recovery: c.Recovery,
+		seed: seed, checkEvery: rsCheckEvery,
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
+	fleet := sc.fleet
 	// The row reads the count and the last completion only.
-	fleet.Collector.StreamTo(nil)
-	for _, srv := range fleet.Servers {
-		trains := workload.ScheduleCount(rng, sim.At(100*time.Millisecond), rsPerServer,
+	fleet.Collector().StreamTo(nil)
+	for i := 0; i < rsServers; i++ {
+		if err := sc.responses(i, 100*time.Millisecond, rsPerServer,
 			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
-			workload.ExponentialGap{Mean: 4 * time.Millisecond})
-		if err := srv.ScheduleTrains(trains); err != nil {
+			workload.ExponentialGap{Mean: 4 * time.Millisecond}); err != nil {
 			return nil, err
 		}
 	}
 
-	bn := star.Bottleneck
-	window, err := injectFaults(sched, bn, fi, seed, fleet.TotalDelivered)
+	bn := sc.star.Bottleneck
+	window, err := injectFaults(sc.sched, bn, fi, seed, fleet.TotalDelivered)
 	if err != nil {
 		return nil, err
 	}
-
-	star.Net.ScheduleInvariantChecks(rsCheckEvery)
-	if err := env.runUntil(sim.At(rsDeadline)); err != nil {
+	if err := sc.run(rsDeadline, 0, nil); err != nil {
 		return nil, err
 	}
-	star.Net.CheckInvariants()
 
-	row := &ResilienceRow{
+	return &ResilienceRow{
 		Protocol:        proto,
 		Intensity:       fi.Name,
 		Total:           rsServers * rsPerServer,
 		WindowMbps:      window.mbps(),
-		Complete:        fleet.Collector.Count(),
-		RecoveryTime:    recoveryTime(fleet.Collector, rsServers*rsPerServer),
+		Timeouts:        fleet.TotalTimeouts(),
+		Retrans:         fleet.Retransmissions().Total,
+		Complete:        fleet.Collector().Count(),
+		RecoveryTime:    recoveryTime(fleet.Collector(), rsServers*rsPerServer),
 		Injected:        bn.Stats(),
 		QueueStats:      bn.Queue().Stats(),
 		CongestionDrops: bn.Queue().Stats().Dropped,
-	}
-	for _, c := range fleet.Conns {
-		row.Timeouts += c.Stats().Timeouts
-		row.Retrans += c.Stats().RetransSegs
-	}
-	return row, nil
+	}, nil
 }
 
 // faultWindow holds the bytes delivered at the edges of the fault window.

@@ -70,7 +70,7 @@ func RunScatterGather(protos []Protocol, opts Options) (*ScatterResult, error) {
 }
 
 func runScatterCell(proto Protocol, opts Options) (*ScatterRow, error) {
-	if _, err := NewCC(proto); err != nil {
+	if _, err := NewCC(proto, 0); err != nil {
 		return nil, err
 	}
 	env := newSimEnv(opts)
@@ -101,7 +101,7 @@ func runScatterCell(proto Protocol, opts Options) (*ScatterRow, error) {
 		resp, err := tcp.NewConn(tcp.Config{
 			Sender: srvStack, Receiver: feStack,
 			Flow:     netsim.FlowID(2000 + i),
-			CC:       MustCCWithBaseRTT(proto, ksBaseRTT),
+			CC:       mustCC(proto, ksBaseRTT),
 			ECN:      UsesECN(proto),
 			MinRTO:   impairmentRTO,
 			LinkRate: netsim.Gbps,

@@ -81,7 +81,7 @@ func TestNewCCAllProtocols(t *testing.T) {
 		ProtoTCP, ProtoTRIM, ProtoDCTCP, ProtoL2DCT, ProtoCUBIC, ProtoGIP,
 		ProtoTRIMNoProbe, ProtoTRIMNoQueue,
 	} {
-		policy, err := NewCC(p)
+		policy, err := NewCC(p, 0)
 		if err != nil {
 			t.Errorf("NewCC(%s): %v", p, err)
 			continue
@@ -90,7 +90,7 @@ func TestNewCCAllProtocols(t *testing.T) {
 			t.Errorf("NewCC(%s): empty name", p)
 		}
 	}
-	if _, err := NewCC(Protocol("bogus")); err == nil {
+	if _, err := NewCC(Protocol("bogus"), 0); err == nil {
 		t.Error("bogus protocol should error")
 	}
 }

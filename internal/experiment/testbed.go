@@ -10,7 +10,6 @@ import (
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
-	"tcptrim/internal/topology"
 	"tcptrim/internal/workload"
 )
 
@@ -49,6 +48,11 @@ const (
 	tbBufferPackets    = 100
 )
 
+// tbLink is the testbed's LAN link at the given rate.
+func tbLink(rate netsim.Bitrate) netsim.LinkConfig {
+	return netsim.LinkConfig{Rate: rate, Delay: tbLANDelay, Queue: netsim.QueueConfig{CapPackets: tbBufferPackets}}
+}
+
 // ARCTRow is one (protocol, mean size) cell of Fig. 13(a).
 type ARCTRow struct {
 	Protocol  Protocol
@@ -77,11 +81,6 @@ var ARCTMeanSizes = []int{32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1
 
 // RunARCT executes the Fig. 13(a) sweep.
 func RunARCT(protos []Protocol, meanSizes []int, opts Options) (*ARCTResult, error) {
-	for _, p := range protos {
-		if _, err := NewCC(p); err != nil {
-			return nil, err
-		}
-	}
 	var cells []arctCell
 	for _, proto := range protos {
 		for _, mean := range meanSizes {
@@ -107,61 +106,45 @@ type arctCell struct {
 func (c arctCell) String() string { return fmt.Sprintf("%s/%dKB", c.Protocol, c.MeanBytes>>10) }
 
 func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCTRow, error) {
-	rng := sim.NewRand(seed + int64(meanBytes))
-	env := newSimEnv(opts)
-	sched := env.sched
-	link := netsim.LinkConfig{
-		Rate:  100 * netsim.Mbps,
-		Delay: tbLANDelay,
-		Queue: netsim.QueueConfig{CapPackets: tbBufferPackets},
-	}
-	star := topology.NewStar(sched, 3, link)
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, tbBaseRTT100M) },
-		Base: tcp.Config{
-			MinRTO:   tbRTO,
-			ECN:      UsesECN(proto),
-			LinkRate: 100 * netsim.Mbps,
-		},
-	})
+	sc, err := scenario{
+		servers: 3,
+		link:    tbLink(100 * netsim.Mbps),
+		proto:   proto, baseRTT: tbBaseRTT100M, tcp: tcp.Config{MinRTO: tbRTO},
+		seed: seed + int64(meanBytes),
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
 	// Two background large-file transfers.
-	for i := 0; i < 2; i++ {
-		if err := fleet.Servers[i].StartBackgroundFlow(sim.At(50*time.Millisecond), concBackground); err != nil {
-			return nil, err
-		}
+	if err := sc.background(0, 2, 50*time.Millisecond); err != nil {
+		return nil, err
 	}
 	// The third machine sends its responses sequentially: the next is
 	// released a think-time after the previous completes. When the chain
 	// finishes it raises done, and a watch ends the run.
 	responses := &httpapp.Collector{}
 	sizes := workload.JitteredSize{Mean: meanBytes, Jitter: 0.1}
-	csched := fleet.Conns[2].Scheduler()
-	var sendNext func()
 	sent := 0
 	done := false
-	sendNext = func() {
-		if sent >= tbARCTResponses {
-			done = true
-			return
+	if err := sc.fleet.ScheduleConnAt(2, sim.At(100*time.Millisecond), func(conn *tcp.Conn) {
+		var sendNext func()
+		sendNext = func() {
+			if sent >= tbARCTResponses {
+				done = true
+				return
+			}
+			sent++
+			conn.SendTrain(sizes.Sample(sc.rng), func(r tcp.TrainResult) {
+				responses.Add("responses", 0, r)
+				conn.Scheduler().After(tbARCTThinkTime, sendNext)
+			})
 		}
-		sent++
-		fleet.Conns[2].SendTrain(sizes.Sample(rng), func(r tcp.TrainResult) {
-			responses.Add("responses", 0, r)
-			csched.After(tbARCTThinkTime, sendNext)
-		})
-	}
-	if _, err := csched.At(sim.At(100*time.Millisecond), sendNext); err != nil {
+		sendNext()
+	}); err != nil {
 		return nil, err
 	}
-	if err := env.stopWhen(sim.At(100*time.Millisecond), 10*time.Millisecond, func() bool { return done }); err != nil {
-		return nil, err
-	}
-	if err := env.runUntil(sim.At(10 * time.Minute)); err != nil { // bounded by the done watch
+	// Bounded by the done watch.
+	if err := sc.run(10*time.Minute, 100*time.Millisecond, func() bool { return done }); err != nil {
 		return nil, err
 	}
 
@@ -173,7 +156,7 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, opts Options) (*ARCT
 		Protocol:  proto,
 		MeanBytes: meanBytes,
 		ARCT:      secondsToDuration(d.Mean()),
-		Timeouts:  fleet.Conns[2].Stats().Timeouts,
+		Timeouts:  sc.fleet.Stats(2).Timeouts,
 	}, nil
 }
 
@@ -241,49 +224,29 @@ func RunWebService(protos []Protocol, opts Options) (*WebServiceResult, error) {
 }
 
 func runWebServiceCell(proto Protocol, seed int64, opts Options) (*WebServiceRow, error) {
-	if _, err := NewCC(proto); err != nil {
-		return nil, err
-	}
-	rng := sim.NewRand(seed)
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, tbWebServers, netsim.LinkConfig{
-		Rate:  netsim.Gbps,
-		Delay: tbLANDelay,
-		Queue: netsim.QueueConfig{CapPackets: tbBufferPackets},
-	})
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		NewCC:    func() tcp.CongestionControl { return MustCCWithBaseRTT(proto, tbBaseRTT1G) },
-		Base: tcp.Config{
-			MinRTO:   tbRTO,
-			ECN:      UsesECN(proto),
-			LinkRate: netsim.Gbps,
-		},
-	})
+	sc, err := scenario{
+		servers: tbWebServers,
+		link:    tbLink(netsim.Gbps),
+		proto:   proto, baseRTT: tbBaseRTT1G, tcp: tcp.Config{MinRTO: tbRTO},
+		seed: seed,
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
-	scheduled := 0
-	for _, srv := range fleet.Servers {
-		trains := workload.ScheduleCount(rng, sim.At(100*time.Millisecond), tbWebResponsesEach,
-			workload.PTSizes{}, workload.PTGaps{})
-		if err := srv.ScheduleTrains(trains); err != nil {
+	fleet := sc.fleet
+	for i := 0; i < tbWebServers; i++ {
+		if err := sc.responses(i, 100*time.Millisecond, tbWebResponsesEach, workload.PTSizes{}, workload.PTGaps{}); err != nil {
 			return nil, err
 		}
-		scheduled += len(trains)
 	}
-	if err := env.stopWhen(sim.At(tbWebWindow), 10*time.Millisecond, func() bool { return fleet.Collector.Pending() == 0 }); err != nil {
-		return nil, err
-	}
-	if err := env.runUntil(sim.At(tbWebHorizon)); err != nil {
+	scheduled := tbWebServers * tbWebResponsesEach
+	if err := sc.run(tbWebHorizon, tbWebWindow, func() bool { return fleet.Collector().Pending() == 0 }); err != nil {
 		return nil, err
 	}
 
 	row := &WebServiceRow{Protocol: proto, Scheduled: scheduled}
 	var all metrics.Distribution
-	for _, r := range fleet.Collector.Responses() {
+	for _, r := range fleet.Collector().Responses() {
 		ct := r.CompletionTime()
 		all.AddDuration(ct)
 		row.Completed++

@@ -5,11 +5,9 @@ import (
 	"io"
 	"time"
 
-	"tcptrim/internal/httpapp"
 	"tcptrim/internal/metrics"
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
-	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
 	"tcptrim/internal/workload"
 )
@@ -44,30 +42,26 @@ type TrainAnalysisResult struct {
 // RunTrainAnalysis generates ON/OFF traffic on one connection, captures
 // the arrival trace, and recovers the packet trains.
 func RunTrainAnalysis(opts Options) (*TrainAnalysisResult, error) {
-	rng := sim.NewRand(opts.seed())
-	env := newSimEnv(opts)
-	sched := env.sched
-	star := topology.NewStar(sched, 1, topology.DefaultStarLink(1000))
-	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
-		Senders:  star.Senders,
-		FrontEnd: star.FrontEnd,
-		Base:     tcp.Config{LinkRate: netsim.Gbps},
-	})
+	sc, err := scenario{
+		servers: 1, link: topology.DefaultStarLink(1000),
+		proto: ProtoTCP, seed: opts.seed(),
+	}.build(opts)
 	if err != nil {
 		return nil, err
 	}
+	rng, sched := sc.rng, sc.sched
 	var trace []workload.PacketRecord
-	star.FrontEnd.SetTap(func(p *netsim.Packet) {
+	sc.star.FrontEnd.SetTap(func(p *netsim.Packet) {
 		if !p.IsAck {
 			trace = append(trace, workload.PacketRecord{At: sched.Now(), Bytes: p.Size})
 		}
 	})
 	trains := workload.Schedule(rng, sim.At(10*time.Millisecond), sim.At(trWindow),
 		workload.PTSizes{}, workload.PTGaps{})
-	if err := fleet.Servers[0].ScheduleTrains(trains); err != nil {
+	if err := sc.fleet.ScheduleTrains(0, trains); err != nil {
 		return nil, err
 	}
-	if err := env.runUntil(sim.At(trWindow + time.Second)); err != nil {
+	if err := sc.run(trWindow+time.Second, 0, nil); err != nil {
 		return nil, err
 	}
 

@@ -33,6 +33,7 @@ import (
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
+	"tcptrim/internal/workload"
 )
 
 // Fidelity selects how a fleet simulates its connections.
@@ -465,6 +466,25 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 	}
 	f.addRelease(release{at: at, bytes: int32(bytes), flow: int32(i), ref: int32(len(f.sinks) - 1), kind: relResponse})
 	return nil
+}
+
+// ScheduleTrains is ScheduleResponse for each train on flow i; at packet
+// fidelity the server sizes its release heap for them all first.
+func (f *Fleet) ScheduleTrains(i int, trains []workload.Train) error {
+	if f.pkt == nil {
+		for _, tr := range trains {
+			if err := f.ScheduleResponse(i, tr.At, tr.Bytes); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, tr := range trains {
+		if err := f.checkRelease(i, tr.Bytes); err != nil {
+			return err
+		}
+	}
+	return f.pkt.Servers[i].ScheduleTrains(trains)
 }
 
 // addRelease appends to the timeline, which is sized on first use for

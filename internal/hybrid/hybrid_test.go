@@ -9,6 +9,7 @@ package hybrid
 // lockstep.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
+	"tcptrim/internal/workload"
 )
 
 func TestParseFidelity(t *testing.T) {
@@ -372,5 +374,43 @@ func TestPacketResponsesAsShareServers(t *testing.T) {
 	}
 	if len(fleet.Collector().Responses()) != 0 {
 		t.Error("responses with their own collector reached the fleet's")
+	}
+}
+
+// TestPacketScheduleTrainsSizesReleaseHeapOnce: at packet fidelity
+// ScheduleTrains hands the batch to httpapp.Server.ScheduleTrains, which
+// sizes the fleet's release heap once; a ScheduleResponse per train
+// regrows it a dozen times over, and on the faulted-star sweeps that is
+// most of what a cell allocates.
+func TestPacketScheduleTrainsSizesReleaseHeapOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	trains := make([]workload.Train, 4096)
+	for k := range trains {
+		trains[k] = workload.Train{At: sim.At(time.Duration(k+1) * time.Microsecond), Bytes: tcp.DefaultMSS}
+	}
+	mallocs := func(schedule func(*Fleet) error) uint64 {
+		fleet, _ := buildFleet(t, 1, 1, tcp.Config{}, FidelityPacket, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := schedule(fleet); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	batch := mallocs(func(f *Fleet) error { return f.ScheduleTrains(0, trains) })
+	loop := mallocs(func(f *Fleet) error {
+		for _, tr := range trains {
+			if err := f.ScheduleResponse(0, tr.At, tr.Bytes); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	t.Logf("%d trains: %d mallocs batched, %d one by one", len(trains), batch, loop)
+	if batch > 6 {
+		t.Errorf("ScheduleTrains of %d trains allocates %d times, want at most 6 (one heap sizing)", len(trains), batch)
 	}
 }
