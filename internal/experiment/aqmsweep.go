@@ -175,12 +175,10 @@ func runAQMSweepCell(proto Protocol, disc AQMDiscipline, conc int, seed int64, o
 	if err := sc.background(0, asLPTs, asStart); err != nil {
 		return nil, err
 	}
-	for i := asLPTs; i < asLPTs+conc; i++ {
-		if err := sc.responses(i, asStart, asRespServer,
-			workload.UniformSize{Min: asRespMin, Max: asRespMax},
-			workload.ExponentialGap{Mean: asRespMean}); err != nil {
-			return nil, err
-		}
+	if err := sc.responses(asLPTs, asLPTs+conc, asStart, asRespServer,
+		workload.UniformSize{Min: asRespMin, Max: asRespMax},
+		workload.ExponentialGap{Mean: asRespMean}); err != nil {
+		return nil, err
 	}
 
 	// Bottleneck occupancy, and goodput over [asStart, last completion].

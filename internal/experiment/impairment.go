@@ -173,12 +173,10 @@ func runImpairmentSim(label string, newCC func() tcp.CongestionControl, fid hybr
 	fleet, sched := sc.fleet, sc.sched
 
 	// 200 small responses per server from 0.1 s.
-	for i := 0; i < impairmentServers; i++ {
-		if err := sc.responses(i, impairmentRespStart, impairmentResponses,
-			workload.UniformSize{Min: impairmentRespMin, Max: impairmentRespMax},
-			workload.ExponentialGap{Mean: impairmentRespMean}); err != nil {
-			return nil, err
-		}
+	if err := sc.responses(0, impairmentServers, impairmentRespStart, impairmentResponses,
+		workload.UniformSize{Min: impairmentRespMin, Max: impairmentRespMax},
+		workload.ExponentialGap{Mean: impairmentRespMean}); err != nil {
+		return nil, err
 	}
 
 	// Window snapshot + long train at 0.5 s; completion instants land in

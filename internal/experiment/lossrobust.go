@@ -97,12 +97,10 @@ func runLossCell(variant string, lossPct float64, seed int64, opts Options) (*Lo
 	var cts metrics.Distribution
 	sc.fleet.Collector().StreamTo(&cts)
 	const perServer = 150
-	for i := 0; i < 3; i++ {
-		if err := sc.responses(i, 100*time.Millisecond, perServer,
-			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
-			workload.ExponentialGap{Mean: 2 * time.Millisecond}); err != nil {
-			return nil, err
-		}
+	if err := sc.responses(0, 3, 100*time.Millisecond, perServer,
+		workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
+		workload.ExponentialGap{Mean: 2 * time.Millisecond}); err != nil {
+		return nil, err
 	}
 	if err := sc.run(20*time.Second, 0, nil); err != nil {
 		return nil, err

@@ -177,12 +177,10 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 	fleet := sc.fleet
 	var d metrics.Distribution
 	fleet.Collector().StreamTo(&d)
-	for i := 0; i < rwServers; i++ {
-		if err := sc.responses(i, 100*time.Millisecond, rwPerServer,
-			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
-			workload.ExponentialGap{Mean: 4 * time.Millisecond}); err != nil {
-			return nil, err
-		}
+	if err := sc.responses(0, rwServers, 100*time.Millisecond, rwPerServer,
+		workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
+		workload.ExponentialGap{Mean: 4 * time.Millisecond}); err != nil {
+		return nil, err
 	}
 
 	// Fault arming mirrors the resilience matrix.

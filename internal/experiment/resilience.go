@@ -204,12 +204,10 @@ func runResilienceCell(c resilienceCell, opts Options) (*ResilienceRow, error) {
 	fleet := sc.fleet
 	// The row reads the count and the last completion only.
 	fleet.Collector().StreamTo(nil)
-	for i := 0; i < rsServers; i++ {
-		if err := sc.responses(i, 100*time.Millisecond, rsPerServer,
-			workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
-			workload.ExponentialGap{Mean: 4 * time.Millisecond}); err != nil {
-			return nil, err
-		}
+	if err := sc.responses(0, rsServers, 100*time.Millisecond, rsPerServer,
+		workload.UniformSize{Min: 8 << 10, Max: 64 << 10},
+		workload.ExponentialGap{Mean: 4 * time.Millisecond}); err != nil {
+		return nil, err
 	}
 
 	bn := sc.star.Bottleneck

@@ -135,10 +135,17 @@ func (sc *scene) background(from, to int, at time.Duration) error {
 	return nil
 }
 
-// responses schedules n responses on flow i from the instant at, sizes
-// and gaps drawn from the scene's rng.
-func (sc *scene) responses(i int, at time.Duration, n int, sizes workload.SizeDist, gaps workload.GapDist) error {
-	return sc.fleet.ScheduleTrains(i, workload.ScheduleCount(sc.rng, sim.At(at), n, sizes, gaps))
+// responses schedules n responses on each flow in [from, to) from the
+// instant at, sizes and gaps drawn from the scene's rng flow by flow.
+// The fleet's release heap is sized for all of them once.
+func (sc *scene) responses(from, to int, at time.Duration, n int, sizes workload.SizeDist, gaps workload.GapDist) error {
+	sc.fleet.Reserve((to - from) * n)
+	for i := from; i < to; i++ {
+		if err := sc.fleet.ScheduleTrains(i, workload.ScheduleCount(sc.rng, sim.At(at), n, sizes, gaps)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // run simulates to horizon, or, when done is set, until done holds at a

@@ -234,10 +234,8 @@ func runWebServiceCell(proto Protocol, seed int64, opts Options) (*WebServiceRow
 		return nil, err
 	}
 	fleet := sc.fleet
-	for i := 0; i < tbWebServers; i++ {
-		if err := sc.responses(i, 100*time.Millisecond, tbWebResponsesEach, workload.PTSizes{}, workload.PTGaps{}); err != nil {
-			return nil, err
-		}
+	if err := sc.responses(0, tbWebServers, 100*time.Millisecond, tbWebResponsesEach, workload.PTSizes{}, workload.PTGaps{}); err != nil {
+		return nil, err
 	}
 	scheduled := tbWebServers * tbWebResponsesEach
 	if err := sc.run(tbWebHorizon, tbWebWindow, func() bool { return fleet.Collector().Pending() == 0 }); err != nil {

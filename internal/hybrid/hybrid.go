@@ -468,6 +468,17 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 	return nil
 }
 
+// Reserve makes room for n more responses across the fleet's flows: the
+// shared release heap at packet fidelity, the timeline at hybrid. Sized
+// for the total once, ScheduleTrains on each flow never regrows it.
+func (f *Fleet) Reserve(n int) {
+	if f.pkt != nil {
+		f.pkt.Reserve(n)
+		return
+	}
+	f.timeline = slices.Grow(f.timeline, n)
+}
+
 // ScheduleTrains is ScheduleResponse for each train on flow i; at packet
 // fidelity the server sizes its release heap for them all first.
 func (f *Fleet) ScheduleTrains(i int, trains []workload.Train) error {

@@ -414,3 +414,44 @@ func TestPacketScheduleTrainsSizesReleaseHeapOnce(t *testing.T) {
 		t.Errorf("ScheduleTrains of %d trains allocates %d times, want at most 6 (one heap sizing)", len(trains), batch)
 	}
 }
+
+// TestPacketFleetReserveSizesSharedHeapOnce: a fleet's servers share one
+// release heap, and each server's ScheduleTrains sizes it for its own
+// batch, so S servers × n trains regrow it S times (n, 2n, … S·n
+// entries) unless the fleet reserves the total first. Reserved, the
+// heap is allocated once.
+func TestPacketFleetReserveSizesSharedHeapOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	const servers, n = 3, 4096
+	trains := make([]workload.Train, n)
+	for k := range trains {
+		trains[k] = workload.Train{At: sim.At(time.Duration(k+1) * time.Microsecond), Bytes: tcp.DefaultMSS}
+	}
+	schedule := func(reserve bool) (mallocs, bytes uint64) {
+		fleet, _ := buildFleet(t, servers, 1, tcp.Config{}, FidelityPacket, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if reserve {
+			fleet.Reserve(servers * n)
+		}
+		for i := 0; i < servers; i++ {
+			if err := fleet.ScheduleTrains(i, trains); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	mallocs, bytes := schedule(true)
+	perServer, perServerBytes := schedule(false)
+	t.Logf("%d servers × %d trains: %d mallocs and %d B reserved, %d and %d B sized per server",
+		servers, n, mallocs, bytes, perServer, perServerBytes)
+	// Sized per server the heap is allocated S times, S(S+1)/2 batches of
+	// entries in all; reserved, once, for S batches.
+	if mallocs+servers-1 > perServer || bytes > perServerBytes*2/(servers+1)+4096 {
+		t.Errorf("reserved: %d mallocs, %d B; want %d fewer mallocs than sized per server (%d) and at most 2/%d of its %d B",
+			mallocs, bytes, servers-1, perServer, servers+1, perServerBytes)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +26,9 @@ const (
 	StateCanceled = "canceled"
 )
 
-// Job is one submitted run and its lifecycle.
+// Job is one submitted run and its lifecycle. A Server holds a *Job only
+// while the run is queued or running; a finished run is a record in its
+// job table, and handlers read value copies of either.
 type Job struct {
 	ID     string  `json:"id"`
 	Spec   RunSpec `json:"spec"`
@@ -35,7 +36,7 @@ type Job struct {
 	Error  string  `json:"error,omitempty"`
 	Cached bool    `json:"cached"`
 
-	seq    int // submission order
+	seq    int64 // submission order
 	output []byte
 	cancel context.CancelFunc
 	stream *stream
@@ -65,13 +66,6 @@ type Config struct {
 // "sample"/"responses" event per metric per gap.
 const DefaultStreamMinGap = 50 * time.Millisecond
 
-// maxTerminalJobs bounds the finished jobs a Server remembers (≈ 370 B
-// each): past it the job that ended longest ago is forgotten and its id
-// answers 404; queued and running jobs never are. Much smaller, the live
-// heap sits at the runtime's 4 MB floor and a busy service collects
-// several times as often.
-const maxTerminalJobs = 16384
-
 // Server is the experiment service: REST control plane, SSE streams,
 // result store, worker pool. It implements http.Handler.
 type Server struct {
@@ -80,10 +74,9 @@ type Server struct {
 	codeVersion string
 	minGap      time.Duration
 
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	ended []string // ids of the terminal jobs in jobs, in the order they ended
-	seq   int
+	mu   sync.Mutex
+	jobs jobTable
+	seq  int64
 
 	queue   chan *Job
 	quit    chan struct{}
@@ -132,7 +125,7 @@ func New(cfg Config) (*Server, error) {
 		store:       store,
 		codeVersion: version,
 		minGap:      minGap,
-		jobs:        map[string]*Job{},
+		jobs:        newJobTable(),
 		queue:       make(chan *Job, depth),
 		quit:        make(chan struct{}),
 		baseCtx:     ctx,
@@ -188,7 +181,7 @@ func (s *Server) handleRunners(w http.ResponseWriter, r *http.Request) {
 // a cache hit must NOT increment.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := len(s.jobs)
+	jobs, _ := s.jobs.counts()
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"codeVersion":   s.codeVersion,
@@ -245,31 +238,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	opts := spec.Options()
 	opts.Cache = s.store
 	output, cached := experiment.StoredRun(spec.Runner, opts)
-	job := &Job{Spec: spec, stream: storedStream}
-	if !cached {
-		job.stream = &stream{}
-	}
-	s.mu.Lock()
-	s.seq++
-	job.ID, job.seq = fmt.Sprintf("run-%06d", s.seq), s.seq
-	s.jobs[job.ID] = job
-
 	if cached {
-		// Same spec, same code version: the result is already exact.
-		job.Cached = true
-		job.output = output
-		s.endLocked(job, StateDone, "")
-		snap := s.snapshotLocked(job)
+		// Same spec, same code version: the result is already exact. The
+		// job goes straight into the table as a finished record.
+		job := Job{Spec: spec, Cached: true, output: output, stream: storedStream}
+		s.mu.Lock()
+		s.seq++
+		job.ID, job.seq = formatID(s.seq), s.seq
+		s.endLocked(&job, StateDone, "")
 		s.mu.Unlock()
 		s.cacheHits.Add(1)
-		writeJSON(w, http.StatusCreated, snap)
+		writeJSON(w, http.StatusCreated, job)
 		return
 	}
 
 	// The reply is a copy taken before the enqueue: once a worker owns the
 	// job it writes State under s.mu while this handler is still encoding.
-	job.State = StateQueued
-	snap := s.snapshotLocked(job)
+	job := &Job{Spec: spec, State: StateQueued, stream: &stream{}}
+	s.mu.Lock()
+	s.seq++
+	job.ID, job.seq = formatID(s.seq), s.seq
+	s.jobs.live[job.seq] = job
+	snap := *job
 	s.mu.Unlock()
 	select {
 	case s.queue <- job:
@@ -280,80 +270,61 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
+// lookup copies the job the path names under s.mu, or answers 404; live
+// is the job itself while it is queued or running.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (job Job, live *Job, ok bool) {
+	id := r.PathValue("id")
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	job, ok := s.jobs[r.PathValue("id")]
+	job, live, ok = s.jobs.lookup(id)
+	s.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such run %q", r.PathValue("id"))
-		return nil
+		writeError(w, http.StatusNotFound, "no such run %q", id)
 	}
-	return job
+	return job, live, ok
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	jobs := make([]Job, 0, len(s.jobs))
-	for _, job := range s.jobs {
-		jobs = append(jobs, s.snapshotLocked(job))
-	}
+	jobs := s.jobs.all()
 	s.mu.Unlock()
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].seq < jobs[j].seq })
 	writeJSON(w, http.StatusOK, map[string]any{"runs": jobs})
 }
 
-// snapshotLocked copies a job's public fields under s.mu.
-func (s *Server) snapshotLocked(job *Job) Job {
-	return Job{ID: job.ID, Spec: job.Spec, State: job.State, Error: job.Error, Cached: job.Cached, seq: job.seq}
-}
-
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job := s.lookup(w, r)
-	if job == nil {
-		return
+	if job, _, ok := s.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, job)
 	}
-	s.mu.Lock()
-	snap := s.snapshotLocked(job)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, snap)
 }
 
 // handleResult serves the raw result bytes — exactly what trimsim would
 // have printed for the same spec.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job := s.lookup(w, r)
-	if job == nil {
+	job, _, ok := s.lookup(w, r)
+	if !ok {
 		return
 	}
-	s.mu.Lock()
-	state, output := job.State, job.output
-	s.mu.Unlock()
-	if state != StateDone {
-		writeError(w, http.StatusConflict, "run %s is %s, not done", job.ID, state)
+	if job.State != StateDone {
+		writeError(w, http.StatusConflict, "run %s is %s, not done", job.ID, job.State)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Write(output)
+	w.Write(job.output)
 }
 
 // handleCancel cancels a queued or running job. Terminal jobs are left
 // as they are (204 anyway — cancel is idempotent).
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job := s.lookup(w, r)
-	if job == nil {
+	job, live, ok := s.lookup(w, r)
+	if !ok {
 		return
 	}
-	s.mu.Lock()
-	state := job.State
-	cancel := job.cancel
-	s.mu.Unlock()
-	switch state {
+	switch job.State {
 	case StateQueued:
 		// The worker skips jobs already terminal when it dequeues them.
-		s.finishJob(job, StateCanceled, "canceled by client")
+		s.finishJob(live, StateCanceled, "canceled by client")
 	case StateRunning:
-		if cancel != nil {
-			cancel() // the worker observes ctx and finishes the job
+		if job.cancel != nil {
+			job.cancel() // the worker observes ctx and finishes the job
 		}
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -364,8 +335,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // "shutdown"}) in a data: line. The replay buffer means a subscriber
 // attaching after completion still sees the whole (bounded) history.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job := s.lookup(w, r)
-	if job == nil {
+	job, _, ok := s.lookup(w, r)
+	if !ok {
 		return
 	}
 	flusher, ok := w.(http.Flusher)
@@ -490,15 +461,12 @@ func (s *Server) finishJob(job *Job, state, msg string) {
 }
 
 // endLocked moves a job that is not yet terminal to a terminal state and
-// forgets the job that ended longest ago once more than maxTerminalJobs
-// have. Caller holds s.mu.
+// turns it into a finished record; the table forgets the job that ended
+// longest ago once more than maxTerminalJobs have. The *Job stays
+// terminal for the worker or queue that still holds it. Caller holds s.mu.
 func (s *Server) endLocked(job *Job, state, msg string) {
 	job.State, job.Error, job.cancel = state, msg, nil
-	s.ended = append(s.ended, job.ID)
-	if len(s.ended) > maxTerminalJobs {
-		delete(s.jobs, s.ended[0])
-		s.ended = s.ended[1:]
-	}
+	s.jobs.end(job)
 }
 
 // --- shutdown ---
@@ -539,10 +507,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// dequeued but skipped, etc.) gets its terminal event now.
 	s.mu.Lock()
 	var open []*Job
-	for _, job := range s.jobs {
-		if job.State == StateQueued || job.State == StateRunning {
-			open = append(open, job)
-		}
+	for _, job := range s.jobs.live {
+		open = append(open, job)
 	}
 	s.mu.Unlock()
 	for _, job := range open {

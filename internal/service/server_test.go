@@ -82,6 +82,14 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return svc, ts
 }
 
+// jobCounts reads how many jobs srv's table holds and how many of them
+// have ended.
+func jobCounts(srv *Server) (jobs, ended int) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.jobs.counts()
+}
+
 func submit(t *testing.T, ts *httptest.Server, spec RunSpec) Job {
 	t.Helper()
 	body, _ := json.Marshal(spec)
@@ -207,10 +215,7 @@ func TestSubmitRejectsShards(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], `unknown field "shards"`) {
 		t.Errorf("spec with shards: status %d body %v, want 400 naming the unknown field", resp.StatusCode, body)
 	}
-	srv.mu.Lock()
-	jobs := len(srv.jobs)
-	srv.mu.Unlock()
-	if jobs != 0 {
+	if jobs, _ := jobCounts(srv); jobs != 0 {
 		t.Errorf("job table holds %d runs after a refused submit, want 0", jobs)
 	}
 }
@@ -233,10 +238,7 @@ func TestSubmitRejectsOversizedSpec(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || body["error"] == "" {
 		t.Fatalf("oversized spec: status %d body %v, want 413 with an error", resp.StatusCode, body)
 	}
-	srv.mu.Lock()
-	jobs := len(srv.jobs)
-	srv.mu.Unlock()
-	if jobs != 0 {
+	if jobs, _ := jobCounts(srv); jobs != 0 {
 		t.Errorf("job table holds %d runs after a refused submit, want 0", jobs)
 	}
 
@@ -521,9 +523,7 @@ func TestJobTableBounded(t *testing.T) {
 			t.Fatalf("submission %d: status %d, cached %v (%v)", i, rec.Code, newest.Cached, err)
 		}
 	}
-	srv.mu.Lock()
-	jobs, ended := len(srv.jobs), len(srv.ended)
-	srv.mu.Unlock()
+	jobs, ended := jobCounts(srv)
 	if jobs != maxTerminalJobs+1 || ended != maxTerminalJobs {
 		t.Errorf("%d jobs, %d ended, want %d and %d", jobs, ended, maxTerminalJobs+1, maxTerminalJobs)
 	}
