@@ -69,6 +69,7 @@ func run() error {
 	defer events.Body.Close()
 	sc := bufio.NewScanner(events.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	done := false
 	for sc.Scan() {
 		line, ok := strings.CutPrefix(sc.Text(), "data: ")
 		if !ok {
@@ -97,9 +98,16 @@ func run() error {
 			fmt.Printf("  %s milestone for %s\n", ev.Kind, ev.Name)
 		case "done":
 			fmt.Println("  run complete")
+			done = true
 		case "error", "canceled", "shutdown":
 			return fmt.Errorf("run ended: %s %s", ev.Kind, ev.Error)
 		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("events: %w", err)
+	}
+	if !done {
+		return fmt.Errorf("events: stream closed before a terminal event")
 	}
 
 	// Fetch the result — byte-identical to trimsim -run with the same

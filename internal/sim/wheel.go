@@ -37,7 +37,7 @@ import "math/bits"
 // with one comparison; only removing the cached event makes the next peek
 // rescan. With per-packet
 // events in lanes the earliest slot is usually a level-1 slot of hundreds of
-// RTO timers, and the run loop peeks once per fired event (EXPERIMENTS.md).
+// RTO timers, and the run loop peeks once per fired event (PERF_NOTES.md).
 //
 // Insert, remove (eager cancellation), and re-slot (Timer.Reset) are all
 // O(1); cascading touches each event at most wheelLevels-1 times over its

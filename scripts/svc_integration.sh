@@ -3,8 +3,9 @@
 # and from CI: boot the service on a free port, submit a fig4 run,
 # stream its SSE events, compare the result byte-for-byte against a
 # direct trimsim run of the same spec, then resubmit and prove the
-# content-addressed store answered without a second simulation, and that
-# trimsim -cache on the same directory prints the run whole from it.
+# content-addressed store answered without a second simulation, that
+# trimsim -cache on the same directory prints the run whole from it, and
+# that examples/svcclient follows the stream to the same result.
 set -euo pipefail
 
 workdir=$(mktemp -d)
@@ -87,6 +88,11 @@ if ls "$store"/*.cell >/dev/null 2>&1; then
 	echo "trimsim recomputed cells instead of reading the stored run"
 	exit 1
 fi
+
+echo "--- examples/svcclient streams the run and prints its result"
+go run ./examples/svcclient -svc "$base" -runner fig4 >"$workdir/client.out"
+grep -q '^  run complete$' "$workdir/client.out" || { cat "$workdir/client.out"; echo "svcclient saw no terminal done event"; exit 1; }
+tail -c "$(wc -c <"$workdir/direct.out")" "$workdir/client.out" | cmp - "$workdir/direct.out"
 
 echo "--- graceful shutdown on SIGTERM"
 kill -TERM "$svc_pid"
