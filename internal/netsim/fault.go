@@ -182,7 +182,7 @@ func (p *Pipe) SetLinkDown(down bool) {
 			return
 		}
 		p.stats.FlapDrops++
-		p.release(pkt)
+		p.net.ReleasePacket(pkt)
 	}
 }
 
@@ -265,20 +265,13 @@ func (p *Pipe) armFlapEdge(d time.Duration) {
 }
 
 // clonePacket duplicates pkt for injection. The clone comes from the
-// network pool (a fresh allocation for hand-built packets outside a
-// Network), so original and clone have independent lifetimes and a release
-// of one can never free the other.
+// network pool, so original and clone have independent lifetimes and a
+// release of one can never free the other.
 func (p *Pipe) clonePacket(pkt *Packet) *Packet {
-	var c *Packet
-	if p.net != nil {
-		c = p.net.AllocPacket()
-	} else {
-		c = &Packet{}
-	}
-	pooled := c.pooled
+	c := p.net.AllocPacket()
 	sack := c.Sack[:0]
 	*c = *pkt
-	c.pooled, c.inPool = pooled, false
+	c.pooled, c.inPool = true, false
 	c.Sack = append(sack, pkt.Sack...)
 	return c
 }
@@ -292,7 +285,8 @@ func (p *Pipe) deliverLate(pkt *Packet, at sim.Time) {
 	f := p.faults
 	extra := time.Duration(1 + f.reorderRng.Int63n(int64(f.reorderExtra)))
 	p.stats.Reordered++
-	if err := p.sched.AtFIFO(at.Add(extra), p.deliverFn, unsafe.Pointer(pkt)); err != nil {
+	pkt.wire = p
+	if err := p.sched.AtFIFO(at.Add(extra), pipeDeliver, unsafe.Pointer(pkt)); err != nil {
 		panic("netsim: held arrival scheduled in the past") // at is never in the past
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-	"unsafe"
 
 	"tcptrim/internal/aqm"
 	"tcptrim/internal/sim"
@@ -218,8 +217,8 @@ func TestQueueMatchesCrawlAndCompact(t *testing.T) {
 				for q.Len() > 0 || ref.Len() > 0 {
 					same("final Dequeue", q.Dequeue(), ref.Dequeue())
 				}
-				if q.head != 0 || q.favHead != 0 || len(q.pkts) != 0 || len(q.fav) != 0 || len(q.times) != 0 || len(q.favTimes) != 0 {
-					t.Errorf("seed %d: a drained queue did not restart at the front: head=%d/%d len=%d/%d", seed, q.head, q.favHead, len(q.pkts), len(q.fav))
+				if q.main.head != 0 || q.fav.head != 0 || len(q.main.slots) != 0 || len(q.fav.slots) != 0 {
+					t.Errorf("seed %d: a drained queue did not restart at the front: head=%d/%d len=%d/%d", seed, q.main.head, q.fav.head, len(q.main.slots), len(q.fav.slots))
 				}
 				headDrops += q.Stats().HeadDrops
 				compactions += ref.main.compactions
@@ -242,8 +241,10 @@ func TestQueueMatchesCrawlAndCompact(t *testing.T) {
 // plain, jittered, reordered, duplicated and flapped links, with bursts
 // deep enough to compact and gaps that drain. A packet a reorder injector
 // holds back arrives outside that order and is checked off on its own.
-// The wire itself is the set of pending arrival events: after every
-// arrival the invariant walk must count as many as the shadow expects.
+// The wire itself is the set of pending arrival events: the run goes one
+// event at a time, the invariant walk tells which transmit-done or arrival
+// fired, and after every event it must count as many arrivals pending as
+// the shadow expects.
 func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 	faults := map[string]func(r *faultRig, rng *rand.Rand){
 		"plain":      func(*faultRig, *rand.Rand) {},
@@ -268,42 +269,26 @@ func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 			shadow := crawlFIFO{limit: 32}
 			held := map[uint64]bool{} // held back by the reorder injector, not yet arrived
 			p := r.ab
-			onWire := func() int {
-				n := 0
-				r.net.walkWire(func(_ *Packet, role wireRole) {
-					if role.pipe == p && !role.tx {
-						n++
+			// The pipe's pending events as the walk sees them: the packet
+			// serializing and the packets arriving, with their IDs (a
+			// delivered packet is zeroed by its release).
+			type pending struct {
+				tx       *Packet
+				txID     uint64
+				arriving map[*Packet]uint64
+			}
+			walk := func(w *pending) {
+				w.tx = nil
+				clear(w.arriving)
+				r.net.walkWire(func(pkt *Packet, role wireRole) {
+					switch {
+					case role.pipe != p:
+					case role.tx:
+						w.tx, w.txID = pkt, pkt.ID
+					default:
+						w.arriving[pkt] = pkt.ID
 					}
 				})
-				return n
-			}
-			pops, deepest := 0, 0
-			p.txDoneFn = func(arg unsafe.Pointer) {
-				id, before := (*Packet)(arg).ID, p.stats
-				p.onTxDone(arg)
-				switch st := p.stats; {
-				case st.FlapDrops > before.FlapDrops: // died serializing
-				case st.Reordered > before.Reordered:
-					held[id] = true
-				default:
-					for i := 0; i <= st.Duplicated-before.Duplicated; i++ {
-						shadow.push(&Packet{ID: id}, p.lastArrival)
-					}
-				}
-				deepest = max(deepest, shadow.len())
-			}
-			p.deliverFn = func(arg unsafe.Pointer) {
-				got, now := (*Packet)(arg), r.sched.Now()
-				if held[got.ID] {
-					delete(held, got.ID)
-				} else if want, at := shadow.pop(); got.ID != want.ID || now != at {
-					t.Fatalf("arrival %d: the event carries packet %d at %v, crawl-and-compact %d at %v", pops, got.ID, now, want.ID, at)
-				}
-				pops++
-				p.onDeliver(arg)
-				if w := onWire(); w != shadow.len()+len(held) {
-					t.Fatalf("arrival %d: %d arrivals pending, crawl-and-compact %d plus %d held back", pops, w, shadow.len(), len(held))
-				}
 			}
 			rng := rand.New(rand.NewSource(11))
 			at, id := time.Duration(0), uint64(0)
@@ -318,10 +303,51 @@ func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 				}
 				at += time.Duration(50+rng.Intn(600)) * time.Microsecond
 			}
+			pops, deepest := 0, 0
+			before, after := &pending{arriving: map[*Packet]uint64{}}, &pending{arriving: map[*Packet]uint64{}}
+			walk(before)
+			for event := 0; ; event++ {
+				stats := p.stats
+				if !r.sched.Step() {
+					break
+				}
+				walk(after)
+				if before.tx != nil && after.tx != before.tx {
+					// Its transmit-done fired: the next packet (if any) is
+					// a different one.
+					switch st := p.stats; {
+					case st.FlapDrops > stats.FlapDrops: // died serializing
+					case st.Reordered > stats.Reordered:
+						held[before.txID] = true
+					default:
+						for i := 0; i <= st.Duplicated-stats.Duplicated; i++ {
+							shadow.push(&Packet{ID: before.txID}, p.lastArrival)
+						}
+					}
+					deepest = max(deepest, shadow.len())
+				}
+				for pkt, id := range before.arriving {
+					if _, ok := after.arriving[pkt]; ok {
+						continue
+					}
+					// Its arrival fired.
+					if now := r.sched.Now(); held[id] {
+						delete(held, id)
+					} else if want, at := shadow.pop(); id != want.ID || now != at {
+						t.Fatalf("arrival %d: the event carries packet %d at %v, crawl-and-compact %d at %v", pops, id, now, want.ID, at)
+					}
+					pops++
+				}
+				if w := len(after.arriving); w != shadow.len()+len(held) {
+					t.Fatalf("event %d, arrival %d: %d arrivals pending, crawl-and-compact %d plus %d held back", event, pops, w, shadow.len(), len(held))
+				}
+				before, after = after, before
+			}
+			onWire := len(before.arriving)
 			r.finish(t)
 			st := p.Stats()
-			if pops == 0 || onWire() != 0 || shadow.len() != 0 || len(held) != 0 {
-				t.Errorf("after the run: %d arrivals, %d on the wire, shadow %d, %d held back", pops, onWire(), shadow.len(), len(held))
+			if pops == 0 || onWire != 0 || shadow.len() != 0 || len(held) != 0 {
+				t.Errorf("after the run: %d arrivals, %d on the wire, shadow %d, %d held back", pops, onWire, shadow.len(), len(held))
 			}
 			if shadow.compactions == 0 {
 				t.Errorf("the wire held at most %d packets and the transcription never compacted: that path was not reached", deepest)
@@ -349,8 +375,8 @@ func TestIdleFIFOsStayInOneCacheLine(t *testing.T) {
 			t.Fatal("enqueue/dequeue lost the packet")
 		}
 	}
-	if cap(q.pkts) > 8 || cap(q.times) > 8 {
-		t.Errorf("10000 alternating enqueue/dequeue grew the queue arrays to %d/%d slots, want at most 8", cap(q.pkts), cap(q.times))
+	if cap(q.main.slots) > 8 || cap(q.fav.slots) > 8 {
+		t.Errorf("10000 alternating enqueue/dequeue grew the queue arrays to %d/%d slots, want at most 8", cap(q.main.slots), cap(q.fav.slots))
 	}
 
 	r := newFaultRig(t, 100)
@@ -364,8 +390,8 @@ func TestIdleFIFOsStayInOneCacheLine(t *testing.T) {
 		t.Fatalf("delivered %d of 20000", len(r.got))
 	}
 	pq := r.ab.Queue()
-	if cap(pq.pkts) > 8 || cap(pq.times) > 8 {
+	if cap(pq.main.slots) > 8 || cap(pq.fav.slots) > 8 {
 		t.Errorf("10000 send/deliver rounds grew the pipe's queue arrays to %d/%d slots, want at most 8",
-			cap(pq.pkts), cap(pq.times))
+			cap(pq.main.slots), cap(pq.fav.slots))
 	}
 }

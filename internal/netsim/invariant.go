@@ -16,7 +16,8 @@ package netsim
 //   - queue occupancy within configured bounds.
 //
 // The pipes keep no record of the packets their events carry; the checker
-// finds them with the scheduler's walk over its argument-carrying events.
+// finds them with the scheduler's walk over its argument-carrying events,
+// and each such packet names its pipe in its wire field.
 // CheckInvariants allocates nothing once it has run and is cheap enough to
 // run every few simulated milliseconds in the chaos experiments;
 // violations panic with a per-pipe diagnostic dump.
@@ -31,49 +32,43 @@ import (
 // queuedPooled counts the pooled packets in this pipe's queue.
 func (p *Pipe) queuedPooled() int {
 	n := 0
-	q := p.queue
-	for _, pkt := range q.pkts[q.head:] {
-		if pkt != nil && pkt.pooled {
-			n++
-		}
-	}
-	for _, pkt := range q.fav[q.favHead:] {
-		if pkt != nil && pkt.pooled {
-			n++
+	for _, b := range [...]*band{&p.queue.main, &p.queue.fav} {
+		for _, e := range b.slots[b.head:] {
+			if e.pkt != nil && e.pkt.pooled {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// wireRole is what an event armed with one of a pipe's callbacks does
-// with the packet it carries.
+// wireRole is what a pending pipe event does with the packet it carries.
 type wireRole struct {
 	pipe *Pipe
 	tx   bool // transmit-done: the packet is serializing; else it is arriving
 }
 
-// callbackID identifies a func value by its closure. A pipe binds each of
-// its callbacks once (Network.Connect) and every event it arms holds a
-// copy of that value, so the closure names the pipe and the role.
+// callbackID identifies a func value by its closure.
 func callbackID(fn func(unsafe.Pointer)) unsafe.Pointer {
 	return *(*unsafe.Pointer)(unsafe.Pointer(&fn))
 }
 
+// The closures of the two pipe callbacks: every pipe event holds one.
+var txDoneID, deliverID = callbackID(pipeTxDone), callbackID(pipeDeliver)
+
 // walkWire visits every packet a pending event carries to one of the
-// network's pipes, with what the event will do with it.
+// network's pipes, with what the event will do with it. A pipe event is
+// recognised by its callback, its pipe is the packet's wire, and packets
+// on another network's wires (one scheduler may drive several) are
+// skipped.
 func (n *Network) walkWire(visit func(pkt *Packet, r wireRole)) {
-	if n.wireRoles == nil {
-		n.wireRoles = make(map[unsafe.Pointer]wireRole)
-		for _, pipes := range n.out {
-			for _, p := range pipes {
-				n.wireRoles[callbackID(p.txDoneFn)] = wireRole{p, true}
-				n.wireRoles[callbackID(p.deliverFn)] = wireRole{p, false}
-			}
-		}
-	}
 	n.sched.WalkFIFO(func(fn func(unsafe.Pointer), arg unsafe.Pointer) {
-		if r, ok := n.wireRoles[callbackID(fn)]; ok {
-			visit((*Packet)(arg), r)
+		id := callbackID(fn)
+		if id != txDoneID && id != deliverID {
+			return
+		}
+		if pkt := (*Packet)(arg); pkt.wire.net == n {
+			visit(pkt, wireRole{pkt.wire, id == txDoneID})
 		}
 	})
 }

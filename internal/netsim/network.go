@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-	"unsafe"
 
 	"tcptrim/internal/sim"
 )
@@ -65,17 +64,18 @@ type Network struct {
 	pool  pktPool // packet free list (see pool.go)
 	stats NetworkStats
 
-	// wireRoles maps the pipes' bound callbacks to their pipes for the
-	// invariant checker (invariant.go); built on first use, dropped by
-	// Connect.
-	wireRoles map[unsafe.Pointer]wireRole
+	// The clock and drop hook of every queue Connect builds, bound once.
+	clock   func() sim.Time
+	release func(*Packet)
 }
 
 const noRoute = math.MinInt32
 
 // NewNetwork returns an empty network driven by sched.
 func NewNetwork(sched *sim.Scheduler) *Network {
-	return &Network{sched: sched}
+	n := &Network{sched: sched, clock: sched.Now}
+	n.release = n.ReleasePacket
+	return n
 }
 
 // Scheduler returns the event scheduler driving this network.
@@ -128,31 +128,21 @@ func (n *Network) dropRoutes() {
 	n.rows, n.ecmp, n.comp, n.built = nil, nil, nil, nil
 }
 
-// Connect wires a full-duplex cable between a and b and returns the two
-// directed pipes (a→b, b→a). Adding nodes or links drops cached routes.
+// Connect wires a full-duplex cable between a and b and returns its two
+// pipes (a→b, b→a), allocated together; their queues share the network's
+// clock and release hook. Adding nodes or links drops cached routes.
 func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Pipe, *Pipe) {
-	ab := &Pipe{
-		sched: n.sched, net: n, from: a, to: b,
-		rate: cfg.Rate, delay: cfg.Delay,
-		queue: NewQueue(cfg.Queue),
+	pair := &[2]Pipe{
+		{sched: n.sched, net: n, from: a, to: b, rate: cfg.Rate, delay: cfg.Delay},
+		{sched: n.sched, net: n, from: b, to: a, rate: cfg.Rate, delay: cfg.Delay},
 	}
-	ba := &Pipe{
-		sched: n.sched, net: n, from: b, to: a,
-		rate: cfg.Rate, delay: cfg.Delay,
-		queue: NewQueue(cfg.Queue),
+	for i := range pair {
+		pair[i].queue.init(cfg.Queue, n.clock, n.release)
 	}
-	// Each pipe binds its two event callbacks once. Queues stamp enqueue
-	// times with the simulation clock (sojourn-time AQMs need it) and
-	// return head-dropped packets to the pool.
-	for _, p := range [...]*Pipe{ab, ba} {
-		p.txDoneFn, p.deliverFn = p.onTxDone, p.onDeliver
-		p.queue.SetClock(n.sched.Now)
-		p.queue.SetDropHandler(n.ReleasePacket)
-	}
+	ab, ba := &pair[0], &pair[1]
 	n.out[a.ID()] = append(n.out[a.ID()], ab)
 	n.out[b.ID()] = append(n.out[b.ID()], ba)
 	n.dropRoutes()
-	n.wireRoles = nil
 	return ab, ba
 }
 

@@ -243,11 +243,25 @@ func TestRoutesInvalidatedByConnect(t *testing.T) {
 		t.Fatal("delivered before any link existed")
 	}
 
-	net.Connect(a, b, LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}})
+	cfg := LinkConfig{Rate: Gbps, Delay: time.Microsecond, Queue: QueueConfig{CapPackets: 10}}
+	net.Connect(a, b, cfg)
 	a.Send(&Packet{Src: a.ID(), Dst: b.ID(), Size: 1500})
 	sched.Run()
 	if delivered != 1 {
 		t.Errorf("delivered = %d after link added, want 1", delivered)
+	}
+
+	// A cable costs one allocation for both pipes and their queues, one
+	// per queue discipline, and the amortized growth of its ends' pipe
+	// lists: no closure binds a pipe or a queue to its network.
+	hosts := make([]*Host, 1000)
+	for i := range hosts {
+		hosts[i] = net.AddHost("")
+	}
+	next := 0
+	connect := func() { net.Connect(a, hosts[next], cfg); next++ }
+	if allocs := testing.AllocsPerRun(len(hosts)-1, connect); allocs > 4 {
+		t.Errorf("Connect costs %.2f allocations per cable, want at most 4", allocs)
 	}
 }
 

@@ -92,14 +92,20 @@ type Packet struct {
 	// but never originates at an endpoint.
 	RecoverySignal bool
 
-	// Hops counts forwarding steps, guarding against routing loops.
-	Hops int
-
 	// pooled marks packets allocated from a Network's free list; inPool
 	// guards against double release. Hand-built packets have both false
 	// and are never recycled.
 	pooled bool
 	inPool bool
+
+	// wire is the pipe whose pending event carries the packet: set when a
+	// pipe arms its transmit-done or arrival event, and kept on release so
+	// the invariant checker can still name the pipe of an event that
+	// carries a packet already back in the pool.
+	wire *Pipe
+
+	// Hops counts forwarding steps, guarding against routing loops.
+	Hops int
 }
 
 // String renders a compact human-readable packet description for traces.

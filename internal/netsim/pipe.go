@@ -74,7 +74,6 @@ type Pipe struct {
 	to    Node
 	rate  Bitrate
 	delay time.Duration
-	queue *Queue
 	busy  bool
 	stats PipeStats
 
@@ -96,11 +95,23 @@ type Pipe struct {
 	// fault.go.
 	faults *pipeFaults
 
-	// The pipe's two event callbacks, bound once by Network.Connect. The
-	// packet rides as the event's argument: the scheduler's FIFO lanes are
-	// the wire, and no per-packet closure or second record exists.
-	txDoneFn  func(unsafe.Pointer)
-	deliverFn func(unsafe.Pointer)
+	// queue is held by value, last: the transmitter's own fields above
+	// share the pipe's first cache lines.
+	queue Queue
+}
+
+// pipeTxDone and pipeDeliver are the callbacks of every pipe's events. The
+// packet rides as the event's argument and names the pipe in its wire
+// field: the scheduler's FIFO lanes are the wire, and no per-packet or
+// per-pipe closure or second record exists.
+func pipeTxDone(arg unsafe.Pointer) {
+	pkt := (*Packet)(arg)
+	pkt.wire.onTxDone(pkt)
+}
+
+func pipeDeliver(arg unsafe.Pointer) {
+	pkt := (*Packet)(arg)
+	pkt.wire.onDeliver(pkt)
 }
 
 // InjectJitter adds uniform random extra propagation delay in
@@ -142,7 +153,7 @@ func (p *Pipe) Delay() time.Duration { return p.delay }
 
 // Queue exposes the egress queue (for monitoring and configuration
 // inspection by experiments).
-func (p *Pipe) Queue() *Queue { return p.queue }
+func (p *Pipe) Queue() *Queue { return &p.queue }
 
 // Stats returns a copy of the transmit counters.
 func (p *Pipe) Stats() PipeStats { return p.stats }
@@ -158,18 +169,18 @@ func (p *Pipe) Send(pkt *Packet) {
 	if f := p.faults; f != nil {
 		if f.down {
 			p.stats.FlapDrops++
-			p.release(pkt)
+			p.net.ReleasePacket(pkt)
 			return
 		}
 		if f.ge != nil && f.ge.drop() {
 			p.stats.BurstLossDrops++
-			p.release(pkt)
+			p.net.ReleasePacket(pkt)
 			return
 		}
 	}
 	if p.rng != nil && p.lossRate > 0 && p.rng.Float64() < p.lossRate {
 		p.stats.LossDrops++
-		p.release(pkt)
+		p.net.ReleasePacket(pkt)
 		return
 	}
 	if !p.busy {
@@ -180,14 +191,6 @@ func (p *Pipe) Send(pkt *Packet) {
 		return
 	}
 	if !p.queue.Enqueue(pkt) {
-		p.release(pkt)
-	}
-}
-
-// release returns a dead packet to the network's free list (no-op for
-// hand-built packets or pipes wired without a Network, as in unit tests).
-func (p *Pipe) release(pkt *Packet) {
-	if p.net != nil {
 		p.net.ReleasePacket(pkt)
 	}
 }
@@ -197,20 +200,20 @@ func (p *Pipe) transmit(pkt *Packet) {
 	p.busy = true
 	p.stats.SentPackets++
 	p.stats.SentBytes += int64(pkt.Size)
-	p.sched.AfterFIFO(p.rate.TransmitTime(pkt.Size), p.txDoneFn, unsafe.Pointer(pkt))
+	pkt.wire = p
+	p.sched.AfterFIFO(p.rate.TransmitTime(pkt.Size), pipeTxDone, unsafe.Pointer(pkt))
 }
 
 // onTxDone fires when the packet it carries finished serializing: put it
 // on the wire (or hand it to a fault injector) and start on the next
 // queued packet.
-func (p *Pipe) onTxDone(arg unsafe.Pointer) {
-	pkt := (*Packet)(arg)
+func (p *Pipe) onTxDone(pkt *Packet) {
 	f := p.faults
 	switch {
 	case f != nil && f.down:
 		// The link died while the packet was serializing.
 		p.stats.FlapDrops++
-		p.release(pkt)
+		p.net.ReleasePacket(pkt)
 	default:
 		delay := p.delay
 		if p.jitterRng != nil && p.maxJitter > 0 {
@@ -248,22 +251,22 @@ func (p *Pipe) onTxDone(arg unsafe.Pointer) {
 // The plain propagation delay takes a lane; jittered and clamped instants
 // go to the wheel.
 func (p *Pipe) arrive(pkt *Packet, at sim.Time) {
+	pkt.wire = p
 	if at == p.sched.Now().Add(p.delay) {
-		p.sched.AfterFIFO(p.delay, p.deliverFn, unsafe.Pointer(pkt))
+		p.sched.AfterFIFO(p.delay, pipeDeliver, unsafe.Pointer(pkt))
 		return
 	}
-	if err := p.sched.AtFIFO(at, p.deliverFn, unsafe.Pointer(pkt)); err != nil {
+	if err := p.sched.AtFIFO(at, pipeDeliver, unsafe.Pointer(pkt)); err != nil {
 		panic("netsim: arrival scheduled in the past") // jitter and the FIFO clamp only ever delay
 	}
 }
 
 // onDeliver hands the packet its event carries to the peer. A downed link
 // blackholes packets on the wire at their arrival instant.
-func (p *Pipe) onDeliver(arg unsafe.Pointer) {
-	pkt := (*Packet)(arg)
+func (p *Pipe) onDeliver(pkt *Packet) {
 	if f := p.faults; f != nil && f.down {
 		p.stats.FlapDrops++
-		p.release(pkt)
+		p.net.ReleasePacket(pkt)
 		return
 	}
 	p.to.Receive(pkt, p)

@@ -123,11 +123,27 @@ func TestReleasePacketResetsStateKeepsSackCapacity(t *testing.T) {
 }
 
 func TestPacketChurnSteadyStateZeroAlloc(t *testing.T) {
-	// With the packet pool, the scheduler's lane rings and free events,
-	// and per-pipe callbacks all warmed, a full send→serialize→propagate→
-	// deliver cycle allocates nothing: on a clean pipe, where both events
-	// of a hop run on the FIFO lanes, and on one that jitters, reorders and
-	// duplicates, where arrivals go through the wheel carrying their packet.
+	// With the packet pool and the scheduler's lane rings and free events
+	// warmed, a full send→serialize→propagate→deliver cycle allocates
+	// nothing: on a clean pipe, where both events of a hop run on the FIFO
+	// lanes, and on one that jitters, reorders and duplicates, where
+	// arrivals go through the wheel carrying their packet. Every event
+	// finds its pipe through the packet, so no pipe binds a callback.
+	// Before the pool warms, fresh packets come sixteen to an allocation.
+	net := NewNetwork(sim.NewScheduler())
+	kept := make([]*Packet, 0, 16*101)
+	fresh := func() {
+		for i := 0; i < 16; i++ {
+			kept = append(kept, net.AllocPacket())
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, fresh); allocs != 1 {
+		t.Errorf("16 fresh packets from an empty pool cost %.2f allocations, want 1", allocs)
+	}
+	if st := net.PoolStats(); st.Allocs != len(kept) || st.Reuses != 0 {
+		t.Errorf("pool stats %+v after %d fresh packets, want Allocs=%d", st, len(kept), len(kept))
+	}
+
 	churn := func(t *testing.T, inject func(*Pipe)) (PipeStats, sim.Stats, sim.Stats) {
 		sched, net, a, b := poolPair(t)
 		ab := net.PipesFrom(a.ID())[0]

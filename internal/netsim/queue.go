@@ -48,17 +48,25 @@ type Queue struct {
 	clock  func() sim.Time
 	dropFn func(*Packet)
 
-	pkts  []*Packet
-	times []sim.Time // per-packet enqueue instants, aligned with pkts
-	head  int
-
-	fav      []*Packet
-	favTimes []sim.Time
-	favHead  int
+	main, fav band
 
 	bytes int
 	stats QueueStats
 }
+
+// band is one FIFO of queued packets, each with its enqueue instant,
+// consumed from head.
+type band struct {
+	slots []queued
+	head  int
+}
+
+type queued struct {
+	pkt *Packet
+	at  sim.Time
+}
+
+func (b *band) len() int { return len(b.slots) - b.head }
 
 // QueueConfig configures a Queue.
 type QueueConfig struct {
@@ -93,10 +101,20 @@ func (cfg QueueConfig) limits() aqm.Limits {
 // instance (disciplines hold per-queue state and are never shared). An
 // unknown AQM kind is a configuration bug and panics at build time.
 func NewQueue(cfg QueueConfig) *Queue {
-	return &Queue{
+	q := new(Queue)
+	q.init(cfg, nil, nil)
+	return q
+}
+
+// init builds the queue in place with its clock and drop handler: the one
+// initializer of NewQueue and Network.Connect.
+func (q *Queue) init(cfg QueueConfig, clock func() sim.Time, dropFn func(*Packet)) {
+	*q = Queue{
 		capPackets: cfg.CapPackets,
 		capBytes:   cfg.CapBytes,
 		disc:       cfg.AQM.MustBuild(cfg.limits()),
+		clock:      clock,
+		dropFn:     dropFn,
 	}
 }
 
@@ -118,9 +136,7 @@ func (q *Queue) Discipline() aqm.Discipline { return q.disc }
 func (q *Queue) AQMStats() aqm.Stats { return q.disc.Stats() }
 
 // Len returns the instantaneous queue length in packets.
-func (q *Queue) Len() int {
-	return (len(q.pkts) - q.head) + (len(q.fav) - q.favHead)
-}
+func (q *Queue) Len() int { return q.main.len() + q.fav.len() }
 
 // Bytes returns the instantaneous queued bytes.
 func (q *Queue) Bytes() int { return q.bytes }
@@ -155,13 +171,11 @@ func (q *Queue) Enqueue(p *Packet) bool {
 		p.CE = true
 		q.stats.Marked++
 	}
+	b := &q.main
 	if v.Favour {
-		q.fav = append(q.fav, p)
-		q.favTimes = append(q.favTimes, now)
-	} else {
-		q.pkts = append(q.pkts, p)
-		q.times = append(q.times, now)
+		b = &q.fav
 	}
+	b.slots = append(b.slots, queued{p, now})
 	q.bytes += p.Size
 	q.stats.Enqueued++
 	if l := q.Len(); l > q.stats.MaxLen {
@@ -220,41 +234,25 @@ func (q *Queue) DrainOne() *Packet {
 
 // pop removes the head packet — favoured band first — returning it with
 // its enqueue instant. A band that drains restarts at the front of its
-// arrays; otherwise it compacts once the dead prefix dominates, amortized O(1).
+// array; otherwise it compacts once the dead prefix dominates, amortized O(1).
 func (q *Queue) pop() (*Packet, sim.Time) {
-	if q.favHead < len(q.fav) {
-		p, at := q.fav[q.favHead], q.favTimes[q.favHead]
-		q.fav[q.favHead] = nil
-		q.favHead++
-		q.bytes -= p.Size
-		if q.favHead == len(q.fav) {
-			q.fav, q.favTimes, q.favHead = q.fav[:0], q.favTimes[:0], 0
-		} else if q.favHead > 64 && q.favHead*2 >= len(q.fav) {
-			n := copy(q.fav, q.fav[q.favHead:])
-			copy(q.favTimes, q.favTimes[q.favHead:])
-			q.fav = q.fav[:n]
-			q.favTimes = q.favTimes[:n]
-			q.favHead = 0
+	b := &q.fav
+	if b.len() == 0 {
+		b = &q.main
+		if b.len() == 0 {
+			return nil, 0
 		}
-		return p, at
 	}
-	if q.head >= len(q.pkts) {
-		return nil, 0
+	e := b.slots[b.head]
+	b.slots[b.head].pkt = nil
+	b.head++
+	q.bytes -= e.pkt.Size
+	if b.head == len(b.slots) {
+		b.slots, b.head = b.slots[:0], 0
+	} else if b.head > 64 && b.head*2 >= len(b.slots) {
+		b.slots, b.head = b.slots[:copy(b.slots, b.slots[b.head:])], 0
 	}
-	p, at := q.pkts[q.head], q.times[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	q.bytes -= p.Size
-	if q.head == len(q.pkts) {
-		q.pkts, q.times, q.head = q.pkts[:0], q.times[:0], 0
-	} else if q.head > 64 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		copy(q.times, q.times[q.head:])
-		q.pkts = q.pkts[:n]
-		q.times = q.times[:n]
-		q.head = 0
-	}
-	return p, at
+	return e.pkt, e.at
 }
 
 // aqmPkt projects the discipline-visible fields of a packet.

@@ -54,8 +54,8 @@ func TestQueueInterleavedCompactionProperty(t *testing.T) {
 			if q.Bytes() != modelBytes {
 				t.Fatalf("seed %d op %d: Bytes = %d, model %d", seed, op, q.Bytes(), modelBytes)
 			}
-			if q.head > maxHead {
-				maxHead = q.head
+			if q.main.head > maxHead {
+				maxHead = q.main.head
 			}
 		}
 		if maxHead <= 64 {
@@ -101,8 +101,8 @@ func TestQueueFavouredBandCompaction(t *testing.T) {
 				t.Fatalf("op %d: dequeue = %v, want id %d", op, got, want.ID)
 			}
 		}
-		if q.favHead > maxFavHead {
-			maxFavHead = q.favHead
+		if q.fav.head > maxFavHead {
+			maxFavHead = q.fav.head
 		}
 	}
 	if maxFavHead <= 64 {
