@@ -38,8 +38,8 @@ type REDConfig struct {
 	// packet at 1 Gbps).
 	MeanPktTime time.Duration
 	// Seed drives the uniformization draw (default 1). Each queue builds
-	// its own generator, so two queues sharing a config are independent
-	// but deterministic.
+	// its own generator, at its first draw, so two queues sharing a config
+	// are independent but deterministic.
 	Seed int64
 }
 
@@ -94,7 +94,7 @@ func (c REDConfig) withDefaults(lim Limits) REDConfig {
 type red struct {
 	cfg   REDConfig
 	lim   Limits
-	rng   *rand.Rand
+	rng   *rand.Rand // seeded from cfg.Seed at the first draw: most queues never draw
 	stats Stats
 
 	avg         float64
@@ -110,7 +110,6 @@ func newRED(cfg REDConfig, lim Limits) *red {
 	return &red{
 		cfg:   cfg,
 		lim:   lim,
-		rng:   rand.New(rand.NewSource(cfg.Seed)), //nolint:gosec // simulation, not crypto
 		count: -1,
 		maxP:  cfg.MaxP,
 	}
@@ -147,6 +146,9 @@ func (r *red) OnEnqueue(p Pkt, q State, now sim.Time) EnqueueVerdict {
 	pa := 1.0
 	if cp := float64(r.count) * pb; cp < 1 {
 		pa = pb / (1 - cp)
+	}
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.cfg.Seed)) //nolint:gosec // simulation, not crypto
 	}
 	if r.rng.Float64() < pa {
 		r.count = 0

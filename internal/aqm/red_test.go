@@ -167,6 +167,30 @@ func TestREDDropCurve(t *testing.T) {
 	}
 }
 
+// TestREDBelowMinThDrawsNothing: a queue whose average stays below MinTh
+// makes no early-drop draw, so it allocates nothing per arrival and never
+// builds its generator; the first in-band arrival builds it.
+func TestREDBelowMinThDrawsNothing(t *testing.T) {
+	r := newRED(REDConfig{MinTh: 5, MaxTh: 15, Wq: 0.5, Seed: 1}, Limits{CapPackets: 100})
+	now := sim.Time(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		now = now.Add(time.Microsecond)
+		if v := r.OnEnqueue(Pkt{Size: 1500}, State{Len: 2, Bytes: 2 * 1500}, now); v.Drop || v.Mark {
+			t.Fatalf("below MinTh: unexpected verdict %+v", v)
+		}
+	})
+	if allocs != 0 || r.rng != nil {
+		t.Fatalf("below MinTh: %.2f allocs per arrival, generator built: %v; want 0 and false", allocs, r.rng != nil)
+	}
+	for i := 0; i < 20 && r.rng == nil; i++ {
+		now = now.Add(time.Microsecond)
+		r.OnEnqueue(Pkt{Size: 1500}, State{Len: 10, Bytes: 10 * 1500}, now)
+	}
+	if r.rng == nil {
+		t.Fatal("in-band arrivals never built the generator")
+	}
+}
+
 // TestREDIdleDecay pins the idle-time estimator: a long silence shrinks
 // the average toward zero instead of freezing it.
 func TestREDIdleDecay(t *testing.T) {

@@ -100,7 +100,8 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, opts Options
 	var d metrics.Distribution
 	spt := &httpapp.Collector{}
 	spt.StreamTo(&d)
-	// Each flow's warm-ups and its SPT burst, sized once for all flows.
+	// Each flow's warm-ups and its SPT burst: the hybrid timeline is sized
+	// once for all flows.
 	sc.fleet.Reserve(spts * (impairmentResponses + 1))
 	for i := lpts; i < lpts+spts; i++ {
 		// Warm-up: 200 small responses build the inherited window.

@@ -137,7 +137,8 @@ func (sc *scene) background(from, to int, at time.Duration) error {
 
 // responses schedules n responses on each flow in [from, to) from the
 // instant at, sizes and gaps drawn from the scene's rng flow by flow.
-// The fleet's release heap is sized for all of them once.
+// At packet fidelity each flow's schedule goes to the release queue as
+// one run; at hybrid fidelity the timeline is sized for all of them once.
 func (sc *scene) responses(from, to int, at time.Duration, n int, sizes workload.SizeDist, gaps workload.GapDist) error {
 	sc.fleet.Reserve((to - from) * n)
 	for i := from; i < to; i++ {

@@ -171,10 +171,17 @@ type Server struct {
 	idx    int32                 // position in rq.servers
 	sink   int32                 // label and collector in rq.sinks; noSink until first used
 	doneFn func(tcp.TrainResult) // s.done, bound once
-	// Sinks of the responses in flight, in release order: the connection
-	// completes its trains in the order they were appended.
-	inFlight []int32
+	// Sinks of the responses in flight, in release order and run-length
+	// encoded: the connection completes its trains in the order they were
+	// appended, and the trains of one schedule share a sink.
+	inFlight []sinkRun
 	head     int
+}
+
+// sinkRun is n consecutive responses in flight whose completions go to
+// one sink.
+type sinkRun struct {
+	sink, n int32
 }
 
 // NewServer wraps conn, whose releases sched (conn.Scheduler()) runs;
@@ -207,7 +214,8 @@ type sink struct {
 }
 
 // releaseQueue holds every response its servers have scheduled and not yet
-// released, as values in one sim.Releases heap.
+// released in one sim.Releases queue: a ScheduleTrains schedule as one
+// run, any other response as one value.
 type releaseQueue struct {
 	q       *sim.Releases[release]
 	servers []*Server
@@ -251,7 +259,11 @@ func (rq *releaseQueue) fire(r release) {
 		now := srv.sched.Now()
 		rq.record(r.sink, tcp.TrainResult{Released: now, Completed: now, Bytes: r.bytes})
 	default:
-		srv.inFlight = append(srv.inFlight, r.sink)
+		if k := len(srv.inFlight); k > srv.head && srv.inFlight[k-1].sink == r.sink {
+			srv.inFlight[k-1].n++
+		} else {
+			srv.inFlight = append(srv.inFlight, sinkRun{sink: r.sink, n: 1})
+		}
 		srv.conn.SendTrain(r.bytes, srv.doneFn)
 	}
 }
@@ -263,9 +275,12 @@ func (rq *releaseQueue) record(i int32, res tcp.TrainResult) {
 
 // done reports the completion of the oldest response in flight.
 func (s *Server) done(res tcp.TrainResult) {
-	i := s.inFlight[s.head]
-	if s.head++; s.head == len(s.inFlight) {
-		s.inFlight, s.head = s.inFlight[:0], 0
+	f := &s.inFlight[s.head]
+	i := f.sink
+	if f.n--; f.n == 0 {
+		if s.head++; s.head == len(s.inFlight) {
+			s.inFlight, s.head = s.inFlight[:0], 0
+		}
 	}
 	s.rq.record(i, res)
 }
@@ -310,17 +325,39 @@ func (s *Server) schedule(at sim.Time, bytes int, sink int32) error {
 	return nil
 }
 
-// ScheduleTrains releases a whole workload schedule, sizing the release
-// heap for it first. A fleet's servers share one heap: schedule several
-// of them after one Fleet.Reserve of their total.
+// ScheduleTrains releases a whole workload schedule, exactly as a
+// ScheduleResponse per train, in order, would: a train due before the
+// current instant stops it with that call's error, the trains before it
+// scheduled. The release queue keeps trains as one run and reads each
+// train when it is released, so the caller must not modify the slice
+// afterwards.
 func (s *Server) ScheduleTrains(trains []workload.Train) error {
-	s.queue().q.Grow(len(trains))
-	for _, tr := range trains {
-		if err := s.ScheduleResponse(tr.At, tr.Bytes); err != nil {
-			return err
-		}
+	rq := s.queue()
+	if len(trains) == 0 {
+		return nil
+	}
+	if s.sink == noSink {
+		s.sink = rq.intern(s.label, s.collector)
+	}
+	n, err := rq.q.PushRun(&trainRun{trains: trains, server: s.idx, sink: s.sink})
+	rq.sinks[s.sink].coll.scheduled += n
+	if err != nil {
+		return fmt.Errorf("schedule response at %v: %w", trains[n].At, err)
 	}
 	return nil
+}
+
+// trainRun is a ScheduleTrains schedule waiting in a release queue: the
+// caller's trains, each released on one server with one sink.
+type trainRun struct {
+	trains       []workload.Train
+	server, sink int32
+}
+
+func (r *trainRun) Len() int          { return len(r.trains) }
+func (r *trainRun) At(i int) sim.Time { return r.trains[i].At }
+func (r *trainRun) Value(i int) release {
+	return release{server: r.server, sink: r.sink, bytes: r.trains[i].Bytes}
 }
 
 // StartBackgroundFlow releases an effectively endless train at the given
@@ -439,11 +476,6 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	}
 	return f, nil
 }
-
-// Reserve makes room in the fleet's one release heap for n more
-// responses, whichever servers schedule them: sized for the total once,
-// the servers' ScheduleTrains calls then never regrow it.
-func (f *Fleet) Reserve(n int) { f.rq.q.Grow(n) }
 
 // FrontEndStack returns the shared receiver stack (for wiring additional
 // connections to the same front-end).

@@ -1,11 +1,14 @@
 package httpapp
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
+	"tcptrim/internal/workload"
 )
 
 // atRelease is the release path the queue replaces: one At closure per
@@ -87,6 +90,85 @@ func TestReleaseSinksFollowCompletionOrder(t *testing.T) {
 	}
 	if len(gotOwn) != 4 || len(gotOther) != 4 {
 		t.Errorf("completions: %d own, %d other; want 4 and 4", len(gotOwn), len(gotOther))
+	}
+}
+
+// TestScheduleTrainsMatchesOneAtEach hands two servers their schedules as
+// runs — one with a descent, a zero-byte train and a second label's
+// responses interleaved, so a run-length in-flight entry is split — and
+// compares every completion, to the nanosecond, with one At closure per
+// train. A train due in the past stops a third schedule with the error a
+// ScheduleResponse per train returns, the trains before it scheduled.
+func TestScheduleTrainsMatchesOneAtEach(t *testing.T) {
+	us := func(n int) sim.Time { return sim.At(time.Millisecond + time.Duration(n)*time.Microsecond) }
+	runs := [][]workload.Train{
+		{{At: us(0), Bytes: 8 * tcp.DefaultMSS}, {At: us(1), Bytes: 3 * tcp.DefaultMSS}, {At: us(1), Bytes: 0},
+			{At: us(30), Bytes: 5 * tcp.DefaultMSS}, {At: us(4), Bytes: tcp.DefaultMSS}, {At: us(900), Bytes: 2*tcp.DefaultMSS + 1}},
+		{{At: us(2), Bytes: 4 * tcp.DefaultMSS}, {At: us(2), Bytes: 4 * tcp.DefaultMSS}, {At: us(40), Bytes: 6 * tcp.DefaultMSS}},
+	}
+	others := []struct {
+		at    sim.Time
+		bytes int
+	}{{us(1), 2 * tcp.DefaultMSS}, {us(5), tcp.DefaultMSS}, {us(31), 0}}
+	run := func(viaQueue bool) (own, other []Response) {
+		_, fleet, sched := newStarFleet(t, 2, tcp.Config{})
+		coll := &Collector{}
+		for i, trains := range runs {
+			srv := fleet.Servers[i]
+			if !viaQueue {
+				for _, tr := range trains {
+					atRelease(t, srv, tr.At, tr.Bytes, srv.Label(), fleet.Collector)
+				}
+			} else if err := srv.ScheduleTrains(trains); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, o := range others {
+			srv := fleet.Servers[0]
+			if !viaQueue {
+				atRelease(t, srv, o.at, o.bytes, "other", coll)
+			} else if err := srv.ScheduleResponseAs(o.at, o.bytes, "other", coll); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sched.RunUntil(sim.At(time.Second))
+		if fleet.Collector.Pending() != 0 || coll.Pending() != 0 {
+			t.Fatalf("pending: %d and %d", fleet.Collector.Pending(), coll.Pending())
+		}
+		return fleet.Collector.Responses(), coll.Responses()
+	}
+	wantOwn, wantOther := run(false)
+	gotOwn, gotOther := run(true)
+	for _, c := range []struct {
+		name      string
+		got, want []Response
+	}{{"own", gotOwn, wantOwn}, {"other", gotOther, wantOther}} {
+		if len(c.got) != len(c.want) {
+			t.Fatalf("%s: %d completions, want %d", c.name, len(c.got), len(c.want))
+		}
+		for i := range c.got {
+			if c.got[i] != c.want[i] {
+				t.Errorf("%s completion %d: %+v, want %+v", c.name, i, c.got[i], c.want[i])
+			}
+		}
+	}
+	if len(gotOwn) != 9 || len(gotOther) != 3 {
+		t.Errorf("completions: %d own, %d other; want 9 and 3", len(gotOwn), len(gotOther))
+	}
+
+	_, fleet, sched := newStarFleet(t, 1, tcp.Config{})
+	sched.RunUntil(us(10))
+	past := []workload.Train{{At: us(20), Bytes: tcp.DefaultMSS}, {At: us(30), Bytes: tcp.DefaultMSS}, {At: us(9), Bytes: tcp.DefaultMSS}, {At: us(40), Bytes: tcp.DefaultMSS}}
+	err := fleet.Servers[0].ScheduleTrains(past)
+	if want := fmt.Sprintf("schedule response at %v: %v", us(9), sim.ErrPastEvent); !errors.Is(err, sim.ErrPastEvent) || err.Error() != want {
+		t.Fatalf("past train: %v, want %q", err, want)
+	}
+	if p := fleet.Collector.Pending(); p != 2 {
+		t.Fatalf("%d responses pending after the past train, want the 2 before it", p)
+	}
+	sched.RunUntil(sim.At(time.Second))
+	if n := fleet.Collector.Count(); n != 2 || fleet.Collector.Pending() != 0 {
+		t.Fatalf("%d completions, %d pending; want 2 and 0", n, fleet.Collector.Pending())
 	}
 }
 

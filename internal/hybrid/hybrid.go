@@ -468,19 +468,19 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 	return nil
 }
 
-// Reserve makes room for n more responses across the fleet's flows: the
-// shared release heap at packet fidelity, the timeline at hybrid. Sized
-// for the total once, ScheduleTrains on each flow never regrows it.
+// Reserve makes room in the hybrid timeline for n more releases across
+// the fleet's flows: sized for the total once, ScheduleTrains on each flow
+// never regrows it. At packet fidelity it does nothing; each flow's
+// ScheduleTrains hands its schedule over as one run.
 func (f *Fleet) Reserve(n int) {
-	if f.pkt != nil {
-		f.pkt.Reserve(n)
-		return
+	if f.pkt == nil {
+		f.timeline = slices.Grow(f.timeline, n)
 	}
-	f.timeline = slices.Grow(f.timeline, n)
 }
 
 // ScheduleTrains is ScheduleResponse for each train on flow i; at packet
-// fidelity the server sizes its release heap for them all first.
+// fidelity the server's release queue keeps trains as one run, so the
+// caller must not modify the slice afterwards.
 func (f *Fleet) ScheduleTrains(i int, trains []workload.Train) error {
 	if f.pkt == nil {
 		for _, tr := range trains {

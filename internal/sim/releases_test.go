@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -28,10 +29,25 @@ type relResult struct {
 	now   Time
 	fired uint64
 	stats Stats
+	// Run pushes: values pushed, runs stopped by a past instant, and the
+	// stretches the runs split into beyond one each.
+	runValues, runsPast, runSplits int
 }
 
-// Release-program opcodes (op byte modulo relOpCount), each followed by
-// its operands.
+// relRun is a run of values for PushRun.
+type relRun struct {
+	ats  []Time
+	vals []relValue
+}
+
+func (r *relRun) Len() int             { return len(r.ats) }
+func (r *relRun) At(i int) Time        { return r.ats[i] }
+func (r *relRun) Value(i int) relValue { return r.vals[i] }
+
+// Release-program opcodes, each followed by its operands. A plain program
+// draws from the first relOpCount (op byte modulo relOpCount), the
+// encoding FuzzReleases' corpus was grown against; a program whose first
+// byte is progRuns draws from all relOpRunsCount, run pushes included.
 const (
 	relOpAfter    = iota // u16 µs
 	relOpStop            // timer index
@@ -48,6 +64,13 @@ const (
 	relOpCount
 
 	relQueues = 3
+)
+
+const (
+	relOpRun       = relOpCount + iota // queue, length, then one byte per value: µs from now, 0xFF one nanosecond before now
+	relOpRunsCount                     // ops of a progRuns program
+
+	progRuns = 0xFF // first byte of a program using all relOpRunsCount ops
 )
 
 // runReleasesDiff decodes data into a program and runs it on two
@@ -90,6 +113,37 @@ func runReleasesDiff(t *testing.T, data []byte) relResult {
 			}
 		})
 	}
+	var res relResult
+	// pushRun hands the values due at ats to PushRun on one side and to one
+	// At each, in order, on the other, which stops at the first past one.
+	pushRun := func(op, q int, ats []Time, children []int32) {
+		r := &relRun{ats: ats}
+		for i := range ats {
+			r.vals = append(r.vals, relValue{id: nextID, child: children[i]})
+			nextID++
+		}
+		runs := len(queues[q].runs)
+		n, gErr := queues[q].PushRun(r)
+		pushed, wErr := 0, error(nil)
+		for i, at := range ats {
+			if _, wErr = want.At(at, wantRelease(int8(q), r.vals[i])); wErr != nil {
+				break
+			}
+			pushed++
+		}
+		if n != pushed || gErr != wErr {
+			t.Fatalf("op %d: PushRun of %d = %d, %v; one At each pushed %d, %v", op, len(ats), n, gErr, pushed, wErr)
+		}
+		res.runValues += n
+		if gErr != nil {
+			res.runsPast++
+		}
+		if n > 0 {
+			// Stretches pushed beyond one; spent stretches cannot leave the
+			// heap while pushing, so the growth counts them all.
+			res.runSplits += len(queues[q].runs) - runs - 1
+		}
+	}
 	push := func(op, q int, at Time, child int32) {
 		v := relValue{id: nextID, child: child}
 		nextID++
@@ -121,7 +175,10 @@ func runReleasesDiff(t *testing.T, data []byte) relResult {
 		want.AfterFIFO(d, func(unsafe.Pointer) { wfn() }, nil)
 	}
 
-	pos := 0
+	pos, ops := 0, byte(relOpCount)
+	if len(data) > 0 && data[0] == progRuns {
+		pos, ops = 1, relOpRunsCount
+	}
 	next := func() (byte, bool) {
 		if pos >= len(data) {
 			return 0, false
@@ -142,7 +199,7 @@ func runReleasesDiff(t *testing.T, data []byte) relResult {
 		if !ok {
 			break
 		}
-		switch b % relOpCount {
+		switch b % ops {
 		case relOpAfter:
 			us, ok := next16()
 			if !ok {
@@ -262,6 +319,33 @@ func runReleasesDiff(t *testing.T, data []byte) relResult {
 			if g, w := got.Step(), want.Step(); g != w {
 				t.Fatalf("op %d: Step verdicts diverge: releases=%v at=%v", op, g, w)
 			}
+		case relOpRun:
+			q, ok := next()
+			if !ok {
+				break
+			}
+			n, ok := next()
+			if !ok {
+				break
+			}
+			var ats []Time
+			var children []int32
+			for k := 0; k < 1+int(n%24); k++ {
+				b, ok := next()
+				if !ok {
+					break
+				}
+				at := got.Now().Add(time.Duration(b) * time.Microsecond)
+				if b == 0xFF && got.Now() > 0 {
+					at = got.Now() - 1
+				}
+				child := int32(0)
+				if b%5 == 1 {
+					child = int32(b) + 1 // a push from the release, b µs on
+				}
+				ats, children = append(ats, at), append(children, child)
+			}
+			pushRun(op, int(q)%relQueues, ats, children)
 		}
 		if got.Now() != want.Now() {
 			t.Fatalf("op %d: clocks diverge: releases=%v at=%v", op, got.Now(), want.Now())
@@ -272,9 +356,7 @@ func runReleasesDiff(t *testing.T, data []byte) relResult {
 		if got.Len() != want.Len() {
 			t.Fatalf("op %d: Len diverges: releases=%d at=%d", op, got.Len(), want.Len())
 		}
-		if InvariantChecks() {
-			got.CheckAccounting()
-		}
+		got.CheckAccounting()
 	}
 	got.Run()
 	want.Run()
@@ -296,7 +378,8 @@ func runReleasesDiff(t *testing.T, data []byte) relResult {
 			t.Fatalf("queue %d holds %d values after drain", i, q.Len())
 		}
 	}
-	return relResult{trace: gotTrace, now: got.Now(), fired: got.Fired(), stats: got.Stats()}
+	res.trace, res.now, res.fired, res.stats = gotTrace, got.Now(), got.Fired(), got.Stats()
+	return res
 }
 
 // releasesProgram is a random program weighted toward pushes, with enough
@@ -320,44 +403,84 @@ func releasesProgram(rng *rand.Rand, n int) []byte {
 	return data
 }
 
-// TestReleasesDifferential runs random programs with the lanes live and
-// once more under WheelOnly; both must match the At reference, and each
-// other, event for event.
+// runsProgram is releasesProgram with run pushes mixed in: sorted runs
+// (instants repeat), runs with descents, and runs with a past instant
+// somewhere in them.
+func runsProgram(rng *rand.Rand, n int) []byte {
+	data := []byte{progRuns}
+	for i := 0; i < n; i++ {
+		if rng.Intn(10) < 7 {
+			data = append(data, releasesProgram(rng, 1)...)
+			continue
+		}
+		offs := make([]byte, 1+rng.Intn(24))
+		for k := range offs {
+			offs[k] = byte(rng.Intn(0xFF))
+		}
+		switch rng.Intn(3) {
+		case 0:
+			slices.Sort(offs)
+		case 1:
+			offs[rng.Intn(len(offs))] = 0xFF
+		}
+		data = append(data, relOpRun, byte(rng.Intn(relQueues)), byte(len(offs)-1))
+		data = append(data, offs...)
+	}
+	return data
+}
+
+// TestReleasesDifferential runs random programs, with and without run
+// pushes, with the lanes live and once more under WheelOnly; both must
+// match the At reference, and each other, event for event.
 func TestReleasesDifferential(t *testing.T) {
 	var pushed, laneFired uint64
-	for seed := int64(0); seed < 200; seed++ {
-		data := releasesProgram(NewRand(seed), 48+int(seed))
-		lanes := runReleasesDiff(t, data)
-		var wheel relResult
-		WheelOnly(func() { wheel = runReleasesDiff(t, data) })
-		if wheel.stats.FiredLane != 0 {
-			t.Fatalf("seed %d: forced-wheel run used lanes: %+v", seed, wheel.stats)
-		}
-		if lanes.now != wheel.now || lanes.fired != wheel.fired || len(lanes.trace) != len(wheel.trace) {
-			t.Fatalf("seed %d: lanes and wheel-only runs diverge", seed)
-		}
-		for _, e := range lanes.trace {
-			if e.q >= 0 {
-				pushed++
+	var runs relResult
+	for _, program := range []func(*rand.Rand, int) []byte{releasesProgram, runsProgram} {
+		for seed := int64(0); seed < 200; seed++ {
+			data := program(NewRand(seed), 48+int(seed))
+			lanes := runReleasesDiff(t, data)
+			var wheel relResult
+			WheelOnly(func() { wheel = runReleasesDiff(t, data) })
+			if wheel.stats.FiredLane != 0 {
+				t.Fatalf("seed %d: forced-wheel run used lanes: %+v", seed, wheel.stats)
 			}
+			if lanes.now != wheel.now || lanes.fired != wheel.fired || len(lanes.trace) != len(wheel.trace) {
+				t.Fatalf("seed %d: lanes and wheel-only runs diverge", seed)
+			}
+			for _, e := range lanes.trace {
+				if e.q >= 0 {
+					pushed++
+				}
+			}
+			laneFired += lanes.stats.FiredLane
+			runs.runValues += lanes.runValues
+			runs.runsPast += lanes.runsPast
+			runs.runSplits += lanes.runSplits
 		}
-		laneFired += lanes.stats.FiredLane
 	}
 	if pushed == 0 || laneFired == 0 {
 		t.Fatalf("programs released %d values and fired %d lane events: want both", pushed, laneFired)
 	}
+	t.Logf("%d values released, %d lane events; run pushes: %d values, %d stopped by a past instant, %d extra stretches",
+		pushed, laneFired, runs.runValues, runs.runsPast, runs.runSplits)
+	if runs.runValues == 0 || runs.runsPast == 0 || runs.runSplits == 0 {
+		t.Fatalf("run pushes: %d values, %d stopped by a past instant, %d extra stretches: want all three",
+			runs.runValues, runs.runsPast, runs.runSplits)
+	}
 }
 
-// TestReleasesDifferentialInvariants reruns a slice of the programs with
-// invariant checks armed: the dispatch-time key check and CheckAccounting
-// after every op.
+// TestReleasesDifferentialInvariants reruns a slice of the programs, with
+// and without run pushes, with invariant checks armed: the dispatch-time
+// key check on top of CheckAccounting after every op.
 func TestReleasesDifferentialInvariants(t *testing.T) {
 	SetInvariantChecks(true)
 	defer SetInvariantChecks(false)
-	for seed := int64(500); seed < 540; seed++ {
-		data := releasesProgram(NewRand(seed), 160)
-		runReleasesDiff(t, data)
-		WheelOnly(func() { runReleasesDiff(t, data) })
+	for _, program := range []func(*rand.Rand, int) []byte{releasesProgram, runsProgram} {
+		for seed := int64(500); seed < 540; seed++ {
+			data := program(NewRand(seed), 160)
+			runReleasesDiff(t, data)
+			WheelOnly(func() { runReleasesDiff(t, data) })
+		}
 	}
 }
 
@@ -383,6 +506,8 @@ func FuzzReleases(f *testing.F) {
 	f.Add([]byte{relOpPushFar, 0, 30, relOpPush, 0, 0, 10, relOpRunUntil, 0, 20, relOpPush, 0, 0, 10, relOpRunUntil, 255, 255})
 	f.Add([]byte{relOpPushNest, 2, 0, 5, 0, 0, relOpAfter, 0, 5, relOpReset, 0, 0, 1, relOpStop, 0, relOpRunUntil, 1, 0})
 	f.Add(releasesProgram(NewRand(1), 64))
+	f.Add([]byte{progRuns, relOpRun, 0, 4, 9, 3, 3, 7, 1, relOpPush, 0, 0, 2, relOpStep, relOpRun, 0, 2, 1, 0xFF, 4, relOpRunUntil, 0, 20})
+	f.Add(runsProgram(NewRand(2), 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runReleasesDiff(t, data)
 	})
@@ -461,7 +586,36 @@ func TestReleasesArmedDriftPanics(t *testing.T) {
 	if msg := mustPanic(t, s.CheckAccounting); !strings.Contains(msg, "drift") {
 		t.Errorf("CheckAccounting panicked with %q", msg)
 	}
+
+	// A run whose cursor moved on without its key: the run then counts one
+	// value fewer than the queue, and its key is no longer its next value's.
+	run := func() (*Scheduler, *Releases[int]) {
+		s, q := build()
+		r := &intRun{ats: []Time{At(3 * time.Microsecond), At(4 * time.Microsecond), At(7 * time.Microsecond)}}
+		if n, err := q.PushRun(r); n != 3 || err != nil {
+			t.Fatalf("PushRun = %d, %v", n, err)
+		}
+		s.CheckAccounting()
+		return s, q
+	}
+	s, q = run()
+	q.runs[0].next++
+	if msg := mustPanic(t, s.CheckAccounting); !strings.Contains(msg, "release queue drift") {
+		t.Errorf("CheckAccounting panicked with %q", msg)
+	}
+	s, q = run()
+	q.runs[0].next++
+	if msg := mustPanic(t, func() { s.Step() }); !strings.Contains(msg, "release queue drift") {
+		t.Errorf("Step panicked with %q", msg)
+	}
 }
+
+// intRun is a run of ints, value i being i.
+type intRun struct{ ats []Time }
+
+func (r *intRun) Len() int        { return len(r.ats) }
+func (r *intRun) At(i int) Time   { return r.ats[i] }
+func (r *intRun) Value(i int) int { return i }
 
 // TestReleasesSteadyStateZeroAlloc: with the heap and the free list warm, a
 // push and its release allocate nothing, whether the push lands behind the

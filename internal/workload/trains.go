@@ -15,7 +15,9 @@ type Train struct {
 
 // Schedule generates the release times and sizes of a connection's trains
 // between start and end: each train's size comes from sizes, and the gap
-// to the next train from gaps.
+// to the next train from gaps. The trains are in order of At: a gap
+// drawn at or below zero is clamped to a nanosecond, so At strictly
+// increases, and a release queue takes the schedule as a single run.
 func Schedule(rng *rand.Rand, start, end sim.Time, sizes SizeDist, gaps GapDist) []Train {
 	var out []Train
 	at := start
@@ -31,7 +33,8 @@ func Schedule(rng *rand.Rand, start, end sim.Time, sizes SizeDist, gaps GapDist)
 }
 
 // ScheduleCount generates exactly n trains starting at start, separated by
-// gaps.
+// gaps. Like Schedule's, its trains are in order of At, strictly
+// increasing by the same gap clamp.
 func ScheduleCount(rng *rand.Rand, start sim.Time, n int, sizes SizeDist, gaps GapDist) []Train {
 	out := make([]Train, 0, n)
 	at := start

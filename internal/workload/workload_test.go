@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -135,6 +136,42 @@ func TestScheduleCount(t *testing.T) {
 		UniformSize{Min: 2048, Max: 10240}, ExponentialGap{Mean: time.Millisecond})
 	if len(trains) != 200 {
 		t.Fatalf("trains = %d", len(trains))
+	}
+}
+
+// TestSchedulesAreOrdered: whatever the size and gap distributions, zero
+// and negative gaps included, Schedule and ScheduleCount emit trains in
+// strictly increasing At, which lets a release queue keep a schedule as
+// one run.
+func TestSchedulesAreOrdered(t *testing.T) {
+	sizes := []SizeDist{PTSizes{}, UniformSize{Min: 2048, Max: 10240}, FixedSize{Bytes: 1500}, JitteredSize{Mean: 64 << 10, Jitter: 0.1}}
+	gaps := []GapDist{PTGaps{}, ExponentialGap{Mean: time.Millisecond}, UniformGap{Min: -time.Microsecond, Max: time.Microsecond},
+		FixedGap{D: 0}, FixedGap{D: -time.Millisecond}, ExponentialGap{Mean: 0}}
+	ordered := func(trains []Train) bool {
+		for i := 1; i < len(trains); i++ {
+			if trains[i].At <= trains[i-1].At {
+				return false
+			}
+		}
+		return true
+	}
+	prop := func(seed int64, start uint32, n uint8, si, gi uint8) bool {
+		sz, gp := sizes[int(si)%len(sizes)], gaps[int(gi)%len(gaps)]
+		at := sim.Time(start)
+		counted := ScheduleCount(rand.New(rand.NewSource(seed)), at, int(n), sz, gp)
+		if len(counted) != int(n) || !ordered(counted) {
+			return false
+		}
+		if n == 0 {
+			return true
+		}
+		// The window that ends just after the last counted train draws the
+		// same trains.
+		windowed := Schedule(rand.New(rand.NewSource(seed)), at, counted[n-1].At+1, sz, gp)
+		return slices.Equal(windowed, counted)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }
 
