@@ -13,30 +13,37 @@ import (
 // queue that long flows build; the rule needs no thresholds, timers, or
 // randomness. Admission and ECN marking are exactly drop-tail's.
 type favourQueue struct {
-	dropTail
+	DropTailDiscipline
 	// queued counts this queue's packets per flow. Exact bookkeeping
 	// relies on OnRemove firing for every departure, however the packet
 	// left (delivered, head-dropped, drained).
-	queued map[uint64]int
+	queued   map[uint64]int
+	favoured int
 }
 
 func newFavourQueue(lim Limits) *favourQueue {
-	return &favourQueue{dropTail: dropTail{lim: lim}, queued: make(map[uint64]int)}
+	return &favourQueue{DropTailDiscipline: MakeDropTail(lim), queued: make(map[uint64]int)}
 }
 
 func (f *favourQueue) Name() string { return "favour" }
 
 func (f *favourQueue) OnEnqueue(p Pkt, q State, now sim.Time) EnqueueVerdict {
-	v := f.dropTail.OnEnqueue(p, q, now)
+	v := f.DropTailDiscipline.OnEnqueue(p, q, now)
 	if v.Drop {
 		return v
 	}
 	if f.queued[p.Flow] == 0 {
 		v.Favour = true
-		f.stats.Favoured++
+		f.favoured++
 	}
 	f.queued[p.Flow]++
 	return v
+}
+
+func (f *favourQueue) Stats() Stats {
+	st := f.DropTailDiscipline.Stats()
+	st.Favoured = f.favoured
+	return st
 }
 
 func (f *favourQueue) OnRemove(p Pkt) {

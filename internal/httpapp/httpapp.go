@@ -187,9 +187,15 @@ type sinkRun struct {
 // NewServer wraps conn, whose releases sched (conn.Scheduler()) runs;
 // completions are reported to collector under label.
 func NewServer(sched *sim.Scheduler, conn *tcp.Conn, label string, collector *Collector) *Server {
-	s := &Server{sched: sched, conn: conn, label: label, collector: collector, sink: noSink}
-	s.doneFn = s.done
+	s := new(Server)
+	s.init(sched, conn, label, collector)
 	return s
+}
+
+// init sets up s in place: the one initializer of NewServer and NewFleet.
+func (s *Server) init(sched *sim.Scheduler, conn *tcp.Conn, label string, collector *Collector) {
+	*s = Server{sched: sched, conn: conn, label: label, collector: collector, sink: noSink}
+	s.doneFn = s.done
 }
 
 // release is a response waiting for its instant in a releaseQueue: which
@@ -428,7 +434,8 @@ type FleetConfig struct {
 	LabelPrefix string
 }
 
-// NewFleet builds one persistent connection per sender.
+// NewFleet builds ConnsPerSender persistent connections per sender. The
+// servers live in one slab, and their labels are cut from one string.
 func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	if cfg.FrontEnd == nil {
 		return nil, fmt.Errorf("httpapp: front end required")
@@ -448,6 +455,16 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	if per <= 0 {
 		per = 1
 	}
+	n := len(cfg.Senders) * per
+	servers := make([]Server, n)
+	f.Servers = make([]*Server, n)
+	f.Conns = make([]*tcp.Conn, n)
+	var labels netsim.Names
+	size := 0
+	for i := 1; i <= n; i++ {
+		size += netsim.NameLen(cfg.LabelPrefix, i)
+	}
+	labels.Grow(size)
 	i := 0
 	for _, h := range cfg.Senders {
 		stack := tcp.NewStack(net, h)
@@ -466,11 +483,10 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fleet conn %d: %w", i, err)
 			}
-			f.Conns = append(f.Conns, conn)
-			label := fmt.Sprintf("%s%d", cfg.LabelPrefix, i+1)
-			srv := NewServer(conn.Scheduler(), conn, label, f.Collector)
+			srv := &servers[i]
+			srv.init(conn.Scheduler(), conn, labels.Cut(cfg.LabelPrefix, i+1), f.Collector)
 			f.rq.add(srv)
-			f.Servers = append(f.Servers, srv)
+			f.Conns[i], f.Servers[i] = conn, srv
 			i++
 		}
 	}

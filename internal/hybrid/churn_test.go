@@ -444,10 +444,11 @@ func TestNewConnAllocationCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Packet fidelity takes no arena and pays what it always has: the
-	// Conn, its hot line and the two bound timer callbacks.
-	if got := testing.AllocsPerRun(50, cycle); got != 4 {
-		t.Errorf("NewConn without an arena: %v allocations, want 4", got)
+	// Packet fidelity takes no arena and pays for the Conn alone: its hot
+	// line and default recovery policy are fields of it, and its timers
+	// are armed with package callbacks.
+	if got := testing.AllocsPerRun(50, cycle); got != 1 {
+		t.Errorf("NewConn without an arena: %v allocations, want 1", got)
 	}
 	cfg.Arena = tcp.NewArena()
 	if got := testing.AllocsPerRun(50, cycle); got != 0 {

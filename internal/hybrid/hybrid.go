@@ -735,8 +735,11 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 
 // holdPolicies returns flow i's policy slot, giving a flow that holds
 // none the slot a finished flow freed last, else a new one. A half the
-// slot lacks comes from the factory, if there is one (else NewConn has a
-// default).
+// slot lacks comes from the factory, if there is one (else the Base
+// config's policy, else NewConn's default). The default recovery policy
+// is the one exception: a connection holds it inside itself, and the
+// shell goes back to the arena at Detach, so the slot holds a Classic
+// of its own.
 func (f *Fleet) holdPolicies(i int32) *policies {
 	r := &f.store[i]
 	if r.pol == 0 {
@@ -752,8 +755,13 @@ func (f *Fleet) holdPolicies(i int32) *policies {
 	if p.cc == nil && f.cfg.NewCC != nil {
 		p.cc = f.cfg.NewCC()
 	}
-	if p.rec == nil && f.cfg.NewRecovery != nil {
-		p.rec = f.cfg.NewRecovery()
+	if p.rec == nil {
+		switch {
+		case f.cfg.NewRecovery != nil:
+			p.rec = f.cfg.NewRecovery()
+		case f.cfg.Base.Recovery == nil:
+			p.rec = tcp.NewClassicRecovery()
+		}
 	}
 	return p
 }

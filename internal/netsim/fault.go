@@ -286,7 +286,7 @@ func (p *Pipe) deliverLate(pkt *Packet, at sim.Time) {
 	extra := time.Duration(1 + f.reorderRng.Int63n(int64(f.reorderExtra)))
 	p.stats.Reordered++
 	pkt.wire = p
-	if err := p.sched.AtFIFO(at.Add(extra), pipeDeliver, unsafe.Pointer(pkt)); err != nil {
+	if _, err := p.sched.AtArg(at.Add(extra), pipeDeliver, unsafe.Pointer(pkt)); err != nil {
 		panic("netsim: held arrival scheduled in the past") // at is never in the past
 	}
 }

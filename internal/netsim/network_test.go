@@ -251,17 +251,18 @@ func TestRoutesInvalidatedByConnect(t *testing.T) {
 		t.Errorf("delivered = %d after link added, want 1", delivered)
 	}
 
-	// A cable costs one allocation for both pipes and their queues, one
-	// per queue discipline, and the amortized growth of its ends' pipe
-	// lists: no closure binds a pipe or a queue to its network.
+	// A cable costs one allocation for both pipes, their queues and their
+	// drop-tail disciplines, and the growth of its ends' pipe lists (here
+	// one: each host's first): no closure binds a pipe or a queue to its
+	// network.
 	hosts := make([]*Host, 1000)
 	for i := range hosts {
 		hosts[i] = net.AddHost("")
 	}
 	next := 0
 	connect := func() { net.Connect(a, hosts[next], cfg); next++ }
-	if allocs := testing.AllocsPerRun(len(hosts)-1, connect); allocs > 4 {
-		t.Errorf("Connect costs %.2f allocations per cable, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(len(hosts)-1, connect); allocs > 2 {
+		t.Errorf("Connect costs %.2f allocations per cable, want at most 2", allocs)
 	}
 }
 

@@ -256,7 +256,7 @@ func (p *Pipe) arrive(pkt *Packet, at sim.Time) {
 		p.sched.AfterFIFO(p.delay, pipeDeliver, unsafe.Pointer(pkt))
 		return
 	}
-	if err := p.sched.AtFIFO(at, pipeDeliver, unsafe.Pointer(pkt)); err != nil {
+	if _, err := p.sched.AtArg(at, pipeDeliver, unsafe.Pointer(pkt)); err != nil {
 		panic("netsim: arrival scheduled in the past") // jitter and the FIFO clamp only ever delay
 	}
 }

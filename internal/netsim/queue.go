@@ -52,6 +52,11 @@ type Queue struct {
 
 	bytes int
 	stats QueueStats
+
+	// tail is the default discipline, held by value so that a drop-tail
+	// queue costs no allocation of its own; disc points at it. Under
+	// another discipline it is unused.
+	tail aqm.DropTailDiscipline
 }
 
 // band is one FIFO of queued packets, each with its enqueue instant,
@@ -97,9 +102,10 @@ func (cfg QueueConfig) limits() aqm.Limits {
 	}
 }
 
-// NewQueue builds a queue from cfg, constructing a fresh discipline
-// instance (disciplines hold per-queue state and are never shared). An
-// unknown AQM kind is a configuration bug and panics at build time.
+// NewQueue builds a queue from cfg with a fresh discipline instance
+// (disciplines hold per-queue state and are never shared): drop-tail in
+// the queue itself, any other built by cfg.AQM. An unknown AQM kind is a
+// configuration bug and panics at build time.
 func NewQueue(cfg QueueConfig) *Queue {
 	q := new(Queue)
 	q.init(cfg, nil, nil)
@@ -112,10 +118,15 @@ func (q *Queue) init(cfg QueueConfig, clock func() sim.Time, dropFn func(*Packet
 	*q = Queue{
 		capPackets: cfg.CapPackets,
 		capBytes:   cfg.CapBytes,
-		disc:       cfg.AQM.MustBuild(cfg.limits()),
 		clock:      clock,
 		dropFn:     dropFn,
 	}
+	if cfg.AQM.Kind == aqm.DropTail {
+		q.tail = aqm.MakeDropTail(cfg.limits())
+		q.disc = &q.tail
+		return
+	}
+	q.disc = cfg.AQM.MustBuild(cfg.limits())
 }
 
 // SetClock installs the simulation clock the queue stamps enqueue times

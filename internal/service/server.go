@@ -353,10 +353,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for _, data := range replay {
 		fmt.Fprintf(w, "data: %s\n\n", data)
 	}
-	flusher.Flush()
 	if live == nil {
-		return // stream already closed; replay ended with the terminal event
+		// The stream closed before we came: the replay ended with the
+		// terminal event, and unflushed, a short reply goes out in one
+		// write with its Content-Length instead of chunked.
+		return
 	}
+	flusher.Flush()
 	for {
 		select {
 		case <-r.Context().Done():

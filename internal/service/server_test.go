@@ -358,6 +358,36 @@ func TestRunStreamCache(t *testing.T) {
 	resp4.Body.Close()
 }
 
+// TestStoredEventsOneWrite: a run answered from the store has a closed
+// stream, its replay alone, so /events sends it unflushed — one reply
+// with a Content-Length, not chunked — and the body is unchanged.
+func TestStoredEventsOneWrite(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	spec := RunSpec{Runner: "fig4"}
+	waitState(t, ts, submit(t, ts, spec).ID, StateDone)
+	job := submit(t, ts, spec)
+	if !job.Cached {
+		t.Fatal("resubmission not served from the store")
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "data: " + string(doneEvent) + "\n\n"
+	if string(body) != want {
+		t.Errorf("stored run's events = %q, want %q", body, want)
+	}
+	if resp.ContentLength != int64(len(want)) || resp.Header.Get("Content-Length") == "" || len(resp.TransferEncoding) != 0 {
+		t.Errorf("stored run's events: Content-Length %q (%d), Transfer-Encoding %v; want %d bytes, not chunked",
+			resp.Header.Get("Content-Length"), resp.ContentLength, resp.TransferEncoding, len(want))
+	}
+}
+
 func mustReq(t *testing.T, method, url string) *http.Request {
 	t.Helper()
 	req, err := http.NewRequest(method, url, nil)

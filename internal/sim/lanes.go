@@ -32,7 +32,7 @@ import (
 // collision only postpones that: the slot's holder is replaced once
 // outnumbered, and leaves when admitted); with all maxLanes in use it takes
 // over an empty lane idle for laneIdleAfter sequence numbers. Until then
-// its events go to the wheel, through AtFIFO.
+// its events go to the wheel, through AtArg.
 
 const (
 	maxLanes       = 16
@@ -105,9 +105,9 @@ func (s *Scheduler) AfterFIFO(d time.Duration, fn func(unsafe.Pointer), arg unsa
 	at := s.now.Add(d)
 	l := s.laneFor(d)
 	if l == nil || at < s.now {
-		// An instant past End wraps below now, and AtFIFO drops it as
+		// An instant past End wraps below now, and AtArg drops it as
 		// After would.
-		_ = s.AtFIFO(at, fn, arg)
+		_, _ = s.AtArg(at, fn, arg)
 		return
 	}
 	if l.n == len(l.buf) {
@@ -125,22 +125,6 @@ func (s *Scheduler) AfterFIFO(d time.Duration, fn func(unsafe.Pointer), arg unsa
 	l.n++
 	s.laneLive++
 	s.live++
-}
-
-// AtFIFO schedules fn(arg) at the absolute instant t in the timing wheel:
-// AfterFIFO's arm for what no lane serves — a delay that has not earned
-// one, an instant set by jitter or a clamp, a packet held back to be
-// reordered. The event is never cancelled or re-armed; t before the
-// current instant returns ErrPastEvent.
-func (s *Scheduler) AtFIFO(t Time, fn func(unsafe.Pointer), arg unsafe.Pointer) error {
-	if t < s.now {
-		return ErrPastEvent
-	}
-	ev := s.alloc(t, nil)
-	ev.afn, ev.arg = fn, arg
-	s.place(ev)
-	s.live++
-	return nil
 }
 
 // laneFor returns the lane serving delay d, admitting d when it has

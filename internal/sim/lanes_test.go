@@ -548,7 +548,7 @@ func TestVerifyAccountingCoversLanes(t *testing.T) {
 }
 
 // TestWalkFIFOVisitsEveryContainer arms argument-carrying events in a
-// lane, in the wheel (a delay without a lane, and AtFIFO) and in the
+// lane, in the wheel (a delay without a lane, and AtArg) and in the
 // overflow heap: the walk visits each pending one once with its own
 // argument, and none that has fired or is a plain event.
 func TestWalkFIFOVisitsEveryContainer(t *testing.T) {
@@ -569,18 +569,18 @@ func TestWalkFIFOVisitsEveryContainer(t *testing.T) {
 		arm(func(arg unsafe.Pointer) { s.AfterFIFO(time.Duration(7000+i), fn, arg) }) // no lane yet
 	}
 	arm(func(arg unsafe.Pointer) {
-		if err := s.AtFIFO(s.Now().Add(3*time.Microsecond), fn, arg); err != nil {
+		if _, err := s.AtArg(s.Now().Add(3*time.Microsecond), fn, arg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	arm(func(arg unsafe.Pointer) {
-		if err := s.AtFIFO(s.Now().Add(40*time.Second), fn, arg); err != nil { // overflow heap
+		if _, err := s.AtArg(s.Now().Add(40*time.Second), fn, arg); err != nil { // overflow heap
 			t.Fatal(err)
 		}
 	})
 	s.After(time.Microsecond, func() {}) // plain: never visited
-	if err := s.AtFIFO(s.Now()-1, fn, nil); err != ErrPastEvent {
-		t.Errorf("AtFIFO in the past: err = %v, want ErrPastEvent", err)
+	if _, err := s.AtArg(s.Now()-1, fn, nil); err != ErrPastEvent {
+		t.Errorf("AtArg in the past: err = %v, want ErrPastEvent", err)
 	}
 	walk := func() map[int]int {
 		seen := map[int]int{}

@@ -29,14 +29,14 @@ const (
 	placeHeap        // referenced by an overflow-heap entry
 )
 
-// event is a scheduled callback: fn, or afn(arg) for an event armed
-// through AfterFIFO or AtFIFO. seq provides stable FIFO ordering among
-// events with the same firing time so that runs are fully deterministic;
-// it is reassigned on every arming (schedule or Timer.Reset), which also
-// lets stale overflow-heap entries be recognized by seq mismatch. Events
-// are recycled through a per-scheduler free list; gen is bumped on every
-// recycle so stale Timer handles can detect that their event has been
-// reused for a different callback.
+// event is a scheduled callback: fn, or afn(arg) for an event armed in
+// the argument form (AtArg, AfterArg, AfterFIFO). seq provides stable FIFO
+// ordering among events with the same firing time so that runs are fully
+// deterministic; it is reassigned on every arming (schedule or
+// Timer.Reset), which also lets stale overflow-heap entries be recognized
+// by seq mismatch. Events are recycled through a per-scheduler free list;
+// gen is bumped on every recycle so stale Timer handles can detect that
+// their event has been reused for a different callback.
 type event struct {
 	at    Time
 	seq   uint64
@@ -197,22 +197,47 @@ func (s *Scheduler) Stats() Stats {
 // returns ErrPastEvent; scheduling at the current instant is allowed and
 // runs after all previously scheduled events for that instant.
 func (s *Scheduler) At(t Time, fn func()) (Timer, error) {
-	if t < s.now {
-		return Timer{}, ErrPastEvent
-	}
-	ev := s.alloc(t, fn)
-	s.place(ev)
-	s.live++
-	return Timer{ev: ev, gen: ev.gen}, nil
+	return s.arm(t, fn, nil, nil)
+}
+
+// AtArg is At in the argument form: fn(arg) runs at t. A component that
+// arms many timers of one kind passes a package function and its object
+// as arg, and binds no closure per object. The Timer, the sequence number
+// drawn and the dispatch order are At's.
+func (s *Scheduler) AtArg(t Time, fn func(unsafe.Pointer), arg unsafe.Pointer) (Timer, error) {
+	return s.arm(t, nil, fn, arg)
 }
 
 // After schedules fn to run d after the current instant. Negative d is
 // clamped to zero.
 func (s *Scheduler) After(d time.Duration, fn func()) Timer {
+	return s.afterArm(d, fn, nil, nil)
+}
+
+// AfterArg is After in the argument form: fn(arg) runs d after the
+// current instant (see AtArg).
+func (s *Scheduler) AfterArg(d time.Duration, fn func(unsafe.Pointer), arg unsafe.Pointer) Timer {
+	return s.afterArm(d, nil, fn, arg)
+}
+
+// arm files one event with its callback in either form.
+func (s *Scheduler) arm(t Time, fn func(), afn func(unsafe.Pointer), arg unsafe.Pointer) (Timer, error) {
+	if t < s.now {
+		return Timer{}, ErrPastEvent
+	}
+	ev := s.alloc(t, fn)
+	ev.afn, ev.arg = afn, arg
+	s.place(ev)
+	s.live++
+	return Timer{ev: ev, gen: ev.gen}, nil
+}
+
+// afterArm is arm at d from now, d clamped to zero.
+func (s *Scheduler) afterArm(d time.Duration, fn func(), afn func(unsafe.Pointer), arg unsafe.Pointer) Timer {
 	if d < 0 {
 		d = 0
 	}
-	timer, err := s.At(s.now.Add(d), fn)
+	timer, err := s.arm(s.now.Add(d), fn, afn, arg)
 	if err != nil {
 		// Unreachable: now+|d| is never in the past. Keep the event loop
 		// alive regardless.
@@ -545,8 +570,8 @@ func (s *Scheduler) CheckAccounting() {
 }
 
 // WalkFIFO calls visit with the callback and argument of every pending
-// event armed through AfterFIFO or AtFIFO, wherever it is stored: lanes,
-// wheel slots, the overflow heap. A Releases queue's armed minimum is such
+// event armed in the argument form (AfterFIFO, AtArg, AfterArg), wherever
+// it is stored: lanes, wheel slots, the overflow heap. A Releases queue's armed minimum is such
 // an event too, visited with the queue's own callback and the queue as its
 // argument (the values behind it are not visited). The order is
 // unspecified. It is for invariant checks between events, not for the hot

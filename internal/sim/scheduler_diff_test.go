@@ -183,7 +183,9 @@ type diffResult struct {
 // from before AfterFIFO existed, which the corpus committed under
 // testdata/fuzz was grown against, so those inputs still decode to the
 // programs that made them interesting. A program whose first byte is
-// progLanes draws from all opCount (op byte modulo opCount).
+// progLanes draws from all opCount (op byte modulo opCount), one whose
+// first byte is progArgs from all opArgCount, the argument-form timers
+// included.
 const (
 	opAfter      = iota // u16 µs
 	opStop              // timer index
@@ -202,6 +204,14 @@ const (
 	opCount
 
 	progLanes = 0xFF // first byte of a program using all opCount ops
+)
+
+const (
+	opArgAfter = opCount + iota // u16 µs: AfterArg (After on the reference)
+	opArgAt                     // u16 µs: AtArg that far ahead (At on the reference)
+	opArgCount
+
+	progArgs = 0xFE // first byte of a program using all opArgCount ops
 )
 
 // fifoDelays are the recurring AfterFIFO delays a program picks from: the
@@ -246,6 +256,9 @@ func runDifferential(t *testing.T, data []byte) diffResult {
 	pos, ops := 0, byte(opWheelCount)
 	if len(data) > 0 && data[0] == progLanes {
 		pos, ops = 1, opCount
+	}
+	if len(data) > 0 && data[0] == progArgs {
+		pos, ops = 1, opArgCount
 	}
 	next := func() (byte, bool) {
 		if pos >= len(data) {
@@ -293,6 +306,29 @@ func runDifferential(t *testing.T, data []byte) diffResult {
 			}
 		}
 		timers = append(timers, timerPair{wt: wheelSched.After(d, wfn), rt: ref.After(d, rfn), rfn: rfn})
+	}
+	// scheduleArg arms one timer in the argument form on the scheduler
+	// under test, at d from now through AfterArg or AtArg, and as a closure
+	// on the reference; Stop and Reset ops pick it like any other timer.
+	// Its id rides as the argument.
+	wfire := func(arg unsafe.Pointer) {
+		wheelTrace = append(wheelTrace, traceEntry{*(*int)(arg), wheelSched.Now()})
+	}
+	scheduleArg := func(d time.Duration, at bool) {
+		id := new(int)
+		*id = nextID
+		nextID++
+		rfn := func() { refTrace = append(refTrace, traceEntry{*id, ref.now}) }
+		var wt Timer
+		if at {
+			var err error
+			if wt, err = wheelSched.AtArg(wheelSched.Now().Add(d), wfire, unsafe.Pointer(id)); err != nil {
+				t.Fatalf("AtArg %v ahead: %v", d, err)
+			}
+		} else {
+			wt = wheelSched.AfterArg(d, wfire, unsafe.Pointer(id))
+		}
+		timers = append(timers, timerPair{wt: wt, rt: ref.After(d, rfn), rfn: rfn})
 	}
 	// scheduleFIFO arms one AfterFIFO event (After on the reference). Its
 	// callback re-arms the same delay chain more times — a link sending
@@ -422,6 +458,12 @@ func runDifferential(t *testing.T, data []byte) diffResult {
 				break
 			}
 			scheduleFIFO(fifoDelay(k), 0, true)
+		case opArgAfter, opArgAt:
+			us, ok := next16()
+			if !ok {
+				break
+			}
+			scheduleArg(time.Duration(us)*time.Microsecond, b%ops == opArgAt)
 		}
 		if wheelSched.Now() != ref.now {
 			t.Fatalf("op %d: clocks diverge: wheel=%v ref=%v", op, wheelSched.Now(), ref.now)
@@ -474,9 +516,22 @@ func FuzzScheduler(f *testing.F) {
 	f.Add(lanesProgram(NewRand(1), 64))
 	f.Add(manyDelaysProgram())
 	f.Add(reclaimProgram())
+	f.Add(argsProgram(NewRand(1), 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runDifferential(t, data)
 	})
+}
+
+// argsProgram is lanesProgram behind progArgs, with argument-form timers
+// armed among the closure ones, so Stop and Reset pick either kind.
+func argsProgram(rng *rand.Rand, n int) []byte {
+	data := lanesProgram(rng, n)
+	data[0] = progArgs
+	for i := 0; i < n/4; i++ {
+		data = append(data, []byte{opArgAfter, opArgAt}[rng.Intn(2)], 0, byte(rng.Intn(64)),
+			opReset, byte(rng.Intn(256)), 0, byte(rng.Intn(64)), opStop, byte(rng.Intn(256)), opStep)
+	}
+	return data
 }
 
 // lanesProgram builds a well-formed program of n ops dominated by
@@ -580,6 +635,17 @@ func TestSchedulerDifferentialLanes(t *testing.T) {
 	}
 	if laneFired == 0 {
 		t.Fatal("no program fired a single event from a lane")
+	}
+}
+
+// TestSchedulerDifferentialArgs runs programs with argument-form timers
+// (AfterArg, AtArg) against the reference, with lanes live and under
+// WheelOnly: verdicts, clock and trace are the closure form's.
+func TestSchedulerDifferentialArgs(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		data := argsProgram(NewRand(seed), 64+int(seed)*4)
+		runDifferential(t, data)
+		WheelOnly(func() { runDifferential(t, data) })
 	}
 }
 

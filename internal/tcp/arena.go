@@ -42,9 +42,9 @@ type Arena struct {
 	next  int32
 	inUse []bool
 	// shells are detached connections waiting for their next life: the
-	// Conn struct, its two bound timer callbacks and the storage of its
-	// trains/sacked/ooo slices. Each waits with hot == nil, so a stale
-	// reference faults until NewConn hands the shell out again.
+	// Conn struct and the storage of its trains/sacked/ooo slices. Each
+	// waits with hot == nil, so a stale reference faults until NewConn
+	// hands the shell out again.
 	shells []*Conn
 	// touched holds each connection that ran an entry point (see
 	// Conn.touch) since the last DrainTouched, once.
@@ -98,34 +98,22 @@ func (a *Arena) release(slot int32) {
 	a.free = append(a.free, slot)
 }
 
-// newShell returns a connection shell with nothing but its timer
-// callbacks bound (once, so re-arming a timer never allocates a fresh
-// method value).
-func newShell() *Conn {
-	c := &Conn{}
-	c.rtoFn = c.onRTO
-	c.ackFlushFn = c.flushPendingAck
-	return c
-}
-
 // shell hands out a connection shell, the most recently detached first.
-// A recycled shell keeps what binds to its address or is plain storage —
-// the timer callbacks and the (emptied) slices — and is zero everywhere
-// else, so NewConn fills a recycled shell and a fresh one the same way.
+// A recycled shell keeps only plain storage — the emptied train ring and
+// slices — and is zero everywhere else, so NewConn fills a recycled shell
+// and a fresh one the same way.
 func (a *Arena) shell() *Conn {
 	n := len(a.shells)
 	if n == 0 {
-		return newShell()
+		return &Conn{}
 	}
 	c := a.shells[n-1]
 	a.shells[n-1] = nil
 	a.shells = a.shells[:n-1]
 	*c = Conn{
-		rtoFn:      c.rtoFn,
-		ackFlushFn: c.ackFlushFn,
-		trains:     c.trains[:0],
-		sacked:     c.sacked[:0],
-		ooo:        c.ooo[:0],
+		trains: c.trains,
+		sacked: c.sacked[:0],
+		ooo:    c.ooo[:0],
 	}
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
@@ -70,8 +71,9 @@ type Config struct {
 	LinkRate netsim.Bitrate
 	// Recovery selects the loss-recovery policy; nil means Classic
 	// (dup-ACK threshold + NewReno/SACK recovery, the historical inline
-	// behavior). A policy instance binds to exactly one connection at a
-	// time; Detach releases it for reuse on a successor connection.
+	// behavior), held inside the Conn and gone with it at Detach. A policy
+	// instance given here binds to exactly one connection at a time;
+	// Detach releases it for reuse on a successor connection.
 	Recovery RecoveryPolicy
 	// ArmRTOOnLoneTail arms the retransmission backstop for every data
 	// segment handed to the network. The seed-verbatim default judges
@@ -167,13 +169,16 @@ type Conn struct {
 	mss      int
 
 	// hot is the connection's hot state — sequence pointers, congestion
-	// window, and the RTT estimator — split out of the struct so arenas
-	// can pack connections' hot lines contiguously (cold state stays
-	// behind this index). Standalone when cfg.Arena is nil.
+	// window, and the RTT estimator — behind a pointer so arenas can pack
+	// connections' hot lines contiguously (cold state stays behind this
+	// index). Without an arena it points at line.
 	hot     *connHot
 	arena   *Arena
 	slot    int32
 	minCwnd float64
+	line    connHot
+	// classic is the recovery policy when cfg.Recovery is nil.
+	classic classic
 
 	dupAcks    int
 	inRecovery bool
@@ -205,11 +210,12 @@ type Conn struct {
 	// delivered — may reset the back-off; a straggling ACK of a pre-RTO
 	// original is ambiguous and must not.
 	lastRTOAt sim.Time
-	// rtoFn is c.onRTO bound once at construction so re-arming the timer
-	// does not allocate a fresh method-value closure per segment.
-	rtoFn func()
 
-	trains []train
+	// trains is a ring of the trainN trains not yet acknowledged in full,
+	// oldest at trainHead.
+	trains    []train
+	trainHead int
+	trainN    int
 
 	// Receiver state.
 	rcvNxt int64
@@ -227,7 +233,6 @@ type Conn struct {
 	pendingCE    bool
 	pendingProbe bool
 	ackTimer     sim.Timer
-	ackFlushFn   func()
 	rcvCEState   bool
 
 	stats   Stats
@@ -267,9 +272,6 @@ func NewConn(cfg Config) (*Conn, error) {
 	if cfg.MaxRTO == 0 {
 		cfg.MaxRTO = DefaultMaxRTO
 	}
-	if cfg.Recovery == nil {
-		cfg.Recovery = NewClassicRecovery()
-	}
 	// Restore is read here and not kept: a caller may reuse the
 	// SavedState it points at for its next connection.
 	saved := cfg.Restore
@@ -280,14 +282,16 @@ func NewConn(cfg Config) (*Conn, error) {
 		c.arena = cfg.Arena
 		c.hot, c.slot = cfg.Arena.alloc()
 	} else {
-		c = newShell()
-		c.hot = &connHot{}
-		c.slot = -1
+		c = &Conn{slot: -1}
+		c.hot = &c.line
 	}
 	c.sched = cfg.Sender.host.Scheduler()
 	c.cfg = cfg
 	c.cc = cfg.CC
 	c.recovery = cfg.Recovery
+	if c.recovery == nil {
+		c.recovery = &c.classic
+	}
 	c.mss = cfg.MSS
 	c.minCwnd = cfg.MinCwnd
 	c.hot.cwnd = cfg.InitialCwnd
@@ -349,7 +353,9 @@ func (c *Conn) Flow() netsim.FlowID { return c.cfg.Flow }
 // CC returns the attached congestion-control policy.
 func (c *Conn) CC() CongestionControl { return c.cc }
 
-// Recovery returns the attached loss-recovery policy.
+// Recovery returns the attached loss-recovery policy. The default one
+// (Config.Recovery nil) is part of the connection and not for a
+// successor's Config.
 func (c *Conn) Recovery() RecoveryPolicy { return c.recovery }
 
 // Stats returns a copy of the connection counters.
@@ -369,12 +375,20 @@ func (c *Conn) SendTrain(size int, done func(TrainResult)) {
 		return
 	}
 	c.hot.bufEnd += int64(size)
-	c.trains = append(c.trains, train{
+	if c.trainN == len(c.trains) {
+		c.growTrains()
+	}
+	i := c.trainHead + c.trainN
+	if i >= len(c.trains) {
+		i -= len(c.trains)
+	}
+	c.trains[i] = train{
 		end:      c.hot.bufEnd,
 		released: c.sched.Now(),
 		bytes:    size,
 		done:     done,
-	})
+	}
+	c.trainN++
 	c.trySend()
 }
 
@@ -655,7 +669,7 @@ func (c *Conn) sendSegment(seq, end int64, kind sendKind) {
 		if c.cfg.ArmRTOOnLoneTail {
 			d := c.rto()
 			if !c.rtoTimer.Reset(d) {
-				c.rtoTimer = c.sched.After(d, c.rtoFn)
+				c.rtoTimer = c.sched.AfterArg(d, connRTO, unsafe.Pointer(c))
 			}
 		} else {
 			c.armRTO()
@@ -938,16 +952,31 @@ func (c *Conn) trimSackBelow(una int64) {
 	c.sacked = out
 }
 
+// growTrains enlarges the full train ring as append grows a full list,
+// so it takes no more memory than a list of the same backlog, and lays it
+// out oldest train first. The ring is reused for as long as the
+// connection (or its shell) lives.
+func (c *Conn) growTrains() {
+	old := c.trains
+	buf := append(old[:len(old):len(old)], train{})
+	buf = buf[:cap(buf)]
+	n := copy(buf, old[c.trainHead:])
+	copy(buf[n:], old[:c.trainHead])
+	c.trains, c.trainHead = buf, 0
+}
+
+// completeTrains reports, in order, every train the cumulative ACK now
+// covers, popping each off the head of the ring in O(1) however deep the
+// backlog.
 func (c *Conn) completeTrains() {
 	now := c.sched.Now()
-	for len(c.trains) > 0 && c.trains[0].end <= c.hot.sndUna {
-		tr := c.trains[0]
-		// Copy down rather than reslice past the head, so the storage is
-		// reused for as long as the connection (or its shell) lives, and
-		// drop the vacated entry's callback.
-		n := copy(c.trains, c.trains[1:])
-		c.trains[n] = train{}
-		c.trains = c.trains[:n]
+	for c.trainN > 0 && c.trains[c.trainHead].end <= c.hot.sndUna {
+		tr := c.trains[c.trainHead]
+		c.trains[c.trainHead] = train{} // drop the callback
+		if c.trainHead++; c.trainHead == len(c.trains) {
+			c.trainHead = 0
+		}
+		c.trainN--
 		if tr.done != nil {
 			tr.done(TrainResult{Released: tr.released, Completed: now, Bytes: tr.bytes})
 		}
@@ -1000,9 +1029,15 @@ func (c *Conn) armRTO() {
 	}
 	d := c.rto()
 	if !c.rtoTimer.Reset(d) {
-		c.rtoTimer = c.sched.After(d, c.rtoFn)
+		c.rtoTimer = c.sched.AfterArg(d, connRTO, unsafe.Pointer(c))
 	}
 }
+
+// connRTO and connAckFlush are the retransmission and delayed-ACK timer
+// callbacks, armed with their connection as the argument: a package
+// function binds nothing per connection.
+func connRTO(p unsafe.Pointer)      { (*Conn)(p).onRTO() }
+func connAckFlush(p unsafe.Pointer) { (*Conn)(p).flushPendingAck() }
 
 func (c *Conn) onRTO() {
 	c.touch()
@@ -1100,7 +1135,7 @@ func (c *Conn) handleData(pkt *netsim.Packet) {
 	c.pendingCE = pkt.CE
 	c.pendingProbe = pkt.Probe
 	if !c.ackTimer.Reset(c.cfg.DelayedAck) {
-		c.ackTimer = c.sched.After(c.cfg.DelayedAck, c.ackFlushFn)
+		c.ackTimer = c.sched.AfterArg(c.cfg.DelayedAck, connAckFlush, unsafe.Pointer(c))
 	}
 }
 

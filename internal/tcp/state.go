@@ -61,7 +61,7 @@ func (c *Conn) Quiescent() bool {
 	if c.rcvNxt != h.sndUna {
 		return false
 	}
-	if len(c.trains) != 0 || len(c.sacked) != 0 || len(c.ooo) != 0 {
+	if c.trainN != 0 || len(c.sacked) != 0 || len(c.ooo) != 0 {
 		return false
 	}
 	if c.inRecovery || c.dupAcks != 0 || c.suspended || c.bonus != 0 || c.sending {
@@ -103,7 +103,7 @@ func (c *Conn) Detach() (SavedState, error) {
 	}
 	if !c.Quiescent() {
 		return SavedState{}, fmt.Errorf("tcp: flow %d not quiescent (pending=%d rto=%v trains=%d)",
-			c.cfg.Flow, c.Pending(), c.rtoTimer.Pending(), len(c.trains))
+			c.cfg.Flow, c.Pending(), c.rtoTimer.Pending(), c.trainN)
 	}
 	h := c.hot
 	st := SavedState{

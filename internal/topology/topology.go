@@ -31,8 +31,14 @@ func NewStar(sched *sim.Scheduler, n int, cfg netsim.LinkConfig) *Star {
 	net := netsim.NewNetwork(sched)
 	sw := net.AddSwitch("tor")
 	s := &Star{Net: net, Switch: sw, Senders: make([]*netsim.Host, n)}
+	var names netsim.Names
+	size := 0
 	for i := range s.Senders {
-		s.Senders[i] = net.AddHost(fmt.Sprintf("server%d", i+1))
+		size += netsim.NameLen("server", i+1)
+	}
+	names.Grow(size)
+	for i := range s.Senders {
+		s.Senders[i] = net.AddHost(names.Cut("server", i+1))
 		net.Connect(s.Senders[i], sw, cfg)
 	}
 	s.FrontEnd = net.AddHost("frontend")
@@ -99,13 +105,22 @@ func NewTwoLevelTree(sched *sim.Scheduler, cfg TwoLevelTreeConfig) *TwoLevelTree
 	cfg.applyDefaults()
 	net := netsim.NewNetwork(sched)
 	t := &TwoLevelTree{Net: net, Fabric: net.AddSwitch("fabric")}
+	var names netsim.Names
+	size := 0
+	for i := 1; i <= cfg.ToRs; i++ {
+		size += netsim.NameLen("tor", i)
+		for j := 1; j <= cfg.ServersPerToR; j++ {
+			size += netsim.NameLen("s", i, j)
+		}
+	}
+	names.Grow(size)
 	for i := 0; i < cfg.ToRs; i++ {
-		tor := net.AddSwitch(fmt.Sprintf("tor%d", i+1))
+		tor := net.AddSwitch(names.Cut("tor", i+1))
 		t.ToRs = append(t.ToRs, tor)
 		net.Connect(tor, t.Fabric, cfg.RootLink)
 		servers := make([]*netsim.Host, cfg.ServersPerToR)
 		for j := range servers {
-			servers[j] = net.AddHost(fmt.Sprintf("s%d-%d", i+1, j+1))
+			servers[j] = net.AddHost(names.Cut("s", i+1, j+1))
 			net.Connect(servers[j], tor, cfg.EdgeLink)
 		}
 		t.Servers = append(t.Servers, servers)
