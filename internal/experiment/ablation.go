@@ -166,7 +166,7 @@ type AlphaResult struct {
 // RunAlphaAblation sweeps TRIM's smoothed-RTT gain on the Fig. 9 5-flow
 // scenario.
 func RunAlphaAblation(alphas []float64, opts Options) (*AlphaResult, error) {
-	rows, err := sweep(opts, "abl-alpha", seededCells(opts, alphas), func(c seededCell[float64]) (*AlphaRow, error) {
+	rows, err := sweep(opts, "abl-alpha", seededCells(opts, alphas), func(c seededCell[float64], opts Options) (*AlphaRow, error) {
 		return runAlphaCell(c.Value, opts)
 	})
 	if err != nil {

@@ -145,7 +145,7 @@ func RunAQMSweep(protos []Protocol, discs []AQMDiscipline, concs []int, opts Opt
 			}
 		}
 	}
-	rows, err := sweep(opts, "aqmsweep", cells, func(c aqmCell) (*AQMSweepRow, error) {
+	rows, err := sweep(opts, "aqmsweep", cells, func(c aqmCell, opts Options) (*AQMSweepRow, error) {
 		return runAQMSweepCell(c.Protocol, c.disc, c.Concurrency, c.Seed, opts)
 	})
 	if err != nil {

@@ -48,7 +48,7 @@ func RunBufferAblation(protos []Protocol, buffers []int, opts Options) (*BufferR
 			cells = append(cells, bufferCell{p, b, opts.seed()})
 		}
 	}
-	rows, err := sweep(opts, "abl-buffer", cells, func(c bufferCell) (*BufferRow, error) {
+	rows, err := sweep(opts, "abl-buffer", cells, func(c bufferCell, opts Options) (*BufferRow, error) {
 		return runBufferCell(c.Protocol, c.Buffer, opts)
 	})
 	if err != nil {

@@ -80,7 +80,7 @@ type concurrencyCell struct {
 func (c concurrencyCell) String() string { return fmt.Sprintf("%d-lpts/%d-spts", c.LPTs, c.SPTs) }
 
 func sweepConcurrency(cells []concurrencyCell, opts Options) ([]ConcurrencyCell, error) {
-	return sweep(opts, "concurrency", cells, func(c concurrencyCell) (*ConcurrencyCell, error) {
+	return sweep(opts, "concurrency", cells, func(c concurrencyCell, opts Options) (*ConcurrencyCell, error) {
 		return runConcurrencyCell(c.Protocol, c.LPTs, c.SPTs, c.Seed, opts)
 	})
 }

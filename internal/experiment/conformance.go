@@ -23,7 +23,7 @@ func RunConformance(reps int, opts Options, w io.Writer) error {
 	for i := range cells {
 		cells[i] = seededCell[int]{i, SplitSeed(opts.seed(), i)}
 	}
-	rows, err := sweep(opts, "conformance", cells, func(c seededCell[int]) (*conformanceRow, error) {
+	rows, err := sweep(opts, "conformance", cells, func(c seededCell[int], opts Options) (*conformanceRow, error) {
 		sc := conformance.GenScenario(c.Seed)
 		res, err := conformance.RunScenario(sc)
 		if err != nil {

@@ -53,7 +53,7 @@ func RunConvergence(protos []Protocol, opts Options) ([]ConvergenceResult, error
 			return nil, err
 		}
 	}
-	res, err := sweep(opts, "fig10", seededCells(opts, protos), func(c seededCell[Protocol]) (*ConvergenceResult, error) {
+	res, err := sweep(opts, "fig10", seededCells(opts, protos), func(c seededCell[Protocol], opts Options) (*ConvergenceResult, error) {
 		return runConvergenceCell(c.Value, opts)
 	})
 	if err != nil {

@@ -141,6 +141,10 @@ type Options struct {
 	// error. The service uses it to cancel in-flight jobs. nil means run
 	// to completion.
 	Context context.Context
+	// envs lends newSimEnv the environments of finished cells to clear
+	// and reuse (see envList). Run sets it when no stored run answers;
+	// it shapes no output, so no key holds it and Validate ignores it.
+	envs *envList
 }
 
 // fidelity resolves the Fidelity option (empty → packet).
@@ -392,6 +396,7 @@ func Run(id string, opts Options, w io.Writer) error {
 		_, err := w.Write(out)
 		return err
 	}
+	opts.envs = new(envList)
 	if opts.Cache == nil || opts.CSVDir != "" {
 		return e.run(opts, w)
 	}

@@ -70,7 +70,7 @@ func (r *DeadlineResult) Row(policy string) *DeadlineRow {
 // RunDeadline executes the deadline incast under DCTCP and D2TCP.
 func RunDeadline(opts Options) (*DeadlineResult, error) {
 	policies := []string{"DCTCP", "D2TCP"}
-	rows, err := sweep(opts, "ext-deadline", seededCells(opts, policies), func(c seededCell[string]) (*DeadlineRow, error) {
+	rows, err := sweep(opts, "ext-deadline", seededCells(opts, policies), func(c seededCell[string], opts Options) (*DeadlineRow, error) {
 		return runDeadlineCell(c.Value, opts)
 	})
 	if err != nil {

@@ -87,7 +87,7 @@ func RunFatTree(protos []Protocol, podCounts []int, opts Options) (*FatTreeResul
 			cells = append(cells, fatTreeCell{proto, pods, opts.seed()})
 		}
 	}
-	rows, err := sweep(opts, "fattree", cells, func(c fatTreeCell) (*FatTreeRow, error) {
+	rows, err := sweep(opts, "fattree", cells, func(c fatTreeCell, opts Options) (*FatTreeRow, error) {
 		return runFatTreeCell(c.Protocol, c.Pods, c.Seed, opts)
 	})
 	if err != nil {
@@ -106,8 +106,8 @@ type fatTreeCell struct {
 func (c fatTreeCell) String() string { return fmt.Sprintf("%s/%d-pods", c.Protocol, c.Pods) }
 
 func runFatTreeCell(proto Protocol, pods int, seed int64, opts Options) (*FatTreeRow, error) {
-	rng := sim.NewRand(seed + int64(pods)*101)
 	env := newSimEnv(opts)
+	rng := env.rand(seed + int64(pods)*101)
 	sched := env.sched
 	link := netsim.LinkConfig{
 		Rate:  10 * netsim.Gbps,

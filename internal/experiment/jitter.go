@@ -13,7 +13,6 @@ import (
 	"io"
 	"time"
 
-	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 )
 
@@ -33,7 +32,7 @@ type JitterResult struct {
 
 // RunJitter sweeps bottleneck delay jitter under 5 TCP-TRIM long flows.
 func RunJitter(jitters []time.Duration, opts Options) (*JitterResult, error) {
-	rows, err := sweep(opts, "ext-jitter", seededCells(opts, jitters), func(c seededCell[time.Duration]) (*JitterRow, error) {
+	rows, err := sweep(opts, "ext-jitter", seededCells(opts, jitters), func(c seededCell[time.Duration], opts Options) (*JitterRow, error) {
 		return runJitterCell(c.Value, c.Seed, opts)
 	})
 	if err != nil {
@@ -51,7 +50,7 @@ func runJitterCell(jitter time.Duration, seed int64, opts Options) (*JitterRow, 
 		return nil, err
 	}
 	if jitter > 0 {
-		lf.star.Bottleneck.InjectJitter(jitter, sim.NewRand(seed+int64(jitter)))
+		lf.star.Bottleneck.InjectJitter(jitter, lf.rand(seed+int64(jitter)))
 	}
 	goodput, err := lf.run()
 	if err != nil {

@@ -41,7 +41,7 @@ type KSweepResult struct {
 // RunKSweep sweeps K across the given multiples of the Eq. 22 guideline.
 func RunKSweep(factors []float64, opts Options) (*KSweepResult, error) {
 	kStar := core.GuidelineKForLink(netsim.Gbps, netsim.MSS+netsim.HeaderSize, ksBaseRTT)
-	rows, err := sweep(opts, "eq22", seededCells(opts, factors), func(c seededCell[float64]) (*KSweepRow, error) {
+	rows, err := sweep(opts, "eq22", seededCells(opts, factors), func(c seededCell[float64], opts Options) (*KSweepRow, error) {
 		row, err := runKSweepCell(time.Duration(c.Value*float64(kStar)), opts)
 		if err != nil {
 			return nil, err

@@ -79,7 +79,7 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 			cells = append(cells, largeScaleCell{p, tors, opts.reps(3), string(fid), opts.seed()})
 		}
 	}
-	rows, err := sweep(opts, "largescale", cells, func(c largeScaleCell) (*LargeScaleRow, error) {
+	rows, err := sweep(opts, "largescale", cells, func(c largeScaleCell, opts Options) (*LargeScaleRow, error) {
 		return runLargeScaleCell(c.Protocol, c.ToRs, c.Reps, c.Seed, opts, hybrid.Fidelity(c.Fidelity))
 	})
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"tcptrim/internal/metrics"
-	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 	"tcptrim/internal/topology"
 	"tcptrim/internal/workload"
@@ -60,7 +59,7 @@ func RunLossRobustness(lossPcts []float64, opts Options) (*LossResult, error) {
 			cells = append(cells, lossCell{variant, pct, opts.seed()})
 		}
 	}
-	rows, err := sweep(opts, "ext-loss", cells, func(c lossCell) (*LossRow, error) {
+	rows, err := sweep(opts, "ext-loss", cells, func(c lossCell, opts Options) (*LossRow, error) {
 		return runLossCell(c.Variant, c.LossPct, c.Seed, opts)
 	})
 	if err != nil {
@@ -93,7 +92,7 @@ func runLossCell(variant string, lossPct float64, seed int64, opts Options) (*Lo
 		return nil, err
 	}
 	// Loss on the shared bottleneck, deterministic per cell.
-	sc.star.Bottleneck.InjectLoss(lossPct/100, sim.NewRand(seed+int64(lossPct*100)))
+	sc.star.Bottleneck.InjectLoss(lossPct/100, sc.rand(seed+int64(lossPct*100)))
 	var cts metrics.Distribution
 	sc.fleet.Collector().StreamTo(&cts)
 	const perServer = 150

@@ -41,7 +41,7 @@ func RunMultiHop(protos []Protocol, opts Options) ([]MultiHopResult, error) {
 			return nil, err
 		}
 	}
-	return sweep(opts, "fig11", seededCells(opts, protos), func(c seededCell[Protocol]) (*MultiHopResult, error) {
+	return sweep(opts, "fig11", seededCells(opts, protos), func(c seededCell[Protocol], opts Options) (*MultiHopResult, error) {
 		return runMultiHopCell(c.Value, opts)
 	})
 }

@@ -66,7 +66,7 @@ func RunProperties(protos []Protocol, minFlows, maxFlows int, opts Options) (*Pr
 			cells = append(cells, propertiesCell{Protocol: p, Flows: n, Seed: opts.seed()})
 		}
 	}
-	results, err := sweep(opts, "fig9", cells, func(c propertiesCell) (*propertiesOut, error) {
+	results, err := sweep(opts, "fig9", cells, func(c propertiesCell, opts Options) (*propertiesOut, error) {
 		return runPropertiesCell(c.Protocol, c.Flows, c.Trace, opts)
 	})
 	if err != nil {

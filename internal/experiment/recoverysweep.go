@@ -132,7 +132,7 @@ func RunRecoverySweep(policies, aqms []string, intensities []FaultIntensity, buf
 			}
 		}
 	}
-	rows, err := sweep(opts, "recoverysweep", cells, func(c recoveryCell) (*RecoverySweepRow, error) {
+	rows, err := sweep(opts, "recoverysweep", cells, func(c recoveryCell, opts Options) (*RecoverySweepRow, error) {
 		return runRecoveryCell(c.Policy, c.AQM, c.Intensity, c.Buffer, c.Seed, opts)
 	})
 	if err != nil {
@@ -184,7 +184,7 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 	}
 
 	// Fault arming mirrors the resilience matrix.
-	window, err := injectFaults(sc.sched, sc.star.Bottleneck, fi, seed, fleet.TotalDelivered)
+	window, err := injectFaults(sc.simEnv, sc.star.Bottleneck, fi, seed, fleet.TotalDelivered)
 	if err != nil {
 		return nil, err
 	}

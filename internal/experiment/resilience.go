@@ -163,7 +163,7 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 	}
 	// Retention is derived below from the full row set, so a stored cell
 	// carries it unset and warm runs recompute it exactly.
-	rows, err := sweep(opts, "resilience", cells, func(c resilienceCell) (*ResilienceRow, error) {
+	rows, err := sweep(opts, "resilience", cells, func(c resilienceCell, opts Options) (*ResilienceRow, error) {
 		return runResilienceCell(c, opts)
 	})
 	if err != nil {
@@ -211,7 +211,7 @@ func runResilienceCell(c resilienceCell, opts Options) (*ResilienceRow, error) {
 	}
 
 	bn := sc.star.Bottleneck
-	window, err := injectFaults(sc.sched, bn, fi, seed, fleet.TotalDelivered)
+	window, err := injectFaults(sc.simEnv, bn, fi, seed, fleet.TotalDelivered)
 	if err != nil {
 		return nil, err
 	}
@@ -245,18 +245,19 @@ func (w *faultWindow) mbps() float64 {
 // injectFaults arms fi on the bottleneck bn for the fault window
 // [rsFaultStart, rsFaultEnd), flaps included, and then snapshots
 // delivered at the window's edges. Each injector draws from its own
-// SplitSeed stream of seed, so adding one fault never perturbs another's
-// draws.
-func injectFaults(sched *sim.Scheduler, bn *netsim.Pipe, fi FaultIntensity, seed int64, delivered func() int64) (*faultWindow, error) {
+// SplitSeed stream of seed, a source of env's, so adding one fault never
+// perturbs another's draws.
+func injectFaults(env *simEnv, bn *netsim.Pipe, fi FaultIntensity, seed int64, delivered func() int64) (*faultWindow, error) {
+	sched := env.sched
 	if _, err := sched.At(sim.At(rsFaultStart), func() {
 		if fi.GE.Enabled() {
-			bn.InjectGilbertElliott(fi.GE, sim.NewRand(SplitSeed(seed, 1)))
+			bn.InjectGilbertElliott(fi.GE, env.rand(SplitSeed(seed, 1)))
 		}
 		if fi.ReorderProb > 0 {
-			bn.InjectReorder(fi.ReorderProb, fi.ReorderExtra, sim.NewRand(SplitSeed(seed, 2)))
+			bn.InjectReorder(fi.ReorderProb, fi.ReorderExtra, env.rand(SplitSeed(seed, 2)))
 		}
 		if fi.DupProb > 0 {
-			bn.InjectDuplicate(fi.DupProb, sim.NewRand(SplitSeed(seed, 3)))
+			bn.InjectDuplicate(fi.DupProb, env.rand(SplitSeed(seed, 3)))
 		}
 	}); err != nil {
 		return nil, err

@@ -85,16 +85,19 @@ func RunSeededTrials[T any](n int, base int64, fn func(i int, seed int64) (T, er
 	})
 }
 
-// sweep is the one fan-out of every matrix runner: it runs run(cell) for
-// each cell on RunTrials and returns the rows in cell order. A cell does
-// not start once the run is canceled. Each resolves through cachedCell,
-// and the cell value is its key beside family: every exported field of a
-// cell is a coordinate of the key, so a cell carries its seed and every
-// run-level input that shapes its row, and an axis value that carries
-// behaviour stays in an unexported field and is keyed by name. Each
-// finished cell, simulated or answered from the store, publishes a "cell"
-// event under its String, so a warm run streams what a cold one does.
-func sweep[C fmt.Stringer, R any](opts Options, family string, cells []C, run func(C) (*R, error)) ([]R, error) {
+// sweep is the one fan-out of every matrix runner: it runs run(cell, opts)
+// for each cell on RunTrials and returns the rows in cell order. A cell
+// does not start once the run is canceled. Each resolves through
+// cachedCell, and the cell value is its key beside family: every exported
+// field of a cell is a coordinate of the key, so a cell carries its seed
+// and every run-level input that shapes its row, and an axis value that
+// carries behaviour stays in an unexported field and is keyed by name.
+// Each finished cell, simulated or answered from the store, publishes a
+// "cell" event under its String, so a warm run streams what a cold one
+// does. A cell runs under opts with an env list of its own: once the cell
+// returns, its environment goes back to the Run's list for the worker's
+// next cell to clear and reuse; a cell that panics keeps its own.
+func sweep[C fmt.Stringer, R any](opts Options, family string, cells []C, run func(C, Options) (*R, error)) ([]R, error) {
 	ctr := opts.cells(len(cells))
 	rows, err := RunTrials(len(cells), func(i int) (*R, error) {
 		if err := opts.interrupted(); err != nil {
@@ -105,7 +108,10 @@ func sweep[C fmt.Stringer, R any](opts Options, family string, cells []C, run fu
 			Family string `json:"family"`
 			Cell   C      `json:"cell"`
 		}{family, c}
-		row, _, err := cachedCell(opts, key, func() (*R, error) { return run(c) })
+		cellOpts := opts
+		cellOpts.envs = opts.envs.forCell()
+		row, _, err := cachedCell(opts, key, func() (*R, error) { return run(c, cellOpts) })
+		cellOpts.envs.giveBack()
 		if err != nil {
 			return nil, err
 		}

@@ -144,7 +144,7 @@ func TestSweep(t *testing.T) {
 			run := func() ([]int, []string, error) {
 				log := &eventLog{}
 				opts := Options{Seed: 5, Cache: store, Context: ctx, Progress: log}
-				rows, err := sweep(opts, "test", seededCells(opts, tc.values), func(c seededCell[int]) (*int, error) {
+				rows, err := sweep(opts, "test", seededCells(opts, tc.values), func(c seededCell[int], _ Options) (*int, error) {
 					runs.Add(1)
 					if c.Value == tc.cancelIn {
 						cancel()

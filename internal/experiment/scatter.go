@@ -60,7 +60,7 @@ func (r *ScatterResult) Row(proto Protocol) *ScatterRow {
 // RunScatterGather executes the request-driven partition/aggregation
 // comparison.
 func RunScatterGather(protos []Protocol, opts Options) (*ScatterResult, error) {
-	rows, err := sweep(opts, "ext-scatter", seededCells(opts, protos), func(c seededCell[Protocol]) (*ScatterRow, error) {
+	rows, err := sweep(opts, "ext-scatter", seededCells(opts, protos), func(c seededCell[Protocol], opts Options) (*ScatterRow, error) {
 		return runScatterCell(c.Value, opts)
 	})
 	if err != nil {

@@ -69,8 +69,8 @@ func (s scenario) build(opts Options) (*scene, error) {
 		}
 		newCC = func() tcp.CongestionControl { return mustCC(s.proto, s.baseRTT) }
 	}
-	sc := &scene{simEnv: newSimEnv(opts), rng: sim.NewRand(s.seed),
-		checkEvery: s.checkEvery, drainEvery: s.drainEvery}
+	sc := &scene{simEnv: newSimEnv(opts), checkEvery: s.checkEvery, drainEvery: s.drainEvery}
+	sc.rng = sc.rand(s.seed)
 	link := s.link
 	if s.aqm != "" {
 		cfg, err := aqm.Parse(s.aqm)

@@ -2,13 +2,15 @@ package experiment
 
 import (
 	"context"
+	"math/rand"
+	"sync"
 	"time"
 
 	"tcptrim/internal/sim"
 )
 
-// simEnv is a runner's scheduler plus what ends its run early: a stop from
-// inside the simulation, or the context of Options.
+// simEnv is a runner's scheduler and random sources, plus what ends its
+// run early: a stop from inside the simulation, or the context of Options.
 type simEnv struct {
 	sched *sim.Scheduler
 	// ctx, when non-nil, ends the run early (runUntil polls it).
@@ -17,12 +19,101 @@ type simEnv struct {
 	// cannot tell from a slice reaching its end by the clock alone (the
 	// stopping event may sit exactly on a slice boundary).
 	stopped bool
+	// rands are the sources rand has built; the first used of them are
+	// handed out since the environment was built or cleared.
+	rands []*rand.Rand
+	used  int
+	// next links the environment into an envList.
+	next *simEnv
 }
 
-// newSimEnv builds a fresh scheduler under the context that may cancel
-// the run.
+// newSimEnv returns an environment with an empty scheduler under the
+// context that may cancel the run: one a finished cell of the same Run
+// left in opts' env list, cleared, or else a fresh one.
 func newSimEnv(opts Options) *simEnv {
-	return &simEnv{sched: sim.NewScheduler(), ctx: opts.Context}
+	e := opts.envs.pop()
+	if e == nil {
+		e = &simEnv{sched: sim.NewScheduler()}
+	} else {
+		e.sched.Clear()
+		e.stopped, e.used = false, 0
+	}
+	opts.envs.hold(e)
+	e.ctx = opts.Context
+	return e
+}
+
+// rand returns a source seeded with seed for the run to draw from alone:
+// the stream sim.NewRand(seed) gives, from a source the environment
+// keeps for its next run.
+func (e *simEnv) rand(seed int64) *rand.Rand {
+	if e.used == len(e.rands) {
+		e.rands = append(e.rands, sim.NewRand(seed))
+	} else {
+		e.rands[e.used].Seed(seed)
+	}
+	e.used++
+	return e.rands[e.used-1]
+}
+
+// envList is a free list of finished environments. Run keeps one for the
+// whole run, shared by its workers; sweep gives each cell one of its own
+// (run set), which takes from the Run's list and gives back, once the
+// cell returns, the environment the cell built last. An earlier one is
+// left to the collector, as before there were lists: a cell that runs
+// several simulations in turn holds one world at a time. Outside a cell
+// nothing is reused: pop on a Run's list, or on none, returns nil.
+type envList struct {
+	mu   sync.Mutex
+	free *simEnv  // a Run's: its free environments, linked through next
+	run  *envList // a cell's: its Run's list
+	last *simEnv  // a cell's: the environment it built last
+}
+
+// forCell returns a new list for one cell of the Run whose list l is, or
+// nil when l is nil.
+func (l *envList) forCell() *envList {
+	if l == nil {
+		return nil
+	}
+	return &envList{run: l}
+}
+
+// pop takes a finished environment off the Run's list of a cell's list
+// l; nil when there is none, or l is nil or not a cell's.
+func (l *envList) pop() *simEnv {
+	if l == nil || l.run == nil {
+		return nil
+	}
+	r := l.run
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.free
+	if e != nil {
+		r.free, e.next = e.next, nil
+	}
+	return e
+}
+
+// hold records e as the environment the cell whose list l is built last.
+func (l *envList) hold(e *simEnv) {
+	if l != nil && l.run != nil {
+		l.last = e
+	}
+}
+
+// giveBack returns the environment a cell built last to its Run's list.
+// It is called once the cell has returned; nothing of the cell runs on it
+// again.
+func (l *envList) giveBack() {
+	if l == nil || l.last == nil {
+		return
+	}
+	r := l.run
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l.last.next, r.free = r.free, l.last
+	l.last = nil
 }
 
 // stop halts the run.

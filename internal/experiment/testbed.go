@@ -87,7 +87,7 @@ func RunARCT(protos []Protocol, meanSizes []int, opts Options) (*ARCTResult, err
 			cells = append(cells, arctCell{proto, mean, opts.seed()})
 		}
 	}
-	rows, err := sweep(opts, "arct", cells, func(c arctCell) (*ARCTRow, error) {
+	rows, err := sweep(opts, "arct", cells, func(c arctCell, opts Options) (*ARCTRow, error) {
 		return runARCTCell(c.Protocol, c.MeanBytes, c.Seed, opts)
 	})
 	if err != nil {
@@ -214,7 +214,7 @@ var WebServiceProtocols = []Protocol{ProtoCUBIC, ProtoTCP, ProtoTRIM}
 
 // RunWebService executes the Fig. 13(b)–(e) web-service scenario.
 func RunWebService(protos []Protocol, opts Options) (*WebServiceResult, error) {
-	rows, err := sweep(opts, "fig13", seededCells(opts, protos), func(c seededCell[Protocol]) (*WebServiceRow, error) {
+	rows, err := sweep(opts, "fig13", seededCells(opts, protos), func(c seededCell[Protocol], opts Options) (*WebServiceRow, error) {
 		return runWebServiceCell(c.Value, c.Seed, opts)
 	})
 	if err != nil {

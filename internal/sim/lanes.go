@@ -89,6 +89,20 @@ type laneSet struct {
 	candMiss  [1 << laneCandBits]uint8
 }
 
+// clear empties every lane and forgets every admission and candidate, as
+// on a scheduler's first AfterFIFO, keeping each lane's ring: a lane is
+// admitted afresh before it is read again.
+func (ls *laneSet) clear() {
+	for i := range ls.lanes[:ls.n] {
+		l := &ls.lanes[i]
+		for ; l.n > 0; l.n-- {
+			l.buf[l.head] = laneEntry{}
+			l.head = (l.head + 1) & (len(l.buf) - 1)
+		}
+	}
+	*ls = laneSet{lanes: ls.lanes}
+}
+
 // candSlot is Fibonacci hashing: a network's few delays are often round.
 func candSlot(d time.Duration) int {
 	return int(uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneCandBits))

@@ -126,7 +126,9 @@ func (t Timer) Pending() bool {
 // the smaller (at, seq) of the earliest lane head and the wheel/overflow
 // minimum, so dispatch order does not depend on the container. A cancelled
 // event leaves its wheel slot eagerly; a stale heap entry is recognized by
-// seq mismatch. Events and lane rings are recycled: no steady-state allocations.
+// seq mismatch. Events and lane rings are recycled, and Clear keeps them
+// for the scheduler's next run: no steady-state allocations, across the
+// cells a reused scheduler runs too.
 type Scheduler struct {
 	now     Time
 	seq     uint64
@@ -163,7 +165,50 @@ type Scheduler struct {
 
 // NewScheduler returns an empty scheduler positioned at Start.
 func NewScheduler() *Scheduler {
-	return &Scheduler{wheelOnly: fifoToWheel.Load() > 0}
+	s := new(Scheduler)
+	s.Clear()
+	return s
+}
+
+// Clear returns s to what NewScheduler returns: clock and sequence number
+// at zero, nothing pending, Stats zeroed, and the lanes switch read again
+// (see WheelOnly). Every pending event is dropped and its Timer goes dead,
+// and release queues made on s are forgotten. What s grew is kept: the
+// event free list, the lane rings, and the capacity of the overflow heap
+// and of the release-queue list. It must not be called while s runs.
+func (s *Scheduler) Clear() {
+	if s.running {
+		panic("sim: Clear called from inside the run loop")
+	}
+	for l := range s.wheel.occ {
+		for wi, word := range s.wheel.occ[l] {
+			for ; word != 0; word &= word - 1 {
+				for ev := s.wheel.slots[l][wi<<6+bits.TrailingZeros64(word)]; ev != nil; {
+					next := ev.next
+					ev.next, ev.prev = nil, nil
+					s.release(ev)
+					ev = next
+				}
+			}
+		}
+	}
+	for i, e := range s.overflow {
+		if e.ev.seq == e.seq && e.ev.state == evScheduled {
+			s.release(e.ev)
+		}
+		s.overflow[i] = heapEntry{}
+	}
+	clear(s.releases)
+	if s.lanes != nil {
+		s.lanes.clear()
+	}
+	*s = Scheduler{
+		overflow:  s.overflow[:0],
+		free:      s.free,
+		releases:  s.releases[:0],
+		lanes:     s.lanes,
+		wheelOnly: fifoToWheel.Load() > 0,
+	}
 }
 
 // Now returns the current virtual time.

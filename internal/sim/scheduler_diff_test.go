@@ -214,6 +214,12 @@ const (
 	progArgs = 0xFE // first byte of a program using all opArgCount ops
 )
 
+// progClear is the first byte of a pair of programs: the next byte n is
+// the length of the first, which runs on the scheduler under test and is
+// left with entries pending in every container; the scheduler is
+// cleared, and the rest runs as a program of its own (see runCleared).
+const progClear = 0xFD
+
 // fifoDelays are the recurring AfterFIFO delays a program picks from: the
 // six the Fig. 8 tree arms, then enough others to run out of lanes.
 var fifoDelays = func() []time.Duration {
@@ -236,12 +242,76 @@ func fifoDelay(b byte) time.Duration {
 
 // runDifferential decodes a byte stream into a deterministic operation
 // program and replays it against both schedulers, comparing dispatch
-// traces, clocks, PeekTime, Len and every Stop/Reset/Step verdict.
+// traces, clocks, PeekTime, Len and every Stop/Reset/Step verdict. A
+// progClear pair goes to runCleared.
 func runDifferential(t *testing.T, data []byte) diffResult {
+	t.Helper()
+	if len(data) > 0 && data[0] == progClear {
+		return runCleared(t, data[1:])
+	}
+	return runProgram(t, NewScheduler(), data, false)
+}
+
+// runCleared runs the first program of a progClear pair on a scheduler,
+// arms an entry in every container on top of what it left (leavePending),
+// clears the scheduler and runs the second program on it. What the second
+// program does — trace, clock, Fired and Stats — must be what it does on
+// a fresh scheduler, and CheckAccounting must pass right after Clear.
+func runCleared(t *testing.T, data []byte) diffResult {
+	t.Helper()
+	n := 0
+	if len(data) > 0 {
+		n, data = min(int(data[0]), len(data)-1), data[1:]
+	}
+	s := NewScheduler()
+	runProgram(t, s, data[:n], true)
+	leavePending(t, s)
+	s.Clear()
+	s.CheckAccounting()
+	got := runProgram(t, s, data[n:], false)
+	want := runProgram(t, NewScheduler(), data[n:], false)
+	if got.now != want.now || got.fired != want.fired || got.stats != want.stats || len(got.trace) != len(want.trace) {
+		t.Fatalf("after Clear: now=%v fired=%d trace=%d %+v; fresh: now=%v fired=%d trace=%d %+v",
+			got.now, got.fired, len(got.trace), got.stats, want.now, want.fired, len(want.trace), want.stats)
+	}
+	for i := range got.trace {
+		if got.trace[i] != want.trace[i] {
+			t.Fatalf("after Clear, traces diverge at %d: %+v, fresh %+v", i, got.trace[i], want.trace[i])
+		}
+	}
+	return got
+}
+
+// leavePending arms on s an entry in each container, whatever a program
+// left there: a wheel timer, an overflow-heap event, AfterFIFO calls on
+// one delay until it holds a lane (unless WheelOnly), and a release queue
+// holding a pushed value and a run. Each fails the test if it fires.
+func leavePending(t *testing.T, s *Scheduler) {
+	fail := func() { t.Error("an event pending at Clear fired") }
+	s.After(time.Millisecond, fail)
+	s.After(time.Hour, fail)
+	for i := 0; i <= laneAdmitAfter; i++ {
+		s.AfterFIFO(3*time.Microsecond, func(unsafe.Pointer) { fail() }, nil)
+	}
+	q := NewReleases(s, func(int) { fail() })
+	if err := q.Push(s.Now().Add(time.Hour), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.PushRun(&intRun{ats: []Time{s.Now().Add(time.Second), s.Now().Add(2 * time.Second)}}); err != nil {
+		t.Fatal(err)
+	}
+	if s.wheel.count == 0 || s.heapLive == 0 || s.queued == 0 || (!s.wheelOnly && s.laneLive == 0) {
+		t.Fatalf("want entries pending everywhere: wheel=%d overflow=%d lanes=%d queued=%d",
+			s.wheel.count, s.heapLive, s.laneLive, s.queued)
+	}
+}
+
+// runProgram is runDifferential's lockstep on wheelSched. With leave set
+// it stops after the last op, nothing drained or compared at the end.
+func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool) diffResult {
 	t.Helper()
 	const maxOps = 2048
 
-	wheelSched := NewScheduler()
 	ref := &refSched{}
 
 	var wheelTrace, refTrace []traceEntry
@@ -479,6 +549,9 @@ func runDifferential(t *testing.T, data []byte) diffResult {
 		}
 	}
 
+	if leave {
+		return diffResult{}
+	}
 	// Drain; a callback that calls Stop only ends one Run.
 	for wheelSched.Len() > 0 {
 		wheelSched.Run()
@@ -507,6 +580,7 @@ func runDifferential(t *testing.T, data []byte) diffResult {
 // FuzzScheduler feeds random operation streams through the scheduler and
 // the reference heap scheduler in lockstep; any (time, seq) dispatch
 // divergence, mismatched Stop/Reset/Step verdict, or clock drift fails.
+// A progClear pair runs with lanes live and again under WheelOnly.
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{opAfter, 0, 10})
 	f.Add([]byte{opAfter, 0, 10, opAfter, 0, 10, opStop, 0, opRunUntil, 0, 200})
@@ -517,9 +591,21 @@ func FuzzScheduler(f *testing.F) {
 	f.Add(manyDelaysProgram())
 	f.Add(reclaimProgram())
 	f.Add(argsProgram(NewRand(1), 64))
+	f.Add(clearProgram(NewRand(1), 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runDifferential(t, data)
+		if len(data) > 0 && data[0] == progClear {
+			WheelOnly(func() { runDifferential(t, data) })
+		}
 	})
+}
+
+// clearProgram is a progClear pair of argsPrograms, the first of n ops
+// cut to at most 255 bytes.
+func clearProgram(rng *rand.Rand, n int) []byte {
+	first := argsProgram(rng, n)
+	first = first[:min(len(first), 255)]
+	return append(append([]byte{progClear, byte(len(first))}, first...), argsProgram(rng, n)...)
 }
 
 // argsProgram is lanesProgram behind progArgs, with argument-form timers
@@ -644,6 +730,17 @@ func TestSchedulerDifferentialLanes(t *testing.T) {
 func TestSchedulerDifferentialArgs(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		data := argsProgram(NewRand(seed), 64+int(seed)*4)
+		runDifferential(t, data)
+		WheelOnly(func() { runDifferential(t, data) })
+	}
+}
+
+// TestSchedulerDifferentialClear runs progClear pairs with lanes live and
+// under WheelOnly: a cleared scheduler runs the second program exactly as
+// a fresh one does, Stats included, whatever the first one left pending.
+func TestSchedulerDifferentialClear(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		data := clearProgram(NewRand(seed), 32+int(seed)*2)
 		runDifferential(t, data)
 		WheelOnly(func() { runDifferential(t, data) })
 	}

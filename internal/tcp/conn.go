@@ -908,33 +908,50 @@ func (c *Conn) mergeSack(blocks []netsim.SackBlock) {
 		if start < c.hot.sndUna {
 			start = c.hot.sndUna
 		}
-		c.insertSacked(interval{start, b.End})
+		c.sacked = insertRange(c.sacked, interval{start, b.End})
 	}
 }
 
-func (c *Conn) insertSacked(iv interval) {
-	pos := len(c.sacked)
-	for i, cur := range c.sacked {
-		if iv.start < cur.start {
-			pos = i
-			break
-		}
-	}
-	c.sacked = append(c.sacked, interval{})
-	copy(c.sacked[pos+1:], c.sacked[pos:])
-	c.sacked[pos] = iv
-	merged := c.sacked[:1]
-	for _, cur := range c.sacked[1:] {
-		last := &merged[len(merged)-1]
-		if cur.start <= last.end {
-			if cur.end > last.end {
-				last.end = cur.end
+// insertRange adds iv to list, a list of ranges sorted by start in which
+// each starts after its predecessor ends, and returns the list kept so:
+// iv merges with the range before it and swallows those after it that it
+// reaches, [a,b) with [b,c) included. A range starting at or after the
+// last one's start goes on the tail; otherwise a binary search finds the
+// first range starting after iv, where iv goes, so only the ranges iv
+// touches are visited.
+func insertRange(list []interval, iv interval) []interval {
+	n := len(list)
+	pos := n
+	if n > 0 && iv.start < list[n-1].start {
+		lo, hi := 0, n-1
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if iv.start < list[mid].start {
+				hi = mid
+			} else {
+				lo = mid + 1
 			}
-			continue
 		}
-		merged = append(merged, cur)
+		pos = lo
 	}
-	c.sacked = merged
+	at := pos // where iv ends up
+	if pos > 0 && iv.start <= list[pos-1].end {
+		at = pos - 1
+		iv = interval{list[at].start, max(list[at].end, iv.end)}
+	}
+	j := pos // the first range after iv that it does not reach
+	for j < n && list[j].start <= iv.end {
+		iv.end = max(iv.end, list[j].end)
+		j++
+	}
+	if j == at {
+		list = append(list, interval{})
+		copy(list[at+1:], list[at:])
+	} else if j > at+1 {
+		list = append(list[:at+1], list[j:]...)
+	}
+	list[at] = iv
+	return list
 }
 
 // trimSackBelow drops scoreboard data at or below the cumulative ACK.
@@ -1106,7 +1123,7 @@ func (c *Conn) handleData(pkt *netsim.Packet) {
 		c.rcvNxt = end
 		c.drainOutOfOrder()
 	case seq > c.rcvNxt:
-		c.insertOutOfOrder(interval{seq, end})
+		c.ooo = insertRange(c.ooo, interval{seq, end})
 		c.lastTouched = interval{seq, end}
 	}
 
@@ -1224,35 +1241,7 @@ func (c *Conn) drainOutOfOrder() {
 	}
 	if n > 0 {
 		// Copy down: reslicing past the drained islands would walk the
-		// backing array forward until insertOutOfOrder has to reallocate.
+		// backing array forward until insertRange has to reallocate.
 		c.ooo = c.ooo[:copy(c.ooo, c.ooo[n:])]
 	}
-}
-
-func (c *Conn) insertOutOfOrder(iv interval) {
-	// Keep the list sorted by start and merged; out-of-order islands are
-	// tiny (no SACK), so linear insertion is fine.
-	pos := len(c.ooo)
-	for i, cur := range c.ooo {
-		if iv.start < cur.start {
-			pos = i
-			break
-		}
-	}
-	c.ooo = append(c.ooo, interval{})
-	copy(c.ooo[pos+1:], c.ooo[pos:])
-	c.ooo[pos] = iv
-	// Merge overlaps.
-	merged := c.ooo[:1]
-	for _, cur := range c.ooo[1:] {
-		last := &merged[len(merged)-1]
-		if cur.start <= last.end {
-			if cur.end > last.end {
-				last.end = cur.end
-			}
-			continue
-		}
-		merged = append(merged, cur)
-	}
-	c.ooo = merged
 }

@@ -356,9 +356,9 @@ func TestConfigValidation(t *testing.T) {
 func TestOutOfOrderReassembly(t *testing.T) {
 	c := (&Conn{mss: DefaultMSS}).withHot()
 	// Arrivals: [1460,2920), [4380,5840), [2920,4380) then in-order head.
-	c.insertOutOfOrder(interval{1460, 2920})
-	c.insertOutOfOrder(interval{4380, 5840})
-	c.insertOutOfOrder(interval{2920, 4380})
+	c.ooo = insertRange(c.ooo, interval{1460, 2920})
+	c.ooo = insertRange(c.ooo, interval{4380, 5840})
+	c.ooo = insertRange(c.ooo, interval{2920, 4380})
 	if len(c.ooo) != 1 {
 		t.Fatalf("intervals not merged: %v", c.ooo)
 	}
@@ -374,9 +374,9 @@ func TestOutOfOrderReassembly(t *testing.T) {
 
 func TestOutOfOrderOverlapMerge(t *testing.T) {
 	c := (&Conn{mss: DefaultMSS}).withHot()
-	c.insertOutOfOrder(interval{100, 200})
-	c.insertOutOfOrder(interval{150, 300})
-	c.insertOutOfOrder(interval{50, 120})
+	c.ooo = insertRange(c.ooo, interval{100, 200})
+	c.ooo = insertRange(c.ooo, interval{150, 300})
+	c.ooo = insertRange(c.ooo, interval{50, 120})
 	if len(c.ooo) != 1 || c.ooo[0] != (interval{50, 300}) {
 		t.Errorf("merge result: %v", c.ooo)
 	}

@@ -185,7 +185,7 @@ func TestReassemblyProperty(t *testing.T) {
 				c.rcvNxt = iv.end
 				c.drainOutOfOrder()
 			} else if iv.start > c.rcvNxt {
-				c.insertOutOfOrder(iv)
+				c.ooo = insertRange(c.ooo, iv)
 			}
 		}
 		return c.rcvNxt == segs*1460 && len(c.ooo) == 0
