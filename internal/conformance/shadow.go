@@ -49,11 +49,11 @@ type Shadow struct {
 	oracle *Oracle
 	inner  tcp.Control
 
-	frames []*frame
+	frames []frame
 	divs   []Divergence
 	total  int
 
-	trace  [traceLen]string
+	trace  [traceLen]entry
 	traceN int
 
 	// Run-wide invariants checked by Finish.
@@ -66,11 +66,52 @@ var _ tcp.CongestionControl = (*Shadow)(nil)
 
 // frame is one in-flight hook invocation; nested hooks (Resume →
 // trySend → BeforeSend/OnSent) push their own frames so recorded calls
-// are attributed to the hook that made them.
+// are attributed to the hook that made them. A hook holds its frame by
+// index: a nested push may move the stack.
 type frame struct {
-	hook string
+	entry
+	got Calls
+}
+
+// hookKind names a hook.
+type hookKind uint8
+
+const (
+	hookAttach hookKind = iota
+	hookBeforeSend
+	hookOnSent
+	hookOnAck
+	hookOnDupAck
+	hookSsthresh
+	hookOnTimeout
+	hookDeadline
+	hookFinish
+)
+
+var hookNames = [...]string{"Attach", "BeforeSend", "OnSent", "OnAck", "OnDupAck",
+	"SsthreshAfterLoss", "OnTimeout", "ProbeDeadline", "Finish"}
+
+// entry is one hook invocation as recorded, its event's fields as values:
+// it is formatted only when a divergence reports it. OnSent keeps the
+// segment's Seq, EndSeq and Retransmit in a, b and flag; OnAck its Ack,
+// AckedSegs, RTT and InRecovery.
+type entry struct {
 	at   sim.Time
-	got  Calls
+	kind hookKind
+	flag bool
+	a, b int64
+	rtt  time.Duration
+}
+
+// hook renders the invocation with its event.
+func (e entry) hook() string {
+	switch e.kind {
+	case hookOnSent:
+		return fmt.Sprintf("OnSent seq=%d end=%d rtx=%v", e.a, e.b, e.flag)
+	case hookOnAck:
+		return fmt.Sprintf("OnAck ack=%d segs=%d rtt=%v rec=%v", e.a, e.b, e.rtt, e.flag)
+	}
+	return hookNames[e.kind]
 }
 
 // NewShadow builds a shadowed TRIM policy for cfg. Use it anywhere a
@@ -103,7 +144,7 @@ func (s *Shadow) Name() string { return s.live.Name() }
 // through the recording interposer.
 func (s *Shadow) Attach(ctl tcp.Control) {
 	s.inner = ctl
-	f := s.begin("Attach")
+	f := s.begin(entry{kind: hookAttach})
 	s.oracle.BeginHook(s.snap())
 	s.oracle.Attach()
 	want := s.oracle.C.clone()
@@ -113,7 +154,7 @@ func (s *Shadow) Attach(ctl tcp.Control) {
 
 // BeforeSend implements tcp.CongestionControl.
 func (s *Shadow) BeforeSend() {
-	f := s.begin("BeforeSend")
+	f := s.begin(entry{kind: hookBeforeSend})
 	s.oracle.BeginHook(s.snap())
 	s.oracle.BeforeSend()
 	want := s.oracle.C.clone()
@@ -123,7 +164,7 @@ func (s *Shadow) BeforeSend() {
 
 // OnSent implements tcp.CongestionControl.
 func (s *Shadow) OnSent(ev tcp.SendEvent) bool {
-	f := s.begin(fmt.Sprintf("OnSent seq=%d end=%d rtx=%v", ev.Seq, ev.EndSeq, ev.Retransmit))
+	f := s.begin(entry{kind: hookOnSent, a: ev.Seq, b: ev.EndSeq, flag: ev.Retransmit})
 	s.oracle.BeginHook(s.snap())
 	wantProbe := s.oracle.OnSent(ev)
 	want := s.oracle.C.clone()
@@ -137,7 +178,7 @@ func (s *Shadow) OnSent(ev tcp.SendEvent) bool {
 
 // OnAck implements tcp.CongestionControl.
 func (s *Shadow) OnAck(ev tcp.AckEvent) {
-	f := s.begin(fmt.Sprintf("OnAck ack=%d segs=%d rtt=%v rec=%v", ev.Ack, ev.AckedSegs, ev.RTT, ev.InRecovery))
+	f := s.begin(entry{kind: hookOnAck, a: ev.Ack, b: int64(ev.AckedSegs), rtt: ev.RTT, flag: ev.InRecovery})
 	s.oracle.BeginHook(s.snap())
 	s.oracle.OnAck(ev)
 	want := s.oracle.C.clone()
@@ -147,7 +188,7 @@ func (s *Shadow) OnAck(ev tcp.AckEvent) {
 
 // OnDupAck implements tcp.CongestionControl.
 func (s *Shadow) OnDupAck() {
-	f := s.begin("OnDupAck")
+	f := s.begin(entry{kind: hookOnDupAck})
 	s.oracle.BeginHook(s.snap())
 	want := s.oracle.C.clone() // the paper's policy ignores dup ACKs
 	s.live.OnDupAck()
@@ -158,7 +199,7 @@ func (s *Shadow) OnDupAck() {
 // compute the back-off target from the same snapshot; the live value is
 // returned either way.
 func (s *Shadow) SsthreshAfterLoss() float64 {
-	f := s.begin("SsthreshAfterLoss")
+	f := s.begin(entry{kind: hookSsthresh})
 	s.oracle.BeginHook(s.snap())
 	wantW := s.oracle.SsthreshAfterLoss()
 	want := s.oracle.C.clone()
@@ -172,7 +213,7 @@ func (s *Shadow) SsthreshAfterLoss() float64 {
 
 // OnTimeout implements tcp.CongestionControl.
 func (s *Shadow) OnTimeout() {
-	f := s.begin("OnTimeout")
+	f := s.begin(entry{kind: hookOnTimeout})
 	s.oracle.BeginHook(s.snap())
 	s.oracle.OnTimeout()
 	want := s.oracle.C.clone()
@@ -198,23 +239,33 @@ func (s *Shadow) snap() Snapshot {
 	}
 }
 
-func (s *Shadow) begin(hook string) *frame {
-	f := &frame{hook: hook, at: s.inner.Now()}
-	s.frames = append(s.frames, f)
-	s.trace[s.traceN%traceLen] = fmt.Sprintf("%v %s", f.at, hook)
+// begin pushes the frame of the hook e, stamped now, records e in the
+// trace ring, and returns the frame's index. A frame popped earlier lends
+// its call lists to the new one.
+func (s *Shadow) begin(e entry) int {
+	e.at = s.inner.Now()
+	i := len(s.frames)
+	if i < cap(s.frames) {
+		s.frames = s.frames[:i+1]
+		s.frames[i].entry = e
+		s.frames[i].got.reset()
+	} else {
+		s.frames = append(s.frames, frame{entry: e})
+	}
+	s.trace[s.traceN%traceLen] = e
 	s.traceN++
-	return f
+	return i
 }
 
-// finish pops the hook's frame, compares the recorded live calls with
-// the expectation, and then compares the paper-visible policy state.
-func (s *Shadow) finish(f *frame, want Calls) {
-	s.frames = s.frames[:len(s.frames)-1]
-	s.compareCalls(f, f.got, want)
+// finish compares the calls recorded in frame f with the expectation,
+// then the paper-visible policy state, and pops the frame.
+func (s *Shadow) finish(f int, want Calls) {
+	s.compareCalls(f, s.frames[f].got, want)
 	s.compareState(f)
+	s.frames = s.frames[:f]
 }
 
-func (s *Shadow) compareCalls(f *frame, got, want Calls) {
+func (s *Shadow) compareCalls(f int, got, want Calls) {
 	if got.Suspends != want.Suspends {
 		s.diverge(f, "Suspend calls", fmt.Sprint(got.Suspends), fmt.Sprint(want.Suspends))
 	}
@@ -237,7 +288,7 @@ func (s *Shadow) compareCalls(f *frame, got, want Calls) {
 
 // compareState checks the policy-internal state the paper defines:
 // the RTT estimators, the threshold K, and the probe accounting.
-func (s *Shadow) compareState(f *frame) {
+func (s *Shadow) compareState(f int) {
 	o := s.oracle
 	if got, want := s.live.SmoothRTT(), o.SmoothRTT; got != want {
 		s.diverge(f, "smoothed RTT", got.String(), want.String())
@@ -266,7 +317,7 @@ func (s *Shadow) compareState(f *frame) {
 // Oracle's deadline transition runs first on a fresh snapshot, then the
 // live callback, then the two are compared like any other hook.
 func (s *Shadow) onDeadlineFire(fn func()) {
-	f := s.begin("ProbeDeadline")
+	f := s.begin(entry{kind: hookDeadline})
 	if !s.oracle.DeadlineArmed {
 		// The live policy let a stale timer survive a probe resolution.
 		s.diverge(f, "deadline fire", "fired", "disarmed")
@@ -278,15 +329,20 @@ func (s *Shadow) onDeadlineFire(fn func()) {
 	s.finish(f, want)
 }
 
-// diverge records one divergence against the given frame.
-func (s *Shadow) diverge(f *frame, field, live, oracle string) {
+// diverge records one divergence against the hook in frame f.
+func (s *Shadow) diverge(f int, field, live, oracle string) {
+	s.divergeAt(s.frames[f].entry, field, live, oracle)
+}
+
+// divergeAt records one divergence against the hook e.
+func (s *Shadow) divergeAt(e entry, field, live, oracle string) {
 	s.total++
 	if len(s.divs) >= maxDivs {
 		return
 	}
 	s.divs = append(s.divs, Divergence{
-		Hook:   f.hook,
-		At:     f.at,
+		Hook:   e.hook(),
+		At:     e.at,
 		Field:  field,
 		Live:   live,
 		Oracle: oracle,
@@ -302,7 +358,8 @@ func (s *Shadow) traceTail() []string {
 	}
 	out := make([]string, 0, n)
 	for i := s.traceN - n; i < s.traceN; i++ {
-		out = append(out, s.trace[i%traceLen])
+		e := s.trace[i%traceLen]
+		out = append(out, fmt.Sprintf("%v %s", e.at, e.hook()))
 	}
 	return out
 }
@@ -314,15 +371,15 @@ func (s *Shadow) traceTail() []string {
 //   - grant revocation: outside a probe exchange the last
 //     AllowBeyondWindow call must have been the revoking zero.
 func (s *Shadow) Finish() []Divergence {
-	f := &frame{hook: "Finish", at: s.inner.Now()}
+	f := entry{kind: hookFinish, at: s.inner.Now()}
 	if !s.live.Probing() {
 		if s.liveSuspends > s.liveResumes {
-			s.diverge(f, "suspend/resume pairing",
+			s.divergeAt(f, "suspend/resume pairing",
 				fmt.Sprintf("%d suspends, %d resumes", s.liveSuspends, s.liveResumes),
 				"suspends ≤ resumes when idle")
 		}
 		if s.lastGrant > 0 {
-			s.diverge(f, "beyond-window grant revocation",
+			s.divergeAt(f, "beyond-window grant revocation",
 				fmt.Sprintf("last grant %d", s.lastGrant), "0")
 		}
 	}
@@ -339,7 +396,7 @@ type shadowCtl struct {
 
 func (c *shadowCtl) top() *frame {
 	if n := len(c.s.frames); n > 0 {
-		return c.s.frames[n-1]
+		return &c.s.frames[n-1]
 	}
 	return nil
 }

@@ -97,6 +97,10 @@ func (s scenario) build(opts Options) (*scene, error) {
 		sc.star = topology.NewStar(sc.sched, s.servers, link)
 		sc.net, senders, frontEnd = sc.star.Net, sc.star.Senders, sc.star.FrontEnd
 	}
+	// The environment's last network, if any, hands on its packets and
+	// queue bands; nothing of it runs again.
+	sc.net.Recycle(sc.simEnv.net)
+	sc.simEnv.net = sc.net
 	var newRecovery func() tcp.RecoveryPolicy
 	if s.recovery != "" {
 		newRecovery = func() tcp.RecoveryPolicy { return mustRecovery(s.recovery) }

@@ -6,13 +6,19 @@ import (
 	"sync"
 	"time"
 
+	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
 )
 
-// simEnv is a runner's scheduler and random sources, plus what ends its
-// run early: a stop from inside the simulation, or the context of Options.
+// simEnv is a runner's scheduler and random sources, the network its last
+// scenario built, and what ends its run early: a stop from inside the
+// simulation, or the context of Options.
 type simEnv struct {
 	sched *sim.Scheduler
+	// net is the network the scenario kit last built on the environment,
+	// nil before the first: the next one recycles its packets and queue
+	// bands (netsim.Network.Recycle).
+	net *netsim.Network
 	// ctx, when non-nil, ends the run early (runUntil polls it).
 	ctx context.Context
 	// stopped records that stop was called, which a run cut into slices
@@ -29,7 +35,9 @@ type simEnv struct {
 
 // newSimEnv returns an environment with an empty scheduler under the
 // context that may cancel the run: one a finished cell of the same Run
-// left in opts' env list, cleared, or else a fresh one.
+// left in opts' env list, cleared, or else a fresh one. A cleared
+// environment still holds the network its last cell built, for the next
+// scenario to recycle; nothing runs on that network again.
 func newSimEnv(opts Options) *simEnv {
 	e := opts.envs.pop()
 	if e == nil {
