@@ -23,10 +23,7 @@ import (
 // inheritance hurts — while a couple of long trains per ToR keep the
 // tree loaded. The hybrid fidelity layer makes this tractable: idle
 // connections live as flow-store records, and only the instantaneously
-// ON population is materialized. ArmRTOOnLoneTail is on: with
-// single-train connections a lost lone tail segment has no later train
-// to shake it loose, so the unarmed-RTO stall would otherwise censor
-// the FCT tail.
+// ON population is materialized.
 const (
 	mlStart   = 100 * time.Millisecond
 	mlRTO     = 20 * time.Millisecond
@@ -140,7 +137,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	sc, err := scenario{
 		tree:  &topology.TwoLevelTreeConfig{ToRs: cfg.ToRs, ServersPerToR: cfg.ServersPerToR},
 		proto: proto, baseRTT: lsBaseRTT,
-		tcp:  tcp.Config{MinRTO: mlRTO, ArmRTOOnLoneTail: true},
+		tcp:  tcp.Config{MinRTO: mlRTO},
 		seed: opts.seed(), fidelity: fid, connsPer: cfg.ConnsPerServer,
 	}.build(opts)
 	if err != nil {

@@ -162,11 +162,6 @@ func runRecoveryCell(policy, aqmName string, fi FaultIntensity, buffer int, seed
 			MinRTO: tcp.DefaultMinRTO,
 			MaxRTO: rwMaxRTO,
 			SACK:   true,
-			// The sweep's fault injectors love the lone-tail corner (a
-			// single trailing segment lost with no dupACK source); keep the
-			// RTO armed there so recovery is bounded by the timer, not the
-			// horizon.
-			ArmRTOOnLoneTail: true,
 		},
 		aqm: aqmName, recovery: policy,
 		seed: seed, checkEvery: rsCheckEvery,

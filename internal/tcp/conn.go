@@ -75,15 +75,6 @@ type Config struct {
 	// instance given here binds to exactly one connection at a time;
 	// Detach releases it for reuse on a successor connection.
 	Recovery RecoveryPolicy
-	// ArmRTOOnLoneTail arms the retransmission backstop for every data
-	// segment handed to the network. The seed-verbatim default judges
-	// idleness from sndUna == sndNxt *before* trySend advances sndNxt, so
-	// a lone segment sent from an idle window arms no RTO at all and a
-	// loss of it stalls the connection forever (the wart pinned in
-	// recovery_fuzz_test.go). Off by default so the pinned figures stay
-	// byte-identical; hybrid-fidelity fleets and the recovery sweep turn
-	// it on. The deviation is catalogued in DESIGN.md §7.
-	ArmRTOOnLoneTail bool
 	// Arena, when non-nil, places the connection's hot state (sequence
 	// pointers, window, RTT estimator) in the given arena instead of a
 	// standalone allocation, keeping its connections' hot lines
@@ -654,26 +645,14 @@ func (c *Conn) sendSegment(seq, end int64, kind sendKind) {
 	}
 	c.observe(ev, seq, 0)
 	c.cfg.Sender.host.Send(pkt)
-	// RFC 6298: start the timer if it is not running; transmissions must
-	// not postpone an already-armed timer (otherwise a steady stream of
-	// dup-ACK-driven sends can starve the RTO forever). Note armRTO's
-	// idle test reads sndUna == sndNxt, and trySend advances sndNxt only
-	// after sendSegment returns — so a lone segment sent from an idle
-	// window arms no timer and stalls the connection if it is lost. With
-	// ArmRTOOnLoneTail the timer is armed unconditionally here (a segment
-	// was just handed to the network, so data is outstanding by
-	// construction); the default keeps the quirk verbatim for
-	// byte-identity with the seed figures — RACK-TLP's tail-loss probe
-	// repairs exactly this case.
+	// RFC 6298 §5.1: every data send starts the timer if it is not
+	// running. A segment was just handed to the network, so data is
+	// outstanding even when trySend has not yet advanced sndNxt (a lone
+	// segment sent from an idle window). Sends never postpone a pending
+	// timer, or a steady stream of dup-ACK-driven sends could starve the
+	// RTO forever.
 	if !c.rtoTimer.Pending() {
-		if c.cfg.ArmRTOOnLoneTail {
-			d := c.rto()
-			if !c.rtoTimer.Reset(d) {
-				c.rtoTimer = c.sched.AfterArg(d, connRTO, unsafe.Pointer(c))
-			}
-		} else {
-			c.armRTO()
-		}
+		c.startRTO()
 	}
 	c.recovery.onSent(seq, end, retransmit)
 }
@@ -1044,6 +1023,11 @@ func (c *Conn) armRTO() {
 		c.rtoTimer = sim.Timer{}
 		return
 	}
+	c.startRTO()
+}
+
+// startRTO (re)starts the retransmission timer at the current RTO.
+func (c *Conn) startRTO() {
 	d := c.rto()
 	if !c.rtoTimer.Reset(d) {
 		c.rtoTimer = c.sched.AfterArg(d, connRTO, unsafe.Pointer(c))

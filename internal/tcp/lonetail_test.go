@@ -1,11 +1,10 @@
 package tcp
 
-// Regression coverage for the lone-tail-from-idle stall: armRTO's idle
-// test (sndUna == sndNxt) runs inside sendSegment, before trySend
-// advances sndNxt — so a single segment sent from an idle window arms no
-// retransmission timer at all, and losing it stalls the connection
-// forever. Config.ArmRTOOnLoneTail fixes it; the default keeps the seed
-// wart for figure byte-identity.
+// Regression coverage for the lone tail sent from an idle window: trySend
+// advances sndNxt only after sendSegment returns, so an idle test there
+// would see no data outstanding and arm no retransmission timer, and
+// losing that single segment would stall the connection forever.
+// sendSegment starts the RTO on every data send instead (RFC 6298 §5.1).
 
 import (
 	"testing"
@@ -14,89 +13,38 @@ import (
 	"tcptrim/internal/sim"
 )
 
-// runLoneTail sends one train (establishing an RTT estimate and an idle
-// window), blacks out the data path, releases a lone 1-MSS train into the
-// blackout, lifts the blackout, and runs to quiet.
-func runLoneTail(t *testing.T, armed bool) (*Conn, *int) {
-	t.Helper()
+// TestArmRTOOnLoneTailRecovers sends one train (establishing an RTT
+// estimate and an idle window), blacks out the data path, releases a lone
+// 1-MSS train into the blackout, lifts the blackout, and runs to quiet:
+// the RTO must resend the lost tail and both trains must complete.
+func TestArmRTOOnLoneTailRecovers(t *testing.T) {
+	sim.SetInvariantChecks(true)
+	t.Cleanup(func() { sim.SetInvariantChecks(false) })
 	fn := newFaultNet(t, gigLink(100))
-	c := newTestConn(t, fn.asTestNet(), Config{
-		MinRTO:           10 * time.Millisecond,
-		ArmRTOOnLoneTail: armed,
-	})
+	c := newTestConn(t, fn.asTestNet(), Config{MinRTO: 10 * time.Millisecond})
 	completed := 0
 	c.SendTrain(DefaultMSS, func(TrainResult) { completed++ })
 	fn.at(t, 5*time.Millisecond, func() { fn.fwd.SetLinkDown(true) })
 	fn.at(t, 6*time.Millisecond, func() {
 		c.SendTrain(DefaultMSS, func(TrainResult) { completed++ })
+		if !c.rtoTimer.Pending() {
+			t.Error("lone tail sent from an idle window armed no RTO")
+		}
 	})
 	fn.at(t, 8*time.Millisecond, func() { fn.fwd.SetLinkDown(false) })
 	fn.sched.RunUntil(sim.At(2 * time.Second))
 	fn.net.CheckInvariants()
-	return c, &completed
-}
 
-func TestLoneTailFromIdleStallsByDefault(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-	c, completed := runLoneTail(t, false)
-	if *completed != 1 {
-		t.Fatalf("completed = %d, want exactly the first train (seed semantics)", *completed)
-	}
-	// The precise stall state the recovery fuzzer's exemption describes:
-	// one un-ACKed tail segment and no timer to ever resend it.
-	h := c.hot
-	if h.sndUna >= h.sndNxt || h.sndNxt != h.maxSent || h.maxSent != h.bufEnd {
-		t.Errorf("unexpected window state: sndUna=%d sndNxt=%d maxSent=%d bufEnd=%d",
-			h.sndUna, h.sndNxt, h.maxSent, h.bufEnd)
-	}
-	if h.maxSent-h.sndUna > int64(c.mss) {
-		t.Errorf("outstanding %d bytes, want a lone tail ≤ one MSS", h.maxSent-h.sndUna)
-	}
-	if c.rtoTimer.Pending() {
-		t.Error("RTO pending — the stall should have no timer at all")
-	}
-	if c.Stats().Timeouts != 0 {
-		t.Errorf("Timeouts = %d, want 0 (nothing ever fires)", c.Stats().Timeouts)
-	}
-}
-
-func TestArmRTOOnLoneTailRecovers(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-	c, completed := runLoneTail(t, true)
-	if *completed != 2 {
-		t.Fatalf("completed = %d, want both trains", *completed)
+	if completed != 2 {
+		t.Fatalf("completed = %d, want both trains", completed)
 	}
 	if c.DeliveredBytes() != 2*DefaultMSS {
 		t.Errorf("DeliveredBytes = %d, want %d", c.DeliveredBytes(), 2*DefaultMSS)
 	}
 	if c.Stats().Timeouts == 0 {
-		t.Error("want at least one timeout: only the armed RTO can repair the lone tail")
+		t.Error("want at least one timeout: only the RTO can repair the lone tail")
 	}
 	if c.rtoTimer.Pending() {
 		t.Error("drained connection should have stopped its RTO")
-	}
-}
-
-// TestArmRTOOnLoneTailIdenticalWhenLossless: with no losses the knob must
-// be invisible — the unconditionally armed timer is pushed/stopped by the
-// same ACKs that drive armRTO, so stats and delivery match bit-for-bit.
-func TestArmRTOOnLoneTailIdenticalWhenLossless(t *testing.T) {
-	run := func(armed bool) Stats {
-		tn := newTestNet(t, gigLink(100))
-		c := newTestConn(t, tn, Config{ArmRTOOnLoneTail: armed})
-		for i := 0; i < 5; i++ {
-			at := sim.At(time.Duration(i) * 2 * time.Millisecond)
-			if _, err := tn.sched.At(at, func() { c.SendTrain(7*DefaultMSS+123, nil) }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		tn.sched.Run()
-		return c.Stats()
-	}
-	off, on := run(false), run(true)
-	if off != on {
-		t.Errorf("lossless run diverged:\n off: %+v\n  on: %+v", off, on)
 	}
 }

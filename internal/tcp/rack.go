@@ -98,8 +98,8 @@ func (p *RACKTLP) onSent(seq, end int64, retransmit bool) {
 	// construction — sndNxt and maxSent are stale here (trySend updates
 	// them only after sendSegment returns), and judging idleness from
 	// them would cancel the probe exactly when a lone segment leaves an
-	// idle window, the one case where the probe is the only repair
-	// (armRTO applies the same stale idle test and arms no RTO either).
+	// idle window (sendSegment likewise starts the RTO without that
+	// idle test).
 	p.armPTO(false)
 }
 

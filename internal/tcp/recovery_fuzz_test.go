@@ -9,7 +9,8 @@ package tcp
 //     extraction verbatim.
 //  2. Safety: whichever policy the fuzzer picks must survive the same
 //     scenario with invariant checks armed (the sendSegment invariant
-//     forbids bogus retransmissions) and drain the transfer.
+//     forbids bogus retransmissions) and drain the transfer. Every
+//     policy must drain, classic included: there is no stall exemption.
 
 import (
 	"testing"
@@ -20,10 +21,9 @@ import (
 )
 
 // fuzzRecoveryRun executes one randomized fault scenario with the given
-// policy and returns the connection after the run. armLoneTail turns on
-// Config.ArmRTOOnLoneTail — with it, the run must always drain: the
-// classic-semantics stall exemption below does not apply.
-func fuzzRecoveryRun(t *testing.T, rec RecoveryPolicy, withAgent, armLoneTail bool,
+// policy and returns the connection after the run, failing the test if
+// the transfer did not drain once the faults cleared.
+func fuzzRecoveryRun(t *testing.T, rec RecoveryPolicy, withAgent bool,
 	seed int64, loss, reorder, dup uint8, segs int) *Conn {
 	t.Helper()
 	sn := newSwitchFaultNet(t, gigLink(16))
@@ -33,10 +33,9 @@ func fuzzRecoveryRun(t *testing.T, rec RecoveryPolicy, withAgent, armLoneTail bo
 		}
 	}
 	c := newTestConn(t, sn.asTestNet(), Config{
-		MinRTO:           10 * time.Millisecond,
-		SACK:             true,
-		Recovery:         rec,
-		ArmRTOOnLoneTail: armLoneTail,
+		MinRTO:   10 * time.Millisecond,
+		SACK:     true,
+		Recovery: rec,
 	})
 	ge := netsim.GEConfig{
 		PGoodBad: float64(loss%32) / 100,
@@ -64,28 +63,14 @@ func fuzzRecoveryRun(t *testing.T, rec RecoveryPolicy, withAgent, armLoneTail bo
 	sn.sched.RunUntil(sim.At(10 * time.Second))
 	sn.net.CheckInvariants()
 	if !done {
-		// Classic (and TRACKs without its switch agent, which embeds
-		// classic) inherits a seed-verbatim quirk: armRTO's idle test runs
-		// before trySend advances sndNxt, so a lone tail segment sent from
-		// an idle window arms no timer at all — losing it stalls the
-		// connection forever. That wart is pinned by figure byte-identity;
-		// RACK-TLP's probe and the T-RACKs agent repair exactly this case,
-		// so only classic-semantics runs may end in that precise state.
 		name := "default"
 		if rec != nil {
 			name = rec.Name()
 		}
-		classicSemantics := !armLoneTail && (rec == nil || name == "classic" ||
-			(name == "tracks" && !withAgent))
-		loneTailStall := c.hot.sndUna < c.hot.sndNxt && c.hot.sndNxt == c.hot.maxSent &&
-			c.hot.maxSent == c.hot.bufEnd && c.hot.maxSent-c.hot.sndUna <= int64(c.mss) &&
-			!c.rtoTimer.Pending()
-		if !classicSemantics || !loneTailStall {
-			t.Fatalf("%s: train never completed after faults cleared "+
-				"(sndUna=%d sndNxt=%d maxSent=%d bufEnd=%d rtoPending=%v)",
-				name, c.hot.sndUna, c.hot.sndNxt, c.hot.maxSent, c.hot.bufEnd,
-				c.rtoTimer.Pending())
-		}
+		t.Fatalf("%s: train never completed after faults cleared "+
+			"(sndUna=%d sndNxt=%d maxSent=%d bufEnd=%d rtoPending=%v)",
+			name, c.hot.sndUna, c.hot.sndNxt, c.hot.maxSent, c.hot.bufEnd,
+			c.rtoTimer.Pending())
 	}
 	return c
 }
@@ -102,8 +87,8 @@ func FuzzClassicRecoveryLockstep(f *testing.F) {
 		segs := int(trainSegs)%300 + 20
 
 		// Lockstep: implicit default vs explicit Classic.
-		implicit := fuzzRecoveryRun(t, nil, false, false, seed, loss, reorder, dup, segs)
-		explicit := fuzzRecoveryRun(t, NewClassicRecovery(), false, false, seed, loss, reorder, dup, segs)
+		implicit := fuzzRecoveryRun(t, nil, false, seed, loss, reorder, dup, segs)
+		explicit := fuzzRecoveryRun(t, NewClassicRecovery(), false, seed, loss, reorder, dup, segs)
 		if implicit.Stats() != explicit.Stats() {
 			t.Errorf("explicit classic diverged from default:\n default: %+v\nexplicit: %+v",
 				implicit.Stats(), explicit.Stats())
@@ -118,19 +103,11 @@ func FuzzClassicRecoveryLockstep(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := fuzzRecoveryRun(t, rec, name == "tracks", false, seed, loss, reorder, dup, segs)
+		c := fuzzRecoveryRun(t, rec, name == "tracks", seed, loss, reorder, dup, segs)
 		st := c.Stats()
 		if sum := st.RTORetransSegs + st.FastRetransSegs + st.TLPProbes; sum != st.RetransSegs {
 			t.Errorf("%s breakdown %d+%d+%d != RetransSegs %d",
 				name, st.RTORetransSegs, st.FastRetransSegs, st.TLPProbes, st.RetransSegs)
 		}
-
-		// With ArmRTOOnLoneTail the stall is unreachable: the same policy
-		// under the same scenario must drain, no exemption granted.
-		rec2, err := NewRecoveryPolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fuzzRecoveryRun(t, rec2, name == "tracks", true, seed, loss, reorder, dup, segs)
 	})
 }
