@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"tcptrim/internal/aqm"
@@ -121,10 +122,13 @@ func (s scenario) build(opts Options) (*scene, error) {
 		NewRecovery:    newRecovery,
 		Base:           base,
 		Fidelity:       s.fidelity,
+		// Likewise the last fleet hands on its connections' objects.
+		Recycle: sc.simEnv.fleet,
 	})
 	if err != nil {
 		return nil, err
 	}
+	sc.simEnv.fleet = sc.fleet
 	return sc, nil
 }
 
@@ -141,12 +145,16 @@ func (sc *scene) background(from, to int, at time.Duration) error {
 
 // responses schedules n responses on each flow in [from, to) from the
 // instant at, sizes and gaps drawn from the scene's rng flow by flow.
-// At packet fidelity each flow's schedule goes to the release queue as
-// one run; at hybrid fidelity the timeline is sized for all of them once.
+// The schedules are cut from the environment's slab, grown at most once
+// per call; at packet fidelity each goes to the release queue as one run,
+// at hybrid fidelity the timeline is sized for all of them once.
 func (sc *scene) responses(from, to int, at time.Duration, n int, sizes workload.SizeDist, gaps workload.GapDist) error {
 	sc.fleet.Reserve((to - from) * n)
+	sc.trains = slices.Grow(sc.trains, (to-from)*n)
 	for i := from; i < to; i++ {
-		if err := sc.fleet.ScheduleTrains(i, workload.ScheduleCount(sc.rng, sim.At(at), n, sizes, gaps)); err != nil {
+		k := len(sc.trains)
+		sc.trains = workload.AppendScheduleCount(sc.trains, sc.rng, sim.At(at), n, sizes, gaps)
+		if err := sc.fleet.ScheduleTrains(i, sc.trains[k:len(sc.trains):len(sc.trains)]); err != nil {
 			return err
 		}
 	}

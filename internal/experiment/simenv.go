@@ -6,19 +6,29 @@ import (
 	"sync"
 	"time"
 
+	"tcptrim/internal/hybrid"
 	"tcptrim/internal/netsim"
 	"tcptrim/internal/sim"
+	"tcptrim/internal/workload"
 )
 
-// simEnv is a runner's scheduler and random sources, the network its last
-// scenario built, and what ends its run early: a stop from inside the
-// simulation, or the context of Options.
+// simEnv is a runner's scheduler and random sources, the network and
+// fleet its last scenario built, the slab its response schedules are cut
+// from, and what ends its run early: a stop from inside the simulation,
+// or the context of Options.
 type simEnv struct {
 	sched *sim.Scheduler
 	// net is the network the scenario kit last built on the environment,
 	// nil before the first: the next one recycles its packets and queue
 	// bands (netsim.Network.Recycle).
 	net *netsim.Network
+	// fleet is the fleet the kit last built on the environment, nil
+	// before the first: the next one builds its packet-fidelity
+	// connections in this one's objects (hybrid.FleetConfig.Recycle).
+	fleet *hybrid.Fleet
+	// trains is the slab the kit's response schedules are appended to,
+	// emptied when the environment is reused.
+	trains []workload.Train
 	// ctx, when non-nil, ends the run early (runUntil polls it).
 	ctx context.Context
 	// stopped records that stop was called, which a run cut into slices
@@ -36,8 +46,9 @@ type simEnv struct {
 // newSimEnv returns an environment with an empty scheduler under the
 // context that may cancel the run: one a finished cell of the same Run
 // left in opts' env list, cleared, or else a fresh one. A cleared
-// environment still holds the network its last cell built, for the next
-// scenario to recycle; nothing runs on that network again.
+// environment still holds the network and fleet its last cell built, for
+// the next scenario to recycle, and its schedule slab, empty; nothing runs
+// on that network again.
 func newSimEnv(opts Options) *simEnv {
 	e := opts.envs.pop()
 	if e == nil {
@@ -45,6 +56,7 @@ func newSimEnv(opts Options) *simEnv {
 	} else {
 		e.sched.Clear()
 		e.stopped, e.used = false, 0
+		e.trains = e.trains[:0]
 	}
 	opts.envs.hold(e)
 	e.ctx = opts.Context

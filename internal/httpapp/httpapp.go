@@ -432,6 +432,10 @@ type FleetConfig struct {
 	FirstFlow netsim.FlowID
 	// LabelPrefix labels servers "<prefix><index+1>" (default "server").
 	LabelPrefix string
+	// Recycle, when non-nil, is a fleet whose simulation has ended: its
+	// connections' objects are built into anew (tcp.Config.Reuse), in
+	// flow order, and neither it nor they may be used again.
+	Recycle *Fleet
 }
 
 // NewFleet builds ConnsPerSender persistent connections per sender. The
@@ -465,6 +469,10 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 		size += netsim.NameLen(cfg.LabelPrefix, i)
 	}
 	labels.Grow(size)
+	var reuse []*tcp.Conn
+	if cfg.Recycle != nil {
+		reuse = cfg.Recycle.Conns
+	}
 	i := 0
 	for _, h := range cfg.Senders {
 		stack := tcp.NewStack(net, h)
@@ -478,6 +486,9 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 			}
 			if cfg.NewRecovery != nil {
 				c.Recovery = cfg.NewRecovery()
+			}
+			if i < len(reuse) {
+				c.Reuse = reuse[i]
 			}
 			conn, err := tcp.NewConn(c)
 			if err != nil {

@@ -92,6 +92,11 @@ type FleetConfig struct {
 	Fidelity Fidelity
 	// Epoch is the demote-sweep period; 0 means DefaultEpoch.
 	Epoch time.Duration
+	// Recycle, when non-nil, is a fleet whose simulation has ended: at
+	// packet fidelity, a packet-fidelity one's connections are built into
+	// anew, as httpapp.FleetConfig.Recycle's are. Hybrid fidelity ignores
+	// it; its arena recycles its own connections.
+	Recycle *Fleet
 }
 
 // releaseKind discriminates timeline entries. relLast is a flag on top:
@@ -339,6 +344,10 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	if cfg.FirstFlow == 0 {
 		cfg.FirstFlow = 1
 	}
+	var recycle *httpapp.Fleet
+	if cfg.Recycle != nil {
+		recycle, cfg.Recycle = cfg.Recycle.pkt, nil // the fleet keeps cfg
+	}
 	f := &Fleet{cfg: cfg, mode: mode, epoch: cfg.Epoch}
 	if f.epoch <= 0 {
 		f.epoch = DefaultEpoch
@@ -353,6 +362,7 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 			Base:           cfg.Base,
 			FirstFlow:      cfg.FirstFlow,
 			LabelPrefix:    cfg.LabelPrefix,
+			Recycle:        recycle,
 		})
 		return f, err
 	}

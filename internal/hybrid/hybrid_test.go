@@ -450,3 +450,65 @@ func TestPacketScheduleTrainsBytesIndependentOfLength(t *testing.T) {
 			longMallocs, long, shortMallocs, short, slack)
 	}
 }
+
+// TestPacketFleetRecyclesConnections: a packet-fidelity fleet built with
+// Recycle set to one cut mid-run builds its connections in the old
+// fleet's objects, runs as a fresh fleet does, and keeps nothing of the
+// old fleet reachable (hybrid.Fleet keeps its configuration, so the
+// pass-through must not); a hybrid-fidelity fleet ignores Recycle.
+func TestPacketFleetRecyclesConnections(t *testing.T) {
+	var trains []trainSpec
+	for i := 0; i < 4; i++ {
+		for k := 0; k < 5; k++ {
+			trains = append(trains, trainSpec{flow: i,
+				at: sim.At(time.Duration(1+k)*time.Millisecond + time.Duration(i)), bytes: (20 + 7*k) * tcp.DefaultMSS})
+		}
+	}
+	run := func(recycle *Fleet, fid Fidelity, horizon sim.Time) *Fleet {
+		fleet, sched := buildFleetFrom(t, 4, FleetConfig{Fidelity: fid, Recycle: recycle,
+			Base: tcp.Config{MinRTO: 5 * time.Millisecond, SACK: true}})
+		for _, tr := range trains {
+			if err := fleet.ScheduleResponse(tr.flow, tr.at, tr.bytes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fleet.Arm(); err != nil {
+			t.Fatal(err)
+		}
+		sched.RunUntil(horizon)
+		return fleet
+	}
+	want := run(nil, FidelityPacket, sim.At(time.Second))
+
+	collected := make(chan struct{})
+	var got *Fleet
+	func() {
+		old := run(nil, FidelityPacket, sim.At(2*time.Millisecond))
+		if old.Collector().Pending() == 0 {
+			t.Fatal("the old fleet was not cut mid-run")
+		}
+		runtime.SetFinalizer(old.Collector(), func(*httpapp.Collector) { close(collected) })
+		conns := append([]*tcp.Conn(nil), old.pkt.Conns...)
+		got = run(old, FidelityPacket, sim.At(time.Second))
+		for i, c := range got.pkt.Conns {
+			if c != conns[i] {
+				t.Fatalf("connection %d was not built in the old fleet's object", i)
+			}
+		}
+	}()
+	compareFleets(t, want, got)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			hyb := run(got, FidelityHybrid, sim.At(time.Second))
+			if hyb.pkt != nil || hyb.cfg.Recycle != nil {
+				t.Error("a hybrid-fidelity fleet took the recycled fleet")
+			}
+			compareFleets(t, want, hyb)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the recycled fleet is still reachable")
+}

@@ -49,8 +49,11 @@ type Network struct {
 	// out[node] order. Column dst is valid once built[dst]; one BFS from
 	// dst fills it in every row and labels dst's component in comp (0 =
 	// not labelled yet; two nodes reach each other iff their labels are
-	// equal and nonzero). built is nil while the state is dropped.
+	// equal and nonzero). built is empty while the state is dropped; the
+	// rows are cut from flat. Dropping keeps the storage of rows, flat,
+	// comp and built for the next reset (and Recycle hands it on).
 	rows  [][]int32
+	flat  []int32
 	ecmp  [][]*Pipe
 	comp  []int32
 	built []bool
@@ -123,9 +126,10 @@ func (n *Network) register(node Node) {
 }
 
 // dropRoutes forgets all forwarding state; the next forward rebuilds what
-// it needs for the topology as it then is.
+// it needs for the topology as it then is, in the storage kept here.
 func (n *Network) dropRoutes() {
-	n.rows, n.ecmp, n.comp, n.built = nil, nil, nil, nil
+	n.ecmp = nil
+	n.rows, n.flat, n.comp, n.built = n.rows[:0], n.flat[:0], n.comp[:0], n.built[:0]
 }
 
 // Connect wires a full-duplex cable between a and b and returns its two
@@ -199,8 +203,8 @@ func (n *Network) nextHop(node, dst NodeID, flow FlowID) *Pipe {
 }
 
 // resetRoutes sizes empty forwarding state for the current topology: a row
-// per node with several cables (one allocation holds them all), no column
-// built, no component labelled.
+// per node with several cables (one array holds them all), no column
+// built, no component labelled. It reuses the storage dropRoutes kept.
 func (n *Network) resetRoutes() {
 	total := len(n.nodes)
 	multi := 0
@@ -209,15 +213,27 @@ func (n *Network) resetRoutes() {
 			multi++
 		}
 	}
-	flat := make([]int32, multi*total)
-	n.rows = make([][]int32, total)
+	n.flat = resized(n.flat, multi*total)
+	n.rows = resized(n.rows, total)
+	flat := n.flat
 	for u, pipes := range n.out {
 		if len(pipes) > 1 {
 			n.rows[u], flat = flat[:total:total], flat[total:]
 		}
 	}
-	n.comp = make([]int32, total)
-	n.built = make([]bool, total)
+	n.comp = resized(n.comp, total)
+	n.built = resized(n.built, total)
+}
+
+// resized returns s at length n, zeroed, in its own storage when that
+// holds n elements.
+func resized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // buildRoutes runs a BFS from dst over reversed links, then records, in

@@ -390,7 +390,7 @@ func TestFrozenRoutesDoNotBuild(t *testing.T) {
 		t.Errorf("a second destination: %d BFS, built %v; want 2 and both columns", net.routeBuilds, net.built)
 	}
 	net.AddHost("late")
-	if net.built != nil {
+	if len(net.built) != 0 {
 		t.Fatal("adding a node kept the frozen columns")
 	}
 	net.nextHop(senders[0].ID(), fe.ID(), 0)

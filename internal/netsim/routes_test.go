@@ -6,6 +6,7 @@ package netsim_test
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -217,4 +218,38 @@ func TestForwardZeroAllocOnceRoutesWarm(t *testing.T) {
 	if drops := f.Net.Stats().RoutingDrops; drops != 0 {
 		t.Errorf("%d routing drops on a connected fat-tree", drops)
 	}
+}
+
+// TestRecycledRoutesMatchReference: a network that recycled another's
+// routing storage, every column of which was built on a topology of
+// another shape, smaller or larger, routes exactly as the reference; and
+// a tree recycling a larger tree's storage builds its first column
+// without allocating.
+func TestRecycledRoutesMatchReference(t *testing.T) {
+	all := func(netsim.NodeID) bool { return true }
+	names := []string{"star", "tree-5", "tree-25", "multihop", "fattree-4", "fattree-8", "islands"}
+	olds, news := routedNetworks(t), routedNetworks(t)
+	for _, name := range names {
+		checkAgainstReference(t, olds[name], all)
+	}
+	for i, name := range names {
+		prev := names[(i+len(names)-1)%len(names)]
+		net := news[name]
+		net.Recycle(olds[prev])
+		t.Run(name+"<-"+prev, func(t *testing.T) { checkAgainstReference(t, net, all) })
+	}
+
+	big := topology.NewTwoLevelTree(sim.NewScheduler(), topology.TwoLevelTreeConfig{ToRs: 25}).Net
+	checkAgainstReference(t, big, all)
+	net := topology.NewTwoLevelTree(sim.NewScheduler(), topology.TwoLevelTreeConfig{ToRs: 5}).Net
+	net.Recycle(big)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net.NextHop(0, 1, 0)
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("the first route build on recycled storage allocated %d times, want 0", allocs)
+	}
+	checkAgainstReference(t, net, all)
 }

@@ -100,8 +100,8 @@ func (a *Arena) release(slot int32) {
 
 // shell hands out a connection shell, the most recently detached first.
 // A recycled shell keeps only plain storage — the emptied train ring and
-// slices — and is zero everywhere else, so NewConn fills a recycled shell
-// and a fresh one the same way.
+// slices (Conn.reset) — and is zero everywhere else, so NewConn fills a
+// recycled shell and a fresh one the same way.
 func (a *Arena) shell() *Conn {
 	n := len(a.shells)
 	if n == 0 {
@@ -110,11 +110,7 @@ func (a *Arena) shell() *Conn {
 	c := a.shells[n-1]
 	a.shells[n-1] = nil
 	a.shells = a.shells[:n-1]
-	*c = Conn{
-		trains: c.trains,
-		sacked: c.sacked[:0],
-		ooo:    c.ooo[:0],
-	}
+	c.reset()
 	return c
 }
 

@@ -82,6 +82,14 @@ type Config struct {
 	// free list of detached shells. Detach returns both, after which the
 	// *Conn may come back from a later NewConn as another flow.
 	Arena *Arena
+	// Reuse, when non-nil, is a connection whose simulation has ended
+	// (its scheduler cleared or dropped, its network not run again):
+	// NewConn builds the new connection in its object, keeping only the
+	// storage of its train ring, SACK scoreboard and out-of-order list,
+	// emptied, so nothing of its last simulation stays reachable from it.
+	// The old connection must not be used again. Reuse and Arena exclude
+	// each other.
+	Reuse *Conn
 	// Restore, when non-nil, seeds the connection from state captured by
 	// Detach on a predecessor, continuing the same logical flow: sequence
 	// space, congestion window, RTT estimator, Karn back-off, packet-ID
@@ -139,10 +147,11 @@ func (r TrainResult) CompletionTime() time.Duration {
 	return r.Completed.Sub(r.Released)
 }
 
+// train is one entry of the train ring. Its size is not kept: it is end
+// minus the end of the train before it, or of trainBase for the oldest.
 type train struct {
 	end      int64
 	released sim.Time
-	bytes    int
 	done     func(TrainResult)
 }
 
@@ -203,10 +212,12 @@ type Conn struct {
 	lastRTOAt sim.Time
 
 	// trains is a ring of the trainN trains not yet acknowledged in full,
-	// oldest at trainHead.
+	// oldest at trainHead; trainBase is where the oldest starts (the end
+	// of the last train completed, or the stream's first byte).
 	trains    []train
 	trainHead int
 	trainN    int
+	trainBase int64
 
 	// Receiver state.
 	rcvNxt int64
@@ -218,13 +229,15 @@ type Conn struct {
 	// lastTouched is the ooo range most recently created or extended;
 	// it is always advertised first (RFC 2018 behaviour).
 	lastTouched interval
-	// Delayed-ACK state (only used when cfg.DelayedAck > 0).
-	ackPending   bool
+	// Delayed-ACK state (only used when cfg.DelayedAck > 0). The four
+	// flags sit together so that padding does not push a Conn into a
+	// larger size class (TestConnSizeClass).
 	pendingEcho  sim.Time
+	ackPending   bool
 	pendingCE    bool
 	pendingProbe bool
-	ackTimer     sim.Timer
 	rcvCEState   bool
+	ackTimer     sim.Timer
 
 	stats   Stats
 	nextPkt uint64
@@ -268,12 +281,21 @@ func NewConn(cfg Config) (*Conn, error) {
 	saved := cfg.Restore
 	cfg.Restore = nil
 	var c *Conn
-	if cfg.Arena != nil {
+	switch {
+	case cfg.Arena != nil && cfg.Reuse != nil:
+		return nil, errors.New("tcp: Reuse and Arena both set")
+	case cfg.Arena != nil:
 		c = cfg.Arena.shell()
 		c.arena = cfg.Arena
 		c.hot, c.slot = cfg.Arena.alloc()
-	} else {
-		c = &Conn{slot: -1}
+	default:
+		if c = cfg.Reuse; c != nil {
+			cfg.Reuse = nil
+			c.reset()
+		} else {
+			c = new(Conn)
+		}
+		c.slot = -1
 		c.hot = &c.line
 	}
 	c.sched = cfg.Sender.host.Scheduler()
@@ -320,6 +342,14 @@ func (c *Conn) touch() {
 	if c.arena != nil && !c.touched {
 		c.arena.noteTouched(c)
 	}
+}
+
+// reset makes c the zero Conn but for the storage of its train ring, SACK
+// scoreboard and out-of-order list, emptied: the train ring is cleared, so
+// no callback of c's last life stays reachable from it.
+func (c *Conn) reset() {
+	clear(c.trains)
+	*c = Conn{trains: c.trains, sacked: c.sacked[:0], ooo: c.ooo[:0]}
 }
 
 // releaseHot poisons the hot-state pointer so any further use of the
@@ -376,7 +406,6 @@ func (c *Conn) SendTrain(size int, done func(TrainResult)) {
 	c.trains[i] = train{
 		end:      c.hot.bufEnd,
 		released: c.sched.Now(),
-		bytes:    size,
 		done:     done,
 	}
 	c.trainN++
@@ -973,8 +1002,10 @@ func (c *Conn) completeTrains() {
 			c.trainHead = 0
 		}
 		c.trainN--
+		bytes := int(tr.end - c.trainBase)
+		c.trainBase = tr.end
 		if tr.done != nil {
-			tr.done(TrainResult{Released: tr.released, Completed: now, Bytes: tr.bytes})
+			tr.done(TrainResult{Released: tr.released, Completed: now, Bytes: bytes})
 		}
 	}
 }

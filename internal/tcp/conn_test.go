@@ -20,7 +20,12 @@ type testNet struct {
 
 func newTestNet(t *testing.T, link netsim.LinkConfig) *testNet {
 	t.Helper()
-	sched := sim.NewScheduler()
+	return newTestNetOn(t, sim.NewScheduler(), link)
+}
+
+// newTestNetOn is newTestNet on a given scheduler.
+func newTestNetOn(t *testing.T, sched *sim.Scheduler, link netsim.LinkConfig) *testNet {
+	t.Helper()
 	net := netsim.NewNetwork(sched)
 	hs := net.AddHost("sender")
 	sw := net.AddSwitch("sw")

@@ -135,6 +135,7 @@ func (c *Conn) Detach() (SavedState, error) {
 func (c *Conn) restore(r *SavedState) {
 	h := c.hot
 	h.sndUna, h.sndNxt, h.maxSent, h.bufEnd = r.Offset, r.Offset, r.Offset, r.Offset
+	c.trainBase = r.Offset
 	h.cwnd = r.Cwnd
 	h.ssthresh = r.Ssthresh
 	h.srtt = r.SRTT

@@ -36,17 +36,22 @@ func Schedule(rng *rand.Rand, start, end sim.Time, sizes SizeDist, gaps GapDist)
 // gaps. Like Schedule's, its trains are in order of At, strictly
 // increasing by the same gap clamp.
 func ScheduleCount(rng *rand.Rand, start sim.Time, n int, sizes SizeDist, gaps GapDist) []Train {
-	out := make([]Train, 0, n)
+	return AppendScheduleCount(make([]Train, 0, n), rng, start, n, sizes, gaps)
+}
+
+// AppendScheduleCount appends ScheduleCount's n trains to dst, as append
+// does, and returns the extended slice.
+func AppendScheduleCount(dst []Train, rng *rand.Rand, start sim.Time, n int, sizes SizeDist, gaps GapDist) []Train {
 	at := start
 	for i := 0; i < n; i++ {
-		out = append(out, Train{At: at, Bytes: sizes.Sample(rng)})
+		dst = append(dst, Train{At: at, Bytes: sizes.Sample(rng)})
 		gap := gaps.Sample(rng)
 		if gap <= 0 {
 			gap = time.Nanosecond
 		}
 		at = at.Add(gap)
 	}
-	return out
+	return dst
 }
 
 // PacketRecord is one observed packet in a trace (the analyzer's input).

@@ -142,7 +142,7 @@ func TestScheduleCount(t *testing.T) {
 // TestSchedulesAreOrdered: whatever the size and gap distributions, zero
 // and negative gaps included, Schedule and ScheduleCount emit trains in
 // strictly increasing At, which lets a release queue keep a schedule as
-// one run.
+// one run; AppendScheduleCount appends exactly ScheduleCount's trains.
 func TestSchedulesAreOrdered(t *testing.T) {
 	sizes := []SizeDist{PTSizes{}, UniformSize{Min: 2048, Max: 10240}, FixedSize{Bytes: 1500}, JitteredSize{Mean: 64 << 10, Jitter: 0.1}}
 	gaps := []GapDist{PTGaps{}, ExponentialGap{Mean: time.Millisecond}, UniformGap{Min: -time.Microsecond, Max: time.Microsecond},
@@ -155,11 +155,22 @@ func TestSchedulesAreOrdered(t *testing.T) {
 		}
 		return true
 	}
-	prop := func(seed int64, start uint32, n uint8, si, gi uint8) bool {
+	prop := func(seed int64, start uint32, n uint8, si, gi uint8, pre, spare uint8) bool {
 		sz, gp := sizes[int(si)%len(sizes)], gaps[int(gi)%len(gaps)]
 		at := sim.Time(start)
 		counted := ScheduleCount(rand.New(rand.NewSource(seed)), at, int(n), sz, gp)
 		if len(counted) != int(n) || !ordered(counted) {
+			return false
+		}
+		// The append form draws the same trains after a prefix it leaves as
+		// it was, whether or not the destination has room for them.
+		dst := make([]Train, pre, int(pre)+int(spare))
+		for i := range dst {
+			dst[i] = Train{At: sim.Time(-i), Bytes: i}
+		}
+		prefix := slices.Clone(dst)
+		appended := AppendScheduleCount(dst, rand.New(rand.NewSource(seed)), at, int(n), sz, gp)
+		if !slices.Equal(appended[:pre], prefix) || !slices.Equal(dst, prefix) || !slices.Equal(appended[pre:], counted) {
 			return false
 		}
 		if n == 0 {
