@@ -7,13 +7,17 @@
 //	trimsim -run fig9
 //	trimsim -run fig8 -reps 10 -seed 7
 //	trimsim -all
+//	trimsim -run fig8million -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"tcptrim/internal/aqm"
@@ -24,13 +28,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "trimsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and runs what they ask for, printing tables to stdout.
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("trimsim", flag.ContinueOnError)
 	var (
 		list   = fs.Bool("list", false, "list experiment ids with the options each honors, and exit")
@@ -48,6 +53,8 @@ func run(args []string) error {
 		cacheDir = fs.String("cache", "", "result store directory, shared with trimsvc -cache: a run already stored "+
 			"at this code version is printed whole, and sweep cells already computed are reassembled instead of re-simulated")
 		cacheForce = fs.Bool("cache-force", false, "allow -cache without a VCS-stamped build (unsound across differing dev builds)")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (runtime/pprof; the tables do not change)")
+		memProf    = fs.String("memprofile", "", "write a heap profile to this file when the run ends (runtime/pprof; the tables do not change)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,23 +85,71 @@ func run(args []string) error {
 			return fmt.Errorf("create csv dir: %w", err)
 		}
 	}
+	stop, err := profile(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
 	switch {
 	case *list:
-		return writeList(os.Stdout)
+		return writeList(stdout)
 	case *all:
 		for _, eid := range experiment.IDs() {
-			fmt.Printf("### %s\n\n", eid)
-			if err := experiment.Run(eid, opts, os.Stdout); err != nil {
+			fmt.Fprintf(stdout, "### %s\n\n", eid)
+			if err := experiment.Run(eid, opts, stdout); err != nil {
 				return fmt.Errorf("%s: %w", eid, err)
 			}
 		}
 		return nil
 	case *id != "":
-		return experiment.Run(*id, opts, os.Stdout)
+		return experiment.Run(*id, opts, stdout)
 	default:
 		fs.Usage()
 		return fmt.Errorf("one of -list, -run, -all is required")
 	}
+}
+
+// profile starts a CPU profile into cpuFile, if one is named, and returns
+// the function that ends the run's profiling: it stops the CPU profile and
+// writes a heap profile into memFile, if one is named. What they record
+// reaches no table and no cache key.
+func profile(cpuFile, memFile string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memFile != "" {
+			errs = append(errs, writeHeapProfile(memFile))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+// writeHeapProfile writes the heap profile as of a collection made now,
+// so that its in-use figures are the run's end, not its last cycle.
+func writeHeapProfile(name string) error {
+	f, err := os.Create(name)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeList prints the runner registry as an aligned id/description

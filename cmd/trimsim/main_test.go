@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -8,7 +12,7 @@ import (
 )
 
 func TestRunList(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
+	if err := run([]string{"-list"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,37 +67,63 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"-run", "fig4", "-fidelity", "bogus"},
 		{"-run", "fig8", "-reps", "-1"},
 	} {
-		if err := run(args); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("run(%v) accepted invalid options", args)
 		}
 	}
 }
 
 func TestRunSingleExperiment(t *testing.T) {
-	if err := run([]string{"-run", "fig2"}); err != nil {
+	if err := run([]string{"-run", "fig2"}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run([]string{"-run", "nope"}); err == nil {
+	if err := run([]string{"-run", "nope"}, io.Discard); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
 
 func TestRunNoArgs(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Error("missing mode should error")
 	}
 }
 
 func TestRunBadFlag(t *testing.T) {
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run([]string{"-bogus"}, io.Discard); err == nil {
 		t.Error("bad flag should error")
 	}
 	// There is no -shards: a command line that asks for shards fails
 	// instead of running something else.
-	if err := run([]string{"-run", "fig2", "-shards", "2"}); err == nil || !strings.Contains(err.Error(), "shards") {
+	if err := run([]string{"-run", "fig2", "-shards", "2"}, io.Discard); err == nil || !strings.Contains(err.Error(), "shards") {
 		t.Errorf("-shards: err = %v, want an undefined-flag error", err)
+	}
+}
+
+// TestRunProfiles: -cpuprofile and -memprofile write gzipped pprof files
+// and leave the tables byte for byte as a run without them prints.
+func TestRunProfiles(t *testing.T) {
+	var plain, profiled bytes.Buffer
+	if err := run([]string{"-run", "fig1"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	if err := run([]string{"-run", "fig1", "-cpuprofile", cpu, "-memprofile", mem}, &profiled); err != nil {
+		t.Fatal(err)
+	}
+	if plain.Len() == 0 || !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Errorf("profiling changed the output:\n-- without --\n%s\n-- with --\n%s", plain.String(), profiled.String())
+	}
+	for _, name := range []string{cpu, mem} {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s is not a gzipped profile (%d bytes)", filepath.Base(name), len(b))
+		}
 	}
 }

@@ -44,26 +44,28 @@ func TestMillionSmoke(t *testing.T) {
 	if row.ArenaCap != row.PeakLive {
 		t.Errorf("arena slots %d != peak live %d", row.ArenaCap, row.PeakLive)
 	}
-	// Heap tripwire. Measured on this configuration (go1.24, amd64): 2.29 MB
-	// after the run, 229 B/conn alone (260 when the collector kept a 40-byte
-	// record of every completed response, 363 when the flow store was
-	// thirteen parallel arrays and every flow had two policy interface
-	// slots). Per connection that is the flow store's 128 B record, a
-	// timeline entry (24), the completion time's 8 B sample in the FCT
-	// distribution (below the sample cap; above it the sketch is a fixed
-	// 60 KB) and 24 B of per-flow tables (the fleet's live-connection
-	// slot, the two stacks' dispatch entries); the rest is topology and
-	// pools. The policy objects are not in it: they sit in slots only the
-	// flows between their first release and their last demotion hold, and
-	// a finished flow's core.Trim (240) and classic (16) serve the next
-	// flow, so the run makes as many as were ever live at once. The ceiling
-	// is the measurement plus a third (305 B/conn): the 363 B/conn of the
-	// thirteen arrays is 1.2× over it, the 602 B/conn of one policy pair
-	// per released flow 2.0×, the 1 441 B/conn of every demoted flow
-	// pinning its last tcp.Conn 4.7×. The records alone (260) would fit
-	// under it; TestStreamingCollectorMatchesRecords in httpapp is their
-	// tripwire.
-	const measuredPerConn = 229
+	// Heap tripwire. Measured on this configuration (go1.24, amd64): 1.58 MB
+	// after the run, 158 B/conn alone (229 when the flow store's record
+	// was 128 B and the fleet kept a live-connection slot per flow, 260
+	// when the collector also kept a 40-byte record of every completed
+	// response, 363 when the flow store was thirteen parallel arrays and
+	// every flow had two policy interface slots). Per connection that is
+	// the flow store's 64 B hot record (a flow that met loss or ECN adds a
+	// 56 B rare one), a timeline entry (24), the completion time's 8 B
+	// sample in the FCT distribution (below the sample cap; above it the
+	// sketch is a fixed 60 KB) and 16 B of per-flow tables (the two
+	// stacks' dispatch entries, which also resolve a live flow); the rest
+	// is topology and pools. The policy objects are not in it: they sit in
+	// slots only the flows between their first release and their last
+	// demotion hold, and a finished flow's core.Trim (240) and classic
+	// (16) serve the next flow, so the run makes as many as were ever live
+	// at once. The ceiling is the measurement plus a third (210 B/conn):
+	// the 229 B/conn of the 128-byte record is 1.09× over it, the 363
+	// B/conn of the thirteen arrays 1.7×, the 602 B/conn of one policy
+	// pair per released flow 2.9×, the 1 441 B/conn of every demoted flow
+	// pinning its last tcp.Conn 6.9×; TestStreamingCollectorMatchesRecords
+	// in httpapp is the tripwire of the per-response records.
+	const measuredPerConn = 158
 	budget := uint64(measuredPerConn+measuredPerConn/3) * uint64(res.Conns)
 	t.Logf("heap %d B after the run, %.0f B/conn", row.HeapBytes, row.BytesPerConn)
 	if row.HeapBytes > budget {

@@ -99,7 +99,7 @@ func runWideFleet(tb testing.TB, rng *rand.Rand) (*Fleet, int) {
 
 // held returns the policy objects flow i holds, none if it holds no slot.
 func held(f *Fleet, i int) policies {
-	if k := f.store[i].pol; k != 0 {
+	if k := f.store.recs[i].pol; k != 0 {
 		return f.pols[k-1]
 	}
 	return policies{}
@@ -150,8 +150,8 @@ func TestHybridShellsCrossFlowsAndPolicies(t *testing.T) {
 			if hyb.DeliveredBytes(i) == 0 {
 				t.Errorf("kind %d: flow %d never ran", kind, i)
 			}
-			if hyb.store[i].pol != 0 {
-				t.Errorf("kind %d: finished flow %d still holds policy slot %d", kind, i, hyb.store[i].pol)
+			if hyb.store.recs[i].pol != 0 {
+				t.Errorf("kind %d: finished flow %d still holds policy slot %d", kind, i, hyb.store.recs[i].pol)
 			}
 		}
 		// Every recovery policy comes back; a window policy does if it can
@@ -228,7 +228,7 @@ func TestHybridLaterReleaseKeepsItsPolicy(t *testing.T) {
 		t.Errorf("A lost its policy objects between its trains")
 	}
 	sched.RunUntil(at(300))
-	if held(hyb, 0) != heldA || hyb.conns[0] == nil || hyb.conns[0].CC() != polA {
+	if held(hyb, 0) != heldA || hyb.live(0) == nil || hyb.live(0).CC() != polA {
 		t.Errorf("A's second train does not run on the objects of its first")
 	}
 	sched.RunUntil(at(2000))
@@ -408,18 +408,19 @@ func TestHybridRetainedHeapFollowsLiveConns(t *testing.T) {
 	perFlow := float64(heap()-base) / float64(n*per)
 	runtime.KeepAlive(fleet)
 	runtime.KeepAlive(sched)
-	// Measured (go1.24, amd64): 343 B per demoted flow — the flow store's
-	// 128-byte record, the flow's label, its 24-byte timeline entry, its
+	// Measured (go1.24, amd64): 270 B per demoted flow — the flow store's
+	// 64-byte hot record, the flow's label, its 24-byte timeline entry, its
 	// completion record and, because this fleet labels responses per
 	// flow, a sink and its completion callback per flow (one per fleet
 	// where the label is shared, as in fig8million); its Reno and classic
 	// objects wait in a free policy slot, a handful for the whole fleet —
-	// against 451 B with thirteen parallel store arrays and two policy
+	// against 343 B with a 128-byte record and a live-connection slot per
+	// flow, 451 B with thirteen parallel store arrays and two policy
 	// interface slots per flow, and 1 250 B when each flow's policy still
 	// pinned the tcp.Conn of its last train. The bound is the measurement
 	// plus a third.
 	t.Logf("%.0f B of heap per demoted flow", perFlow)
-	if perFlow > 457 {
+	if perFlow > 360 {
 		t.Errorf("%.0f B of heap per demoted flow: demoted flows pin connection state", perFlow)
 	}
 }

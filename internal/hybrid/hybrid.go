@@ -2,9 +2,10 @@
 // persistent HTTP connections that can run at two fidelities. Packet
 // fidelity materializes every connection up front (delegating to
 // httpapp.Fleet — the historical shape, byte for byte). Hybrid fidelity
-// keeps each connection as one 128-byte, pointer-free record in the flow
-// store while it is OFF, advancing the whole idle population in one
-// chained driver event per epoch, and drops to packet level only for
+// keeps each connection as one 64-byte, pointer-free record in the flow
+// store while it is OFF (and a 56-byte one beside it once the flow has met
+// loss or ECN), advancing the whole idle population in one chained driver
+// event per epoch, and drops to packet level only for
 // connections with an ON train: a release materializes the flow into a
 // real tcp.Conn (a shell and a hot line recycled through the fleet's
 // tcp.Arena, congestion window and RTT estimator inherited from
@@ -129,37 +130,45 @@ type sink struct {
 	coll  *httpapp.Collector
 }
 
-// flowRec is one flow's slot in the flow store, valid once flagSaved is
-// set (the flow has been materialized and detached at least once): a
-// tcp.SavedState at the widths a flow can reach, in 128 bytes with no
-// pointer, so the collector never scans a store of a million of them and
-// a demotion or a materialization touches two cache lines. The packet-ID
-// counters are 32 bits because tcp packs them into 31 bits of every
-// packet ID, the lifetime counters 32 bits each, and Stats.AckedBytes is
-// not kept: a drained flow has had every byte acknowledged, so it is
-// offset. save refuses a state these widths cannot hold.
+// flowRec is one flow's hot record in the flow store, valid once
+// flagSaved is set (the flow has been materialized and detached at least
+// once): the part of a tcp.SavedState that a loss-free flow moves, in 64
+// bytes with no pointer, so the collector never scans a store of a million
+// of them and a demotion or a materialization touches one cache line. The
+// RTT estimator is kept in 32 bits of nanoseconds, the send counters in
+// 32 bits (SentSegs and AcksSent also number the flow's packets, which tcp
+// packs into 31 bits of every packet ID), and Stats.AckedBytes is not
+// kept: a drained flow has had every byte acknowledged, so it is offset.
+// The rest — the RTO back-off clock, the SACK rotation and the loss and
+// ECN counters — lives in a rareRec that a flow takes the first time any
+// of it is nonzero. save refuses a state these widths cannot hold.
 type flowRec struct {
 	offset     int64
 	cwnd       float64
 	ssthresh   float64
-	srtt       time.Duration
-	rttvar     time.Duration
-	lastRTOAt  sim.Time
 	lastSendAt sim.Time
-	nextPkt    uint32
-	nextAck    uint32
-	stats      recStats
-	backoff    int32
-	sackRotate int32
+	srtt       uint32 // ns
+	rttvar     uint32 // ns
+	sentSegs   uint32
+	acksSent   uint32
+	probeSegs  uint32
 	// pol is the flow's slot in Fleet.pols plus one; 0 while it holds none.
-	pol   int32
+	pol int32
+	// rare is the flow's slot in the store's rare slab plus one; 0 while
+	// the flow's rare state has always been zero.
+	rare  int32
 	flags uint8
 }
 
-// recStats is tcp.Stats without AckedBytes, one uint32 per counter.
-type recStats struct {
-	timeouts, fastRecoveries, retransSegs, sentSegs, probeSegs, acksSent, eceSeen    uint32
-	rtoRetransSegs, fastRetransSegs, tlpProbes, spuriousRetransSegs, recoverySignals uint32
+// rareRec is the state a loss-free flow never moves: 56 bytes with no
+// pointer, one lifetime counter of tcp.Stats in each uint32.
+type rareRec struct {
+	lastRTOAt  sim.Time
+	backoff    int32
+	sackRotate int32
+
+	timeouts, fastRecoveries, retransSegs, eceSeen, rtoRetransSegs   uint32
+	fastRetransSegs, tlpProbes, spuriousRetransSegs, recoverySignals uint32
 }
 
 const (
@@ -173,20 +182,64 @@ const (
 
 func (r *flowRec) saved() bool { return r.flags&flagSaved != 0 }
 
-// save stores a detached flow's state, or leaves the record as it was and
-// says why the state does not fit.
-func (r *flowRec) save(st tcp.SavedState) error {
-	s := &st.Stats
+// rareChunk is how many rare records the slab grows by: 28 KiB, one
+// allocation size class.
+const rareChunk = 512
+
+// flowStore holds a hot record per flow and the rare records of the flows
+// that ever needed one. The rare slab grows in fixed chunks and never
+// moves a record, and a flow keeps its slot for the store's life, so a
+// flow's rare state costs 56 bytes once, never a copy of the slab.
+type flowStore struct {
+	recs  []flowRec
+	rare  []*[rareChunk]rareRec
+	nRare int32
+}
+
+// rareOf returns the rare record of a flow that holds a slot.
+func (s *flowStore) rareOf(r *flowRec) *rareRec {
+	k := r.rare - 1
+	return &s.rare[k/rareChunk][k%rareChunk]
+}
+
+// save stores a detached flow's state in record i, or leaves the store as
+// it was and says why the state does not fit.
+func (s *flowStore) save(i int, st tcp.SavedState) error {
+	t := &st.Stats
 	switch {
-	case s.AckedBytes != st.Offset:
-		return fmt.Errorf("acked bytes %d differ from offset %d", s.AckedBytes, st.Offset)
-	case st.NextPkt >= 1<<31 || st.NextAck >= 1<<31:
-		return fmt.Errorf("packet-ID counters %d/%d reach 2^31", st.NextPkt, st.NextAck)
-	case !fitsUint32(s.Timeouts, s.FastRecoveries, s.RetransSegs, s.SentSegs, s.ProbeSegs, s.AcksSent, s.ECESeen,
-		s.RTORetransSegs, s.FastRetransSegs, s.TLPProbes, s.SpuriousRetransSegs, s.RecoverySignals):
-		return fmt.Errorf("a counter does not fit in 32 bits: %+v", *s)
+	case t.AckedBytes != st.Offset:
+		return fmt.Errorf("acked bytes %d differ from offset %d", t.AckedBytes, st.Offset)
+	case uint(t.SentSegs) >= 1<<31 || uint(t.AcksSent) >= 1<<31:
+		return fmt.Errorf("packet-ID counters (sent segments %d, ACKs %d) reach 2^31", t.SentSegs, t.AcksSent)
+	case !fitsUint32(t.Timeouts, t.FastRecoveries, t.RetransSegs, t.ProbeSegs, t.ECESeen,
+		t.RTORetransSegs, t.FastRetransSegs, t.TLPProbes, t.SpuriousRetransSegs, t.RecoverySignals):
+		return fmt.Errorf("a counter does not fit in 32 bits: %+v", *t)
+	case !fitsUint32(int(st.SRTT), int(st.RTTVar)):
+		return fmt.Errorf("RTT estimate %d/%d ns does not fit in 32 bits", int64(st.SRTT), int64(st.RTTVar))
 	case st.Backoff != int(int32(st.Backoff)) || st.SackRotate != int(int32(st.SackRotate)):
 		return fmt.Errorf("back-off %d or SACK rotation %d does not fit in 32 bits", st.Backoff, st.SackRotate)
+	}
+	r := &s.recs[i]
+	rare := rareRec{
+		lastRTOAt:  st.LastRTOAt,
+		backoff:    int32(st.Backoff),
+		sackRotate: int32(st.SackRotate),
+
+		timeouts: uint32(t.Timeouts), fastRecoveries: uint32(t.FastRecoveries),
+		retransSegs: uint32(t.RetransSegs), eceSeen: uint32(t.ECESeen),
+		rtoRetransSegs: uint32(t.RTORetransSegs), fastRetransSegs: uint32(t.FastRetransSegs),
+		tlpProbes: uint32(t.TLPProbes), spuriousRetransSegs: uint32(t.SpuriousRetransSegs),
+		recoverySignals: uint32(t.RecoverySignals),
+	}
+	if r.rare == 0 && rare != (rareRec{}) {
+		if s.nRare%rareChunk == 0 {
+			s.rare = append(s.rare, new([rareChunk]rareRec))
+		}
+		s.nRare++
+		r.rare = s.nRare
+	}
+	if r.rare != 0 {
+		*s.rareOf(r) = rare
 	}
 	flags := flagSaved | r.flags&flagPending
 	if st.HasSent {
@@ -199,21 +252,14 @@ func (r *flowRec) save(st tcp.SavedState) error {
 		offset:     st.Offset,
 		cwnd:       st.Cwnd,
 		ssthresh:   st.Ssthresh,
-		srtt:       st.SRTT,
-		rttvar:     st.RTTVar,
-		lastRTOAt:  st.LastRTOAt,
 		lastSendAt: st.LastSendAt,
-		nextPkt:    uint32(st.NextPkt),
-		nextAck:    uint32(st.NextAck),
-		stats: recStats{
-			uint32(s.Timeouts), uint32(s.FastRecoveries), uint32(s.RetransSegs), uint32(s.SentSegs),
-			uint32(s.ProbeSegs), uint32(s.AcksSent), uint32(s.ECESeen),
-			uint32(s.RTORetransSegs), uint32(s.FastRetransSegs), uint32(s.TLPProbes),
-			uint32(s.SpuriousRetransSegs), uint32(s.RecoverySignals),
-		},
-		backoff:    int32(st.Backoff),
-		sackRotate: int32(st.SackRotate),
+		srtt:       uint32(st.SRTT),
+		rttvar:     uint32(st.RTTVar),
+		sentSegs:   uint32(t.SentSegs),
+		acksSent:   uint32(t.AcksSent),
+		probeSegs:  uint32(t.ProbeSegs),
 		pol:        r.pol,
+		rare:       r.rare,
 		flags:      flags,
 	}
 	return nil
@@ -229,44 +275,52 @@ func fitsUint32(vs ...int) bool {
 	return true
 }
 
-func (r *flowRec) load() tcp.SavedState {
-	return tcp.SavedState{
+// load returns the state record i holds.
+func (s *flowStore) load(i int) tcp.SavedState {
+	r := &s.recs[i]
+	st := tcp.SavedState{
 		Offset:     r.offset,
 		Cwnd:       r.cwnd,
 		Ssthresh:   r.ssthresh,
-		SRTT:       r.srtt,
-		RTTVar:     r.rttvar,
-		Backoff:    int(r.backoff),
-		LastRTOAt:  r.lastRTOAt,
+		SRTT:       time.Duration(r.srtt),
+		RTTVar:     time.Duration(r.rttvar),
 		HasSent:    r.flags&flagHasSent != 0,
 		LastSendAt: r.lastSendAt,
-		SackRotate: int(r.sackRotate),
 		RcvCE:      r.flags&flagRcvCE != 0,
-		NextPkt:    uint64(r.nextPkt),
-		NextAck:    uint64(r.nextAck),
-		Stats:      r.tcpStats(),
+		Stats:      s.tcpStats(i),
 	}
+	if r.rare != 0 {
+		x := s.rareOf(r)
+		st.Backoff = int(x.backoff)
+		st.LastRTOAt = x.lastRTOAt
+		st.SackRotate = int(x.sackRotate)
+	}
+	return st
 }
 
-// tcpStats returns the flow's lifetime counters (zero before its first
+// tcpStats returns flow i's lifetime counters (zero before its first
 // demotion).
-func (r *flowRec) tcpStats() tcp.Stats {
-	s := &r.stats
-	return tcp.Stats{
-		Timeouts:            int(s.timeouts),
-		FastRecoveries:      int(s.fastRecoveries),
-		RetransSegs:         int(s.retransSegs),
-		SentSegs:            int(s.sentSegs),
-		ProbeSegs:           int(s.probeSegs),
-		AcksSent:            int(s.acksSent),
-		AckedBytes:          r.offset,
-		ECESeen:             int(s.eceSeen),
-		RTORetransSegs:      int(s.rtoRetransSegs),
-		FastRetransSegs:     int(s.fastRetransSegs),
-		TLPProbes:           int(s.tlpProbes),
-		SpuriousRetransSegs: int(s.spuriousRetransSegs),
-		RecoverySignals:     int(s.recoverySignals),
+func (s *flowStore) tcpStats(i int) tcp.Stats {
+	r := &s.recs[i]
+	st := tcp.Stats{
+		SentSegs:   int(r.sentSegs),
+		ProbeSegs:  int(r.probeSegs),
+		AcksSent:   int(r.acksSent),
+		AckedBytes: r.offset,
 	}
+	if r.rare != 0 {
+		x := s.rareOf(r)
+		st.Timeouts = int(x.timeouts)
+		st.FastRecoveries = int(x.fastRecoveries)
+		st.RetransSegs = int(x.retransSegs)
+		st.ECESeen = int(x.eceSeen)
+		st.RTORetransSegs = int(x.rtoRetransSegs)
+		st.FastRetransSegs = int(x.fastRetransSegs)
+		st.TLPProbes = int(x.tlpProbes)
+		st.SpuriousRetransSegs = int(x.spuriousRetransSegs)
+		st.RecoverySignals = int(x.recoverySignals)
+	}
+	return st
 }
 
 // policies is what a flow's window inheritance lives in beside its
@@ -300,8 +354,7 @@ type Fleet struct {
 	per      int          // flows per sender
 	drv      *sim.Scheduler
 	coll     *httpapp.Collector
-	store    []flowRec   // one per flow
-	conns    []*tcp.Conn // non-nil while materialized
+	store    flowStore
 	arena    *tcp.Arena
 	initCwnd float64 // resolved Base.InitialCwnd
 	// pols holds the policy objects of the flows between their first
@@ -386,8 +439,7 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	f.stepFn = f.step
 	f.demoteFn = f.demoteIfQuiescent
 	f.coll = &httpapp.Collector{}
-	f.store = make([]flowRec, n)
-	f.conns = make([]*tcp.Conn, n)
+	f.store.recs = make([]flowRec, n)
 	f.arena = tcp.NewArena()
 	f.initCwnd = cfg.Base.InitialCwnd
 	if f.initCwnd == 0 {
@@ -404,7 +456,7 @@ func (f *Fleet) NumFlows() int {
 	if f.pkt != nil {
 		return len(f.pkt.Conns)
 	}
-	return len(f.conns)
+	return len(f.store.recs)
 }
 
 // Collector returns the fleet's default completion collector.
@@ -415,8 +467,14 @@ func (f *Fleet) Collector() *httpapp.Collector {
 	return f.coll
 }
 
-// stackOf returns the sender-stack index owning flow i.
-func (f *Fleet) stackOf(i int32) int { return int(i) / f.per }
+// stackOf returns the sender stack owning flow i.
+func (f *Fleet) stackOf(i int) *tcp.Stack { return f.stacks[i/f.per] }
+
+// live returns flow i's materialized connection, or nil: its sender
+// stack holds it from NewConn to Detach.
+func (f *Fleet) live(i int) *tcp.Conn {
+	return f.stackOf(i).Sender(f.cfg.FirstFlow + netsim.FlowID(i))
+}
 
 // label returns flow i's default collector label.
 func (f *Fleet) label(i int) string {
@@ -512,7 +570,7 @@ func (f *Fleet) ScheduleTrains(i int, trains []workload.Train) error {
 // the common shape of one release per flow.
 func (f *Fleet) addRelease(r release) {
 	if f.timeline == nil {
-		f.timeline = make([]release, 0, len(f.conns))
+		f.timeline = make([]release, 0, len(f.store.recs))
 	}
 	f.timeline = append(f.timeline, r)
 }
@@ -578,7 +636,7 @@ func (f *Fleet) Arm() error {
 	f.sinkDone = make([]func(tcp.TrainResult), len(f.sinks))
 	for k := len(f.timeline) - 1; k >= 0; k-- {
 		r := &f.timeline[k]
-		if rec := &f.store[r.flow]; rec.flags&flagPending == 0 {
+		if rec := &f.store.recs[r.flow]; rec.flags&flagPending == 0 {
 			rec.flags |= flagPending
 			r.kind |= relLast
 		}
@@ -632,8 +690,8 @@ func (f *Fleet) sweep() {
 	if sim.InvariantChecks() {
 		// The oracle: a scan of every materialized connection, which is
 		// what the sweep used to be, must find nothing left to demote.
-		for i, c := range f.conns {
-			if c != nil && c.Quiescent() {
+		for i := range f.store.recs {
+			if c := f.live(i); c != nil && c.Quiescent() {
 				panic(fmt.Sprintf("hybrid: flow %d is live and quiescent at %v, yet on no touched list", i, f.drv.Now()))
 			}
 		}
@@ -644,7 +702,7 @@ func (f *Fleet) sweep() {
 // gone quiescent.
 func (f *Fleet) demoteIfQuiescent(c *tcp.Conn) {
 	i := int32(c.Flow() - f.cfg.FirstFlow)
-	if f.conns[i] != c {
+	if f.live(int(i)) != c {
 		return // not flow i's live connection: nothing to demote
 	}
 	f.evals++
@@ -656,7 +714,6 @@ func (f *Fleet) demoteIfQuiescent(c *tcp.Conn) {
 		f.fail(fmt.Errorf("hybrid: demote flow %d: %w", i, err))
 		return
 	}
-	f.conns[i] = nil
 	f.liveCount--
 	f.fold(i, st)
 }
@@ -665,11 +722,11 @@ func (f *Fleet) demoteIfQuiescent(c *tcp.Conn) {
 // release left also frees its policy slot, which keeps the objects that
 // can be reset for the next flow and drops the others to the collector.
 func (f *Fleet) fold(i int32, st tcp.SavedState) {
-	r := &f.store[i]
-	if err := r.save(st); err != nil {
+	if err := f.store.save(int(i), st); err != nil {
 		f.fail(fmt.Errorf("hybrid: demote flow %d: %w", i, err))
 		return
 	}
+	r := &f.store.recs[i]
 	if r.flags&flagPending != 0 {
 		return
 	}
@@ -692,7 +749,7 @@ func (f *Fleet) fire(r *release) {
 		return
 	}
 	if r.kind&relLast != 0 {
-		f.store[r.flow].flags &^= flagPending
+		f.store.recs[r.flow].flags &^= flagPending
 	}
 	switch r.kind &^ relLast {
 	case relConn:
@@ -708,12 +765,11 @@ func (f *Fleet) fire(r *release) {
 // store (or from scratch on first release) if needed. Runs inside the
 // driver's events only.
 func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
-	if c := f.conns[i]; c != nil {
+	if c := f.live(int(i)); c != nil {
 		return c, nil
 	}
 	cfg := f.cfg.Base
-	si := f.stackOf(i)
-	cfg.Sender = f.stacks[si]
+	cfg.Sender = f.stackOf(int(i))
 	cfg.Receiver = f.frontEnd
 	cfg.Flow = f.cfg.FirstFlow + netsim.FlowID(i)
 	cfg.Arena = f.arena
@@ -724,8 +780,8 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	if p.rec != nil {
 		cfg.Recovery = p.rec
 	}
-	if r := &f.store[i]; r.saved() {
-		f.restoring = r.load()
+	if f.store.recs[i].saved() {
+		f.restoring = f.store.load(int(i))
 		cfg.Restore = &f.restoring
 	}
 	c, err := tcp.NewConn(cfg)
@@ -735,7 +791,6 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	// Capture the defaulted policies so the flow's next life reuses the
 	// same objects (window inheritance lives in them, not the config).
 	p.cc, p.rec = c.CC(), c.Recovery()
-	f.conns[i] = c
 	f.liveCount++
 	if f.liveCount > f.peakLive {
 		f.peakLive = f.liveCount
@@ -751,7 +806,7 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 // shell goes back to the arena at Detach, so the slot holds a Classic
 // of its own.
 func (f *Fleet) holdPolicies(i int32) *policies {
-	r := &f.store[i]
+	r := &f.store.recs[i]
 	if r.pol == 0 {
 		if n := len(f.freePols); n > 0 {
 			r.pol = f.freePols[n-1]
@@ -826,10 +881,10 @@ func (f *Fleet) Cwnd(i int) float64 {
 	if f.pkt != nil {
 		return f.pkt.Conns[i].Cwnd()
 	}
-	if c := f.conns[i]; c != nil {
+	if c := f.live(i); c != nil {
 		return c.Cwnd()
 	}
-	if r := &f.store[i]; r.saved() {
+	if r := &f.store.recs[i]; r.saved() {
 		return r.cwnd
 	}
 	return f.initCwnd
@@ -840,10 +895,10 @@ func (f *Fleet) DeliveredBytes(i int) int64 {
 	if f.pkt != nil {
 		return f.pkt.Conns[i].DeliveredBytes()
 	}
-	if c := f.conns[i]; c != nil {
+	if c := f.live(i); c != nil {
 		return c.DeliveredBytes()
 	}
-	return f.store[i].offset
+	return f.store.recs[i].offset
 }
 
 // TotalDelivered sums delivered bytes across all flows.
@@ -852,11 +907,11 @@ func (f *Fleet) TotalDelivered() int64 {
 		return f.pkt.TotalDelivered()
 	}
 	var total int64
-	for i := range f.conns {
-		if c := f.conns[i]; c != nil {
+	for i := range f.store.recs {
+		if c := f.live(i); c != nil {
 			total += c.DeliveredBytes()
 		} else {
-			total += f.store[i].offset
+			total += f.store.recs[i].offset
 		}
 	}
 	return total
@@ -867,10 +922,10 @@ func (f *Fleet) Stats(i int) tcp.Stats {
 	if f.pkt != nil {
 		return f.pkt.Conns[i].Stats()
 	}
-	if c := f.conns[i]; c != nil {
+	if c := f.live(i); c != nil {
 		return c.Stats()
 	}
-	return f.store[i].tcpStats()
+	return f.store.tcpStats(i)
 }
 
 // TotalTimeouts sums TCP timeouts across the fleet.

@@ -239,9 +239,7 @@ type Conn struct {
 	rcvCEState   bool
 	ackTimer     sim.Timer
 
-	stats   Stats
-	nextPkt uint64
-	nextAck uint64
+	stats Stats
 }
 
 var _ Control = (*Conn)(nil)
@@ -686,16 +684,16 @@ func (c *Conn) sendSegment(seq, end int64, kind sendKind) {
 	c.recovery.onSent(seq, end, retransmit)
 }
 
+// nextPktID numbers a data segment by the sender's count of segments,
+// this one included.
 func (c *Conn) nextPktID() uint64 {
-	c.nextPkt++
-	return uint64(c.cfg.Flow)<<32 | c.nextPkt
+	return uint64(c.cfg.Flow)<<32 | uint64(c.stats.SentSegs+1)
 }
 
-// nextAckID numbers receiver-originated packets from a counter of their
-// own; bit 31 keeps the two ID spaces disjoint.
+// nextAckID numbers receiver-originated packets by the receiver's count of
+// ACKs, this one included; bit 31 keeps the two ID spaces disjoint.
 func (c *Conn) nextAckID() uint64 {
-	c.nextAck++
-	return uint64(c.cfg.Flow)<<32 | 1<<31 | c.nextAck
+	return uint64(c.cfg.Flow)<<32 | 1<<31 | uint64(c.stats.AcksSent)
 }
 
 // observe reports a lifecycle event to the configured observer, if any.

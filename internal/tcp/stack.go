@@ -30,6 +30,10 @@ func NewStack(net *netsim.Network, host *netsim.Host) *Stack {
 // Host returns the underlying host.
 func (s *Stack) Host() *netsim.Host { return s.host }
 
+// Sender returns the connection registered to send flow from this stack,
+// or nil.
+func (s *Stack) Sender(flow netsim.FlowID) *Conn { return s.send.get(flow) }
+
 // StrayPackets returns the number of packets received with no matching
 // connection (useful for catching wiring mistakes in experiments).
 func (s *Stack) StrayPackets() int { return s.stray }

@@ -42,10 +42,8 @@ type SavedState struct {
 	// RcvCE is the receiver's last-seen CE mark (the DCTCP delayed-ACK
 	// state machine).
 	RcvCE bool
-	// NextPkt and NextAck continue the per-side packet-ID counters.
-	NextPkt uint64
-	NextAck uint64
-	// Stats carries the lifetime counters forward.
+	// Stats carries the lifetime counters forward; SentSegs and AcksSent
+	// also continue the per-side packet-ID counters.
 	Stats Stats
 }
 
@@ -118,8 +116,6 @@ func (c *Conn) Detach() (SavedState, error) {
 		LastSendAt: c.lastSendAt,
 		SackRotate: c.sackRotate,
 		RcvCE:      c.rcvCEState,
-		NextPkt:    c.nextPkt,
-		NextAck:    c.nextAck,
 		Stats:      c.stats,
 	}
 	c.cfg.Sender.unregisterSender(c.cfg.Flow)
@@ -148,7 +144,5 @@ func (c *Conn) restore(r *SavedState) {
 	c.lastSendAt = r.LastSendAt
 	c.sackRotate = r.SackRotate
 	c.rcvCEState = r.RcvCE
-	c.nextPkt = r.NextPkt
-	c.nextAck = r.NextAck
 	c.stats = r.Stats
 }
