@@ -144,6 +144,8 @@ func TestFleetRequiresFrontEnd(t *testing.T) {
 // nearly every event, and they must fire from the lanes. A silent fall
 // back to the wheel (an arming site reverted to After, an admission rule
 // that starves a delay) would only show as a slower benchmark otherwise.
+// So would a fall back to a slow lookup: the lane and route lookups the
+// per-event path leaves are pinned as exact counts.
 func TestTreeTrafficFiresFromLanes(t *testing.T) {
 	sched := sim.NewScheduler()
 	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{ToRs: 3, ServersPerToR: 8})
@@ -166,12 +168,24 @@ func TestTreeTrafficFiresFromLanes(t *testing.T) {
 		t.Fatalf("still pending: %d", fleet.Collector.Pending())
 	}
 	st := sched.Stats()
-	t.Logf("fired %d: %+v", sched.Fired(), st)
+	t.Logf("fired %d: %+v, network %+v", sched.Fired(), st, tree.Net.Stats())
 	if st.FiredLane*100 < sched.Fired()*99 {
 		t.Errorf("%d of %d events (%.2f%%) fired from lanes, want at least 99%%: %+v",
 			st.FiredLane, sched.Fired(), 100*float64(st.FiredLane)/float64(sched.Fired()), st)
 	}
 	if st.Lanes < 6 {
 		t.Errorf("stats %+v: want the tree's six link delays in lanes", st)
+	}
+	// The pipes reach their lanes through handles: a handle misses only
+	// while its delay has no lane (one-off partial-segment times among
+	// them) and once after each admission. Each flow resolves its data and
+	// its ACK path once, three hops each, and no packet is forwarded by
+	// lookup.
+	if st.LaneHandleMisses != 1215 || st.LaneHandleMisses*100 >= sched.Fired() {
+		t.Errorf("%d AfterFIFO lane lookups in %d events, want 1215 (%+v)", st.LaneHandleMisses, sched.Fired(), st)
+	}
+	if lookups, want := tree.Net.Stats().RouteLookups, 2*3*len(fleet.Servers); lookups != want {
+		t.Errorf("%d forwarding-state lookups in %d events, want %d: three hops for each of %d flows' two paths",
+			lookups, sched.Fired(), want, len(fleet.Servers))
 	}
 }

@@ -91,3 +91,25 @@ func (n *Network) NextHop(node, dst NodeID, flow FlowID) *Pipe { return n.nextHo
 
 // ECMPHash is the per-flow, per-node hash forward picks an ECMP member by.
 func ECMPHash(flow FlowID, node NodeID) uint64 { return ecmpHash(flow, node) }
+
+// Resolve is what Path.Send does with a Path that holds nothing: the path
+// flow's packets from src to dst take.
+func (n *Network) Resolve(src, dst NodeID, flow FlowID) Path { return n.resolve(src, dst, flow) }
+
+// PathPipes returns the pipes p leads through from src to dst, nil when p
+// holds no path of n's current routing state.
+func (n *Network) PathPipes(p Path, src, dst NodeID) []*Pipe {
+	if p.gen != n.routeGen {
+		return nil
+	}
+	var pipes []*Pipe
+	for node := src; node != dst && len(pipes) < maxPathHops; {
+		pipe := n.out[node][p.ports[len(pipes)]]
+		pipes = append(pipes, pipe)
+		node = pipe.to.ID()
+	}
+	return pipes
+}
+
+// Holds reports whether p holds a path of n's current routing state.
+func (n *Network) Holds(p Path) bool { return p.gen == n.routeGen }

@@ -22,6 +22,9 @@ type NetworkStats struct {
 	// RoutingDrops counts packets dropped for lack of a route or because
 	// the hop limit was exceeded.
 	RoutingDrops int
+	// RouteLookups counts forwarding-state lookups, one per hop: of a path
+	// resolved (Path.Send), and of a packet forwarded without a live path.
+	RouteLookups int
 }
 
 // Network is a topology of hosts and switches plus its routing state.
@@ -63,6 +66,10 @@ type Network struct {
 	bfsQueue    []NodeID
 	routeBuilds int
 	nextID      NodeID
+	// routeGen numbers the routing state Paths are resolved in (never 0):
+	// dropping state that was in use moves it on, and a path resolved under
+	// another number is dead.
+	routeGen uint32
 
 	pool  pktPool // packet free list (see pool.go)
 	stats NetworkStats
@@ -76,7 +83,7 @@ const noRoute = math.MinInt32
 
 // NewNetwork returns an empty network driven by sched.
 func NewNetwork(sched *sim.Scheduler) *Network {
-	n := &Network{sched: sched, clock: sched.Now}
+	n := &Network{sched: sched, clock: sched.Now, routeGen: 1}
 	n.release = n.ReleasePacket
 	return n
 }
@@ -128,6 +135,9 @@ func (n *Network) register(node Node) {
 // dropRoutes forgets all forwarding state; the next forward rebuilds what
 // it needs for the topology as it then is, in the storage kept here.
 func (n *Network) dropRoutes() {
+	if len(n.built) > 0 { // only state in use can have been resolved into a Path
+		n.routeGen++
+	}
 	n.ecmp = nil
 	n.rows, n.flat, n.comp, n.built = n.rows[:0], n.flat[:0], n.comp[:0], n.built[:0]
 }
@@ -154,12 +164,18 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Pipe, *Pipe) {
 // must not mutate it).
 func (n *Network) PipesFrom(id NodeID) []*Pipe { return n.out[id] }
 
-// forward routes pkt out of node toward pkt.Dst, applying per-flow ECMP
-// when several shortest-path next hops exist.
-func (n *Network) forward(node Node, pkt *Packet) {
+// forward routes pkt out of node toward pkt.Dst: along the path it was
+// sent on while that path lives, else through the forwarding state,
+// applying per-flow ECMP when several shortest-path next hops exist. Both
+// give the same pipe: a path is the hop-by-hop walk, resolved ahead.
+func (n *Network) forward(node NodeID, pkt *Packet) {
 	var pipe *Pipe
 	if pkt.Hops++; pkt.Hops <= maxHops {
-		pipe = n.nextHop(node.ID(), pkt.Dst, pkt.Flow)
+		if pkt.path.gen == n.routeGen && pkt.Hops <= maxPathHops {
+			pipe = n.out[node][pkt.path.ports[pkt.Hops-1]]
+		} else {
+			pipe = n.nextHop(node, pkt.Dst, pkt.Flow)
+		}
 	}
 	if pipe == nil { // hop limit exceeded or no route
 		n.stats.RoutingDrops++
@@ -172,6 +188,7 @@ func (n *Network) forward(node Node, pkt *Packet) {
 // nextHop returns the pipe flow takes from node toward dst (nil = none),
 // computing and caching the destination's column on first use.
 func (n *Network) nextHop(node, dst NodeID, flow FlowID) *Pipe {
+	n.stats.RouteLookups++
 	if uint(dst) >= uint(len(n.built)) {
 		// Outside the network, or the state was dropped since the last hop.
 		if uint(dst) >= uint(len(n.nodes)) {

@@ -64,7 +64,7 @@ func (h *Host) Receive(pkt *Packet, _ *Pipe) {
 		h.deliver(pkt)
 		return
 	}
-	h.net.forward(h, pkt)
+	h.net.forward(h.id, pkt)
 }
 
 // Send injects a packet originated by this host into the network.
@@ -74,7 +74,7 @@ func (h *Host) Send(pkt *Packet) {
 		h.deliver(pkt)
 		return
 	}
-	h.net.forward(h, pkt)
+	h.net.forward(h.id, pkt)
 }
 
 // deliver runs the tap and handler, then recycles the packet: delivery is
@@ -118,5 +118,5 @@ func (s *Switch) Receive(pkt *Packet, _ *Pipe) {
 	if s.tap != nil {
 		s.tap(pkt)
 	}
-	s.net.forward(s, pkt)
+	s.net.forward(s.id, pkt)
 }

@@ -56,8 +56,6 @@ type Packet struct {
 	// Seq is the sequence number of the first payload byte.
 	Seq int64
 
-	// IsAck marks a pure acknowledgement.
-	IsAck bool
 	// Ack is the cumulative acknowledgement: the next byte expected by
 	// the receiver. Only meaningful when IsAck.
 	Ack int64
@@ -66,11 +64,18 @@ type Packet struct {
 	// connection negotiated SACK).
 	Sack []SackBlock
 
+	// IsAck marks a pure acknowledgement. (It sits with the other flags,
+	// where the path below fits the padding: a packet stays 144 bytes, see
+	// TestHotStructSizeClasses.)
+	IsAck bool
 	// ECT marks an ECN-capable transport; CE is set by a congested queue;
 	// ECE echoes CE back to the sender on an ACK.
 	ECT bool
 	CE  bool
 	ECE bool
+	// path is the path the packet was sent along (Path.Send); its zero
+	// value makes forwarding look every hop up.
+	path Path
 
 	// SentAt is stamped by the sending endpoint; Echo carries the
 	// timestamp being echoed back on an ACK so the sender can compute

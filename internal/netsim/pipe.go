@@ -75,7 +75,9 @@ type Pipe struct {
 	rate  Bitrate
 	delay time.Duration
 	busy  bool
-	stats PipeStats
+	// The scheduler lanes of the transmit-done and the arrival events.
+	txLane, arriveLane sim.Lane
+	stats              PipeStats
 
 	// Failure injection: each offered packet is independently destroyed
 	// with probability lossRate, drawn from rng. Both are nil/zero in
@@ -201,7 +203,7 @@ func (p *Pipe) transmit(pkt *Packet) {
 	p.stats.SentPackets++
 	p.stats.SentBytes += int64(pkt.Size)
 	pkt.wire = p
-	p.sched.AfterFIFO(p.rate.TransmitTime(pkt.Size), pipeTxDone, unsafe.Pointer(pkt))
+	p.sched.AfterFIFO(&p.txLane, p.rate.TransmitTime(pkt.Size), pipeTxDone, unsafe.Pointer(pkt))
 }
 
 // onTxDone fires when the packet it carries finished serializing: put it
@@ -253,7 +255,7 @@ func (p *Pipe) onTxDone(pkt *Packet) {
 func (p *Pipe) arrive(pkt *Packet, at sim.Time) {
 	pkt.wire = p
 	if at == p.sched.Now().Add(p.delay) {
-		p.sched.AfterFIFO(p.delay, pipeDeliver, unsafe.Pointer(pkt))
+		p.sched.AfterFIFO(&p.arriveLane, p.delay, pipeDeliver, unsafe.Pointer(pkt))
 		return
 	}
 	if _, err := p.sched.AtArg(at, pipeDeliver, unsafe.Pointer(pkt)); err != nil {

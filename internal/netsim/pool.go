@@ -122,8 +122,8 @@ func (n *Network) LivePackets() int { return n.pool.live }
 // packet yet, the storage of old, which must not be used again: every
 // packet old made, zeroed but for its Sack capacity, the band storage of
 // old's queues, emptied, for n's queues in cable order, and the storage
-// and scratch of its route builds, which drops any route n built. Nothing
-// in n keeps old's world reachable.
+// and scratch of its route builds, which drops any route and Path n built
+// or old's flows hold. Nothing in n keeps old's world reachable.
 // Recycle(nil) does nothing.
 func (n *Network) Recycle(old *Network) {
 	if old == nil {
@@ -146,6 +146,8 @@ func (n *Network) Recycle(old *Network) {
 	n.pool = pktPool{free: free, slab: old.pool.slab, slabs: old.pool.slabs, inherited: len(free)}
 	n.bfsDist, n.bfsQueue = old.bfsDist, old.bfsQueue[:0]
 	n.rows, n.flat, n.comp, n.built, n.ecmp = old.rows[:0], old.flat[:0], old.comp[:0], old.built[:0], nil
+	// No Path of old's, or resolved on n before, holds on n.
+	n.routeGen = max(n.routeGen, old.routeGen) + 1
 	from, u := []*Pipe(nil), 0 // from: the pipes of old.out[u-1] not handed on yet
 	for _, pipes := range n.out {
 		for _, p := range pipes {

@@ -181,5 +181,5 @@ func (a *TRACKsAgent) inject(f *trackFlow, now sim.Time) {
 	pkt.Ack = f.lastAck
 	pkt.SentAt = now
 	pkt.Echo = now
-	a.net.forward(a.sw, pkt)
+	a.net.forward(a.sw.id, pkt)
 }

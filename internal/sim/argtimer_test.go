@@ -97,8 +97,8 @@ func argTimerProgram(t *testing.T, seed int64) (laneFired uint64) {
 		case 4, 5: // recurring delays earn lanes
 			d := []time.Duration{320, 1200, 12_000}[rng.Intn(3)]
 			f := n + rng.Intn(n)
-			cs.AfterFIFO(d, cfifo, unsafe.Pointer(&ids[f]))
-			as.AfterFIFO(d, afifo, unsafe.Pointer(&ids[f]))
+			cs.AfterFIFO(nil, d, cfifo, unsafe.Pointer(&ids[f]))
+			as.AfterFIFO(nil, d, afifo, unsafe.Pointer(&ids[f]))
 		case 6:
 			h := cs.Now().Add(time.Duration(rng.Intn(20_000)))
 			cs.RunUntil(h)

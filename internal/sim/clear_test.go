@@ -47,7 +47,7 @@ func TestClearKillsTimers(t *testing.T) {
 func TestClearReadsLanesSwitch(t *testing.T) {
 	arm := func(s *Scheduler) Stats {
 		for i := 0; i < 2*laneAdmitAfter; i++ {
-			s.AfterFIFO(time.Microsecond, func(unsafe.Pointer) {}, nil)
+			s.AfterFIFO(nil, time.Microsecond, func(unsafe.Pointer) {}, nil)
 		}
 		s.Run()
 		return s.Stats()
@@ -73,7 +73,7 @@ func TestClearAccounting(t *testing.T) {
 	s := NewScheduler()
 	s.After(time.Millisecond, func() {})
 	s.RunUntil(At(500 * time.Microsecond))
-	leavePending(t, s)
+	leavePending(t, s, &fifoHandles{})
 	s.Clear()
 	s.CheckAccounting()
 	if s.Now() != 0 || s.Len() != 0 || s.Fired() != 0 || s.Stats() != (Stats{}) || s.PeekTime() != End {

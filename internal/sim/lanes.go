@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -35,7 +34,8 @@ import (
 // its events go to the wheel, through AtArg.
 
 const (
-	maxLanes       = 16
+	laneIdxBits    = 4
+	maxLanes       = 1 << laneIdxBits
 	laneCandBits   = 6
 	laneAdmitAfter = 8
 	laneIdleAfter  = 4096
@@ -78,7 +78,7 @@ type lane struct {
 type laneSet struct {
 	n int // lanes admitted
 	// headAt[i]/headSeq[i] mirror lane i's head entry (once empty: the last
-	// one fired); Scheduler.next reads nothing else of a lane it passes over.
+	// one fired); the run loop reads nothing else of a lane it passes over.
 	headAt  [maxLanes]Time
 	headSeq [maxLanes]uint64
 	lanes   [maxLanes]lane
@@ -108,16 +108,38 @@ func candSlot(d time.Duration) int {
 	return int(uint64(d) * 0x9E3779B97F4A7C15 >> (64 - laneCandBits))
 }
 
+// Lane is a caller's handle on the FIFO lane that served its last
+// AfterFIFO: a component that arms its events with a few recurring delays
+// keeps one handle per kind of event and passes it on every call, and a
+// call whose handle still names the lane of its delay files the event
+// there without a lane lookup. A handle names the scheduler's lane
+// generation, which every admission, idle-lane takeover and Clear moves
+// on, and a lane index: it holds while the generation matches and that
+// lane still serves the call's delay, and anything else sends the call
+// through the lookup, which sets the handle afresh. The zero Lane holds
+// nothing. A handle serves the one scheduler it is passed to.
+type Lane struct{ key uint64 } // generation<<laneIdxBits | lane index
+
 // AfterFIFO schedules fn(arg) d after the current instant, for an event
 // nobody will cancel or re-arm: the instant and the single sequence number
 // drawn are After's, but there is no Timer. Recurring delays are served
-// from a FIFO lane instead of the wheel. Negative d is clamped to zero.
-func (s *Scheduler) AfterFIFO(d time.Duration, fn func(unsafe.Pointer), arg unsafe.Pointer) {
+// from a FIFO lane instead of the wheel, found through h when h still
+// holds it (see Lane); a nil h looks the lane up on every call. Negative d
+// is clamped to zero.
+func (s *Scheduler) AfterFIFO(h *Lane, d time.Duration, fn func(unsafe.Pointer), arg unsafe.Pointer) {
 	if d < 0 {
 		d = 0
 	}
 	at := s.now.Add(d)
-	l := s.laneFor(d)
+	var l *lane
+	if h != nil && h.key>>laneIdxBits == s.laneGen && s.lanes.lanes[h.key&(maxLanes-1)].delay == d {
+		l = &s.lanes.lanes[h.key&(maxLanes-1)]
+	} else {
+		s.stats.LaneHandleMisses++
+		if l = s.laneFor(d); l != nil && h != nil {
+			h.key = s.laneGen<<laneIdxBits | uint64(l.idx)
+		}
+	}
 	if l == nil || at < s.now {
 		// An instant past End wraps below now, and AtArg drops it as
 		// After would.
@@ -178,6 +200,7 @@ func (s *Scheduler) laneFor(d time.Duration) *lane {
 	}
 	l := &ls.lanes[i]
 	l.delay, l.idx = d, i
+	s.laneGen++ // lane i serves d now: no handle taken before holds
 	return l
 }
 
@@ -198,28 +221,6 @@ func (ls *laneSet) earned(d time.Duration) bool {
 	}
 	ls.candSeen[c], ls.candMiss[c] = 0, 0
 	return true
-}
-
-// next returns the earliest pending event: the lane whose head it is, or
-// else the wheel/overflow event; both nil when nothing is pending.
-func (s *Scheduler) next() (*lane, *event) {
-	ev := s.peekEvent()
-	if s.laneMask == 0 {
-		return nil, ev
-	}
-	ls := s.lanes
-	best := bits.TrailingZeros32(s.laneMask) & (maxLanes - 1)
-	bestAt := ls.headAt[best]
-	for m := s.laneMask & (s.laneMask - 1); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m) & (maxLanes - 1)
-		if at := ls.headAt[i]; at < bestAt || (at == bestAt && ls.headSeq[i] < ls.headSeq[best]) {
-			best, bestAt = i, at
-		}
-	}
-	if ev != nil && (ev.at < bestAt || (ev.at == bestAt && ev.seq < ls.headSeq[best])) {
-		return nil, ev
-	}
-	return &ls.lanes[best], nil
 }
 
 // fireLane pops l's head, advances the clock to it and runs it.

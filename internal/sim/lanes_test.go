@@ -10,7 +10,7 @@ import (
 // armFIFO arms n no-op AfterFIFO events with delay d.
 func armFIFO(s *Scheduler, d time.Duration, n int) {
 	for i := 0; i < n; i++ {
-		s.AfterFIFO(d, func(unsafe.Pointer) {}, nil)
+		s.AfterFIFO(nil, d, func(unsafe.Pointer) {}, nil)
 	}
 }
 
@@ -31,7 +31,7 @@ func TestLaneAdmission(t *testing.T) {
 
 	// A one-off delay never gets a lane, however many different ones pass.
 	for i := 0; i < 1000; i++ {
-		s.AfterFIFO(time.Duration(5000+i), func(unsafe.Pointer) {}, nil)
+		s.AfterFIFO(nil, time.Duration(5000+i), func(unsafe.Pointer) {}, nil)
 	}
 	if st := s.Stats(); st.Lanes != 1 || st.FIFONoLane != 1000+laneAdmitAfter-1 {
 		t.Fatalf("one-off delays: Lanes=%d FIFONoLane=%d, want 1 and %d", st.Lanes, st.FIFONoLane, 1000+laneAdmitAfter-1)
@@ -131,7 +131,7 @@ func TestLaneReclaimedForLateHotDelays(t *testing.T) {
 		s = NewScheduler()
 		arm := func(d time.Duration) {
 			id := int(s.seq)
-			s.AfterFIFO(d, func(unsafe.Pointer) { trace = append(trace, fired{id, s.Now()}) }, nil)
+			s.AfterFIFO(nil, d, func(unsafe.Pointer) { trace = append(trace, fired{id, s.Now()}) }, nil)
 		}
 		for k := 0; k < maxLanes+4; k++ { // more cold delays than lanes
 			d := time.Duration(7000 + 13*k)
@@ -201,7 +201,7 @@ func TestLaneLookupByDelayOnly(t *testing.T) {
 	// armChecked arms one event and has it verify its own firing instant.
 	armChecked := func(t *testing.T, s *Scheduler, d time.Duration) {
 		want := s.Now().Add(d)
-		s.AfterFIFO(d, func(unsafe.Pointer) {
+		s.AfterFIFO(nil, d, func(unsafe.Pointer) {
 			if s.Now() != want {
 				t.Errorf("delay %v fired at %v, want %v", d, s.Now(), want)
 			}
@@ -292,7 +292,7 @@ func TestAfterFIFOShardedFallsBackToWheel(t *testing.T) {
 		var got []int
 		for i := range ids {
 			ids[i] = i
-			s.AfterFIFO(time.Microsecond, func(arg unsafe.Pointer) { got = append(got, *(*int)(arg)) }, unsafe.Pointer(&ids[i]))
+			s.AfterFIFO(nil, time.Microsecond, func(arg unsafe.Pointer) { got = append(got, *(*int)(arg)) }, unsafe.Pointer(&ids[i]))
 		}
 		s.Run()
 		return s.Stats(), got
@@ -326,7 +326,7 @@ func TestRunUntilStopsBetweenLaneAndWheel(t *testing.T) {
 	base := s.Now()
 
 	s.After(5*time.Microsecond, func() { got = append(got, "wheel5") })
-	s.AfterFIFO(10*time.Microsecond, func(unsafe.Pointer) { got = append(got, "lane10") }, nil)
+	s.AfterFIFO(nil, 10*time.Microsecond, func(unsafe.Pointer) { got = append(got, "lane10") }, nil)
 	s.After(15*time.Microsecond, func() { got = append(got, "wheel15") })
 	if s.laneLive != 1 {
 		t.Fatalf("laneLive = %d, want the 10µs event in its lane", s.laneLive)
@@ -369,7 +369,7 @@ func TestLaneSameInstantOrder(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		i := i
 		if i%2 == 0 {
-			s.AfterFIFO(d, func(unsafe.Pointer) { got = append(got, i) }, nil)
+			s.AfterFIFO(nil, d, func(unsafe.Pointer) { got = append(got, i) }, nil)
 		} else {
 			s.After(d, func() { got = append(got, i) })
 		}
@@ -399,7 +399,7 @@ func TestLaneRingGrowsAndWraps(t *testing.T) {
 	arm := func(n int) {
 		for i := 0; i < n; i++ {
 			id := s.seq
-			s.AfterFIFO(d, check, unsafe.Pointer(&id))
+			s.AfterFIFO(nil, d, check, unsafe.Pointer(&id))
 		}
 	}
 	arm(laneAdmitAfter)
@@ -429,14 +429,14 @@ func TestAfterFIFOSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ { // admit the lanes, size the rings
 		for k, d := range delays {
 			weights[k] = 1 << k
-			s.AfterFIFO(d, fn, unsafe.Pointer(&weights[k]))
+			s.AfterFIFO(nil, d, fn, unsafe.Pointer(&weights[k]))
 		}
 	}
 	s.RunUntil(s.Now().Add(100 * time.Microsecond))
 	sum = 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		for k, d := range delays {
-			s.AfterFIFO(d, fn, unsafe.Pointer(&weights[k]))
+			s.AfterFIFO(nil, d, fn, unsafe.Pointer(&weights[k]))
 		}
 		for range delays {
 			if !s.Step() {
@@ -565,8 +565,8 @@ func TestWalkFIFOVisitsEveryContainer(t *testing.T) {
 	armFIFO(s, 1200, laneAdmitAfter) // admit the lane
 	s.Run()
 	for i := 0; i < 5; i++ {
-		arm(func(arg unsafe.Pointer) { s.AfterFIFO(1200, fn, arg) })                  // lane
-		arm(func(arg unsafe.Pointer) { s.AfterFIFO(time.Duration(7000+i), fn, arg) }) // no lane yet
+		arm(func(arg unsafe.Pointer) { s.AfterFIFO(nil, 1200, fn, arg) })                  // lane
+		arm(func(arg unsafe.Pointer) { s.AfterFIFO(nil, time.Duration(7000+i), fn, arg) }) // no lane yet
 	}
 	arm(func(arg unsafe.Pointer) {
 		if _, err := s.AtArg(s.Now().Add(3*time.Microsecond), fn, arg); err != nil {
@@ -598,4 +598,50 @@ func TestWalkFIFOVisitsEveryContainer(t *testing.T) {
 	if len(seen) != 1 || seen[next-1] != 1 || fired != next-1 {
 		t.Errorf("after the near events fired (%d of them), walk saw %v; want only the far one", fired, seen)
 	}
+}
+
+// TestLaneHandleMisses counts the lookups Lane handles leave to laneFor:
+// one per call until a delay is admitted, then none while the handle
+// holds. An admission, a takeover and a Clear each cost every handle one
+// more, and a handle that names another delay's lane never files there.
+func TestLaneHandleMisses(t *testing.T) {
+	s := NewScheduler()
+	fn := func(unsafe.Pointer) {}
+	misses := func() uint64 { return s.Stats().LaneHandleMisses }
+	var tx, other Lane
+	const d = 1200 * time.Nanosecond
+	for i := 0; i < 100; i++ {
+		s.AfterFIFO(&tx, d, fn, nil)
+	}
+	if got := misses(); got != laneAdmitAfter {
+		t.Fatalf("100 calls on one delay missed %d times, want the %d before admission", got, laneAdmitAfter)
+	}
+	// A second delay's admission moves the generation on: tx misses once.
+	for i := 0; i < laneAdmitAfter; i++ {
+		s.AfterFIFO(&other, 320, fn, nil)
+	}
+	before := misses()
+	s.AfterFIFO(&tx, d, fn, nil)
+	s.AfterFIFO(&tx, d, fn, nil)
+	if got := misses() - before; got != 1 {
+		t.Errorf("after another admission tx missed %d times in two calls, want 1", got)
+	}
+	// A handle on d's lane passed with the other delay looks it up, and the
+	// event goes to the other delay's lane.
+	before = misses()
+	s.AfterFIFO(&tx, 320, fn, nil)
+	if got := misses() - before; got != 1 || laneHolding(s, 320) != int(tx.key&(maxLanes-1)) {
+		t.Errorf("a handle met another delay: %d misses, handle on lane %d, want 1 and lane %d",
+			got, tx.key&(maxLanes-1), laneHolding(s, 320))
+	}
+	s.Run()
+
+	// After Clear the old handle holds nothing, though the lane it names
+	// kept its ring.
+	s.Clear()
+	s.AfterFIFO(&tx, 320, fn, nil)
+	if st := s.Stats(); st.LaneHandleMisses != 1 || st.FIFONoLane != 1 || s.laneLive != 0 {
+		t.Errorf("after Clear: %+v, %d events in lanes; want the stale handle to miss and the delay to wait for admission", st, s.laneLive)
+	}
+	s.Run()
 }

@@ -162,17 +162,17 @@ func runReleasesDiff(t *testing.T, data []byte) relResult {
 		gfn = func(unsafe.Pointer) {
 			gotTrace = append(gotTrace, relTrace{id + gstep<<20, -1, got.Now()})
 			if gstep++; int(gstep) <= chain {
-				got.AfterFIFO(d, gfn, nil)
+				got.AfterFIFO(nil, d, gfn, nil)
 			}
 		}
 		wfn = func() {
 			wantTrace = append(wantTrace, relTrace{id + wstep<<20, -1, want.Now()})
 			if wstep++; int(wstep) <= chain {
-				want.AfterFIFO(d, func(unsafe.Pointer) { wfn() }, nil)
+				want.AfterFIFO(nil, d, func(unsafe.Pointer) { wfn() }, nil)
 			}
 		}
-		got.AfterFIFO(d, gfn, nil)
-		want.AfterFIFO(d, func(unsafe.Pointer) { wfn() }, nil)
+		got.AfterFIFO(nil, d, gfn, nil)
+		want.AfterFIFO(nil, d, func(unsafe.Pointer) { wfn() }, nil)
 	}
 
 	pos, ops := 0, byte(relOpCount)

@@ -151,7 +151,10 @@ type Scheduler struct {
 	lanes    *laneSet
 	laneMask uint32
 	laneLive int
-	stats    Stats
+	// laneGen is the lane generation Lane handles name (see Lane): it moves
+	// on at every admission and takeover, and at every Clear.
+	laneGen uint64
+	stats   Stats
 	// wheelOnly sends every AfterFIFO to the wheel (see WheelOnly).
 	wheelOnly bool
 	// Wheel synchronization keys: cascadeKey[l] tracks now>>levelShift(l)
@@ -207,6 +210,7 @@ func (s *Scheduler) Clear() {
 		free:      s.free,
 		releases:  s.releases[:0],
 		lanes:     s.lanes,
+		laneGen:   s.laneGen + 1,
 		wheelOnly: fifoToWheel.Load() > 0,
 	}
 }
@@ -227,6 +231,7 @@ type Stats struct {
 	FiredLane, FiredWheel, FiredOverflow uint64 // events fired, by container
 	Lanes                                int    // lanes in use
 	FIFONoLane                           uint64 // AfterFIFO calls that went to the wheel: no lane (yet)
+	LaneHandleMisses                     uint64 // AfterFIFO calls whose Lane handle did not hold: the lane was looked up
 	Cascades, Migrations, Rescans        uint64 // upper slots cascaded, overflow events migrated, findMin rescans
 }
 
@@ -297,30 +302,14 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // PeekTime returns the firing instant of the earliest pending event, or
 // End when the queue is empty. It costs one wheel findMin (cached, else
 // O(occupancy of the earliest slot), see wheel.go).
-func (s *Scheduler) PeekTime() Time {
-	l, ev := s.next()
-	if l != nil {
-		return s.lanes.headAt[l.idx]
-	}
-	if ev != nil {
-		return ev.at
-	}
-	return End
-}
+func (s *Scheduler) PeekTime() Time { return s.drive(End, 0) }
 
 // Step executes the single earliest pending event. It reports whether an
 // event was executed.
 func (s *Scheduler) Step() bool {
-	l, ev := s.next()
-	if l != nil {
-		s.fireLane(l)
-		return true
-	}
-	if ev == nil {
-		return false
-	}
-	s.dispatch(ev)
-	return true
+	fired := s.fired
+	s.drive(End, 1)
+	return s.fired != fired
 }
 
 // RunUntil executes events in order until the queue is empty, the horizon
@@ -335,26 +324,8 @@ func (s *Scheduler) RunUntil(t Time) {
 	s.stopped = false
 	defer func() { s.running = false }()
 
-	for !s.stopped {
-		l, ev := s.next()
-		if l != nil {
-			if s.lanes.headAt[l.idx] > t {
-				s.advanceTo(t)
-				return
-			}
-			s.fireLane(l)
-			continue
-		}
-		if ev == nil {
-			break
-		}
-		if ev.at > t {
-			s.advanceTo(t)
-			return
-		}
-		s.dispatch(ev)
-	}
-	if s.now < t && t != End && s.live == 0 {
+	next := s.drive(t, ^uint64(0))
+	if t != End && (s.live == 0 || !s.stopped && next > t) {
 		s.advanceTo(t)
 	}
 }
@@ -362,14 +333,60 @@ func (s *Scheduler) RunUntil(t Time) {
 // Run executes events until the queue is empty or Stop is called.
 func (s *Scheduler) Run() { s.RunUntil(End) }
 
+// drive is the run loop. It fires pending events in (at, seq) order, the
+// earliest lane head or else the wheel/overflow minimum, while the earliest
+// is not after t, at most n of them, and stops after an event that called
+// Stop. It returns the instant of the earliest event left pending, End when
+// none is (with n zero it only looks), or after a Stop the instant of the
+// event that called it.
+func (s *Scheduler) drive(t Time, n uint64) Time {
+	for {
+		// The wheel's cached minimum, when known, is peekEvent's answer.
+		ev := s.wheel.min
+		if ev == nil {
+			ev = s.peekEvent()
+		}
+		at, seq := End, ^uint64(0)
+		if ev != nil {
+			at, seq = ev.at, ev.seq
+		}
+		best := -1
+		if m := s.laneMask; m != 0 {
+			ls := s.lanes
+			for ; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros32(m) & (maxLanes - 1)
+				if hat := ls.headAt[i]; hat < at || (hat == at && ls.headSeq[i] < seq) {
+					best, at, seq = i, hat, ls.headSeq[i]
+				}
+			}
+		}
+		if n == 0 || at > t || (best < 0 && ev == nil) {
+			return at
+		}
+		n--
+		if best >= 0 {
+			s.fireLane(&s.lanes.lanes[best])
+		} else {
+			s.dispatch(ev)
+		}
+		if s.stopped {
+			return at
+		}
+	}
+}
+
 // advanceTo moves the clock forward without dispatching, keeping the
 // wheel synchronized so later insertions address against the new instant.
+// Level 2 and the wheel span are coarser than level 1, so their keys move
+// only when level 1's does: one compare tells whether there is anything to
+// sync.
 func (s *Scheduler) advanceTo(t Time) {
-	if t <= s.now {
-		return
+	if t > s.now {
+		s.now = t
+		if uint64(t)>>(granShift+wheelBits) != s.cascadeKey[1] { // levelShift(1)
+			s.syncWheel()
+		}
 	}
-	s.now = t
-	s.syncWheel()
 }
 
 // dispatch removes ev from its container, advances the clock to its

@@ -243,33 +243,81 @@ func fifoDelay(b byte) time.Duration {
 // runDifferential decodes a byte stream into a deterministic operation
 // program and replays it against both schedulers, comparing dispatch
 // traces, clocks, PeekTime, Len and every Stop/Reset/Step verdict. A
-// progClear pair goes to runCleared.
+// progClear pair goes to runCleared. The program runs twice, its AfterFIFO
+// calls once without Lane handles and once through them: trace, clock,
+// Fired and Stats but LaneHandleMisses must not depend on the handles.
 func runDifferential(t *testing.T, data []byte) diffResult {
 	t.Helper()
-	if len(data) > 0 && data[0] == progClear {
-		return runCleared(t, data[1:])
+	run := func(handles *fifoHandles) diffResult {
+		if len(data) > 0 && data[0] == progClear {
+			return runCleared(t, data[1:], handles)
+		}
+		return runProgram(t, NewScheduler(), data, false, handles)
 	}
-	return runProgram(t, NewScheduler(), data, false)
+	plain, handled := run(nil), run(&fifoHandles{})
+	handled.stats.LaneHandleMisses = plain.stats.LaneHandleMisses
+	if handled.now != plain.now || handled.fired != plain.fired || handled.stats != plain.stats || len(handled.trace) != len(plain.trace) {
+		t.Fatalf("through Lane handles: now=%v fired=%d trace=%d %+v; without: now=%v fired=%d trace=%d %+v",
+			handled.now, handled.fired, len(handled.trace), handled.stats, plain.now, plain.fired, len(plain.trace), plain.stats)
+	}
+	for i := range plain.trace {
+		if handled.trace[i] != plain.trace[i] {
+			t.Fatalf("through Lane handles, traces diverge at %d: %+v, without %+v", i, handled.trace[i], plain.trace[i])
+		}
+	}
+	return plain
+}
+
+// fifoHandles are the Lane handles a program's AfterFIFO calls pass: chains
+// of delay index k share handle k%4, so a handle meets several delays the
+// way a pipe's transmit handle meets several packet sizes, and one-off
+// delays share the last.
+type fifoHandles [5]Lane
+
+// afterFIFO arms fn(arg) d ahead on s through h, or without a handle when
+// h is nil, and checks where the event went: a lane holding it must serve
+// d, and a handle that holds for d must have filed it in its own lane.
+func afterFIFO(t *testing.T, s *Scheduler, h *Lane, d time.Duration, fn func(unsafe.Pointer), arg unsafe.Pointer) {
+	t.Helper()
+	s.AfterFIFO(h, d, fn, arg)
+	seq, in := s.seq-1, -1
+	for i := 0; s.lanes != nil && i < s.lanes.n; i++ {
+		if l := &s.lanes.lanes[i]; l.n > 0 && l.buf[(l.head+l.n-1)&(len(l.buf)-1)].seq == seq {
+			in = i
+		}
+	}
+	if in >= 0 && s.lanes.lanes[in].delay != d {
+		t.Fatalf("an AfterFIFO of %v was filed in lane %d, which serves %v", d, in, s.lanes.lanes[in].delay)
+	}
+	if h != nil && h.key>>laneIdxBits == s.laneGen && s.lanes.lanes[h.key&(maxLanes-1)].delay == d && in != int(h.key&(maxLanes-1)) {
+		t.Fatalf("an AfterFIFO of %v through a handle on lane %d was filed in lane %d", d, h.key&(maxLanes-1), in)
+	}
 }
 
 // runCleared runs the first program of a progClear pair on a scheduler,
 // arms an entry in every container on top of what it left (leavePending),
 // clears the scheduler and runs the second program on it. What the second
 // program does — trace, clock, Fired and Stats — must be what it does on
-// a fresh scheduler, and CheckAccounting must pass right after Clear.
-func runCleared(t *testing.T, data []byte) diffResult {
+// a fresh scheduler, and CheckAccounting must pass right after Clear. With
+// handles, the second program passes the handles the first one set, and
+// the fresh run starts from zero handles.
+func runCleared(t *testing.T, data []byte, handles *fifoHandles) diffResult {
 	t.Helper()
 	n := 0
 	if len(data) > 0 {
 		n, data = min(int(data[0]), len(data)-1), data[1:]
 	}
 	s := NewScheduler()
-	runProgram(t, s, data[:n], true)
-	leavePending(t, s)
+	runProgram(t, s, data[:n], true, handles)
+	leavePending(t, s, handles)
 	s.Clear()
 	s.CheckAccounting()
-	got := runProgram(t, s, data[n:], false)
-	want := runProgram(t, NewScheduler(), data[n:], false)
+	got := runProgram(t, s, data[n:], false, handles)
+	var fresh *fifoHandles
+	if handles != nil {
+		fresh = &fifoHandles{}
+	}
+	want := runProgram(t, NewScheduler(), data[n:], false, fresh)
 	if got.now != want.now || got.fired != want.fired || got.stats != want.stats || len(got.trace) != len(want.trace) {
 		t.Fatalf("after Clear: now=%v fired=%d trace=%d %+v; fresh: now=%v fired=%d trace=%d %+v",
 			got.now, got.fired, len(got.trace), got.stats, want.now, want.fired, len(want.trace), want.stats)
@@ -284,14 +332,19 @@ func runCleared(t *testing.T, data []byte) diffResult {
 
 // leavePending arms on s an entry in each container, whatever a program
 // left there: a wheel timer, an overflow-heap event, AfterFIFO calls on
-// one delay until it holds a lane (unless WheelOnly), and a release queue
-// holding a pushed value and a run. Each fails the test if it fires.
-func leavePending(t *testing.T, s *Scheduler) {
+// one delay until it holds a lane (unless WheelOnly), through the first
+// of handles when there are any, and a release queue holding a pushed
+// value and a run. Each fails the test if it fires.
+func leavePending(t *testing.T, s *Scheduler, handles *fifoHandles) {
 	fail := func() { t.Error("an event pending at Clear fired") }
 	s.After(time.Millisecond, fail)
 	s.After(time.Hour, fail)
+	var h *Lane
+	if handles != nil {
+		h = &handles[0]
+	}
 	for i := 0; i <= laneAdmitAfter; i++ {
-		s.AfterFIFO(3*time.Microsecond, func(unsafe.Pointer) { fail() }, nil)
+		afterFIFO(t, s, h, 3*time.Microsecond, func(unsafe.Pointer) { fail() }, nil)
 	}
 	q := NewReleases(s, func(int) { fail() })
 	if err := q.Push(s.Now().Add(time.Hour), 0); err != nil {
@@ -306,9 +359,10 @@ func leavePending(t *testing.T, s *Scheduler) {
 	}
 }
 
-// runProgram is runDifferential's lockstep on wheelSched. With leave set
-// it stops after the last op, nothing drained or compared at the end.
-func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool) diffResult {
+// runProgram is runDifferential's lockstep on wheelSched, its AfterFIFO
+// calls through handles unless that is nil. With leave set it stops after
+// the last op, nothing drained or compared at the end.
+func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool, handles *fifoHandles) diffResult {
 	t.Helper()
 	const maxOps = 2048
 
@@ -400,11 +454,16 @@ func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool) di
 		}
 		timers = append(timers, timerPair{wt: wt, rt: ref.After(d, rfn), rfn: rfn})
 	}
-	// scheduleFIFO arms one AfterFIFO event (After on the reference). Its
-	// callback re-arms the same delay chain more times — a link sending
-	// back to back — and calls Stop when stops is set. The chain's id rides
-	// as the event's argument, and the callback checks it got its own.
-	scheduleFIFO := func(d time.Duration, chain int, stops bool) {
+	// scheduleFIFO arms one AfterFIFO event (After on the reference),
+	// through handle hi of handles. Its callback re-arms the same delay
+	// chain more times — a link sending back to back — and calls Stop when
+	// stops is set. The chain's id rides as the event's argument, and the
+	// callback checks it got its own.
+	scheduleFIFO := func(d time.Duration, hi int, chain int, stops bool) {
+		var h *Lane
+		if handles != nil {
+			h = &handles[hi]
+		}
 		base := nextID
 		nextID++
 		var wfn func(unsafe.Pointer)
@@ -416,7 +475,7 @@ func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool) di
 			}
 			wheelTrace = append(wheelTrace, traceEntry{base + wstep<<20, wheelSched.Now()})
 			if wstep++; wstep <= chain {
-				wheelSched.AfterFIFO(d, wfn, arg)
+				afterFIFO(t, wheelSched, h, d, wfn, arg)
 			}
 			if stops {
 				wheelSched.Stop()
@@ -431,7 +490,7 @@ func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool) di
 				ref.stopped = true
 			}
 		}
-		wheelSched.AfterFIFO(d, wfn, unsafe.Pointer(&base))
+		afterFIFO(t, wheelSched, h, d, wfn, unsafe.Pointer(&base))
 		ref.After(d, rfn)
 	}
 
@@ -506,13 +565,13 @@ func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool) di
 				break
 			}
 			chain, _ := next()
-			scheduleFIFO(fifoDelay(k), int(chain%16), false)
+			scheduleFIFO(fifoDelay(k), int(k%4), int(chain%16), false)
 		case opFIFOOnce:
 			ns, ok := next16()
 			if !ok {
 				break
 			}
-			scheduleFIFO(time.Duration(ns), 0, false)
+			scheduleFIFO(time.Duration(ns), 4, 0, false)
 		case opStep:
 			wOK := wheelSched.Step()
 			rOK := ref.peek() != nil
@@ -527,7 +586,7 @@ func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool) di
 			if !ok {
 				break
 			}
-			scheduleFIFO(fifoDelay(k), 0, true)
+			scheduleFIFO(fifoDelay(k), int(k%4), 0, true)
 		case opArgAfter, opArgAt:
 			us, ok := next16()
 			if !ok {

@@ -77,7 +77,7 @@ func newSDEnv(fifo bool) *sdEnv {
 		d := (sdHop + k*sdQuantum).Duration()
 		for i := 0; i < laneAdmitAfter; i++ {
 			if fifo {
-				e.sched.AfterFIFO(d, func(unsafe.Pointer) {}, nil)
+				e.sched.AfterFIFO(nil, d, func(unsafe.Pointer) {}, nil)
 			} else {
 				e.sched.After(d, func() {})
 			}
@@ -92,7 +92,7 @@ func (e *sdEnv) run() { e.sched.RunUntil(sdHorizon) }
 func (e *sdEnv) post(to int, d time.Duration, id uint64, depth int) {
 	h := &sdHandoff{target: to, id: id, depth: depth}
 	if e.fifo {
-		e.sched.AfterFIFO(d, e.recv, unsafe.Pointer(h))
+		e.sched.AfterFIFO(nil, d, e.recv, unsafe.Pointer(h))
 		return
 	}
 	e.sched.At(e.sched.Now().Add(d), func() { e.receive(unsafe.Pointer(h)) }) //nolint:errcheck // d is never negative
@@ -318,7 +318,7 @@ func pingPong(s *Scheduler) *[2]uint64 {
 		payload := unsafe.Pointer(&delivered[1-i])
 		var tick func()
 		tick = func() {
-			s.AfterFIFO(time.Microsecond, recv, payload)
+			s.AfterFIFO(nil, time.Microsecond, recv, payload)
 			s.After(700*time.Nanosecond, tick)
 		}
 		// Staggered starts so the two tickers never share an instant.

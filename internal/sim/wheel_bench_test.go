@@ -69,14 +69,14 @@ func BenchmarkSchedulerWheel(b *testing.B) {
 				fn := func(unsafe.Pointer) {}
 				// A hop's worth of events per lane stays in flight.
 				for i := 0; i < 16*len(delays); i++ {
-					s.AfterFIFO(delays[i%len(delays)], fn, nil)
+					s.AfterFIFO(nil, delays[i%len(delays)], fn, nil)
 					if i%2 == 1 {
 						s.Step()
 					}
 				}
 				i := 0
 				cycle := func() {
-					s.AfterFIFO(delays[i%len(delays)], fn, nil)
+					s.AfterFIFO(nil, delays[i%len(delays)], fn, nil)
 					s.Step()
 					i++
 				}

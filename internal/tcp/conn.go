@@ -193,6 +193,8 @@ type Conn struct {
 
 	hasSent    bool
 	lastSendAt sim.Time
+	// The paths of the flow's data segments and of its ACKs.
+	dataPath, ackPath netsim.Path
 
 	// SACK scoreboard: received-but-unacknowledged ranges above sndUna,
 	// sorted and merged. rtxHint is the recovery retransmission
@@ -671,7 +673,7 @@ func (c *Conn) sendSegment(seq, end int64, kind sendKind) {
 		ev = EventRetransmit
 	}
 	c.observe(ev, seq, 0)
-	c.cfg.Sender.host.Send(pkt)
+	c.dataPath.Send(c.cfg.Sender.host, pkt)
 	// RFC 6298 §5.1: every data send starts the timer if it is not
 	// running. A segment was just handed to the network, so data is
 	// outstanding even when trySend has not yet advanced sndNxt (a lone
@@ -1204,7 +1206,7 @@ func (c *Conn) sendAck(echo sim.Time, ce, probe bool) {
 	if c.cfg.SACK && len(c.ooo) > 0 {
 		ack.Sack = c.appendSackBlocks(ack.Sack[:0])
 	}
-	c.cfg.Receiver.host.Send(ack)
+	c.ackPath.Send(c.cfg.Receiver.host, ack)
 }
 
 // DeliveredBytes returns the number of bytes delivered in order at the
