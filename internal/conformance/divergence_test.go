@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tcptrim/internal/core"
+	"tcptrim/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/divergence.txt")
@@ -57,7 +58,7 @@ func TestDivergenceText(t *testing.T) {
 		sc := GenScenario(seed)
 		sh := NewShadow(sc.Cfg)
 		sh.oracle.cfg.Alpha += 0.01
-		res, err := runScenarioWith(sc, sh)
+		res, err := runScenarioWith(sc, sim.NewScheduler(), sh)
 		if err != nil {
 			t.Fatal(err)
 		}

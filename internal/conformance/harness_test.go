@@ -260,7 +260,7 @@ func TestTamperedOracleDetected(t *testing.T) {
 		sc := GenScenario(seed)
 		sh := NewShadow(sc.Cfg)
 		sh.oracle.cfg.Alpha += 0.01
-		res, err := runScenarioWith(sc, sh)
+		res, err := runScenarioWith(sc, sim.NewScheduler(), sh)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"tcptrim/internal/netsim"
+	"tcptrim/internal/sim"
 )
 
 // Minimize shrinks a failing scenario to a (locally) minimal one that
@@ -129,10 +130,11 @@ func (sc *Scenario) normalizeHorizon() {
 }
 
 // MinimizeFailing is Minimize with the standard oracle check: a
-// scenario "fails" when the shadow records any divergence.
-func MinimizeFailing(sc Scenario) Scenario {
+// scenario "fails" when the shadow records any divergence. Every
+// candidate runs on sched.
+func MinimizeFailing(sc Scenario, sched *sim.Scheduler) Scenario {
 	return Minimize(sc, func(cand Scenario) bool {
-		res, err := RunScenario(cand)
+		res, err := RunScenario(cand, sched)
 		return err == nil && res.Total > 0
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tcptrim/internal/netsim"
+	"tcptrim/internal/sim"
 )
 
 // tamperedFails runs the scenario with an oracle whose alpha is
@@ -13,7 +14,7 @@ import (
 func tamperedFails(sc Scenario) bool {
 	sh := NewShadow(sc.Cfg)
 	sh.oracle.cfg.Alpha += 0.01
-	res, err := runScenarioWith(sc, sh)
+	res, err := runScenarioWith(sc, sim.NewScheduler(), sh)
 	return err == nil && res.Total > 0
 }
 
@@ -59,22 +60,30 @@ func TestMinimizeReturnsPassingScenarioUntouched(t *testing.T) {
 
 func TestScenarioDeterminism(t *testing.T) {
 	// Same seed → byte-identical scenario and identical run counters;
-	// this is what makes a failing seed replayable and shrinkable.
+	// this is what makes a failing seed replayable and shrinkable. The
+	// replay runs on the scheduler it is handed, here one without lanes,
+	// so the counters also hold whichever container fires the pipes.
+	wheelCfg := sim.NewScheduler().Config()
+	wheelCfg.NoLanes = true
+	lanes, wheel := sim.NewScheduler(), sim.NewSchedulerWith(wheelCfg)
 	for seed := int64(1); seed <= 5; seed++ {
 		a, b := GenScenario(seed), GenScenario(seed)
 		if a.Describe() != b.Describe() || a.Horizon != b.Horizon || len(a.Trains) != len(b.Trains) {
 			t.Fatalf("seed %d: scenario generation not deterministic", seed)
 		}
-		ra, err := RunScenario(a)
+		ra, err := RunScenario(a, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := RunScenario(b)
+		rb, err := RunScenario(b, wheel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ra.Hooks != rb.Hooks || ra.ProbeRounds != rb.ProbeRounds || ra.Timeouts != rb.Timeouts {
 			t.Fatalf("seed %d: replay differs: %+v vs %+v", seed, ra, rb)
+		}
+		if l, w := lanes.Stats().FiredLane, wheel.Stats().FiredLane; l == 0 || w != 0 {
+			t.Fatalf("seed %d: %d lane events with lanes, %d without", seed, l, w)
 		}
 	}
 }
@@ -114,12 +123,12 @@ func FuzzScenario(f *testing.F) {
 		sc.Cfg.DisableProbing = knobs%8 == 5
 		sc.Cfg.DisableQueueControl = knobs%8 == 6
 		sc.normalizeHorizon()
-		res, err := RunScenario(sc)
+		res, err := RunScenario(sc, sim.NewScheduler())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Total > 0 {
-			min := MinimizeFailing(sc)
+			min := MinimizeFailing(sc, sim.NewScheduler())
 			t.Fatalf("%d divergences; first: %s\nminimized repro: %+v",
 				res.Total, res.Divergences[0], min)
 		}

@@ -191,16 +191,18 @@ type Result struct {
 	TrainsDone      int
 }
 
-// RunScenario executes the scenario with the live policy shadowed by
-// the Oracle and returns every divergence found.
-func RunScenario(sc Scenario) (*Result, error) {
-	return runScenarioWith(sc, NewShadow(sc.Cfg))
+// RunScenario executes the scenario on sched, which it clears first,
+// with the live policy shadowed by the Oracle and returns every
+// divergence found. sched's configuration is the run's: the caller
+// decides whether the lanes serve its pipes.
+func RunScenario(sc Scenario, sched *sim.Scheduler) (*Result, error) {
+	return runScenarioWith(sc, sched, NewShadow(sc.Cfg))
 }
 
 // runScenarioWith runs the scenario with a caller-supplied shadow
 // (tests use it to prove a tampered oracle is detected).
-func runScenarioWith(sc Scenario, shadow *Shadow) (*Result, error) {
-	sched := sim.NewScheduler()
+func runScenarioWith(sc Scenario, sched *sim.Scheduler, shadow *Shadow) (*Result, error) {
+	sched.Clear()
 	net := netsim.NewNetwork(sched)
 	rng := sim.NewRand(sc.Seed)
 

@@ -25,7 +25,7 @@ func RunConformance(reps int, opts Options, w io.Writer) error {
 	}
 	rows, err := sweep(opts, "conformance", cells, func(c seededCell[int], opts Options) (*conformanceRow, error) {
 		sc := conformance.GenScenario(c.Seed)
-		res, err := conformance.RunScenario(sc)
+		res, err := conformance.RunScenario(sc, newSimEnv(opts).sched)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %d (seed %d): %w", c.Value, c.Seed, err)
 		}
@@ -72,10 +72,11 @@ func RunConformance(reps int, opts Options, w io.Writer) error {
 		for _, d := range r.Res.Divergences {
 			fmt.Fprintf(w, "  %s\n", d)
 		}
-		min := conformance.MinimizeFailing(conformance.GenScenario(r.Seed))
+		sched := newSimEnv(opts).sched
+		min := conformance.MinimizeFailing(conformance.GenScenario(r.Seed), sched)
 		fmt.Fprintf(w, "minimized reproduction: seed=%d %s trains=%v\n",
 			min.Seed, min.Describe(), min.Trains)
-		if res, err := conformance.RunScenario(min); err == nil && len(res.Divergences) > 0 {
+		if res, err := conformance.RunScenario(min, sched); err == nil && len(res.Divergences) > 0 {
 			last := res.Divergences[0]
 			fmt.Fprintf(w, "trace to first divergence:\n")
 			for _, line := range last.Trace {

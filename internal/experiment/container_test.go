@@ -3,12 +3,15 @@ package experiment
 // The event container is not an input. A scheduler serves recurring
 // AfterFIFO delays — serialization and propagation on every hop — from
 // FIFO lanes and everything else from its timing wheel, and fires by
-// (instant, sequence number) whichever holds the event; sim.WheelOnly
-// switches the lanes off. Each runner below renders byte-identical output
-// both ways, with every packet handed to its hop through the event that
-// carries it: through the lanes, or through the wheel's arg-carrying arm.
-// TestRunnerGoldens' wheel arm covers every runner whole; the fig8 and
-// fig8million slices here are the ones it reaches only under -golden.all.
+// (instant, sequence number) whichever holds the event; a scheduler built
+// with sim.Config.NoLanes has no lanes. Each runner below renders
+// byte-identical output both ways, with every packet handed to its hop
+// through the event that carries it: through the lanes, or through the
+// wheel's arg-carrying arm. The cases run in parallel, each arm's
+// schedulers built with its own configuration, so renders of both kinds
+// overlap in one process. TestRunnerGoldens' wheel arm covers every
+// runner whole; the fig8 and fig8million slices here are the ones it
+// reaches only under -golden.all.
 
 import (
 	"bytes"
@@ -38,12 +41,12 @@ func TestRunnersIndependentOfEventContainer(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			lanes, err := tc.render(Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wheel []byte
-			sim.WheelOnly(func() { wheel, err = tc.render(Options{}) })
+			wheel, err := tc.render(noLanes(Options{}))
 			if err != nil {
 				t.Fatalf("wheel only: %v", err)
 			}
@@ -52,4 +55,13 @@ func TestRunnersIndependentOfEventContainer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// noLanes returns opts with schedulers that serve every AfterFIFO from the
+// wheel, invariant checks as the environment sets them.
+func noLanes(opts Options) Options {
+	cfg := sim.NewScheduler().Config()
+	cfg.NoLanes = true
+	opts.simConfig = &cfg
+	return opts
 }

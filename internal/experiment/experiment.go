@@ -22,6 +22,7 @@ import (
 	"tcptrim/internal/core"
 	"tcptrim/internal/hybrid"
 	"tcptrim/internal/metrics"
+	"tcptrim/internal/sim"
 	"tcptrim/internal/tcp"
 )
 
@@ -145,6 +146,11 @@ type Options struct {
 	// and reuse (see envList). Run sets it when no stored run answers;
 	// it shapes no output, so no key holds it and Validate ignores it.
 	envs *envList
+	// simConfig, when non-nil, is what newSimEnv builds schedulers with
+	// instead of sim.NewScheduler's default: the lanes off, or the
+	// invariant checks set either way. No configuration shapes output, so
+	// no key holds it and Validate ignores it.
+	simConfig *sim.Config
 }
 
 // fidelity resolves the Fidelity option (empty → packet).

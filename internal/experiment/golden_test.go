@@ -76,8 +76,7 @@ func TestRunnerGoldens(t *testing.T) {
 				// packet fidelity is refused at this scale. It renders with
 				// the invariant checker off: the hybrid driver's oracle
 				// rescans all 10^6 connections after every sweep.
-				defer sim.SetInvariantChecks(sim.InvariantChecks())
-				sim.SetInvariantChecks(false)
+				g.opts.simConfig = &sim.Config{}
 			}
 			t.Run("baseline", g.baseline)
 			if g.want == nil || info.ID == "fig8million" {
@@ -89,9 +88,7 @@ func TestRunnerGoldens(t *testing.T) {
 				g.compare(t, "GOMAXPROCS=1", g.render(t, Options{}, true, false), g.file, g.want)
 			})
 			t.Run("wheel", func(t *testing.T) {
-				var out []byte
-				sim.WheelOnly(func() { out = g.render(t, Options{}, true, false) })
-				g.compare(t, "sim.WheelOnly", out, g.file, g.want)
+				g.compare(t, "sim.Config.NoLanes", g.render(t, noLanes(Options{}), true, false), g.file, g.want)
 			})
 			if g.honors("fidelity") {
 				t.Run("hybrid", g.hybrid)
@@ -111,6 +108,7 @@ type golden struct {
 	RunnerInfo
 	file string
 	want []byte
+	opts Options // the baseline's
 }
 
 func (g *golden) honors(opt string) bool { return slices.Contains(g.Options, opt) }
@@ -118,7 +116,7 @@ func (g *golden) honors(opt string) bool { return slices.Contains(g.Options, opt
 // baseline renders at GOMAXPROCS 4 and compares with, or under -update
 // rewrites, the golden file.
 func (g *golden) baseline(t *testing.T) {
-	out := g.render(t, Options{}, true, false)
+	out := g.render(t, g.opts, true, false)
 	if *update {
 		writeGolden(t, g.file, out)
 	}

@@ -50,7 +50,7 @@ var recycledArms = []struct {
 }
 
 // TestRecycledRunsMatchGoldens runs each arm through Run at GOMAXPROCS 1
-// and 2, twice in one process, and once under sim.WheelOnly: every table
+// and 2, twice in one process, and once with the lanes off: every table
 // is its golden, whichever earlier cell, run or lanes setting left the
 // environment a cell clears and the network it recycles.
 func TestRecycledRunsMatchGoldens(t *testing.T) {
@@ -69,9 +69,9 @@ func TestRecycledRunsMatchGoldens(t *testing.T) {
 			}
 			want = buf.Bytes()
 		}
-		check := func(run string) {
+		check := func(run string, opts Options) {
 			var buf bytes.Buffer
-			if err := Run(arm.id, arm.opts, &buf); err != nil {
+			if err := Run(arm.id, opts, &buf); err != nil {
 				t.Fatalf("%s, %s: %v", name, run, err)
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
@@ -80,11 +80,11 @@ func TestRecycledRunsMatchGoldens(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2} {
 			old := runtime.GOMAXPROCS(procs)
-			check("first run")
-			check("second run")
+			check("first run", arm.opts)
+			check("second run", arm.opts)
 			runtime.GOMAXPROCS(old)
 		}
-		sim.WheelOnly(func() { check("wheel only") })
+		check("wheel only", noLanes(arm.opts))
 	}
 }
 

@@ -8,10 +8,7 @@ import (
 )
 
 func TestResilienceSmoke(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
-	res, err := RunResilience([]Protocol{ProtoTRIM}, DefaultFaultIntensities[:2], Options{})
+	res, err := RunResilience([]Protocol{ProtoTRIM}, DefaultFaultIntensities[:2], Options{simConfig: &sim.Config{Checks: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

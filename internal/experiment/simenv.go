@@ -45,15 +45,20 @@ type simEnv struct {
 
 // newSimEnv returns an environment with an empty scheduler under the
 // context that may cancel the run: one a finished cell of the same Run
-// left in opts' env list, cleared, or else a fresh one. A cleared
-// environment still holds the network and fleet its last cell built, for
-// the next scenario to recycle, and its schedule slab, empty; nothing runs
-// on that network again.
+// left in opts' env list, cleared, or else a fresh one, its scheduler
+// built with opts.simConfig when that is set (a Run's cells share one
+// Options, so a cleared scheduler already has the configuration asked
+// for). A cleared environment still holds the network and fleet its last
+// cell built, for the next scenario to recycle, and its schedule slab,
+// empty; nothing runs on that network again.
 func newSimEnv(opts Options) *simEnv {
 	e := opts.envs.pop()
-	if e == nil {
+	switch {
+	case e == nil && opts.simConfig != nil:
+		e = &simEnv{sched: sim.NewSchedulerWith(*opts.simConfig)}
+	case e == nil:
 		e = &simEnv{sched: sim.NewScheduler()}
-	} else {
+	default:
 		e.sched.Clear()
 		e.stopped, e.used = false, 0
 		e.trains = e.trains[:0]

@@ -55,8 +55,9 @@ func policyPair(kind int) (func() tcp.CongestionControl, func() tcp.RecoveryPoli
 // selects, runs it at both fidelities in lockstep and returns the hybrid
 // fleet and the pair's kind. Peak live stays near epoch / release gap,
 // far below the flow count, so each shell serves many flows, and so does
-// each policy object of a flow that got no second train.
-func runWideFleet(tb testing.TB, rng *rand.Rand) (*Fleet, int) {
+// each policy object of a flow that got no second train. Both fleets run
+// on schedulers newSched builds.
+func runWideFleet(tb testing.TB, rng *rand.Rand, newSched func() *sim.Scheduler) (*Fleet, int) {
 	tb.Helper()
 	n := 4 + int(rng.Int63n(5))
 	per := 4 + int(rng.Int63n(5))
@@ -82,7 +83,7 @@ func runWideFleet(tb testing.TB, rng *rand.Rand) (*Fleet, int) {
 			add(flow, last+time.Duration(1+rng.Int63n(400))*time.Millisecond)
 		}
 	}
-	pkt, hyb := runScenarioFrom(tb, n, func() FleetConfig {
+	pkt, hyb := runScenarioFrom(tb, n, newSched, func() FleetConfig {
 		newCC, newRecovery := policyPair(kind)
 		return FleetConfig{
 			ConnsPerSender: per, Epoch: epoch,
@@ -127,14 +128,12 @@ func freed(f *Fleet) (ccs []tcp.CongestionControl, recs []tcp.RecoveryPolicy) {
 // flow and then a CUBIC flow is pinned in internal/tcp, against the
 // arena directly; a fleet has one kind.)
 func TestHybridShellsCrossFlowsAndPolicies(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
 	seen := map[int]bool{}
 	for seed := int64(4); len(seen) < policyKinds; seed += 4 {
 		if seed > 4000 {
 			t.Fatalf("only %d of %d policy pairs drawn", len(seen), policyKinds)
 		}
-		hyb, kind := runWideFleet(t, sim.NewRand(seed))
+		hyb, kind := runWideFleet(t, sim.NewRand(seed), armed)
 		if seen[kind] {
 			continue
 		}
@@ -176,8 +175,6 @@ func TestHybridShellsCrossFlowsAndPolicies(t *testing.T) {
 // to come keeps the very objects its first train ran on, whatever other
 // flows finish and start in between.
 func TestHybridLaterReleaseKeepsItsPolicy(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
 	at := func(ms int) sim.Time { return sim.At(time.Duration(ms) * time.Millisecond) }
 	trains := []trainSpec{
 		{flow: 0, at: at(5), bytes: 30 * tcp.DefaultMSS},   // A, first train
@@ -193,7 +190,7 @@ func TestHybridLaterReleaseKeepsItsPolicy(t *testing.T) {
 	}
 	cfg := mk()
 	cfg.Fidelity = FidelityHybrid
-	hyb, sched := buildFleetFrom(t, 3, cfg)
+	hyb, sched := buildFleetFrom(t, armed(), 3, cfg)
 	for _, tr := range trains {
 		if err := hyb.ScheduleResponse(tr.flow, tr.at, tr.bytes); err != nil {
 			t.Fatal(err)
@@ -241,7 +238,7 @@ func TestHybridLaterReleaseKeepsItsPolicy(t *testing.T) {
 	}
 	// And none of the handing over shows: the same schedule at packet
 	// fidelity, where every flow owns its objects for the whole run.
-	pkt, again := runScenarioFrom(t, 3, mk, trains, at(2000))
+	pkt, again := runScenarioFrom(t, 3, armed, mk, trains, at(2000))
 	compareFleets(t, pkt, again)
 	compareFleets(t, pkt, hyb)
 }
@@ -259,10 +256,8 @@ func TestHybridLaterReleaseKeepsItsPolicy(t *testing.T) {
 // The full-scan oracle runs alongside: looking at few must not mean
 // missing any.
 func TestHybridSweepLooksOnlyAtTouched(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
 	const background, released = 64, 2000
-	hyb, sched := buildFleet(t, 8, (background+released)/8, tcp.Config{}, FidelityHybrid, 5*time.Millisecond)
+	hyb, sched := buildFleetFrom(t, armed(), 8, FleetConfig{ConnsPerSender: (background + released) / 8, Fidelity: FidelityHybrid, Epoch: 5 * time.Millisecond})
 	for i := 0; i < background; i++ {
 		if err := hyb.StartBackgroundFlow(i, sim.At(time.Millisecond), 1<<30); err != nil {
 			t.Fatal(err)

@@ -687,7 +687,7 @@ func (f *Fleet) step() {
 // holds every candidate, however many connections are live.
 func (f *Fleet) sweep() {
 	f.arena.DrainTouched(f.demoteFn)
-	if sim.InvariantChecks() {
+	if f.drv.Config().Checks {
 		// The oracle: a scan of every materialized connection, which is
 		// what the sweep used to be, must find nothing left to demote.
 		for i := range f.store.recs {

@@ -49,14 +49,17 @@ type trainSpec struct {
 // given fidelity on a fresh sequential scheduler.
 func buildFleet(tb testing.TB, n, per int, base tcp.Config, fid Fidelity, epoch time.Duration) (*Fleet, *sim.Scheduler) {
 	tb.Helper()
-	return buildFleetFrom(tb, n, FleetConfig{ConnsPerSender: per, Base: base, Fidelity: fid, Epoch: epoch})
+	return buildFleetFrom(tb, sim.NewScheduler(), n, FleetConfig{ConnsPerSender: per, Base: base, Fidelity: fid, Epoch: epoch})
 }
 
-// buildFleetFrom is buildFleet for a configuration that sets more than
-// that (policy factories); the network fields are filled in here.
-func buildFleetFrom(tb testing.TB, n int, cfg FleetConfig) (*Fleet, *sim.Scheduler) {
+// armed returns a scheduler with invariant checks, and so the hybrid
+// sweep's full-scan oracle, armed.
+func armed() *sim.Scheduler { return sim.NewSchedulerWith(sim.Config{Checks: true}) }
+
+// buildFleetFrom is buildFleet on sched for a configuration that sets
+// more than that (policy factories); the network fields are filled in here.
+func buildFleetFrom(tb testing.TB, sched *sim.Scheduler, n int, cfg FleetConfig) (*Fleet, *sim.Scheduler) {
 	tb.Helper()
-	sched := sim.NewScheduler()
 	star := topology.NewStar(sched, n, topology.DefaultStarLink(100))
 	cfg.Senders, cfg.FrontEnd = star.Senders, star.FrontEnd
 	fleet, err := NewFleet(star.Net, cfg)
@@ -71,21 +74,22 @@ func buildFleetFrom(tb testing.TB, n int, cfg FleetConfig) (*Fleet, *sim.Schedul
 func runScenario(tb testing.TB, n, per int, base tcp.Config, epoch time.Duration,
 	trains []trainSpec, horizon sim.Time) (pkt, hyb *Fleet) {
 	tb.Helper()
-	return runScenarioFrom(tb, n, func() FleetConfig {
+	return runScenarioFrom(tb, n, sim.NewScheduler, func() FleetConfig {
 		return FleetConfig{ConnsPerSender: per, Base: base, Epoch: epoch}
 	}, trains, horizon)
 }
 
 // runScenarioFrom is runScenario with the fleet configuration built anew
-// for each fidelity, so that a stateful policy factory starts over.
-func runScenarioFrom(tb testing.TB, n int, mk func() FleetConfig,
+// for each fidelity, so that a stateful policy factory starts over, on
+// schedulers newSched builds.
+func runScenarioFrom(tb testing.TB, n int, newSched func() *sim.Scheduler, mk func() FleetConfig,
 	trains []trainSpec, horizon sim.Time) (pkt, hyb *Fleet) {
 	tb.Helper()
 	fleets := make([]*Fleet, 2)
 	for fi, fid := range []Fidelity{FidelityPacket, FidelityHybrid} {
 		cfg := mk()
 		cfg.Fidelity = fid
-		fleet, sched := buildFleetFrom(tb, n, cfg)
+		fleet, sched := buildFleetFrom(tb, newSched(), n, cfg)
 		for _, tr := range trains {
 			if err := fleet.ScheduleResponse(tr.flow, tr.at, tr.bytes); err != nil {
 				tb.Fatal(err)
@@ -301,7 +305,7 @@ func FuzzHybridFleetLockstep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := sim.NewRand(seed)
 		if seed&3 == 0 {
-			if hyb, _ := runWideFleet(t, rng); hyb.Live() != 0 {
+			if hyb, _ := runWideFleet(t, rng, sim.NewScheduler); hyb.Live() != 0 {
 				t.Errorf("seed %d: %d of %d conns still live", seed, hyb.Live(), hyb.NumFlows())
 			}
 			return
@@ -465,7 +469,7 @@ func TestPacketFleetRecyclesConnections(t *testing.T) {
 		}
 	}
 	run := func(recycle *Fleet, fid Fidelity, horizon sim.Time) *Fleet {
-		fleet, sched := buildFleetFrom(t, 4, FleetConfig{Fidelity: fid, Recycle: recycle,
+		fleet, sched := buildFleetFrom(t, sim.NewScheduler(), 4, FleetConfig{Fidelity: fid, Recycle: recycle,
 			Base: tcp.Config{MinRTO: 5 * time.Millisecond, SACK: true}})
 		for _, tr := range trains {
 			if err := fleet.ScheduleResponse(tr.flow, tr.at, tr.bytes); err != nil {

@@ -76,15 +76,11 @@ func (r *faultRig) finish(t *testing.T) {
 	}
 }
 
-func withInvariants(t *testing.T) {
-	t.Helper()
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-}
+// armed returns a scheduler with invariant checks armed.
+func armed() *sim.Scheduler { return sim.NewSchedulerWith(sim.Config{Checks: true}) }
 
 func TestGilbertElliottBurstyLossConserved(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 4000)
+	r := newFaultRigOn(t, armed(), 4000)
 	// Always-lossy bad state, mean burst length 5 packets, ~33% of time bad.
 	r.ab.InjectGilbertElliott(GEConfig{PGoodBad: 0.1, PBadGood: 0.2, LossBad: 1}, sim.NewRand(1))
 	const n = 2000
@@ -123,8 +119,7 @@ func TestGilbertElliottBurstyLossConserved(t *testing.T) {
 }
 
 func TestLinkFlapDrainsQueueAndBlackholes(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 100)
+	r := newFaultRigOn(t, armed(), 100)
 	// 40 packets at t=0: one serializes (12 µs at 1 Gbps), rest queue.
 	r.sendAt(t, 0, 40, 1)
 	// Down mid-burst: the queue drains to the pool, and the packet on the
@@ -161,8 +156,7 @@ func TestLinkFlapDrainsQueueAndBlackholes(t *testing.T) {
 }
 
 func TestScheduleFlapsTogglesAndValidates(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 100)
+	r := newFaultRigOn(t, armed(), 100)
 	if err := r.ab.ScheduleFlaps(FlapConfig{DownFor: 0}); err == nil {
 		t.Error("DownFor=0 accepted")
 	}
@@ -205,8 +199,7 @@ func TestScheduleFlapsTogglesAndValidates(t *testing.T) {
 func TestScheduleFlapsReplacesPendingSchedule(t *testing.T) {
 	// A second ScheduleFlaps while the first edge is still pending must
 	// re-slot the pipe's flap timer in place: only the new schedule runs.
-	withInvariants(t)
-	r := newFaultRig(t, 100)
+	r := newFaultRigOn(t, armed(), 100)
 	if err := r.ab.ScheduleFlaps(FlapConfig{
 		FirstDownAt: sim.At(time.Millisecond),
 		DownFor:     10 * time.Millisecond,
@@ -247,8 +240,7 @@ func TestScheduleFlapsReplacesPendingSchedule(t *testing.T) {
 }
 
 func TestReorderDeliversEverythingOutOfOrder(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 4000)
+	r := newFaultRigOn(t, armed(), 4000)
 	// Every packet is held back up to 200 µs — far beyond the 12 µs
 	// serialization gap — so arrival order is thoroughly shuffled.
 	r.ab.InjectReorder(1, 200*time.Microsecond, sim.NewRand(2))
@@ -274,8 +266,7 @@ func TestReorderDeliversEverythingOutOfOrder(t *testing.T) {
 }
 
 func TestDuplicateDeliversTwiceFromDistinctPackets(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 4000)
+	r := newFaultRigOn(t, armed(), 4000)
 	r.ab.InjectDuplicate(1, sim.NewRand(3))
 	const n = 100
 	r.sendAt(t, 0, n, 1)
@@ -301,8 +292,7 @@ func TestDuplicateDeliversTwiceFromDistinctPackets(t *testing.T) {
 }
 
 func TestDuplicateCloneCopiesSack(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 100)
+	r := newFaultRigOn(t, armed(), 100)
 	r.ab.InjectDuplicate(1, sim.NewRand(4))
 	var sacks [][2]int64
 	r.b.SetHandler(func(p *Packet) {
@@ -330,8 +320,7 @@ func TestDuplicateCloneCopiesSack(t *testing.T) {
 }
 
 func TestDoubleReleasePanicsUnderInvariants(t *testing.T) {
-	withInvariants(t)
-	sched := sim.NewScheduler()
+	sched := armed()
 	net := NewNetwork(sched)
 	pkt := net.AllocPacket()
 	net.ReleasePacket(pkt)
@@ -344,8 +333,7 @@ func TestDoubleReleasePanicsUnderInvariants(t *testing.T) {
 }
 
 func TestSendAfterReleasePanicsUnderInvariants(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 100)
+	r := newFaultRigOn(t, armed(), 100)
 	pkt := r.net.AllocPacket()
 	pkt.Src, pkt.Dst, pkt.Size = r.a.ID(), r.b.ID(), 1500
 	r.net.ReleasePacket(pkt)
@@ -364,11 +352,10 @@ func TestSendAfterReleasePanicsUnderInvariants(t *testing.T) {
 // TestFaultedDeliveryIndependentOfContainer sends the same bursts over a
 // clean, jittered, reordering, duplicating, flapping and all-of-these
 // pipe twice: on a plain scheduler, where serialization and unjittered
-// propagation events ride the FIFO lanes, and under sim.WheelOnly, where
-// every event sits in the wheel. Arrival order, instants and fault
+// propagation events ride the FIFO lanes, and on one with the lanes off,
+// where every event sits in the wheel. Arrival order, instants and fault
 // counters must not depend on the container.
 func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
-	withInvariants(t)
 	type arrival struct {
 		id uint64
 		at sim.Time
@@ -398,8 +385,8 @@ func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
 		}
 	}})
 
-	run := func(inject func(*Pipe)) ([]arrival, PipeStats, sim.Stats) {
-		sched := sim.NewScheduler()
+	run := func(inject func(*Pipe), noLanes bool) ([]arrival, PipeStats, sim.Stats) {
+		sched := sim.NewSchedulerWith(sim.Config{NoLanes: noLanes, Checks: true})
 		r := newFaultRigOn(t, sched, 64)
 		var got []arrival
 		r.b.SetHandler(func(p *Packet) { got = append(got, arrival{p.ID, sched.Now()}) })
@@ -419,11 +406,8 @@ func TestFaultedDeliveryIndependentOfContainer(t *testing.T) {
 	}
 	for _, f := range faults {
 		t.Run(f.name, func(t *testing.T) {
-			lanes, laneStats, ls := run(f.inject)
-			var wheel []arrival
-			var wheelStats PipeStats
-			var ws sim.Stats
-			sim.WheelOnly(func() { wheel, wheelStats, ws = run(f.inject) })
+			lanes, laneStats, ls := run(f.inject, false)
+			wheel, wheelStats, ws := run(f.inject, true)
 			if ls.FiredLane == 0 || ws.FiredLane != 0 {
 				t.Fatalf("lane-fired events: plain scheduler %d (want > 0), wheel only %d (want 0)", ls.FiredLane, ws.FiredLane)
 			}

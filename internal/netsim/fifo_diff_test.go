@@ -260,8 +260,7 @@ func TestFlightFIFOMatchesCrawlAndCompact(t *testing.T) {
 	}
 	for name, inject := range faults {
 		t.Run(name, func(t *testing.T) {
-			withInvariants(t)
-			r := newFaultRig(t, 400)
+			r := newFaultRigOn(t, armed(), 400)
 			// A long wire holds many packets at once: 40 B at 1 Gbps
 			// serializes in 320 ns, the cable takes 100 µs.
 			r.ab.delay = 100 * time.Microsecond

@@ -11,8 +11,8 @@ package netsim
 //     its pending events (serializing, on the wire, or held back by a
 //     reorder injector) — whenever the simulation is between events;
 //   - no double release / no use-after-release (inline checks in
-//     ReleasePacket and Pipe.Send, gated on sim.InvariantChecks, and here:
-//     no pending event carries a packet that is back in the pool);
+//     ReleasePacket and Pipe.Send, armed by the scheduler's Config, and
+//     here: no pending event carries a packet that is back in the pool);
 //   - queue occupancy within configured bounds.
 //
 // The pipes keep no record of the packets their events carry; the checker

@@ -48,8 +48,7 @@ func TestQueueBoundsCheck(t *testing.T) {
 }
 
 func TestScheduledInvariantChecksCoverFaultyRun(t *testing.T) {
-	withInvariants(t)
-	r := newFaultRig(t, 50)
+	r := newFaultRigOn(t, armed(), 50)
 	// Every injector at once, checked every 20 µs: the checker must stay
 	// silent through queue drains, held reorder deliveries, and clones.
 	r.ab.InjectGilbertElliott(GEConfig{PGoodBad: 0.05, PBadGood: 0.1, LossBad: 0.8}, sim.NewRand(5))

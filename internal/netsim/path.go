@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"tcptrim/internal/sim"
-)
+import "fmt"
 
 // maxPathHops is the longest path a Path holds; a longer one is forwarded
 // hop by hop. Every reproduced topology's paths are shorter (a fat-tree's
@@ -38,7 +34,7 @@ func (p *Path) Send(h *Host, pkt *Packet) {
 	n := h.net
 	if p.gen != n.routeGen {
 		*p = n.resolve(h.id, pkt.Dst, pkt.Flow)
-		if sim.InvariantChecks() {
+		if n.sched.Config().Checks {
 			n.checkPath(*p, h.id, pkt)
 		}
 	}

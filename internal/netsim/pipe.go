@@ -164,7 +164,7 @@ func (p *Pipe) Stats() PipeStats { return p.stats }
 // starts serializing immediately; otherwise it joins the egress queue
 // (and may be tail-dropped).
 func (p *Pipe) Send(pkt *Packet) {
-	if sim.InvariantChecks() && pkt.inPool {
+	if p.sched.Config().Checks && pkt.inPool {
 		panic(fmt.Sprintf("netsim: released packet offered to pipe %s->%s: %s",
 			p.from.Name(), p.to.Name(), pkt))
 	}

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"tcptrim/internal/sim"
-)
+import "fmt"
 
 // Packet recycling. Steady-state simulation churns through millions of
 // packets whose lifetime is a handful of events (serialize → propagate →
@@ -86,15 +82,16 @@ func (n *Network) AllocPacket() *Packet {
 // allocated from any pool (built by hand, as tests do) are ignored, so
 // callers may release unconditionally at packet-death points. Releasing
 // the same packet twice is a bug — an aliased reference now points into
-// the free list — and panics when invariant checks are enabled
-// (sim.SetInvariantChecks); otherwise the duplicate release is dropped.
+// the free list — and panics when the network's scheduler has invariant
+// checks armed (sim.Config.Checks); otherwise the duplicate release is
+// dropped.
 func (n *Network) ReleasePacket(p *Packet) {
 	if p == nil || !p.pooled {
 		return
 	}
 	pool := &n.pool
 	if p.inPool {
-		if sim.InvariantChecks() {
+		if n.sched.Config().Checks {
 			panic(fmt.Sprintf("netsim: double release of pooled packet (pool=%d live=%d)",
 				len(pool.free), n.LivePackets()))
 		}

@@ -110,10 +110,9 @@ func cutStar(sched *sim.Scheduler, disc aqm.Config) *Network {
 // in the same order with the same queue, network and pool counters as a
 // star on a fresh network.
 func TestRecycleRunsAsFresh(t *testing.T) {
-	withInvariants(t)
 	for _, disc := range recycleDisciplines {
 		t.Run(disc.Kind.String(), func(t *testing.T) {
-			want, _ := runStar(sim.NewScheduler(), disc, nil)
+			want, _ := runStar(armed(), disc, nil)
 			if want.pool.Releases == 0 || want.live != 0 {
 				t.Fatalf("fresh run: pool %+v, %d live", want.pool, want.live)
 			}
@@ -127,7 +126,7 @@ func TestRecycleRunsAsFresh(t *testing.T) {
 			if disc.Kind == aqm.FavourQueue && want.favoured == 0 {
 				t.Fatal("FavourQueue never used its favoured band")
 			}
-			sched := sim.NewScheduler()
+			sched := armed()
 			old := cutStar(sched, disc)
 			for gen := 1; gen <= 3; gen++ {
 				sched.Clear()

@@ -50,11 +50,11 @@ type ssEnv struct {
 	echoed    uint64
 }
 
-// buildStar wires the topology, traffic program, and fault schedule on a
-// scheduler of its own.
-func buildStar(t *testing.T) *ssEnv {
+// buildStar wires the topology, traffic program, and fault schedule on
+// sched, a scheduler of its own.
+func buildStar(t *testing.T, sched *sim.Scheduler) *ssEnv {
 	t.Helper()
-	e := &ssEnv{sched: sim.NewScheduler()}
+	e := &ssEnv{sched: sched}
 	e.net = NewNetwork(e.sched)
 	e.sw = e.net.AddSwitch("sw")
 	e.fe = e.net.AddHost("fe")
@@ -141,7 +141,7 @@ func runBatch(t *testing.T, n int, parallel bool) []*ssEnv {
 	t.Helper()
 	batch := make([]*ssEnv, n)
 	for i := range batch {
-		batch[i] = buildStar(t)
+		batch[i] = buildStar(t, sim.NewScheduler())
 	}
 	if !parallel {
 		for at := sim.At(ssSlice); at <= sim.At(ssHorizon); at = at.Add(ssSlice) {
@@ -215,7 +215,7 @@ func (e *ssEnv) diff(o *ssEnv) string {
 // TestNetworkShardDifferential sweeps batch sizes and execution modes
 // against the lone reference.
 func TestNetworkShardDifferential(t *testing.T) {
-	ref := buildStar(t)
+	ref := buildStar(t, sim.NewScheduler())
 	ref.run()
 	if len(ref.feTrace) == 0 {
 		t.Fatal("reference run delivered nothing; traffic program is broken")
@@ -246,14 +246,10 @@ func TestNetworkShardDifferential(t *testing.T) {
 // conservation (the scheduler walk over pending arrivals, held packets,
 // per-network pools) on networks running concurrently.
 func TestNetworkShardInvariants(t *testing.T) {
-	old := sim.InvariantChecks()
-	sim.SetInvariantChecks(true)
-	defer sim.SetInvariantChecks(old)
-
 	batch := make([]*ssEnv, 3)
 	var wg sync.WaitGroup
 	for i := range batch {
-		e := buildStar(t)
+		e := buildStar(t, armed())
 		e.net.ScheduleInvariantChecks(time.Millisecond)
 		batch[i] = e
 		wg.Add(1)

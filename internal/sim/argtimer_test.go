@@ -18,33 +18,31 @@ func funcID(fn func(unsafe.Pointer)) unsafe.Pointer {
 // clock and the firing trace must agree after every operation, and
 // WalkFIFO must visit exactly the pending argument-form timers besides
 // the FIFO events the closure side also holds, each with its own
-// argument. Under WheelOnly as well as with lanes live.
+// argument. With the lanes off as well as live.
 func TestArgTimerMatchesClosureTimer(t *testing.T) {
-	run := func(t *testing.T) (laneFired uint64) {
+	run := func(t *testing.T, cfg Config) (laneFired uint64) {
 		for seed := int64(0); seed < 20; seed++ {
-			laneFired += argTimerProgram(t, seed)
+			laneFired += argTimerProgram(t, seed, cfg)
 		}
 		return laneFired
 	}
 	t.Run("lanes", func(t *testing.T) {
-		if run(t) == 0 {
+		if run(t, defaultConfig) == 0 {
 			t.Error("no FIFO event fired from a lane")
 		}
 	})
 	t.Run("wheel-only", func(t *testing.T) {
-		WheelOnly(func() {
-			if run(t) != 0 {
-				t.Error("a lane fired under WheelOnly")
-			}
-		})
+		if run(t, noLanes()) != 0 {
+			t.Error("a lane fired with the lanes off")
+		}
 	})
 }
 
-func argTimerProgram(t *testing.T, seed int64) (laneFired uint64) {
+func argTimerProgram(t *testing.T, seed int64, cfg Config) (laneFired uint64) {
 	t.Helper()
 	const n = 48
 	rng := NewRand(seed)
-	cs, as := NewScheduler(), NewScheduler()
+	cs, as := NewSchedulerWith(cfg), NewSchedulerWith(cfg)
 	var ctrace, atrace []traceEntry
 	ids := make([]int, 2*n) // the timers' arguments, then the FIFO events'
 	for i := range ids {
@@ -142,7 +140,7 @@ func argTimerProgram(t *testing.T, seed int64) (laneFired uint64) {
 			t.Fatalf("seed %d op %d: walk saw %d FIFO events (closure side %d) and %d timers (%d pending)",
 				seed, op, aFIFO, cFIFO, len(seen), pending)
 		}
-		if InvariantChecks() {
+		if cfg.Checks {
 			cs.CheckAccounting()
 			as.CheckAccounting()
 		}

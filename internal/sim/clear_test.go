@@ -41,10 +41,10 @@ func TestClearKillsTimers(t *testing.T) {
 	}
 }
 
-// TestClearReadsLanesSwitch: a scheduler cleared inside WheelOnly serves
-// AfterFIFO from the wheel, one cleared outside it from lanes, whichever
-// way it was built.
-func TestClearReadsLanesSwitch(t *testing.T) {
+// TestClearKeepsConfig: a cleared scheduler keeps the Config it was built
+// with: with the lanes off it serves AfterFIFO from the wheel, with them
+// live from a lane, however often it is cleared.
+func TestClearKeepsConfig(t *testing.T) {
 	arm := func(s *Scheduler) Stats {
 		for i := 0; i < 2*laneAdmitAfter; i++ {
 			s.AfterFIFO(nil, time.Microsecond, func(unsafe.Pointer) {}, nil)
@@ -52,15 +52,13 @@ func TestClearReadsLanesSwitch(t *testing.T) {
 		s.Run()
 		return s.Stats()
 	}
-	s := NewScheduler()
-	WheelOnly(s.Clear)
-	if st := arm(s); st.Lanes != 0 || st.FiredLane != 0 {
-		t.Fatalf("cleared inside WheelOnly, a lane served AfterFIFO: %+v", st)
-	}
-	WheelOnly(func() { s = NewScheduler() })
-	s.Clear()
-	if st := arm(s); st.Lanes != 1 || st.FiredLane == 0 {
-		t.Fatalf("cleared outside WheelOnly, no lane served AfterFIFO: %+v", st)
+	for _, cfg := range []Config{{NoLanes: true}, {NoLanes: true, Checks: true}, {}} {
+		s := NewSchedulerWith(cfg)
+		arm(s)
+		s.Clear()
+		if st := arm(s); s.Config() != cfg || (st.FiredLane == 0) != cfg.NoLanes || (st.Lanes == 0) != cfg.NoLanes {
+			t.Fatalf("built with %+v, cleared: config %+v, stats %+v", cfg, s.Config(), st)
+		}
 	}
 }
 
@@ -68,9 +66,7 @@ func TestClearReadsLanesSwitch(t *testing.T) {
 // right after Clear from every container holding entries, and the cleared
 // scheduler reads as new: clock, Len, Fired and Stats at zero.
 func TestClearAccounting(t *testing.T) {
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
-	s := NewScheduler()
+	s := NewSchedulerWith(Config{Checks: true})
 	s.After(time.Millisecond, func() {})
 	s.RunUntil(At(500 * time.Microsecond))
 	leavePending(t, s, &fifoHandles{})

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -41,22 +40,6 @@ const (
 	laneIdleAfter  = 4096
 	laneInitCap    = 8 // power of two; rings double when full
 )
-
-// fifoToWheel, while positive, makes every scheduler built from then on
-// serve each AfterFIFO from the wheel (see WheelOnly).
-var fifoToWheel atomic.Int32
-
-// WheelOnly runs fn with the FIFO lanes switched off: every scheduler
-// built while fn runs serves each AfterFIFO from the timing wheel, as if
-// no delay had earned a lane. Dispatch order, and so every simulated byte,
-// must not depend on the container, which makes a WheelOnly run the
-// reference the lanes are tested against, here and in the packages above.
-// It is for tests only. Calls may nest and overlap.
-func WheelOnly(fn func()) {
-	fifoToWheel.Add(1)
-	defer fifoToWheel.Add(-1)
-	fn()
-}
 
 type laneEntry struct {
 	at  Time
@@ -166,7 +149,7 @@ func (s *Scheduler) AfterFIFO(h *Lane, d time.Duration, fn func(unsafe.Pointer),
 // laneFor returns the lane serving delay d, admitting d when it has
 // recurred often enough, or nil when the event belongs in the wheel.
 func (s *Scheduler) laneFor(d time.Duration) *lane {
-	if s.wheelOnly {
+	if s.cfg.NoLanes {
 		s.stats.FIFONoLane++
 		return nil
 	}
@@ -227,7 +210,7 @@ func (ls *laneSet) earned(d time.Duration) bool {
 func (s *Scheduler) fireLane(l *lane) {
 	e := &l.buf[l.head]
 	at, fn, arg := e.at, e.fn, e.arg
-	if invariantChecks.Load() {
+	if s.cfg.Checks {
 		s.verifyAccounting(at, e.seq)
 	}
 	e.fn, e.arg = nil, nil

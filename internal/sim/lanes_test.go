@@ -127,8 +127,8 @@ func TestLaneReclaimedForLateHotDelays(t *testing.T) {
 		id int
 		at Time
 	}
-	run := func() (trace []fired, st Stats, s *Scheduler) {
-		s = NewScheduler()
+	run := func(cfg Config) (trace []fired, st Stats, s *Scheduler) {
+		s = NewSchedulerWith(cfg)
 		arm := func(d time.Duration) {
 			id := int(s.seq)
 			s.AfterFIFO(nil, d, func(unsafe.Pointer) { trace = append(trace, fired{id, s.Now()}) }, nil)
@@ -156,7 +156,7 @@ func TestLaneReclaimedForLateHotDelays(t *testing.T) {
 		s.Run()
 		return trace, st, s
 	}
-	trace, st, s := run()
+	trace, st, s := run(defaultConfig)
 	if st.Lanes != maxLanes {
 		t.Fatalf("Lanes = %d, want all %d in use", st.Lanes, maxLanes)
 	}
@@ -172,8 +172,7 @@ func TestLaneReclaimedForLateHotDelays(t *testing.T) {
 	if total := uint64(20_000 * len(hot)); st.FiredLane*100 < total*90 {
 		t.Errorf("lanes fired %d of about %d events: late delays were kept out", st.FiredLane, total)
 	}
-	var want []fired
-	WheelOnly(func() { want, _, _ = run() })
+	want, _, _ := run(noLanes())
 	if len(trace) != len(want) {
 		t.Fatalf("fired %d events, the wheel alone %d", len(trace), len(want))
 	}
@@ -280,14 +279,14 @@ func TestLaneLookupByDelayOnly(t *testing.T) {
 	})
 }
 
-// TestAfterFIFOShardedFallsBackToWheel: a scheduler built under WheelOnly
-// gives no delay a lane, however often it recurs — every AfterFIFO is a
-// wheel event fired with its own argument — and one built after
-// WheelOnly returns earns lanes again.
+// TestAfterFIFOShardedFallsBackToWheel: a scheduler built with the lanes
+// off gives no delay a lane, however often it recurs — every AfterFIFO is
+// a wheel event fired with its own argument — and one built with them
+// live earns lanes again.
 func TestAfterFIFOShardedFallsBackToWheel(t *testing.T) {
 	const n = 3 * laneAdmitAfter
-	run := func() (Stats, []int) {
-		s := NewScheduler()
+	run := func(cfg Config) (Stats, []int) {
+		s := NewSchedulerWith(cfg)
 		ids := make([]int, n)
 		var got []int
 		for i := range ids {
@@ -297,9 +296,7 @@ func TestAfterFIFOShardedFallsBackToWheel(t *testing.T) {
 		s.Run()
 		return s.Stats(), got
 	}
-	var st Stats
-	var got []int
-	WheelOnly(func() { st, got = run() })
+	st, got := run(noLanes())
 	if st.FiredLane != 0 || st.Lanes != 0 || st.FIFONoLane != n {
 		t.Errorf("stats %+v: want every AfterFIFO counted as a wheel fallback", st)
 	}
@@ -311,8 +308,8 @@ func TestAfterFIFOShardedFallsBackToWheel(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("fired %d of %d events", len(got), n)
 	}
-	if st, _ := run(); st.Lanes != 1 || st.FiredLane == 0 {
-		t.Errorf("after WheelOnly: stats %+v, want the delay back in a lane", st)
+	if st, _ := run(defaultConfig); st.Lanes != 1 || st.FiredLane == 0 {
+		t.Errorf("lanes live: stats %+v, want the delay back in a lane", st)
 	}
 }
 
@@ -532,9 +529,7 @@ func TestCheckAccountingDetectsCorruption(t *testing.T) {
 // TestVerifyAccountingCoversLanes arms the per-dispatch assertions and
 // breaks the live count while only lanes hold events.
 func TestVerifyAccountingCoversLanes(t *testing.T) {
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
-	s := NewScheduler()
+	s := NewSchedulerWith(Config{Checks: true})
 	armFIFO(s, time.Microsecond, laneAdmitAfter)
 	s.Run() // clean: live == lanes all the way down
 	armFIFO(s, time.Microsecond, 2)

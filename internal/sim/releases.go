@@ -215,7 +215,7 @@ func (q *Releases[T]) reslot() {
 func fireReleases[T any](p unsafe.Pointer) {
 	q := (*Releases[T])(p)
 	s := q.s
-	if invariantChecks.Load() {
+	if s.cfg.Checks {
 		if msg := q.topDrift(); msg != "" {
 			panic(q.drift("fired", msg))
 		}

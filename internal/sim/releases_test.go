@@ -77,10 +77,10 @@ const (
 // schedulers in lockstep: one pushes onto Releases queues, the other calls
 // At with a closure per push, which is what Push promises to be. Dispatch
 // traces, clocks, PeekTime, Len, Fired and every verdict must agree.
-func runReleasesDiff(t *testing.T, data []byte) relResult {
+func runReleasesDiff(t *testing.T, data []byte, cfg Config) relResult {
 	t.Helper()
 	const maxOps = 2048
-	got, want := NewScheduler(), NewScheduler()
+	got, want := NewSchedulerWith(cfg), NewSchedulerWith(cfg)
 	var gotTrace, wantTrace []relTrace
 
 	type timerPair struct{ g, w Timer }
@@ -430,7 +430,7 @@ func runsProgram(rng *rand.Rand, n int) []byte {
 }
 
 // TestReleasesDifferential runs random programs, with and without run
-// pushes, with the lanes live and once more under WheelOnly; both must
+// pushes, with the lanes live and once more with them off; both must
 // match the At reference, and each other, event for event.
 func TestReleasesDifferential(t *testing.T) {
 	var pushed, laneFired uint64
@@ -438,9 +438,8 @@ func TestReleasesDifferential(t *testing.T) {
 	for _, program := range []func(*rand.Rand, int) []byte{releasesProgram, runsProgram} {
 		for seed := int64(0); seed < 200; seed++ {
 			data := program(NewRand(seed), 48+int(seed))
-			lanes := runReleasesDiff(t, data)
-			var wheel relResult
-			WheelOnly(func() { wheel = runReleasesDiff(t, data) })
+			lanes := runReleasesDiff(t, data, defaultConfig)
+			wheel := runReleasesDiff(t, data, noLanes())
 			if wheel.stats.FiredLane != 0 {
 				t.Fatalf("seed %d: forced-wheel run used lanes: %+v", seed, wheel.stats)
 			}
@@ -473,13 +472,11 @@ func TestReleasesDifferential(t *testing.T) {
 // and without run pushes, with invariant checks armed: the dispatch-time
 // key check on top of CheckAccounting after every op.
 func TestReleasesDifferentialInvariants(t *testing.T) {
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
 	for _, program := range []func(*rand.Rand, int) []byte{releasesProgram, runsProgram} {
 		for seed := int64(500); seed < 540; seed++ {
 			data := program(NewRand(seed), 160)
-			runReleasesDiff(t, data)
-			WheelOnly(func() { runReleasesDiff(t, data) })
+			runReleasesDiff(t, data, Config{Checks: true})
+			runReleasesDiff(t, data, Config{NoLanes: true, Checks: true})
 		}
 	}
 }
@@ -488,15 +485,13 @@ func TestReleasesDifferentialInvariants(t *testing.T) {
 // and later re-arms the far value, under its old key, on the recycled
 // event: the overflow entry left behind must stay stale.
 func TestReleasesFarThenNear(t *testing.T) {
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
 	runReleasesDiff(t, []byte{
 		relOpPushFar, 0, 30,
 		relOpPush, 0, 0, 10,
 		relOpRunUntil, 0, 20,
 		relOpPush, 0, 0, 10,
 		relOpRunUntil, 255, 255,
-	})
+	}, Config{Checks: true})
 }
 
 // FuzzReleases feeds random programs through runReleasesDiff.
@@ -509,7 +504,7 @@ func FuzzReleases(f *testing.F) {
 	f.Add([]byte{progRuns, relOpRun, 0, 4, 9, 3, 3, 7, 1, relOpPush, 0, 0, 2, relOpStep, relOpRun, 0, 2, 1, 0xFF, 4, relOpRunUntil, 0, 20})
 	f.Add(runsProgram(NewRand(2), 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runReleasesDiff(t, data)
+		runReleasesDiff(t, data, defaultConfig)
 	})
 }
 
@@ -555,10 +550,8 @@ func mustPanic(t *testing.T, fn func()) string {
 // longer carries the heap minimum's key: CheckAccounting and, under
 // invariant checks, the release itself must panic.
 func TestReleasesArmedDriftPanics(t *testing.T) {
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
 	build := func() (*Scheduler, *Releases[int]) {
-		s := NewScheduler()
+		s := NewSchedulerWith(Config{Checks: true})
 		q := NewReleases(s, func(int) {})
 		for _, us := range []int{5, 9} {
 			if err := q.Push(At(time.Duration(us)*time.Microsecond), us); err != nil {

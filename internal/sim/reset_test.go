@@ -166,9 +166,7 @@ func TestTimerResetNegativeClampsToNow(t *testing.T) {
 func TestTimerResetAcrossWheelAndOverflow(t *testing.T) {
 	// Reset must re-file events across containers: near-future (wheel)
 	// to far-future (overflow heap) and back, without losing accounting.
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
-	s := NewScheduler()
+	s := NewSchedulerWith(Config{Checks: true})
 	fired := Time(-1)
 	tm := s.After(time.Millisecond, func() { fired = s.Now() })
 	if !tm.Reset(time.Hour) { // far beyond the wheel span: overflow heap
@@ -207,9 +205,7 @@ func TestTimerResetRepeatedChurn(t *testing.T) {
 	// An RTO-like pattern: the same timer reset thousands of times with
 	// interleaved traffic events; it must fire exactly once, at the last
 	// deadline.
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
-	s := NewScheduler()
+	s := NewSchedulerWith(Config{Checks: true})
 	fired := 0
 	tm := s.After(200*time.Millisecond, func() { fired++ })
 	for i := 0; i < 5000; i++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"os"
 	"time"
 	"unsafe"
 )
@@ -136,6 +137,9 @@ type Scheduler struct {
 	fired   uint64
 	running bool
 	stopped bool
+	// cfg is what s was built with; it sits with the fields every dispatch
+	// reads.
+	cfg Config
 
 	wheel    wheel
 	overflow []heapEntry
@@ -155,8 +159,6 @@ type Scheduler struct {
 	// on at every admission and takeover, and at every Clear.
 	laneGen uint64
 	stats   Stats
-	// wheelOnly sends every AfterFIFO to the wheel (see WheelOnly).
-	wheelOnly bool
 	// Wheel synchronization keys: cascadeKey[l] tracks now>>levelShift(l)
 	// so crossing a level's slot boundary cascades that level's current
 	// slot exactly once; spanKey tracks now>>wheelSpanShift to migrate
@@ -166,19 +168,46 @@ type Scheduler struct {
 	spanKey    uint64
 }
 
-// NewScheduler returns an empty scheduler positioned at Start.
-func NewScheduler() *Scheduler {
-	s := new(Scheduler)
+// Config is what a scheduler is built with and keeps through Clear.
+// Neither setting changes which event fires when, so neither shapes a
+// simulated byte.
+type Config struct {
+	// NoLanes serves every AfterFIFO from the timing wheel, as if no delay
+	// had earned a lane: the reference the lanes are tested against.
+	NoLanes bool
+	// Checks arms the invariant checks: cheap assertions on the hot paths
+	// (accounting at every dispatch here, packet-pool discipline in
+	// netsim, retransmission bounds in tcp, the hybrid sweep's oracle)
+	// that panic with a diagnostic instead of silently corrupting results.
+	Checks bool
+}
+
+// defaultConfig is NewScheduler's: the checks are armed when the
+// TCPTRIM_INVARIANTS environment variable is non-empty (the CI test jobs
+// set it). It is read once and never written.
+var defaultConfig = Config{Checks: os.Getenv("TCPTRIM_INVARIANTS") != ""}
+
+// NewScheduler returns an empty scheduler positioned at Start, built with
+// the default configuration.
+func NewScheduler() *Scheduler { return NewSchedulerWith(defaultConfig) }
+
+// NewSchedulerWith returns an empty scheduler positioned at Start, built
+// with c.
+func NewSchedulerWith(c Config) *Scheduler {
+	s := &Scheduler{cfg: c}
 	s.Clear()
 	return s
 }
 
-// Clear returns s to what NewScheduler returns: clock and sequence number
-// at zero, nothing pending, Stats zeroed, and the lanes switch read again
-// (see WheelOnly). Every pending event is dropped and its Timer goes dead,
-// and release queues made on s are forgotten. What s grew is kept: the
-// event free list, the lane rings, and the capacity of the overflow heap
-// and of the release-queue list. It must not be called while s runs.
+// Config returns the configuration s was built with.
+func (s *Scheduler) Config() Config { return s.cfg }
+
+// Clear returns s to what it was built as: clock and sequence number at
+// zero, nothing pending, Stats zeroed, its Config kept. Every pending
+// event is dropped and its Timer goes dead, and release queues made on s
+// are forgotten. What s grew is kept: the event free list, the lane
+// rings, and the capacity of the overflow heap and of the release-queue
+// list. It must not be called while s runs.
 func (s *Scheduler) Clear() {
 	if s.running {
 		panic("sim: Clear called from inside the run loop")
@@ -206,12 +235,12 @@ func (s *Scheduler) Clear() {
 		s.lanes.clear()
 	}
 	*s = Scheduler{
-		overflow:  s.overflow[:0],
-		free:      s.free,
-		releases:  s.releases[:0],
-		lanes:     s.lanes,
-		laneGen:   s.laneGen + 1,
-		wheelOnly: fifoToWheel.Load() > 0,
+		overflow: s.overflow[:0],
+		free:     s.free,
+		releases: s.releases[:0],
+		lanes:    s.lanes,
+		laneGen:  s.laneGen + 1,
+		cfg:      s.cfg,
 	}
 }
 
@@ -392,7 +421,7 @@ func (s *Scheduler) advanceTo(t Time) {
 // dispatch removes ev from its container, advances the clock to its
 // instant, and runs its callback.
 func (s *Scheduler) dispatch(ev *event) {
-	if invariantChecks.Load() {
+	if s.cfg.Checks {
 		s.verifyAccounting(ev.at, ev.seq)
 	}
 	switch ev.where {

@@ -246,13 +246,13 @@ func fifoDelay(b byte) time.Duration {
 // progClear pair goes to runCleared. The program runs twice, its AfterFIFO
 // calls once without Lane handles and once through them: trace, clock,
 // Fired and Stats but LaneHandleMisses must not depend on the handles.
-func runDifferential(t *testing.T, data []byte) diffResult {
+func runDifferential(t *testing.T, data []byte, cfg Config) diffResult {
 	t.Helper()
 	run := func(handles *fifoHandles) diffResult {
 		if len(data) > 0 && data[0] == progClear {
-			return runCleared(t, data[1:], handles)
+			return runCleared(t, data[1:], handles, cfg)
 		}
-		return runProgram(t, NewScheduler(), data, false, handles)
+		return runProgram(t, NewSchedulerWith(cfg), data, false, handles)
 	}
 	plain, handled := run(nil), run(&fifoHandles{})
 	handled.stats.LaneHandleMisses = plain.stats.LaneHandleMisses
@@ -301,13 +301,13 @@ func afterFIFO(t *testing.T, s *Scheduler, h *Lane, d time.Duration, fn func(uns
 // a fresh scheduler, and CheckAccounting must pass right after Clear. With
 // handles, the second program passes the handles the first one set, and
 // the fresh run starts from zero handles.
-func runCleared(t *testing.T, data []byte, handles *fifoHandles) diffResult {
+func runCleared(t *testing.T, data []byte, handles *fifoHandles, cfg Config) diffResult {
 	t.Helper()
 	n := 0
 	if len(data) > 0 {
 		n, data = min(int(data[0]), len(data)-1), data[1:]
 	}
-	s := NewScheduler()
+	s := NewSchedulerWith(cfg)
 	runProgram(t, s, data[:n], true, handles)
 	leavePending(t, s, handles)
 	s.Clear()
@@ -317,7 +317,7 @@ func runCleared(t *testing.T, data []byte, handles *fifoHandles) diffResult {
 	if handles != nil {
 		fresh = &fifoHandles{}
 	}
-	want := runProgram(t, NewScheduler(), data[n:], false, fresh)
+	want := runProgram(t, NewSchedulerWith(cfg), data[n:], false, fresh)
 	if got.now != want.now || got.fired != want.fired || got.stats != want.stats || len(got.trace) != len(want.trace) {
 		t.Fatalf("after Clear: now=%v fired=%d trace=%d %+v; fresh: now=%v fired=%d trace=%d %+v",
 			got.now, got.fired, len(got.trace), got.stats, want.now, want.fired, len(want.trace), want.stats)
@@ -332,7 +332,7 @@ func runCleared(t *testing.T, data []byte, handles *fifoHandles) diffResult {
 
 // leavePending arms on s an entry in each container, whatever a program
 // left there: a wheel timer, an overflow-heap event, AfterFIFO calls on
-// one delay until it holds a lane (unless WheelOnly), through the first
+// one delay until it holds a lane (unless the lanes are off), through the first
 // of handles when there are any, and a release queue holding a pushed
 // value and a run. Each fails the test if it fires.
 func leavePending(t *testing.T, s *Scheduler, handles *fifoHandles) {
@@ -353,7 +353,7 @@ func leavePending(t *testing.T, s *Scheduler, handles *fifoHandles) {
 	if _, err := q.PushRun(&intRun{ats: []Time{s.Now().Add(time.Second), s.Now().Add(2 * time.Second)}}); err != nil {
 		t.Fatal(err)
 	}
-	if s.wheel.count == 0 || s.heapLive == 0 || s.queued == 0 || (!s.wheelOnly && s.laneLive == 0) {
+	if s.wheel.count == 0 || s.heapLive == 0 || s.queued == 0 || (!s.cfg.NoLanes && s.laneLive == 0) {
 		t.Fatalf("want entries pending everywhere: wheel=%d overflow=%d lanes=%d queued=%d",
 			s.wheel.count, s.heapLive, s.laneLive, s.queued)
 	}
@@ -603,7 +603,7 @@ func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool, ha
 		if wheelSched.Len() != ref.live {
 			t.Fatalf("op %d: live counts diverge: wheel=%d ref=%d", op, wheelSched.Len(), ref.live)
 		}
-		if InvariantChecks() {
+		if wheelSched.cfg.Checks {
 			wheelSched.CheckAccounting()
 		}
 	}
@@ -639,7 +639,7 @@ func runProgram(t *testing.T, wheelSched *Scheduler, data []byte, leave bool, ha
 // FuzzScheduler feeds random operation streams through the scheduler and
 // the reference heap scheduler in lockstep; any (time, seq) dispatch
 // divergence, mismatched Stop/Reset/Step verdict, or clock drift fails.
-// A progClear pair runs with lanes live and again under WheelOnly.
+// A progClear pair runs with lanes live and again with them off.
 func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{opAfter, 0, 10})
 	f.Add([]byte{opAfter, 0, 10, opAfter, 0, 10, opStop, 0, opRunUntil, 0, 200})
@@ -652,9 +652,9 @@ func FuzzScheduler(f *testing.F) {
 	f.Add(argsProgram(NewRand(1), 64))
 	f.Add(clearProgram(NewRand(1), 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runDifferential(t, data)
+		runDifferential(t, data, defaultConfig)
 		if len(data) > 0 && data[0] == progClear {
-			WheelOnly(func() { runDifferential(t, data) })
+			runDifferential(t, data, noLanes())
 		}
 	})
 }
@@ -749,8 +749,8 @@ func TestSchedulerDifferentialRandom(t *testing.T) {
 		for i := range data[1:] {
 			data[1+i] = byte(rng.Intn(256))
 		}
-		runDifferential(t, data[1:])
-		runDifferential(t, data)
+		runDifferential(t, data[1:], defaultConfig)
+		runDifferential(t, data, defaultConfig)
 	}
 }
 
@@ -761,9 +761,8 @@ func TestSchedulerDifferentialLanes(t *testing.T) {
 	var laneFired uint64
 	for seed := int64(0); seed < 200; seed++ {
 		data := lanesProgram(NewRand(seed), 64+int(seed)*4)
-		lanes := runDifferential(t, data)
-		var wheelOnly diffResult
-		WheelOnly(func() { wheelOnly = runDifferential(t, data) })
+		lanes := runDifferential(t, data, defaultConfig)
+		wheelOnly := runDifferential(t, data, noLanes())
 		if wheelOnly.stats.FiredLane != 0 || wheelOnly.stats.Lanes != 0 {
 			t.Fatalf("seed %d: forced-wheel run used lanes: %+v", seed, wheelOnly.stats)
 		}
@@ -784,31 +783,31 @@ func TestSchedulerDifferentialLanes(t *testing.T) {
 }
 
 // TestSchedulerDifferentialArgs runs programs with argument-form timers
-// (AfterArg, AtArg) against the reference, with lanes live and under
-// WheelOnly: verdicts, clock and trace are the closure form's.
+// (AfterArg, AtArg) against the reference, with lanes live and with them
+// off: verdicts, clock and trace are the closure form's.
 func TestSchedulerDifferentialArgs(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		data := argsProgram(NewRand(seed), 64+int(seed)*4)
-		runDifferential(t, data)
-		WheelOnly(func() { runDifferential(t, data) })
+		runDifferential(t, data, defaultConfig)
+		runDifferential(t, data, noLanes())
 	}
 }
 
 // TestSchedulerDifferentialClear runs progClear pairs with lanes live and
-// under WheelOnly: a cleared scheduler runs the second program exactly as
+// with them off: a cleared scheduler runs the second program exactly as
 // a fresh one does, Stats included, whatever the first one left pending.
 func TestSchedulerDifferentialClear(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		data := clearProgram(NewRand(seed), 32+int(seed)*2)
-		runDifferential(t, data)
-		WheelOnly(func() { runDifferential(t, data) })
+		runDifferential(t, data, defaultConfig)
+		runDifferential(t, data, noLanes())
 	}
 }
 
 // TestSchedulerDifferentialLaneOverflow arms more recurring delays than
 // there are lanes: the surplus stays in the wheel and order still holds.
 func TestSchedulerDifferentialLaneOverflow(t *testing.T) {
-	res := runDifferential(t, manyDelaysProgram())
+	res := runDifferential(t, manyDelaysProgram(), defaultConfig)
 	if res.stats.Lanes != maxLanes {
 		t.Errorf("Lanes = %d, want all %d taken", res.stats.Lanes, maxLanes)
 	}
@@ -820,7 +819,7 @@ func TestSchedulerDifferentialLaneOverflow(t *testing.T) {
 // TestSchedulerDifferentialLaneReclaim: delays that arrive after every lane
 // is taken by delays gone quiet get lanes, and order still holds.
 func TestSchedulerDifferentialLaneReclaim(t *testing.T) {
-	res := runDifferential(t, reclaimProgram())
+	res := runDifferential(t, reclaimProgram(), defaultConfig)
 	cold := uint64((laneAdmitAfter + 2) * (len(fifoDelays) - 6) * 2)
 	if res.stats.Lanes != maxLanes || res.stats.FiredLane < cold+laneIdleAfter/2 {
 		t.Errorf("lanes fired %d events, %d at most from the %d early delays: the late ones got no lane (%+v)",
@@ -833,8 +832,6 @@ func TestSchedulerDifferentialLaneReclaim(t *testing.T) {
 // assertions in dispatch, and CheckAccounting after every op, cover the
 // differential workload too.
 func TestSchedulerDifferentialInvariants(t *testing.T) {
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(false)
 	for seed := int64(1000); seed < 1050; seed++ {
 		rng := NewRand(seed)
 		data := make([]byte, 1+256)
@@ -842,8 +839,8 @@ func TestSchedulerDifferentialInvariants(t *testing.T) {
 		for i := range data[1:] {
 			data[1+i] = byte(rng.Intn(256))
 		}
-		runDifferential(t, data[1:])
-		runDifferential(t, data)
-		runDifferential(t, lanesProgram(rng, 200))
+		runDifferential(t, data[1:], Config{Checks: true})
+		runDifferential(t, data, Config{Checks: true})
+		runDifferential(t, lanesProgram(rng, 200), Config{Checks: true})
 	}
 }

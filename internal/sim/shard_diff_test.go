@@ -9,7 +9,7 @@ package sim
 // payload. The program runs three ways on identical input: with every
 // handoff armed as a plain At closure (the reference semantics every
 // figure was generated with), through the scheduler's FIFO lanes, and with
-// the lanes switched off (WheelOnly), where handoffs take the wheel's
+// the lanes switched off (Config.NoLanes), where handoffs take the wheel's
 // argument-carrying arm. Every observable — per-shard dispatch traces,
 // per-shard work counters, handoff ledgers, sync-point global reads, fired
 // counts, the clock — must match bit for bit across the three runs.
@@ -70,8 +70,8 @@ type sdEnv struct {
 // newSDEnv returns an environment whose links are warm: each handoff delay
 // has carried laneAdmitAfter empty events before the program starts, so a
 // program's first handoffs already meet their lanes.
-func newSDEnv(fifo bool) *sdEnv {
-	e := &sdEnv{sched: NewScheduler(), fifo: fifo}
+func newSDEnv(fifo bool, cfg Config) *sdEnv {
+	e := &sdEnv{sched: NewSchedulerWith(cfg), fifo: fifo}
 	e.recv = e.receive
 	for k := Time(0); k < sdDelays; k++ {
 		d := (sdHop + k*sdQuantum).Duration()
@@ -219,22 +219,21 @@ func (e *sdEnv) diff(o *sdEnv) string {
 }
 
 // runShardDifferential drives the three runs, asserts bit-identical
-// observables, and returns how many events the lanes fired.
-func runShardDifferential(t *testing.T, data []byte) uint64 {
+// observables under checks, and returns how many events the lanes fired.
+func runShardDifferential(t *testing.T, data []byte, checks bool) uint64 {
 	t.Helper()
-	run := func(fifo bool) *sdEnv {
-		e := newSDEnv(fifo)
+	run := func(fifo bool, cfg Config) *sdEnv {
+		e := newSDEnv(fifo, cfg)
 		e.buildProgram(data)
 		e.run()
 		return e
 	}
-	ref := run(false)
-	lanes := run(true)
+	ref := run(false, Config{Checks: checks})
+	lanes := run(true, Config{Checks: checks})
 	if d := ref.diff(lanes); d != "" {
 		t.Fatalf("handoffs through the lanes diverged from At closures: %s", d)
 	}
-	var wheel *sdEnv
-	WheelOnly(func() { wheel = run(true) })
+	wheel := run(true, Config{NoLanes: true, Checks: checks})
 	if d := ref.diff(wheel); d != "" {
 		t.Fatalf("handoffs through the wheel diverged from At closures: %s", d)
 	}
@@ -254,7 +253,7 @@ func TestShardDifferentialRandom(t *testing.T) {
 			data[i] = byte(x)
 		}
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			laneFired += runShardDifferential(t, data)
+			laneFired += runShardDifferential(t, data, defaultConfig.Checks)
 		})
 	}
 	if laneFired == 0 {
@@ -263,9 +262,6 @@ func TestShardDifferentialRandom(t *testing.T) {
 }
 
 func TestShardDifferentialInvariants(t *testing.T) {
-	old := InvariantChecks()
-	SetInvariantChecks(true)
-	defer SetInvariantChecks(old)
 	for seed := uint64(0); seed < 40; seed++ {
 		data := make([]byte, 48)
 		x := splitmix(seed*13 + 7)
@@ -273,7 +269,7 @@ func TestShardDifferentialInvariants(t *testing.T) {
 			x = splitmix(x)
 			data[i] = byte(x)
 		}
-		runShardDifferential(t, data)
+		runShardDifferential(t, data, true)
 	}
 }
 
@@ -292,7 +288,7 @@ func FuzzShardHandoff(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		runShardDifferential(t, data)
+		runShardDifferential(t, data, defaultConfig.Checks)
 	})
 }
 
@@ -304,7 +300,7 @@ func TestShardSoloEquivalence(t *testing.T) {
 		0, 0, 3, 3, 5, 0, 7, 0, 0, 0, 9, 2,
 		4, 0, 12, 0, 6, 0, 1, 2, 0, 0, 30, 3,
 	}
-	runShardDifferential(t, data)
+	runShardDifferential(t, data, defaultConfig.Checks)
 }
 
 // pingPong builds the handoff hot-path workload on s: two shards, each

@@ -615,7 +615,7 @@ const (
 // sendSegment emits one data segment onto the network.
 func (c *Conn) sendSegment(seq, end int64, kind sendKind) {
 	retransmit := kind != sendNew
-	if retransmit && sim.InvariantChecks() {
+	if retransmit && c.sched.Config().Checks {
 		// No recovery policy's targeted repair may resend data already
 		// cumulatively ACKed, nor claim to retransmit data never sent.
 		// The post-RTO go-back-N sweep is exempt on both edges: a delayed

@@ -23,6 +23,9 @@ func newTestNet(t *testing.T, link netsim.LinkConfig) *testNet {
 	return newTestNetOn(t, sim.NewScheduler(), link)
 }
 
+// armed returns a scheduler with invariant checks armed.
+func armed() *sim.Scheduler { return sim.NewSchedulerWith(sim.Config{Checks: true}) }
+
 // newTestNetOn is newTestNet on a given scheduler.
 func newTestNetOn(t *testing.T, sched *sim.Scheduler, link netsim.LinkConfig) *testNet {
 	t.Helper()

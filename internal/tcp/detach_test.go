@@ -15,9 +15,6 @@ import (
 )
 
 func TestDetachRestoreMatchesPersistentConn(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	type snap struct {
 		stats   Stats
 		deliver int64
@@ -27,7 +24,7 @@ func TestDetachRestoreMatchesPersistentConn(t *testing.T) {
 	sizes := []int{3 * DefaultMSS, 10*DefaultMSS + 77, DefaultMSS}
 
 	run := func(detach bool) snap {
-		tn := newTestNet(t, gigLink(100))
+		tn := newTestNetOn(t, armed(), gigLink(100))
 		arena := NewArena()
 		cfg := Config{
 			Sender: tn.sender, Receiver: tn.receiver, Flow: 9,

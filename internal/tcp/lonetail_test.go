@@ -18,8 +18,6 @@ import (
 // 1-MSS train into the blackout, lifts the blackout, and runs to quiet:
 // the RTO must resend the lost tail and both trains must complete.
 func TestArmRTOOnLoneTailRecovers(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
 	fn := newFaultNet(t, gigLink(100))
 	c := newTestConn(t, fn.asTestNet(), Config{MinRTO: 10 * time.Millisecond})
 	completed := 0

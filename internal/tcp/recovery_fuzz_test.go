@@ -82,8 +82,6 @@ func FuzzClassicRecoveryLockstep(f *testing.F) {
 	f.Add(int64(-3), uint8(0), uint8(15), uint8(9), uint16(120), uint8(1))
 
 	f.Fuzz(func(t *testing.T, seed int64, loss, reorder, dup uint8, trainSegs uint16, policyIdx uint8) {
-		sim.SetInvariantChecks(true)
-		t.Cleanup(func() { sim.SetInvariantChecks(false) })
 		segs := int(trainSegs)%300 + 20
 
 		// Lockstep: implicit default vs explicit Classic.

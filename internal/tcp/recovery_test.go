@@ -13,7 +13,8 @@ import (
 )
 
 // faultNet is a two-host network with direct access to both pipe
-// directions so tests can flap or fault them.
+// directions so tests can flap or fault them, on a scheduler with
+// invariant checks armed.
 type faultNet struct {
 	sched    *sim.Scheduler
 	net      *netsim.Network
@@ -24,7 +25,7 @@ type faultNet struct {
 
 func newFaultNet(t *testing.T, link netsim.LinkConfig) *faultNet {
 	t.Helper()
-	sched := sim.NewScheduler()
+	sched := armed()
 	net := netsim.NewNetwork(sched)
 	hs := net.AddHost("sender")
 	hr := net.AddHost("receiver")
@@ -57,9 +58,6 @@ func (fn *faultNet) at(t *testing.T, at time.Duration, f func()) {
 // on the first advancing ACK, and the RTT estimator re-converges to the
 // path's real RTT.
 func TestRTOBackoffCapsThroughBlackout(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	const (
 		minRTO       = 10 * time.Millisecond
 		maxRTO       = 160 * time.Millisecond
@@ -138,9 +136,6 @@ func (fn *faultNet) asTestNet() *testNet {
 // carry no new scoreboard information, so the sender must not count them
 // as loss signals: no fast recoveries, no retransmissions.
 func TestInjectedDuplicationNoSpuriousFastRetransmit(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	fn := newFaultNet(t, gigLink(200))
 	fn.fwd.InjectDuplicate(1, sim.NewRand(11))
 	fn.rev.InjectDuplicate(1, sim.NewRand(12))
@@ -177,9 +172,6 @@ func TestInjectedDuplicationNoSpuriousFastRetransmit(t *testing.T) {
 // everything without timeouts (fast retransmits are legal RFC behavior
 // under deep reordering; stalls are not).
 func TestInjectedReorderingDelivers(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	fn := newFaultNet(t, gigLink(200))
 	fn.fwd.InjectReorder(0.3, 100*time.Microsecond, sim.NewRand(7))
 	c := newTestConn(t, fn.asTestNet(), Config{})

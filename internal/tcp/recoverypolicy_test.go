@@ -18,7 +18,7 @@ import (
 
 // switchFaultNet is a sender — switch — receiver dumbbell with direct
 // access to every pipe, for fault injection on a topology that can also
-// host a T-RACKs agent.
+// host a T-RACKs agent, on a scheduler with invariant checks armed.
 type switchFaultNet struct {
 	sched    *sim.Scheduler
 	net      *netsim.Network
@@ -33,7 +33,7 @@ type switchFaultNet struct {
 
 func newSwitchFaultNet(t *testing.T, link netsim.LinkConfig) *switchFaultNet {
 	t.Helper()
-	sched := sim.NewScheduler()
+	sched := armed()
 	net := netsim.NewNetwork(sched)
 	hs := net.AddHost("sender")
 	sw := net.AddSwitch("sw")
@@ -69,9 +69,6 @@ func (sn *switchFaultNet) at(t *testing.T, at time.Duration, f func()) {
 // that a pre-timeout transmission survived, so it must NOT reset the
 // exponential back-off; an ACK echoing a post-RTO timestamp must.
 func TestKarnBackoffIgnoresPreRTOEcho(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	const (
 		minRTO       = 10 * time.Millisecond
 		maxRTO       = 160 * time.Millisecond
@@ -133,9 +130,6 @@ func TestKarnBackoffIgnoresPreRTOEcho(t *testing.T) {
 // time-based detector repairs the rest — no timeout. Classic recovery on
 // the identical scenario can only wait for the RTO backstop.
 func TestRACKTLPRepairsTailLossWithoutRTO(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	const (
 		minRTO  = 10 * time.Millisecond
 		quietAt = 50 * time.Millisecond
@@ -194,9 +188,6 @@ func TestRACKTLPRepairsTailLossWithoutRTO(t *testing.T) {
 // the T-RACKs agent notices the stalled ACK stream within its ~1 ms
 // timeout and signals the sender into fast recovery.
 func TestTRACKsSwitchAssistedRecovery(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	const (
 		start    = 50 * time.Millisecond
 		downFrom = start + 100*time.Microsecond
@@ -261,9 +252,6 @@ func TestTRACKsSwitchAssistedRecovery(t *testing.T) {
 // acknowledged data — and must keep the retransmission breakdown
 // consistent.
 func TestRecoveryPoliciesSafeUnderFaults(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-
 	for _, name := range RecoveryNames() {
 		for _, seed := range []int64{1, 7, 42} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {

@@ -22,14 +22,14 @@ import (
 
 // lossyNet is one sender and one receiver across a switch whose queues
 // hold eight packets: a train of a few hundred segments overflows them,
-// so loss recovery and the scoreboard run.
+// so loss recovery and the scoreboard run, under armed invariant checks.
 type lossyNet struct {
 	sched            *sim.Scheduler
 	sender, receiver *tcp.Stack
 }
 
 func newLossyNet() *lossyNet {
-	sched := sim.NewScheduler()
+	sched := sim.NewSchedulerWith(sim.Config{Checks: true})
 	net := netsim.NewNetwork(sched)
 	link := netsim.LinkConfig{Rate: netsim.Gbps, Delay: 50 * time.Microsecond,
 		Queue: netsim.QueueConfig{CapPackets: 8}}
@@ -153,8 +153,6 @@ func TestRecycledPolicyEqualsFresh(t *testing.T) {
 // and then, as another flow, CUBIC under RACK-TLP, and the second goes
 // exactly as it does on a connection of its own.
 func TestShellServesTrimThenCubic(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
 	second := func(arena *tcp.Arena) (*tcp.Conn, tcp.Stats, tcp.TrainResult) {
 		ln := newLossyNet()
 		base := tcp.Config{Sender: ln.sender, Receiver: ln.receiver, Arena: arena,

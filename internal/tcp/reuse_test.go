@@ -13,8 +13,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"tcptrim/internal/sim"
 )
 
 // transcript records every event a connection reports.
@@ -79,11 +77,9 @@ func dyingConn(t *testing.T, tn *testNet, owner *[2]*int) *Conn {
 // died with everything in flight sends, counts and completes exactly as
 // a fresh one, and keeps the dead one's slice storage.
 func TestReusedConnMatchesFresh(t *testing.T) {
-	sim.SetInvariantChecks(true)
-	t.Cleanup(func() { sim.SetInvariantChecks(false) })
-	_, want := runReuseLife(t, newTestNet(t, gigLink(8)), nil)
+	_, want := runReuseLife(t, newTestNetOn(t, armed(), gigLink(8)), nil)
 
-	tn := newTestNet(t, gigLink(8))
+	tn := newTestNetOn(t, armed(), gigLink(8))
 	old := dyingConn(t, tn, new([2]*int))
 	tn.sched.Clear()
 	tn = newTestNetOn(t, tn.sched, gigLink(8))
